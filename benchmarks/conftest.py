@@ -7,8 +7,10 @@ paper's Fig. 3 component costs); assertions check the paper's *shape*
 claims — who wins, by roughly what factor, where crossovers fall.
 
 ``REPRO_BENCH_REQUESTS`` scales the per-client request cycle (default
-150; the paper used 10,000 — larger values sharpen the averages but
-grow the runtime roughly linearly).
+150; the paper used 10,000 — larger values sharpen the averages, and
+the runtime grows linearly with them now that passive checkpoints ship
+the reply cache as a delta; before that the passive sweeps were
+quadratic).
 """
 
 from __future__ import annotations

@@ -56,10 +56,12 @@ from repro.check.policies import (
 )
 from repro.check.report import render_exploration, render_outcome
 from repro.check.scenario import (
+    CHECKPOINT_PHASES,
     MUTATIONS,
     CheckScenario,
     PreparedSchedule,
     ScheduleOutcome,
+    canonical_checkpoint_crash_scenario,
     canonical_partition_scenario,
     canonical_scenario,
     finish_schedule,
@@ -69,6 +71,7 @@ from repro.check.scenario import (
 )
 
 __all__ = [
+    "CHECKPOINT_PHASES",
     "CheckScenario",
     "CounterSpec",
     "ExplorationResult",
@@ -84,6 +87,7 @@ __all__ = [
     "ScheduleOutcome",
     "SchedulerPolicy",
     "Violation",
+    "canonical_checkpoint_crash_scenario",
     "canonical_partition_scenario",
     "canonical_scenario",
     "check_counter_consistency",

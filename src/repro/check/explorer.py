@@ -23,6 +23,7 @@ from repro.check.invariants import (
 from repro.check.linearizability import CounterSpec, check_linearizability
 from repro.check.policies import RandomWalkPolicy
 from repro.check.scenario import (
+    CHECKPOINT_PHASES,
     CheckScenario,
     ScheduleOutcome,
     finish_schedule,
@@ -119,8 +120,10 @@ def explore(scenario: CheckScenario, budget: int = 200,
 
     Walk ``i`` uses policy seed ``base_walk_seed + i`` and, when the
     scenario crashes the primary, cycles the crash time through
-    :data:`CRASH_VARIATIONS` — both fully determined by ``i``, so any
-    violating walk is reproducible from its report alone.
+    :data:`CRASH_VARIATIONS` (or, when the scenario names a checkpoint
+    phase to die in, that phase through ``CHECKPOINT_PHASES``) — both
+    fully determined by ``i``, so any violating walk is reproducible
+    from its report alone.
     ``progress`` (optional callable) receives ``(i, report)`` after
     each walk.
     """
@@ -134,7 +137,15 @@ def explore(scenario: CheckScenario, budget: int = 200,
     snapshot = snapshot_schedule(scenario)
     for i in range(budget):
         variant = scenario
-        if scenario.crash_primary_at_us is not None:
+        if scenario.crash_primary_phase is not None:
+            # The crash is pinned to a checkpoint, not to an instant
+            # (which must stay after the backups' restart): vary the
+            # phase of that checkpoint instead of the time.
+            variant = replace(
+                scenario,
+                crash_primary_phase=CHECKPOINT_PHASES[
+                    i % len(CHECKPOINT_PHASES)])
+        elif scenario.crash_primary_at_us is not None:
             factor = CRASH_VARIATIONS[i % len(CRASH_VARIATIONS)]
             variant = replace(
                 scenario,

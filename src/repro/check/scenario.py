@@ -25,16 +25,33 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.check.history import HistoryRecorder, Operation
 from repro.check.policies import SchedulerPolicy
 from repro.errors import AdaptationError, VerificationError
-from repro.experiments import Testbed, deploy_client, deploy_replica_group
+from repro.experiments import (
+    Testbed,
+    deploy_client,
+    deploy_replica,
+    deploy_replica_group,
+)
 from repro.faults import FaultInjector
 from repro.journal.io import events_to_jsonl
-from repro.orb import CounterServant
+from repro.gcs import Grade
+from repro.orb import CounterServant, GiopRequest
 from repro.replication import (
+    Checkpoint,
     ClientReplicationConfig,
     ReplicationConfig,
     ReplicationStyle,
+    RepRequest,
 )
 from repro.sim import SimSnapshot, default_calibration
+
+
+#: The points of one synchronous checkpoint at which
+#: ``crash_primary_phase`` can kill the primary: right after the state
+#: capture (nothing published yet), right after the multicast (the
+#: backups will apply it, the primary never sees it stable), and on
+#: the stability self-delivery (every backup holds it, the replies it
+#: covers never leave).
+CHECKPOINT_PHASES = ("capture", "publish", "stable")
 
 
 @dataclass(frozen=True)
@@ -52,6 +69,19 @@ class CheckScenario:
     seed: int = 0
     switch_at_us: Optional[float] = 40_000.0
     crash_primary_at_us: Optional[float] = 90_000.0
+    #: One of :data:`CHECKPOINT_PHASES`: the primary then dies at that
+    #: phase of the first checkpoint it captures from
+    #: ``crash_primary_at_us`` on, instead of at that instant.
+    crash_primary_phase: Optional[str] = None
+    #: Offset at which every backup crashes, to be redeployed on its
+    #: host ``RESTART_AFTER_US`` later: whoever takes over from the
+    #: primary afterwards got its state *and its reply cache* through
+    #: state transfer.
+    restart_backups_at_us: Optional[float] = None
+    #: Retransmit the first acknowledged request once the faults have
+    #: played out (a late duplicate from the network): whichever
+    #: replica is primary by then must answer it from its reply cache.
+    late_duplicate: bool = False
     #: Offset (from load start) at which a symmetric partition isolates
     #: the last replica host into a minority component; ``None``
     #: disables the partition.  A non-None value is a *prefix*
@@ -104,6 +134,29 @@ def canonical_partition_scenario(seed: int = 0,
                          switch_at_us=None, crash_primary_at_us=None,
                          partition_at_us=8_000.0,
                          heal_at_us=2_008_000.0)
+
+
+def canonical_checkpoint_crash_scenario(seed: int = 0,
+                                        mutation: Optional[str] = None
+                                        ) -> CheckScenario:
+    """The canonical checkpoint-crash scenario: no switch — both
+    backups crash and restart under load, so they hold only what state
+    transfer gave them; then the primary dies at a phase of one of its
+    checkpoints (the explorer cycles :data:`CHECKPOINT_PHASES`), a
+    restarted backup takes over, and a late duplicate of the client's
+    first request arrives.
+
+    The request the primary was serving must be applied exactly once
+    whichever phase it died in, and the late duplicate must be answered
+    from the reply cache — which the new primary has only if every
+    hand-over shipped that cache whole.
+    """
+    return CheckScenario(seed=seed, mutation=mutation, n_requests=24,
+                         switch_at_us=None,
+                         restart_backups_at_us=8_000.0,
+                         crash_primary_at_us=40_000.0,
+                         crash_primary_phase=CHECKPOINT_PHASES[0],
+                         late_duplicate=True)
 
 
 @dataclass
@@ -163,6 +216,18 @@ def _mutate_forget_seen_cache(replicas) -> None:
         replicator._receive_checkpoint = patched
 
 
+def _mutate_delta_only_seen_cache(replicas) -> None:
+    """Hand-over sabotage: wherever the protocol owes a *complete*
+    reply cache (state transfer, switch, take-over, a view that added
+    a member) the source ships only the delta it has open.  A replica
+    that synced late then lacks the older entries, and double-applies
+    a late duplicate once it is promoted."""
+    for replica in replicas:
+        replicator = replica.replicator
+        replicator.completed_seen = (
+            lambda _replicator=replicator: tuple(_replicator._seen_delta))
+
+
 def _mutate_minority_serves(replicas) -> None:
     """Partition sabotage: switch the replicas' daemons back to
     partitionable membership, so a minority component installs its own
@@ -181,6 +246,7 @@ def _mutate_minority_serves(replicas) -> None:
 MUTATIONS: Dict[str, Callable[[Any], None]] = {
     "skip_final_checkpoint": _mutate_skip_final_checkpoint,
     "forget_seen_cache": _mutate_forget_seen_cache,
+    "delta_only_seen_cache": _mutate_delta_only_seen_cache,
     "minority_serves": _mutate_minority_serves,
 }
 
@@ -188,6 +254,9 @@ MUTATIONS: Dict[str, Callable[[Any], None]] = {
 #: Simulated warmup (µs) run before the load window opens: long
 #: enough for the group to form, elect a primary and settle.
 WARMUP_US = 150_000.0
+
+#: Downtime (µs) of the backups ``restart_backups_at_us`` crashes.
+RESTART_AFTER_US = 10_000.0
 
 
 @dataclass
@@ -226,6 +295,20 @@ def prepare_schedule(scenario: CheckScenario) -> PreparedSchedule:
                                  <= scenario.partition_at_us):
         raise VerificationError(
             "a partition scenario needs heal_at_us > partition_at_us")
+    if scenario.crash_primary_phase is not None \
+            and (scenario.crash_primary_phase not in CHECKPOINT_PHASES
+                 or scenario.crash_primary_at_us is None):
+        raise VerificationError(
+            f"crash_primary_phase must be one of {CHECKPOINT_PHASES} "
+            f"and needs crash_primary_at_us")
+    if scenario.restart_backups_at_us is not None \
+            and scenario.crash_primary_at_us is not None \
+            and scenario.crash_primary_at_us \
+            <= scenario.restart_backups_at_us + RESTART_AFTER_US:
+        raise VerificationError(
+            "crash_primary_at_us must come after the backups restarted "
+            "(restart_backups_at_us + RESTART_AFTER_US), or every "
+            "replica is down at once and no protocol keeps the state")
 
     calibration = default_calibration()
     calibration = replace(
@@ -336,27 +419,56 @@ def finish_schedule(prepared: PreparedSchedule,
                 pass  # already there (e.g. a rollback raced the timer)
 
         testbed.sim.schedule_at(start + scenario.switch_at_us, fire_switch)
-    if scenario.crash_primary_at_us is not None \
-            or scenario.partitioned:
-        # Through the injector (not a raw kill) so the journal carries
-        # the fault.inject ground truth the availability accounting,
-        # the split-brain monitor and the SLO fault/alert cross-check
-        # match against.
-        injector = FaultInjector(testbed.sim, testbed.network)
-        if scenario.crash_primary_at_us is not None:
-            injector.crash_process_at(replicas[0].process,
-                                      start + scenario.crash_primary_at_us)
-        if scenario.partitioned:
-            # Isolate the LAST replica host: the sequencer (lowest
-            # host) and the client both stay majority-side, so the
-            # majority keeps serving and no acked update can be
-            # stranded minority-side.
-            minority = f"s{scenario.n_replicas:02d}"
-            injector.partition_at([[minority]],
-                                  start + scenario.partition_at_us,
-                                  start + scenario.heal_at_us)
+    # Faults go through the injector (not a raw kill) so the journal
+    # carries the fault.inject ground truth the availability
+    # accounting, the split-brain monitor and the SLO fault/alert
+    # cross-check match against.
+    injector = FaultInjector(testbed.sim, testbed.network)
+    if scenario.crash_primary_phase is not None:
+        _crash_at_checkpoint_phase(
+            injector, replicas[0], scenario.crash_primary_phase,
+            start + scenario.crash_primary_at_us)
+    elif scenario.crash_primary_at_us is not None:
+        injector.crash_process_at(replicas[0].process,
+                                  start + scenario.crash_primary_at_us)
+    if scenario.restart_backups_at_us is not None:
+        for index in range(1, len(replicas)):
+            old = replicas[index]
+
+            def respawn(index: int = index, old: Any = old) -> None:
+                replicas[index] = deploy_replica(
+                    testbed, old.process.host.name, old.replicator.config,
+                    {"counter": CounterServant},
+                    process_name=f"{old.process.name}+")
+
+            injector.crash_and_restart_at(
+                old.process, start + scenario.restart_backups_at_us,
+                RESTART_AFTER_US, restart=respawn)
+    if scenario.partitioned:
+        # Isolate the LAST replica host: the sequencer (lowest
+        # host) and the client both stay majority-side, so the
+        # majority keeps serving and no acked update can be
+        # stranded minority-side.
+        minority = f"s{scenario.n_replicas:02d}"
+        injector.partition_at([[minority]],
+                              start + scenario.partition_at_us,
+                              start + scenario.heal_at_us)
     next_request(scenario.n_requests)
     testbed.run(scenario.horizon_us)
+
+    if scenario.late_duplicate:
+        first = next((op for op in history.operations if not op.pending),
+                     None)
+        if first is not None:
+            duplicate = RepRequest(
+                request=GiopRequest(
+                    request_id=first.op_id, object_key=first.object_key,
+                    operation=first.operation, payload=first.payload,
+                    payload_bytes=32),
+                client=client.gcs.member)
+            client.gcs.multicast("svc", duplicate, duplicate.wire_bytes,
+                                 grade=Grade.AGREED)
+            testbed.run(scenario.settle_us)
 
     # The closing read: observed through the same history capture, it
     # forces the final state onto the client-visible record.
@@ -378,6 +490,49 @@ def finish_schedule(prepared: PreparedSchedule,
         digest=hasher.hexdigest(),
         giveups=client.replicator.failures,
         events_dispatched=testbed.sim.events_dispatched)
+
+
+def _crash_at_checkpoint_phase(injector: FaultInjector, replica: Any,
+                               phase: str, armed_at_us: float) -> None:
+    """Kill ``replica`` at ``phase`` of the first checkpoint it captures
+    at or after ``armed_at_us`` (absolute simulated time)."""
+    replicator = replica.replicator
+    sim = replicator.sim
+    doomed: List[int] = []  # ckpt_id of the checkpoint to die on
+
+    def crash() -> None:
+        injector.crash_process_at(replica.process, sim.now)
+
+    def is_doomed(payload: Any) -> bool:
+        return (isinstance(payload, Checkpoint) and bool(doomed)
+                and payload.source == replicator.member
+                and payload.ckpt_id == doomed[0])
+
+    capture, multicast, deliver = (replicator._checkpoint,
+                                   replicator.gcs.multicast,
+                                   replicator._receive_checkpoint)
+
+    def checkpoint(final_for=None, sync_for=None) -> None:
+        capture(final_for=final_for, sync_for=sync_for)
+        if not doomed and sim.now >= armed_at_us:
+            doomed.append(replicator._ckpt_ids)
+            if phase == "capture":
+                crash()
+
+    def publish(group, payload, nbytes, grade=Grade.AGREED) -> None:
+        multicast(group, payload, nbytes, grade=grade)
+        if phase == "publish" and is_doomed(payload):
+            crash()
+
+    def stable(ckpt) -> None:
+        if phase == "stable" and is_doomed(ckpt):
+            crash()
+            return  # dies with the stability notification unread
+        deliver(ckpt)
+
+    replicator._checkpoint = checkpoint
+    replicator.gcs.multicast = publish
+    replicator._receive_checkpoint = stable
 
 
 def run_schedule(scenario: CheckScenario,

@@ -295,6 +295,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     """Explore schedule space; replay or minimize repro artifacts."""
     from repro.check import (
         MUTATIONS,
+        canonical_checkpoint_crash_scenario,
         canonical_partition_scenario,
         canonical_scenario,
         explore,
@@ -353,12 +354,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return 1
 
     # Explore mode (the default).
-    if args.scenario == "partition":
-        scenario = canonical_partition_scenario(seed=args.seed,
-                                                mutation=args.mutation)
-    else:
-        scenario = canonical_scenario(seed=args.seed,
-                                      mutation=args.mutation)
+    canonical = {"crash": canonical_scenario,
+                 "partition": canonical_partition_scenario,
+                 "checkpoint-crash": canonical_checkpoint_crash_scenario}
+    scenario = canonical[args.scenario](seed=args.seed,
+                                        mutation=args.mutation)
     result = explore(scenario, budget=args.budget,
                      base_walk_seed=args.walk_seed,
                      tie_choices=args.tie_choices,
@@ -779,13 +779,17 @@ def build_parser() -> argparse.ArgumentParser:
                       help="greedily shrink a repro artifact while it "
                            "still fails, then replay it")
     check_parser.add_argument("--scenario",
-                              choices=("crash", "partition"),
+                              choices=("crash", "partition",
+                                       "checkpoint-crash"),
                               default="crash",
                               help="canonical scenario to explore: "
-                                   "the crash/switch default, or the "
+                                   "the crash/switch default, the "
                                    "partition/heal/merge scenario "
                                    "under primary-partition "
-                                   "membership (default crash)")
+                                   "membership, or restarted backups "
+                                   "+ a primary crash at each "
+                                   "checkpoint phase + a late "
+                                   "duplicate (default crash)")
     check_parser.add_argument("--budget", type=int, default=200,
                               help="schedules to explore (default 200)")
     check_parser.add_argument("--walk-seed", type=int, default=0,

@@ -67,6 +67,9 @@ class ScenarioResult:
     completed: int
     #: Kernel events dispatched over the whole run (bench throughput).
     events_dispatched: int = 0
+    #: Duplicate-suppression entries that rode on checkpoints, summed
+    #: over the replicas (linear in requests: checkpoints ship deltas).
+    seen_entries_shipped: int = 0
     breakdown: Dict[str, float] = field(default_factory=dict)
     per_client_latency_us: List[float] = field(default_factory=list)
     #: Cross-request per-component stats (set when timelines are kept).
@@ -181,6 +184,8 @@ def run_replicated_load(style: ReplicationStyle, n_replicas: int,
                           else 0.0),
         duration_us=duration, completed=completed,
         events_dispatched=testbed.sim.events_dispatched,
+        seen_entries_shipped=sum(r.replicator.seen_entries_shipped
+                                 for r in replicas),
         breakdown=stats.breakdown() if stats else {},
         per_client_latency_us=per_client,
         timeline_stats=stats,

@@ -88,14 +88,24 @@ class Checkpoint:
     source: MemberId
     final_for: Optional[str] = None
     sync_for: Optional[MemberId] = None
-    #: Completed entries of the primary's duplicate-suppression cache
+    #: Completed entries of the source's duplicate-suppression cache
     #: (request id -> cached reply).  A backup that takes over after
     #: applying this checkpoint must suppress retries of requests whose
     #: effects the checkpointed state already contains — re-executing
-    #: them would double-apply acknowledged work.  The entries ride in
-    #: the same checkpoint message (their cost is part of the state
-    #: snapshot already accounted in ``state_bytes``).
+    #: them would double-apply acknowledged work.  With ``seen_base``
+    #: 0 this is the complete cache; otherwise only the entries added
+    #: since the source's checkpoint ``seen_base``.
+    #:
+    #: The entries are free on the simulated wire: ``state_bytes`` does
+    #: not include them and ``wire_bytes`` adds nothing per entry, so
+    #: how many ride a message never changes modelled time or bytes
+    #: (charging them would be a calibration change; see
+    #: ``docs/calibration.md``).
     seen: Tuple[Tuple[str, Any], ...] = ()
+    #: ``ckpt_id`` of this source's previous checkpoint, which ``seen``
+    #: extends; 0 = ``seen`` is complete.  A receiver applies a delta
+    #: only if that checkpoint is the last one it applied.
+    seen_base: int = 0
 
     @property
     def wire_bytes(self) -> int:

@@ -95,6 +95,16 @@ class ServerReplicator(Actor, ServerTransport):
         # Duplicate suppression + reply cache: req_id -> reply (None
         # while the request is still in flight).
         self._seen: "OrderedDict[str, Optional[RepReply]]" = OrderedDict()
+        # Seen-cache delta: the entries completed or absorbed since this
+        # replica captured checkpoint ``_seen_base``, which its next
+        # periodic checkpoint ships instead of the whole cache.  Base 0
+        # means no delta is open and the next checkpoint ships the
+        # complete cache.
+        self._seen_delta: List[Tuple[str, RepReply]] = []
+        self._seen_base = 0
+        # The (source, ckpt_id) of the checkpoint this replica applied
+        # last — the only point a received delta may extend.
+        self._seen_applied: Optional[Tuple[MemberId, int]] = None
         # Requests logged since the last checkpoint (broadcast mode).
         self._request_log: List[RepRequest] = []
         self._since_ckpt = 0
@@ -132,6 +142,7 @@ class ServerReplicator(Actor, ServerTransport):
         self.replies_sent = 0
         self.duplicates_suppressed = 0
         self.checkpoints_sent = 0
+        self.seen_entries_shipped = 0
         self.checkpoints_applied = 0
         self.relays = 0
 
@@ -381,6 +392,8 @@ class ServerReplicator(Actor, ServerTransport):
                                  style=self.style, primary=self.primary,
                                  broadcast=self.config.broadcast_requests)
             self._remember(req_id, rep_reply)
+            if self._seen_base:
+                self._seen_delta.append((req_id, rep_reply))
             reply.timeline.add(COMPONENT_REPLICATOR, self.ical.redirect_us)
             reply_ctx = context_of(reply) if telemetry.enabled else None
             if reply_ctx is not None:
@@ -496,18 +509,36 @@ class ServerReplicator(Actor, ServerTransport):
         # Periodic checkpoints ship incremental state updates; the
         # final (switch) and sync (state-transfer) checkpoints must be
         # complete snapshots.
-        if final_for is None and sync_for is None:
+        periodic = final_for is None and sync_for is None
+        to_store = periodic and self.style is ReplicationStyle.COLD_PASSIVE
+        if periodic:
             wire_state = int(nbytes * self.config.checkpoint_delta_fraction)
         else:
             wire_state = nbytes
-        # Ship the completed reply cache with the snapshot: any request
-        # whose effect is in this state must be suppressed (and its
-        # cached reply resent) by whoever restores from it.
-        seen = self.completed_seen()
+        # Ship the reply cache with the snapshot: any request whose
+        # effect is in this state must be suppressed (and its cached
+        # reply resent) by whoever restores from it.  A periodic
+        # checkpoint ships only the entries added since the previous
+        # capture, tagged with the checkpoint they extend; everything
+        # else — and a periodic one with no open delta — ships the
+        # complete cache.  The stable store keeps no reply cache.
+        if to_store:
+            seen, seen_base = (), 0
+        elif periodic and self._seen_base:
+            seen, seen_base = tuple(self._seen_delta), self._seen_base
+        else:
+            seen, seen_base = self.completed_seen(), 0
         ckpt = Checkpoint(ckpt_id=self._ckpt_ids, state=state,
                           state_bytes=wire_state, source=self.member,
                           final_for=final_for, sync_for=sync_for,
-                          seen=seen)
+                          seen=seen, seen_base=seen_base)
+        # Every group member is delivered this checkpoint, so the next
+        # periodic one may extend it — if this replica is the one that
+        # checkpoints periodically (an active replica answering a sync
+        # request is not, and would collect a delta nobody ships).
+        self._seen_delta = []
+        self._seen_base = 0 if to_store or self.style.executes_everywhere \
+            else ckpt.ckpt_id
         if self.sim.telemetry.enabled:
             self._count("replicator_checkpoints_total")
             self._observe("checkpoint_bytes", wire_state,
@@ -520,8 +551,7 @@ class ServerReplicator(Actor, ServerTransport):
         def publish() -> None:
             if not self.alive:
                 return
-            if (self.style is ReplicationStyle.COLD_PASSIVE
-                    and final_for is None and sync_for is None):
+            if to_store:
                 assert self.store is not None
                 if self.sync_checkpoints:
                     self._pause()
@@ -541,6 +571,7 @@ class ServerReplicator(Actor, ServerTransport):
             self.gcs.multicast(self.group, ckpt, ckpt.wire_bytes,
                                grade=grade)
             self.checkpoints_sent += 1
+            self.seen_entries_shipped += len(seen)
             self._journal("checkpoint.publish", ckpt_id=ckpt.ckpt_id,
                           state_bytes=wire_state, final_for=final_for,
                           sync_for=str(sync_for) if sync_for else None)
@@ -568,6 +599,15 @@ class ServerReplicator(Actor, ServerTransport):
         def apply() -> None:
             if not self.alive:
                 return
+            if ckpt.seen_base and self._seen_applied != (ckpt.source,
+                                                         ckpt.seen_base):
+                # A delta that does not extend what this replica holds
+                # (it joined, or was re-admitted, after the base went
+                # out).  The state without the reply cache it depends
+                # on could double-apply a retry after a take-over, so
+                # take neither and stay unsynced: the sync timer keeps
+                # asking for a complete checkpoint.
+                return
             if self._state_provider is not None and ckpt.state is not None:
                 self._state_provider.restore_state(ckpt.state)
             self.checkpoints_applied += 1
@@ -576,6 +616,7 @@ class ServerReplicator(Actor, ServerTransport):
             self._request_log.clear()
             for rid, cached in ckpt.seen:
                 self._remember(rid, cached)
+            self._seen_applied = (ckpt.source, ckpt.ckpt_id)
             if not self._synced:
                 if ckpt.sync_for in (None, self.member):
                     self._mark_synced()
@@ -684,11 +725,20 @@ class ServerReplicator(Actor, ServerTransport):
         cached reply resent — by the new owner too."""
         for rid, cached in entries:
             self._remember(rid, cached)
+        if self._seen_base:
+            self._seen_delta.extend(entries)
+
+    def _close_seen_delta(self) -> None:
+        """Make the next checkpoint ship the complete cache: some
+        member may not hold the base an open delta extends, or this
+        replica stopped recording one."""
+        self._seen_base = 0
+        self._seen_delta = []
 
     def completed_seen(self) -> Tuple[Tuple[str, Any], ...]:
         """Completed (answered) entries of the duplicate-suppression
-        cache, in insertion order — what checkpoints and migrations
-        ship alongside the state snapshot."""
+        cache, in insertion order — the complete snapshot that
+        migrations and non-delta checkpoints ship alongside the state."""
         return tuple((rid, cached) for rid, cached in self._seen.items()
                      if cached is not None)
 
@@ -809,6 +859,7 @@ class ServerReplicator(Actor, ServerTransport):
         self.style = switch.target
         self._switch = None
         self._since_ckpt = 0
+        self._close_seen_delta()
         self._release_held_replies()
         self.switch_history.append(SwitchRecord(
             switch_id=switch.switch_id, from_style=switch.from_style,
@@ -857,6 +908,7 @@ class ServerReplicator(Actor, ServerTransport):
             self.sim.telemetry.finish_trace(switch.trace_ctx, self.sim.now)
         self.style = switch.target
         self._switch = None
+        self._close_seen_delta()
         self._release_held_replies()
         self.switch_history.append(SwitchRecord(
             switch_id=switch.switch_id, from_style=switch.from_style,
@@ -890,6 +942,10 @@ class ServerReplicator(Actor, ServerTransport):
                  left: List[MemberId], crashed: bool) -> None:
         previous = self.view
         self.view = view
+        if joined:
+            # A member that was not delivered the open delta's base is
+            # in the group now (possibly this replica, re-admitted).
+            self._close_seen_delta()
         if self.member in joined:
             if previous is not None:
                 # Re-admission after a partition: this replica held a
@@ -935,6 +991,9 @@ class ServerReplicator(Actor, ServerTransport):
         def promoted() -> None:
             if not self.alive:
                 return
+            # The backups anchor on the old primary's checkpoints, so
+            # the re-arming checkpoint below must ship the whole cache.
+            self._close_seen_delta()
             log, self._request_log = self._request_log, []
             for rep in log:
                 self._process(rep)

@@ -63,6 +63,7 @@ class TestScenarioRoundTrip:
     def test_known_mutations_registered(self):
         assert set(MUTATIONS) == {"skip_final_checkpoint",
                                   "forget_seen_cache",
+                                  "delta_only_seen_cache",
                                   "minority_serves"}
 
 
@@ -177,3 +178,53 @@ class TestPartitionScenario:
                                 heal_at_us=None)
         with pytest.raises(VerificationError):
             finish_schedule(prepared, scenario=unpartitioned)
+
+
+class TestCheckpointCrashScenario:
+    """Restarted backups, then the primary dies at a checkpoint phase
+    and a late duplicate of the first request arrives."""
+
+    def _scenario(self, **overrides):
+        from repro.check import canonical_checkpoint_crash_scenario
+        base = replace(canonical_checkpoint_crash_scenario(),
+                       horizon_us=2_000_000.0, settle_us=500_000.0)
+        return replace(base, **overrides)
+
+    def test_every_phase_verifies_clean(self):
+        from repro.check import CHECKPOINT_PHASES
+        result = explore(self._scenario(), budget=2 * len(CHECKPOINT_PHASES))
+        assert result.ok
+        assert [r.scenario.crash_primary_phase for r in result.reports] \
+            == list(CHECKPOINT_PHASES) * 2
+        # The arming instant is not varied: it must stay after the
+        # backups' restart.
+        assert {r.scenario.crash_primary_at_us for r in result.reports} \
+            == {self._scenario().crash_primary_at_us}
+
+    def test_the_promoted_replica_is_a_restarted_one(self):
+        outcome = run_schedule(self._scenario(crash_primary_phase="publish"))
+        takeovers = [e for e in outcome.journal_events
+                     if e.kind == "failover"]
+        assert len(takeovers) == 1
+        assert takeovers[0].attrs["process"].endswith("+")
+        assert outcome.survivor_values == [24, 24]
+
+    @pytest.mark.parametrize("phase", ["capture", "publish", "stable"])
+    def test_delta_only_seen_cache_caught_in_every_phase(self, phase):
+        result = explore(self._scenario(mutation="delta_only_seen_cache",
+                                        crash_primary_phase=phase),
+                         budget=1)
+        assert not result.ok
+        invariants = {v.invariant for v in result.violating[0].violations}
+        assert "at_most_once" in invariants
+
+    def test_phase_and_restart_parameters_validated(self):
+        from repro.check import prepare_schedule
+        from repro.errors import VerificationError
+        with pytest.raises(VerificationError):
+            prepare_schedule(self._scenario(crash_primary_phase="commit"))
+        with pytest.raises(VerificationError):
+            prepare_schedule(self._scenario(crash_primary_at_us=None))
+        with pytest.raises(VerificationError):
+            # Primary down before the backups are back: total failure.
+            prepare_schedule(self._scenario(crash_primary_at_us=12_000.0))

@@ -112,6 +112,63 @@ class TestRebalanceSafety:
         assert out.survivor_values["ctr00"] == [96, 96]
 
 
+class TestMigrationDedupHandOff:
+    def test_promoted_destination_backup_suppresses_source_acked_retry(self):
+        """The reply cache moves with the key *and* reaches the
+        destination's backups: a retry of a request the source shard
+        acknowledged is answered from cache by a destination backup
+        promoted after the migration commit."""
+        from tests.replication.helpers import record_checkpoints, resend
+
+        testbed = Testbed.paper_testbed(4, 2, seed=0)
+        passive = dict(style=ReplicationStyle.WARM_PASSIVE, n_replicas=2,
+                       checkpoint_interval=1)
+        specs = [ShardSpec(name="shard0", hosts=("s01", "s02"), **passive),
+                 ShardSpec(name="shard1", hosts=("s03", "s04"), **passive)]
+        keys = ["k0", "k1", "k2", "k3"]
+        cluster = deploy_cluster(testbed, specs, keys,
+                                 servant_factory=lambda k: CounterServant())
+        stack = deploy_cluster_client(cluster, "w01")
+        testbed.run(150_000)
+        moving = next(k for k in keys if cluster.map.owner_of(k) == "shard0")
+        resident = next(k for k in keys
+                        if cluster.map.owner_of(k) == "shard1")
+
+        def load(key, n_requests):
+            loader = ClosedLoopClient(stack, n_requests, object_key=key,
+                                      operation="add", payload=1)
+            loader.start()
+            testbed.run(2_000_000)
+            assert loader.done
+
+        load(moving, 6)
+        source = cluster.shards["shard0"].primary_replica
+        old_id = next(iter(source.replicator._seen))
+        # The destination primary has a delta open when the cache lands.
+        load(resident, 4)
+        dst_primary, dst_backup = cluster.shards["shard1"].replicas
+        deltas = record_checkpoints(dst_backup)
+
+        assert cluster.coordinator.rebalance(moving, "shard1") is not None
+        testbed.run(1_000_000)
+        assert cluster.coordinator.idle
+        assert cluster.coordinator.map.owner_of(moving) == "shard1"
+        load(moving, 3)
+        # Absorbed entries count as new for the next delta.
+        assert deltas[0].seen_base
+        assert old_id in [rid for rid, _ in deltas[0].seen]
+
+        dst_primary.crash()
+        testbed.run(1_500_000)
+        assert dst_backup.replicator.is_primary
+        suppressed = dst_backup.replicator.duplicates_suppressed
+        resend(stack, old_id, group="shard1", object_key=moving,
+               payload_bytes=512)
+        testbed.run(500_000)
+        assert dst_backup.replicator.duplicates_suppressed == suppressed + 1
+        assert dst_backup.orb_server.servant(moving).value == 9
+
+
 class TestDeadShard:
     def test_coordinator_repins_keys_of_a_dead_shard(self):
         testbed = Testbed.paper_testbed(4, 2, seed=0)

@@ -11,11 +11,13 @@ from repro.experiments.testbed import (
     deploy_client,
     deploy_replica_group,
 )
-from repro.orb import CounterServant, Servant
+from repro.gcs import Grade
+from repro.orb import CounterServant, GiopRequest, Servant
 from repro.replication import (
     ClientReplicationConfig,
     ReplicationConfig,
     ReplicationStyle,
+    RepRequest,
 )
 from repro.replication.styles import ResiliencePolicy
 
@@ -30,10 +32,11 @@ def build_rig(style: ReplicationStyle, n_replicas: int = 3,
               checkpoint_interval: int = 1,
               voting: bool = False,
               sync_checkpoints: bool = True,
-              resilience: Optional[ResiliencePolicy] = None):
+              resilience: Optional[ResiliencePolicy] = None,
+              calibration=None):
     """Standard rig: N replicas + M clients on the paper's testbed."""
     testbed = Testbed.paper_testbed(max(n_replicas, 1), max(n_clients, 1),
-                                    seed=seed)
+                                    seed=seed, calibration=calibration)
     config = ReplicationConfig(
         style=style, group="svc",
         checkpoint_interval_requests=checkpoint_interval,
@@ -69,6 +72,58 @@ def fire(client: ClientStack, operation: str, payload, nbytes: int = 32):
     client.orb_client.invoke("counter", operation, payload, nbytes,
                              replies.append)
     return replies
+
+
+def drive(testbed: Testbed, client: ClientStack, n_requests: int) -> None:
+    """Closed loop: ``n_requests`` sequential ``add(1)`` calls, each
+    issued when the previous one is acknowledged; returns once all are."""
+    done = start_load(client, n_requests)
+    deadline = testbed.now + 60_000_000
+    while not done and testbed.now < deadline:
+        testbed.run(50_000)
+    assert done, f"closed loop of {n_requests} requests did not finish"
+
+
+def start_load(client: ClientStack, n_requests: int) -> List[bool]:
+    """Start the :func:`drive` loop without running the testbed; the
+    returned list becomes non-empty when the last request is acked."""
+    done: List[bool] = []
+
+    def next_request(remaining: int) -> None:
+        if remaining == 0:
+            done.append(True)
+            return
+        client.orb_client.invoke("counter", "add", 1, 32,
+                                 lambda _reply: next_request(remaining - 1))
+
+    next_request(n_requests)
+    return done
+
+
+def resend(client, request_id: str, group: str = "svc",
+           object_key: str = "counter", payload_bytes: int = 32) -> None:
+    """Multicast a duplicate of an already-sent ``add(1)`` request, as a
+    late client retransmission would arrive (``client``: any stack with
+    a ``gcs`` connection)."""
+    dup = RepRequest(
+        request=GiopRequest(request_id=request_id, object_key=object_key,
+                            operation="add", payload=1,
+                            payload_bytes=payload_bytes),
+        client=client.gcs.member)
+    client.gcs.multicast(group, dup, dup.wire_bytes, grade=Grade.AGREED)
+
+
+def record_checkpoints(replica: Replica) -> List:
+    """Every checkpoint delivered to ``replica`` from now on."""
+    received: List = []
+    deliver = replica.replicator._receive_checkpoint
+
+    def spy(ckpt) -> None:
+        received.append(ckpt)
+        deliver(ckpt)
+
+    replica.replicator._receive_checkpoint = spy
+    return received
 
 
 def counter_values(replicas: List[Replica]) -> List[int]:
