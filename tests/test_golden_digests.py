@@ -1,0 +1,113 @@
+"""Byte-identity across commits: literal digests, not relative ones.
+
+Every other determinism test compares two runs of the *same* commit
+(serial vs pooled, fast vs reference kernel).  ``golden_digests.json``
+holds the literal sha256 of what three entry points produce, so a
+refactor or optimization that moves a single journal byte fails here
+even when it moves both sides of every relative comparison together.
+
+Regenerate — only for a change that *declares* it alters simulated
+behaviour (protocol or calibration) and says why::
+
+    PYTHONPATH=src python tests/test_golden_digests.py
+"""
+
+import hashlib
+import json
+import pathlib
+import tempfile
+
+import pytest
+
+from repro.campaign import CampaignSpec, ResultsStore, run_campaign
+from repro.check import (
+    canonical_checkpoint_crash_scenario,
+    canonical_partition_scenario,
+    canonical_scenario,
+    explore,
+)
+from repro.experiments import run_replicated_load
+from repro.journal.io import events_to_jsonl
+from repro.replication import ReplicationStyle
+from repro.telemetry import chrome_trace_json
+
+GOLDEN_PATH = pathlib.Path(__file__).parent / "golden_digests.json"
+
+#: Scenario factory and walk budget per ``repro check --scenario`` name.
+EXPLORATIONS = {
+    "crash": (canonical_scenario, 20),
+    "partition": (canonical_partition_scenario, 10),
+    "checkpoint-crash": (canonical_checkpoint_crash_scenario, 15),
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def explore_digest(name: str) -> str:
+    """sha256 over the concatenated outcome digests of every walk."""
+    make_scenario, budget = EXPLORATIONS[name]
+    result = explore(make_scenario(seed=1), budget=budget,
+                     stop_on_violation=False)
+    assert result.ok and result.schedules_run == budget
+    return _sha256("".join(report.digest for report in result.reports))
+
+
+def campaign_digests(directory: pathlib.Path, workers: int) -> dict:
+    """sha256 of the results store and of every per-trial journal."""
+    spec = CampaignSpec(
+        name="golden", styles=["active", "warm_passive"],
+        replica_counts=[2],
+        fault_loads=["none", "process_crash", "partition"],
+        seeds=[0], n_clients=1, duration_us=200_000.0,
+        rate_per_s=100.0, settle_us=400_000.0)
+    journal_dir = directory / f"journal-w{workers}"
+    store = ResultsStore(str(directory / f"results-w{workers}.jsonl"))
+    summary = run_campaign(spec, store, workers=workers,
+                           journal_dir=str(journal_dir))
+    assert summary.failed == 0 and summary.ran == 6
+    digests = {"results": _sha256(pathlib.Path(store.path).read_text())}
+    for path in sorted(journal_dir.iterdir()):
+        digests[path.name] = _sha256(path.read_text())
+    return digests
+
+
+def load_digests() -> dict:
+    """sha256 of the journal and the trace of one closed-loop run."""
+    result = run_replicated_load(
+        ReplicationStyle.WARM_PASSIVE, n_replicas=3, n_clients=2,
+        n_requests=25, seed=5, telemetry=True, journal=True)
+    assert result.completed == 50
+    return {"journal": _sha256(events_to_jsonl(result.journal.events)),
+            "telemetry": _sha256(chrome_trace_json(result.telemetry.spans))}
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN_PATH.read_text())
+
+
+@pytest.mark.parametrize("name", sorted(EXPLORATIONS))
+def test_explore_digests_match_golden(golden, name):
+    assert explore_digest(name) == golden["explore"][name]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_campaign_journals_match_golden(golden, tmp_path, workers):
+    assert campaign_digests(tmp_path, workers) == golden["campaign"]
+
+
+def test_replicated_load_matches_golden(golden):
+    assert load_digests() == golden["replicated_load"]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as scratch:
+        GOLDEN_PATH.write_text(json.dumps({
+            "explore": {name: explore_digest(name)
+                        for name in sorted(EXPLORATIONS)},
+            "campaign": campaign_digests(pathlib.Path(scratch), 1),
+            "replicated_load": load_digests(),
+        }, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN_PATH}")
