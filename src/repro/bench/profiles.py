@@ -1,6 +1,6 @@
 """The fixed bench suite: calibrated performance profiles.
 
-Eight profiles, each reporting wall-clock-grounded throughput numbers
+Seven profiles, each reporting wall-clock-grounded throughput numbers
 plus peak RSS:
 
 - ``kernel_events`` — pure event-loop throughput: an event-chain
@@ -22,11 +22,7 @@ plus peak RSS:
   and reporting the post-hoc error-budget evaluation throughput;
 - ``partition`` — the per-link topology-filter path: a clean trial vs
   the same trial with an idle filter installed (byte-identical
-  journal required) plus a live split-and-heal trial;
-- ``snapshot`` — the :class:`repro.sim.SimSnapshot` warm-start fast
-  path: fresh vs. forked exploration and campaign loops, asserting
-  byte-identical outcomes and reporting the fork speedups plus the
-  end-to-end ``repro check --explore`` schedules/sec.
+  journal required) plus a live split-and-heal trial.
 
 ``quick=True`` shrinks every workload to CI-smoke size (seconds, not
 minutes); the metric *names* are identical either way so baselines
@@ -71,10 +67,10 @@ def _chain_workload(sim: Simulator, n_chains: int, length: int) -> int:
 
     def tick(remaining: int) -> None:
         if remaining:
-            sim.schedule_fast(1.0, tick, remaining - 1)
+            sim.schedule(1.0, tick, remaining - 1)
 
     for lane in range(n_chains):
-        sim.schedule_fast(float(lane % 7) * 0.25, tick, length - 1)
+        sim.schedule(float(lane % 7) * 0.25, tick, length - 1)
     sim.run()
     return sim.events_dispatched
 
@@ -93,11 +89,11 @@ def _churn_workload(sim: Simulator, n_ticks: int, horizon: float) -> int:
     def tick(remaining: int) -> None:
         if live[0] is not None:
             live[0].cancel()
-        live[0] = sim.schedule_fast(horizon, timeout)
+        live[0] = sim.schedule(horizon, timeout)
         if remaining:
-            sim.schedule_fast(1.0, tick, remaining - 1)
+            sim.schedule(1.0, tick, remaining - 1)
 
-    sim.schedule_fast(0.0, tick, n_ticks - 1)
+    sim.schedule(0.0, tick, n_ticks - 1)
     sim.run()
     return sim.events_dispatched
 
@@ -273,17 +269,15 @@ def _check(quick: bool) -> BenchReport:
 
     The *baseline* loop runs the scenario under the kernel's native
     ordering with no history capture; the *checked* loop runs it the
-    way ``python -m repro check --explore`` does — one captured
-    warm-up snapshot, then per schedule a fork, a random-walk policy,
-    history recording and linearizability + invariant verification —
-    so ``check_overhead_ratio`` is the price of one verified schedule.
+    way ``python -m repro check --explore`` does — per schedule a
+    random-walk policy, history recording and linearizability +
+    invariant verification — so ``check_overhead_ratio`` is the price
+    of one verified schedule.
     """
     from repro.check import (
         RandomWalkPolicy,
         canonical_scenario,
-        finish_schedule,
         run_schedule,
-        snapshot_schedule,
     )
     from repro.check.explorer import verify_outcome
 
@@ -297,11 +291,10 @@ def _check(quick: bool) -> BenchReport:
         return events
 
     def checked_loop() -> int:
-        snapshot = snapshot_schedule(scenario)
         events = 0
         for i in range(n_schedules):
-            outcome = finish_schedule(
-                snapshot.fork(),
+            outcome = run_schedule(
+                scenario,
                 RandomWalkPolicy(seed=i, tie_choices=4,
                                  delay_bound_us=150.0))
             if verify_outcome(outcome):
@@ -472,156 +465,6 @@ def _partition(quick: bool) -> BenchReport:
         metrics=metrics)
 
 
-# ---------------------------------------------------------------------------
-# snapshot: warm-start fork vs fresh prefix replay
-# ---------------------------------------------------------------------------
-
-def _snapshot(quick: bool) -> BenchReport:
-    """Price the :class:`repro.sim.SimSnapshot` fast path.
-
-    Two consumer shapes, each run fresh (full setup + warmup per
-    iteration) and forked (one captured snapshot, one fork per
-    iteration), asserting byte-identical outcomes before reporting
-    the speedups:
-
-    - *exploration*: random-walk schedules of the ``repro.check``
-      canonical scenario (the explorer's loop);
-    - *campaign*: fault-variation trials over one warmed
-      configuration (the campaign worker's loop).
-
-    ``explore_schedules_per_sec`` is the end-to-end
-    ``repro check --explore`` throughput (fork path plus full
-    verification) — the number the ISSUE's 1.5x acceptance bar
-    compares against the committed ``BENCH_check.json`` baseline.
-    """
-    from repro.check import (
-        RandomWalkPolicy,
-        canonical_scenario,
-        explore,
-        finish_schedule,
-        prepare_schedule,
-        snapshot_schedule,
-        run_schedule,
-    )
-    from repro.experiments.trial import (
-        finish_fault_trial,
-        prepare_fault_trial,
-        run_fault_trial,
-    )
-    from repro.journal.io import events_to_jsonl
-    from repro.replication import ReplicationStyle
-    from repro.sim import SimSnapshot
-
-    n_walks = 8 if quick else 24
-    n_trials = 4 if quick else 10
-    scenario = canonical_scenario()
-
-    # Micro-costs: what a prefix costs fresh vs captured vs forked.
-    prepared, prepare_wall = _timed(lambda: prepare_schedule(scenario))
-    snap, capture_wall = _timed(lambda: SimSnapshot.capture(
-        prepared, sim=prepared.testbed.sim))
-    _, fork_wall = _timed(snap.fork)
-
-    def walk(i: int) -> RandomWalkPolicy:
-        return RandomWalkPolicy(seed=i, tie_choices=4,
-                                delay_bound_us=150.0)
-
-    def fresh_explore() -> Tuple[int, List[str]]:
-        events, digests = 0, []
-        for i in range(n_walks):
-            outcome = run_schedule(scenario, walk(i))
-            events += outcome.events_dispatched
-            digests.append(outcome.digest)
-        return events, digests
-
-    def fork_explore() -> Tuple[int, List[str]]:
-        events, digests = 0, []
-        for i in range(n_walks):
-            outcome = finish_schedule(snap.fork(), walk(i))
-            events += outcome.events_dispatched
-            digests.append(outcome.digest)
-        return events, digests
-
-    (fresh_events, fresh_digests), fresh_wall = _timed(fresh_explore)
-    (fork_events, fork_digests), forked_wall = _timed(fork_explore)
-    if fork_digests != fresh_digests:
-        raise AssertionError(
-            "forked schedules must be byte-identical to fresh runs")
-
-    # End-to-end explorer throughput (fork path + verification).
-    explored, explore_wall = _timed(lambda: explore(
-        scenario, budget=n_walks, stop_on_violation=False))
-    if not explored.ok:
-        raise AssertionError("bench scenario must verify clean")
-
-    # Campaign shape: one configuration, cycled fault variations.
-    def crash_at(fraction: float):
-        def inject(ctx) -> None:
-            ctx.injector.crash_process_at(
-                ctx.replicas[0].process,
-                ctx.t0 + fraction * ctx.duration_us)
-        return inject
-
-    variations = [None] + [crash_at(0.2 + 0.6 * i / max(n_trials - 1, 1))
-                           for i in range(n_trials - 1)]
-    style = ReplicationStyle.WARM_PASSIVE
-    duration_us = 250_000.0
-
-    def fresh_campaign() -> List[str]:
-        journals = []
-        for inject in variations:
-            result = run_fault_trial(
-                style, n_replicas=3, n_clients=2,
-                duration_us=duration_us, rate_per_s=150.0, seed=1,
-                inject=inject, journal=True)
-            journals.append(events_to_jsonl(result.journal_events))
-        return journals
-
-    def fork_campaign() -> List[str]:
-        prepared_trial = prepare_fault_trial(
-            style, n_replicas=3, n_clients=2, seed=1, journal=True)
-        trial_snap = SimSnapshot.capture(
-            prepared_trial, sim=prepared_trial.testbed.sim)
-        journals = []
-        for inject in variations:
-            result = finish_fault_trial(
-                trial_snap.fork(), duration_us=duration_us,
-                rate_per_s=150.0, inject=inject)
-            journals.append(events_to_jsonl(result.journal_events))
-        return journals
-
-    fresh_journals, fresh_campaign_wall = _timed(fresh_campaign)
-    fork_journals, fork_campaign_wall = _timed(fork_campaign)
-    if fork_journals != fresh_journals:
-        raise AssertionError(
-            "forked trials must journal byte-identically to fresh runs")
-
-    metrics = {
-        "events_per_sec": fork_events / max(forked_wall, 1e-9),
-        "explore_schedules_per_sec": n_walks / max(explore_wall, 1e-9),
-        "fresh_schedules_per_sec": n_walks / max(fresh_wall, 1e-9),
-        "fork_schedules_per_sec": n_walks / max(forked_wall, 1e-9),
-        "explore_speedup_x": fresh_wall / max(forked_wall, 1e-9),
-        "trials_per_sec": len(variations) / max(fork_campaign_wall, 1e-9),
-        "fresh_trials_per_sec": (len(variations)
-                                 / max(fresh_campaign_wall, 1e-9)),
-        "campaign_speedup_x": (fresh_campaign_wall
-                               / max(fork_campaign_wall, 1e-9)),
-        "prepare_ms": prepare_wall * 1e3,
-        "capture_ms": capture_wall * 1e3,
-        "fork_ms": fork_wall * 1e3,
-        "wall_s": (fresh_wall + forked_wall + explore_wall
-                   + fresh_campaign_wall + fork_campaign_wall),
-        "peak_rss_kb": _peak_rss_kb(),
-    }
-    return BenchReport(
-        profile="snapshot", quick=quick,
-        parameters={"n_walks": n_walks, "n_trials": len(variations),
-                    "tie_choices": 4, "delay_bound_us": 150.0,
-                    "duration_us": duration_us},
-        metrics=metrics)
-
-
 _PROFILES: Dict[str, Callable[[bool], BenchReport]] = {
     "kernel_events": _kernel_events,
     "rtt": _rtt,
@@ -630,7 +473,6 @@ _PROFILES: Dict[str, Callable[[bool], BenchReport]] = {
     "cluster": _cluster,
     "slo": _slo,
     "partition": _partition,
-    "snapshot": _snapshot,
 }
 
 #: Names of the fixed suite, in run order.

@@ -1,10 +1,10 @@
 """Reference (pre-fast-path) kernel used as the benchmark baseline.
 
 :class:`ReferenceSimulator` restores the naive kernel semantics this
-repository shipped before the hot-path work: every internal schedule
-goes through full validation, the run loop pays a ``step()`` call per
-event, cancelled handles stay in the heap until their scheduled time
-(no compaction), and ``pending_events`` is an O(n) heap scan.
+repository shipped before the hot-path work: the run loop pays a
+``step()`` call per event, cancelled handles stay in the heap until
+their scheduled time (no compaction), and ``pending_events`` is an
+O(n) heap scan.
 
 Two uses:
 
@@ -26,28 +26,16 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Any, Callable, Optional
+from typing import Optional
 
 from repro.errors import SimulationError
-from repro.sim.kernel import EventHandle, Simulator
+from repro.sim.kernel import Simulator
 
 __all__ = ["ReferenceSimulator"]
 
 
 class ReferenceSimulator(Simulator):
     """Drop-in :class:`Simulator` with the pre-optimization hot path."""
-
-    def schedule_fast(self, delay: float, callback: Callable[..., None],
-                      *args: Any) -> EventHandle:
-        """Validated scheduling, exactly what internal callers used
-        before the fast path existed."""
-        return self.schedule(delay, callback, *args)
-
-    def schedule_at_fast(self, time: float, callback: Callable[..., None],
-                         *args: Any) -> EventHandle:
-        """Validated absolute-time scheduling (see
-        :meth:`schedule_fast`)."""
-        return self.schedule_at(time, callback, *args)
 
     def _note_cancelled(self) -> None:
         """Keep the live counter honest but never compact the heap:

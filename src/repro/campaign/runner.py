@@ -44,42 +44,6 @@ DEFAULT_TRIAL_TIMEOUT_S = 300.0
 
 ProgressFn = Callable[[int, int, Optional[TrialRecord]], None]
 
-#: Worker-local warm-start cache: one :class:`repro.sim.SimSnapshot`
-#: per trial-prefix configuration, so sweeping fault loads over the
-#: same (style, replicas, clients, seed, ...) forks the warmed
-#: testbed instead of re-deploying it.  Private to each process —
-#: pool workers each grow their own, preserving crash isolation (a
-#: dead worker only loses its cache) and serial==parallel
-#: byte-identity (a fork is byte-identical to a fresh prefix).
-_SNAPSHOT_CACHE: "Dict[tuple, object]" = {}
-_SNAPSHOT_CACHE_MAX = 32
-
-
-def _trial_snapshot(trial: TrialSpec, telemetry: bool, journal: bool,
-                    check: bool, slo: bool):
-    """Fetch (or capture) the warmed snapshot for a trial's prefix."""
-    from repro.experiments.trial import prepare_fault_trial
-    from repro.sim import SimSnapshot
-
-    key = (trial.replication_style, trial.n_replicas, trial.n_clients,
-           trial.seed, trial.checkpoint_interval, telemetry, journal,
-           check, slo)
-    snapshot = _SNAPSHOT_CACHE.get(key)
-    if snapshot is None:
-        prepared = prepare_fault_trial(
-            style=trial.replication_style, n_replicas=trial.n_replicas,
-            n_clients=trial.n_clients, seed=trial.seed,
-            checkpoint_interval=trial.checkpoint_interval,
-            telemetry=telemetry, journal=journal, check=check, slo=slo)
-        snapshot = SimSnapshot.capture(
-            prepared, sim=prepared.testbed.sim,
-            label=f"campaign-{trial.replication_style.value}"
-                  f"-r{trial.n_replicas}-s{trial.seed}")
-        if len(_SNAPSHOT_CACHE) >= _SNAPSHOT_CACHE_MAX:
-            _SNAPSHOT_CACHE.pop(next(iter(_SNAPSHOT_CACHE)))
-        _SNAPSHOT_CACHE[key] = snapshot
-    return snapshot
-
 
 def execute_trial(trial: TrialSpec,
                   telemetry: bool = False,
@@ -100,7 +64,7 @@ def execute_trial(trial: TrialSpec,
     (:mod:`repro.slo`) over the trial's journal and attaches the
     error-budget/alert verdict.
     """
-    from repro.experiments.trial import finish_fault_trial  # lazy: keeps
+    from repro.experiments.trial import run_fault_trial  # lazy: keeps
     # campaign importable without dragging the full stack in at startup
 
     trial.validate()
@@ -116,16 +80,15 @@ def execute_trial(trial: TrialSpec,
             telemetry=telemetry, journal=journal_dir is not None,
             check=check, slo=slo)
     else:
-        # Warm-start fast path: one snapshot per prefix configuration,
-        # forked per fault variation.  Byte-identical to a fresh
-        # run_fault_trial (the golden-digest tests pin it).
-        snapshot = _trial_snapshot(trial, telemetry,
-                                   journal_dir is not None, check, slo)
-        result = finish_fault_trial(
-            snapshot.fork(), duration_us=trial.duration_us,
-            rate_per_s=trial.rate_per_s, deadline_us=trial.deadline_us,
-            settle_us=trial.settle_us,
-            inject=lambda ctx: compile_load(trial.fault_load, ctx))
+        result = run_fault_trial(
+            style=trial.replication_style, n_replicas=trial.n_replicas,
+            n_clients=trial.n_clients, duration_us=trial.duration_us,
+            rate_per_s=trial.rate_per_s, seed=trial.seed,
+            checkpoint_interval=trial.checkpoint_interval,
+            deadline_us=trial.deadline_us, settle_us=trial.settle_us,
+            inject=lambda ctx: compile_load(trial.fault_load, ctx),
+            telemetry=telemetry, journal=journal_dir is not None,
+            check=check, slo=slo)
     if journal_dir is not None and result.journal_events is not None:
         from repro.journal.io import write_jsonl
         os.makedirs(journal_dir, exist_ok=True)

@@ -59,15 +59,11 @@ from repro.check.scenario import (
     CHECKPOINT_PHASES,
     MUTATIONS,
     CheckScenario,
-    PreparedSchedule,
     ScheduleOutcome,
     canonical_checkpoint_crash_scenario,
     canonical_partition_scenario,
     canonical_scenario,
-    finish_schedule,
-    prepare_schedule,
     run_schedule,
-    snapshot_schedule,
 )
 
 __all__ = [
@@ -80,7 +76,6 @@ __all__ = [
     "LinearizabilityResult",
     "MUTATIONS",
     "Operation",
-    "PreparedSchedule",
     "RandomWalkPolicy",
     "ReplayPolicy",
     "ReproArtifact",
@@ -94,14 +89,11 @@ __all__ = [
     "check_invariants",
     "check_linearizability",
     "explore",
-    "finish_schedule",
     "load_artifact",
     "minimize",
-    "prepare_schedule",
     "render_exploration",
     "render_outcome",
     "replay",
     "run_schedule",
-    "snapshot_schedule",
     "write_artifact",
 ]

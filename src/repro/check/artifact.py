@@ -18,6 +18,7 @@ artifact is the smallest variant that still fails.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional
 
@@ -63,10 +64,11 @@ class ReproArtifact:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ReproArtifact":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`; rejects a policy section no
+        recorded walk could have produced."""
         try:
             policy = data["policy"]
-            return cls(
+            artifact = cls(
                 scenario=CheckScenario.from_dict(data["scenario"]),
                 walk_seed=int(policy["walk_seed"]),
                 tie_choices=int(policy["tie_choices"]),
@@ -79,6 +81,31 @@ class ReproArtifact:
         except (KeyError, TypeError, ValueError) as exc:
             raise VerificationError(
                 f"malformed repro artifact: {exc}") from exc
+        artifact._validate_policy()
+        return artifact
+
+    def _validate_policy(self) -> None:
+        """A decision is a tie-break rank (``int`` in ``[0,
+        tie_choices)``) or a frame delay (``float`` in ``[0,
+        delay_bound_us]``).  Replay feeds them to the kernel unchecked,
+        so a negative, NaN or mistyped one must stop here."""
+        if self.tie_choices < 1 \
+                or not 0.0 <= self.delay_bound_us < math.inf:
+            raise VerificationError(
+                "malformed repro artifact: tie_choices must be >= 1 "
+                "and delay_bound_us finite and >= 0")
+        for index, value in enumerate(self.decisions):
+            # Exact types: bool is an int subclass, and JSON has no
+            # other spelling for either kind of decision.
+            if type(value) is int and 0 <= value < self.tie_choices:
+                continue
+            if type(value) is float \
+                    and 0.0 <= value <= self.delay_bound_us:
+                continue
+            raise VerificationError(
+                f"malformed repro artifact: decision {index} is "
+                f"{value!r}, expected an int in [0, {self.tie_choices}) "
+                f"or a float in [0, {self.delay_bound_us}]")
 
 
 def artifact_from_report(report: ScheduleReport, tie_choices: int,

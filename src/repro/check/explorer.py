@@ -26,8 +26,7 @@ from repro.check.scenario import (
     CHECKPOINT_PHASES,
     CheckScenario,
     ScheduleOutcome,
-    finish_schedule,
-    snapshot_schedule,
+    run_schedule,
 )
 
 #: Crash-time multipliers cycled across walks, so the primary dies at
@@ -129,12 +128,6 @@ def explore(scenario: CheckScenario, budget: int = 200,
     """
     result = ExplorationResult(scenario=scenario, budget=budget)
     seen_digests: Set[str] = set()
-    # The setup + warmup prefix is identical for every walk (the
-    # warmup runs under the identity policy; walk policies only arm
-    # at the start of the load window) and for every crash-time
-    # variant (the crash lands in the suffix).  Pay it once, then
-    # fork an independent copy per walk.
-    snapshot = snapshot_schedule(scenario)
     for i in range(budget):
         variant = scenario
         if scenario.crash_primary_phase is not None:
@@ -159,8 +152,7 @@ def explore(scenario: CheckScenario, budget: int = 200,
         policy = RandomWalkPolicy(seed=base_walk_seed + i,
                                   tie_choices=tie_choices,
                                   delay_bound_us=delay_bound_us)
-        outcome = finish_schedule(snapshot.fork(), policy,
-                                  scenario=variant)
+        outcome = run_schedule(variant, policy)
         fresh = outcome.digest not in seen_digests
         seen_digests.add(outcome.digest)
         report = ScheduleReport(

@@ -42,7 +42,7 @@ from repro.replication import (
     ReplicationStyle,
     RepRequest,
 )
-from repro.sim import SimSnapshot, default_calibration
+from repro.sim import default_calibration
 
 
 #: The points of one synchronous checkpoint at which
@@ -84,9 +84,8 @@ class CheckScenario:
     late_duplicate: bool = False
     #: Offset (from load start) at which a symmetric partition isolates
     #: the last replica host into a minority component; ``None``
-    #: disables the partition.  A non-None value is a *prefix*
-    #: parameter in one respect: the testbed is built with
-    #: primary-partition membership enabled.
+    #: disables the partition.  With a non-None value the testbed is
+    #: built with primary-partition membership enabled.
     partition_at_us: Optional[float] = None
     #: Offset at which the partition heals (required with
     #: ``partition_at_us``; must exceed it).
@@ -259,31 +258,8 @@ WARMUP_US = 150_000.0
 RESTART_AFTER_US = 10_000.0
 
 
-@dataclass
-class PreparedSchedule:
-    """A warmed canonical-scenario testbed, ready for its suffix.
-
-    Produced by :func:`prepare_schedule`: the replica group is
-    deployed and settled, the client joined, and ``WARMUP_US`` of
-    simulated time has elapsed — everything *before* the first
-    policy-dependent decision.  The warmup runs under the identity
-    :class:`~repro.check.policies.SchedulerPolicy`, so a
-    ``PreparedSchedule`` is byte-identical no matter which walk policy
-    :func:`finish_schedule` later arms — that is what makes one
-    prepared state shareable (via :class:`repro.sim.SimSnapshot`)
-    across every walk of an exploration.
-    """
-
-    scenario: CheckScenario
-    testbed: Any
-    replicas: List[Any]
-    client: Any
-    history: HistoryRecorder
-
-
-def prepare_schedule(scenario: CheckScenario) -> PreparedSchedule:
-    """Build and warm the canonical-scenario testbed (policy-free
-    prefix: identical for every schedule of ``scenario``)."""
+def _validate(scenario: CheckScenario) -> None:
+    """Reject parameter combinations no schedule can honour."""
     if scenario.mutation is not None \
             and scenario.mutation not in MUTATIONS:
         raise VerificationError(
@@ -310,19 +286,35 @@ def prepare_schedule(scenario: CheckScenario) -> PreparedSchedule:
             "(restart_backups_at_us + RESTART_AFTER_US), or every "
             "replica is down at once and no protocol keeps the state")
 
+
+def run_schedule(scenario: CheckScenario,
+                 policy: Optional[Any] = None) -> ScheduleOutcome:
+    """Run one deterministic schedule of the canonical scenario.
+
+    ``policy`` (a :mod:`repro.check.policies` object, or ``None`` for
+    the kernel's native ordering) perturbs tie-breaks and message
+    delays; everything else — workload, faults, horizon — comes from
+    the scenario parameters, so (scenario, policy decisions) fully
+    identify the schedule.
+
+    The group forms, elects a primary and settles for ``WARMUP_US``
+    under the identity policy; ``policy`` takes over where the load
+    window opens, so its recorded decisions start at the first request
+    and every schedule of one scenario shares the same warmed state.
+    """
+    _validate(scenario)
     calibration = default_calibration()
     calibration = replace(
         calibration, journal=replace(calibration.journal, enabled=True))
     if scenario.partitioned:
         # Partition scenarios run the primary-partition membership
-        # protocol (prefix parameter: it shapes the deployed daemons).
+        # protocol.
         calibration = replace(
             calibration,
             gcs=replace(calibration.gcs, primary_partition=True))
     # Always install the identity policy: the warmup then runs with
     # (0, n) sequence tuples — ordered exactly like the plain integer
-    # counter — and finish_schedule() can swap in the walk policy
-    # without re-running the prefix.
+    # counter — and the walk policy is swapped in below.
     testbed = Testbed.paper_testbed(
         scenario.n_replicas, 1, seed=scenario.seed,
         calibration=calibration, scheduler_policy=SchedulerPolicy())
@@ -340,61 +332,11 @@ def prepare_schedule(scenario: CheckScenario) -> PreparedSchedule:
         group="svc", expected_style=style,
         retry_timeout_us=scenario.retry_timeout_us))
     testbed.run(WARMUP_US)
-    return PreparedSchedule(scenario=scenario, testbed=testbed,
-                            replicas=replicas, client=client,
-                            history=history)
-
-
-def snapshot_schedule(scenario: CheckScenario) -> SimSnapshot:
-    """Warm the canonical scenario once and freeze it: each
-    :meth:`~repro.sim.SimSnapshot.fork` yields an independent
-    :class:`PreparedSchedule` for :func:`finish_schedule`."""
-    prepared = prepare_schedule(scenario)
-    return SimSnapshot.capture(prepared, sim=prepared.testbed.sim,
-                               label=f"check-seed{scenario.seed}")
-
-
-def finish_schedule(prepared: PreparedSchedule,
-                    policy: Optional[Any] = None,
-                    scenario: Optional[CheckScenario] = None) -> ScheduleOutcome:
-    """Run the policy-dependent suffix of a prepared schedule.
-
-    Arms ``policy`` (when given), applies the scenario's protocol
-    mutation, schedules the switch/crash faults and the workload, and
-    runs to the horizon.  Consumes ``prepared`` — fork a fresh copy
-    from a snapshot to run another suffix.
-
-    ``scenario`` substitutes a variant whose *suffix* parameters
-    (switch/crash offsets, request count, horizon, settle, mutation)
-    differ from the prepared one — the explorer cycles crash-time
-    variations over a single snapshot this way.  Prefix parameters
-    (replicas, seed, checkpoint interval, retry timeout) must match
-    the prepared state; they already shaped the warmup.
-    """
-    if scenario is None:
-        scenario = prepared.scenario
-    elif (scenario.n_replicas != prepared.scenario.n_replicas
-          or scenario.seed != prepared.scenario.seed
-          or scenario.checkpoint_interval
-          != prepared.scenario.checkpoint_interval
-          or scenario.retry_timeout_us
-          != prepared.scenario.retry_timeout_us
-          or scenario.partitioned != prepared.scenario.partitioned):
-        raise VerificationError(
-            "finish_schedule scenario differs from the prepared one "
-            "in prefix parameters (replicas/seed/checkpoint/retry/"
-            "partition membership)")
-    testbed = prepared.testbed
-    replicas = prepared.replicas
-    client = prepared.client
-    history = prepared.history
 
     if policy is not None:
         testbed.sim.swap_scheduler_policy(policy)
-    # The mutation is applied post-warmup: both mutations patch
-    # checkpoint handling, which first fires when the load below
-    # drives requests, so this is behaviourally identical to patching
-    # at deploy time — and it keeps the warmed prefix mutation-free.
+    # Applied after the warmup: every mutation patches behaviour that
+    # first matters once the load below drives requests.
     if scenario.mutation is not None:
         MUTATIONS[scenario.mutation](replicas)
 
@@ -533,18 +475,3 @@ def _crash_at_checkpoint_phase(injector: FaultInjector, replica: Any,
     replicator._checkpoint = checkpoint
     replicator.gcs.multicast = publish
     replicator._receive_checkpoint = stable
-
-
-def run_schedule(scenario: CheckScenario,
-                 policy: Optional[Any] = None) -> ScheduleOutcome:
-    """Run one deterministic schedule of the canonical scenario.
-
-    ``policy`` (a :mod:`repro.check.policies` object, or ``None`` for
-    the kernel's native ordering) perturbs tie-breaks and message
-    delays; everything else — workload, faults, horizon — comes from
-    the scenario parameters, so (scenario, policy decisions) fully
-    identify the schedule.  Equivalent to
-    ``finish_schedule(prepare_schedule(scenario), policy)`` — the
-    explorer shares one prepared snapshot across walks instead.
-    """
-    return finish_schedule(prepare_schedule(scenario), policy)

@@ -37,10 +37,7 @@ from repro.experiments.testbed import (
 )
 from repro.experiments.trial import (
     FaultTrialResult,
-    PreparedTrial,
     TrialContext,
-    finish_fault_trial,
-    prepare_fault_trial,
     run_fault_trial,
 )
 
@@ -54,7 +51,6 @@ __all__ = [
     "DEFAULT_REQUEST_BYTES",
     "DEFAULT_STATE_BYTES",
     "OverheadResult",
-    "PreparedTrial",
     "Replica",
     "ScenarioResult",
     "Testbed",
@@ -62,8 +58,6 @@ __all__ = [
     "deploy_client",
     "deploy_replica",
     "deploy_replica_group",
-    "finish_fault_trial",
-    "prepare_fault_trial",
     "run_adaptive_scenario",
     "run_fault_trial",
     "run_overhead_modes",

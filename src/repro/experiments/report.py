@@ -253,20 +253,9 @@ def write_report(out: TextIO, n_requests: int = 150,
               f"| **{kernel['speedup_vs_reference']:.2f}×** |\n")
         check = baselines.get("check", {})
         if "schedules_per_sec" in check:
-            w("| verified schedule exploration (fork-based) "
+            w("| verified schedule exploration "
               f"| {check['schedules_per_sec']:.1f} schedules/s |\n")
-        snapshot = baselines.get("snapshot", {})
-        if snapshot:
-            w("| warm-start: prepare / capture / fork "
-              f"| {snapshot['prepare_ms']:.1f} / "
-              f"{snapshot['capture_ms']:.1f} / "
-              f"{snapshot['fork_ms']:.1f} ms |\n")
-            w("| `repro check --explore` end-to-end "
-              f"| {snapshot['explore_schedules_per_sec']:.1f} "
-              "schedules/s (seed baseline before this series: "
-              "33.4) |\n")
-        w("\nForked runs are byte-identical to fresh runs (asserted "
-          "on every bench run); see `docs/performance.md`.\n\n")
+        w("\nSee `docs/performance.md`.\n\n")
 
     # ------------------------------------------------------------------
     # Substitutions

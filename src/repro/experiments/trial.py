@@ -165,50 +165,51 @@ class FaultTrialResult:
         }
 
 
-@dataclass
-class PreparedTrial:
-    """A deployed and warmed trial testbed, ready for its load window.
+def run_fault_trial(style: ReplicationStyle, n_replicas: int,
+                    n_clients: int, duration_us: float,
+                    rate_per_s: float, seed: int = 0,
+                    checkpoint_interval: int = 1,
+                    deadline_us: float = PAPER_LATENCY_LIMIT_US,
+                    inject: Optional[Callable[[TrialContext], None]] = None,
+                    warmup_us: float = DEFAULT_WARMUP_US,
+                    settle_us: float = DEFAULT_SETTLE_US,
+                    request_bytes: int = DEFAULT_REQUEST_BYTES,
+                    reply_bytes: int = DEFAULT_REPLY_BYTES,
+                    state_bytes: int = DEFAULT_STATE_BYTES,
+                    processing_us: float = DEFAULT_PROCESSING_US,
+                    calibration: Optional[SubstrateCalibration] = None,
+                    telemetry: bool = False,
+                    journal: bool = False,
+                    check: bool = False,
+                    slo: bool = False) -> FaultTrialResult:
+    """Run one open-loop load window with an optional fault load.
 
-    Produced by :func:`prepare_fault_trial` — everything *before* the
-    fault load and workload are scheduled, i.e. the part of a trial
-    determined by (style, replicas, clients, seed, checkpoint
-    interval, servant shape, recorder flags) alone.  A campaign
-    sweeping fault variations over one configuration captures this
-    once via :class:`repro.sim.SimSnapshot` and forks per trial
-    instead of re-running the deterministic prefix.
+    ``inject`` receives a :class:`TrialContext` after warm-up and may
+    schedule any mix of faults against it.  Requests answered after
+    ``deadline_us`` count as *late*; requests never answered (lost,
+    given up, or still outstanding after the settle window) count as
+    *failed*.  Availability is time-based: for every outage-kind fault
+    the gap until the next completed request (capped at the window
+    end) is downtime.
+
+    ``check=True`` records the client-observed operation history and
+    runs the :mod:`repro.check` verifiers over it and the journal
+    (which it forces on), attaching the verdict to the result.
+
+    ``slo=True`` evaluates the default SLO set (:mod:`repro.slo`)
+    against the journal (also forced on) and attaches the error-budget
+    ledger, alerts and fault/alert cross-check to the result.
     """
-
-    style: ReplicationStyle
-    n_replicas: int
-    n_clients: int
-    testbed: Testbed
-    replicas: List[Replica]
-    stacks: List[ClientStack]
-    config: ReplicationConfig
-    servants: Dict[str, Callable]
-    history: Optional[object]
-    check: bool
-    slo: bool
-
-
-def prepare_fault_trial(style: ReplicationStyle, n_replicas: int,
-                        n_clients: int, seed: int = 0,
-                        checkpoint_interval: int = 1,
-                        warmup_us: float = DEFAULT_WARMUP_US,
-                        reply_bytes: int = DEFAULT_REPLY_BYTES,
-                        state_bytes: int = DEFAULT_STATE_BYTES,
-                        processing_us: float = DEFAULT_PROCESSING_US,
-                        calibration: Optional[SubstrateCalibration] = None,
-                        telemetry: bool = False,
-                        journal: bool = False,
-                        check: bool = False,
-                        slo: bool = False) -> PreparedTrial:
-    """Deploy and warm one trial testbed (the fault-independent
-    prefix of :func:`run_fault_trial`)."""
     if n_replicas < 1:
         raise ConfigurationError("trial needs at least one replica")
     if n_clients < 1:
         raise ConfigurationError("trial needs at least one client")
+    if duration_us <= 0:
+        raise ConfigurationError("trial duration must be positive")
+    if rate_per_s <= 0:
+        raise ConfigurationError("trial request rate must be positive")
+    if deadline_us <= 0:
+        raise ConfigurationError("deadline must be positive")
 
     if check or slo:
         journal = True  # both verdicts are computed from journal events
@@ -243,43 +244,6 @@ def prepare_fault_trial(style: ReplicationStyle, n_replicas: int,
         group="svc", expected_style=style))
         for i in range(1, n_clients + 1)]
     testbed.run(warmup_us)
-    return PreparedTrial(
-        style=style, n_replicas=n_replicas, n_clients=n_clients,
-        testbed=testbed, replicas=replicas, stacks=stacks,
-        config=config, servants=servants, history=history,
-        check=check, slo=slo)
-
-
-def finish_fault_trial(prepared: PreparedTrial, duration_us: float,
-                       rate_per_s: float,
-                       deadline_us: float = PAPER_LATENCY_LIMIT_US,
-                       inject: Optional[Callable[[TrialContext], None]] = None,
-                       settle_us: float = DEFAULT_SETTLE_US,
-                       request_bytes: int = DEFAULT_REQUEST_BYTES,
-                       ) -> FaultTrialResult:
-    """Run the fault-and-load suffix of a prepared trial.
-
-    Consumes ``prepared`` — fork a fresh copy from a
-    :class:`repro.sim.SimSnapshot` to run another fault variation.
-    """
-    if duration_us <= 0:
-        raise ConfigurationError("trial duration must be positive")
-    if rate_per_s <= 0:
-        raise ConfigurationError("trial request rate must be positive")
-    if deadline_us <= 0:
-        raise ConfigurationError("deadline must be positive")
-
-    style = prepared.style
-    n_replicas = prepared.n_replicas
-    n_clients = prepared.n_clients
-    testbed = prepared.testbed
-    replicas = prepared.replicas
-    stacks = prepared.stacks
-    config = prepared.config
-    servants = prepared.servants
-    history = prepared.history
-    check = prepared.check
-    slo = prepared.slo
 
     injector = FaultInjector(testbed.sim, testbed.network)
     context = TrialContext(
@@ -385,57 +349,6 @@ def finish_fault_trial(prepared: PreparedTrial, duration_us: float,
         telemetry=telemetry_digest, journal=journal_summary,
         journal_events=journal_events, check=check_digest,
         slo=slo_digest)
-
-
-def run_fault_trial(style: ReplicationStyle, n_replicas: int,
-                    n_clients: int, duration_us: float,
-                    rate_per_s: float, seed: int = 0,
-                    checkpoint_interval: int = 1,
-                    deadline_us: float = PAPER_LATENCY_LIMIT_US,
-                    inject: Optional[Callable[[TrialContext], None]] = None,
-                    warmup_us: float = DEFAULT_WARMUP_US,
-                    settle_us: float = DEFAULT_SETTLE_US,
-                    request_bytes: int = DEFAULT_REQUEST_BYTES,
-                    reply_bytes: int = DEFAULT_REPLY_BYTES,
-                    state_bytes: int = DEFAULT_STATE_BYTES,
-                    processing_us: float = DEFAULT_PROCESSING_US,
-                    calibration: Optional[SubstrateCalibration] = None,
-                    telemetry: bool = False,
-                    journal: bool = False,
-                    check: bool = False,
-                    slo: bool = False) -> FaultTrialResult:
-    """Run one open-loop load window with an optional fault load.
-
-    ``inject`` receives a :class:`TrialContext` after warm-up and may
-    schedule any mix of faults against it.  Requests answered after
-    ``deadline_us`` count as *late*; requests never answered (lost,
-    given up, or still outstanding after the settle window) count as
-    *failed*.  Availability is time-based: for every outage-kind fault
-    the gap until the next completed request (capped at the window
-    end) is downtime.
-
-    ``check=True`` records the client-observed operation history and
-    runs the :mod:`repro.check` verifiers over it and the journal
-    (which it forces on), attaching the verdict to the result.
-
-    ``slo=True`` evaluates the default SLO set (:mod:`repro.slo`)
-    against the journal (also forced on) and attaches the error-budget
-    ledger, alerts and fault/alert cross-check to the result.
-
-    Equivalent to ``finish_fault_trial(prepare_fault_trial(...))``;
-    campaigns share one prepared snapshot per configuration instead
-    (see :mod:`repro.campaign.runner`).
-    """
-    prepared = prepare_fault_trial(
-        style, n_replicas, n_clients, seed=seed,
-        checkpoint_interval=checkpoint_interval, warmup_us=warmup_us,
-        reply_bytes=reply_bytes, state_bytes=state_bytes,
-        processing_us=processing_us, calibration=calibration,
-        telemetry=telemetry, journal=journal, check=check, slo=slo)
-    return finish_fault_trial(
-        prepared, duration_us, rate_per_s, deadline_us=deadline_us,
-        inject=inject, settle_us=settle_us,
-        request_bytes=request_bytes)
 
 
 def slo_trial_digest(journal_events, window_start_us: float,

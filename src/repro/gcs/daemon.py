@@ -779,7 +779,7 @@ class GcsDaemon(Actor):
         if port is None:
             return
         self._emit_ipc_span(message)
-        self.sim.schedule_fast(self.cal.local_ipc_us, self._guard(
+        self.sim.schedule(self.cal.local_ipc_us, self._guard(
             lambda: port.deliver_direct(message.src, message.payload,
                                         message.payload_bytes)))
 
@@ -792,7 +792,7 @@ class GcsDaemon(Actor):
         if port is None:
             return
         self._emit_ipc_span(payload)
-        self.sim.schedule_fast(self.cal.local_ipc_us, self._guard(
+        self.sim.schedule(self.cal.local_ipc_us, self._guard(
             lambda: port.deliver_message(group, sender, payload, nbytes)))
 
     def _emit_ipc_span(self, payload: Any) -> None:
@@ -813,7 +813,7 @@ class GcsDaemon(Actor):
         port = self._clients.get(member)
         if port is None:
             return
-        self.sim.schedule_fast(self.cal.local_ipc_us, self._guard(
+        self.sim.schedule(self.cal.local_ipc_us, self._guard(
             lambda: port.deliver_view(view, list(joined), list(left),
                                       crashed)))
 

@@ -86,7 +86,7 @@ class ReliableLink:
     def _arm_retransmit(self) -> None:
         if self._retransmit_timer is not None and self._retransmit_timer.pending:
             return
-        self._retransmit_timer = self.sim.schedule_fast(
+        self._retransmit_timer = self.sim.schedule(
             self.cal.retransmit_timeout_us, self._on_retransmit_timer)
 
     def _on_retransmit_timer(self) -> None:
@@ -128,7 +128,7 @@ class ReliableLink:
     def _schedule_ack(self) -> None:
         if self._ack_timer is not None and self._ack_timer.pending:
             return
-        self._ack_timer = self.sim.schedule_fast(ACK_DELAY_US, self._send_ack)
+        self._ack_timer = self.sim.schedule(ACK_DELAY_US, self._send_ack)
 
     def _send_ack(self) -> None:
         self._ack_timer = None

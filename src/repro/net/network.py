@@ -169,8 +169,8 @@ class Network:
             delay = (cal.propagation_us
                      + wire_bytes / cal.bandwidth_bytes_per_us
                      + cal.jitter_us * sim.rng.random())
-        sim.schedule_fast(delay + extra_delay, dst_host.deliver,
-                          frame.dst.port, frame)
+        sim.schedule(delay + extra_delay, dst_host.deliver,
+                     frame.dst.port, frame)
 
     def _delay_us(self, frame: Frame, local: bool) -> float:
         """Reference delay model (the hot path above inlines this)."""

@@ -37,7 +37,6 @@ from repro.sim.kernel import (
     NullTelemetry,
     Simulator,
 )
-from repro.sim.snapshot import SimSnapshot, snapshot_deepcopy
 from repro.sim.trace import TraceLog, TraceRecord
 
 __all__ = [
@@ -63,9 +62,7 @@ __all__ = [
     "PAPER_LATENCY_LIMIT_US",
     "Process",
     "ReplicationCalibration",
-    "SimSnapshot",
     "Simulator",
-    "snapshot_deepcopy",
     "SubstrateCalibration",
     "TelemetryConfig",
     "TraceLog",

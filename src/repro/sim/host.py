@@ -49,9 +49,7 @@ class Cpu:
         self._ready_at = done
         self._busy_us += service
         self._jobs_run += 1
-        # done >= now by construction, so the validated path is
-        # redundant on this per-message hot path.
-        self._sim.schedule_at_fast(done, callback)
+        self._sim.schedule_at(done, callback)
         return done
 
     @property

@@ -36,8 +36,9 @@ class _PolicySequence:
     policy is installed: each draw is a ``(policy.tie_break(), n)``
     tuple, so events at equal simulated times sort by the policy's
     tie-break value first while the monotone counter still guarantees
-    a total order.  A class (rather than a generator) so the whole
-    simulator graph stays deep-copyable for :mod:`repro.sim.snapshot`.
+    a total order.  A class (rather than a generator) so
+    :meth:`Simulator.swap_scheduler_policy` can replace the policy
+    while the counter keeps running.
     """
 
     __slots__ = ("policy", "n")
@@ -337,13 +338,13 @@ class Simulator:
         """Replace the installed scheduling policy mid-run, keeping
         the monotone half of the sequence counter.
 
-        This is the snapshot/fork arming point: a warmed prefix runs
-        under the identity policy (tie-break 0 for every event, so the
-        prefix is byte-identical no matter which walk will follow),
-        gets captured once, and each fork swaps in its own walk policy
-        before the divergent suffix.  Only valid when a policy was
-        installed via :meth:`set_scheduler_policy` before any event —
-        the heap must already be ordered by ``(tie, n)`` tuples.
+        This is how a checked schedule arms its walk policy: the
+        warm-up runs under the identity policy (tie-break 0 for every
+        event, so it is byte-identical no matter which walk follows)
+        and the walk policy takes over where the load window opens.
+        Only valid when a policy was installed via
+        :meth:`set_scheduler_policy` before any event — the heap must
+        already be ordered by ``(tie, n)`` tuples.
         """
         if not isinstance(self._seq, _PolicySequence):
             raise SimulationError(
@@ -377,31 +378,6 @@ class Simulator:
                 f"cannot schedule at t={time} before now={self.now}")
         if not callable(callback):
             raise SimulationError(f"callback is not callable: {callback!r}")
-        handle = EventHandle(time, next(self._seq), callback, args, self)
-        heapq.heappush(self._heap, handle)
-        self._pending += 1
-        return handle
-
-    def schedule_fast(self, delay: float, callback: Callable[..., None],
-                      *args: Any) -> EventHandle:
-        """Hot-path twin of :meth:`schedule` that skips validation.
-
-        For internal callers (network transmission, CPU completion,
-        link timers, local IPC) whose delays come from validated
-        calibrations and are provably non-negative.  Scheduling order,
-        tie-breaking and the resulting event time are bit-identical to
-        :meth:`schedule` — only the redundant checks are gone.
-        """
-        handle = EventHandle(self.now + delay, next(self._seq),
-                             callback, args, self)
-        heapq.heappush(self._heap, handle)
-        self._pending += 1
-        return handle
-
-    def schedule_at_fast(self, time: float, callback: Callable[..., None],
-                         *args: Any) -> EventHandle:
-        """Hot-path twin of :meth:`schedule_at` (see
-        :meth:`schedule_fast`); ``time`` must be ``>= now``."""
         handle = EventHandle(time, next(self._seq), callback, args, self)
         heapq.heappush(self._heap, handle)
         self._pending += 1

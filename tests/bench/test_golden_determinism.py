@@ -1,6 +1,6 @@
 """Golden-digest regression: the fast path is behavior-invariant.
 
-The hot-path work (kernel fast scheduling, heap compaction, GCS
+The hot-path work (inlined kernel dispatch, heap compaction, GCS
 routing caches, loopback loss skip, the persistent campaign pool) is
 only admissible if it never changes simulation results.  These tests
 pin that: the same seed must produce byte-identical journal and
@@ -62,9 +62,9 @@ def test_kernel_level_trace_identical():
         def tick(n):
             out.append((sim.now, sim.rng.random()))
             if n:
-                handle = sim.schedule_fast(50.0, tick, 0)
+                handle = sim.schedule(50.0, tick, 0)
                 handle.cancel()
-                sim.schedule_fast(sim.rng.uniform(1, 9), tick, n - 1)
+                sim.schedule(sim.rng.uniform(1, 9), tick, n - 1)
 
         sim.schedule(0.0, tick, 400)
         sim.run()
@@ -99,26 +99,3 @@ def test_campaign_journals_identical_across_worker_counts(tmp_path):
     pooled = _campaign_digests(tmp_path, "pooled", 3)
     assert pooled == serial
 
-
-def test_fault_trial_fork_matches_fresh_run_byte_for_byte():
-    """A trial finished from a snapshot fork journals byte-identically
-    to the same trial built from scratch — the property that lets the
-    campaign worker reuse one warmed snapshot per configuration."""
-    from repro.experiments.trial import (
-        finish_fault_trial,
-        prepare_fault_trial,
-        run_fault_trial,
-    )
-    from repro.sim import SimSnapshot
-
-    style = ReplicationStyle.WARM_PASSIVE
-    fresh = run_fault_trial(style, 2, 1, duration_us=150_000.0,
-                            rate_per_s=100.0, seed=3, journal=True)
-    golden = events_to_jsonl(fresh.journal_events)
-
-    prepared = prepare_fault_trial(style, 2, 1, seed=3, journal=True)
-    snap = SimSnapshot.capture(prepared, sim=prepared.testbed.sim)
-    for _ in range(2):  # every fork, not just the first
-        forked = finish_fault_trial(snap.fork(), duration_us=150_000.0,
-                                    rate_per_s=100.0)
-        assert events_to_jsonl(forked.journal_events) == golden

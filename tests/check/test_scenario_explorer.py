@@ -7,6 +7,7 @@ identity-policy runs here, and the pre-existing golden digests in
 ``tests/bench/test_golden_determinism.py`` staying green.
 """
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -16,7 +17,7 @@ from repro.check import (MUTATIONS, CheckScenario, RandomWalkPolicy,
                          explore, load_artifact, minimize, replay,
                          run_schedule, write_artifact)
 from repro.check.artifact import artifact_from_report
-from repro.errors import SimulationError
+from repro.errors import SimulationError, VerificationError
 from repro.sim import Simulator
 
 
@@ -87,19 +88,19 @@ class TestExploration:
         assert invariants  # at least one checker fired
         assert violating.decisions
 
-    def test_explored_forks_match_fresh_runs_byte_for_byte(self):
-        # The explorer forks every walk from one warmed snapshot; each
-        # walk must digest identically to a from-scratch run of the
-        # same (variant, policy) pair — forking is a pure fast path.
+    def test_reports_replay_through_run_schedule(self):
+        # A report's (scenario variant, walk seed) identifies its
+        # schedule: running that pair again digests byte-identically —
+        # the property repro artifacts rely on.
         result = explore(_small_scenario(), budget=3,
                          stop_on_violation=False)
         assert result.schedules_run == 3
         for report in result.reports:
-            fresh = run_schedule(
+            again = run_schedule(
                 report.scenario,
                 RandomWalkPolicy(seed=report.walk_seed, tie_choices=4,
                                  delay_bound_us=150.0))
-            assert fresh.digest == report.digest
+            assert again.digest == report.digest
 
 
 class TestArtifacts:
@@ -138,6 +139,28 @@ class TestArtifacts:
         write_artifact(artifact, str(path))
         assert load_artifact(str(path)) == artifact
 
+    @pytest.mark.parametrize("field, bad", [
+        ("decisions", -50_000.0), ("decisions", 150.5),
+        ("decisions", -1), ("decisions", 4), ("decisions", "abc"),
+        ("decisions", True), ("decisions", float("nan")),
+        ("decisions", None),
+        ("tie_choices", 0), ("delay_bound_us", -1.0),
+        ("delay_bound_us", float("inf"))])
+    def test_tampered_policy_rejected_at_load(self, violating_report,
+                                              tmp_path, field, bad):
+        # Replay hands decisions to the kernel as they are, so a value
+        # no recorded walk could contain must fail the load, typed.
+        data = artifact_from_report(violating_report, tie_choices=4,
+                                    delay_bound_us=150.0).to_dict()
+        if field == "decisions":
+            data["policy"]["decisions"][0] = bad
+        else:
+            data["policy"][field] = bad
+        path = tmp_path / "tampered.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(VerificationError, match="malformed"):
+            load_artifact(str(path))
+
 
 class TestPartitionScenario:
     def _scenario(self, **overrides):
@@ -163,21 +186,10 @@ class TestPartitionScenario:
         assert invariants & {"no_split_brain", "daemon_view_agreement"}
 
     def test_partition_scenario_requires_heal_after_split(self):
-        from repro.check import prepare_schedule
-        from repro.errors import VerificationError
         with pytest.raises(VerificationError):
-            prepare_schedule(self._scenario(heal_at_us=None))
+            run_schedule(self._scenario(heal_at_us=None))
         with pytest.raises(VerificationError):
-            prepare_schedule(self._scenario(heal_at_us=8_000.0))
-
-    def test_partitionedness_is_a_prefix_parameter(self):
-        from repro.check import finish_schedule, prepare_schedule
-        from repro.errors import VerificationError
-        prepared = prepare_schedule(self._scenario())
-        unpartitioned = replace(self._scenario(), partition_at_us=None,
-                                heal_at_us=None)
-        with pytest.raises(VerificationError):
-            finish_schedule(prepared, scenario=unpartitioned)
+            run_schedule(self._scenario(heal_at_us=8_000.0))
 
 
 class TestCheckpointCrashScenario:
@@ -219,12 +231,10 @@ class TestCheckpointCrashScenario:
         assert "at_most_once" in invariants
 
     def test_phase_and_restart_parameters_validated(self):
-        from repro.check import prepare_schedule
-        from repro.errors import VerificationError
         with pytest.raises(VerificationError):
-            prepare_schedule(self._scenario(crash_primary_phase="commit"))
+            run_schedule(self._scenario(crash_primary_phase="commit"))
         with pytest.raises(VerificationError):
-            prepare_schedule(self._scenario(crash_primary_at_us=None))
+            run_schedule(self._scenario(crash_primary_at_us=None))
         with pytest.raises(VerificationError):
             # Primary down before the backups are back: total failure.
-            prepare_schedule(self._scenario(crash_primary_at_us=12_000.0))
+            run_schedule(self._scenario(crash_primary_at_us=12_000.0))

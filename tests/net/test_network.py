@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import NetworkError
+from repro.errors import NetworkError, SimulationError
 from repro.net import (
     BurstLoss,
     DelaySpike,
@@ -135,6 +135,29 @@ class TestDelivery:
     def test_negative_payload_size_rejected(self):
         with pytest.raises(NetworkError):
             Frame(Endpoint("a", 1), Endpoint("b", 2), "x", payload_bytes=-5)
+
+    def test_negative_policy_delay_cannot_rewind_the_clock(self, sim, net,
+                                                           pair):
+        """A scheduler policy handing back a negative frame delay
+        fails the transmit; it never delivers the frame in the past."""
+
+        class EarlyPolicy:
+            def tie_break(self):
+                return 0
+
+            def message_delay(self, wire_bytes):
+                return -50_000.0
+
+        sim.set_scheduler_policy(EarlyPolicy())
+        _, b = pair
+        arrivals = []
+        b.bind(7000, lambda frame: arrivals.append(sim.now))
+        sim.schedule(60_000.0, net.send, Endpoint("a", 1),
+                     Endpoint("b", 7000), "x", 0)
+        with pytest.raises(SimulationError):
+            sim.run()
+        assert arrivals == []
+        assert sim.now == 60_000.0
 
 
 class TestAccounting:

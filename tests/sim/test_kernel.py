@@ -262,38 +262,6 @@ def test_max_events_zero_dispatches_nothing():
     assert sim.now == 0.0
 
 
-def test_schedule_fast_matches_schedule_semantics():
-    def drive(fast):
-        sim = Simulator(seed=11)
-        out = []
-
-        def tick(n):
-            out.append((sim.now, n, sim.rng.random()))
-            if n:
-                delay = sim.rng.uniform(0.5, 4.0)
-                if fast:
-                    sim.schedule_fast(delay, tick, n - 1)
-                else:
-                    sim.schedule(delay, tick, n - 1)
-
-        (sim.schedule_fast if fast else sim.schedule)(1.0, tick, 30)
-        sim.run()
-        return out
-
-    assert drive(fast=True) == drive(fast=False)
-
-
-def test_schedule_at_fast_matches_schedule_at():
-    sim_a, sim_b = Simulator(), Simulator()
-    out_a, out_b = [], []
-    for t in (5.0, 1.0, 3.0, 1.0):
-        sim_a.schedule_at(t, lambda t=t: out_a.append((sim_a.now, t)))
-        sim_b.schedule_at_fast(t, lambda t=t: out_b.append((sim_b.now, t)))
-    sim_a.run()
-    sim_b.run()
-    assert out_a == out_b
-
-
 def test_heap_compaction_preserves_dispatch_order():
     from repro.sim.kernel import COMPACT_MIN_CANCELLED
 

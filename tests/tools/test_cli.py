@@ -302,7 +302,6 @@ def test_bench_usage_errors_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "unknown profile(s): bogus" in err
     assert "available profiles:" in err
-    assert "snapshot" in err
 
 
 def test_bench_list_enumerates_profiles(capsys):
@@ -362,6 +361,17 @@ def test_check_explore_mutation_writes_replayable_artifact(tmp_path,
 
     assert main(["check", "--replay", str(artifact)]) == 0
     assert "REPRODUCED" in capsys.readouterr().out
+
+    # Tampered decisions are refused at load (exit 2), never replayed.
+    import json
+    data = json.loads(artifact.read_text())
+    for bad in (-50_000.0, "abc"):
+        data["policy"]["decisions"][0] = bad
+        tampered = tmp_path / "tampered.json"
+        tampered.write_text(json.dumps(data))
+        for mode in ("--replay", "--minimize"):
+            assert main(["check", mode, str(tampered)]) == 2
+            assert "cannot load artifact" in capsys.readouterr().err
 
 
 def test_campaign_check_flag_attaches_verdicts(tmp_path, capsys):
