@@ -10,7 +10,6 @@
 - ``campaign``  — run a fault-injection campaign from a spec file
 - ``trace``     — record a traced run; export spans/metrics
 - ``observe``   — render a dependability journal (timeline/summary/HTML)
-- ``bench``     — run the performance suite; write BENCH_*.json artifacts
 - ``check``     — explore schedule space; verify linearizability and
   protocol invariants; replay/minimize repro artifacts
 - ``cluster``   — sharded deployments: summary, key routing, live
@@ -49,8 +48,6 @@ _SUMMARIES = {
     "trace": "record a traced run and export spans/metrics",
     "observe": "render a dependability journal "
                "(timeline, availability, fault cross-check)",
-    "bench": "run the performance suite; write canonical "
-             "BENCH_<profile>.json artifacts",
     "check": "explore schedule space and verify linearizability + "
              "protocol invariants; replay/minimize repro artifacts",
     "cluster": "sharded deployments: summary, key routing, live "
@@ -423,46 +420,6 @@ def _cmd_observe(args: argparse.Namespace) -> int:
     return 0
 
 
-def _profile_listing() -> str:
-    """One line per bench profile: name plus docstring summary."""
-    from repro.bench import profile_summaries
-
-    lines = ["available profiles:"]
-    for name, summary in profile_summaries().items():
-        lines.append(f"  {name:16s} {summary}")
-    return "\n".join(lines)
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Run the calibrated performance suite and write artifacts."""
-    import os
-
-    from repro.bench import PROFILE_NAMES, run_profile, write_artifact
-
-    if args.list_profiles:
-        print(_profile_listing())
-        return 0
-    names = tuple(args.profile) if args.profile else PROFILE_NAMES
-    unknown = [name for name in names if name not in PROFILE_NAMES]
-    if unknown:
-        print(_profile_listing(), file=sys.stderr)
-        return _usage_error(
-            "bench", f"unknown profile(s): {', '.join(unknown)}")
-    if not os.path.isdir(args.out_dir):
-        return _usage_error(
-            "bench", f"--out-dir {args.out_dir!r} is not a directory")
-    mode = "quick" if args.quick else "full"
-    print(f"bench ({mode}): {', '.join(names)}")
-    for name in names:
-        report = run_profile(name, quick=args.quick)
-        print(f"\n[{name}]")
-        for key in sorted(report.metrics):
-            print(f"  {key:32s} {report.metrics[key]:>14.1f}")
-        path = write_artifact(report, args.out_dir)
-        print(f"  wrote {path}")
-    return 0
-
-
 def _cmd_cluster(args: argparse.Namespace) -> int:
     """Sharded-deployment operations (summary/route/rebalance/replay)."""
     from repro.cluster import (
@@ -752,21 +709,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="also write a self-contained HTML "
                                      "report to this path")
 
-    bench_parser = sub.add_parser("bench", help=_SUMMARIES["bench"])
-    bench_parser.add_argument("--quick", action="store_true",
-                              help="CI-smoke sizing (seconds per "
-                                   "profile instead of minutes)")
-    bench_parser.add_argument("--out-dir", default=".",
-                              help="directory for BENCH_*.json "
-                                   "artifacts (default: cwd)")
-    bench_parser.add_argument("--profile", action="append",
-                              help="run only this profile (repeatable; "
-                                   "default: all; see --list)")
-    bench_parser.add_argument("--list", action="store_true",
-                              dest="list_profiles",
-                              help="list the available profiles and "
-                                   "exit")
-
     check_parser = sub.add_parser("check", help=_SUMMARIES["check"])
     mode = check_parser.add_mutually_exclusive_group()
     mode.add_argument("--explore", action="store_true",
@@ -871,7 +813,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _COMMANDS = {
-    "bench": _cmd_bench,
     "breakdown": _cmd_breakdown,
     "check": _cmd_check,
     "cluster": _cmd_cluster,

@@ -21,9 +21,9 @@ Public surface:
 - :class:`ShardSpec` / :func:`deploy_cluster` /
   :func:`deploy_cluster_client` — testbed assembly
 - :func:`run_cluster_load`, :func:`run_cluster_rebalance_check`,
-  :func:`run_cluster_trial` — the scenarios behind the ``cluster``
-  bench profile, the no-lost-acked-updates check, and sharded
-  campaign trials
+  :func:`run_cluster_trial` — the scenarios behind the shard-scaling
+  experiment, the no-lost-acked-updates check, and sharded campaign
+  trials
 """
 
 from repro.cluster.admin import ShardAdmin

@@ -11,8 +11,8 @@ Placement rotates primaries across the server hosts: shard *i*'s
 first-deployed replica (its deterministic primary) lands on host
 ``i mod n_hosts``, so adding shards adds *parallel* primaries and the
 aggregate closed-loop throughput scales with the shard count until
-the hosts saturate — the scaling the ``cluster`` bench profile
-measures.
+the hosts saturate — the scaling ``tests/cluster/test_cluster.py``
+asserts.
 """
 
 from __future__ import annotations

@@ -2,10 +2,10 @@
 
 Three engines built on :mod:`repro.cluster.deploy`:
 
-- :func:`run_cluster_load` — the closed-loop scaling experiment behind
-  the ``cluster`` bench profile: the same key universe and client fleet
-  against 1..N shards on the *same* host set, so aggregate throughput
-  isolates the effect of parallel primaries.
+- :func:`run_cluster_load` — the closed-loop scaling experiment: the
+  same key universe and client fleet against 1..N shards on the *same*
+  host set, so aggregate throughput isolates the effect of parallel
+  primaries.
 - :func:`run_cluster_rebalance_check` — replicated counters, a live
   rebalance mid-traffic, then the :mod:`repro.check` verifiers over
   the client-observed history: no acknowledged increment may be lost

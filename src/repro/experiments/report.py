@@ -45,31 +45,6 @@ A = ReplicationStyle.ACTIVE
 P = ReplicationStyle.WARM_PASSIVE
 
 
-def _bench_baselines() -> dict:
-    """Metrics of every committed bench baseline, keyed by profile.
-
-    Returns an empty dict when the repository's
-    ``benchmarks/baselines/`` directory is absent (e.g. an installed
-    package), so the report simply omits the appendix."""
-    import json
-    from pathlib import Path
-
-    baselines = {}
-    root = Path(__file__).resolve().parents[3]
-    directory = root / "benchmarks" / "baselines"
-    if not directory.is_dir():
-        return baselines
-    for path in sorted(directory.glob("BENCH_*.json")):
-        try:
-            artifact = json.loads(path.read_text())
-        except (OSError, ValueError):
-            continue
-        profile = artifact.get("profile")
-        if profile:
-            baselines[profile] = artifact.get("metrics", {})
-    return baselines
-
-
 def write_report(out: TextIO, n_requests: int = 150,
                  seed: int = 0) -> None:
     """Render the full paper-vs-measured markdown report to ``out``."""
@@ -234,28 +209,6 @@ def write_report(out: TextIO, n_requests: int = 150,
     w("\nStructural, as in the paper; the benchmark additionally "
       "validates behaviourally that the scalability and availability "
       "knobs drive exactly their declared low-level knobs.\n\n")
-
-    # ------------------------------------------------------------------
-    # Performance appendix (committed bench baselines)
-    # ------------------------------------------------------------------
-    baselines = _bench_baselines()
-    if baselines:
-        w("## Appendix — reproduction performance "
-          "(committed bench baselines)\n\n")
-        w("Same-machine throughput of the harness itself, from "
-          "`benchmarks/baselines/BENCH_*.json` (quick profiles; "
-          "regenerate with `python -m repro bench --quick --out-dir "
-          "benchmarks/baselines`).\n\n")
-        w("| measurement | value |\n|---|---|\n")
-        kernel = baselines.get("kernel_events", {})
-        if "speedup_vs_reference" in kernel:
-            w("| kernel speedup vs. pre-optimization reference "
-              f"| **{kernel['speedup_vs_reference']:.2f}×** |\n")
-        check = baselines.get("check", {})
-        if "schedules_per_sec" in check:
-            w("| verified schedule exploration "
-              f"| {check['schedules_per_sec']:.1f} schedules/s |\n")
-        w("\nSee `docs/performance.md`.\n\n")
 
     # ------------------------------------------------------------------
     # Substitutions

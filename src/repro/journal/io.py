@@ -57,7 +57,11 @@ def parse_jsonl(text: str) -> List[JournalEvent]:
                              f"JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ValueError(f"journal line {lineno} is not an object")
-        events.append(JournalEvent.from_dict(data))
+        try:
+            events.append(JournalEvent.from_dict(data))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"journal line {lineno} is not a journal "
+                             f"event: {exc!r}") from exc
     return events
 
 

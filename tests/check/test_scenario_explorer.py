@@ -4,7 +4,7 @@ The golden-ordering guarantee — the kernel with no policy (or the
 identity policy) dispatches events byte-identically to the pre-hook
 kernel — is asserted two ways: digest equality between plain and
 identity-policy runs here, and the pre-existing golden digests in
-``tests/bench/test_golden_determinism.py`` staying green.
+``tests/sim/test_golden_determinism.py`` staying green.
 """
 
 import json

@@ -4,8 +4,11 @@ restarts and their journal ground truth."""
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments.trial import run_fault_trial
 from repro.faults import FaultInjector
 from repro.journal.events import Journal
+from repro.journal.io import events_to_jsonl
+from repro.net import PartitionFilter
 from repro.replication import ReplicationStyle
 from tests.replication.helpers import FAILOVER_US, build_rig, call
 
@@ -40,6 +43,32 @@ def test_partition_filter_uninstalled_after_heal():
     assert len(testbed.network.topology) == 1
     testbed.run(100_000)
     assert testbed.network.topology == []
+
+
+def test_idle_link_filter_is_invisible():
+    """An installed filter whose window never opens is consulted on
+    every cross-host frame yet may not consume RNG or perturb timing:
+    journal and metrics match a run with no filter at all.  Installed directly on
+    the network so the injector's ground-truth event stays out of the
+    journal."""
+    def trial(inject=None):
+        return run_fault_trial(
+            ReplicationStyle.ACTIVE, n_replicas=3, n_clients=2,
+            duration_us=400_000.0, rate_per_s=200.0, seed=1,
+            inject=inject, journal=True)
+
+    def install_idle(ctx):
+        names = sorted(ctx.testbed.network.hosts)
+        horizon = ctx.t0 + 1_000.0 * ctx.duration_us
+        ctx.testbed.network.add_link_filter(PartitionFilter(
+            (frozenset(names[:1]), frozenset(names[1:])),
+            horizon, horizon + 1.0))
+
+    base, idle = trial(), trial(install_idle)
+    assert base.completed > 0
+    assert (events_to_jsonl(idle.journal_events)
+            == events_to_jsonl(base.journal_events))
+    assert idle.metrics() == base.metrics()
 
 
 def test_partition_validation():

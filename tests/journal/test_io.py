@@ -12,6 +12,7 @@ from repro.journal import (
     read_jsonl,
     write_jsonl,
 )
+from tests.support import NON_EVENT_JOURNAL_LINES
 
 
 def small_journal():
@@ -66,6 +67,13 @@ class TestJsonl:
     def test_non_object_line_raises(self):
         with pytest.raises(ValueError, match="not an object"):
             parse_jsonl("[1,2,3]\n")
+
+    @pytest.mark.parametrize("line", NON_EVENT_JOURNAL_LINES.values(),
+                             ids=list(NON_EVENT_JOURNAL_LINES))
+    def test_non_event_line_raises(self, line):
+        with pytest.raises(ValueError,
+                           match="line 1 is not a journal event"):
+            parse_jsonl(line + "\n")
 
 
 class TestJournalDigest:

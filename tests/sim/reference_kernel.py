@@ -1,4 +1,4 @@
-"""Reference (pre-fast-path) kernel used as the benchmark baseline.
+"""Reference (pre-fast-path) kernel the golden-determinism tests compare against.
 
 :class:`ReferenceSimulator` restores the naive kernel semantics this
 repository shipped before the hot-path work: the run loop pays a
@@ -6,14 +6,9 @@ repository shipped before the hot-path work: the run loop pays a
 their scheduled time (no compaction), and ``pending_events`` is an
 O(n) heap scan.
 
-Two uses:
-
-- the ``kernel_events`` bench profile runs the same workload on both
-  kernels on the same machine, so the reported speedup is a real
-  same-host ratio rather than a number copied from an older commit;
-- the determinism regression test swaps it into the testbed and
-  asserts byte-identical traces, telemetry and journals — proving the
-  fast path is a pure optimization.
+``test_golden_determinism.py`` swaps it into the testbed and asserts
+byte-identical traces, telemetry and journals — proving the fast path
+is a pure optimization.
 
 Event *ordering* is identical to :class:`repro.sim.Simulator` by
 construction: sequence numbers are allocated in the same order and

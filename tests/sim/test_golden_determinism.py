@@ -11,7 +11,6 @@ runs serially or across the worker pool.
 
 import hashlib
 
-from repro.bench import ReferenceSimulator
 from repro.campaign import CampaignSpec, ResultsStore, run_campaign
 from repro.experiments import testbed as testbed_module
 from repro.experiments.scenarios import run_replicated_load
@@ -19,6 +18,7 @@ from repro.journal.io import events_to_jsonl
 from repro.replication import ReplicationStyle
 from repro.sim import Simulator
 from repro.telemetry import chrome_trace_json
+from tests.sim.reference_kernel import ReferenceSimulator
 
 
 def _digest(text: str) -> str:

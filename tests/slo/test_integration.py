@@ -13,13 +13,16 @@ import pytest
 
 from repro.check import canonical_scenario, run_schedule
 from repro.cli import main
-from repro.journal.io import write_jsonl
+from repro.cluster import run_cluster_trial
+from repro.journal.io import events_to_jsonl, write_jsonl
+from repro.replication import ReplicationStyle
 from repro.slo import (
     SloSpec,
     evaluate_slos,
     match_fault_alerts,
     unmatched_alerts,
 )
+from tests.support import assert_cli_refuses_non_event_journals
 
 #: Seven nines over a ~330 ms horizon tolerates well under a
 #: microsecond of downtime, so the canonical crash (a few hundred us
@@ -57,6 +60,25 @@ class TestCanonicalScenarioAcceptance:
         outcome = evaluate_slos(crash_journal)
         assert outcome.ok
         assert outcome.alerts == ()
+
+
+class TestObservationOnly:
+    def test_journal_bytes_identical_with_slo_on_or_off(self):
+        """The plane is post-hoc: evaluating budgets and alerts over a
+        sharded crash trial leaves its journal byte for byte as it
+        was."""
+        def trial(slo):
+            return run_cluster_trial(
+                style=ReplicationStyle.WARM_PASSIVE, n_shards=3,
+                n_clients=6, duration_us=400_000.0, rate_per_s=200.0,
+                seed=1, fault_load="process_crash", journal=True,
+                slo=slo)
+
+        plain, observed = trial(False), trial(True)
+        assert plain.slo is None and observed.slo["slos"] > 0
+        assert plain.journal_events
+        assert (events_to_jsonl(plain.journal_events)
+                == events_to_jsonl(observed.journal_events))
 
 
 class TestSloCli:
@@ -108,6 +130,9 @@ class TestSloCli:
 
     def test_missing_journal_is_a_usage_error(self, tmp_path, capsys):
         assert main(["slo", "status", str(tmp_path / "nope.jsonl")]) == 2
+        for action in ("status", "alerts", "report"):
+            assert_cli_refuses_non_event_journals(["slo", action],
+                                                  tmp_path, capsys)
 
     def test_empty_journal_exits_1(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"

@@ -1,4 +1,5 @@
-"""Shared test helpers: a small simulated cluster with GCS daemons."""
+"""Shared test helpers: a small simulated cluster with GCS daemons,
+and malformed journal lines every loader must refuse."""
 
 from __future__ import annotations
 
@@ -14,6 +15,31 @@ from repro.sim import (
     SubstrateCalibration,
     default_calibration,
 )
+
+#: Journal lines that are valid JSON objects but not journal events:
+#: every loader must refuse them with a typed error, never a traceback.
+NON_EVENT_JOURNAL_LINES = {
+    "missing-field": '{"a":1}',
+    "attrs-not-a-mapping": '{"seq":0,"t_us":1.0,"host":"h",'
+                           '"component":"c","kind":"k","attrs":[1]}',
+    "seq-not-a-number": '{"seq":"x","t_us":1.0,"host":"h",'
+                        '"component":"c","kind":"k"}',
+}
+
+
+def assert_cli_refuses_non_event_journals(argv: Sequence[str], tmp_path,
+                                          capsys) -> None:
+    """``repro <argv> FILE`` exits 2 with the typed one-line message,
+    not a traceback, for each of :data:`NON_EVENT_JOURNAL_LINES`."""
+    from repro.cli import main
+
+    path = tmp_path / "not-events.jsonl"
+    capsys.readouterr()
+    for line in NON_EVENT_JOURNAL_LINES.values():
+        path.write_text(line + "\n")
+        assert main([*argv, str(path)]) == 2
+        assert ("journal line 1 is not a journal event"
+                in capsys.readouterr().err)
 
 
 class Cluster:

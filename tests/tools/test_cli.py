@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from tests.support import assert_cli_refuses_non_event_journals
 
 
 def test_parser_requires_command():
@@ -56,7 +57,7 @@ def test_unknown_command_exits_2_with_listing(capsys):
     assert "unknown command 'definitely-not-a-command'" in err
     # The listing names every subcommand with its one-line summary.
     for name in ("breakdown", "profile", "policy", "adaptive",
-                 "campaign", "trace", "observe", "bench", "check",
+                 "campaign", "trace", "observe", "check",
                  "cluster", "report", "verify"):
         assert name in err
     assert "sharded deployments" in err
@@ -294,24 +295,9 @@ def test_campaign_journal_flag_captures_per_trial_jsonl(tmp_path, capsys):
     assert digest["faults_matched"] + digest["faults_missed"] == 1
 
 
-def test_bench_usage_errors_exit_2(tmp_path, capsys):
-    missing = tmp_path / "nope"
-    assert main(["bench", "--quick", "--out-dir", str(missing)]) == 2
-    assert "not a directory" in capsys.readouterr().err
-    assert main(["bench", "--profile", "bogus"]) == 2
-    err = capsys.readouterr().err
-    assert "unknown profile(s): bogus" in err
-    assert "available profiles:" in err
-
-
-def test_bench_list_enumerates_profiles(capsys):
-    from repro.bench import PROFILE_NAMES
-
-    assert main(["bench", "--list"]) == 0
-    out = capsys.readouterr().out
-    assert "available profiles:" in out
-    for name in PROFILE_NAMES:
-        assert name in out
+def test_bench_is_not_a_command(capsys):
+    assert main(["bench"]) == 2
+    assert "unknown command 'bench'" in capsys.readouterr().err
 
 
 def test_observe_usage_errors_exit_2(tmp_path, capsys):
@@ -321,6 +307,7 @@ def test_observe_usage_errors_exit_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["observe", str(journal), "--format", "yaml"])
     assert excinfo.value.code == 2
+    assert_cli_refuses_non_event_journals(["observe"], tmp_path, capsys)
 
 
 def test_check_usage_errors_exit_2(tmp_path, capsys):
@@ -399,7 +386,7 @@ def test_help_lists_every_subcommand(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     for name in ("breakdown", "profile", "policy", "adaptive",
-                 "campaign", "trace", "observe", "bench", "check",
+                 "campaign", "trace", "observe", "check",
                  "cluster", "report", "verify"):
         assert name in out
 
@@ -456,10 +443,5 @@ def test_cluster_replay_rejects_missing_file(tmp_path, capsys):
     assert main(["cluster", "replay",
                  str(tmp_path / "nope.jsonl")]) == 2
     assert "cannot read" in capsys.readouterr().err
-
-
-def test_bench_profile_choices_include_cluster():
-    parser = build_parser()
-    args = parser.parse_args(["bench", "--quick",
-                              "--profile", "cluster"])
-    assert args.profile == ["cluster"]
+    assert_cli_refuses_non_event_journals(["cluster", "replay"],
+                                          tmp_path, capsys)
