@@ -19,7 +19,7 @@ from typing import Dict, List, Tuple, TYPE_CHECKING
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.experiments.trial import TrialContext
+    from repro.experiments.run import ScenarioRun
 
 
 def _check_fraction(name: str, value: float) -> None:
@@ -31,11 +31,11 @@ def _check_fraction(name: str, value: float) -> None:
 class FaultEntry:
     """One dictionary entry: knows how to schedule itself on a trial."""
 
-    def schedule(self, ctx: "TrialContext") -> None:
+    def schedule(self, ctx: "ScenarioRun") -> None:
         """Compile this entry into injector calls against ``ctx``."""
         raise NotImplementedError
 
-    def _replica(self, ctx: "TrialContext", index: int):
+    def _replica(self, ctx: "ScenarioRun", index: int):
         """Target replica, clamped to the deployed group size."""
         return ctx.replicas[min(index, len(ctx.replicas) - 1)]
 
@@ -48,7 +48,7 @@ class ProcessCrash(FaultEntry):
     at_fraction: float = 0.3
     replica_index: int = 0
 
-    def schedule(self, ctx: "TrialContext") -> None:
+    def schedule(self, ctx: "ScenarioRun") -> None:
         """Kill the target replica's process mid-window."""
         _check_fraction("at_fraction", self.at_fraction)
         ctx.injector.crash_process_at(
@@ -65,7 +65,7 @@ class HostCrash(FaultEntry):
     at_fraction: float = 0.3
     replica_index: int = -1
 
-    def schedule(self, ctx: "TrialContext") -> None:
+    def schedule(self, ctx: "ScenarioRun") -> None:
         """Crash the target replica's whole host mid-window."""
         _check_fraction("at_fraction", self.at_fraction)
         index = (len(ctx.replicas) - 1 if self.replica_index < 0
@@ -85,7 +85,7 @@ class CrashAndRestart(FaultEntry):
     restart_after_fraction: float = 0.2
     replica_index: int = 0
 
-    def schedule(self, ctx: "TrialContext") -> None:
+    def schedule(self, ctx: "ScenarioRun") -> None:
         """Crash the replica, then respawn it after the delay."""
         _check_fraction("at_fraction", self.at_fraction)
         _check_fraction("restart_after_fraction",
@@ -106,7 +106,7 @@ class LossBurst(FaultEntry):
     duration_fraction: float = 0.2
     rate: float = 1.0
 
-    def schedule(self, ctx: "TrialContext") -> None:
+    def schedule(self, ctx: "ScenarioRun") -> None:
         """Drop frames at ``rate`` for the configured window."""
         _check_fraction("start_fraction", self.start_fraction)
         _check_fraction("duration_fraction", self.duration_fraction)
@@ -125,7 +125,7 @@ class DelaySpike(FaultEntry):
     duration_fraction: float = 0.2
     extra_us: float = 5_000.0
 
-    def schedule(self, ctx: "TrialContext") -> None:
+    def schedule(self, ctx: "ScenarioRun") -> None:
         """Add ``extra_us`` to every frame in the window."""
         _check_fraction("start_fraction", self.start_fraction)
         _check_fraction("duration_fraction", self.duration_fraction)
@@ -145,7 +145,7 @@ class CpuHog(FaultEntry):
     busy_us: float = 50_000.0
     replica_index: int = 0
 
-    def schedule(self, ctx: "TrialContext") -> None:
+    def schedule(self, ctx: "ScenarioRun") -> None:
         """Steal the target replica's CPU for ``busy_us``."""
         _check_fraction("at_fraction", self.at_fraction)
         ctx.injector.cpu_hog_at(
@@ -164,7 +164,7 @@ class Partition(FaultEntry):
     duration_fraction: float = 0.3
     replica_index: int = -1
 
-    def schedule(self, ctx: "TrialContext") -> None:
+    def schedule(self, ctx: "ScenarioRun") -> None:
         """Cut the target replica's host off, then heal."""
         _check_fraction("start_fraction", self.start_fraction)
         _check_fraction("duration_fraction", self.duration_fraction)
@@ -188,7 +188,7 @@ class AsymPartition(FaultEntry):
     duration_fraction: float = 0.3
     replica_index: int = -1
 
-    def schedule(self, ctx: "TrialContext") -> None:
+    def schedule(self, ctx: "ScenarioRun") -> None:
         """Drop the target host's outbound frames for the window."""
         _check_fraction("start_fraction", self.start_fraction)
         _check_fraction("duration_fraction", self.duration_fraction)
@@ -214,7 +214,7 @@ class FlakyLinkFault(FaultEntry):
     replica_a: int = 0
     replica_b: int = -1
 
-    def schedule(self, ctx: "TrialContext") -> None:
+    def schedule(self, ctx: "ScenarioRun") -> None:
         """Make the one link between the two replicas lossy."""
         _check_fraction("start_fraction", self.start_fraction)
         _check_fraction("duration_fraction", self.duration_fraction)
@@ -240,7 +240,7 @@ class SlowHostFault(FaultEntry):
     extra_us: float = 20_000.0
     replica_index: int = -1
 
-    def schedule(self, ctx: "TrialContext") -> None:
+    def schedule(self, ctx: "ScenarioRun") -> None:
         """Slow the target replica's host for the window."""
         _check_fraction("start_fraction", self.start_fraction)
         _check_fraction("duration_fraction", self.duration_fraction)
@@ -306,7 +306,7 @@ def register_load(name: str, entries: FaultLoad,
     _LOADS[name] = tuple(entries)
 
 
-def compile_load(name: str, ctx: "TrialContext") -> int:
+def compile_load(name: str, ctx: "ScenarioRun") -> int:
     """Schedule every entry of the named load; returns how many."""
     entries = fault_load(name)
     for entry in entries:

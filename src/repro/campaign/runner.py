@@ -68,27 +68,22 @@ def execute_trial(trial: TrialSpec,
     # campaign importable without dragging the full stack in at startup
 
     trial.validate()
+    window = dict(
+        style=trial.replication_style, n_clients=trial.n_clients,
+        duration_us=trial.duration_us, rate_per_s=trial.rate_per_s,
+        seed=trial.seed, checkpoint_interval=trial.checkpoint_interval,
+        deadline_us=trial.deadline_us, settle_us=trial.settle_us,
+        telemetry=telemetry, journal=journal_dir is not None,
+        check=check, slo=slo)
     if trial.n_shards > 1:
         from repro.cluster import run_cluster_trial
-        result = run_cluster_trial(
-            style=trial.replication_style, n_shards=trial.n_shards,
-            n_clients=trial.n_clients, duration_us=trial.duration_us,
-            rate_per_s=trial.rate_per_s, seed=trial.seed,
-            checkpoint_interval=trial.checkpoint_interval,
-            deadline_us=trial.deadline_us, settle_us=trial.settle_us,
-            fault_load=trial.fault_load,
-            telemetry=telemetry, journal=journal_dir is not None,
-            check=check, slo=slo)
+        result = run_cluster_trial(n_shards=trial.n_shards,
+                                   fault_load=trial.fault_load, **window)
     else:
         result = run_fault_trial(
-            style=trial.replication_style, n_replicas=trial.n_replicas,
-            n_clients=trial.n_clients, duration_us=trial.duration_us,
-            rate_per_s=trial.rate_per_s, seed=trial.seed,
-            checkpoint_interval=trial.checkpoint_interval,
-            deadline_us=trial.deadline_us, settle_us=trial.settle_us,
-            inject=lambda ctx: compile_load(trial.fault_load, ctx),
-            telemetry=telemetry, journal=journal_dir is not None,
-            check=check, slo=slo)
+            n_replicas=trial.n_replicas,
+            inject=lambda run: compile_load(trial.fault_load, run),
+            **window)
     if journal_dir is not None and result.journal_events is not None:
         from repro.journal.io import write_jsonl
         os.makedirs(journal_dir, exist_ok=True)

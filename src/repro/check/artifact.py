@@ -64,8 +64,9 @@ class ReproArtifact:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ReproArtifact":
-        """Inverse of :meth:`to_dict`; rejects a policy section no
-        recorded walk could have produced."""
+        """Inverse of :meth:`to_dict`; rejects a scenario section no
+        schedule can honour and a policy section no recorded walk
+        could have produced."""
         try:
             policy = data["policy"]
             artifact = cls(
@@ -78,7 +79,8 @@ class ReproArtifact:
                 violations=list(data["violations"]),
                 version=int(data.get("version", ARTIFACT_VERSION)),
                 minimized=bool(data.get("minimized", False)))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError,
+                VerificationError) as exc:
             raise VerificationError(
                 f"malformed repro artifact: {exc}") from exc
         artifact._validate_policy()

@@ -18,31 +18,23 @@ must pass with zero false positives).
 
 from __future__ import annotations
 
-import hashlib
+import math
 from dataclasses import asdict, dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.check.history import HistoryRecorder, Operation
+from repro.check.history import Operation
 from repro.check.policies import SchedulerPolicy
 from repro.errors import AdaptationError, VerificationError
-from repro.experiments import (
-    Testbed,
-    deploy_client,
-    deploy_replica,
-    deploy_replica_group,
-)
+from repro.experiments import ScenarioRun
 from repro.faults import FaultInjector
-from repro.journal.io import events_to_jsonl
 from repro.gcs import Grade
 from repro.orb import CounterServant, GiopRequest
 from repro.replication import (
     Checkpoint,
-    ClientReplicationConfig,
     ReplicationConfig,
     ReplicationStyle,
     RepRequest,
 )
-from repro.sim import default_calibration
 
 
 #: The points of one synchronous checkpoint at which
@@ -101,8 +93,11 @@ class CheckScenario:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "CheckScenario":
-        """Inverse of :meth:`to_dict`."""
-        return cls(**data)
+        """Inverse of :meth:`to_dict`; rejects values no schedule can
+        honour (the data comes from an artifact file)."""
+        scenario = cls(**data)
+        _validate(scenario)
+        return scenario
 
     @property
     def partitioned(self) -> bool:
@@ -250,16 +245,42 @@ MUTATIONS: Dict[str, Callable[[Any], None]] = {
 }
 
 
-#: Simulated warmup (µs) run before the load window opens: long
-#: enough for the group to form, elect a primary and settle.
-WARMUP_US = 150_000.0
-
 #: Downtime (µs) of the backups ``restart_backups_at_us`` crashes.
 RESTART_AFTER_US = 10_000.0
 
 
+def _finite(value: Any) -> bool:
+    # Exact types: bool is an int subclass and no time is a bool.
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+#: (fields, what they must be, test) — types and ranges of the scalar
+#: fields, checked first because a scenario loaded from an artifact
+#: file can hold anything JSON can spell.
+_FIELD_RULES = (
+    (("n_replicas", "n_requests", "checkpoint_interval"), "an int >= 1",
+     lambda v: type(v) is int and v >= 1),
+    (("seed",), "an int", lambda v: type(v) is int),
+    (("horizon_us", "settle_us", "retry_timeout_us"),
+     "a finite number > 0", lambda v: _finite(v) and v > 0),
+    (("switch_at_us", "crash_primary_at_us", "restart_backups_at_us",
+      "partition_at_us", "heal_at_us"), "None or a finite number >= 0",
+     lambda v: v is None or (_finite(v) and v >= 0)),
+    (("late_duplicate",), "a bool", lambda v: type(v) is bool),
+    (("mutation", "crash_primary_phase"), "None or a string",
+     lambda v: v is None or type(v) is str),
+)
+
+
 def _validate(scenario: CheckScenario) -> None:
-    """Reject parameter combinations no schedule can honour."""
+    """Reject parameter values and combinations no schedule can
+    honour."""
+    for names, expected, ok in _FIELD_RULES:
+        for name in names:
+            value = getattr(scenario, name)
+            if not ok(value):
+                raise VerificationError(
+                    f"scenario {name} must be {expected}, got {value!r}")
     if scenario.mutation is not None \
             and scenario.mutation not in MUTATIONS:
         raise VerificationError(
@@ -297,41 +318,29 @@ def run_schedule(scenario: CheckScenario,
     the scenario parameters, so (scenario, policy decisions) fully
     identify the schedule.
 
-    The group forms, elects a primary and settles for ``WARMUP_US``
+    The group forms, elects a primary and settles through the warm-up
     under the identity policy; ``policy`` takes over where the load
     window opens, so its recorded decisions start at the first request
     and every schedule of one scenario shares the same warmed state.
     """
     _validate(scenario)
-    calibration = default_calibration()
-    calibration = replace(
-        calibration, journal=replace(calibration.journal, enabled=True))
-    if scenario.partitioned:
-        # Partition scenarios run the primary-partition membership
-        # protocol.
-        calibration = replace(
-            calibration,
-            gcs=replace(calibration.gcs, primary_partition=True))
     # Always install the identity policy: the warmup then runs with
     # (0, n) sequence tuples — ordered exactly like the plain integer
-    # counter — and the walk policy is swapped in below.
-    testbed = Testbed.paper_testbed(
-        scenario.n_replicas, 1, seed=scenario.seed,
-        calibration=calibration, scheduler_policy=SchedulerPolicy())
-    history = HistoryRecorder()
-    testbed.sim.history = history
-
-    style = ReplicationStyle.WARM_PASSIVE
-    config = ReplicationConfig(
-        style=style, group="svc",
-        checkpoint_interval_requests=scenario.checkpoint_interval)
-    hosts = [f"s{i:02d}" for i in range(1, scenario.n_replicas + 1)]
-    replicas = deploy_replica_group(testbed, hosts, config,
-                                    {"counter": CounterServant})
-    client = deploy_client(testbed, "w01", ClientReplicationConfig(
-        group="svc", expected_style=style,
-        retry_timeout_us=scenario.retry_timeout_us))
-    testbed.run(WARMUP_US)
+    # counter — and the walk policy is swapped in below.  Partition
+    # scenarios run the primary-partition membership protocol.
+    run = ScenarioRun(scenario.n_replicas, 1, seed=scenario.seed,
+                      journal=True, history=True,
+                      primary_partition=scenario.partitioned,
+                      scheduler_policy=SchedulerPolicy())
+    run.deploy_group(
+        ReplicationConfig(
+            style=ReplicationStyle.WARM_PASSIVE, group="svc",
+            checkpoint_interval_requests=scenario.checkpoint_interval),
+        {"counter": CounterServant}, scenario.n_replicas, 1,
+        retry_timeout_us=scenario.retry_timeout_us)
+    testbed, replicas, injector = run.testbed, run.replicas, run.injector
+    client, history = run.stacks[0], run.history
+    start = run.warm()
 
     if policy is not None:
         testbed.sim.swap_scheduler_policy(policy)
@@ -339,8 +348,6 @@ def run_schedule(scenario: CheckScenario,
     # first matters once the load below drives requests.
     if scenario.mutation is not None:
         MUTATIONS[scenario.mutation](replicas)
-
-    start = testbed.now
 
     def next_request(remaining: int) -> None:
         if remaining == 0:
@@ -365,7 +372,6 @@ def run_schedule(scenario: CheckScenario,
     # carries the fault.inject ground truth the availability
     # accounting, the split-brain monitor and the SLO fault/alert
     # cross-check match against.
-    injector = FaultInjector(testbed.sim, testbed.network)
     if scenario.crash_primary_phase is not None:
         _crash_at_checkpoint_phase(
             injector, replicas[0], scenario.crash_primary_phase,
@@ -375,17 +381,10 @@ def run_schedule(scenario: CheckScenario,
                                   start + scenario.crash_primary_at_us)
     if scenario.restart_backups_at_us is not None:
         for index in range(1, len(replicas)):
-            old = replicas[index]
-
-            def respawn(index: int = index, old: Any = old) -> None:
-                replicas[index] = deploy_replica(
-                    testbed, old.process.host.name, old.replicator.config,
-                    {"counter": CounterServant},
-                    process_name=f"{old.process.name}+")
-
             injector.crash_and_restart_at(
-                old.process, start + scenario.restart_backups_at_us,
-                RESTART_AFTER_US, restart=respawn)
+                replicas[index].process,
+                start + scenario.restart_backups_at_us, RESTART_AFTER_US,
+                restart=lambda index=index: run.respawn_replica(index))
     if scenario.partitioned:
         # Isolate the LAST replica host: the sequencer (lowest
         # host) and the client both stay majority-side, so the
@@ -419,17 +418,12 @@ def run_schedule(scenario: CheckScenario,
 
     survivor_values = [r.servants["counter"].value
                        for r in replicas if r.alive]
-    journal_events = list(testbed.sim.journal.events)
-    hasher = hashlib.sha256()
-    hasher.update(events_to_jsonl(journal_events).encode())
-    hasher.update(history.serialize().encode())
-    hasher.update(repr(sorted(survivor_values)).encode())
     return ScheduleOutcome(
         scenario=scenario,
         operations=history.operations,
-        journal_events=journal_events,
+        journal_events=list(run.journal.events),
         survivor_values=survivor_values,
-        digest=hasher.hexdigest(),
+        digest=run.outcome_digest(sorted(survivor_values)),
         giveups=client.replicator.failures,
         events_dispatched=testbed.sim.events_dispatched)
 

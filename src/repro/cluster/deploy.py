@@ -141,11 +141,9 @@ class Cluster:
 
 def deploy_cluster(testbed: Testbed, specs: Sequence[ShardSpec],
                    keys: Sequence[str],
-                   servant_factory: Callable[[str], Servant],
-                   cluster: str = "cluster",
-                   server_hosts: Optional[Sequence[str]] = None
-                   ) -> Cluster:
-    """Deploy every shard of ``specs`` plus the coordinator.
+                   servant_factory: Callable[[str], Servant]) -> Cluster:
+    """Deploy every shard of ``specs`` plus the coordinator on the
+    testbed's server (``s..``) hosts.
 
     ``keys`` are pinned to shards round-robin (as map overrides), so a
     small key set still balances exactly.  Every replica registers
@@ -156,8 +154,8 @@ def deploy_cluster(testbed: Testbed, specs: Sequence[ShardSpec],
         raise ClusterError("a cluster needs >= 1 shard")
     if len({spec.name for spec in specs}) != len(specs):
         raise ClusterError("duplicate shard names")
-    hosts = list(server_hosts if server_hosts is not None
-                 else sorted(h for h in testbed.hosts if h.startswith("s")))
+    cluster = "cluster"
+    hosts = sorted(h for h in testbed.hosts if h.startswith("s"))
     if not hosts:
         raise ClusterError("no server hosts to deploy on")
     shard_names = [spec.name for spec in specs]

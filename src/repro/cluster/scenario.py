@@ -23,28 +23,32 @@ shard count until the client fleet saturates.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.deploy import (
     Cluster,
-    ClusterClientStack,
     ShardSpec,
     deploy_cluster,
     deploy_cluster_client,
 )
 from repro.errors import ClusterError
-from repro.experiments.testbed import Testbed
-from repro.faults import FaultInjector
-from repro.orb import BusyServant, CounterServant
-from repro.replication import ReplicationStyle
-from repro.sim import (
-    PAPER_LATENCY_LIMIT_US,
-    SubstrateCalibration,
-    default_calibration,
+from repro.experiments.run import ScenarioRun
+from repro.experiments.trial import (
+    DEFAULT_SETTLE_US,
+    FaultTrialResult,
+    begin_trial,
+    finish_trial,
 )
-from repro.workload import ClosedLoopClient, ConstantRate, OpenLoopClient
+from repro.orb import BusyServant, CounterServant, Servant
+from repro.replication import ReplicationStyle
+from repro.sim import PAPER_LATENCY_LIMIT_US
+from repro.workload import (
+    ClosedLoopClient,
+    ConstantRate,
+    OpenLoopClient,
+    latency_stats,
+)
 
 #: Cluster-scenario defaults: heavier per-request work than the
 #: micro-benchmark, so primary CPU — the resource sharding multiplies —
@@ -53,6 +57,9 @@ DEFAULT_CLUSTER_PROCESSING_US = 1_500.0
 DEFAULT_CLUSTER_REQUEST_BYTES = 128
 DEFAULT_CLUSTER_REPLY_BYTES = 128
 DEFAULT_CLUSTER_STATE_BYTES = 256
+
+#: Every scenario shard is a primary plus one backup.
+REPLICAS_PER_SHARD = 2
 
 
 def default_shard_styles(n_shards: int) -> List[ReplicationStyle]:
@@ -63,8 +70,8 @@ def default_shard_styles(n_shards: int) -> List[ReplicationStyle]:
 
 
 def _scaling_specs(n_shards: int, styles: Sequence[ReplicationStyle],
-                   n_server_hosts: int, checkpoint_interval: int,
-                   n_replicas: int = 2) -> List[ShardSpec]:
+                   n_server_hosts: int, checkpoint_interval: int
+                   ) -> List[ShardSpec]:
     """Primary of shard i alone on host i+1; backups on the last host."""
     if n_server_hosts < n_shards + 1:
         raise ClusterError(
@@ -72,32 +79,25 @@ def _scaling_specs(n_shards: int, styles: Sequence[ReplicationStyle],
             f"(one per primary plus a backup spill host), "
             f"got {n_server_hosts}")
     spill = f"s{n_server_hosts:02d}"
-    specs = []
-    for i in range(n_shards):
-        placement = (f"s{i + 1:02d}",) + (spill,) * (n_replicas - 1)
-        specs.append(ShardSpec(
-            name=f"shard{i}", style=styles[i % len(styles)],
-            n_replicas=n_replicas,
-            checkpoint_interval=checkpoint_interval,
-            hosts=placement))
-    return specs
+    return [ShardSpec(
+        name=f"shard{i}", style=styles[i % len(styles)],
+        n_replicas=REPLICAS_PER_SHARD,
+        checkpoint_interval=checkpoint_interval,
+        hosts=(f"s{i + 1:02d}",) + (spill,) * (REPLICAS_PER_SHARD - 1))
+        for i in range(n_shards)]
 
 
-def _enable(calibration: Optional[SubstrateCalibration],
-            telemetry: bool, journal: bool) -> Optional[SubstrateCalibration]:
-    """Calibration with telemetry/journal switched on as requested."""
-    if not telemetry and not journal:
-        return calibration
-    calibration = calibration or default_calibration()
-    if telemetry:
-        calibration = replace(
-            calibration,
-            telemetry=replace(calibration.telemetry, enabled=True))
-    if journal:
-        calibration = replace(
-            calibration,
-            journal=replace(calibration.journal, enabled=True))
-    return calibration
+def _deploy_sharded(run: ScenarioRun, specs: Sequence[ShardSpec],
+                    keys: Sequence[str],
+                    servant_factory: Callable[[str], Servant],
+                    n_clients: int) -> Cluster:
+    """The sharded layout: every shard of ``specs`` plus the
+    coordinator on the server hosts, one shard-aware client per
+    ``w01..``."""
+    cluster = deploy_cluster(run.testbed, specs, keys, servant_factory)
+    run.stacks = [deploy_cluster_client(cluster, f"w{i:02d}")
+                  for i in range(1, n_clients + 1)]
+    return cluster
 
 
 @dataclass
@@ -139,14 +139,8 @@ def run_cluster_load(n_shards: int = 4, n_clients: int = 12,
                      n_requests: int = 50, seed: int = 0,
                      n_keys: int = 8,
                      n_server_hosts: Optional[int] = None,
-                     styles: Optional[Sequence[ReplicationStyle]] = None,
-                     checkpoint_interval: int = 25,
                      processing_us: float = DEFAULT_CLUSTER_PROCESSING_US,
-                     request_bytes: int = DEFAULT_CLUSTER_REQUEST_BYTES,
-                     reply_bytes: int = DEFAULT_CLUSTER_REPLY_BYTES,
-                     state_bytes: int = DEFAULT_CLUSTER_STATE_BYTES,
                      rebalance: Optional[Tuple[str, str, float]] = None,
-                     calibration: Optional[SubstrateCalibration] = None,
                      telemetry: bool = False,
                      journal: bool = False) -> ClusterLoadResult:
     """Closed-loop load against a sharded service.
@@ -164,58 +158,32 @@ def run_cluster_load(n_shards: int = 4, n_clients: int = 12,
         raise ClusterError("need at least one key per shard")
     hosts = n_server_hosts if n_server_hosts is not None \
         else n_shards + 1
-    style_list = list(styles) if styles is not None \
-        else default_shard_styles(n_shards)
-    calibration = _enable(calibration, telemetry, journal)
-    testbed = Testbed.paper_testbed(hosts, n_clients, seed=seed,
-                                    calibration=calibration)
-    specs = _scaling_specs(n_shards, style_list, hosts,
-                           checkpoint_interval)
+    run = ScenarioRun(hosts, n_clients, seed=seed, telemetry=telemetry,
+                      journal=journal)
+    specs = _scaling_specs(n_shards, default_shard_styles(n_shards), hosts,
+                           checkpoint_interval=25)
     keys = [f"obj{i:02d}" for i in range(n_keys)]
-    cluster = deploy_cluster(
-        testbed, specs, keys,
-        servant_factory=lambda key: BusyServant(
-            processing_us=processing_us, reply_bytes=reply_bytes,
-            state_bytes=state_bytes))
-    stacks = [deploy_cluster_client(cluster, f"w{i:02d}")
-              for i in range(1, n_clients + 1)]
-    testbed.run(150_000)
+    cluster = _deploy_sharded(
+        run, specs, keys,
+        lambda key: BusyServant(processing_us=processing_us,
+                                reply_bytes=DEFAULT_CLUSTER_REPLY_BYTES,
+                                state_bytes=DEFAULT_CLUSTER_STATE_BYTES),
+        n_clients)
+    start = run.warm()
 
-    loaders = [ClosedLoopClient(stack, n_requests, object_keys=keys,
-                                payload_bytes=request_bytes)
-               for stack in stacks]
-    start = testbed.now
-    start_bytes = testbed.network.stats.total_bytes
-    for loader in loaders:
-        loader.start()
+    run.start([ClosedLoopClient(
+        stack, n_requests, object_keys=keys,
+        payload_bytes=DEFAULT_CLUSTER_REQUEST_BYTES)
+        for stack in run.stacks])
     if rebalance is not None:
         key, dst, at_us = rebalance
-        testbed.sim.schedule_at(
+        run.testbed.sim.schedule_at(
             start + at_us,
             lambda: cluster.coordinator.rebalance(key, dst))
-    while not all(loader.done for loader in loaders):
-        testbed.run(50_000)
-        if testbed.now - start > 1e10:  # safety valve
-            break
-    last_completion = max((loader.stats.completion_times[-1]
-                           for loader in loaders
-                           if loader.stats.completion_times),
-                          default=testbed.now)
-    duration = max(last_completion - start, 1.0)
-    wire_bytes = float(testbed.network.stats.total_bytes - start_bytes)
+    run.drain()
 
-    latencies: List[float] = []
-    sent = completed = 0
-    for loader in loaders:
-        latencies.extend(loader.stats.latencies_us)
-        sent += loader.stats.sent
-        completed += loader.stats.completed
-    mean = sum(latencies) / len(latencies) if latencies else 0.0
-    jitter = 0.0
-    if len(latencies) > 1:
-        jitter = (sum((v - mean) ** 2 for v in latencies)
-                  / len(latencies)) ** 0.5
-
+    duration, completed = run.elapsed_us, run.completed
+    mean, jitter = latency_stats(run.latencies)
     per_shard: Dict[str, Dict[str, int]] = {}
     for name, deployment in cluster.shards.items():
         per_shard[name] = {
@@ -231,22 +199,18 @@ def run_cluster_load(n_shards: int = 4, n_clients: int = 12,
     return ClusterLoadResult(
         n_shards=n_shards, n_clients=n_clients,
         shard_styles={spec.name: spec.style.value for spec in specs},
-        sent=sent, completed=completed,
-        throughput_per_s=(completed / duration * 1e6
-                          if duration > 0 else 0.0),
+        sent=run.sent, completed=completed,
+        throughput_per_s=completed / duration * 1e6,
         latency_mean_us=mean, jitter_us=jitter,
-        bandwidth_mbps=wire_bytes / duration if duration > 0 else 0.0,
-        wire_bytes=wire_bytes, duration_us=duration,
-        events_dispatched=testbed.sim.events_dispatched,
+        bandwidth_mbps=run.wire_bytes / duration,
+        wire_bytes=run.wire_bytes, duration_us=duration,
+        events_dispatched=run.testbed.sim.events_dispatched,
         per_shard=per_shard,
-        map_digests=[stack.router.map_digest for stack in stacks],
+        map_digests=[stack.router.map_digest for stack in run.stacks],
         map_epoch=cluster.coordinator.map.epoch,
-        rerouted=sum(stack.router.rerouted for stack in stacks),
+        rerouted=sum(stack.router.rerouted for stack in run.stacks),
         migrations_committed=cluster.coordinator.migrations_committed,
-        journal=(testbed.sim.journal
-                 if testbed.sim.journal.enabled else None),
-        telemetry=(testbed.sim.telemetry
-                   if testbed.sim.telemetry.enabled else None))
+        journal=run.journal, telemetry=run.telemetry)
 
 
 # ---------------------------------------------------------------------------
@@ -271,13 +235,14 @@ class ClusterCheckOutcome:
     journal_events: List[Any] = field(default_factory=list)
 
 
+#: Offset of the first live migration in a rebalance check; the one
+#: in the opposite direction follows at twice that.
+REBALANCE_AT_US = 60_000.0
+
+
 def run_cluster_rebalance_check(n_shards: int = 2, n_clients: int = 2,
                                 n_requests: int = 16, seed: int = 0,
-                                n_keys: int = 4,
-                                rebalance_at_us: float = 60_000.0,
-                                checkpoint_interval: int = 1,
-                                settle_us: float = 2_000_000.0
-                                ) -> ClusterCheckOutcome:
+                                n_keys: int = 4) -> ClusterCheckOutcome:
     """Live-rebalance safety check over replicated counters.
 
     Closed-loop increment clients run against a sharded counter
@@ -291,61 +256,41 @@ def run_cluster_rebalance_check(n_shards: int = 2, n_clients: int = 2,
     """
     if n_shards < 2:
         raise ClusterError("a rebalance check needs >= 2 shards")
-    from repro.check import (
-        HistoryRecorder,
-        check_counter_consistency,
-        check_invariants,
-    )
-    from repro.journal.io import events_to_jsonl
+    from repro.check import check_counter_consistency, check_invariants
 
-    calibration = _enable(None, telemetry=False, journal=True)
-    n_replicas = 2
-    n_server_hosts = n_shards * n_replicas  # disjoint hosts per shard
-    testbed = Testbed.paper_testbed(n_server_hosts, n_clients, seed=seed,
-                                    calibration=calibration)
-    history = HistoryRecorder()
-    testbed.sim.history = history
-
-    specs = []
-    for i in range(n_shards):
-        placement = tuple(f"s{i * n_replicas + r + 1:02d}"
-                          for r in range(n_replicas))
-        specs.append(ShardSpec(
-            name=f"shard{i}",
-            style=(ReplicationStyle.WARM_PASSIVE if i % 2 == 0
-                   else ReplicationStyle.ACTIVE),
-            n_replicas=n_replicas,
-            checkpoint_interval=checkpoint_interval,
-            hosts=placement))
+    # Disjoint hosts per shard.
+    run = ScenarioRun(n_shards * REPLICAS_PER_SHARD, n_clients, seed=seed,
+                      journal=True, history=True)
+    specs = [ShardSpec(
+        name=f"shard{i}",
+        style=(ReplicationStyle.WARM_PASSIVE if i % 2 == 0
+               else ReplicationStyle.ACTIVE),
+        n_replicas=REPLICAS_PER_SHARD, checkpoint_interval=1,
+        hosts=tuple(f"s{i * REPLICAS_PER_SHARD + r + 1:02d}"
+                    for r in range(REPLICAS_PER_SHARD)))
+        for i in range(n_shards)]
     keys = [f"ctr{i:02d}" for i in range(n_keys)]
-    cluster = deploy_cluster(testbed, specs, keys,
-                             servant_factory=lambda key: CounterServant())
-    stacks = [deploy_cluster_client(cluster, f"w{i:02d}")
-              for i in range(1, n_clients + 1)]
-    testbed.run(150_000)
+    cluster = _deploy_sharded(run, specs, keys,
+                              lambda key: CounterServant(), n_clients)
+    start = run.warm()
 
-    loaders = [ClosedLoopClient(stack, n_requests, object_keys=keys,
+    run.start([ClosedLoopClient(stack, n_requests, object_keys=keys,
                                 operation="add", payload=1,
                                 payload_bytes=32)
-               for stack in stacks]
-    start = testbed.now
-    for loader in loaders:
-        loader.start()
+               for stack in run.stacks])
     # Two live migrations, opposite directions, with requests in
     # flight: key 0 (shard0's) to shard1, key 1 (shard1's) to shard0.
-    testbed.sim.schedule_at(
-        start + rebalance_at_us,
+    run.testbed.sim.schedule_at(
+        start + REBALANCE_AT_US,
         lambda: cluster.coordinator.rebalance(keys[0], "shard1"))
     if n_keys > 1:
-        testbed.sim.schedule_at(
-            start + rebalance_at_us * 2,
+        run.testbed.sim.schedule_at(
+            start + REBALANCE_AT_US * 2,
             lambda: cluster.coordinator.rebalance(keys[1], "shard0"))
-    rounds = 0
-    while not all(loader.done for loader in loaders) and rounds < 400:
-        testbed.run(50_000)
-        rounds += 1
-    testbed.run(settle_us)
+    run.drain(max_rounds=400)
+    run.testbed.run(2_000_000.0)
 
+    history = run.history
     survivor_values: Dict[str, List[int]] = {}
     violations: List[Dict[str, Any]] = []
     final_map = cluster.coordinator.map
@@ -359,27 +304,23 @@ def run_cluster_rebalance_check(n_shards: int = 2, n_clients: int = 2,
         for violation in check_counter_consistency(
                 history.operations, values, object_key=key):
             violations.append(violation.to_dict())
-    journal_events = list(testbed.sim.journal.events)
+    journal_events = list(run.journal.events)
     for violation in check_invariants(journal_events):
         violations.append(violation.to_dict())
 
-    hasher = hashlib.sha256()
-    hasher.update(events_to_jsonl(journal_events).encode())
-    hasher.update(history.serialize().encode())
-    hasher.update(repr(sorted(survivor_values.items())).encode())
     giveups = sum(stack.router.replicator(name).failures
-                  for stack in stacks for name in cluster.shards)
+                  for stack in run.stacks for name in cluster.shards)
     return ClusterCheckOutcome(
         ok=not violations, violations=violations,
         operations=len(history.operations),
-        completed=sum(l.stats.completed for l in loaders),
+        completed=run.completed,
         giveups=giveups,
         survivor_values=survivor_values,
         migrations_committed=cluster.coordinator.migrations_committed,
-        rerouted=sum(stack.router.rerouted for stack in stacks),
-        map_digests=[stack.router.map_digest for stack in stacks],
-        digest=hasher.hexdigest(),
-        events_dispatched=testbed.sim.events_dispatched,
+        rerouted=sum(stack.router.rerouted for stack in run.stacks),
+        map_digests=[stack.router.map_digest for stack in run.stacks],
+        digest=run.outcome_digest(sorted(survivor_values.items())),
+        events_dispatched=run.testbed.sim.events_dispatched,
         journal_events=journal_events)
 
 
@@ -393,63 +334,48 @@ def run_cluster_trial(style: ReplicationStyle, n_shards: int,
                       checkpoint_interval: int = 1,
                       deadline_us: float = PAPER_LATENCY_LIMIT_US,
                       fault_load: str = "none",
-                      settle_us: float = 1_500_000.0,
-                      calibration: Optional[SubstrateCalibration] = None,
+                      settle_us: float = DEFAULT_SETTLE_US,
                       telemetry: bool = False,
                       journal: bool = False,
                       check: bool = False,
-                      slo: bool = False):
+                      slo: bool = False) -> FaultTrialResult:
     """One open-loop campaign trial against a sharded deployment.
 
-    Mirrors :func:`repro.experiments.trial.run_fault_trial` — same
-    workload shape, same metric definitions, same result type — with
-    the service sharded ``n_shards`` ways (every shard at ``style``)
-    and a mid-window rebalance of one key, so campaign sweeps exercise
-    the migration path as a matter of course.  ``fault_load`` is
-    restricted to ``none`` and ``process_crash`` (which kills shard
-    0's primary): the other dictionary loads assume a single replica
-    group.
+    The sharded description of :func:`repro.experiments.run_fault_trial`
+    — same validation, workload shape, metric definitions and result
+    type (they share the trial head and tail) — with the service
+    sharded ``n_shards`` ways (every shard at ``style``) and a
+    mid-window rebalance of one key, so campaign sweeps exercise the
+    migration path as a matter of course.  ``fault_load`` is restricted
+    to ``none`` and ``process_crash`` (which kills shard 0's primary):
+    the other dictionary loads assume a single replica group.
     """
-    from repro.experiments.trial import FaultTrialResult, OUTAGE_KINDS
+    from repro.campaign.dictionary import compile_load
     if fault_load not in ("none", "process_crash"):
         raise ClusterError(
             f"sharded trials support fault loads 'none' and "
             f"'process_crash', not {fault_load!r}")
     if n_shards < 2:
         raise ClusterError("a cluster trial needs >= 2 shards")
-    if check or slo:
-        journal = True
-    calibration = _enable(calibration, telemetry, journal)
     n_server_hosts = n_shards + 1
-    testbed = Testbed.paper_testbed(n_server_hosts, max(n_clients, 1),
-                                    seed=seed, calibration=calibration)
-    history = None
-    if check:
-        from repro.check import HistoryRecorder
-        history = HistoryRecorder()
-        testbed.sim.history = history
+    run = begin_trial(n_server_hosts, n_clients, duration_us, rate_per_s,
+                      deadline_us, seed, telemetry, journal, check, slo)
     specs = _scaling_specs(n_shards, [style], n_server_hosts,
                            checkpoint_interval)
     keys = [f"obj{i:02d}" for i in range(2 * n_shards)]
-    cluster = deploy_cluster(
-        testbed, specs, keys,
-        servant_factory=lambda key: BusyServant(
-            processing_us=15.0,
-            reply_bytes=DEFAULT_CLUSTER_REPLY_BYTES,
-            state_bytes=DEFAULT_CLUSTER_STATE_BYTES))
-    stacks = [deploy_cluster_client(cluster, f"w{i:02d}")
-              for i in range(1, n_clients + 1)]
-    testbed.run(150_000)
-
-    injector = FaultInjector(testbed.sim, testbed.network)
-    t0 = testbed.now
-    if fault_load == "process_crash":
-        primary = cluster.shards["shard0"].replicas[0]
-        injector.crash_process_at(primary.process,
-                                  t0 + 0.3 * duration_us)
+    cluster = _deploy_sharded(
+        run, specs, keys,
+        lambda key: BusyServant(processing_us=15.0,
+                                reply_bytes=DEFAULT_CLUSTER_REPLY_BYTES,
+                                state_bytes=DEFAULT_CLUSTER_STATE_BYTES),
+        n_clients)
+    # Replica-indexed fault entries aim at shard 0's group.
+    run.replicas = cluster.shards["shard0"].replicas
+    t0 = run.warm()
+    compile_load(fault_load, run)
     # Every sharded trial rebalances one key mid-window: migrations
     # are part of the measured behaviour, not a special case.
-    testbed.sim.schedule_at(
+    run.testbed.sim.schedule_at(
         t0 + 0.5 * duration_us,
         lambda: cluster.coordinator.rebalance(
             keys[0], cluster.map.shards[-1]))
@@ -458,104 +384,6 @@ def run_cluster_trial(style: ReplicationStyle, n_shards: int,
                               duration_us,
                               object_key=keys[i % len(keys)],
                               payload_bytes=DEFAULT_CLUSTER_REQUEST_BYTES)
-               for i, stack in enumerate(stacks)]
-    start = testbed.now
-    start_bytes = testbed.network.stats.total_bytes
-    for loader in loaders:
-        loader.start()
-    testbed.run(duration_us + settle_us)
-    window_end = start + duration_us
-    wire_bytes = float(testbed.network.stats.total_bytes - start_bytes)
-    elapsed = testbed.now - start
-
-    sent = sum(l.stats.sent for l in loaders)
-    completed = sum(l.stats.completed for l in loaders)
-    latencies = [v for l in loaders for v in l.stats.latencies_us]
-    completions = sorted(t for l in loaders
-                         for t in l.stats.completion_times)
-    mean = sum(latencies) / len(latencies) if latencies else 0.0
-    jitter = 0.0
-    if len(latencies) > 1:
-        jitter = (sum((v - mean) ** 2 for v in latencies)
-                  / len(latencies)) ** 0.5
-
-    recoveries: List[float] = []
-    downtime = 0.0
-    for fault in injector.injected:
-        if fault.kind not in OUTAGE_KINDS or fault.at_us >= window_end:
-            continue
-        after = [t for t in completions if t > fault.at_us]
-        if after:
-            recoveries.append(after[0] - fault.at_us)
-        else:
-            recoveries.append(elapsed - (fault.at_us - start))
-        downtime += min(recoveries[-1], window_end - fault.at_us)
-    availability = max(0.0, 1.0 - downtime / duration_us)
-    mean_recovery = (sum(recoveries) / len(recoveries)
-                     if recoveries else 0.0)
-
-    telemetry_digest = None
-    if testbed.sim.telemetry.enabled:
-        from repro.telemetry.analysis import telemetry_summary
-        telemetry_digest = telemetry_summary(testbed.sim.telemetry)
-
-    journal_events = None
-    journal_summary = None
-    if testbed.sim.journal.enabled:
-        from repro.journal.io import journal_digest
-        journal_events = list(testbed.sim.journal.events)
-        journal_summary = journal_digest(testbed.sim.journal,
-                                         window_start_us=start,
-                                         window_end_us=window_end)
-
-    check_digest = None
-    if check:
-        assert history is not None and journal_events is not None
-        from repro.check import (
-            IncrementSpec,
-            check_invariants,
-            check_linearizability,
-        )
-        violations = list(check_invariants(journal_events))
-        # Linearizability is a single-object property: check each
-        # key's history against the spec independently.
-        lin_ok, lin_skipped, n_ops = True, False, 0
-        for key in keys:
-            ops = tuple(op for op in history.operations
-                        if op.object_key == key)
-            n_ops += len(ops)
-            lin = check_linearizability(ops, IncrementSpec())
-            lin_ok = lin_ok and lin.ok
-            lin_skipped = lin_skipped or lin.skipped
-        check_digest = {
-            "ok": bool(lin_ok and not violations),
-            "operations": n_ops,
-            "violations": [v.to_dict() for v in violations],
-            "linearizable": lin_ok,
-            "linearizability_skipped": lin_skipped,
-            "truncated_rings": dict(
-                testbed.sim.journal.truncated_rings()),
-        }
-
-    slo_digest = None
-    if slo:
-        assert journal_events is not None
-        from repro.experiments.trial import slo_trial_digest
-        slo_digest = slo_trial_digest(
-            journal_events, window_start_us=start,
-            window_end_us=window_end,
-            registry=getattr(testbed.sim.telemetry, "metrics", None))
-
-    return FaultTrialResult(
-        style=style, n_replicas=2, n_clients=n_clients,
-        duration_us=duration_us, sent=sent, completed=completed,
-        failed=max(sent - completed, 0),
-        late=sum(1 for v in latencies if v > deadline_us),
-        availability=availability, mean_recovery_us=mean_recovery,
-        recovery_times_us=recoveries, latency_mean_us=mean,
-        jitter_us=jitter,
-        bandwidth_mbps=wire_bytes / elapsed if elapsed > 0 else 0.0,
-        wire_bytes=wire_bytes, injected=list(injector.injected),
-        telemetry=telemetry_digest, journal=journal_summary,
-        journal_events=journal_events, check=check_digest,
-        slo=slo_digest)
+               for i, stack in enumerate(run.stacks)]
+    return finish_trial(run, loaders, style, REPLICAS_PER_SHARD, settle_us,
+                        deadline_us, keys, slo)

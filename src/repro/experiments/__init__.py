@@ -4,15 +4,18 @@ Public surface:
 
 - :class:`Testbed` and the deploy helpers (:func:`deploy_replica`,
   :func:`deploy_replica_group`, :func:`deploy_client`)
+- :class:`ScenarioRun` — the staged runner (build, warm, drive,
+  collect) every scenario engine goes through, and the object a fault
+  load's ``inject`` hook receives
 - scenario engines: :func:`run_replicated_load`, :func:`build_profile`
   (Fig. 7 sweep), :func:`run_rtt_breakdown` (Fig. 3),
   :func:`run_overhead_modes` (Fig. 4), :func:`run_adaptive_scenario`
   (Fig. 6), :func:`run_fault_trial` (campaign trial unit)
 - result records: :class:`ScenarioResult`, :class:`OverheadResult`,
-  :class:`AdaptiveResult`, :class:`FaultTrialResult` with
-  :class:`TrialContext`
+  :class:`AdaptiveResult`, :class:`FaultTrialResult`
 """
 
+from repro.experiments.run import ScenarioRun
 from repro.experiments.scenarios import (
     AdaptiveResult,
     DEFAULT_PROCESSING_US,
@@ -37,7 +40,6 @@ from repro.experiments.testbed import (
 )
 from repro.experiments.trial import (
     FaultTrialResult,
-    TrialContext,
     run_fault_trial,
 )
 
@@ -45,7 +47,6 @@ __all__ = [
     "AdaptiveResult",
     "ClientStack",
     "FaultTrialResult",
-    "TrialContext",
     "DEFAULT_PROCESSING_US",
     "DEFAULT_REPLY_BYTES",
     "DEFAULT_REQUEST_BYTES",
@@ -53,6 +54,7 @@ __all__ = [
     "OverheadResult",
     "Replica",
     "ScenarioResult",
+    "ScenarioRun",
     "Testbed",
     "build_profile",
     "deploy_client",

@@ -1,25 +1,20 @@
 """Experiment scenarios: the engines behind every table and figure.
 
-Each function assembles a testbed, drives a workload, and returns
-structured results.  The benchmark suite calls these with the paper's
-parameters; the examples call them with smaller ones.
+Each function describes one run — what is deployed, which workload,
+which result record — and hands the mechanics to the staged
+:class:`repro.experiments.run.ScenarioRun`.  The benchmark suite calls
+these with the paper's parameters; the examples call them with smaller
+ones.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.adaptation import AdaptationManager
 from repro.core.measurements import ConfigPoint, Measurement, Profile
 from repro.core.policies import ThresholdSwitchPolicy
-from repro.experiments.testbed import (
-    ClientStack,
-    Replica,
-    Testbed,
-    deploy_client,
-    deploy_replica_group,
-)
+from repro.experiments.run import ScenarioRun
 from repro.interpose import (
     InterceptedClientTransport,
     InterceptedServerTransport,
@@ -32,17 +27,14 @@ from repro.orb import (
     TcpServerTransport,
     TimelineAggregate,
 )
-from repro.replication import (
-    ClientReplicationConfig,
-    ReplicationConfig,
-    ReplicationStyle,
-)
-from repro.sim import SubstrateCalibration, default_calibration
+from repro.replication import ReplicationConfig, ReplicationStyle
+from repro.sim import SubstrateCalibration
 from repro.workload import (
     ClosedLoopClient,
     OpenLoopClient,
     RateProfile,
     ThinkTimeClient,
+    latency_stats,
 )
 
 #: Paper default: micro-benchmark request/response sizes and state.
@@ -90,20 +82,17 @@ class ScenarioResult:
             throughput_per_s=self.throughput_per_s)
 
 
-def _servant_factory(processing_us: float, reply_bytes: int,
-                     state_bytes: int):
-    return lambda: BusyServant(processing_us=processing_us,
-                               reply_bytes=reply_bytes,
-                               state_bytes=state_bytes)
+def _bench_servants(state_bytes: int = DEFAULT_STATE_BYTES):
+    """The micro-benchmark servant set: one ``bench`` object."""
+    return {"bench": lambda: BusyServant(
+        processing_us=DEFAULT_PROCESSING_US,
+        reply_bytes=DEFAULT_REPLY_BYTES, state_bytes=state_bytes)}
 
 
 def run_replicated_load(style: ReplicationStyle, n_replicas: int,
                         n_clients: int, n_requests: int,
                         seed: int = 0,
-                        request_bytes: int = DEFAULT_REQUEST_BYTES,
-                        reply_bytes: int = DEFAULT_REPLY_BYTES,
                         state_bytes: int = DEFAULT_STATE_BYTES,
-                        processing_us: float = DEFAULT_PROCESSING_US,
                         checkpoint_interval: int = 1,
                         keep_timelines: bool = False,
                         calibration: Optional[SubstrateCalibration] = None,
@@ -118,81 +107,38 @@ def run_replicated_load(style: ReplicationStyle, n_replicas: int,
     the dependability event journal, returned on
     ``ScenarioResult.journal``.
     """
-    if telemetry:
-        base = calibration or default_calibration()
-        calibration = replace(
-            base, telemetry=replace(base.telemetry, enabled=True))
-    if journal:
-        base = calibration or default_calibration()
-        calibration = replace(
-            base, journal=replace(base.journal, enabled=True))
-    testbed = Testbed.paper_testbed(n_replicas, n_clients, seed=seed,
-                                    calibration=calibration)
-    config = ReplicationConfig(
-        style=style, group="svc",
-        checkpoint_interval_requests=checkpoint_interval)
-    replicas = deploy_replica_group(
-        testbed, [f"s{i:02d}" for i in range(1, n_replicas + 1)], config,
-        {"bench": _servant_factory(processing_us, reply_bytes,
-                                   state_bytes)})
-    stacks = [deploy_client(testbed, f"w{i:02d}", ClientReplicationConfig(
-        group="svc", expected_style=style))
-        for i in range(1, n_clients + 1)]
-    testbed.run(150_000)
-
-    loaders = [ClosedLoopClient(stack, n_requests, object_key="bench",
-                                payload_bytes=request_bytes,
+    run = ScenarioRun(n_replicas, n_clients, seed=seed,
+                      calibration=calibration, telemetry=telemetry,
+                      journal=journal)
+    run.deploy_group(
+        ReplicationConfig(style=style, group="svc",
+                          checkpoint_interval_requests=checkpoint_interval),
+        _bench_servants(state_bytes), n_replicas, n_clients)
+    run.warm()
+    run.start([ClosedLoopClient(stack, n_requests, object_key="bench",
+                                payload_bytes=DEFAULT_REQUEST_BYTES,
                                 keep_timelines=keep_timelines)
-               for stack in stacks]
-    start_time = testbed.now
-    start_bytes = testbed.network.stats.total_bytes
-    for loader in loaders:
-        loader.start()
-    # Run until every client finishes its cycle; measure the window
-    # up to the last completion (not the polling granularity).
-    while not all(loader.done for loader in loaders):
-        testbed.run(50_000)
-        if testbed.now - start_time > 1e10:  # safety valve
-            break
-    last_completion = max((loader.stats.completion_times[-1]
-                           for loader in loaders
-                           if loader.stats.completion_times),
-                          default=testbed.now)
-    duration = max(last_completion - start_time, 1.0)
-    wire_bytes = testbed.network.stats.total_bytes - start_bytes
+               for stack in run.stacks])
+    run.drain()
 
-    latencies: List[float] = []
-    timelines = []
-    completed = 0
-    per_client = []
-    for loader in loaders:
-        latencies.extend(loader.stats.latencies_us)
-        timelines.extend(loader.stats.timelines)
-        completed += loader.stats.completed
-        per_client.append(loader.stats.mean_latency_us)
-    mean = sum(latencies) / len(latencies) if latencies else 0.0
-    jitter = 0.0
-    if len(latencies) > 1:
-        jitter = (sum((v - mean) ** 2 for v in latencies)
-                  / len(latencies)) ** 0.5
+    duration, completed = run.elapsed_us, run.completed
+    mean, jitter = latency_stats(run.latencies)
+    timelines = [t for loader in run.loaders for t in loader.stats.timelines]
     stats = TimelineAggregate().extend(timelines) if timelines else None
     return ScenarioResult(
         style=style, n_replicas=n_replicas, n_clients=n_clients,
         latency_mean_us=mean, jitter_us=jitter,
-        bandwidth_mbps=wire_bytes / duration if duration > 0 else 0.0,
-        throughput_per_s=(completed / duration * 1e6 if duration > 0
-                          else 0.0),
+        bandwidth_mbps=run.wire_bytes / duration,
+        throughput_per_s=completed / duration * 1e6,
         duration_us=duration, completed=completed,
-        events_dispatched=testbed.sim.events_dispatched,
+        events_dispatched=run.testbed.sim.events_dispatched,
         seen_entries_shipped=sum(r.replicator.seen_entries_shipped
-                                 for r in replicas),
+                                 for r in run.replicas),
         breakdown=stats.breakdown() if stats else {},
-        per_client_latency_us=per_client,
+        per_client_latency_us=[loader.stats.mean_latency_us
+                               for loader in run.loaders],
         timeline_stats=stats,
-        telemetry=(testbed.sim.telemetry
-                   if testbed.sim.telemetry.enabled else None),
-        journal=(testbed.sim.journal
-                 if testbed.sim.journal.enabled else None))
+        telemetry=run.telemetry, journal=run.journal)
 
 
 def build_profile(client_counts: Sequence[int] = (1, 2, 3, 4, 5),
@@ -222,15 +168,13 @@ def build_profile(client_counts: Sequence[int] = (1, 2, 3, 4, 5),
 # Fig. 3 / Fig. 4: round-trip breakdown and interception overhead
 # ---------------------------------------------------------------------------
 
-def run_rtt_breakdown(n_requests: int = 500, seed: int = 0,
-                      calibration: Optional[SubstrateCalibration] = None
+def run_rtt_breakdown(n_requests: int = 500, seed: int = 0
                       ) -> Dict[str, float]:
     """Fig. 3: per-component mean round-trip contribution for one
     client and one (active) server replica."""
     result = run_replicated_load(
         ReplicationStyle.ACTIVE, n_replicas=1, n_clients=1,
-        n_requests=n_requests, seed=seed, keep_timelines=True,
-        calibration=calibration)
+        n_requests=n_requests, seed=seed, keep_timelines=True)
     return result.breakdown
 
 
@@ -243,34 +187,29 @@ class OverheadResult:
     jitter_us: float
 
 
-def run_overhead_modes(n_requests: int = 300, seed: int = 0,
-                       calibration: Optional[SubstrateCalibration] = None
+def run_overhead_modes(n_requests: int = 300, seed: int = 0
                        ) -> Dict[str, OverheadResult]:
     """Fig. 4: baseline, interception-only modes, and single-replica
     warm passive / active."""
     out: Dict[str, OverheadResult] = {}
     for mode in ("no_interceptor", "client_intercepted",
                  "server_intercepted", "both_intercepted"):
-        mean, jitter = _run_tcp_mode(
-            mode, n_requests, seed=seed, calibration=calibration)
+        mean, jitter = _run_tcp_mode(mode, n_requests, seed=seed)
         out[mode] = OverheadResult(mode, mean, jitter)
     for mode, style in (("warm_passive_1", ReplicationStyle.WARM_PASSIVE),
                         ("active_1", ReplicationStyle.ACTIVE)):
         result = run_replicated_load(style, n_replicas=1, n_clients=1,
-                                     n_requests=n_requests, seed=seed,
-                                     calibration=calibration)
+                                     n_requests=n_requests, seed=seed)
         out[mode] = OverheadResult(mode, result.latency_mean_us,
                                    result.jitter_us)
     return out
 
 
-def _run_tcp_mode(mode: str, n_requests: int, seed: int,
-                  calibration: Optional[SubstrateCalibration]
+def _run_tcp_mode(mode: str, n_requests: int, seed: int
                   ) -> Tuple[float, float]:
     """A remote client-server pair over plain (optionally intercepted)
-    TCP — no group communication."""
-    testbed = Testbed.paper_testbed(1, 1, seed=seed,
-                                    calibration=calibration)
+    TCP — no group communication, no warm-up, its own request chain."""
+    testbed = ScenarioRun(1, 1, seed=seed).testbed
     cal = testbed.calibration
     server_proc = testbed.spawn("s01", "srv")
     server_transport = TcpServerTransport(server_proc, testbed.network,
@@ -307,10 +246,7 @@ def _run_tcp_mode(mode: str, n_requests: int, seed: int,
     loop(n_requests)
     while len(latencies) < n_requests:
         testbed.run(500_000)
-    mean = sum(latencies) / len(latencies)
-    jitter = (sum((v - mean) ** 2 for v in latencies)
-              / len(latencies)) ** 0.5
-    return mean, jitter
+    return latency_stats(latencies)
 
 
 # ---------------------------------------------------------------------------
@@ -345,13 +281,10 @@ class AdaptiveResult:
 def run_adaptive_scenario(profile: RateProfile, duration_us: float,
                           policy: Optional[ThresholdSwitchPolicy] = None,
                           static_style: Optional[ReplicationStyle] = None,
-                          n_replicas: int = 3, n_clients: int = 1,
+                          n_clients: int = 1,
                           seed: int = 0, closed_loop: bool = True,
-                          request_bytes: int = DEFAULT_REQUEST_BYTES,
-                          state_bytes: int = DEFAULT_STATE_BYTES,
-                          calibration: Optional[SubstrateCalibration] = None,
                           journal: bool = False) -> AdaptiveResult:
-    """Drive a time-varying load against a replica group.
+    """Drive a time-varying load against a three-replica group.
 
     With ``policy`` set, every replica runs an adaptation manager and
     the group switches styles as the rate crosses the thresholds
@@ -366,88 +299,51 @@ def run_adaptive_scenario(profile: RateProfile, duration_us: float,
     """
     if (policy is None) == (static_style is None):
         raise ValueError("pass exactly one of policy / static_style")
-    if journal:
-        base = calibration or default_calibration()
-        calibration = replace(
-            base, journal=replace(base.journal, enabled=True))
     initial = static_style or ReplicationStyle.WARM_PASSIVE
-    testbed = Testbed.paper_testbed(n_replicas, max(n_clients, 1),
-                                    seed=seed, calibration=calibration)
-    config = ReplicationConfig(style=initial, group="svc")
-    replicas = deploy_replica_group(
-        testbed, [f"s{i:02d}" for i in range(1, n_replicas + 1)], config,
-        {"bench": _servant_factory(DEFAULT_PROCESSING_US,
-                                   DEFAULT_REPLY_BYTES, state_bytes)})
-    managers = []
-    if policy is not None:
-        for replica in replicas:
-            managers.append(AdaptationManager(replica.replicator, policy))
-    stacks = [deploy_client(testbed, f"w{i:02d}", ClientReplicationConfig(
-        group="svc", expected_style=initial))
-        for i in range(1, n_clients + 1)]
-    testbed.run(150_000)
+    run = ScenarioRun(3, max(n_clients, 1), seed=seed, journal=journal,
+                      duration_us=duration_us)
+    run.deploy_group(ReplicationConfig(style=initial, group="svc"),
+                     _bench_servants(), 3, n_clients, policy=policy)
+    testbed, replicas = run.testbed, run.replicas
+    start = run.warm()
 
-    if closed_loop:
-        loaders = [ThinkTimeClient(stack, profile, duration_us,
-                                   object_key="bench",
-                                   payload_bytes=request_bytes)
-                   for stack in stacks]
-    else:
-        loaders = [OpenLoopClient(stack, profile, duration_us,
-                                  object_key="bench",
-                                  payload_bytes=request_bytes)
-                   for stack in stacks]
-    start = testbed.now
-    for loader in loaders:
-        loader.start()
+    driver = ThinkTimeClient if closed_loop else OpenLoopClient
+    run.start([driver(stack, profile, duration_us, object_key="bench",
+                      payload_bytes=DEFAULT_REQUEST_BYTES)
+               for stack in run.stacks])
     style_series: List[Tuple[float, str]] = [
         (0.0, replicas[0].replicator.style.value)]
 
-    def sample_style() -> None:
+    def style_probe() -> None:
         live = [r for r in replicas if r.alive]
         if live:
             current = live[0].replicator.style.value
             if style_series[-1][1] != current:
                 style_series.append((testbed.now - start, current))
-
-    probe = testbed.sim.schedule  # alias
-
-    def style_probe() -> None:
-        sample_style()
         if testbed.now - start < duration_us + 2_000_000:
-            probe(20_000, style_probe)
+            testbed.sim.schedule(20_000, style_probe)
 
     style_probe()
-    testbed.run(duration_us + 2_000_000)
+    run.offer(2_000_000)
     # Let straggler replies settle (bounded: daemon heartbeats keep
     # the event queue alive forever, so run-to-idle would not return).
     settle = 0
-    while any(l.stats.completed < l.stats.sent for l in loaders) \
-            and settle < 40:
+    while run.completed < run.sent and settle < 40:
         testbed.run(500_000)
         settle += 1
-    duration = testbed.now - start
 
     rate_series: List[Tuple[float, float]] = []
-    if managers:
-        for t, rate in managers[0].rate_samples:
-            rate_series.append((t - start, rate))
-    switch_events = []
-    for replica in replicas:
-        if replica.alive:
-            switch_events = replica.replicator.switch_history
-            break
-    sent = sum(l.stats.sent for l in loaders)
-    completed = sum(l.stats.completed for l in loaders)
-    latencies = [v for l in loaders for v in l.stats.latencies_us]
-    mean_latency = sum(latencies) / len(latencies) if latencies else 0.0
-    max_latency = max(latencies) if latencies else 0.0
+    if run.managers:
+        rate_series = [(t - start, rate)
+                       for t, rate in run.managers[0].rate_samples]
+    switch_events = next((r.replicator.switch_history
+                          for r in replicas if r.alive), [])
+    latencies = run.latencies
     return AdaptiveResult(
         rate_series=rate_series, style_series=style_series,
         switch_events=list(switch_events),
-        sent=sent, completed=completed,
-        duration_us=duration,
-        mean_latency_us=mean_latency,
-        max_latency_us=max_latency,
-        journal=(testbed.sim.journal
-                 if testbed.sim.journal.enabled else None))
+        sent=run.sent, completed=run.completed,
+        duration_us=testbed.now - start,
+        mean_latency_us=latency_stats(latencies)[0],
+        max_latency_us=max(latencies, default=0.0),
+        journal=run.journal)

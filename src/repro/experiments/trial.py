@@ -17,74 +17,24 @@ as *failed* and slow ones as *late*.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
+from repro.experiments.run import ScenarioRun
 from repro.experiments.scenarios import (
-    DEFAULT_PROCESSING_US,
-    DEFAULT_REPLY_BYTES,
     DEFAULT_REQUEST_BYTES,
-    DEFAULT_STATE_BYTES,
-    _servant_factory,
+    _bench_servants,
 )
-from repro.experiments.testbed import (
-    ClientStack,
-    Replica,
-    Testbed,
-    deploy_client,
-    deploy_replica,
-    deploy_replica_group,
-)
-from repro.faults import FaultInjector, InjectedFault
-from repro.replication import (
-    ClientReplicationConfig,
-    ReplicationConfig,
-    ReplicationStyle,
-)
-from repro.sim import PAPER_LATENCY_LIMIT_US, SubstrateCalibration
-from repro.workload import ConstantRate, OpenLoopClient
-
-#: Fault kinds that take the service (or part of it) down; the gap
-#: until the next completed request counts as downtime.
-OUTAGE_KINDS = ("process_crash", "host_crash", "crash_restart")
+from repro.faults import InjectedFault
+from repro.replication import ReplicationConfig, ReplicationStyle
+from repro.sim import PAPER_LATENCY_LIMIT_US
+from repro.workload import ConstantRate, OpenLoopClient, latency_stats
 
 #: Post-window settle time: long enough for heartbeat failure
 #: detection plus flush, so in-flight requests resolve to completed
 #: or given-up before the books close.
 DEFAULT_SETTLE_US = 1_500_000.0
-DEFAULT_WARMUP_US = 150_000.0
-
-
-@dataclass
-class TrialContext:
-    """Everything a fault load needs to schedule itself.
-
-    Handed to the ``inject`` hook after deployment and warm-up, just
-    before the workload starts.  ``t0`` is the start of the load
-    window; fault times are usually expressed relative to it.
-    """
-
-    testbed: Testbed
-    replicas: List[Replica]
-    stacks: List[ClientStack]
-    injector: FaultInjector
-    config: ReplicationConfig
-    duration_us: float
-    t0: float
-    _servants: Dict[str, Callable] = field(default_factory=dict)
-    _sync_checkpoints: bool = True
-
-    def respawn_replica(self, index: int) -> Replica:
-        """Redeploy the replica at ``index`` on its original host (the
-        recovery half of a crash-and-restart fault)."""
-        old = self.replicas[index]
-        replica = deploy_replica(
-            self.testbed, old.process.host.name, self.config,
-            self._servants, process_name=f"{old.process.name}+",
-            sync_checkpoints=self._sync_checkpoints)
-        self.replicas[index] = replica
-        return replica
 
 
 @dataclass
@@ -170,21 +120,15 @@ def run_fault_trial(style: ReplicationStyle, n_replicas: int,
                     rate_per_s: float, seed: int = 0,
                     checkpoint_interval: int = 1,
                     deadline_us: float = PAPER_LATENCY_LIMIT_US,
-                    inject: Optional[Callable[[TrialContext], None]] = None,
-                    warmup_us: float = DEFAULT_WARMUP_US,
+                    inject: Optional[Callable[[ScenarioRun], None]] = None,
                     settle_us: float = DEFAULT_SETTLE_US,
-                    request_bytes: int = DEFAULT_REQUEST_BYTES,
-                    reply_bytes: int = DEFAULT_REPLY_BYTES,
-                    state_bytes: int = DEFAULT_STATE_BYTES,
-                    processing_us: float = DEFAULT_PROCESSING_US,
-                    calibration: Optional[SubstrateCalibration] = None,
                     telemetry: bool = False,
                     journal: bool = False,
                     check: bool = False,
                     slo: bool = False) -> FaultTrialResult:
     """Run one open-loop load window with an optional fault load.
 
-    ``inject`` receives a :class:`TrialContext` after warm-up and may
+    ``inject`` receives the :class:`ScenarioRun` after warm-up and may
     schedule any mix of faults against it.  Requests answered after
     ``deadline_us`` count as *late*; requests never answered (lost,
     given up, or still outstanding after the settle window) count as
@@ -202,6 +146,30 @@ def run_fault_trial(style: ReplicationStyle, n_replicas: int,
     """
     if n_replicas < 1:
         raise ConfigurationError("trial needs at least one replica")
+    run = begin_trial(n_replicas, n_clients, duration_us, rate_per_s,
+                      deadline_us, seed, telemetry, journal, check, slo)
+    run.deploy_group(
+        ReplicationConfig(style=style, group="svc",
+                          checkpoint_interval_requests=checkpoint_interval),
+        _bench_servants(), n_replicas, n_clients)
+    run.warm()
+    if inject is not None:
+        inject(run)
+    loaders = [OpenLoopClient(stack, ConstantRate(rate_per_s),
+                              duration_us, object_key="bench",
+                              payload_bytes=DEFAULT_REQUEST_BYTES)
+               for stack in run.stacks]
+    return finish_trial(run, loaders, style, n_replicas, settle_us,
+                        deadline_us, ["bench"], slo)
+
+
+def begin_trial(n_server_hosts: int, n_clients: int, duration_us: float,
+                rate_per_s: float, deadline_us: float, seed: int,
+                telemetry: bool, journal: bool, check: bool,
+                slo: bool) -> ScenarioRun:
+    """The head every trial shares: validate the load window, then
+    build the run (``check`` and ``slo`` verdicts are computed from
+    journal events, so either forces the journal on)."""
     if n_clients < 1:
         raise ConfigurationError("trial needs at least one client")
     if duration_us <= 0:
@@ -210,142 +178,87 @@ def run_fault_trial(style: ReplicationStyle, n_replicas: int,
         raise ConfigurationError("trial request rate must be positive")
     if deadline_us <= 0:
         raise ConfigurationError("deadline must be positive")
+    return ScenarioRun(n_server_hosts, n_clients, seed=seed,
+                       telemetry=telemetry,
+                       journal=journal or check or slo, history=check,
+                       duration_us=duration_us)
 
-    if check or slo:
-        journal = True  # both verdicts are computed from journal events
-    if telemetry or journal:
-        from dataclasses import replace
-        from repro.sim import default_calibration
-        calibration = calibration or default_calibration()
-        if telemetry:
-            calibration = replace(
-                calibration,
-                telemetry=replace(calibration.telemetry, enabled=True))
-        if journal:
-            calibration = replace(
-                calibration,
-                journal=replace(calibration.journal, enabled=True))
-    testbed = Testbed.paper_testbed(n_replicas, max(n_clients, 1),
-                                    seed=seed, calibration=calibration)
-    history = None
-    if check:
-        from repro.check import HistoryRecorder
-        history = HistoryRecorder()
-        testbed.sim.history = history
-    config = ReplicationConfig(
-        style=style, group="svc",
-        checkpoint_interval_requests=checkpoint_interval)
-    servants = {"bench": _servant_factory(processing_us, reply_bytes,
-                                          state_bytes)}
-    replicas = deploy_replica_group(
-        testbed, [f"s{i:02d}" for i in range(1, n_replicas + 1)],
-        config, servants)
-    stacks = [deploy_client(testbed, f"w{i:02d}", ClientReplicationConfig(
-        group="svc", expected_style=style))
-        for i in range(1, n_clients + 1)]
-    testbed.run(warmup_us)
 
-    injector = FaultInjector(testbed.sim, testbed.network)
-    context = TrialContext(
-        testbed=testbed, replicas=replicas, stacks=stacks,
-        injector=injector, config=config, duration_us=duration_us,
-        t0=testbed.now, _servants=servants)
-    if inject is not None:
-        inject(context)
-
-    loaders = [OpenLoopClient(stack, ConstantRate(rate_per_s),
-                              duration_us, object_key="bench",
-                              payload_bytes=request_bytes)
-               for stack in stacks]
-    start = testbed.now
-    start_bytes = testbed.network.stats.total_bytes
-    for loader in loaders:
-        loader.start()
-    testbed.run(duration_us + settle_us)
-    window_end = start + duration_us
-    wire_bytes = float(testbed.network.stats.total_bytes - start_bytes)
-    elapsed = testbed.now - start
-
-    sent = sum(l.stats.sent for l in loaders)
-    completed = sum(l.stats.completed for l in loaders)
-    latencies = [v for l in loaders for v in l.stats.latencies_us]
-    completions = sorted(t for l in loaders
-                         for t in l.stats.completion_times)
-    mean = sum(latencies) / len(latencies) if latencies else 0.0
-    jitter = 0.0
-    if len(latencies) > 1:
-        jitter = (sum((v - mean) ** 2 for v in latencies)
-                  / len(latencies)) ** 0.5
-
-    recoveries: List[float] = []
-    downtime = 0.0
-    for fault in injector.injected:
-        if fault.kind not in OUTAGE_KINDS or fault.at_us >= window_end:
-            continue
-        after = [t for t in completions if t > fault.at_us]
-        if after:
-            recoveries.append(after[0] - fault.at_us)
-        else:
-            recoveries.append(elapsed - (fault.at_us - start))
-        downtime += min(recoveries[-1], window_end - fault.at_us)
-    availability = max(0.0, 1.0 - downtime / duration_us)
-    mean_recovery = (sum(recoveries) / len(recoveries)
-                     if recoveries else 0.0)
+def finish_trial(run: ScenarioRun, loaders: Sequence[Any],
+                 style: ReplicationStyle, n_replicas: int,
+                 settle_us: float, deadline_us: float,
+                 object_keys: Sequence[str], slo: bool) -> FaultTrialResult:
+    """The tail every trial shares: drive the open-loop window, then
+    reduce the run to a :class:`FaultTrialResult`.  A run built with
+    the history recorder gets the :mod:`repro.check` verdict, with
+    linearizability (a single-object property) checked per key of
+    ``object_keys``."""
+    run.start(loaders)
+    run.offer(settle_us)
+    duration_us, elapsed = run.duration_us, run.elapsed_us
+    window_end = run.t0 + duration_us
+    sent, completed, latencies = run.sent, run.completed, run.latencies
+    mean, jitter = latency_stats(latencies)
+    availability, recoveries = run.outages(elapsed, duration_us)
 
     telemetry_digest = None
-    if testbed.sim.telemetry.enabled:
+    if run.telemetry is not None:
         from repro.telemetry.analysis import telemetry_summary
-        telemetry_digest = telemetry_summary(testbed.sim.telemetry)
+        telemetry_digest = telemetry_summary(run.telemetry)
 
     journal_events = None
     journal_summary = None
-    if testbed.sim.journal.enabled:
+    if run.journal is not None:
         from repro.journal.io import journal_digest
-        journal_events = list(testbed.sim.journal.events)
-        journal_summary = journal_digest(testbed.sim.journal,
-                                         window_start_us=start,
+        journal_events = list(run.journal.events)
+        journal_summary = journal_digest(run.journal,
+                                         window_start_us=run.t0,
                                          window_end_us=window_end)
 
     check_digest = None
-    if check:
-        assert history is not None and journal_events is not None
+    if run.history is not None:
         from repro.check import (
             IncrementSpec,
             check_invariants,
             check_linearizability,
         )
-        bench_ops = tuple(op for op in history.operations
-                          if op.object_key == "bench")
         violations = list(check_invariants(journal_events))
-        lin = check_linearizability(bench_ops, IncrementSpec())
+        lin_ok, lin_skipped, n_ops = True, False, 0
+        for key in object_keys:
+            ops = tuple(op for op in run.history.operations
+                        if op.object_key == key)
+            n_ops += len(ops)
+            lin = check_linearizability(ops, IncrementSpec())
+            lin_ok = lin_ok and lin.ok
+            lin_skipped = lin_skipped or lin.skipped
         check_digest = {
-            "ok": bool(lin.ok and not violations),
-            "operations": len(bench_ops),
+            "ok": bool(lin_ok and not violations),
+            "operations": n_ops,
             "violations": [v.to_dict() for v in violations],
-            "linearizable": lin.ok,
-            "linearizability_skipped": lin.skipped,
-            "truncated_rings": dict(
-                testbed.sim.journal.truncated_rings()),
+            "linearizable": lin_ok,
+            "linearizability_skipped": lin_skipped,
+            "truncated_rings": dict(run.journal.truncated_rings()),
         }
 
     slo_digest = None
     if slo:
-        assert journal_events is not None
         slo_digest = slo_trial_digest(
-            journal_events, window_start_us=start,
+            journal_events, window_start_us=run.t0,
             window_end_us=window_end,
-            registry=getattr(testbed.sim.telemetry, "metrics", None))
+            registry=getattr(run.testbed.sim.telemetry, "metrics", None))
 
     return FaultTrialResult(
-        style=style, n_replicas=n_replicas, n_clients=n_clients,
+        style=style, n_replicas=n_replicas, n_clients=len(loaders),
         duration_us=duration_us, sent=sent, completed=completed,
         failed=max(sent - completed, 0),
         late=sum(1 for v in latencies if v > deadline_us),
-        availability=availability, mean_recovery_us=mean_recovery,
+        availability=availability,
+        mean_recovery_us=(sum(recoveries) / len(recoveries)
+                          if recoveries else 0.0),
         recovery_times_us=recoveries, latency_mean_us=mean,
         jitter_us=jitter,
-        bandwidth_mbps=wire_bytes / elapsed if elapsed > 0 else 0.0,
-        wire_bytes=wire_bytes, injected=list(injector.injected),
+        bandwidth_mbps=run.wire_bytes / elapsed,
+        wire_bytes=run.wire_bytes, injected=list(run.injector.injected),
         telemetry=telemetry_digest, journal=journal_summary,
         journal_events=journal_events, check=check_digest,
         slo=slo_digest)

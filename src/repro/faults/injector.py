@@ -87,7 +87,7 @@ class FaultInjector:
         The simulated process cannot literally be revived (its
         middleware stack died with it), so recovery is delegated to
         ``restart`` — typically a closure that redeploys the replica on
-        the same host (see ``TrialContext.respawn_replica``).  The
+        the same host (see ``ScenarioRun.respawn_replica``).  The
         restart is skipped when the host itself is down at restart
         time; crash-only semantics then apply.
         """

@@ -4,7 +4,8 @@ Public surface:
 
 - :class:`ClosedLoopClient` — the paper's 10,000-request cycle driver
 - :class:`OpenLoopClient` — rate-driven arrivals (Fig. 6)
-- :class:`WorkloadStats` — per-client outcome
+- :class:`WorkloadStats` — per-client outcome; :func:`latency_stats`
+  — the one mean / jitter definition
 - profiles: :class:`ConstantRate`, :class:`StepProfile`,
   :class:`RampProfile`, :class:`SpikeProfile`
 """
@@ -14,6 +15,7 @@ from repro.workload.clients import (
     OpenLoopClient,
     ThinkTimeClient,
     WorkloadStats,
+    latency_stats,
 )
 from repro.workload.profiles import (
     ConstantRate,
@@ -33,4 +35,5 @@ __all__ = [
     "StepProfile",
     "ThinkTimeClient",
     "WorkloadStats",
+    "latency_stats",
 ]

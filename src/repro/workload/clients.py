@@ -10,7 +10,7 @@ follows a time-varying profile.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence, TYPE_CHECKING
+from typing import Any, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.errors import ConfigurationError
 from repro.orb.giop import GiopReply
@@ -19,6 +19,18 @@ from repro.workload.profiles import RateProfile
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.experiments.testbed import ClientStack
+
+
+def latency_stats(values: Sequence[float]) -> Tuple[float, float]:
+    """``(mean, jitter)`` of a latency sample, jitter being the
+    population standard deviation — the one definition every result
+    record and :class:`WorkloadStats` report."""
+    if not values:
+        return 0.0, 0.0
+    mean = sum(values) / len(values)
+    if len(values) < 2:
+        return mean, 0.0
+    return mean, (sum((v - mean) ** 2 for v in values) / len(values)) ** 0.5
 
 
 @dataclass
@@ -33,17 +45,11 @@ class WorkloadStats:
 
     @property
     def mean_latency_us(self) -> float:
-        if not self.latencies_us:
-            return 0.0
-        return sum(self.latencies_us) / len(self.latencies_us)
+        return latency_stats(self.latencies_us)[0]
 
     @property
     def jitter_us(self) -> float:
-        values = self.latencies_us
-        if len(values) < 2:
-            return 0.0
-        mean = self.mean_latency_us
-        return (sum((v - mean) ** 2 for v in values) / len(values)) ** 0.5
+        return latency_stats(self.latencies_us)[1]
 
     def throughput_per_s(self, duration_us: float) -> float:
         """Completions per second over ``duration_us``."""

@@ -145,17 +145,28 @@ class TestArtifacts:
         ("decisions", True), ("decisions", float("nan")),
         ("decisions", None),
         ("tie_choices", 0), ("delay_bound_us", -1.0),
-        ("delay_bound_us", float("inf"))])
+        ("delay_bound_us", float("inf")),
+        # The scenario section: built and run as it is, too.
+        ("n_replicas", 0), ("n_replicas", 2.5), ("n_requests", "8"),
+        ("horizon_us", "x"), ("seed", [1]),
+        ("crash_primary_at_us", -1.0), ("retry_timeout_us", 0),
+        ("checkpoint_interval", 0), ("settle_us", float("nan")),
+        ("late_duplicate", "yes"), ("n_requests", True),
+        ("mutation", ["skip_final_checkpoint"])])
     def test_tampered_policy_rejected_at_load(self, violating_report,
                                               tmp_path, field, bad):
-        # Replay hands decisions to the kernel as they are, so a value
-        # no recorded walk could contain must fail the load, typed.
+        # Replay hands decisions to the kernel and the scenario to the
+        # deploy helpers as they are, so a value no recorded walk could
+        # contain must fail the load, typed.
         data = artifact_from_report(violating_report, tie_choices=4,
                                     delay_bound_us=150.0).to_dict()
         if field == "decisions":
             data["policy"]["decisions"][0] = bad
-        else:
+        elif field in data["policy"]:
             data["policy"][field] = bad
+        else:
+            assert field in data["scenario"]
+            data["scenario"][field] = bad
         path = tmp_path / "tampered.json"
         path.write_text(json.dumps(data))
         with pytest.raises(VerificationError, match="malformed"):

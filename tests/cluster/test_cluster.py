@@ -10,7 +10,8 @@ from repro.cluster import (
     run_cluster_rebalance_check,
     run_cluster_trial,
 )
-from repro.errors import ClusterError
+from repro.errors import ClusterError, ConfigurationError
+from repro.experiments import run_fault_trial
 from repro.experiments.testbed import Testbed
 from repro.orb import CounterServant
 from repro.replication import ReplicationStyle
@@ -204,8 +205,6 @@ class TestDeadShard:
 
 class TestClusterTrial:
     def test_metrics_match_fault_trial_schema(self):
-        from repro.experiments.trial import run_fault_trial
-
         sharded = run_cluster_trial(
             ReplicationStyle.ACTIVE, n_shards=2, n_clients=2,
             duration_us=300_000.0, rate_per_s=150.0)
@@ -237,3 +236,15 @@ class TestClusterTrial:
             run_cluster_trial(ReplicationStyle.ACTIVE, n_shards=2,
                               n_clients=1, duration_us=100_000.0,
                               rate_per_s=100.0, fault_load="loss_burst")
+
+    @pytest.mark.parametrize("field, bad", [
+        ("rate_per_s", 0), ("deadline_us", 0), ("n_clients", 0),
+        ("duration_us", -1)])
+    def test_rejects_the_windows_the_single_group_trial_rejects(
+            self, field, bad):
+        window = dict(n_clients=1, duration_us=100_000.0, rate_per_s=100.0)
+        window[field] = bad
+        for trial, size in ((run_cluster_trial, dict(n_shards=2)),
+                            (run_fault_trial, dict(n_replicas=2))):
+            with pytest.raises(ConfigurationError):
+                trial(ReplicationStyle.ACTIVE, **size, **window)

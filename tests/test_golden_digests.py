@@ -2,8 +2,8 @@
 
 Every other determinism test compares two runs of the *same* commit
 (serial vs pooled, fast vs reference kernel).  ``golden_digests.json``
-holds the literal sha256 of what three entry points produce, so a
-refactor or optimization that moves a single journal byte fails here
+holds the literal sha256 of what every scenario pipeline produces, so
+a refactor or optimization that moves a single journal byte fails here
 even when it moves both sides of every relative comparison together.
 
 Regenerate — only for a change that *declares* it alters simulated
@@ -26,10 +26,17 @@ from repro.check import (
     canonical_scenario,
     explore,
 )
-from repro.experiments import run_replicated_load
+from repro.cluster import (
+    run_cluster_load,
+    run_cluster_rebalance_check,
+    run_cluster_trial,
+)
+from repro.core.policies import ThresholdSwitchPolicy
+from repro.experiments import run_adaptive_scenario, run_replicated_load
 from repro.journal.io import events_to_jsonl
 from repro.replication import ReplicationStyle
 from repro.telemetry import chrome_trace_json
+from repro.workload import SpikeProfile
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden_digests.json"
 
@@ -83,6 +90,48 @@ def load_digests() -> dict:
             "telemetry": _sha256(chrome_trace_json(result.telemetry.spans))}
 
 
+def cluster_load_digests() -> dict:
+    """sha256 of the journal and the trace of one sharded closed-loop
+    run with a live rebalance."""
+    result = run_cluster_load(
+        n_shards=3, n_clients=4, n_requests=20, seed=3, n_server_hosts=4,
+        journal=True, telemetry=True, rebalance=("obj00", "shard2", 30_000.0))
+    assert result.completed == 80 and result.migrations_committed == 1
+    return {"journal": _sha256(events_to_jsonl(result.journal.events)),
+            "telemetry": _sha256(chrome_trace_json(result.telemetry.spans))}
+
+
+def cluster_trial_digests() -> dict:
+    """sha256 of the metric record and the journal of one sharded
+    open-loop trial with every optional section on."""
+    result = run_cluster_trial(
+        ReplicationStyle.WARM_PASSIVE, n_shards=2, n_clients=2,
+        duration_us=300_000.0, rate_per_s=150.0, seed=2,
+        fault_load="process_crash", telemetry=True, check=True, slo=True)
+    assert result.check["linearizable"] and len(result.injected) == 1
+    return {"metrics": _sha256(json.dumps(result.metrics(), sort_keys=True)),
+            "journal": _sha256(events_to_jsonl(result.journal_events))}
+
+
+def rebalance_check_digest() -> str:
+    """The outcome digest (journal + history + survivors) of one
+    rebalance safety check."""
+    outcome = run_cluster_rebalance_check(n_shards=2, n_clients=2,
+                                          n_requests=12, seed=4)
+    assert outcome.ok and outcome.operations == 24 and outcome.giveups == 0
+    return outcome.digest
+
+
+def adaptive_digests() -> dict:
+    """Journal sha256 and request counts of one adaptive Fig. 6 run."""
+    result = run_adaptive_scenario(
+        SpikeProfile(100, 900, 300_000, 900_000), 1_200_000.0,
+        policy=ThresholdSwitchPolicy(500, 300), n_clients=2, seed=3,
+        journal=True)
+    return {"journal": _sha256(events_to_jsonl(result.journal.events)),
+            "sent_completed": [result.sent, result.completed]}
+
+
 @pytest.fixture(scope="module")
 def golden() -> dict:
     return json.loads(GOLDEN_PATH.read_text())
@@ -102,6 +151,22 @@ def test_replicated_load_matches_golden(golden):
     assert load_digests() == golden["replicated_load"]
 
 
+def test_cluster_load_matches_golden(golden):
+    assert cluster_load_digests() == golden["cluster_load"]
+
+
+def test_cluster_trial_matches_golden(golden):
+    assert cluster_trial_digests() == golden["cluster_trial"]
+
+
+def test_rebalance_check_matches_golden(golden):
+    assert rebalance_check_digest() == golden["rebalance_check"]
+
+
+def test_adaptive_scenario_matches_golden(golden):
+    assert adaptive_digests() == golden["adaptive"]
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as scratch:
         GOLDEN_PATH.write_text(json.dumps({
@@ -109,5 +174,9 @@ if __name__ == "__main__":
                         for name in sorted(EXPLORATIONS)},
             "campaign": campaign_digests(pathlib.Path(scratch), 1),
             "replicated_load": load_digests(),
+            "cluster_load": cluster_load_digests(),
+            "cluster_trial": cluster_trial_digests(),
+            "rebalance_check": rebalance_check_digest(),
+            "adaptive": adaptive_digests(),
         }, indent=2, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN_PATH}")

@@ -349,16 +349,22 @@ def test_check_explore_mutation_writes_replayable_artifact(tmp_path,
     assert main(["check", "--replay", str(artifact)]) == 0
     assert "REPRODUCED" in capsys.readouterr().out
 
-    # Tampered decisions are refused at load (exit 2), never replayed.
+    # Tampered decisions and scenario values are refused at load
+    # (exit 2, one line), never replayed.
     import json
-    data = json.loads(artifact.read_text())
-    for bad in (-50_000.0, "abc"):
-        data["policy"]["decisions"][0] = bad
+    for section, field, bad in (("policy", "decisions", [-50_000.0]),
+                                ("policy", "decisions", ["abc"]),
+                                ("scenario", "n_replicas", 0),
+                                ("scenario", "horizon_us", "x")):
+        data = json.loads(artifact.read_text())
+        data[section][field] = bad
         tampered = tmp_path / "tampered.json"
         tampered.write_text(json.dumps(data))
         for mode in ("--replay", "--minimize"):
             assert main(["check", mode, str(tampered)]) == 2
-            assert "cannot load artifact" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "cannot load artifact" in err
+            assert "Traceback" not in err and err.count("\n") == 1
 
 
 def test_campaign_check_flag_attaches_verdicts(tmp_path, capsys):
