@@ -8,12 +8,18 @@ spec, the journal-level protocol invariants, and the counter
 consistency cross-check.  Schedules whose outcome digest was already
 seen count as revisits, not as fresh coverage, so the reported
 ``distinct_schedules`` honestly measures explored behaviours.
+
+A walk is a pure function of ``(scenario, walk index)``, so the walks
+run on every CPU the process may use; the parent consumes their
+results in walk order, and every report equals the one-CPU loop's.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
 from dataclasses import dataclass, field, replace
-from typing import Any, List, Optional, Set
+from typing import Any, List, Optional, Set, Tuple
 
 from repro.check.invariants import (
     Violation,
@@ -21,13 +27,15 @@ from repro.check.invariants import (
     check_invariants,
 )
 from repro.check.linearizability import CounterSpec, check_linearizability
-from repro.check.policies import RandomWalkPolicy
+from repro.check.policies import RandomWalkPolicy, check_walk_parameters
 from repro.check.scenario import (
     CHECKPOINT_PHASES,
     CheckScenario,
     ScheduleOutcome,
+    _validate,
     run_schedule,
 )
+from repro.errors import VerificationError
 
 #: Crash-time multipliers cycled across walks, so the primary dies at
 #: varied points of the request stream (deterministic per walk index).
@@ -125,46 +133,105 @@ def explore(scenario: CheckScenario, budget: int = 200,
     from its report alone.
     ``progress`` (optional callable) receives ``(i, report)`` after
     each walk.
+
+    The walks run on every CPU the process may use (at most
+    ``budget`` workers); results are consumed in walk order, so the
+    reports, the counts and the ``progress`` calls equal a one-CPU
+    run's.  The parameters are validated here, before any worker
+    starts: a bad one raises :class:`VerificationError` once.
     """
+    if budget < 1:
+        raise VerificationError("budget must be >= 1")
+    check_walk_parameters(tie_choices, delay_bound_us)
+    _validate(scenario)
     result = ExplorationResult(scenario=scenario, budget=budget)
     seen_digests: Set[str] = set()
-    for i in range(budget):
-        variant = scenario
-        if scenario.crash_primary_phase is not None:
-            # The crash is pinned to a checkpoint, not to an instant
-            # (which must stay after the backups' restart): vary the
-            # phase of that checkpoint instead of the time.
-            variant = replace(
-                scenario,
-                crash_primary_phase=CHECKPOINT_PHASES[
-                    i % len(CHECKPOINT_PHASES)])
-        elif scenario.crash_primary_at_us is not None:
-            factor = CRASH_VARIATIONS[i % len(CRASH_VARIATIONS)]
-            variant = replace(
-                scenario,
-                crash_primary_at_us=scenario.crash_primary_at_us * factor)
-        if scenario.partition_at_us is not None:
-            factor = PARTITION_VARIATIONS[i % len(PARTITION_VARIATIONS)]
-            start = scenario.partition_at_us * factor
-            duration = scenario.heal_at_us - scenario.partition_at_us
-            variant = replace(variant, partition_at_us=start,
-                              heal_at_us=start + duration)
-        policy = RandomWalkPolicy(seed=base_walk_seed + i,
-                                  tie_choices=tie_choices,
-                                  delay_bound_us=delay_bound_us)
-        outcome = run_schedule(variant, policy)
-        fresh = outcome.digest not in seen_digests
-        seen_digests.add(outcome.digest)
-        report = ScheduleReport(
-            walk_seed=base_walk_seed + i, scenario=variant,
-            digest=outcome.digest, fresh=fresh,
-            violations=verify_outcome(outcome),
-            decisions=policy.decisions)
-        result.schedules_run += 1
-        result.reports.append(report)
-        if progress is not None:
-            progress(i, report)
-        if not report.ok and stop_on_violation:
-            break
+    jobs = [(scenario, i, base_walk_seed + i, tie_choices, delay_bound_us)
+            for i in range(budget)]
+    workers = min(budget, _usable_cpus())
+    pool = None
+    try:
+        if workers > 1:
+            from repro.campaign.runner import _mp_context  # lazy: the
+            # one-CPU path needs no multiprocessing
+            pool = _mp_context().Pool(workers)
+            # Unpickled here, not by the pool's result thread: that
+            # thread's malloc arena cannot reuse memory this thread
+            # freed, and holding every report there cost 4-10 MiB of
+            # peak RSS on perfbench's check_explore.
+            walks = map(pickle.loads, pool.imap(_pickled_walk, jobs))
+        else:
+            walks = map(_walk, jobs)
+        for i, (variant, digest, violations, decisions) in enumerate(walks):
+            fresh = digest not in seen_digests
+            seen_digests.add(digest)
+            report = ScheduleReport(
+                walk_seed=base_walk_seed + i, scenario=variant,
+                digest=digest, fresh=fresh, violations=violations,
+                decisions=decisions)
+            result.schedules_run += 1
+            result.reports.append(report)
+            if progress is not None:
+                progress(i, report)
+            if not report.ok and stop_on_violation:
+                break
+    finally:
+        if pool is not None:
+            pool.terminate()
+            pool.join()
     result.distinct_schedules = len(seen_digests)
     return result
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the
+    platform has one, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+#: ``(scenario, walk index, walk seed, tie_choices, delay_bound_us)``.
+_Job = Tuple[CheckScenario, int, int, int, float]
+
+
+def _walk(job: _Job) -> Tuple[CheckScenario, str, List[Violation],
+                              List[Any]]:
+    """Run and verify walk ``i`` of ``scenario``: a pure function of
+    its job, so any process may run it.
+
+    Returns ``(variant, digest, violations, decisions)``.
+    """
+    scenario, i, walk_seed, tie_choices, delay_bound_us = job
+    variant = scenario
+    if scenario.crash_primary_phase is not None:
+        # The crash is pinned to a checkpoint, not to an instant
+        # (which must stay after the backups' restart): vary the
+        # phase of that checkpoint instead of the time.
+        variant = replace(
+            scenario,
+            crash_primary_phase=CHECKPOINT_PHASES[
+                i % len(CHECKPOINT_PHASES)])
+    elif scenario.crash_primary_at_us is not None:
+        factor = CRASH_VARIATIONS[i % len(CRASH_VARIATIONS)]
+        variant = replace(
+            scenario,
+            crash_primary_at_us=scenario.crash_primary_at_us * factor)
+    if scenario.partition_at_us is not None:
+        factor = PARTITION_VARIATIONS[i % len(PARTITION_VARIATIONS)]
+        start = scenario.partition_at_us * factor
+        duration = scenario.heal_at_us - scenario.partition_at_us
+        variant = replace(variant, partition_at_us=start,
+                          heal_at_us=start + duration)
+    policy = RandomWalkPolicy(seed=walk_seed, tie_choices=tie_choices,
+                              delay_bound_us=delay_bound_us)
+    outcome = run_schedule(variant, policy)
+    return variant, outcome.digest, verify_outcome(outcome), \
+        policy.decisions
+
+
+def _pickled_walk(job: _Job) -> bytes:
+    """:func:`_walk` in a pool worker, its result pickled for the
+    consuming thread to load."""
+    return pickle.dumps(_walk(job))

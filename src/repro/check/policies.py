@@ -18,6 +18,7 @@ this module): anything with ``tie_break()`` and
 
 from __future__ import annotations
 
+import math
 import random
 from typing import List, Sequence, Union
 
@@ -45,6 +46,16 @@ class SchedulerPolicy:
         return 0.0
 
 
+def check_walk_parameters(tie_choices: int, delay_bound_us: float) -> None:
+    """Reject walk parameters no random walk can honour: a NaN or
+    infinite delay bound would time frames at NaN or never."""
+    if tie_choices < 1:
+        raise VerificationError("tie_choices must be >= 1")
+    if not (delay_bound_us >= 0 and math.isfinite(delay_bound_us)):
+        raise VerificationError(
+            "delay_bound_us must be a finite number >= 0")
+
+
 class RandomWalkPolicy(SchedulerPolicy):
     """One random walk through the schedule space.
 
@@ -62,16 +73,13 @@ class RandomWalkPolicy(SchedulerPolicy):
         Tie-break values are drawn uniformly from ``[0, tie_choices)``.
         Larger values shuffle same-timestamp runs more aggressively.
     delay_bound_us:
-        Upper bound (µs) of the per-frame extra delay; 0 disables
-        delay perturbation and explores tie-breaks only.
+        Finite upper bound (µs) of the per-frame extra delay; 0
+        disables delay perturbation and explores tie-breaks only.
     """
 
     def __init__(self, seed: int, tie_choices: int = 4,
                  delay_bound_us: float = 0.0):
-        if tie_choices < 1:
-            raise VerificationError("tie_choices must be >= 1")
-        if delay_bound_us < 0:
-            raise VerificationError("delay_bound_us must be >= 0")
+        check_walk_parameters(tie_choices, delay_bound_us)
         self.seed = seed
         self.tie_choices = tie_choices
         self.delay_bound_us = delay_bound_us

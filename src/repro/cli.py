@@ -21,6 +21,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
@@ -309,8 +310,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return _usage_error("check", "--budget must be >= 1")
     if args.tie_choices < 1:
         return _usage_error("check", "--tie-choices must be >= 1")
-    if args.delay_bound < 0:
-        return _usage_error("check", "--delay-bound must be >= 0")
+    if not (args.delay_bound >= 0 and math.isfinite(args.delay_bound)):
+        return _usage_error("check",
+                            "--delay-bound must be a finite number >= 0")
     if args.mutation is not None and args.mutation not in MUTATIONS:
         return _usage_error(
             "check", f"unknown --mutation {args.mutation!r} "

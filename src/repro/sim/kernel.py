@@ -359,7 +359,7 @@ class Simulator:
     def schedule(self, delay: float, callback: Callable[..., None],
                  *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` to run ``delay`` µs from now."""
-        if delay < 0:
+        if not delay >= 0:  # NaN fails too: it would break heap order
             raise SimulationError(f"cannot schedule in the past: delay={delay}")
         if not callable(callback):
             raise SimulationError(f"callback is not callable: {callback!r}")
@@ -373,7 +373,7 @@ class Simulator:
     def schedule_at(self, time: float, callback: Callable[..., None],
                     *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute simulated time ``time``."""
-        if time < self.now:
+        if not time >= self.now:  # NaN fails too: it would break heap order
             raise SimulationError(
                 f"cannot schedule at t={time} before now={self.now}")
         if not callable(callback):

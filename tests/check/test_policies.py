@@ -43,6 +43,14 @@ class TestRandomWalkPolicy:
         assert policy.message_delay(64) == 0.0
         assert len(policy.decisions) == 1  # only the tie-break
 
+    @pytest.mark.parametrize("tie_choices, delay_bound_us", [
+        (0, 0.0), (4, -1.0), (4, float("nan")), (4, float("inf"))])
+    def test_unusable_parameters_rejected(self, tie_choices,
+                                          delay_bound_us):
+        with pytest.raises(VerificationError):
+            RandomWalkPolicy(seed=0, tie_choices=tie_choices,
+                             delay_bound_us=delay_bound_us)
+
 
 class TestReplayPolicy:
     def test_replays_recorded_walk_exactly(self):

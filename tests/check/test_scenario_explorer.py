@@ -8,6 +8,8 @@ identity-policy runs here, and the pre-existing golden digests in
 """
 
 import json
+import multiprocessing
+import os
 from dataclasses import replace
 
 import pytest
@@ -16,9 +18,12 @@ from repro.check import (MUTATIONS, CheckScenario, RandomWalkPolicy,
                          SchedulerPolicy, canonical_scenario,
                          explore, load_artifact, minimize, replay,
                          run_schedule, write_artifact)
+from repro.check import explorer as explorer_module
 from repro.check.artifact import artifact_from_report
 from repro.errors import SimulationError, VerificationError
 from repro.sim import Simulator
+
+HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
 def _small_scenario(**overrides):
@@ -26,6 +31,12 @@ def _small_scenario(**overrides):
     base = replace(canonical_scenario(), n_requests=4,
                    horizon_us=1_000_000.0, settle_us=500_000.0)
     return replace(base, **overrides)
+
+
+def _on_cpus(monkeypatch, n):
+    """Make the explorer see ``n`` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(n)), raising=False)
 
 
 class TestKernelPolicyHook:
@@ -101,6 +112,87 @@ class TestExploration:
                 RandomWalkPolicy(seed=report.walk_seed, tie_choices=4,
                                  delay_bound_us=150.0))
             assert again.digest == report.digest
+
+    @pytest.mark.parametrize("overrides", [
+        {"budget": 0}, {"budget": -3}, {"tie_choices": 0},
+        {"delay_bound_us": -1.0}, {"delay_bound_us": float("nan")},
+        {"delay_bound_us": float("inf")},
+        {"scenario": _small_scenario(n_replicas=0)},
+        {"scenario": _small_scenario(heal_at_us=None,
+                                     partition_at_us=8_000.0)}])
+    def test_unusable_parameters_rejected_before_any_walk(
+            self, monkeypatch, overrides):
+        # A budget of 0 would otherwise verify "clean" with no
+        # schedule run at all.
+        def no_walk(*_args):
+            pytest.fail("a walk ran despite unusable parameters")
+
+        monkeypatch.setattr(explorer_module, "run_schedule", no_walk)
+        kwargs = {"scenario": _small_scenario(), "budget": 4, **overrides}
+        with pytest.raises(VerificationError):
+            explore(**kwargs)
+
+
+class TestParallelExploration:
+    """A walk is a pure function of (scenario, index) and results are
+    consumed in walk order: one CPU and two give equal results."""
+
+    @staticmethod
+    def _explore_on(monkeypatch, cpus, scenario, **kwargs):
+        _on_cpus(monkeypatch, cpus)
+        calls = []
+        result = explore(scenario, progress=lambda i, _r: calls.append(i),
+                         **kwargs)
+        return result, calls
+
+    @staticmethod
+    def _fields(report):
+        return (report.walk_seed, report.scenario, report.digest,
+                report.fresh, report.violations, report.decisions)
+
+    def test_clean_exploration_identical(self, monkeypatch):
+        runs = [self._explore_on(monkeypatch, cpus, _small_scenario(),
+                                 budget=4, stop_on_violation=False)
+                for cpus in (1, 2)]
+        (serial, serial_calls), (pooled, pooled_calls) = runs
+        assert serial.ok and pooled.ok
+        assert serial_calls == pooled_calls == [0, 1, 2, 3]
+        assert [self._fields(r) for r in serial.reports] \
+            == [self._fields(r) for r in pooled.reports]
+        assert (serial.schedules_run, serial.distinct_schedules) \
+            == (pooled.schedules_run, pooled.distinct_schedules)
+
+    def test_stop_on_violation_stops_at_the_same_walk(self, monkeypatch):
+        scenario = canonical_scenario(mutation="skip_final_checkpoint")
+        (serial, _), (pooled, _) = [
+            self._explore_on(monkeypatch, cpus, scenario, budget=10)
+            for cpus in (1, 2)]
+        assert not serial.ok
+        assert serial.schedules_run == pooled.schedules_run
+        assert self._fields(serial.violating[0]) \
+            == self._fields(pooled.violating[0])
+
+    @pytest.mark.skipif(not HAVE_FORK, reason="workers must inherit "
+                                              "the patched run_schedule")
+    def test_a_raising_walk_surfaces_and_leaves_no_worker(self,
+                                                          monkeypatch):
+        real = explorer_module.run_schedule
+
+        def walk_one_raises(variant, policy):
+            if policy.seed == 1:
+                raise ValueError("walk 1 failed")
+            return real(variant, policy)
+
+        monkeypatch.setattr(explorer_module, "run_schedule",
+                            walk_one_raises)
+        for cpus in (1, 2):
+            _on_cpus(monkeypatch, cpus)
+            calls = []
+            with pytest.raises(ValueError, match="walk 1 failed"):
+                explore(_small_scenario(), budget=4,
+                        progress=lambda i, _r: calls.append(i))
+            assert calls == [0]
+            assert multiprocessing.active_children() == []
 
 
 class TestArtifacts:

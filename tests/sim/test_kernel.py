@@ -73,6 +73,16 @@ def test_schedule_at_in_past_rejected():
         sim.schedule_at(5.0, lambda: None)
 
 
+def test_nan_time_rejected():
+    # A NaN-timed handle compares false both ways and breaks heap order.
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        sim.schedule(math.nan, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.schedule_at(math.nan, lambda: None)
+    assert sim.pending_events == 0
+
+
 def test_non_callable_rejected():
     sim = Simulator()
     with pytest.raises(SimulationError):

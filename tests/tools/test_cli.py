@@ -315,6 +315,9 @@ def test_check_usage_errors_exit_2(tmp_path, capsys):
     assert "must be >= 1" in capsys.readouterr().err
     assert main(["check", "--tie-choices", "0"]) == 2
     assert main(["check", "--delay-bound", "-1"]) == 2
+    assert main(["check", "--delay-bound", "nan"]) == 2
+    assert main(["check", "--delay-bound", "inf"]) == 2
+    assert "finite" in capsys.readouterr().err
     assert main(["check", "--mutation", "bogus"]) == 2
     assert "unknown --mutation" in capsys.readouterr().err
     missing = tmp_path / "missing.json"
