@@ -91,14 +91,16 @@ def load_digests() -> dict:
 
 
 def cluster_load_digests() -> dict:
-    """sha256 of the journal and the trace of one sharded closed-loop
-    run with a live rebalance."""
+    """sha256 of the journal, the trace and the metrics export of one
+    sharded closed-loop run with a live rebalance."""
     result = run_cluster_load(
         n_shards=3, n_clients=4, n_requests=20, seed=3, n_server_hosts=4,
         journal=True, telemetry=True, rebalance=("obj00", "shard2", 30_000.0))
     assert result.completed == 80 and result.migrations_committed == 1
+    metrics = result.telemetry.metrics.as_dict()
     return {"journal": _sha256(events_to_jsonl(result.journal.events)),
-            "telemetry": _sha256(chrome_trace_json(result.telemetry.spans))}
+            "telemetry": _sha256(chrome_trace_json(result.telemetry.spans)),
+            "metrics": _sha256(json.dumps(metrics, sort_keys=True))}
 
 
 def cluster_trial_digests() -> dict:
