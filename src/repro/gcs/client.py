@@ -73,6 +73,8 @@ class GcsClient(Actor, ClientPort):
         self._watch_listeners: Dict[str, GroupListener] = {}
         self._direct_handler: Optional[Callable[[MemberId, Any, int], None]] = None
         self._views: Dict[str, GroupView] = {}
+        #: ``(registry, name, kind)`` -> telemetry counter.
+        self._counters: Dict[tuple, Any] = {}
         daemon.connect(self)
 
     # ------------------------------------------------------------------
@@ -111,12 +113,17 @@ class GcsClient(Actor, ClientPort):
         self._count("gcs_sent_total", kind="direct")
         self.daemon.client_send_direct(self.member, dst, payload, nbytes)
 
-    def _count(self, name: str, **extra: str) -> None:
+    def _count(self, name: str, kind: str) -> None:
         """Bump a telemetry counter (no-op when telemetry is off)."""
         registry = getattr(self.sim.telemetry, "metrics", None)
         if registry is not None:
-            registry.counter(name, host=self.process.host.name,
-                             process=self.process.name, **extra).inc()
+            key = (registry, name, kind)
+            counter = self._counters.get(key)
+            if counter is None:
+                counter = self._counters[key] = registry.counter(
+                    name, host=self.process.host.name,
+                    process=self.process.name, kind=kind)
+            counter.inc()
 
     def on_direct(self, handler: Callable[[MemberId, Any, int], None]) -> None:
         """Install the handler for incoming point-to-point messages."""

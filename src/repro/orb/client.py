@@ -90,12 +90,14 @@ class OrbClient:
                             * reply.payload_bytes)
             reply.timeline.add(COMPONENT_ORB, demarshal_us)
             demarshal_span = None
-            reply_ctx = context_of(reply) or ctx
-            if telemetry.enabled and reply_ctx is not None:
-                demarshal_span = telemetry.begin(
-                    reply_ctx, "client.demarshal", COMPONENT_ORB,
-                    host=self.process.host.name,
-                    process=self.process.name, now=self.sim.now)
+            reply_ctx = None
+            if telemetry.enabled:
+                reply_ctx = context_of(reply) or ctx
+                if reply_ctx is not None:
+                    demarshal_span = telemetry.begin(
+                        reply_ctx, "client.demarshal", COMPONENT_ORB,
+                        host=self.process.host.name,
+                        process=self.process.name, now=self.sim.now)
 
             def after_demarshal() -> None:
                 if not self.process.alive:

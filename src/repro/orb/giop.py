@@ -53,9 +53,11 @@ class GiopRequest:
         Service contexts are copied too (each replica updates its own
         trace context independently of its siblings).
         """
-        from dataclasses import replace
-        return replace(self, timeline=self.timeline.fork(),
-                       service_contexts=dict(self.service_contexts))
+        return GiopRequest(self.request_id, self.object_key,
+                           self.operation, self.payload,
+                           self.payload_bytes, self.oneway,
+                           self.timeline.fork(),
+                           dict(self.service_contexts))
 
 
 @dataclass(frozen=True)

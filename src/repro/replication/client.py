@@ -90,6 +90,8 @@ class ClientReplicator(Actor, ClientTransport):
         # deployments): journal events and the round-trip latency
         # histogram carry the shard name when set.
         self.shard: Optional[str] = None
+        #: ``(registry, shard)`` -> round-trip latency histogram.
+        self._latency_hists: Dict[tuple, Any] = {}
         self.style: ReplicationStyle = config.expected_style
         self.primary: Optional[MemberId] = None
         self.broadcast = False
@@ -404,13 +406,17 @@ class ClientReplicator(Actor, ClientTransport):
         registry = getattr(self.sim.telemetry, "metrics", None)
         if registry is None:
             return None
-        labels = {"host": self.process.host.name,
-                  "process": self.process.name}
-        if self.shard is not None:
-            labels["shard"] = self.shard
-        return registry.histogram(
-            "request_latency_us", bounds=DEFAULT_LATENCY_BUCKETS_US,
-            **labels)
+        key = (registry, self.shard)
+        hist = self._latency_hists.get(key)
+        if hist is None:
+            labels = {"host": self.process.host.name,
+                      "process": self.process.name}
+            if self.shard is not None:
+                labels["shard"] = self.shard
+            hist = self._latency_hists[key] = registry.histogram(
+                "request_latency_us", bounds=DEFAULT_LATENCY_BUCKETS_US,
+                **labels)
+        return hist
 
     # ==================================================================
     # Group view tracking

@@ -13,7 +13,7 @@ from typing import Any, Optional, Tuple
 from repro.gcs.messages import MemberId
 from repro.orb.giop import GiopReply, GiopRequest
 from repro.replication.styles import ReplicationStyle
-from repro.telemetry.context import context_of
+from repro.telemetry.context import SERVICE_CONTEXT_TRACE
 
 #: Fixed replication-layer header added to every message's wire size.
 REP_HEADER_BYTES = 40
@@ -41,8 +41,10 @@ class RepRequest:
     @property
     def trace_context(self):
         """Telemetry context, read through to the wrapped GIOP request
-        (the GCS daemons use this to join a frame to its trace)."""
-        return context_of(self.request)
+        (the GCS daemons use this to join a frame to its trace, via
+        :func:`~repro.telemetry.context.payload_context`, which checks
+        the type)."""
+        return self.request.service_contexts.get(SERVICE_CONTEXT_TRACE)
 
 
 @dataclass(frozen=True)
@@ -69,7 +71,7 @@ class RepReply:
     @property
     def trace_context(self):
         """Telemetry context, read through to the wrapped GIOP reply."""
-        return context_of(self.reply)
+        return self.reply.service_contexts.get(SERVICE_CONTEXT_TRACE)
 
 
 @dataclass(frozen=True)

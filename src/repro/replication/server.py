@@ -134,6 +134,8 @@ class ServerReplicator(Actor, ServerTransport):
         # Shard attribution (set by repro.cluster's deploy): journal
         # events and metric labels carry the shard name when set.
         self.shard: Optional[str] = None
+        #: ``(registry, kind, name, shard)`` -> telemetry instrument.
+        self._instruments: Dict[tuple, Any] = {}
         # Arrival-rate sensor (feeds the adaptation layer, Fig. 6).
         from repro.monitoring.sensors import RateSensor
         self.arrivals = RateSensor(window_us=500_000.0)
@@ -149,33 +151,38 @@ class ServerReplicator(Actor, ServerTransport):
     # ==================================================================
     # Telemetry metrics (registry-backed; all no-ops when disabled)
     # ==================================================================
-    def _registry(self):
-        """Telemetry metrics registry, or None when telemetry is off."""
-        return getattr(self.sim.telemetry, "metrics", None)
-
-    def _labels(self) -> Dict[str, str]:
-        labels = {"host": self.process.host.name,
-                  "process": self.process.name}
-        if self.shard is not None:
-            labels["shard"] = self.shard
-        return labels
+    def _instrument(self, kind: str, name: str, *args: Any) -> Any:
+        """This replica's ``kind`` instrument ``name`` (``args`` bind on
+        creation), or None when telemetry is off.  Resolved once per
+        registry and shard: the shard is assigned after construction."""
+        registry = getattr(self.sim.telemetry, "metrics", None)
+        if registry is None:
+            return None
+        key = (registry, kind, name, self.shard)
+        metric = self._instruments.get(key)
+        if metric is None:
+            labels = {"host": self.process.host.name,
+                      "process": self.process.name}
+            if self.shard is not None:
+                labels["shard"] = self.shard
+            metric = self._instruments[key] = getattr(registry, kind)(
+                name, *args, **labels)
+        return metric
 
     def _count(self, name: str, amount: int = 1) -> None:
-        registry = self._registry()
-        if registry is not None:
-            registry.counter(name, **self._labels()).inc(amount)
+        counter = self._instrument("counter", name)
+        if counter is not None:
+            counter.inc(amount)
 
     def _observe(self, name: str, value: float, bounds) -> None:
-        registry = self._registry()
-        if registry is not None:
-            registry.histogram(name, bounds=bounds,
-                               **self._labels()).observe(value)
+        histogram = self._instrument("histogram", name, bounds)
+        if histogram is not None:
+            histogram.observe(value)
 
     def _note_queue(self) -> None:
-        registry = self._registry()
-        if registry is not None:
-            registry.gauge("replicator_queue_depth",
-                           **self._labels()).set(len(self._queue))
+        gauge = self._instrument("gauge", "replicator_queue_depth")
+        if gauge is not None:
+            gauge.set(len(self._queue))
 
     def _journal(self, kind: str, trace_id=None, **attrs) -> None:
         """Record a dependability event (no-op when the journal is off)."""

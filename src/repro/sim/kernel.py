@@ -23,7 +23,7 @@ import heapq
 import itertools
 import math
 import random
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.trace import TraceLog
@@ -92,15 +92,6 @@ class EventHandle:
     def pending(self) -> bool:
         """True if the event has neither fired nor been cancelled."""
         return not self.cancelled and self.callback is not _fired
-
-    def __lt__(self, other: "EventHandle") -> bool:
-        # Branchy compare instead of building two tuples: this runs
-        # once per heap sift step, the most-called function of a run.
-        st = self.time
-        ot = other.time
-        if st != ot:
-            return st < ot
-        return self.seq < other.seq
 
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else "pending"
@@ -289,7 +280,10 @@ class Simulator:
         #: bounded extra message delays; same-timestamp tie-breaking is
         #: folded into the sequence counter below.
         self.scheduler_policy: Any = None
-        self._heap: List[EventHandle] = []
+        #: ``(time, seq, handle)`` entries.  ``seq`` is unique, so the
+        #: heap orders by a C tuple compare of ``(time, seq)`` and never
+        #: reaches the handle.
+        self._heap: List[Tuple[float, Any, EventHandle]] = []
         self._seq = itertools.count()
         self._pids = itertools.count(1)
         self._running = False
@@ -324,7 +318,7 @@ class Simulator:
         so default-policy runs stay identical to pre-hook kernels.
 
         Must be called before any event is scheduled: mixing plain-int
-        and tuple sequence numbers in one heap would make handles
+        and tuple sequence numbers in one heap would make heap entries
         incomparable.
         """
         if self._heap:
@@ -364,9 +358,10 @@ class Simulator:
         if not callable(callback):
             raise SimulationError(f"callback is not callable: {callback!r}")
         # Inlined schedule_at: delay >= 0 already implies time >= now.
-        handle = EventHandle(self.now + delay, next(self._seq),
-                             callback, args, self)
-        heapq.heappush(self._heap, handle)
+        time = self.now + delay
+        seq = next(self._seq)
+        handle = EventHandle(time, seq, callback, args, self)
+        heapq.heappush(self._heap, (time, seq, handle))
         self._pending += 1
         return handle
 
@@ -378,8 +373,9 @@ class Simulator:
                 f"cannot schedule at t={time} before now={self.now}")
         if not callable(callback):
             raise SimulationError(f"callback is not callable: {callback!r}")
-        handle = EventHandle(time, next(self._seq), callback, args, self)
-        heapq.heappush(self._heap, handle)
+        seq = next(self._seq)
+        handle = EventHandle(time, seq, callback, args, self)
+        heapq.heappush(self._heap, (time, seq, handle))
         self._pending += 1
         return handle
 
@@ -392,10 +388,10 @@ class Simulator:
         heap = self._heap
         if cancelled >= COMPACT_MIN_CANCELLED and 2 * cancelled > len(heap):
             # Rebuild in place (run() holds an alias to the list) with
-            # only live handles.  heapify restores the invariant; the
+            # only live entries.  heapify restores the invariant; the
             # dispatch order is unchanged because the (time, seq)
             # ordering is total.
-            heap[:] = [h for h in heap if not h.cancelled]
+            heap[:] = [entry for entry in heap if not entry[2].cancelled]
             heapq.heapify(heap)
             self._cancelled = 0
 
@@ -409,7 +405,7 @@ class Simulator:
         """
         heap = self._heap
         while heap:
-            handle = heapq.heappop(heap)
+            handle = heapq.heappop(heap)[2]
             if handle.cancelled:
                 self._cancelled -= 1
                 continue
@@ -453,15 +449,15 @@ class Simulator:
                 # through without re-checking ``max_events``).
                 if not limitless and dispatched >= max_events:
                     break
-                head = heap[0]
+                time, _, head = heap[0]
                 if head.cancelled:
                     pop(heap)
                     self._cancelled -= 1
                     continue
-                if head.time > until:
+                if time > until:
                     break
                 pop(heap)
-                self.now = head.time
+                self.now = time
                 callback, args = head.callback, head.args
                 head.callback = _fired
                 head.args = ()

@@ -19,7 +19,7 @@ byte accounting identical keeps calibration anchors intact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Optional
 
 #: Key under which the context lives in ``service_contexts`` dicts.
@@ -54,11 +54,15 @@ class TraceContext:
     def in_transit(self, transit_id: int) -> "TraceContext":
         """Context carried *inside* a transit span: new spans parent to
         the transit span, and the receiver knows which span to close."""
-        return replace(self, span_id=transit_id, inflight=transit_id)
+        return TraceContext(self.trace_id, self.root_id, transit_id,
+                            transit_id)
 
     def at_root(self) -> "TraceContext":
-        """Context after a hop completed: parent back to the root."""
-        return replace(self, span_id=self.root_id, inflight=0)
+        """Context after a hop completed: parent back to the root
+        (``self`` when already there)."""
+        if self.span_id == self.root_id and not self.inflight:
+            return self
+        return TraceContext(self.trace_id, self.root_id, self.root_id)
 
 
 def context_of(message: Any) -> Optional[TraceContext]:

@@ -13,6 +13,7 @@ Prometheus client libraries use).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 #: Default latency bucket upper bounds in µs: geometric, spanning the
@@ -92,13 +93,16 @@ class Histogram:
         self.sum = 0.0
 
     def observe(self, value: float) -> None:
-        """Record one sample into its bucket (overflow past the bounds)."""
-        index = len(self.bounds)
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                index = i
-                break
-        self.counts[index] += 1
+        """Record one sample into its bucket (overflow past the bounds).
+
+        The bucket is the first bound ``>= value``; NaN is never
+        ``<=`` a bound, so it goes to the overflow bucket.
+        """
+        bounds = self.bounds
+        if value == value:
+            self.counts[bisect_left(bounds, value)] += 1
+        else:
+            self.counts[len(bounds)] += 1
         self.count += 1
         self.sum += value
 
@@ -173,8 +177,20 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._metrics: Dict[Tuple[str, LabelItems], object] = {}
         self._kinds: Dict[str, str] = {}
+        #: ``(name, kind, *labels.items())`` as called -> instrument:
+        #: repeat lookups skip validation and the sorted label key.
+        self._resolved: Dict[tuple, object] = {}
 
     def _get(self, name: str, kind: str, factory, labels: Dict[str, str]):
+        call = (name, kind, *labels.items())
+        metric = self._resolved.get(call)
+        if metric is None:
+            metric = self._register(name, kind, factory, labels)
+            self._resolved[call] = metric
+        return metric
+
+    def _register(self, name: str, kind: str, factory,
+                  labels: Dict[str, str]):
         if not name or not name.replace("_", "a").isidentifier():
             raise ValueError(f"bad metric name: {name!r}")
         known = self._kinds.get(name)

@@ -47,7 +47,7 @@ KIND_CHARGED = "charged"
 KIND_TRANSIT = "transit"
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One attributed interval of one trace."""
 
@@ -107,36 +107,33 @@ class Telemetry:
     # ------------------------------------------------------------------
     # Span lifecycle
     # ------------------------------------------------------------------
-    def _new(self, trace_id: str, parent_id: int, name: str,
-             component: str, host: str, process: str, start_us: float,
-             kind: str = KIND_MEASURED,
-             attrs: Optional[Dict[str, Any]] = None) -> Optional[Span]:
-        if len(self.spans) >= self.max_spans:
-            if self.dropped == 0 and self._trace is not None:
-                self._trace.record(start_us, "telemetry.drop",
-                                   f"span capacity {self.max_spans} "
-                                   f"reached; dropping further spans")
-            self.dropped += 1
-            return None
-        span = Span(span_id=next(self._ids), trace_id=trace_id,
-                    parent_id=parent_id, name=name, component=component,
-                    host=host, process=process, start_us=start_us,
-                    kind=kind, attrs=attrs or {})
-        self.spans.append(span)
-        self._open[span.span_id] = span
-        return span
+    # Every opener below builds its Span inline (positional fields, the
+    # caller's fresh ``**attrs`` dict kept as is): these run ~20 times
+    # per request when telemetry is on.
+    def _drop(self, now: float) -> None:
+        """Count one span lost to ``max_spans`` (one trace record for
+        the first)."""
+        if self.dropped == 0 and self._trace is not None:
+            self._trace.record(now, "telemetry.drop",
+                               f"span capacity {self.max_spans} "
+                               f"reached; dropping further spans")
+        self.dropped += 1
 
     def start_trace(self, trace_id: str, name: str = "request",
                     host: str = "", process: str = "",
                     now: float = 0.0,
                     **attrs: Any) -> Optional[TraceContext]:
         """Open a root span; returns the context to propagate."""
-        span = self._new(trace_id, 0, name, NO_COMPONENT, host, process,
-                         now, attrs=dict(attrs) if attrs else None)
-        if span is None:
+        spans = self.spans
+        if len(spans) >= self.max_spans:
+            self._drop(now)
             return None
-        return TraceContext(trace_id=trace_id, root_id=span.span_id,
-                            span_id=span.span_id)
+        span_id = next(self._ids)
+        span = Span(span_id, trace_id, 0, name, NO_COMPONENT, host,
+                    process, now, None, KIND_MEASURED, attrs)
+        spans.append(span)
+        self._open[span_id] = span
+        return TraceContext(trace_id, span_id, span_id)
 
     def begin(self, ctx: Optional[TraceContext], name: str,
               component: str, host: str = "", process: str = "",
@@ -144,9 +141,16 @@ class Telemetry:
         """Open a child span under ``ctx``; close it with :meth:`end`."""
         if ctx is None:
             return None
-        return self._new(ctx.trace_id, ctx.span_id, name, component,
-                         host, process, now,
-                         attrs=dict(attrs) if attrs else None)
+        spans = self.spans
+        if len(spans) >= self.max_spans:
+            self._drop(now)
+            return None
+        span_id = next(self._ids)
+        span = Span(span_id, ctx.trace_id, ctx.span_id, name, component,
+                    host, process, now, None, KIND_MEASURED, attrs)
+        spans.append(span)
+        self._open[span_id] = span
+        return span
 
     def end(self, span: Optional[Span], now: float) -> None:
         """Close an open span (no-op for None or already-closed)."""
@@ -162,12 +166,14 @@ class Telemetry:
         """Record an already-closed span (the *charged* case)."""
         if ctx is None:
             return None
-        span = self._new(ctx.trace_id, ctx.span_id, name, component,
-                         host, process, start_us, kind=kind,
-                         attrs=dict(attrs) if attrs else None)
-        if span is not None:
-            span.end_us = end_us
-            self._open.pop(span.span_id, None)
+        spans = self.spans
+        if len(spans) >= self.max_spans:
+            self._drop(start_us)
+            return None
+        span = Span(next(self._ids), ctx.trace_id, ctx.span_id, name,
+                    component, host, process, start_us, end_us, kind,
+                    attrs)
+        spans.append(span)
         return span
 
     # ------------------------------------------------------------------
@@ -186,12 +192,16 @@ class Telemetry:
         """
         if ctx is None:
             return None, None
-        span = self._new(ctx.trace_id, ctx.span_id, name, component,
-                         host, process, now, kind=KIND_TRANSIT,
-                         attrs=dict(attrs) if attrs else None)
-        if span is None:
+        spans = self.spans
+        if len(spans) >= self.max_spans:
+            self._drop(now)
             return None, ctx
-        return span, ctx.in_transit(span.span_id)
+        span_id = next(self._ids)
+        span = Span(span_id, ctx.trace_id, ctx.span_id, name, component,
+                    host, process, now, None, KIND_TRANSIT, attrs)
+        spans.append(span)
+        self._open[span_id] = span
+        return span, ctx.in_transit(span_id)
 
     def finish_inflight(self, ctx: Optional[TraceContext],
                         now: float) -> Optional[Span]:

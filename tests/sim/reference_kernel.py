@@ -48,12 +48,12 @@ class ReferenceSimulator(Simulator):
         dispatched = 0
         try:
             while self._heap:
-                head = self._heap[0]
+                time, _, head = self._heap[0]
                 if head.cancelled:
                     heapq.heappop(self._heap)
                     self._cancelled -= 1
                     continue
-                if head.time > until:
+                if time > until:
                     break
                 if max_events is not None and dispatched >= max_events:
                     break
@@ -68,7 +68,7 @@ class ReferenceSimulator(Simulator):
     @property
     def pending_events(self) -> int:
         """O(n) heap scan, as before the live counter."""
-        return sum(1 for h in self._heap if not h.cancelled)
+        return sum(1 for _, _, h in self._heap if not h.cancelled)
 
     def __repr__(self) -> str:
         return (f"<ReferenceSimulator now={self.now:.1f}us "

@@ -311,3 +311,52 @@ def test_compaction_during_run_is_safe():
     sim.run()
     assert fired == ["mid", len(handles) - 1]
     assert sim.pending_events == 0
+
+
+class _ScriptedTies:
+    """Scheduler policy whose tie-break values come from a fixed list."""
+
+    def __init__(self, ties):
+        self._ties = iter(ties)
+
+    def tie_break(self):
+        return next(self._ties)
+
+    def message_delay(self, _wire_bytes):
+        return 0.0
+
+
+def test_equal_times_dispatch_in_seq_order():
+    """Many events at a handful of times, scheduled out of time order
+    through both entry points: each time's events fire in the order
+    they were scheduled (their ``seq``), by run() and by step()."""
+    for drive in ("run", "step"):
+        sim = Simulator()
+        fired = []
+        expected = []
+        for i in range(200):
+            time = float((i * 7) % 5)
+            if i % 2:
+                sim.schedule(time, fired.append, (time, i))
+            else:
+                sim.schedule_at(time, fired.append, (time, i))
+            expected.append((time, i))
+        if drive == "run":
+            sim.run()
+        else:
+            while sim.step():
+                pass
+        assert fired == sorted(expected)
+
+
+def test_equal_times_dispatch_in_policy_seq_order():
+    """Under a scheduler policy ``seq`` is ``(tie, n)``: equal-time
+    events fire by tie-break value, then by scheduling order."""
+    ties = [(i * 5) % 3 for i in range(60)]
+    sim = Simulator()
+    sim.set_scheduler_policy(_ScriptedTies(ties))
+    fired = []
+    for i in range(60):
+        sim.schedule(float(i % 2), fired.append, i)
+    sim.run()
+    assert fired == sorted(range(60), key=lambda i: (i % 2, ties[i], i))

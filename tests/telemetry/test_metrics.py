@@ -172,3 +172,82 @@ class TestRegistry:
         assert list(DEFAULT_LATENCY_BUCKETS_US) == sorted(
             DEFAULT_LATENCY_BUCKETS_US)
         assert list(DEFAULT_BYTES_BUCKETS) == sorted(DEFAULT_BYTES_BUCKETS)
+
+
+def _linear_bucket(bounds, value):
+    """The bucket index of the original linear scan: first bound
+    ``>= value``, else the overflow bucket (NaN compares false)."""
+    for i, bound in enumerate(bounds):
+        if value <= bound:
+            return i
+    return len(bounds)
+
+
+class TestHistogramBucketEdges:
+    BOUNDS = (10.0, 100.0, 1000.0)
+
+    @pytest.mark.parametrize("value", [
+        10.0, 100.0, 1000.0,          # exactly on a bound: that bucket
+        1000.5, 1e12, float("inf"),   # past the last bound: overflow
+        float("nan"),                 # NaN: overflow
+        -5.0, 0.0, 10.000001, 99.9,
+    ])
+    def test_matches_linear_scan(self, value):
+        h = Histogram(bounds=self.BOUNDS)
+        h.observe(value)
+        expected = [0] * (len(self.BOUNDS) + 1)
+        expected[_linear_bucket(self.BOUNDS, value)] = 1
+        assert h.counts == expected
+        assert h.count == 1
+
+    def test_on_bound_past_last_and_nan(self):
+        h = Histogram(bounds=self.BOUNDS)
+        h.observe(100.0)
+        h.observe(5000.0)
+        h.observe(float("nan"))
+        assert h.counts == [0, 1, 0, 2]
+
+    def test_default_buckets_match_linear_scan(self):
+        h = Histogram()
+        values = [b * f for b in DEFAULT_LATENCY_BUCKETS_US
+                  for f in (0.5, 1.0, 1.0000001)]
+        expected = [0] * (len(DEFAULT_LATENCY_BUCKETS_US) + 1)
+        for value in values:
+            h.observe(value)
+            expected[_linear_bucket(DEFAULT_LATENCY_BUCKETS_US, value)] += 1
+        assert h.counts == expected
+
+
+class TestRegistryFastPath:
+    def test_kind_conflict_still_raises_after_cached_lookup(self):
+        reg = MetricsRegistry()
+        first = reg.counter("x", a="1")
+        assert reg.counter("x", a="1") is first  # served from the cache
+        with pytest.raises(ValueError):
+            reg.histogram("x", a="1")
+        with pytest.raises(ValueError):
+            reg.gauge("x", a="1")
+        assert reg.counter("x", a="1") is first
+
+    def test_bad_name_raises_on_first_use(self):
+        reg = MetricsRegistry()
+        for name in ("", "bad name", "1leading"):
+            with pytest.raises(ValueError):
+                reg.counter(name, a="1")
+            with pytest.raises(ValueError):  # nothing was cached
+                reg.counter(name, a="1")
+        assert len(reg) == 0
+
+    def test_label_order_does_not_matter(self):
+        reg = MetricsRegistry()
+        a = reg.counter("x_total", host="h1", process="p1")
+        b = reg.counter("x_total", process="p1", host="h1")
+        assert a is b
+        assert reg.counter("x_total", process="p1", host="h1") is a
+        assert len(reg) == 1
+
+    def test_histogram_bounds_bind_on_creation_only(self):
+        reg = MetricsRegistry()
+        h = reg.histogram("lat_us", bounds=(10.0,), host="h1")
+        assert reg.histogram("lat_us", bounds=(99.0,), host="h1") is h
+        assert h.bounds == (10.0,)

@@ -114,3 +114,77 @@ def test_null_telemetry_is_disabled_and_inert():
     assert sim.telemetry is NULL_TELEMETRY
     assert not sim.telemetry.enabled
     assert getattr(sim.telemetry, "metrics", None) is None
+
+
+def test_every_opener_counts_a_drop_at_capacity():
+    from repro.sim.trace import TraceLog
+    log = TraceLog()
+    t = Telemetry(max_spans=1, trace=log)
+    ctx = t.start_trace("req-1", now=0.0)
+    assert t.start_trace("req-2", now=1.0) is None
+    assert t.begin(ctx, "a", "orb", now=2.0) is None
+    assert t.emit(ctx, "b", "replicator", 3.0, 4.0) is None
+    assert t.begin_transit(ctx, "c", "gcs", 5.0) == (None, ctx)
+    assert t.dropped == 4
+    assert len(t) == 1 and t.open_spans == 1
+    drops = log.query("telemetry.drop")
+    assert len(drops) == 1
+    assert drops[0].time == 1.0  # stamped at the first lost span
+
+
+def test_context_moves_match_dataclass_replace():
+    from dataclasses import replace
+    ctx = TraceContext("req-1", root_id=7, span_id=7)
+    carried = ctx.in_transit(9)
+    assert carried == replace(ctx, span_id=9, inflight=9)
+    assert carried.at_root() == replace(carried, span_id=7, inflight=0)
+    assert carried.at_root() == ctx
+    assert ctx.at_root() is ctx  # already rooted: no new object
+    nested = TraceContext("req-1", root_id=7, span_id=8)
+    assert nested.at_root() == replace(nested, span_id=7, inflight=0)
+    # A context parked on its root but still carrying a transit id is
+    # not rooted: at_root() clears the transit.
+    parked = TraceContext("req-1", root_id=7, span_id=7, inflight=9)
+    assert parked.at_root() == ctx and parked.at_root() is not parked
+
+
+def _exported_round_trip() -> Telemetry:
+    t = Telemetry()
+    ctx = t.start_trace("req-1", host="w01", process="client", now=0.0)
+    span = t.begin(ctx, "marshal", "orb", host="w01", process="client",
+                   now=0.0, operation="add")
+    t.end(span, 12.5)
+    _, carried = t.begin_transit(ctx, "gcs.request", "gcs", 12.5,
+                                 host="w01", process="client")
+    t.emit(carried, "gcsd.ipc", "gcs", 20.0, 22.0, host="s01",
+           process="gcsd")
+    t.finish_inflight(carried, 30.0)
+    t.emit(carried.at_root(), "redirect", "replicator", 30.0, 34.5,
+           host="s01", process="srv", style="active")
+    t.finish_trace(ctx, 100.0)
+    return t
+
+
+def test_span_exports_are_pinned():
+    """The exporters see a Span only through its fields: the slotted,
+    positionally built span must export byte for byte as before."""
+    import hashlib
+
+    from repro.telemetry import chrome_trace_json, spans_to_csv
+    from repro.telemetry.analysis import validate_spans
+
+    spans = _exported_round_trip().spans
+    chrome = chrome_trace_json(spans).encode()
+    assert hashlib.sha256(chrome).hexdigest() == (
+        "a9d859aafa61b7fa1899827690e70db1a451adb5066e3547cb326064876809bb")
+    assert spans_to_csv(spans) == (
+        "trace_id,span_id,parent_id,name,component,host,process,"
+        "start_us,end_us,duration_us,kind\r\n"
+        "req-1,1,0,request,,w01,client,0.000,100.000,100.000,measured\r\n"
+        "req-1,2,1,marshal,orb,w01,client,0.000,12.500,12.500,measured\r\n"
+        "req-1,3,1,gcs.request,gcs,w01,client,12.500,30.000,17.500,"
+        "transit\r\n"
+        "req-1,4,3,gcsd.ipc,gcs,s01,gcsd,20.000,22.000,2.000,charged\r\n"
+        "req-1,5,1,redirect,replicator,s01,srv,30.000,34.500,4.500,"
+        "charged\r\n")
+    assert validate_spans(spans) == []
