@@ -17,8 +17,11 @@ driven by a :class:`ModeManager` over three declared operating modes:
   mode's contracts keep failing (Section 3.1's "alternative (possibly
   degraded) behavioral contracts").
 
-During the mission a replica host fails (hardware crash fault); the
-service keeps answering throughout.
+During the mission two replica hosts fail (hardware crash faults):
+one mid-encounter, masked by active replication, and the primary
+during cruise, where a warm-passive backup takes over.  The service
+keeps answering throughout, and the dependability journal records
+what happened.
 
 Run:  python examples/mission_modes.py
 """
@@ -35,12 +38,22 @@ from repro.replication import (
     ReplicationConfig,
     ReplicationStyle,
 )
-from repro.tools import render_timeline, summarize_trace
+from dataclasses import replace
+
+from repro.sim import JournalConfig, default_calibration
+from repro.tools import render_journal
 from repro.workload import ClosedLoopClient
+
+#: Journal kinds the annotated timeline shows: faults, detection,
+#: daemon views, Fig. 5 switch steps and failovers.
+TIMELINE_KINDS = ("fault.inject", "detector.suspect", "daemon.install",
+                  "switch", "failover")
 
 
 def main() -> None:
-    testbed = Testbed.paper_testbed(4, 1, seed=7)
+    calibration = replace(default_calibration(),
+                          journal=JournalConfig(enabled=True))
+    testbed = Testbed.paper_testbed(4, 1, seed=7, calibration=calibration)
     config = ReplicationConfig(style=ReplicationStyle.WARM_PASSIVE,
                                group="telemetry")
     style_knob = ReplicationStyleKnob([])
@@ -125,24 +138,29 @@ def main() -> None:
     testbed.run(2_000_000)
     run_phase(60)
 
+    print("\nhardware fault: primary host s01 dies during cruise ...")
+    injector.crash_host_at(testbed.hosts["s01"], testbed.now + 1000)
+    testbed.run(1_700_000)
+    run_phase(60)
+
     print("\nmission transitions:")
     for transition in modes.transitions:
         print(f"  t={transition.time / 1e6:6.1f}s  "
               f"{transition.from_mode or '-':10s} -> "
               f"{transition.to_mode:10s} ({transition.reason})")
 
+    journal = testbed.sim.journal
     print("\nannotated run timeline (faults, switches, view changes):")
-    print(render_timeline(testbed.sim.trace, categories=[
-        ("host.crash", "FAULT"), ("gcs.suspect", "DETECT"),
-        ("gcs.install", "VIEW"), ("repl.switch", "SWITCH"),
-        ("repl.failover", "FAILOVER"), ("repl.factory", "FACTORY"),
-    ], limit=20))
+    print(render_journal(
+        [event for kind in TIMELINE_KINDS
+         for event in journal.of_kind(kind)], limit=30))
 
-    summary = summarize_trace(testbed.sim.trace)
-    print(f"\nrun summary: {summary['style_switches']} style switches, "
-          f"{summary['host_crashes']} host crash(es), "
-          f"{summary['daemon_view_changes']} daemon view change(s), "
-          f"{summary['failovers']} failover(s)")
+    switches = (len(journal.of_kind("switch.complete"))
+                + len(journal.of_kind("switch.rollback")))
+    print(f"\nrun summary: {switches} style switches, "
+          f"{len(journal.of_kind('fault.inject'))} host crash(es), "
+          f"{len(journal.of_kind('daemon.install'))} daemon view change(s), "
+          f"{len(journal.of_kind('failover'))} failover(s)")
 
 
 if __name__ == "__main__":

@@ -98,10 +98,6 @@ class AdaptationManager(Actor):
             from_style=self.replicator.style, to_style=target,
             switch_id=switch_id)
         self.events.append(event)
-        self.trace("adapt.switch",
-                   f"rate {group_rate:.0f} req/s -> switching to "
-                   f"{target.value}", rate=group_rate,
-                   target=target.value, switch_id=switch_id)
         journal = self.sim.journal
         if journal.enabled:
             # The replicated-state inputs the deterministic policy saw:

@@ -56,14 +56,12 @@ class Testbed:
         if self.calibration.telemetry.enabled:
             from repro.telemetry.spans import Telemetry
             self.sim.telemetry = Telemetry(
-                max_spans=self.calibration.telemetry.max_spans,
-                trace=self.sim.trace)
+                max_spans=self.calibration.telemetry.max_spans)
         if self.calibration.journal.enabled:
             from repro.journal.events import Journal
             self.sim.journal = Journal(
                 ring_size=self.calibration.journal.ring_size,
-                max_events=self.calibration.journal.max_events,
-                trace=self.sim.trace)
+                max_events=self.calibration.journal.max_events)
         self.network = Network(self.sim, self.calibration.network)
         self.hosts: Dict[str, Host] = {}
         self.daemons: Dict[str, GcsDaemon] = {}

@@ -377,8 +377,7 @@ class GcsDaemon(Actor):
             self._cpu(lambda: self._deliver_raw(payload))
         elif isinstance(payload, RejoinRequest):
             self._cpu(lambda: self._on_rejoin_request(payload))
-        else:  # pragma: no cover - unknown frames dropped like real UDP
-            self.trace("gcs.drop", f"unknown frame kind {type(payload)}")
+        # Any other frame kind is dropped silently, like real UDP.
 
     def _on_reliable(self, peer: str, inner: Any, nbytes: int) -> None:
         """In-order reliable delivery from ``peer``: charge daemon CPU
@@ -443,8 +442,7 @@ class GcsDaemon(Actor):
             self._on_group_snapshot(inner)
         elif isinstance(inner, ViewInstall):
             self._on_view_install(inner)
-        else:  # pragma: no cover
-            self.trace("gcs.drop", f"unknown reliable message {type(inner)}")
+        # Any other reliable message is dropped silently.
 
     def _enqueue_or_run(self, op: Callable[[], None]) -> None:
         """Run an application-level send now, or buffer it while a
@@ -612,12 +610,6 @@ class GcsDaemon(Actor):
         self._rebuild_group_routing(state)
         state.view_id += 1
         view = GroupView(group, state.view_id, tuple(state.members))
-        self.trace("gcs.view",
-                   f"group {group} view {state.view_id}: "
-                   f"{[str(m) for m in state.members]}",
-                   group=group, view_id=state.view_id,
-                   joined=[str(m) for m in joined],
-                   left=[str(m) for m in left], crashed=crashed)
         journal = self.sim.journal
         if journal.enabled:
             journal.record(self.sim.now, self.host.name, "gcs",
@@ -770,9 +762,7 @@ class GcsDaemon(Actor):
             self._cpu(lambda: self._deliver_direct(message))
         elif message.dst.host in self._view_set:
             self._send_to(message.dst.host)(message, message.payload_bytes)
-        else:
-            self.trace("gcs.drop",
-                       f"direct to {message.dst} on dead host dropped")
+        # A direct to a host outside the view is dropped silently.
 
     def _deliver_direct(self, message: Direct) -> None:
         port = self._clients.get(message.dst)
@@ -844,8 +834,6 @@ class GcsDaemon(Actor):
         if not newly:
             return
         self._suspects |= newly
-        self.trace("gcs.suspect",
-                   f"suspecting {sorted(newly)}", suspects=sorted(self._suspects))
         journal = self.sim.journal
         if journal.enabled:
             journal.record(self.sim.now, self.host.name, "gcs",
@@ -892,10 +880,6 @@ class GcsDaemon(Actor):
         self._links.clear()
         self._sends.clear()
         groups = sorted(self._groups)
-        self.trace("gcs.partition",
-                   f"minority component {sorted(live)} of "
-                   f"{list(self.view.members)}: wedged",
-                   live=sorted(live), suspects=sorted(self._suspects))
         journal = self.sim.journal
         if journal.enabled:
             journal.record(self.sim.now, self.host.name, "gcs",
@@ -1015,8 +999,6 @@ class GcsDaemon(Actor):
         majority removed while we were away."""
         self._wedged = False
         self.cancel_timer("rejoin")
-        self.trace("gcs.partition",
-                   f"healed into daemon view {self.view.view_id}")
         journal = self.sim.journal
         if journal.enabled:
             journal.record(self.sim.now, self.host.name, "gcs",
@@ -1044,9 +1026,6 @@ class GcsDaemon(Actor):
         self._flush_proposal = proposal
         self._flush_acks = {}
         self._suspended = True
-        self.trace("gcs.flush",
-                   f"flush epoch {self._flush_epoch} proposal {list(proposal)}",
-                   epoch=self._flush_epoch, proposal=list(proposal))
         request = FlushRequest(epoch=self._flush_epoch,
                                proposer=self.host.name, members=proposal,
                                proposer_view_id=self.view.view_id)
@@ -1194,11 +1173,6 @@ class GcsDaemon(Actor):
         self._rebuild_view_routing()
         self._suspects &= set(install.view.members)
         self._next_seq = dict(install.next_seqs)
-        self.trace("gcs.install",
-                   f"installed daemon view {self.view.view_id} "
-                   f"members {list(self.view.members)}",
-                   view_id=self.view.view_id,
-                   members=list(self.view.members), dead=sorted(dead))
         journal = self.sim.journal
         if journal.enabled:
             journal.record(self.sim.now, self.host.name, "gcs",

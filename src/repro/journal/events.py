@@ -106,8 +106,7 @@ class Journal:
 
     enabled = True
 
-    def __init__(self, ring_size: int = 256, max_events: int = 100_000,
-                 trace: Optional[Any] = None):
+    def __init__(self, ring_size: int = 256, max_events: int = 100_000):
         if ring_size < 1:
             raise ValueError("ring_size must be positive")
         if max_events < 1:
@@ -116,7 +115,6 @@ class Journal:
         self.max_events = max_events
         self.events: List[JournalEvent] = []
         self.dropped = 0
-        self._trace = trace
         self._rings: Dict[str, Deque[JournalEvent]] = {}
         self._seq = 0
         # Adaptation decisions keyed by switch_id: the first manager to
@@ -152,11 +150,6 @@ class Journal:
                 decision.attrs.setdefault("voter_hosts", []).append(host)
                 return None
         if len(self.events) >= self.max_events:
-            if self.dropped == 0 and self._trace is not None:
-                self._trace.record(time_us, "journal.drop",
-                                   f"journal full at {self.max_events} "
-                                   f"events; dropping further events",
-                                   max_events=self.max_events)
             self.dropped += 1
             return None
         event = JournalEvent(seq=self._seq, time_us=time_us, host=host,

@@ -123,9 +123,6 @@ class Network:
             dropped, extra_delay = self.loss.judge(sim.now, sim.rng)
             if dropped:
                 self.stats.record_drop()
-                sim.trace.record(sim.now, "net.drop",
-                                 f"frame {frame.src} -> {frame.dst} lost",
-                                 kind=frame.kind)
                 return
         else:
             # Fast path: with no fault models installed the composite
@@ -145,10 +142,6 @@ class Network:
                                                 sim.now, sim.rng)
                 if f_dropped:
                     self.stats.record_drop()
-                    sim.trace.record(sim.now, "net.filter",
-                                     f"frame {frame.src} -> {frame.dst} "
-                                     f"cut by {type(filt).__name__}",
-                                     kind=frame.kind)
                     return
                 extra_delay += f_extra
 

@@ -268,9 +268,6 @@ class ClientReplicator(Actor, ClientTransport):
             return
         breaker.open_until_us = self.sim.now + policy.breaker_cooldown_us
         self.breaker_trips += 1
-        self.trace("repl.client.breaker",
-                   f"breaker open for {endpoint} "
-                   f"({breaker.consecutive_timeouts} consecutive timeouts)")
         journal = self.sim.journal
         if journal.enabled:
             journal.record(self.sim.now, self.process.host.name,
@@ -302,10 +299,6 @@ class ClientReplicator(Actor, ClientTransport):
             self.failures += 1
             if expired:
                 self.deadline_giveups += 1
-            reason = "deadline" if expired else "retries"
-            self.trace("repl.client.failure",
-                       f"giving up on {request_id} after "
-                       f"{entry.attempts} attempts ({reason})")
             journal = self.sim.journal
             if journal.enabled:
                 # The ``reason`` attribute only appears on the deadline

@@ -95,9 +95,7 @@ class ReplicaFactory(Actor):
         while deficit > 0:
             host = self._free_host()
             if host is None:
-                self.trace("repl.factory",
-                           f"no free host to spawn a {self.group} replica")
-                break
+                break  # no free host: retry on the next reconcile
             self._spawn_on(host)
             deficit -= 1
         surplus = self.live_count - self._target
@@ -122,9 +120,6 @@ class ReplicaFactory(Actor):
 
     def _spawn_on(self, host: Host) -> None:
         self._spawning_hosts[host.name] = self.sim.now
-        self.trace("repl.factory",
-                   f"spawning {self.group} replica on {host.name}",
-                   host=host.name)
 
         def launch() -> None:
             if not self.alive or not host.alive:

@@ -659,8 +659,6 @@ class ServerReplicator(Actor, ServerTransport):
                 return
             if self._state_provider is not None:
                 self._state_provider.restore_state(state)
-            self.trace("repl.recovery",
-                       f"{self.member} restored from stable store")
             self._mark_synced()
         return run
 
@@ -677,7 +675,6 @@ class ServerReplicator(Actor, ServerTransport):
             return
         self._synced = True
         self.cancel_timer("sync-retry")
-        self.trace("repl.sync", f"{self.member} synced into {self.group}")
         self._journal("state.sync", member=str(self.member),
                       style=self.style.value)
         self._drain_queue()
@@ -810,9 +807,7 @@ class ServerReplicator(Actor, ServerTransport):
             return
         if command.target is ReplicationStyle.COLD_PASSIVE \
                 and self.store is None:
-            self.trace("repl.switch",
-                       "refusing switch to cold passive without a store")
-            return
+            return  # a cold-passive style needs a stable store
         telemetry = self.sim.telemetry
         switch_ctx = None
         if telemetry.enabled:
@@ -829,9 +824,6 @@ class ServerReplicator(Actor, ServerTransport):
                                    target=command.target,
                                    started_at=self.sim.now,
                                    trace_ctx=switch_ctx)
-        self.trace("repl.switch",
-                   f"step II: preparing {self.style.value} -> "
-                   f"{command.target.value}", switch_id=command.switch_id)
         self._journal("switch.prepare",
                       trace_id=(switch_ctx.trace_id
                                 if switch_ctx is not None else None),
@@ -872,10 +864,6 @@ class ServerReplicator(Actor, ServerTransport):
             switch_id=switch.switch_id, from_style=switch.from_style,
             to_style=switch.target, started_at=switch.started_at,
             completed_at=self.sim.now, queued_requests=queued))
-        self.trace("repl.switch",
-                   f"step III: switched to {self.style.value} "
-                   f"({queued} queued requests)",
-                   switch_id=switch.switch_id, queued=queued)
         self._journal("switch.complete",
                       trace_id=(switch.trace_ctx.trace_id
                                 if switch.trace_ctx is not None else None),
@@ -922,10 +910,6 @@ class ServerReplicator(Actor, ServerTransport):
             to_style=switch.target, started_at=switch.started_at,
             completed_at=self.sim.now, rolled_back=True,
             queued_requests=queued))
-        self.trace("repl.switch",
-                   f"rollback: primary crashed mid-switch; processing "
-                   f"{queued} outstanding requests",
-                   switch_id=switch.switch_id)
         self._journal("switch.rollback",
                       trace_id=(switch.trace_ctx.trace_id
                                 if switch.trace_ctx is not None else None),
@@ -989,8 +973,6 @@ class ServerReplicator(Actor, ServerTransport):
         """Warm-passive failover: the oldest surviving backup becomes
         primary — its state is the last applied checkpoint, plus the
         replay of logged requests in broadcast mode."""
-        self.trace("repl.failover",
-                   f"{self.member} taking over as primary")
         self._journal("failover", member=str(self.member),
                       style=self.style.value,
                       logged_requests=len(self._request_log))

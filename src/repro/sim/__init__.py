@@ -5,7 +5,6 @@ Public surface:
 - :class:`Simulator` — event-heap kernel with a microsecond clock
 - :class:`Host`, :class:`Process`, :class:`Cpu` — machine model
 - :class:`Actor` — timer-managed protocol component
-- :class:`TraceLog`, :class:`TraceRecord` — structured run trace
 - :class:`SubstrateCalibration` and friends — paper-anchored cost models
 """
 
@@ -37,7 +36,6 @@ from repro.sim.kernel import (
     NullTelemetry,
     Simulator,
 )
-from repro.sim.trace import TraceLog, TraceRecord
 
 __all__ = [
     "Actor",
@@ -65,7 +63,5 @@ __all__ = [
     "Simulator",
     "SubstrateCalibration",
     "TelemetryConfig",
-    "TraceLog",
-    "TraceRecord",
     "default_calibration",
 ]

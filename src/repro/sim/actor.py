@@ -89,10 +89,5 @@ class Actor:
     def on_stop(self) -> None:
         """Hook for subclasses; called once when the process dies."""
 
-    def trace(self, category: str, message: str, **data: Any) -> None:
-        """Record a trace entry stamped with this actor's name."""
-        self.sim.trace.record(self.sim.now, category, message,
-                              actor=self.name, **data)
-
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name}>"

@@ -128,8 +128,6 @@ class Host:
         if not self.alive:
             return
         self.alive = False
-        self.sim.trace.record(self.sim.now, "host.crash",
-                              f"host {self.name} crashed", host=self.name)
         for proc in list(self.processes):
             proc.kill(reason="host crash")
         self._ports.clear()
@@ -140,8 +138,6 @@ class Host:
             return
         self.alive = True
         self.cpu = Cpu(self.sim, self.calibration)
-        self.sim.trace.record(self.sim.now, "host.restart",
-                              f"host {self.name} restarted", host=self.name)
 
     def __repr__(self) -> str:
         state = "up" if self.alive else "down"
@@ -178,10 +174,6 @@ class Process:
         if not self.alive:
             return
         self.alive = False
-        self.sim.trace.record(self.sim.now, "process.crash",
-                              f"process {self.name} died ({reason})",
-                              process=self.name, host=self.host.name,
-                              reason=reason)
         for callback in list(self._on_kill):
             callback()
         self._on_kill.clear()

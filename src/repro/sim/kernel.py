@@ -26,7 +26,6 @@ import random
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
-from repro.sim.trace import TraceLog
 
 
 class _PolicySequence:
@@ -250,15 +249,12 @@ class Simulator:
         behaviour in the library (network jitter, loss, workload
         arrivals) draws from :attr:`rng`, so a run is reproducible from
         its seed alone.
-    trace:
-        Optional :class:`TraceLog`; a fresh one is created by default.
     """
 
-    def __init__(self, seed: int = 0, trace: Optional[TraceLog] = None):
+    def __init__(self, seed: int = 0):
         self.now: float = 0.0
         self.rng = random.Random(seed)
         self.seed = seed
-        self.trace = trace if trace is not None else TraceLog()
         #: Trace recorder; the no-op by default.  The testbed swaps in
         #: a :class:`repro.telemetry.Telemetry` when calibration says
         #: so.  Recording is observation-only (never schedules events),

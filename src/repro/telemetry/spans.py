@@ -95,30 +95,21 @@ class Telemetry:
 
     enabled = True
 
-    def __init__(self, max_spans: int = 200_000, trace: Any = None):
+    def __init__(self, max_spans: int = 200_000):
         self.max_spans = max_spans
         self.spans: List[Span] = []
         self.dropped = 0
         self.metrics = MetricsRegistry()
         self._open: Dict[int, Span] = {}
         self._ids = itertools.count(1)
-        self._trace = trace  # optional TraceLog for telemetry.* records
 
     # ------------------------------------------------------------------
     # Span lifecycle
     # ------------------------------------------------------------------
     # Every opener below builds its Span inline (positional fields, the
     # caller's fresh ``**attrs`` dict kept as is): these run ~20 times
-    # per request when telemetry is on.
-    def _drop(self, now: float) -> None:
-        """Count one span lost to ``max_spans`` (one trace record for
-        the first)."""
-        if self.dropped == 0 and self._trace is not None:
-            self._trace.record(now, "telemetry.drop",
-                               f"span capacity {self.max_spans} "
-                               f"reached; dropping further spans")
-        self.dropped += 1
-
+    # per request when telemetry is on.  A span past ``max_spans`` is
+    # not stored, only counted in ``dropped``.
     def start_trace(self, trace_id: str, name: str = "request",
                     host: str = "", process: str = "",
                     now: float = 0.0,
@@ -126,7 +117,7 @@ class Telemetry:
         """Open a root span; returns the context to propagate."""
         spans = self.spans
         if len(spans) >= self.max_spans:
-            self._drop(now)
+            self.dropped += 1
             return None
         span_id = next(self._ids)
         span = Span(span_id, trace_id, 0, name, NO_COMPONENT, host,
@@ -143,7 +134,7 @@ class Telemetry:
             return None
         spans = self.spans
         if len(spans) >= self.max_spans:
-            self._drop(now)
+            self.dropped += 1
             return None
         span_id = next(self._ids)
         span = Span(span_id, ctx.trace_id, ctx.span_id, name, component,
@@ -168,7 +159,7 @@ class Telemetry:
             return None
         spans = self.spans
         if len(spans) >= self.max_spans:
-            self._drop(start_us)
+            self.dropped += 1
             return None
         span = Span(next(self._ids), ctx.trace_id, ctx.span_id, name,
                     component, host, process, start_us, end_us, kind,
@@ -194,7 +185,7 @@ class Telemetry:
             return None, None
         spans = self.spans
         if len(spans) >= self.max_spans:
-            self._drop(now)
+            self.dropped += 1
             return None, ctx
         span_id = next(self._ids)
         span = Span(span_id, ctx.trace_id, ctx.span_id, name, component,

@@ -1,19 +1,19 @@
-"""Operator tools: trace timelines, ASCII charts, CSV export.
+"""Operator tools: journal timelines, ASCII charts, CSV export.
 
 Public surface:
 
-- :func:`render_timeline`, :func:`render_series`,
-  :func:`summarize_trace` — human-readable run inspection
 - :func:`render_journal`, :func:`journal_summary`,
   :func:`journal_html` — the dependability-journal observatory
 - :func:`profile_to_csv`, :func:`policy_to_csv`,
   :func:`scores_to_csv`, :func:`series_to_csv` — data export for
   external plotting
+- :func:`render_series` — an ASCII bar chart of a time series
 """
 
 from repro.tools.export import (
     policy_to_csv,
     profile_to_csv,
+    render_series,
     scores_to_csv,
     series_to_csv,
 )
@@ -23,15 +23,8 @@ from repro.tools.observatory import (
     journal_summary,
     render_journal,
 )
-from repro.tools.timeline import (
-    DEFAULT_CATEGORIES,
-    render_series,
-    render_timeline,
-    summarize_trace,
-)
 
 __all__ = [
-    "DEFAULT_CATEGORIES",
     "JOURNAL_TAGS",
     "journal_html",
     "journal_summary",
@@ -39,8 +32,6 @@ __all__ = [
     "profile_to_csv",
     "render_journal",
     "render_series",
-    "render_timeline",
     "scores_to_csv",
     "series_to_csv",
-    "summarize_trace",
 ]

@@ -2,14 +2,15 @@
 
 The paper's figures are plots over the Fig. 7 sweep; these helpers
 serialize a :class:`Profile` (and scenario results) to CSV so any
-plotting tool can regenerate them.
+plotting tool can regenerate them, or render a series as an ASCII
+chart for the terminal.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from typing import Iterable, Optional, Sequence, TextIO
+from typing import Iterable, Optional, Sequence, TextIO, Tuple
 
 from repro.core.measurements import Profile
 from repro.core.policies import ScalabilityPolicy
@@ -94,3 +95,21 @@ def series_to_csv(series: Iterable[tuple], header: tuple,
     if out is not None:
         out.write(text)
     return text
+
+
+def render_series(series: Iterable[Tuple[float, float]],
+                  width: int = 50, label: str = "value",
+                  time_divisor: float = 1e6,
+                  time_unit: str = "s") -> str:
+    """Render an (time, value) series as a horizontal ASCII bar chart."""
+    points = list(series)
+    if not points:
+        return "(empty series)"
+    peak = max(value for _, value in points)
+    scale = (width / peak) if peak > 0 else 0.0
+    lines = [f"{label} (peak {peak:.1f})"]
+    for time, value in points:
+        bar = "#" * int(value * scale)
+        lines.append(f"{time / time_divisor:9.2f}{time_unit} "
+                     f"{value:10.1f} |{bar}")
+    return "\n".join(lines)

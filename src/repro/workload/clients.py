@@ -99,8 +99,6 @@ class ClosedLoopClient(Actor):
             return
         if self.stats.sent >= self.n_requests:
             self.finished_at = self.sim.now
-            self.trace("workload.done",
-                       f"cycle of {self.n_requests} requests complete")
             return
         key = self.object_key
         if self.object_keys is not None:

@@ -56,3 +56,12 @@ def test_adaptive_example_reports_gain():
         capture_output=True, text=True, timeout=900)
     assert "gain +" in result.stdout
     assert "warm_passive -> active" in result.stdout
+
+
+def test_mission_modes_prints_journal_timeline():
+    result = subprocess.run(
+        [sys.executable, str(EXAMPLES_DIR / "mission_modes.py")],
+        capture_output=True, text=True, timeout=900)
+    assert result.returncode == 0, result.stderr[-2000:]
+    for tag in ("FAULT", "SWITCH", "FAILOVER"):
+        assert f"] {tag} " in result.stdout, tag

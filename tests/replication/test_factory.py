@@ -108,7 +108,6 @@ def test_no_free_host_logged_not_fatal():
     testbed, factory, client = _factory_rig(target=5, n_hosts=2)
     testbed.run(3_000_000)
     assert factory.live_count == 2
-    assert testbed.sim.trace.count("repl.factory") > 0
 
 
 def test_negative_target_rejected():

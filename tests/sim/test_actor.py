@@ -102,15 +102,6 @@ def test_set_timer_on_dead_actor_is_noop(sim, process):
     assert not actor.timer_pending("t")
 
 
-def test_trace_records_actor_name(sim, process):
-    actor = Actor(process, name="my-actor")
-    actor.trace("test.cat", "hello", value=1)
-    rec = sim.trace.last("test.cat")
-    assert rec is not None
-    assert rec.data["actor"] == "my-actor"
-    assert rec.data["value"] == 1
-
-
 def test_alive_tracks_process(sim, process):
     actor = Actor(process)
     assert actor.alive

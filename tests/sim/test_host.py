@@ -141,10 +141,6 @@ class TestCrashSemantics:
         assert host.alive
         assert host.cpu.busy_us == 0.0
 
-    def test_crash_recorded_in_trace(self, sim, host):
-        host.crash()
-        assert sim.trace.count("host.crash") == 1
-
     def test_pids_unique(self, sim, host):
         p1 = Process(host, "a")
         p2 = Process(host, "b")

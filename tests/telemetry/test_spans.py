@@ -81,9 +81,7 @@ def test_finish_trace_closes_root():
 
 
 def test_capacity_drop_counts_and_traces():
-    from repro.sim.trace import TraceLog
-    log = TraceLog()
-    t = Telemetry(max_spans=2, trace=log)
+    t = Telemetry(max_spans=2)
     ctx = t.start_trace("req-1", now=0.0)
     t.begin(ctx, "a", "orb", now=1.0)
     assert t.begin(ctx, "b", "orb", now=2.0) is None  # over capacity
@@ -93,8 +91,6 @@ def test_capacity_drop_counts_and_traces():
     assert carried is ctx  # context keeps propagating undisturbed
     assert t.dropped == 3
     assert len(t) == 2
-    drops = log.query("telemetry.drop")
-    assert len(drops) == 1  # the drop is traced once, not per span
 
 
 def test_traces_grouping():
@@ -117,9 +113,7 @@ def test_null_telemetry_is_disabled_and_inert():
 
 
 def test_every_opener_counts_a_drop_at_capacity():
-    from repro.sim.trace import TraceLog
-    log = TraceLog()
-    t = Telemetry(max_spans=1, trace=log)
+    t = Telemetry(max_spans=1)
     ctx = t.start_trace("req-1", now=0.0)
     assert t.start_trace("req-2", now=1.0) is None
     assert t.begin(ctx, "a", "orb", now=2.0) is None
@@ -127,9 +121,6 @@ def test_every_opener_counts_a_drop_at_capacity():
     assert t.begin_transit(ctx, "c", "gcs", 5.0) == (None, ctx)
     assert t.dropped == 4
     assert len(t) == 1 and t.open_spans == 1
-    drops = log.query("telemetry.drop")
-    assert len(drops) == 1
-    assert drops[0].time == 1.0  # stamped at the first lost span
 
 
 def test_context_moves_match_dataclass_replace():

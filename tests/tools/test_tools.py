@@ -1,64 +1,13 @@
-"""Tests for the trace-timeline and export tools."""
-
-import pytest
+"""Tests for the ASCII-chart and export tools."""
 
 from repro.core import ConfigPoint, Measurement, Profile, ScalabilityPolicy
 from repro.replication import ReplicationStyle
-from repro.sim import TraceLog
 from repro.tools import (
-    DEFAULT_CATEGORIES,
     policy_to_csv,
     profile_to_csv,
     render_series,
-    render_timeline,
     series_to_csv,
-    summarize_trace,
 )
-
-
-@pytest.fixture
-def trace():
-    log = TraceLog()
-    log.record(100_000.0, "host.crash", "host s02 crashed")
-    log.record(450_000.0, "gcs.suspect", "suspecting ['s02']")
-    log.record(500_000.0, "gcs.install", "installed daemon view 1")
-    log.record(600_000.0, "repl.switch", "step III: switched to active")
-    log.record(700_000.0, "adapt.switch", "rate 900 -> switching")
-    log.record(800_000.0, "net.drop", "frame lost")  # not in defaults
-    return log
-
-
-class TestTimeline:
-    def test_renders_selected_categories_in_time_order(self, trace):
-        text = render_timeline(trace)
-        lines = text.splitlines()
-        assert len(lines) == 5  # net.drop excluded
-        assert "FAULT" in lines[0]
-        assert "SWITCH" in lines[3]
-        times = [float(line.split("s]")[0].strip("[ "))
-                 for line in lines]
-        assert times == sorted(times)
-
-    def test_since_filter(self, trace):
-        text = render_timeline(trace, since_us=550_000.0)
-        assert "crashed" not in text
-        assert "switched" in text
-
-    def test_limit(self, trace):
-        text = render_timeline(trace, limit=2)
-        assert len(text.splitlines()) == 2
-
-    def test_custom_categories(self, trace):
-        text = render_timeline(trace, categories=[("net.drop", "DROP")])
-        assert text.splitlines() == [text]  # single line
-        assert "DROP" in text
-
-    def test_summary_counters(self, trace):
-        summary = summarize_trace(trace)
-        assert summary["host_crashes"] == 1
-        assert summary["daemon_view_changes"] == 1
-        assert summary["style_switches"] == 1
-        assert summary["adaptations"] == 1
 
 
 class TestSeries:
@@ -119,17 +68,6 @@ class TestCsvExport:
 
 
 class TestTelemetryCategories:
-    def test_telemetry_drop_is_a_default_category(self):
-        assert ("telemetry.drop", "TELEM") in DEFAULT_CATEGORIES
-
-    def test_drop_record_renders_in_timeline(self):
-        log = TraceLog()
-        log.record(250_000.0, "telemetry.drop",
-                   "span capacity 10 reached; dropping further spans")
-        text = render_timeline(log)
-        assert "TELEM" in text
-        assert "span capacity" in text
-
     def test_series_renders_telemetry_quantiles(self):
         # The ASCII chart is format-agnostic; feed it p99 samples the
         # way `AdaptationManager.telemetry_samples` stores them.
