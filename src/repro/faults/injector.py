@@ -64,7 +64,7 @@ class FaultInjector:
     def crash_process_at(self, process: Process, at_us: float) -> None:
         """Software crash fault: kill one process at an absolute time."""
         self._check_future(at_us)
-        self.sim.schedule_at(at_us, process.kill, "injected fault")
+        self.sim.schedule_at(at_us, process.kill)
         self._record(InjectedFault(
             kind="process_crash", target=process.name, at_us=at_us),
             host=process.host.name)
@@ -94,7 +94,7 @@ class FaultInjector:
         self._check_future(at_us)
         if restart_after_us <= 0:
             raise ConfigurationError("restart delay must be positive")
-        self.sim.schedule_at(at_us, process.kill, "injected fault")
+        self.sim.schedule_at(at_us, process.kill)
 
         def do_restart() -> None:
             if process.host.alive and restart is not None:

@@ -27,6 +27,7 @@ daemon dies.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
@@ -83,6 +84,11 @@ FLUSH_HISTORY_WINDOW = 64
 #: A flushing daemon waits this long for the install before suspecting
 #: the flush coordinator itself.
 FLUSH_TIMEOUT_US = 500_000.0
+
+
+def _ordered() -> None:
+    """Completion of the sequencer's ordering job: charging the CPU is
+    its whole effect."""
 
 
 class _GroupState:
@@ -325,8 +331,7 @@ class GcsDaemon(Actor):
             link = ReliableLink(
                 self.sim, self.network, self.cal,
                 local=self.endpoint, peer=Endpoint(peer, GCS_PORT),
-                deliver=lambda inner, nbytes, p=peer:
-                    self._on_reliable(p, inner, nbytes),
+                deliver=functools.partial(self._on_reliable, peer),
                 on_close=lambda p=peer: self._sends.pop(p, None))
             self._links[peer] = link
             self._sends[peer] = link.send
@@ -359,24 +364,28 @@ class GcsDaemon(Actor):
                                     if m.host == host_name)
 
     def _on_frame(self, frame: Frame) -> None:
-        if not self.alive:
+        if not self.process.alive:
             return
         peer = frame.src.host
-        self._last_heard[peer] = self.sim.now
-        self._detector.heard_from(peer, self.sim.now)
+        now = self.sim.now
+        self._last_heard[peer] = now
+        self._detector.heard_from(peer, now)
         payload = frame.payload
-        if isinstance(payload, Heartbeat):
+        # Dispatch on the exact type, most frequent first: heartbeats
+        # are most frames on an idle cluster.
+        kind = type(payload)
+        if kind is Heartbeat:
             return  # liveness already recorded above
-        if isinstance(payload, LinkData):
+        if kind is LinkData:
             self._link(peer).on_link_data(payload.link_seq, payload.inner,
                                           payload.inner_bytes)
-        elif isinstance(payload, LinkAck):
+        elif kind is LinkAck:
             self._link(peer).on_ack(payload.cum_seq)
-        elif isinstance(payload, RawData):
+        elif kind is RawData:
             # Best-effort data: no CPU-intensive ordering, deliver now.
-            self._cpu(lambda: self._deliver_raw(payload))
-        elif isinstance(payload, RejoinRequest):
-            self._cpu(lambda: self._on_rejoin_request(payload))
+            self._cpu(self._deliver_raw, payload)
+        elif kind is RejoinRequest:
+            self._cpu(self._on_rejoin_request, payload)
         # Any other frame kind is dropped silently, like real UDP.
 
     def _on_reliable(self, peer: str, inner: Any, nbytes: int) -> None:
@@ -395,22 +404,25 @@ class GcsDaemon(Actor):
                     host=self.host.name, process=self.name,
                     now=self.sim.now, peer=peer)
         if span is None:
-            self._cpu(lambda: self._dispatch(peer, inner))
+            self.host.cpu.execute(self.cal.daemon_processing_us,
+                                  self._if_alive, self._dispatch, peer, inner)
         else:
             def dispatched() -> None:
                 telemetry.end(span, self.sim.now)
                 self._dispatch(peer, inner)
             self._cpu(dispatched)
 
-    def _cpu(self, continuation: Callable[[], None]) -> None:
-        demand = self.cal.daemon_processing_us
-        self.host.cpu.execute(demand, self._guard(continuation))
+    def _cpu(self, fn: Callable[..., None], *args: Any) -> None:
+        """Charge one daemon processing job, then run ``fn(*args)``
+        if the daemon is still alive."""
+        self.host.cpu.execute(self.cal.daemon_processing_us,
+                              self._if_alive, fn, *args)
 
-    def _guard(self, continuation: Callable[[], None]) -> Callable[[], None]:
-        def run() -> None:
-            if self.alive:
-                continuation()
-        return run
+    def _if_alive(self, fn: Callable[..., None], *args: Any) -> None:
+        """Run ``fn(*args)`` unless the daemon died since it was
+        scheduled."""
+        if self.process.alive:
+            fn(*args)
 
     def _dispatch(self, peer: str, inner: Any) -> None:
         if isinstance(inner, Forward):
@@ -468,7 +480,7 @@ class GcsDaemon(Actor):
         if nbytes is None:
             nbytes = estimate_control_bytes(message)
         if self.is_sequencer:
-            self._cpu(lambda: self._dispatch(self.host.name, message))
+            self._cpu(self._dispatch, self.host.name, message)
         else:
             self._send_to(self.sequencer)(message, nbytes)
 
@@ -525,7 +537,7 @@ class GcsDaemon(Actor):
     def _disseminate(self, stamp: Stamped) -> None:
         """Sequencer-side: charge ordering cost, apply locally, and
         push the stamp over reliable links to the daemons that need it."""
-        self.host.cpu.execute(self.cal.ordering_us, self._guard(lambda: None))
+        self.host.cpu.execute(self.cal.ordering_us, _ordered)
         if stamp.kind is StampKind.DATA:
             targets = self._group(stamp.group).fanout_hosts
         else:
@@ -759,7 +771,7 @@ class GcsDaemon(Actor):
     # ==================================================================
     def _route_direct(self, message: Direct) -> None:
         if message.dst.host == self.host.name:
-            self._cpu(lambda: self._deliver_direct(message))
+            self._cpu(self._deliver_direct, message)
         elif message.dst.host in self._view_set:
             self._send_to(message.dst.host)(message, message.payload_bytes)
         # A direct to a host outside the view is dropped silently.
@@ -769,9 +781,9 @@ class GcsDaemon(Actor):
         if port is None:
             return
         self._emit_ipc_span(message)
-        self.sim.schedule(self.cal.local_ipc_us, self._guard(
-            lambda: port.deliver_direct(message.src, message.payload,
-                                        message.payload_bytes)))
+        self.sim.schedule(self.cal.local_ipc_us, self._if_alive,
+                          port.deliver_direct, message.src, message.payload,
+                          message.payload_bytes)
 
     # ==================================================================
     # Delivery to local clients
@@ -782,8 +794,9 @@ class GcsDaemon(Actor):
         if port is None:
             return
         self._emit_ipc_span(payload)
-        self.sim.schedule(self.cal.local_ipc_us, self._guard(
-            lambda: port.deliver_message(group, sender, payload, nbytes)))
+        self.sim.schedule(self.cal.local_ipc_us, self._if_alive,
+                          port.deliver_message, group, sender, payload,
+                          nbytes)
 
     def _emit_ipc_span(self, payload: Any) -> None:
         """Record the daemon->client local-IPC hop as a pre-closed span
@@ -803,9 +816,9 @@ class GcsDaemon(Actor):
         port = self._clients.get(member)
         if port is None:
             return
-        self.sim.schedule(self.cal.local_ipc_us, self._guard(
-            lambda: port.deliver_view(view, list(joined), list(left),
-                                      crashed)))
+        self.sim.schedule(self.cal.local_ipc_us, self._if_alive,
+                          lambda: port.deliver_view(view, list(joined),
+                                                    list(left), crashed))
 
     # ==================================================================
     # Failure detection
@@ -818,10 +831,8 @@ class GcsDaemon(Actor):
             cached = (view_id, beat, estimate_control_bytes(beat))
             self._hb_beat = cached
         _, beat, nbytes = cached
-        send = self.network.send
-        src = self.endpoint
-        for target in self._hb_targets:
-            send(src, target, beat, nbytes, kind="gcs.heartbeat")
+        self.network.send_each(self.endpoint, self._hb_targets, beat,
+                               nbytes, "gcs.heartbeat")
 
     def _check_failures(self) -> None:
         if self._wedged:

@@ -62,8 +62,11 @@ class FixedTimeoutDetector(FailureDetector):
         return now - self._last_heard.get(peer, 0.0)
 
     def suspects(self, peers: Iterable[str], now: float) -> set:
-        """Peers silent longer than the fixed timeout."""
-        return {p for p in peers if self.silence(p, now) > self.timeout_us}
+        """Peers silent longer than the fixed timeout (``silence``
+        inlined: the daemon asks every heartbeat interval)."""
+        last = self._last_heard
+        timeout = self.timeout_us
+        return {p for p in peers if now - last.get(p, 0.0) > timeout}
 
 
 class AdaptiveDetector(FailureDetector):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Optional
 
+from repro.gcs.messages import LinkAck, LinkData, estimate_control_bytes
 from repro.net.frame import Endpoint
 from repro.net.network import Network
 from repro.sim.config import GcsCalibration
@@ -75,13 +76,10 @@ class ReliableLink:
             return
         pending.attempts += 1
         pending.last_sent = self.sim.now
-        from repro.gcs.messages import LinkData
         self.network.send(
             self.local, self.peer,
-            LinkData(link_seq=seq, inner=pending.inner,
-                     inner_bytes=pending.inner_bytes),
-            payload_bytes=pending.inner_bytes + self.cal.header_bytes,
-            kind="gcs.link")
+            LinkData(seq, pending.inner, pending.inner_bytes),
+            pending.inner_bytes + self.cal.header_bytes, "gcs.link")
 
     def _arm_retransmit(self) -> None:
         if self._retransmit_timer is not None and self._retransmit_timer.pending:
@@ -114,13 +112,21 @@ class ReliableLink:
         """Handle an arriving LinkData frame from the peer."""
         if self._closed:
             return
-        if link_seq < self._next_in:
-            # Duplicate of something already delivered; just re-ack.
+        next_in = self._next_in
+        if link_seq != next_in:
+            if link_seq > next_in:
+                # Early: hold it until the gap before it fills.
+                self._stash[link_seq] = (inner, inner_bytes)
+            # else a duplicate of something already delivered: re-ack.
             self._schedule_ack()
             return
-        self._stash[link_seq] = (inner, inner_bytes)
-        while self._next_in in self._stash:
-            data, nbytes = self._stash.pop(self._next_in)
+        # In order (the lossless common case): deliver it directly,
+        # then whatever the stash holds right behind it.
+        self._next_in = next_in + 1
+        self._deliver(inner, inner_bytes)
+        stash = self._stash
+        while self._next_in in stash:
+            data, nbytes = stash.pop(self._next_in)
             self._next_in += 1
             self._deliver(data, nbytes)
         self._schedule_ack()
@@ -134,7 +140,6 @@ class ReliableLink:
         self._ack_timer = None
         if self._closed:
             return
-        from repro.gcs.messages import LinkAck, estimate_control_bytes
         ack = LinkAck(cum_seq=self._next_in - 1)
         self.network.send(self.local, self.peer, ack,
                           payload_bytes=estimate_control_bytes(ack),

@@ -16,6 +16,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.net.frame import FrozenSlots, slot_setters
+
 
 class Grade(enum.Enum):
     """Message-delivery guarantee, per Spread's service grades.
@@ -110,13 +112,23 @@ class Heartbeat:
     view_id: int
 
 
-@dataclass(frozen=True, slots=True)
-class LinkData:
-    """Reliable-link envelope: per-(src,dst) sequence number."""
+class LinkData(FrozenSlots):
+    """Reliable-link envelope: per-(src,dst) sequence number.
 
-    link_seq: int
-    inner: Any
-    inner_bytes: int
+    Built once per reliable transmission, so it is a positional
+    :class:`~repro.net.frame.FrozenSlots` value rather than a frozen
+    dataclass.
+    """
+
+    __slots__ = ("link_seq", "inner", "inner_bytes")
+
+    def __init__(self, link_seq: int, inner: Any, inner_bytes: int):
+        _set_link_seq(self, link_seq)
+        _set_inner(self, inner)
+        _set_inner_bytes(self, inner_bytes)
+
+
+_set_link_seq, _set_inner, _set_inner_bytes = slot_setters(LinkData)
 
 
 @dataclass(frozen=True, slots=True)

@@ -10,10 +10,10 @@ for the bandwidth axis of the design space.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Optional
+from typing import Dict, Iterable, Optional
 
 from repro.errors import NetworkError
-from repro.net.frame import Endpoint, Frame
+from repro.net.frame import FRAME_OVERHEAD_BYTES, Endpoint, Frame
 from repro.net.loss import CompositeLoss, LossModel
 from repro.net.topology import LinkFilter
 from repro.net.stats import NetworkStats
@@ -95,10 +95,21 @@ class Network:
         dropped silently (datagram semantics — reliability is the
         group-communication layer's job, as in Spread).
         """
-        frame = Frame(src=src, dst=dst, payload=payload,
-                      payload_bytes=payload_bytes, kind=kind,
-                      frame_id=next(self._frame_ids))
-        self.transmit(frame)
+        self.transmit(Frame(src, dst, payload, payload_bytes, kind,
+                            next(self._frame_ids)))
+
+    def send_each(self, src: Endpoint, dsts: Iterable[Endpoint],
+                  payload: object, payload_bytes: int,
+                  kind: str = "data") -> None:
+        """Transmit one frame of ``payload`` to each of ``dsts``, in
+        order: exactly ``send`` once per destination (the same frame
+        ids, rng draws and deliveries) at one call per fan-out.  A
+        heartbeat round is one call."""
+        transmit = self.transmit
+        frame_ids = self._frame_ids
+        for dst in dsts:
+            transmit(Frame(src, dst, payload, payload_bytes, kind,
+                           next(frame_ids)))
 
     def transmit(self, frame: Frame) -> None:
         """Place a prepared frame on the wire."""
@@ -145,7 +156,7 @@ class Network:
                     return
                 extra_delay += f_extra
 
-        wire_bytes = frame.wire_bytes
+        wire_bytes = frame.payload_bytes + FRAME_OVERHEAD_BYTES
         self.stats.record_transmit(sim.now, src_name, dst_name, wire_bytes)
         policy = sim.scheduler_policy
         if policy is not None:
@@ -164,15 +175,6 @@ class Network:
                      + cal.jitter_us * sim.rng.random())
         sim.schedule(delay + extra_delay, dst_host.deliver,
                      frame.dst.port, frame)
-
-    def _delay_us(self, frame: Frame, local: bool) -> float:
-        """Reference delay model (the hot path above inlines this)."""
-        cal = self.calibration
-        if local:
-            return cal.local_loopback_us
-        transmission = frame.wire_bytes / cal.bandwidth_bytes_per_us
-        jitter = self.sim.rng.uniform(0.0, cal.jitter_us)
-        return cal.propagation_us + transmission + jitter
 
     def __repr__(self) -> str:
         return f"<Network hosts={sorted(self.hosts)}>"

@@ -70,11 +70,6 @@ class NetworkStats:
         """Account one frame lost to fault injection or a dead host."""
         self.dropped_frames += 1
 
-    def _host(self, name: str) -> HostTraffic:
-        if name not in self.per_host:
-            self.per_host[name] = HostTraffic()
-        return self.per_host[name]
-
     def _expire(self, now: float) -> None:
         cutoff = now - self.window_us
         window = self._window

@@ -145,7 +145,7 @@ class ReplicaFactory(Actor):
             process = getattr(handle, "process", None)
             if process is not None and process.alive \
                     and process.pid == member.pid:
-                process.kill(reason="retired by factory")
+                process.kill()
                 self.retired += 1
                 return
         # Replica not spawned by us: ask politely via its host.
@@ -153,7 +153,7 @@ class ReplicaFactory(Actor):
             if host.name == member.host:
                 for process in list(host.processes):
                     if process.pid == member.pid:
-                        process.kill(reason="retired by factory")
+                        process.kill()
                         self.retired += 1
                         return
 

@@ -48,15 +48,21 @@ class Actor:
         self.cancel_timer(key)
         if not self.alive:
             return
+        # Bound once: heartbeat and failure-check timers fire on every
+        # daemon every interval, so each fire skips the property and
+        # attribute lookups.
+        process = self.process
+        timers = self._timers
+        schedule = self.sim.schedule
 
         def fire() -> None:
-            if not self.alive:
-                self._timers.pop(key, None)
+            if not process.alive:
+                timers.pop(key, None)
                 return
-            self._timers[key] = self.sim.schedule(interval_us, fire)
+            timers[key] = schedule(interval_us, fire)
             callback()
 
-        self._timers[key] = self.sim.schedule(interval_us, fire)
+        timers[key] = schedule(interval_us, fire)
 
     def cancel_timer(self, key: str) -> None:
         """Cancel a named timer (no-op if absent)."""

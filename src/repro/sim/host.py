@@ -9,6 +9,7 @@ CPU (jobs serialize), a network attachment point, and a set of
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING
 
 from repro.errors import SimulationError
@@ -35,21 +36,31 @@ class Cpu:
         self._busy_us = 0.0
         self._jobs_run = 0
 
-    def execute(self, demand_us: float, callback: Callable[[], None]) -> float:
-        """Run a job of ``demand_us`` reference-µs; invoke ``callback``
-        on completion.  Returns the completion time."""
-        if demand_us < 0:
-            raise SimulationError(f"negative CPU demand: {demand_us}")
-        service = demand_us / self._cal.speed
-        start = max(self._sim.now, self._ready_at)
-        if start > self._sim.now:
+    def execute(self, demand_us: float, callback: Callable[..., None],
+                *args: Any) -> float:
+        """Run a job of ``demand_us`` reference-µs; invoke
+        ``callback(*args)`` on completion.  Returns the completion time.
+
+        A demand that is not a finite number >= 0 (NaN included) is
+        refused before any state changes: it would otherwise leave the
+        CPU's busy time NaN for the rest of the run.
+        """
+        if not 0.0 <= demand_us < math.inf:
+            raise SimulationError(
+                f"CPU demand must be finite and >= 0, got {demand_us}")
+        sim = self._sim
+        now = sim.now
+        cal = self._cal
+        service = demand_us / cal.speed
+        start = max(now, self._ready_at)
+        if start > now:
             # Queued behind an earlier job: charge a context switch.
-            service += self._cal.context_switch_us / self._cal.speed
+            service += cal.context_switch_us / cal.speed
         done = start + service
         self._ready_at = done
         self._busy_us += service
         self._jobs_run += 1
-        self._sim.schedule_at(done, callback)
+        sim.schedule_at(done, callback, *args)
         return done
 
     @property
@@ -129,7 +140,7 @@ class Host:
             return
         self.alive = False
         for proc in list(self.processes):
-            proc.kill(reason="host crash")
+            proc.kill()
         self._ports.clear()
 
     def restart(self) -> None:
@@ -169,7 +180,7 @@ class Process:
         """Register a cleanup callback invoked when the process dies."""
         self._on_kill.append(callback)
 
-    def kill(self, reason: str = "crash") -> None:
+    def kill(self) -> None:
         """Process-level crash fault."""
         if not self.alive:
             return

@@ -28,33 +28,6 @@ from typing import Any, Callable, List, Optional, Tuple
 from repro.errors import SimulationError
 
 
-class _PolicySequence:
-    """Sequence-number source for policy-perturbed scheduling.
-
-    Replaces the kernel's plain ``itertools.count`` when a scheduler
-    policy is installed: each draw is a ``(policy.tie_break(), n)``
-    tuple, so events at equal simulated times sort by the policy's
-    tie-break value first while the monotone counter still guarantees
-    a total order.  A class (rather than a generator) so
-    :meth:`Simulator.swap_scheduler_policy` can replace the policy
-    while the counter keeps running.
-    """
-
-    __slots__ = ("policy", "n")
-
-    def __init__(self, policy: Any, n: int = 0):
-        self.policy = policy
-        self.n = n
-
-    def __iter__(self) -> "_PolicySequence":
-        return self
-
-    def __next__(self) -> tuple:
-        n = self.n
-        self.n = n + 1
-        return (self.policy.tie_break(), n)
-
-
 class EventHandle:
     """A cancellable reference to a scheduled event.
 
@@ -273,9 +246,12 @@ class Simulator:
         self.history: Any = NULL_HISTORY
         #: Scheduling policy installed via :meth:`set_scheduler_policy`
         #: (None by default).  The network layer consults it for
-        #: bounded extra message delays; same-timestamp tie-breaking is
-        #: folded into the sequence counter below.
+        #: bounded extra message delays; same-timestamp tie-breaking
+        #: goes through :attr:`_tie_break` below.
         self.scheduler_policy: Any = None
+        #: The installed policy's bound ``tie_break`` (None without a
+        #: policy): with one, every ``seq`` is ``(tie_break(), n)``.
+        self._tie_break: Optional[Callable[[], Any]] = None
         #: ``(time, seq, handle)`` entries.  ``seq`` is unique, so the
         #: heap orders by a C tuple compare of ``(time, seq)`` and never
         #: reaches the handle.
@@ -306,12 +282,12 @@ class Simulator:
         :class:`repro.check.policies.SchedulerPolicy`): it must expose
         ``tie_break() -> int`` — consulted once per scheduled event —
         and ``message_delay(wire_bytes) -> float``.  The hook works by
-        replacing the kernel's plain sequence counter with tuples of
-        ``(tie_break(), n)``: events at equal simulated times sort by
-        the policy's tie-break value first, with the monotone counter
-        still guaranteeing a total order.  With no policy installed the
-        scheduling code path is byte-for-byte the unmodified original,
-        so default-policy runs stay identical to pre-hook kernels.
+        turning each sequence number into ``(tie_break(), n)``, with
+        ``n`` from the kernel's plain counter: events at equal
+        simulated times sort by the policy's tie-break value first,
+        with the monotone counter still guaranteeing a total order.
+        With no policy installed ``seq`` is the plain ``n``, so
+        default-policy runs stay identical to pre-hook kernels.
 
         Must be called before any event is scheduled: mixing plain-int
         and tuple sequence numbers in one heap would make heap entries
@@ -322,7 +298,7 @@ class Simulator:
                 "scheduler policy must be installed before any event "
                 "is scheduled")
         self.scheduler_policy = policy
-        self._seq = _PolicySequence(policy)
+        self._tie_break = policy.tie_break
 
     def swap_scheduler_policy(self, policy: Any) -> None:
         """Replace the installed scheduling policy mid-run, keeping
@@ -336,12 +312,12 @@ class Simulator:
         :meth:`set_scheduler_policy` before any event — the heap must
         already be ordered by ``(tie, n)`` tuples.
         """
-        if not isinstance(self._seq, _PolicySequence):
+        if self._tie_break is None:
             raise SimulationError(
                 "swap_scheduler_policy requires a policy installed "
                 "via set_scheduler_policy before any event")
         self.scheduler_policy = policy
-        self._seq.policy = policy
+        self._tie_break = policy.tie_break
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -355,7 +331,9 @@ class Simulator:
             raise SimulationError(f"callback is not callable: {callback!r}")
         # Inlined schedule_at: delay >= 0 already implies time >= now.
         time = self.now + delay
-        seq = next(self._seq)
+        tie_break = self._tie_break
+        seq = next(self._seq) if tie_break is None \
+            else (tie_break(), next(self._seq))
         handle = EventHandle(time, seq, callback, args, self)
         heapq.heappush(self._heap, (time, seq, handle))
         self._pending += 1
@@ -369,7 +347,9 @@ class Simulator:
                 f"cannot schedule at t={time} before now={self.now}")
         if not callable(callback):
             raise SimulationError(f"callback is not callable: {callback!r}")
-        seq = next(self._seq)
+        tie_break = self._tie_break
+        seq = next(self._seq) if tie_break is None \
+            else (tie_break(), next(self._seq))
         handle = EventHandle(time, seq, callback, args, self)
         heapq.heappush(self._heap, (time, seq, handle))
         self._pending += 1

@@ -87,3 +87,19 @@ def test_messages_still_behave_as_values():
     assert SafeAck("g", 1, "s01") == SafeAck("g", 1, "s01")
     assert MemberId("a", 1, "x") < MemberId("b", 1, "x")
     assert hash(Endpoint("h", 1)) == hash(Endpoint("h", 1))
+
+
+def test_wire_messages_reject_assignment():
+    """Every message, frozen dataclass or hand-slotted, is immutable:
+    assigning any of its fields raises AttributeError."""
+    for obj in INSTANCES:
+        names = [name for klass in type(obj).__mro__[:-1]
+                 for name in vars(klass).get("__slots__", ())]
+        assert names, type(obj).__name__
+        for name in names:
+            try:
+                setattr(obj, name, getattr(obj, name))
+            except AttributeError:
+                continue
+            raise AssertionError(
+                f"{type(obj).__name__}.{name} accepted an assignment")

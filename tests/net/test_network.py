@@ -3,13 +3,16 @@
 import pytest
 
 from repro.errors import NetworkError, SimulationError
+from repro.check.policies import RandomWalkPolicy
 from repro.net import (
     BurstLoss,
     DelaySpike,
     Endpoint,
     FRAME_OVERHEAD_BYTES,
+    FlakyLink,
     Frame,
     Network,
+    PartitionFilter,
     RandomLoss,
 )
 from repro.sim import Host, NetworkCalibration, Simulator
@@ -249,3 +252,60 @@ class TestLossModels:
     def test_delay_spike_validates(self):
         with pytest.raises(ValueError):
             DelaySpike(0.0, 10.0, extra_us=-1.0)
+
+
+class TestSendEach:
+    """``send_each`` is exactly N ``send`` calls: same frame ids, same
+    rng draws, same policy decisions, same deliveries and counters."""
+
+    PORT = 4803
+    TARGETS = ("b", "a", "dead", "ghost", "c")  # peer, loopback, dead,
+    # unknown, partitioned away
+
+    def _run(self, fan_out):
+        sim = Simulator(seed=5)
+        policy = RandomWalkPolicy(seed=9, delay_bound_us=150.0)
+        sim.set_scheduler_policy(policy)
+        net = Network(sim)
+        deliveries = []
+        for name in ("a", "b", "c", "dead"):
+            host = net.add_host(name)
+            host.bind(self.PORT, lambda frame, name=name: deliveries.append(
+                (sim.now, name, self.PORT, frame.src, frame.dst,
+                 frame.payload, frame.payload_bytes, frame.kind,
+                 frame.frame_id)))
+        net.host("dead").crash()
+        net.add_loss_model(RandomLoss(0.3))
+        net.add_link_filter(FlakyLink("a", "b", 0.5, 0.0, 1e9))
+        net.add_link_filter(PartitionFilter(
+            (frozenset({"a", "b"}), frozenset({"c"})), 0.0, 1e9))
+        src = Endpoint("a", self.PORT)
+        dsts = [Endpoint(name, self.PORT) for name in self.TARGETS]
+        for round_ in range(25):
+            sim.schedule(100.0 * round_, fan_out, net, src, dsts,
+                         ("beat", round_))
+        sim.run()
+        stats = net.stats
+        return dict(
+            deliveries=deliveries, next_frame_id=next(net._frame_ids),
+            counters=(stats.total_frames, stats.total_bytes,
+                      stats.dropped_frames),
+            per_host=stats.per_host, rng=sim.rng.getstate(),
+            decisions=policy.decisions)
+
+    def test_fan_out_equals_n_sends(self):
+        def fan_out(net, src, dsts, payload):
+            net.send_each(src, dsts, payload, 16, "gcs.heartbeat")
+
+        def n_sends(net, src, dsts, payload):
+            for dst in dsts:
+                net.send(src, dst, payload, 16, kind="gcs.heartbeat")
+
+        each = self._run(fan_out)
+        sends = self._run(n_sends)
+        assert each == sends
+        # The rig exercises every path: deliveries to the peer and to
+        # loopback only, and drops beyond the dead/unknown/partitioned.
+        assert {name for _, name, *_ in each["deliveries"]} == {"a", "b"}
+        assert each["next_frame_id"] == 25 * len(self.TARGETS) + 1
+        assert each["counters"][2] > 25 * 3

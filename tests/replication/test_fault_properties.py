@@ -56,8 +56,7 @@ def _run_with_crashes(style, schedule, seed, n_requests=12):
 
     start = testbed.now
     for index, at_us in schedule:
-        testbed.sim.schedule_at(start + at_us, replicas[index].process.kill,
-                                "injected")
+        testbed.sim.schedule_at(start + at_us, replicas[index].process.kill)
     next_request(n_requests)
     # Give plenty of time for failovers and retries.
     testbed.run(6 * FAILOVER_US)

@@ -84,7 +84,7 @@ class TestDeadlines:
             ReplicationStyle.WARM_PASSIVE, resilience=policy)
         testbed.sim.journal = Journal()
         for replica in replicas:
-            replica.process.kill("make the service unreachable")
+            replica.process.kill()
         replies = fire(clients[0], "add", 1)
         testbed.run(2_000_000)
         assert not replies or replies[0].status is not ReplyStatus.OK

@@ -54,6 +54,29 @@ class TestCpu:
         with pytest.raises(SimulationError):
             host.cpu.execute(-1.0, lambda: None)
 
+    @pytest.mark.parametrize("demand", [float("nan"), float("inf"),
+                                        float("-inf"), -1.0])
+    def test_non_finite_or_negative_demand_leaves_cpu_untouched(
+            self, sim, host, demand):
+        """A NaN demand passes a ``< 0`` check; had it reached the
+        bookkeeping, busy time (and utilization) would stay NaN."""
+        host.cpu.execute(100.0, lambda: None)
+        before = (host.cpu.busy_us, host.cpu.jobs_run,
+                  host.cpu.queue_delay_us)
+        with pytest.raises(SimulationError, match=str(demand)):
+            host.cpu.execute(demand, lambda: None)
+        assert (host.cpu.busy_us, host.cpu.jobs_run,
+                host.cpu.queue_delay_us) == before
+        sim.run()
+        assert host.cpu.busy_us == 100.0
+        assert host.cpu.utilization(0.0) == 1.0
+
+    def test_execute_passes_args_to_the_callback(self, sim, host):
+        done = []
+        host.cpu.execute(10.0, done.append, "job")
+        sim.run()
+        assert done == ["job"]
+
     def test_queue_delay_reflects_backlog(self, sim, host):
         host.cpu.execute(200.0, lambda: None)
         assert host.cpu.queue_delay_us == pytest.approx(200.0)

@@ -360,3 +360,42 @@ def test_equal_times_dispatch_in_policy_seq_order():
         sim.schedule(float(i % 2), fired.append, i)
     sim.run()
     assert fired == sorted(range(60), key=lambda i: (i % 2, ties[i], i))
+
+
+def test_tie_break_consulted_once_per_schedule_and_swap_keeps_counter():
+    """Each ``schedule`` / ``schedule_at`` calls the installed policy's
+    ``tie_break`` exactly once, in call order; dispatch never does.
+    After a swap the new policy is consulted and ``n`` continues."""
+    calls = []
+
+    def ties(tag):
+        for i in range(5):
+            calls.append((tag, i))
+            yield i % 2
+
+    sim = Simulator()
+    sim.set_scheduler_policy(_ScriptedTies(ties("first")))
+    first = [sim.schedule(1.0, lambda: None),
+             sim.schedule_at(2.0, lambda: None),
+             sim.schedule(0.0, lambda: None)]
+    assert calls == [("first", 0), ("first", 1), ("first", 2)]
+    assert [h.seq for h in first] == [(0, 0), (1, 1), (0, 2)]
+    sim.run(until=1.5)
+    assert len(calls) == 3
+
+    sim.swap_scheduler_policy(_ScriptedTies(ties("second")))
+    second = [sim.schedule_at(3.0, lambda: None),
+              sim.schedule(0.5, lambda: None)]
+    assert calls[3:] == [("second", 0), ("second", 1)]
+    assert [h.seq for h in second] == [(0, 3), (1, 4)]
+    sim.run()
+    assert len(calls) == 5
+
+
+def test_policy_install_order_is_enforced():
+    sim = Simulator()
+    with pytest.raises(SimulationError, match="set_scheduler_policy"):
+        sim.swap_scheduler_policy(_ScriptedTies([]))
+    sim.schedule(1.0, lambda: None)
+    with pytest.raises(SimulationError, match="before any event"):
+        sim.set_scheduler_policy(_ScriptedTies([]))
