@@ -13,16 +13,14 @@ product form; with it we compute availability, the expected number of
 live replicas, and the mean time to total failure (all replicas down
 simultaneously) — the quantity an operator sizes redundancy against.
 
-Uses numpy for the linear algebra of the general (non-birth-death)
-case so custom generators can be analyzed too.
+Both solutions are closed recurrences over the chain's states, so the
+module is pure Python.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
-
-import numpy
+from typing import List
 
 from repro.errors import PolicyError
 from repro.replication.styles import ReplicationStyle
@@ -59,14 +57,14 @@ class RepairableGroupModel:
         mu = 1.0 / self.mttf_us           # per-replica failure rate
         # pi_k proportional to prod_{j=k+1..n} (j*mu) / lam ... build
         # downward from full service.
-        weights = numpy.zeros(n + 1)
+        weights = [0.0] * (n + 1)
         weights[n] = 1.0
         for k in range(n - 1, -1, -1):
             # Transition n..k: each step down multiplies by
             # (failure rate out of k+1) / (repair rate into k+1).
             weights[k] = weights[k + 1] * ((k + 1) * mu) / lam
-        total = weights.sum()
-        return list(weights / total)
+        total = sum(weights)
+        return [w / total for w in weights]
 
     def availability(self) -> float:
         """P(service answers) = P(>=1 replica) minus the failover
@@ -86,32 +84,28 @@ class RepairableGroupModel:
         return float(sum(k * p for k, p in enumerate(pi)))
 
     # ------------------------------------------------------------------
-    # Mean time to total failure (absorbing chain, numpy solve)
+    # Mean time to total failure (absorbing chain, first passage)
     # ------------------------------------------------------------------
     def mean_time_to_total_failure_us(self) -> float:
         """Expected time from full service until all replicas are
         simultaneously down (state 0 absorbing).
 
-        Solves the standard first-passage system Q_t m = -1 over the
-        transient states 1..n.
+        The first-passage system Q_t m = -1 over the transient states
+        1..n is tridiagonal, and for a birth-death chain it solves by
+        recurrence: the time T_k to first step from k down to k-1 is
+        T_n = 1/(n mu) and T_k = (1 + lam T_{k+1}) / (k mu), and
+        m_n = T_1 + ... + T_n.  Every term is positive, so the sum
+        cancels nothing.
         """
         n = self.n_replicas
         lam = 1.0 / self.mttr_us
         mu = 1.0 / self.mttf_us
-        # Generator over transient states 1..n.
-        q = numpy.zeros((n, n))
-        for k in range(1, n + 1):
-            i = k - 1
-            down = k * mu
-            up = lam if k < n else 0.0
-            q[i, i] = -(down + up)
-            if k > 1:
-                q[i, i - 1] = down
-            if k < n:
-                q[i, i + 1] = up
-        rhs = -numpy.ones(n)
-        first_passage = numpy.linalg.solve(q, rhs)
-        return float(first_passage[n - 1])
+        step_down = 1.0 / (n * mu)
+        total = step_down
+        for k in range(n - 1, 0, -1):
+            step_down = (1.0 + lam * step_down) / (k * mu)
+            total += step_down
+        return total
 
 
 def failover_window_for_style(style: ReplicationStyle,

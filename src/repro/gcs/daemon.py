@@ -148,17 +148,18 @@ class GcsDaemon(Actor):
         self._rebuild_view_routing()
         self.host.bind(GCS_PORT, self._on_frame)
 
-        # Failure detection.
-        self._last_heard: Dict[str, float] = {
-            p: self.sim.now for p in peers if p != self.host.name}
+        # Failure detection.  The detector's map of when each peer was
+        # last heard is the daemon's too (the heal and flush checks).
         if self.cal.adaptive_failure_detection:
             self._detector = AdaptiveDetector(
                 floor_us=self.cal.failure_timeout_us)
         else:
             self._detector = FixedTimeoutDetector(
                 self.cal.failure_timeout_us)
-        for peer in self._last_heard:
-            self._detector.heard_from(peer, self.sim.now)
+        for peer in peers:
+            if peer != self.host.name:
+                self._detector.heard_from(peer, self.sim.now)
+        self._last_heard = self._detector.last_heard
         self._suspects: Set[str] = set()
 
         # Group state (replicated identically at all daemons).
@@ -289,7 +290,10 @@ class GcsDaemon(Actor):
         self._require_client(src)
         message = Direct(dst=dst, src=src, payload=payload,
                          payload_bytes=payload_bytes)
-        self._enqueue_or_run(lambda: self._route_direct(message))
+        if self._suspended:
+            self._outbox.append(lambda: self._route_direct(message))
+        else:
+            self._route_direct(message)
 
     def group_view(self, group: str) -> Optional[GroupView]:
         """Current view of ``group`` as known at this daemon."""
@@ -297,15 +301,6 @@ class GcsDaemon(Actor):
         if state is None:
             return None
         return GroupView(group, state.view_id, tuple(state.members))
-
-    @property
-    def sequencer(self) -> str:
-        """The host running the sequencer/coordinator in the current view."""
-        return self.view.coordinator()
-
-    @property
-    def is_sequencer(self) -> bool:
-        return self.sequencer == self.host.name
 
     def _require_client(self, member: MemberId) -> None:
         if member not in self._clients:
@@ -347,8 +342,11 @@ class GcsDaemon(Actor):
 
     def _rebuild_view_routing(self) -> None:
         """Recompute the per-daemon-view caches: the membership set
-        (hot ``in`` checks) and the heartbeat target endpoints."""
+        (hot ``in`` checks), the heartbeat target endpoints, and
+        ``sequencer``, the host running the sequencer/coordinator."""
         members = self.view.members
+        self.sequencer = self.view.coordinator()
+        self.is_sequencer = self.sequencer == self.host.name
         self._view_set = frozenset(members)
         self._hb_targets = tuple(Endpoint(peer, GCS_PORT)
                                  for peer in members
@@ -367,20 +365,22 @@ class GcsDaemon(Actor):
         if not self.process.alive:
             return
         peer = frame.src.host
-        now = self.sim.now
-        self._last_heard[peer] = now
-        self._detector.heard_from(peer, now)
+        self._detector.heard_from(peer, self.sim.now)
         payload = frame.payload
         # Dispatch on the exact type, most frequent first: heartbeats
         # are most frames on an idle cluster.
         kind = type(payload)
         if kind is Heartbeat:
             return  # liveness already recorded above
-        if kind is LinkData:
-            self._link(peer).on_link_data(payload.link_seq, payload.inner,
-                                          payload.inner_bytes)
-        elif kind is LinkAck:
-            self._link(peer).on_ack(payload.cum_seq)
+        if kind is LinkData or kind is LinkAck:
+            link = self._links.get(peer)
+            if link is None or link.closed:
+                link = self._link(peer)
+            if kind is LinkData:
+                link.on_link_data(payload.link_seq, payload.inner,
+                                  payload.inner_bytes)
+            else:
+                link.on_ack(payload.cum_seq)
         elif kind is RawData:
             # Best-effort data: no CPU-intensive ordering, deliver now.
             self._cpu(self._deliver_raw, payload)
@@ -780,7 +780,8 @@ class GcsDaemon(Actor):
         port = self._clients.get(message.dst)
         if port is None:
             return
-        self._emit_ipc_span(message)
+        if self.sim.telemetry.enabled:
+            self._emit_ipc_span(message)
         self.sim.schedule(self.cal.local_ipc_us, self._if_alive,
                           port.deliver_direct, message.src, message.payload,
                           message.payload_bytes)
@@ -793,17 +794,17 @@ class GcsDaemon(Actor):
         port = self._clients.get(member)
         if port is None:
             return
-        self._emit_ipc_span(payload)
+        if self.sim.telemetry.enabled:
+            self._emit_ipc_span(payload)
         self.sim.schedule(self.cal.local_ipc_us, self._if_alive,
                           port.deliver_message, group, sender, payload,
                           nbytes)
 
     def _emit_ipc_span(self, payload: Any) -> None:
         """Record the daemon->client local-IPC hop as a pre-closed span
-        (its cost is pure scheduling delay, no CPU involved)."""
+        (its cost is pure scheduling delay, no CPU involved).  Callers
+        check ``telemetry.enabled`` first."""
         telemetry = self.sim.telemetry
-        if not telemetry.enabled:
-            return
         ctx = payload_context(payload)
         if ctx is not None:
             telemetry.emit(ctx, "gcsd.ipc", COMPONENT_GCS,
@@ -1179,7 +1180,6 @@ class GcsDaemon(Actor):
             if link is not None:
                 link.close()
             self._suspects.discard(peer)
-            self._last_heard.pop(peer, None)
             self._detector.forget(peer)
         self._rebuild_view_routing()
         self._suspects &= set(install.view.members)

@@ -25,7 +25,13 @@ from typing import Deque, Dict, Iterable, Optional
 
 
 class FailureDetector:
-    """Interface: feed heartbeat arrivals, ask who is suspect."""
+    """Interface: feed heartbeat arrivals, ask who is suspect.
+
+    ``last_heard`` maps each tracked peer to when it was last heard
+    from; callers read it and never write it.
+    """
+
+    last_heard: Dict[str, float]
 
     def heard_from(self, peer: str, now: float) -> None:
         """Record that ``peer`` was heard from at time ``now``."""
@@ -47,24 +53,19 @@ class FixedTimeoutDetector(FailureDetector):
         if timeout_us <= 0:
             raise ValueError("timeout must be positive")
         self.timeout_us = timeout_us
-        self._last_heard: Dict[str, float] = {}
+        self.last_heard: Dict[str, float] = {}
 
     def heard_from(self, peer: str, now: float) -> None:
         """Record a liveness observation."""
-        self._last_heard[peer] = now
+        self.last_heard[peer] = now
 
     def forget(self, peer: str) -> None:
         """Drop the peer's state."""
-        self._last_heard.pop(peer, None)
-
-    def silence(self, peer: str, now: float) -> float:
-        """Microseconds since the peer was last heard."""
-        return now - self._last_heard.get(peer, 0.0)
+        self.last_heard.pop(peer, None)
 
     def suspects(self, peers: Iterable[str], now: float) -> set:
-        """Peers silent longer than the fixed timeout (``silence``
-        inlined: the daemon asks every heartbeat interval)."""
-        last = self._last_heard
+        """Peers silent longer than the fixed timeout."""
+        last = self.last_heard
         timeout = self.timeout_us
         return {p for p in peers if now - last.get(p, 0.0) > timeout}
 
@@ -92,21 +93,21 @@ class AdaptiveDetector(FailureDetector):
         self.window = window
         self.floor_us = floor_us
         self.ceiling_us = ceiling_us
-        self._last_heard: Dict[str, float] = {}
+        self.last_heard: Dict[str, float] = {}
         self._intervals: Dict[str, Deque[float]] = {}
 
     def heard_from(self, peer: str, now: float) -> None:
         """Record a liveness observation and its inter-arrival gap."""
-        previous = self._last_heard.get(peer)
+        previous = self.last_heard.get(peer)
         if previous is not None and now > previous:
             gaps = self._intervals.setdefault(
                 peer, deque(maxlen=self.window))
             gaps.append(now - previous)
-        self._last_heard[peer] = now
+        self.last_heard[peer] = now
 
     def forget(self, peer: str) -> None:
         """Drop the peer's state."""
-        self._last_heard.pop(peer, None)
+        self.last_heard.pop(peer, None)
         self._intervals.pop(peer, None)
 
     def threshold_us(self, peer: str) -> float:
@@ -124,7 +125,7 @@ class AdaptiveDetector(FailureDetector):
         """Peers silent longer than their adapted threshold."""
         out = set()
         for peer in peers:
-            silence = now - self._last_heard.get(peer, 0.0)
+            silence = now - self.last_heard.get(peer, 0.0)
             if silence > self.threshold_us(peer):
                 out.add(peer)
         return out

@@ -23,13 +23,22 @@ from repro.sim.kernel import EventHandle, Simulator
 #: ACKs are delayed to amortize: one cumulative ACK per this interval.
 ACK_DELAY_US = 1_500.0
 
+#: Wire size of a cumulative ACK (the estimate does not depend on the
+#: sequence number it carries).
+_ACK_BYTES = estimate_control_bytes(LinkAck(cum_seq=0))
+
 #: Retransmission gives up after this many attempts (the peer is then
 #: presumed dead; the membership layer will remove it soon anyway).
 MAX_RETRANSMITS = 30
 
 
 class ReliableLink:
-    """One direction of a reliable FIFO channel between two daemons."""
+    """One direction of a reliable FIFO channel between two daemons.
+
+    Each timer handle is tested ``is None`` rather than ``.pending``:
+    its handler clears the handle before anything else, and only
+    :meth:`close` cancels one, after which nothing arms a timer again.
+    """
 
     def __init__(self, sim: Simulator, network: Network,
                  calibration: GcsCalibration,
@@ -54,21 +63,26 @@ class ReliableLink:
         self._next_in = 1
         self._stash: Dict[int, Any] = {}
         self._ack_timer: Optional[EventHandle] = None
-        self._closed = False
+        self.closed = False
 
     # ------------------------------------------------------------------
     # Sending
     # ------------------------------------------------------------------
     def send(self, inner: Any, inner_bytes: int) -> None:
         """Queue ``inner`` for reliable in-order delivery at the peer."""
-        if self._closed:
+        if self.closed:
             return
         seq = self._next_out
-        self._next_out += 1
-        self._unacked[seq] = _Pending(inner, inner_bytes, attempts=0,
-                                      last_sent=self.sim.now)
-        self._transmit(seq)
-        self._arm_retransmit()
+        self._next_out = seq + 1
+        sim = self.sim
+        self._unacked[seq] = _Pending(inner, inner_bytes, attempts=1,
+                                      last_sent=sim.now)
+        self.network.send(self.local, self.peer,
+                          LinkData(seq, inner, inner_bytes),
+                          inner_bytes + self.cal.header_bytes, "gcs.link")
+        if self._retransmit_timer is None:
+            self._retransmit_timer = sim.schedule(
+                self.cal.retransmit_timeout_us, self._on_retransmit_timer)
 
     def _transmit(self, seq: int) -> None:
         pending = self._unacked.get(seq)
@@ -82,14 +96,14 @@ class ReliableLink:
             pending.inner_bytes + self.cal.header_bytes, "gcs.link")
 
     def _arm_retransmit(self) -> None:
-        if self._retransmit_timer is not None and self._retransmit_timer.pending:
+        if self._retransmit_timer is not None:
             return
         self._retransmit_timer = self.sim.schedule(
             self.cal.retransmit_timeout_us, self._on_retransmit_timer)
 
     def _on_retransmit_timer(self) -> None:
         self._retransmit_timer = None
-        if self._closed or not self._unacked:
+        if self.closed or not self._unacked:
             return
         # Resend only messages that have actually aged past the
         # timeout; younger ones may simply be awaiting a delayed ack.
@@ -110,54 +124,52 @@ class ReliableLink:
     # ------------------------------------------------------------------
     def on_link_data(self, link_seq: int, inner: Any, inner_bytes: int) -> None:
         """Handle an arriving LinkData frame from the peer."""
-        if self._closed:
+        if self.closed:
             return
         next_in = self._next_in
-        if link_seq != next_in:
-            if link_seq > next_in:
-                # Early: hold it until the gap before it fills.
-                self._stash[link_seq] = (inner, inner_bytes)
-            # else a duplicate of something already delivered: re-ack.
-            self._schedule_ack()
-            return
-        # In order (the lossless common case): deliver it directly,
-        # then whatever the stash holds right behind it.
-        self._next_in = next_in + 1
-        self._deliver(inner, inner_bytes)
-        stash = self._stash
-        while self._next_in in stash:
-            data, nbytes = stash.pop(self._next_in)
-            self._next_in += 1
-            self._deliver(data, nbytes)
-        self._schedule_ack()
-
-    def _schedule_ack(self) -> None:
-        if self._ack_timer is not None and self._ack_timer.pending:
-            return
-        self._ack_timer = self.sim.schedule(ACK_DELAY_US, self._send_ack)
+        if link_seq == next_in:
+            # In order (the lossless common case): deliver it directly,
+            # then whatever the stash holds right behind it.
+            self._next_in = next_in + 1
+            self._deliver(inner, inner_bytes)
+            stash = self._stash
+            while self._next_in in stash:
+                data, nbytes = stash.pop(self._next_in)
+                self._next_in += 1
+                self._deliver(data, nbytes)
+        elif link_seq > next_in:
+            # Early: hold it until the gap before it fills.
+            self._stash[link_seq] = (inner, inner_bytes)
+        # else a duplicate of something already delivered: re-ack.
+        if self._ack_timer is None:
+            self._ack_timer = self.sim.schedule(ACK_DELAY_US, self._send_ack)
 
     def _send_ack(self) -> None:
         self._ack_timer = None
-        if self._closed:
+        if self.closed:
             return
-        ack = LinkAck(cum_seq=self._next_in - 1)
-        self.network.send(self.local, self.peer, ack,
-                          payload_bytes=estimate_control_bytes(ack),
-                          kind="gcs.ack")
+        self.network.send(self.local, self.peer,
+                          LinkAck(cum_seq=self._next_in - 1), _ACK_BYTES,
+                          "gcs.ack")
 
     def on_ack(self, cum_seq: int) -> None:
-        """Handle a cumulative ACK from the peer."""
-        for seq in [s for s in self._unacked if s <= cum_seq]:
-            del self._unacked[seq]
+        """Handle a cumulative ACK from the peer.  ``_unacked`` holds
+        its sequence numbers in ascending insertion order, so the acked
+        ones are a prefix."""
+        unacked = self._unacked
+        for seq in list(unacked):
+            if seq > cum_seq:
+                break
+            del unacked[seq]
 
     # ------------------------------------------------------------------
     # Lifecycle / introspection
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Stop all timers and drop buffered state (peer dead)."""
-        if self._closed:
+        if self.closed:
             return
-        self._closed = True
+        self.closed = True
         self._unacked.clear()
         self._stash.clear()
         if self._retransmit_timer is not None:
@@ -166,10 +178,6 @@ class ReliableLink:
             self._ack_timer.cancel()
         if self._on_close is not None:
             self._on_close()
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
 
     @property
     def unacked_count(self) -> int:

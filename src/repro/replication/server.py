@@ -394,7 +394,8 @@ class ServerReplicator(Actor, ServerTransport):
             if tracked:
                 self._inflight -= 1
             self.requests_processed += 1
-            self._count("replicator_requests_total")
+            if telemetry.enabled:
+                self._count("replicator_requests_total")
             rep_reply = RepReply(reply=reply, replica=self.member,
                                  style=self.style, primary=self.primary,
                                  broadcast=self.config.broadcast_requests)
@@ -438,7 +439,8 @@ class ServerReplicator(Actor, ServerTransport):
                 self.gcs.send_direct(rep.client, rep_reply,
                                      rep_reply.wire_bytes)
                 self.replies_sent += 1
-                self._count("replicator_replies_total")
+                if telemetry.enabled:
+                    self._count("replicator_replies_total")
             self._after_request()
             if tracked and self._inflight == 0:
                 self._fire_drain_waiters()

@@ -1,5 +1,7 @@
 """Tests for the CTMC availability model."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -126,3 +128,90 @@ class TestValidation:
             RepairableGroupModel(n_replicas=1, mttf_us=0.0)
         with pytest.raises(PolicyError):
             RepairableGroupModel(n_replicas=1, failover_us=-1.0)
+
+
+class TestPurePythonSolver:
+    """The chain is solved without numpy; the numpy solution it
+    replaced stays here as the reference."""
+
+    # (MTTF, MTTR) in µs with MTTF/MTTR in {0.1, 1, 10}.  LU on the
+    # first-passage system loses digits as that ratio grows (at the
+    # module defaults, ratio 720, it is 1 % off by n = 7), so wider
+    # ratios are checked against the exact rational solution below.
+    GRID = [(mttf, mttf / ratio)
+            for mttf in (1e6, 1e8, 3.6e9)
+            for ratio in (0.1, 1.0, 10.0)]
+
+    # Realistic ratios (up to 3e10), including the module defaults.
+    WIDE_GRID = [(mttf, mttr)
+                 for mttf in (1e6, 3.6e9, 8.64e10, 3.15e13)
+                 for mttr in (1e3, 5e6, 3.6e9)]
+
+    @staticmethod
+    def _numpy_reference(numpy, model):
+        n = model.n_replicas
+        lam = 1.0 / model.mttr_us
+        mu = 1.0 / model.mttf_us
+        weights = numpy.zeros(n + 1)
+        weights[n] = 1.0
+        for k in range(n - 1, -1, -1):
+            weights[k] = weights[k + 1] * ((k + 1) * mu) / lam
+        pi = list(weights / weights.sum())
+        q = numpy.zeros((n, n))
+        for k in range(1, n + 1):
+            i = k - 1
+            down = k * mu
+            up = lam if k < n else 0.0
+            q[i, i] = -(down + up)
+            if k > 1:
+                q[i, i - 1] = down
+            if k < n:
+                q[i, i + 1] = up
+        mttf_total = float(numpy.linalg.solve(q, -numpy.ones(n))[n - 1])
+        return pi, mttf_total
+
+    @staticmethod
+    def _exact_first_passage(model):
+        """m_n from forward elimination of Q_t m = -1 in rational
+        arithmetic; the last row is then solved directly, so no
+        back-substitution is needed."""
+        n = model.n_replicas
+        lam = 1 / Fraction(model.mttr_us)
+        mu = 1 / Fraction(model.mttf_us)
+        diag = [-(k * mu + (lam if k < n else 0)) for k in range(1, n + 1)]
+        rhs = [Fraction(-1)] * n
+        for i in range(1, n):
+            factor = (i + 1) * mu / diag[i - 1]
+            diag[i] -= factor * lam
+            rhs[i] -= factor * rhs[i - 1]
+        return rhs[n - 1] / diag[n - 1]
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_numpy_reference(self, n):
+        numpy = pytest.importorskip("numpy")
+        for mttf, mttr in self.GRID:
+            model = RepairableGroupModel(n_replicas=n, mttf_us=mttf,
+                                         mttr_us=mttr)
+            pi, mttf_total = self._numpy_reference(numpy, model)
+            assert model.steady_state() == pytest.approx(pi, rel=1e-12)
+            assert model.mean_time_to_total_failure_us() \
+                == pytest.approx(mttf_total, rel=1e-12)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_exact_solution_at_wide_ratios(self, n):
+        for mttf, mttr in self.WIDE_GRID:
+            model = RepairableGroupModel(n_replicas=n, mttf_us=mttf,
+                                         mttr_us=mttr)
+            exact = self._exact_first_passage(model)
+            assert model.mean_time_to_total_failure_us() \
+                == pytest.approx(float(exact), rel=1e-14)
+
+    def test_two_replicas_closed_form(self):
+        """MTTF_total = (3 mu + lam) / (2 mu^2) for failure rate mu and
+        repair rate lam."""
+        mttf, mttr = 3.6e9, 5e6
+        mu, lam = 1.0 / mttf, 1.0 / mttr
+        model = RepairableGroupModel(n_replicas=2, mttf_us=mttf,
+                                     mttr_us=mttr)
+        assert model.mean_time_to_total_failure_us() == pytest.approx(
+            (3 * mu + lam) / (2 * mu * mu), rel=1e-12)

@@ -24,9 +24,11 @@ class TestFixedDetector:
 
     def test_forget(self):
         fd = FixedTimeoutDetector(timeout_us=1000.0)
-        fd.heard_from("a", 0.0)
+        fd.heard_from("a", 900.0)
         fd.forget("a")
-        assert fd.silence("a", 500.0) == 500.0  # back to epoch default
+        assert "a" not in fd.last_heard
+        # Back to the epoch default: silent since time 0.
+        assert fd.suspects(["a"], 1500.0) == {"a"}
 
     def test_validation(self):
         with pytest.raises(ValueError):
