@@ -149,15 +149,16 @@ def test_ablation_recovery_time_by_style(benchmark):
         replicas[0].crash()
         crash_at = testbed.now
         after = []
-        stack.orb_client.invoke("bench", "op", 1, 128, after.append)
+        # Record the exact reply instant (the polling loop below is
+        # coarse).
+        stack.orb_client.invoke("bench", "op", 1, 128,
+                                lambda reply: after.append(testbed.now))
         guard = 0
         while not after and guard < 60:
             testbed.run(500_000)
             guard += 1
         assert after, f"no recovery for {style.value}"
-        # The reply timeline carries the exact completion instant
-        # (the polling loop above is coarse).
-        return after[0].timeline.completed_at - crash_at
+        return after[0] - crash_at
 
     def run():
         return {style: measure(style)

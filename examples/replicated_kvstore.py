@@ -35,13 +35,13 @@ from repro.replication import (
 def call(testbed, client, operation, payload):
     replies = []
     nbytes = marshalled_size(payload)
-    client.orb_client.invoke("kv", operation, payload, nbytes,
-                             replies.append)
+    sent_at = testbed.now
+    client.orb_client.invoke(
+        "kv", operation, payload, nbytes,
+        lambda reply: replies.append((reply.payload, testbed.now - sent_at)))
     testbed.run(3_000_000)
     assert replies, f"no reply for {operation}"
-    reply = replies[0]
-    rtt = reply.timeline.completed_at - reply.timeline.started_at
-    return reply.payload, rtt
+    return replies[0]
 
 
 def main() -> None:

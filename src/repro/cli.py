@@ -26,7 +26,7 @@ import sys
 from typing import List, Optional
 
 from repro.core import Constraints, CostFunction, ScalabilityPolicy, ThresholdSwitchPolicy
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, TelemetryOverflowError
 from repro.experiments import (
     build_profile,
     run_adaptive_scenario,
@@ -64,6 +64,18 @@ def _usage_error(command: str, message: str) -> int:
     """Report a usage error uniformly: one line on stderr, exit 2."""
     print(f"{command}: {message}", file=sys.stderr)
     return 2
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _cmd_breakdown(args: argparse.Namespace) -> int:
@@ -246,14 +258,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         telemetry_summary,
     )
 
-    if args.replicas < 1 or args.clients < 1 or args.requests < 1:
-        return _usage_error(
-            "trace", "replicas, clients and requests must be >= 1")
+    if args.replicas < 1 or args.clients < 1:
+        return _usage_error("trace", "replicas and clients must be >= 1")
     style = ReplicationStyle(args.style)
     result = run_replicated_load(
         style, n_replicas=args.replicas, n_clients=args.clients,
-        n_requests=args.requests, seed=args.seed,
-        keep_timelines=True, telemetry=True)
+        n_requests=args.requests, seed=args.seed, telemetry=True)
     recorder = result.telemetry
     assert recorder is not None
 
@@ -603,7 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"repro {__version__}")
     parser.add_argument("--seed", type=int, default=0,
                         help="simulation seed (default 0)")
-    parser.add_argument("--requests", type=int, default=150,
+    parser.add_argument("--requests", type=_positive_int, default=150,
                         help="requests per client per configuration "
                              "(default 150; paper used 10000)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -862,7 +872,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("\n".join(lines), file=sys.stderr)
         return 2
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except TelemetryOverflowError as exc:
+        return _usage_error(args.command, str(exc))
 
 
 if __name__ == "__main__":

@@ -54,6 +54,11 @@ class ConfigurationError(ReproError):
     """An invalid parameter value was supplied."""
 
 
+class TelemetryOverflowError(ConfigurationError):
+    """The span recorder hit its ``max_spans`` cap, so a view over the
+    spans (e.g. the Fig. 3 breakdown) would cover only part of a run."""
+
+
 class VerificationError(ReproError):
     """A schedule-exploration or replay step failed mechanically.
 

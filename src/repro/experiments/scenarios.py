@@ -14,6 +14,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.measurements import ConfigPoint, Measurement, Profile
 from repro.core.policies import ThresholdSwitchPolicy
+from repro.errors import TelemetryOverflowError
 from repro.experiments.run import ScenarioRun
 from repro.interpose import (
     InterceptedClientTransport,
@@ -25,10 +26,10 @@ from repro.orb import (
     OrbServer,
     TcpClientTransport,
     TcpServerTransport,
-    TimelineAggregate,
 )
 from repro.replication import ReplicationConfig, ReplicationStyle
 from repro.sim import SubstrateCalibration
+from repro.telemetry.analysis import component_breakdown
 from repro.workload import (
     ClosedLoopClient,
     OpenLoopClient,
@@ -62,10 +63,7 @@ class ScenarioResult:
     #: Duplicate-suppression entries that rode on checkpoints, summed
     #: over the replicas (linear in requests: checkpoints ship deltas).
     seen_entries_shipped: int = 0
-    breakdown: Dict[str, float] = field(default_factory=dict)
     per_client_latency_us: List[float] = field(default_factory=list)
-    #: Cross-request per-component stats (set when timelines are kept).
-    timeline_stats: Optional[TimelineAggregate] = None
     #: The run's span/metrics recorder (set when telemetry was on).
     telemetry: Optional[Any] = None
     #: The run's dependability journal (set when journaling was on).
@@ -94,7 +92,6 @@ def run_replicated_load(style: ReplicationStyle, n_replicas: int,
                         seed: int = 0,
                         state_bytes: int = DEFAULT_STATE_BYTES,
                         checkpoint_interval: int = 1,
-                        keep_timelines: bool = False,
                         calibration: Optional[SubstrateCalibration] = None,
                         telemetry: bool = False,
                         journal: bool = False) -> ScenarioResult:
@@ -116,15 +113,12 @@ def run_replicated_load(style: ReplicationStyle, n_replicas: int,
         _bench_servants(state_bytes), n_replicas, n_clients)
     run.warm()
     run.start([ClosedLoopClient(stack, n_requests, object_key="bench",
-                                payload_bytes=DEFAULT_REQUEST_BYTES,
-                                keep_timelines=keep_timelines)
+                                payload_bytes=DEFAULT_REQUEST_BYTES)
                for stack in run.stacks])
     run.drain()
 
     duration, completed = run.elapsed_us, run.completed
     mean, jitter = latency_stats(run.latencies)
-    timelines = [t for loader in run.loaders for t in loader.stats.timelines]
-    stats = TimelineAggregate().extend(timelines) if timelines else None
     return ScenarioResult(
         style=style, n_replicas=n_replicas, n_clients=n_clients,
         latency_mean_us=mean, jitter_us=jitter,
@@ -134,10 +128,8 @@ def run_replicated_load(style: ReplicationStyle, n_replicas: int,
         events_dispatched=run.testbed.sim.events_dispatched,
         seen_entries_shipped=sum(r.replicator.seen_entries_shipped
                                  for r in run.replicas),
-        breakdown=stats.breakdown() if stats else {},
         per_client_latency_us=[loader.stats.mean_latency_us
                                for loader in run.loaders],
-        timeline_stats=stats,
         telemetry=run.telemetry, journal=run.journal)
 
 
@@ -171,11 +163,21 @@ def build_profile(client_counts: Sequence[int] = (1, 2, 3, 4, 5),
 def run_rtt_breakdown(n_requests: int = 500, seed: int = 0
                       ) -> Dict[str, float]:
     """Fig. 3: per-component mean round-trip contribution for one
-    client and one (active) server replica."""
-    result = run_replicated_load(
+    client and one (active) server replica, read from the run's spans.
+
+    Raises :class:`~repro.errors.TelemetryOverflowError` when the span
+    recorder hit its ``max_spans`` cap: a breakdown over the requests
+    that still fitted would silently describe a different run.
+    """
+    recorder = run_replicated_load(
         ReplicationStyle.ACTIVE, n_replicas=1, n_clients=1,
-        n_requests=n_requests, seed=seed, keep_timelines=True)
-    return result.breakdown
+        n_requests=n_requests, seed=seed, telemetry=True).telemetry
+    if recorder.dropped:
+        raise TelemetryOverflowError(
+            f"the span recorder dropped {recorder.dropped} spans "
+            f"(max_spans {recorder.max_spans}); the breakdown of "
+            f"{n_requests} requests would be incomplete")
+    return component_breakdown(recorder.spans)
 
 
 @dataclass
@@ -235,9 +237,10 @@ def _run_tcp_mode(mode: str, n_requests: int, seed: int
     latencies: List[float] = []
 
     def loop(remaining: int) -> None:
+        sent_at = testbed.now
+
         def on_reply(reply) -> None:
-            latencies.append(reply.timeline.completed_at
-                             - reply.timeline.started_at)
+            latencies.append(testbed.now - sent_at)
             if remaining > 1:
                 loop(remaining - 1)
         orb_client.invoke("bench", "op", 1, DEFAULT_REQUEST_BYTES,

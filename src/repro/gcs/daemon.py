@@ -67,11 +67,11 @@ from repro.gcs.messages import (
 from repro.gcs.vector_clock import VectorClock
 from repro.net.frame import Endpoint, Frame
 from repro.net.network import Network
-from repro.orb.accounting import COMPONENT_GCS
 from repro.sim.actor import Actor
 from repro.sim.config import GcsCalibration
 from repro.sim.host import Process
 from repro.telemetry.context import payload_context
+from repro.telemetry.spans import COMPONENT_GCS
 
 #: Well-known daemon port (Spread's default).
 GCS_PORT = 4803

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.orb.accounting import COMPONENT_REPLICATOR
 from repro.orb.giop import GiopReply, GiopRequest
 from repro.orb.transport import (
     ClientTransport,
@@ -29,6 +28,7 @@ from repro.orb.transport import (
 from repro.sim.config import InterposeCalibration
 from repro.sim.host import Process
 from repro.telemetry.context import context_of
+from repro.telemetry.spans import COMPONENT_REPLICATOR
 
 
 class InterceptedClientTransport(ClientTransport):
@@ -46,7 +46,6 @@ class InterceptedClientTransport(ClientTransport):
         """Charge interception cost, then pass through."""
         self.calls_intercepted += 1
         cost = self.cal.intercept_us
-        request.timeline.add(COMPONENT_REPLICATOR, cost)
         telemetry = self.process.sim.telemetry
         span = None
         if telemetry.enabled:
@@ -64,7 +63,6 @@ class InterceptedClientTransport(ClientTransport):
 
         def intercept_reply(reply: GiopReply) -> None:
             self.calls_intercepted += 1
-            reply.timeline.add(COMPONENT_REPLICATOR, cost)
             reply_span = None
             if telemetry.enabled:
                 reply_span = telemetry.begin(
@@ -104,7 +102,6 @@ class InterceptedServerTransport(ServerTransport):
         def intercept_request(request: GiopRequest,
                               send_reply: ReplyHandler) -> None:
             self.calls_intercepted += 1
-            request.timeline.add(COMPONENT_REPLICATOR, cost)
             telemetry = self.process.sim.telemetry
             span = None
             if telemetry.enabled:
@@ -115,7 +112,6 @@ class InterceptedServerTransport(ServerTransport):
 
             def intercepted_reply(reply: GiopReply) -> None:
                 self.calls_intercepted += 1
-                reply.timeline.add(COMPONENT_REPLICATOR, cost)
                 reply_span = None
                 if telemetry.enabled:
                     reply_span = telemetry.begin(

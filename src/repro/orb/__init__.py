@@ -8,21 +8,8 @@ Public surface:
 - :class:`ServiceAddress`, :class:`TcpClientTransport`,
   :class:`TcpServerTransport` — the transport seam the replicator
   interposes on
-- :class:`RequestTimeline` — per-request latency attribution (Fig. 3)
 """
 
-from repro.orb.accounting import (
-    ALL_COMPONENTS,
-    COMPONENT_APPLICATION,
-    COMPONENT_GCS,
-    COMPONENT_NETWORK,
-    COMPONENT_ORB,
-    COMPONENT_REPLICATOR,
-    ComponentStats,
-    RequestTimeline,
-    TimelineAggregate,
-    average_timelines,
-)
 from repro.orb.client import OrbClient
 from repro.orb.giop import GiopReply, GiopRequest, ReplyStatus
 from repro.orb.marshal import marshalled_size, padded
@@ -44,15 +31,8 @@ from repro.orb.transport import (
 )
 
 __all__ = [
-    "ALL_COMPONENTS",
     "BusyServant",
-    "COMPONENT_APPLICATION",
-    "COMPONENT_GCS",
-    "COMPONENT_NETWORK",
-    "COMPONENT_ORB",
-    "COMPONENT_REPLICATOR",
     "ClientTransport",
-    "ComponentStats",
     "CounterServant",
     "EchoServant",
     "GiopReply",
@@ -61,15 +41,12 @@ __all__ = [
     "OrbClient",
     "OrbServer",
     "ReplyStatus",
-    "RequestTimeline",
     "Servant",
     "ServantResult",
     "ServerTransport",
     "ServiceAddress",
     "TcpClientTransport",
     "TcpServerTransport",
-    "TimelineAggregate",
-    "average_timelines",
     "marshalled_size",
     "padded",
 ]

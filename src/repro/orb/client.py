@@ -6,12 +6,12 @@ import itertools
 from typing import Any, Callable, Optional
 
 from repro.errors import OrbError
-from repro.orb.accounting import COMPONENT_ORB
 from repro.orb.giop import GiopReply, GiopRequest
 from repro.orb.transport import ClientTransport
 from repro.sim.config import OrbCalibration
 from repro.sim.host import Process
 from repro.telemetry.context import context_of, set_context
+from repro.telemetry.spans import COMPONENT_ORB
 
 
 class OrbClient:
@@ -46,8 +46,8 @@ class OrbClient:
                       f"-{next(self._request_ids)}")
         request = GiopRequest(request_id=request_id, object_key=object_key,
                               operation=operation, payload=payload,
-                              payload_bytes=payload_bytes, oneway=oneway)
-        request.timeline.started_at = self.sim.now
+                              payload_bytes=payload_bytes, oneway=oneway,
+                              started_at=self.sim.now)
         history = self.sim.history
         if history.enabled:
             # The invocation interval opens here — at the ORB boundary,
@@ -57,7 +57,6 @@ class OrbClient:
                             self.sim.now, client=self.process.name)
         marshal_us = (self.cal.marshal_fixed_us
                       + self.cal.marshal_per_byte_us * payload_bytes)
-        request.timeline.add(COMPONENT_ORB, marshal_us)
         telemetry = self.sim.telemetry
         ctx = None
         marshal_span = None
@@ -88,7 +87,6 @@ class OrbClient:
             demarshal_us = (self.cal.demarshal_fixed_us
                             + self.cal.demarshal_per_byte_us
                             * reply.payload_bytes)
-            reply.timeline.add(COMPONENT_ORB, demarshal_us)
             demarshal_span = None
             reply_ctx = None
             if telemetry.enabled:
@@ -102,11 +100,6 @@ class OrbClient:
             def after_demarshal() -> None:
                 if not self.process.alive:
                     return
-                # The reply timeline is the request timeline (or a
-                # per-replica fork of it), so it already carries the
-                # outbound components — no merge needed.
-                reply.timeline.started_at = request.timeline.started_at
-                reply.timeline.completed_at = self.sim.now
                 if telemetry.enabled and reply_ctx is not None:
                     telemetry.end(demarshal_span, self.sim.now)
                     telemetry.finish_trace(reply_ctx, self.sim.now)

@@ -1,9 +1,7 @@
 """GIOP-like request/reply messages of the miniature ORB.
 
 Sizes are modelled explicitly: ``payload_bytes`` is the marshalled
-argument/result size and the transport adds the GIOP header.  The
-timeline object rides along with each message so every layer can
-attribute its latency contribution (paper Fig. 3).
+argument/result size and the transport adds the GIOP header.
 
 ``service_contexts`` models GIOP's service-context list: out-of-band
 key/value metadata that middleware layers attach without the
@@ -17,8 +15,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
-
-from repro.orb.accounting import RequestTimeline
 
 
 class ReplyStatus(enum.Enum):
@@ -38,8 +34,9 @@ class GiopRequest:
     payload: Any
     payload_bytes: int
     oneway: bool = False
-    timeline: RequestTimeline = field(default_factory=RequestTimeline,
-                                      compare=False)
+    #: Simulated instant the client ORB built the request: every
+    #: round-trip latency is measured from here.
+    started_at: Optional[float] = field(default=None, compare=False)
     service_contexts: Dict[str, Any] = field(default_factory=dict,
                                              compare=False)
 
@@ -48,15 +45,15 @@ class GiopRequest:
             raise ValueError("payload_bytes must be non-negative")
 
     def fork(self) -> "GiopRequest":
-        """Copy with a forked timeline, for fan-out to replicas.
+        """Copy for fan-out to replicas.
 
-        Service contexts are copied too (each replica updates its own
+        Service contexts are copied (each replica updates its own
         trace context independently of its siblings).
         """
         return GiopRequest(self.request_id, self.object_key,
                            self.operation, self.payload,
                            self.payload_bytes, self.oneway,
-                           self.timeline.fork(),
+                           self.started_at,
                            dict(self.service_contexts))
 
 
@@ -72,8 +69,6 @@ class GiopReply:
     #: current style/primary) so clients can track the server group
     #: configuration without extra round trips.
     replica_info: Optional[dict] = None
-    timeline: RequestTimeline = field(default_factory=RequestTimeline,
-                                      compare=False)
     service_contexts: Dict[str, Any] = field(default_factory=dict,
                                              compare=False)
 

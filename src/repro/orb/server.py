@@ -12,13 +12,13 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 from repro.errors import OrbError
-from repro.orb.accounting import COMPONENT_APPLICATION, COMPONENT_ORB
 from repro.orb.giop import GiopReply, GiopRequest, ReplyStatus
 from repro.orb.servant import Servant, ServantResult
 from repro.orb.transport import ReplyHandler, ServerTransport, ServiceAddress
 from repro.sim.config import OrbCalibration
 from repro.sim.host import Process
 from repro.telemetry.context import context_of
+from repro.telemetry.spans import COMPONENT_APPLICATION, COMPONENT_ORB
 
 
 class OrbServer:
@@ -148,7 +148,6 @@ class OrbServer:
         demarshal_us = (self.cal.demarshal_fixed_us
                         + self.cal.demarshal_per_byte_us
                         * request.payload_bytes)
-        request.timeline.add(COMPONENT_ORB, demarshal_us + self.cal.dispatch_us)
         cpu = self.process.host.cpu
         telemetry = self.sim.telemetry
         ctx = context_of(request) if telemetry.enabled else None
@@ -175,7 +174,6 @@ class OrbServer:
                              ServantResult(str(exc), 32, 0.0),
                              status=ReplyStatus.EXCEPTION)
                 return
-            request.timeline.add(COMPONENT_APPLICATION, result.processing_us)
             execute_span = telemetry.begin(
                 ctx, "server.execute", COMPONENT_APPLICATION,
                 host=self.process.host.name, process=self.process.name,
@@ -205,9 +203,7 @@ class OrbServer:
         reply = GiopReply(request_id=request.request_id, status=status,
                           payload=result.payload,
                           payload_bytes=result.payload_bytes,
-                          timeline=request.timeline,
                           service_contexts=request.service_contexts)
-        reply.timeline.add(COMPONENT_ORB, marshal_us)
         telemetry = self.sim.telemetry
         ctx = context_of(reply) if telemetry.enabled else None
         marshal_span = telemetry.begin(

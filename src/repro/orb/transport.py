@@ -20,11 +20,11 @@ from typing import Any, Callable, Dict, Optional
 from repro.errors import OrbError
 from repro.net.frame import Endpoint, Frame
 from repro.net.network import Network
-from repro.orb.accounting import COMPONENT_NETWORK
 from repro.orb.giop import GiopReply, GiopRequest
 from repro.sim.config import OrbCalibration
 from repro.sim.host import Process
 from repro.telemetry.context import context_of, set_context
+from repro.telemetry.spans import COMPONENT_NETWORK
 
 ReplyHandler = Callable[[GiopReply], None]
 RequestHandler = Callable[[GiopRequest, ReplyHandler], None]
@@ -105,7 +105,6 @@ class TcpClientTransport(ClientTransport):
             raise OrbError("transport closed")
         if not request.oneway:
             self._waiting[request.request_id] = on_reply
-        request.timeline.mark_handoff(self.process.sim.now)
         telemetry = self.process.sim.telemetry
         if telemetry.enabled:
             ctx = context_of(request)
@@ -131,8 +130,6 @@ class TcpClientTransport(ClientTransport):
             return
         handler = self._waiting.pop(reply.request_id, None)
         if handler is not None:
-            reply.timeline.absorb_transit(COMPONENT_NETWORK,
-                                          self.process.sim.now)
             telemetry = self.process.sim.telemetry
             if telemetry.enabled:
                 ctx = context_of(reply)
@@ -179,8 +176,6 @@ class TcpServerTransport(ServerTransport):
         request = payload.message
         if not isinstance(request, GiopRequest) or self._on_request is None:
             return
-        request.timeline.absorb_transit(COMPONENT_NETWORK,
-                                        self.process.sim.now)
         telemetry = self.process.sim.telemetry
         if telemetry.enabled:
             ctx = context_of(request)
@@ -190,7 +185,6 @@ class TcpServerTransport(ServerTransport):
         reply_to = payload.reply_to
 
         def send_reply(reply: GiopReply) -> None:
-            reply.timeline.mark_handoff(self.process.sim.now)
             if telemetry.enabled:
                 reply_ctx = context_of(reply)
                 if reply_ctx is not None:

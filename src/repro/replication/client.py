@@ -34,7 +34,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.errors import ReplicationError
 from repro.gcs.client import GcsClient
 from repro.gcs.messages import Grade, GroupView, MemberId
-from repro.orb.accounting import COMPONENT_GCS, COMPONENT_REPLICATOR
 from repro.orb.giop import GiopReply, GiopRequest
 from repro.orb.transport import ClientTransport, ReplyHandler
 from repro.replication.messages import RepReply, RepRequest
@@ -46,6 +45,7 @@ from repro.sim.actor import Actor
 from repro.sim.config import InterposeCalibration
 from repro.telemetry.context import context_of, set_context
 from repro.telemetry.metrics import DEFAULT_LATENCY_BUCKETS_US
+from repro.telemetry.spans import COMPONENT_GCS, COMPONENT_REPLICATOR
 
 
 class _Outstanding:
@@ -129,7 +129,6 @@ class ClientReplicator(Actor, ClientTransport):
         entry = _Outstanding(rep, on_reply)
         if not request.oneway:
             self._outstanding[request.request_id] = entry
-        request.timeline.add(COMPONENT_REPLICATOR, self.ical.redirect_us)
         telemetry = self.sim.telemetry
         redirect_span = None
         if telemetry.enabled:
@@ -177,7 +176,6 @@ class ClientReplicator(Actor, ClientTransport):
     def _transmit(self, entry: _Outstanding, first_attempt: bool) -> None:
         entry.attempts += 1
         request = entry.rep.request
-        request.timeline.mark_handoff(self.sim.now)
         telemetry = self.sim.telemetry
         if telemetry.enabled:
             ctx = context_of(request)
@@ -365,8 +363,6 @@ class ClientReplicator(Actor, ClientTransport):
         self.cancel_timer(f"retry:{request_id}")
         self.replies_received += 1
         reply = rep_reply.reply
-        reply.timeline.absorb_transit(COMPONENT_GCS, self.sim.now)
-        reply.timeline.add(COMPONENT_REPLICATOR, self.ical.redirect_us)
         telemetry = self.sim.telemetry
         accept_span = None
         if telemetry.enabled:
@@ -380,10 +376,9 @@ class ClientReplicator(Actor, ClientTransport):
                     host=self.process.host.name,
                     process=self.process.name, now=self.sim.now)
             latency_hist = self._latency_hist()
-            if latency_hist is not None \
-                    and reply.timeline.started_at is not None:
-                latency_hist.observe(self.sim.now
-                                     - reply.timeline.started_at)
+            started_at = entry.rep.request.started_at
+            if latency_hist is not None and started_at is not None:
+                latency_hist.observe(self.sim.now - started_at)
 
         def deliver() -> None:
             if telemetry.enabled:

@@ -35,7 +35,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.errors import AdaptationError, ReplicationError
 from repro.gcs.client import GcsClient
 from repro.gcs.messages import Grade, GroupView, MemberId
-from repro.orb.accounting import COMPONENT_GCS, COMPONENT_REPLICATOR
 from repro.orb.giop import GiopReply, GiopRequest
 from repro.orb.transport import ReplyHandler, RequestHandler, ServerTransport, ServiceAddress
 from repro.replication.messages import (
@@ -56,6 +55,7 @@ from repro.telemetry.metrics import (
     DEFAULT_BYTES_BUCKETS,
     DEFAULT_LATENCY_BUCKETS_US,
 )
+from repro.telemetry.spans import COMPONENT_GCS, COMPONENT_REPLICATOR
 
 #: Reply-cache bound (duplicate suppression window).
 SEEN_CACHE_LIMIT = 8192
@@ -360,10 +360,8 @@ class ServerReplicator(Actor, ServerTransport):
             self._inflight += 1
 
         local = request.fork()
-        local.timeline.absorb_transit(COMPONENT_GCS, self.sim.now)
         overhead = (self.ical.redirect_us + self.rcal.duplicate_check_us
                     + self.rcal.logging_us)
-        local.timeline.add(COMPONENT_REPLICATOR, overhead)
         telemetry = self.sim.telemetry
         process_span = None
         ctx = None
@@ -402,13 +400,11 @@ class ServerReplicator(Actor, ServerTransport):
             self._remember(req_id, rep_reply)
             if self._seen_base:
                 self._seen_delta.append((req_id, rep_reply))
-            reply.timeline.add(COMPONENT_REPLICATOR, self.ical.redirect_us)
             reply_ctx = context_of(reply) if telemetry.enabled else None
             if reply_ctx is not None:
-                # The redirect cost above is charged without elapsing
+                # The reply redirect is charged without elapsing
                 # simulated time (it overlaps the reply transit), so
-                # the matching span is emitted pre-closed rather than
-                # measured.
+                # its span is emitted pre-closed rather than measured.
                 telemetry.emit(
                     reply_ctx, "server.redirect", COMPONENT_REPLICATOR,
                     self.sim.now, self.sim.now + self.ical.redirect_us,
@@ -428,7 +424,6 @@ class ServerReplicator(Actor, ServerTransport):
                 # released when that checkpoint is stable.
                 self._held_replies.append((rep.client, rep_reply))
             else:
-                reply.timeline.mark_handoff(self.sim.now)
                 if reply_ctx is not None:
                     _, carried = telemetry.begin_transit(
                         reply_ctx.at_root(), "gcs.reply", COMPONENT_GCS,
@@ -471,7 +466,6 @@ class ServerReplicator(Actor, ServerTransport):
         telemetry = self.sim.telemetry
         for client, rep_reply in held:
             reply = rep_reply.reply
-            reply.timeline.mark_handoff(self.sim.now)
             if telemetry.enabled:
                 ctx = context_of(reply)
                 if ctx is not None:

@@ -58,6 +58,12 @@ from repro.telemetry.metrics import (
     MetricsRegistry,
 )
 from repro.telemetry.spans import (
+    ALL_COMPONENTS,
+    COMPONENT_APPLICATION,
+    COMPONENT_GCS,
+    COMPONENT_NETWORK,
+    COMPONENT_ORB,
+    COMPONENT_REPLICATOR,
     KIND_CHARGED,
     KIND_MEASURED,
     KIND_TRANSIT,
@@ -67,6 +73,12 @@ from repro.telemetry.spans import (
 )
 
 __all__ = [
+    "ALL_COMPONENTS",
+    "COMPONENT_APPLICATION",
+    "COMPONENT_GCS",
+    "COMPONENT_NETWORK",
+    "COMPONENT_ORB",
+    "COMPONENT_REPLICATOR",
     "CONTEXT_WIRE_BYTES",
     "Counter",
     "DEFAULT_BYTES_BUCKETS",

@@ -1,10 +1,10 @@
 """Trace analysis: critical paths and per-layer breakdowns.
 
-This is the measured-span counterpart of the hand-threaded
-:class:`~repro.orb.accounting.RequestTimeline` accounting: instead of
-each layer *declaring* its cost, the spans recorded at CPU-job and
-handoff boundaries are reduced to the same per-component numbers
-(paper Fig. 3).  Tests cross-check the two within 5 %.
+The paper's Fig. 3 splits one round trip into application / ORB /
+group communication / replicator time.  That split is a view over the
+recorded spans, computed only when asked for: the spans recorded at
+CPU-job and transit boundaries are reduced to per-component numbers
+(:func:`component_breakdown`).
 
 Durations are *exclusive* — a span's children are subtracted — so a
 GCS transit span and the daemon-hop spans nested inside it never
@@ -16,8 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.orb.accounting import ALL_COMPONENTS
-from repro.telemetry.spans import KIND_TRANSIT, Span, spans_by_trace
+from repro.telemetry.spans import (
+    ALL_COMPONENTS,
+    KIND_TRANSIT,
+    Span,
+    spans_by_trace,
+)
 
 
 def exclusive_durations(trace_spans: Iterable[Span]) -> Dict[int, float]:
@@ -58,12 +62,12 @@ def completed_traces(spans: Iterable[Span]) -> Dict[str, List[Span]]:
 def component_breakdown(spans: Iterable[Span]) -> Dict[str, float]:
     """Mean per-request component breakdown over completed traces.
 
-    The measured-span reproduction of Fig. 3: keys are
-    :data:`~repro.orb.accounting.ALL_COMPONENTS`, values mean µs per
+    The reproduction of Fig. 3: keys are
+    :data:`~repro.telemetry.spans.ALL_COMPONENTS`, values mean µs per
     completed round trip.  With replica fan-out this sums the work of
-    *every* replica that participated (total resource usage); for the
-    Fig. 3 single-replica configuration it matches the client-visible
-    path that ``RequestTimeline`` records.
+    *every* replica that participated (total resource usage); with the
+    Fig. 3 configuration (one client, one replica) it is the
+    client-visible path.
     """
     complete = completed_traces(spans)
     totals = {component: 0.0 for component in ALL_COMPONENTS}

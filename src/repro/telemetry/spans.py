@@ -6,17 +6,20 @@ execution.  Spans form a tree per trace: the root span covers the
 whole round trip, layer spans hang off the root, and daemon-hop spans
 hang off the GCS transit span they occur inside.
 
-Two span kinds exist because the repo's accounting does:
+Spans are the repo's one latency recorder: the paper's Fig. 3
+breakdown is a view over them
+(:func:`~repro.telemetry.analysis.component_breakdown`).  Two span
+kinds exist:
 
 ``measured``
     Both endpoints observed from simulated time (CPU job boundaries
-    or handoff/absorb points).  Most spans are measured.
+    or transit handoff/arrival points).  Most spans are measured.
 ``charged``
-    The layer attributes a nominal cost without occupying simulated
-    time (e.g. the server replicator's reply redirect, which the
-    timeline charges while the reply is already in flight).  The span
-    is synthesized as ``[now, now + cost]`` so per-component sums
-    still match the :class:`~repro.orb.accounting.RequestTimeline`.
+    The layer bills a nominal cost without occupying simulated time
+    (e.g. the server replicator's reply redirect, charged while the
+    reply is already in flight).  The span is synthesized as
+    ``[now, now + cost]`` so the cost still counts towards its
+    component.
 
 The enabled recorder is :class:`Telemetry`; the disabled one is the
 kernel's ``NullTelemetry`` (see :mod:`repro.sim.kernel` — it lives
@@ -38,6 +41,22 @@ from repro.telemetry.metrics import MetricsRegistry
 #: Root spans and other non-layer spans carry an empty component so
 #: they never pollute per-component breakdowns.
 NO_COMPONENT = ""
+
+#: The layer components a span is attributed to: the paper's Fig. 3
+#: slices, plus plain-TCP wire time (the no-replication baseline).
+COMPONENT_APPLICATION = "application"
+COMPONENT_ORB = "orb"
+COMPONENT_GCS = "group_communication"
+COMPONENT_REPLICATOR = "replicator"
+COMPONENT_NETWORK = "network"
+
+ALL_COMPONENTS = (
+    COMPONENT_APPLICATION,
+    COMPONENT_ORB,
+    COMPONENT_GCS,
+    COMPONENT_REPLICATOR,
+    COMPONENT_NETWORK,
+)
 
 KIND_MEASURED = "measured"
 KIND_CHARGED = "charged"

@@ -9,6 +9,7 @@ follows a time-varying profile.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Any, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
@@ -41,7 +42,6 @@ class WorkloadStats:
     completed: int = 0
     latencies_us: List[float] = field(default_factory=list)
     completion_times: List[float] = field(default_factory=list)
-    timelines: List[Any] = field(default_factory=list)
 
     @property
     def mean_latency_us(self) -> float:
@@ -65,7 +65,6 @@ class ClosedLoopClient(Actor):
     def __init__(self, stack: "ClientStack", n_requests: int,
                  object_key: str = "counter", operation: str = "add",
                  payload: Any = 1, payload_bytes: int = 512,
-                 keep_timelines: bool = False,
                  object_keys: Optional[Sequence[str]] = None):
         super().__init__(stack.process, name=f"load:{stack.process.name}")
         if n_requests < 1:
@@ -82,7 +81,6 @@ class ClosedLoopClient(Actor):
         self.operation = operation
         self.payload = payload
         self.payload_bytes = payload_bytes
-        self.keep_timelines = keep_timelines
         self.stats = WorkloadStats()
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
@@ -105,19 +103,13 @@ class ClosedLoopClient(Actor):
             key = self.object_keys[self.stats.sent % len(self.object_keys)]
         self.stats.sent += 1
         self.stack.orb_client.invoke(
-            key, self.operation, self.payload,
-            self.payload_bytes, self._on_reply)
+            key, self.operation, self.payload, self.payload_bytes,
+            functools.partial(self._on_reply, self.sim.now))
 
-    def _on_reply(self, reply: GiopReply) -> None:
+    def _on_reply(self, sent_at: float, reply: GiopReply) -> None:
         self.stats.completed += 1
-        timeline = reply.timeline
-        if timeline.started_at is not None \
-                and timeline.completed_at is not None:
-            self.stats.latencies_us.append(
-                timeline.completed_at - timeline.started_at)
+        self.stats.latencies_us.append(self.sim.now - sent_at)
         self.stats.completion_times.append(self.sim.now)
-        if self.keep_timelines:
-            self.stats.timelines.append(timeline)
         self._next()
 
     @property
@@ -176,15 +168,12 @@ class ThinkTimeClient(Actor):
         self.stats.sent += 1
         self.stack.orb_client.invoke(
             self.object_key, self.operation, self.payload,
-            self.payload_bytes, self._on_reply)
+            self.payload_bytes,
+            functools.partial(self._on_reply, self.sim.now))
 
-    def _on_reply(self, reply: GiopReply) -> None:
+    def _on_reply(self, sent_at: float, reply: GiopReply) -> None:
         self.stats.completed += 1
-        timeline = reply.timeline
-        if timeline.started_at is not None \
-                and timeline.completed_at is not None:
-            self.stats.latencies_us.append(
-                timeline.completed_at - timeline.started_at)
+        self.stats.latencies_us.append(self.sim.now - sent_at)
         self.stats.completion_times.append(self.sim.now)
         self._think()
 
@@ -253,14 +242,11 @@ class OpenLoopClient(Actor):
         self.send_times.append(self.sim.now)
         self.stack.orb_client.invoke(
             self.object_key, self.operation, self.payload,
-            self.payload_bytes, self._on_reply)
+            self.payload_bytes,
+            functools.partial(self._on_reply, self.sim.now))
         self._schedule_next()
 
-    def _on_reply(self, reply: GiopReply) -> None:
+    def _on_reply(self, sent_at: float, reply: GiopReply) -> None:
         self.stats.completed += 1
-        timeline = reply.timeline
-        if timeline.started_at is not None \
-                and timeline.completed_at is not None:
-            self.stats.latencies_us.append(
-                timeline.completed_at - timeline.started_at)
+        self.stats.latencies_us.append(self.sim.now - sent_at)
         self.stats.completion_times.append(self.sim.now)

@@ -81,13 +81,6 @@ class TestLoadScenario:
         assert a.latency_mean_us == b.latency_mean_us
         assert a.bandwidth_mbps == b.bandwidth_mbps
 
-    def test_breakdown_only_with_timelines(self):
-        bare = run_replicated_load(ReplicationStyle.ACTIVE, 1, 1, 10)
-        kept = run_replicated_load(ReplicationStyle.ACTIVE, 1, 1, 10,
-                                   keep_timelines=True)
-        assert bare.breakdown == {}
-        assert kept.breakdown
-
 
 class TestProfileSweep:
     def test_small_sweep_shape(self):
@@ -105,6 +98,25 @@ class TestBreakdownScenario:
         for component in ("application", "orb", "group_communication",
                           "replicator"):
             assert breakdown.get(component, 0.0) > 0
+
+    def test_capped_recorder_raises_instead_of_shrinking(self,
+                                                        monkeypatch):
+        """A span cap below what the run needs must not silently turn
+        Fig. 3 into a breakdown of the requests that fitted."""
+        from dataclasses import replace
+
+        import repro.experiments.run as run_module
+        from repro.errors import TelemetryOverflowError
+        from repro.sim import TelemetryConfig
+
+        small = replace(run_module.default_calibration(),
+                        telemetry=TelemetryConfig(max_spans=16 * 20))
+        monkeypatch.setattr(run_module, "default_calibration",
+                            lambda: small)
+        # 20 requests fit in 16 spans each; 40 do not.
+        assert run_rtt_breakdown(n_requests=20)["replicator"] > 0
+        with pytest.raises(TelemetryOverflowError, match="dropped"):
+            run_rtt_breakdown(n_requests=40)
 
 
 class TestOverheadScenario:

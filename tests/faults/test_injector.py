@@ -11,6 +11,7 @@ from tests.replication.helpers import (
     call,
     counter_values,
     fire,
+    timed_call,
 )
 
 
@@ -57,27 +58,24 @@ def test_loss_burst_injected_and_recovered():
 
 def test_delay_spike_slows_but_preserves():
     testbed, replicas, clients = build_rig(ReplicationStyle.ACTIVE)
-    fast = call(testbed, clients[0], "add", 1)
-    fast_latency = fast.timeline.completed_at - fast.timeline.started_at
+    _, fast_latency = timed_call(testbed, clients[0], "add", 1)
     injector = _injector(testbed)
     injector.delay_spike(testbed.now, testbed.now + 3_000_000,
                          extra_us=5_000.0)
-    slow = call(testbed, clients[0], "add", 1)
-    slow_latency = slow.timeline.completed_at - slow.timeline.started_at
+    _, slow_latency = timed_call(testbed, clients[0], "add", 1)
     assert slow_latency > fast_latency + 5_000.0
 
 
 def test_cpu_hog_delays_processing():
     testbed, replicas, clients = build_rig(ReplicationStyle.WARM_PASSIVE)
-    baseline = call(testbed, clients[0], "add", 1)
-    base_latency = baseline.timeline.completed_at - baseline.timeline.started_at
+    _, base_latency = timed_call(testbed, clients[0], "add", 1)
     injector = _injector(testbed)
     # Hog the primary's CPU for 20 ms right now.
     injector.cpu_hog_at(testbed.hosts["s01"], testbed.now + 1,
                         busy_us=20_000.0)
     testbed.run(10)
-    slow = call(testbed, clients[0], "add", 1, timeout_us=3_000_000)
-    slow_latency = slow.timeline.completed_at - slow.timeline.started_at
+    _, slow_latency = timed_call(testbed, clients[0], "add", 1,
+                                 timeout_us=3_000_000)
     assert slow_latency > base_latency + 5_000.0
 
 

@@ -8,7 +8,6 @@ from repro.interpose import (
 )
 from repro.net import Network
 from repro.orb import (
-    COMPONENT_REPLICATOR,
     EchoServant,
     OrbClient,
     OrbServer,
@@ -16,10 +15,17 @@ from repro.orb import (
     TcpServerTransport,
 )
 from repro.sim import NetworkCalibration, Process, Simulator
+from repro.telemetry import (
+    COMPONENT_REPLICATOR,
+    Telemetry,
+    spans_by_trace,
+    trace_component_us,
+)
 
 
 def _build(intercept_client: bool, intercept_server: bool, seed=0):
     sim = Simulator(seed=seed)
+    sim.telemetry = Telemetry()
     net = Network(sim, NetworkCalibration(jitter_us=0.0))
     server_host = net.add_host("server")
     client_host = net.add_host("client")
@@ -43,35 +49,44 @@ def _build(intercept_client: bool, intercept_server: bool, seed=0):
 
 
 def _round_trip(sim, client):
+    """One call; returns the reply and its round-trip time."""
     replies = []
-    client.invoke("echo", "ping", None, 64, replies.append)
+    sent_at = sim.now
+    client.invoke("echo", "ping", None, 64,
+                  lambda reply: replies.append((reply, sim.now - sent_at)))
     sim.run(until=sim.now + 1_000_000)
     assert replies
     return replies[0]
 
 
+def _replicator_us(sim, reply):
+    """Replicator-component span time of the reply's round trip."""
+    trace = spans_by_trace(sim.telemetry.spans)[reply.request_id]
+    return trace_component_us(trace).get(COMPONENT_REPLICATOR, 0.0)
+
+
 def test_pass_through_preserves_semantics():
     sim, client, *_ = _build(True, True)
-    reply = _round_trip(sim, client)
+    reply, _ = _round_trip(sim, client)
     assert reply.payload is None or reply.payload == reply.payload
 
 
 def test_client_interception_adds_replicator_component():
     sim, client, *_ = _build(True, False)
-    reply = _round_trip(sim, client)
-    assert reply.timeline.get(COMPONENT_REPLICATOR) > 0
+    reply, _ = _round_trip(sim, client)
+    assert _replicator_us(sim, reply) > 0
 
 
 def test_no_interception_has_no_replicator_component():
     sim, client, *_ = _build(False, False)
-    reply = _round_trip(sim, client)
-    assert reply.timeline.get(COMPONENT_REPLICATOR) == 0
+    reply, _ = _round_trip(sim, client)
+    assert _replicator_us(sim, reply) == 0
 
 
 def test_both_sides_cost_more_than_one_side():
     def replicator_cost(intercept_client, intercept_server):
         sim, client, *_ = _build(intercept_client, intercept_server)
-        return _round_trip(sim, client).timeline.get(COMPONENT_REPLICATOR)
+        return _replicator_us(sim, _round_trip(sim, client)[0])
 
     client_only = replicator_cost(True, False)
     server_only = replicator_cost(False, True)
@@ -83,8 +98,7 @@ def test_latency_ordering_matches_fig4():
     """Fig. 4: baseline < one side intercepted < both intercepted."""
     def latency(ic, is_):
         sim, client, *_ = _build(ic, is_)
-        reply = _round_trip(sim, client)
-        return reply.timeline.completed_at - reply.timeline.started_at
+        return _round_trip(sim, client)[1]
 
     baseline = latency(False, False)
     client_only = latency(True, False)
@@ -106,6 +120,5 @@ def test_interception_overhead_is_small():
     still.  Against the bare-TCP baseline it must stay a small
     fraction of the round trip."""
     sim, client, *_ = _build(True, True)
-    reply = _round_trip(sim, client)
-    total = reply.timeline.completed_at - reply.timeline.started_at
-    assert reply.timeline.get(COMPONENT_REPLICATOR) < 0.2 * total
+    reply, total = _round_trip(sim, client)
+    assert _replicator_us(sim, reply) < 0.2 * total

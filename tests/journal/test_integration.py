@@ -84,7 +84,7 @@ class TestOffByDefault:
         assert on.bandwidth_mbps == off.bandwidth_mbps
         assert on.completed == off.completed
         assert on.throughput_per_s == off.throughput_per_s
-        assert on.breakdown == off.breakdown
+        assert on.per_client_latency_us == off.per_client_latency_us
 
 
 class TestFaultCrossCheck:

@@ -5,9 +5,6 @@ import pytest
 from repro.errors import OrbError
 from repro.net import Network
 from repro.orb import (
-    COMPONENT_APPLICATION,
-    COMPONENT_NETWORK,
-    COMPONENT_ORB,
     CounterServant,
     EchoServant,
     OrbClient,
@@ -18,6 +15,14 @@ from repro.orb import (
     TcpServerTransport,
 )
 from repro.sim import NetworkCalibration, Process, Simulator
+from repro.telemetry import (
+    COMPONENT_APPLICATION,
+    COMPONENT_NETWORK,
+    COMPONENT_ORB,
+    Telemetry,
+    spans_by_trace,
+    trace_component_us,
+)
 
 
 @pytest.fixture
@@ -100,29 +105,49 @@ def test_concurrent_invocations_all_answered(rig):
     assert server.servant("counter").value == 10
 
 
+def _components(sim, reply):
+    """Per-component span time of the round trip that ``reply`` ends
+    (the trace id is the request id)."""
+    return trace_component_us(
+        spans_by_trace(sim.telemetry.spans)[reply.request_id])
+
+
+def _traced(rig):
+    """The rig with a span recorder on its simulator."""
+    rig[0].telemetry = Telemetry()
+    return rig
+
+
 def test_timeline_attributes_components(rig):
-    sim, net, server, client, *_ = rig
+    sim, net, server, client, *_ = _traced(rig)
     reply = _call(sim, client, "echo", "ping", "x", nbytes=100)
-    parts = reply.timeline.components()
+    parts = _components(sim, reply)
     assert parts.get(COMPONENT_ORB, 0) > 0
     assert parts.get(COMPONENT_APPLICATION, 0) == pytest.approx(15.0)
     assert parts.get(COMPONENT_NETWORK, 0) > 0
 
 
 def test_timeline_total_close_to_measured_latency(rig):
-    sim, net, server, client, *_ = rig
-    reply = _call(sim, client, "echo", "ping", "x")
-    measured = reply.timeline.completed_at - reply.timeline.started_at
-    # Attribution must cover most of the wall clock (CPU queueing and
+    sim, net, server, client, *_ = _traced(rig)
+    sent_at = sim.now
+    done = []
+    client.invoke("echo", "ping", "x", 64,
+                  lambda reply: done.append((reply, sim.now - sent_at)))
+    sim.run(until=sim.now + 1_000_000)
+    assert done, "no reply received"
+    reply, rtt = done[0]
+    # Attribution must cover most of the round trip (CPU queueing and
     # context switches account for the slack).
-    assert reply.timeline.total() == pytest.approx(measured, rel=0.15)
+    assert sum(_components(sim, reply).values()) == pytest.approx(
+        rtt, rel=0.15)
 
 
 def test_larger_payloads_cost_more_orb_time(rig):
-    sim, net, server, client, *_ = rig
+    sim, net, server, client, *_ = _traced(rig)
     small = _call(sim, client, "echo", "ping", "x", nbytes=10)
     big = _call(sim, client, "echo", "ping", "x", nbytes=10_000)
-    assert big.timeline.get(COMPONENT_ORB) > small.timeline.get(COMPONENT_ORB)
+    assert (_components(sim, big)[COMPONENT_ORB]
+            > _components(sim, small)[COMPONENT_ORB])
 
 
 def test_negative_payload_rejected(rig):

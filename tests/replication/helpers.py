@@ -58,9 +58,20 @@ def build_rig(style: ReplicationStyle, n_replicas: int = 3,
 def call(testbed: Testbed, client: ClientStack, operation: str,
          payload, nbytes: int = 32, timeout_us: float = 2_000_000):
     """Synchronous-style invocation helper."""
+    return timed_call(testbed, client, operation, payload, nbytes,
+                      timeout_us)[0]
+
+
+def timed_call(testbed: Testbed, client: ClientStack, operation: str,
+               payload, nbytes: int = 32, timeout_us: float = 2_000_000):
+    """:func:`call` that also returns the round-trip time:
+    ``(reply, rtt_us)``, measured from the invocation to the reply's
+    delivery."""
     replies: List = []
-    client.orb_client.invoke("counter", operation, payload, nbytes,
-                             replies.append)
+    sent_at = testbed.now
+    client.orb_client.invoke(
+        "counter", operation, payload, nbytes,
+        lambda reply: replies.append((reply, testbed.now - sent_at)))
     testbed.run(timeout_us)
     assert replies, f"no reply for {operation}({payload})"
     return replies[0]

@@ -159,9 +159,10 @@ class TestWarmPassive:
             out = []
 
             def closed_loop(client, remaining):
+                sent_at = testbed.now
+
                 def on_reply(reply):
-                    out.append(reply.timeline.completed_at
-                               - reply.timeline.started_at)
+                    out.append(testbed.now - sent_at)
                     if remaining > 1:
                         closed_loop(client, remaining - 1)
                 client.orb_client.invoke("counter", "add", 1, 32, on_reply)

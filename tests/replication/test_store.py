@@ -5,7 +5,11 @@ import pytest
 
 from repro.replication import ReplicationStyle, StableStore
 from repro.sim import Simulator
-from tests.replication.helpers import build_rig, call, counter_values
+from tests.replication.helpers import (
+    build_rig,
+    counter_values,
+    timed_call,
+)
 
 
 class TestStableStore:
@@ -100,11 +104,7 @@ class TestSafeCheckpoints:
         state update, so checkpoint-covered replies take longer."""
         def latency(safe):
             testbed, replicas, client = self._rig(safe)
-            replies = []
-            client.orb_client.invoke("counter", "add", 1, 32,
-                                     replies.append)
-            testbed.run(3_000_000)
-            t = replies[0].timeline
-            return t.completed_at - t.started_at
+            return timed_call(testbed, client, "add", 1,
+                              timeout_us=3_000_000)[1]
 
         assert latency(True) > latency(False)

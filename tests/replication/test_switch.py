@@ -10,6 +10,7 @@ from tests.replication.helpers import (
     call,
     counter_values,
     fire,
+    timed_call,
 )
 
 
@@ -167,8 +168,7 @@ def test_switch_delay_comparable_to_response_time():
     """Section 4.2: 'the observed delays required to complete the
     switch are comparable to the average response time'."""
     testbed, replicas, clients = build_rig(ReplicationStyle.WARM_PASSIVE)
-    reply = call(testbed, clients[0], "add", 1)
-    response_time = reply.timeline.completed_at - reply.timeline.started_at
+    _, response_time = timed_call(testbed, clients[0], "add", 1)
     replicas[0].replicator.request_switch(ReplicationStyle.ACTIVE)
     testbed.run(1_000_000)
     duration = replicas[0].replicator.switch_history[0].duration_us

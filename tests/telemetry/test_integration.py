@@ -1,22 +1,18 @@
 """End-to-end telemetry tests across the replication stack.
 
-The three system-level guarantees:
+The system-level guarantees:
 
 1. **Determinism** — simulated results are byte-identical with
    telemetry on or off (recording never schedules events).
-2. **Accuracy** — the span-derived Fig. 3 breakdown matches the
-   :class:`RequestTimeline` accounting within 5 %.
-3. **Propagation invariants** — even under crashes and lost frames,
+2. **Propagation invariants** — even under crashes and lost frames,
    spans are never orphaned or cross-wired (they may stay *open*).
 """
 
 import pytest
 
 from repro.experiments import run_fault_trial, run_replicated_load
-from repro.orb import ALL_COMPONENTS
 from repro.replication import ReplicationStyle
 from repro.telemetry import (
-    component_breakdown,
     completed_traces,
     critical_path,
     style_aggregates,
@@ -52,21 +48,8 @@ def test_results_identical_with_telemetry_on_or_off(style):
 
 
 # ----------------------------------------------------------------------
-# Accuracy: spans vs RequestTimeline (Fig. 3 cross-check)
+# Trace shape
 # ----------------------------------------------------------------------
-
-def test_span_breakdown_matches_timeline_within_5_percent():
-    result = _load(keep_timelines=True, telemetry=True)
-    from_spans = component_breakdown(result.telemetry.spans)
-    for component in ALL_COMPONENTS:
-        timeline_us = result.breakdown.get(component, 0.0)
-        span_us = from_spans.get(component, 0.0)
-        if timeline_us < 1.0:
-            assert span_us < 1.0, component
-        else:
-            assert span_us == pytest.approx(timeline_us,
-                                            rel=0.05), component
-
 
 def test_every_request_yields_one_completed_valid_trace():
     result = _load(telemetry=True)

@@ -6,6 +6,7 @@ import importlib
 import inspect
 import pathlib
 import pkgutil
+import re
 
 import pytest
 
@@ -88,3 +89,25 @@ def test_design_md_maps_every_figure_to_a_bench():
                   "test_fig9_design_space", "test_table1_knob_mapping"):
         assert bench in design, bench
         assert (REPO_ROOT / "benchmarks" / f"{bench}.py").exists(), bench
+
+
+#: A backticked span that opens with a CamelCase identifier
+#: (``OrbClient``, ``ScenarioResult.telemetry``, ``Span(...)``).
+_CAMEL_CASE_REF = re.compile(
+    r"`([A-Z][a-z0-9]+(?:[A-Z][A-Za-z0-9]*)+)(?![A-Za-z0-9_])[^`\n]*`")
+
+
+@pytest.mark.parametrize("doc", ["README.md", "docs/api.md",
+                                 "docs/architecture.md",
+                                 "docs/observability.md"])
+def test_docs_name_only_defined_classes(doc):
+    """Every CamelCase name a reference doc puts in backticks is bound
+    in some ``repro`` module, so a deleted class cannot linger in
+    the prose."""
+    defined = set()
+    for module in ALL_MODULES:
+        defined.update(vars(module))
+    text = (REPO_ROOT / doc).read_text()
+    stale = sorted({name for name in _CAMEL_CASE_REF.findall(text)
+                    if name not in defined})
+    assert not stale, f"{doc} names undefined classes: {stale}"

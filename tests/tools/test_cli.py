@@ -179,10 +179,38 @@ def test_trace_command_csv(capsys):
     assert {"trace_id", "span_id", "component"} <= set(rows[0])
 
 
+@pytest.mark.parametrize("command", ["breakdown", "profile", "policy",
+                                     "adaptive", "report", "verify",
+                                     "trace"])
+@pytest.mark.parametrize("requests", ["0", "-5", "x"])
+def test_requests_must_be_a_positive_integer(capsys, command, requests):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--requests", requests, command])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --requests" in err
+    assert "Traceback" not in err
+
+
+def test_breakdown_overflowing_the_span_cap_exits_2(capsys, monkeypatch):
+    from dataclasses import replace
+
+    import repro.experiments.run as run_module
+    from repro.sim import TelemetryConfig
+
+    # 30 requests need ~16 spans each; a 100-span recorder overflows.
+    small = replace(run_module.default_calibration(),
+                    telemetry=TelemetryConfig(max_spans=100))
+    monkeypatch.setattr(run_module, "default_calibration", lambda: small)
+    assert main(["--requests", "30", "breakdown"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("breakdown: the span recorder dropped")
+    assert "Traceback" not in err
+
+
 def test_trace_command_usage_errors_exit_2(capsys):
-    assert main(["--requests", "0", "trace"]) == 2
-    assert "must be >= 1" in capsys.readouterr().err
     assert main(["trace", "--replicas", "0"]) == 2
+    assert "must be >= 1" in capsys.readouterr().err
     assert main(["trace", "--clients", "-1"]) == 2
     with pytest.raises(SystemExit) as excinfo:
         main(["trace", "--format", "yaml"])
