@@ -73,7 +73,7 @@ def test_fig6_switch_delay_comparable_to_response_time(benchmark, runs):
     same run produced, and well under the adaptation time scale."""
     adaptive, _ = benchmark.pedantic(lambda: runs, rounds=1, iterations=1)
     for record in adaptive.switch_events:
-        assert record.duration_us < max(5 * adaptive.mean_latency_us,
+        assert record.duration_us < max(5 * adaptive.latency_mean_us,
                                         adaptive.max_latency_us)
         assert record.duration_us < 100_000.0
 
@@ -84,18 +84,18 @@ def test_fig6_adaptive_beats_static_passive(benchmark, runs):
     adaptive, static = benchmark.pedantic(lambda: runs, rounds=1,
                                           iterations=1)
     print_header("Fig. 6 — adaptive vs static warm passive")
-    adaptive_rate = adaptive.observed_arrival_rate_per_s
-    static_rate = static.observed_arrival_rate_per_s
+    adaptive_rate = adaptive.throughput_per_s
+    static_rate = static.throughput_per_s
     gain = adaptive_rate / static_rate - 1.0
     print(f"observed arrival rate: adaptive {adaptive_rate:.1f}/s, "
           f"static passive {static_rate:.1f}/s  (gain {gain * 100:+.1f} %, "
           f"paper {PAPER_RATE_GAIN * 100:+.1f} %)")
-    print(f"mean latency: adaptive {adaptive.mean_latency_us:.0f} us, "
-          f"static {static.mean_latency_us:.0f} us")
+    print(f"mean latency: adaptive {adaptive.latency_mean_us:.0f} us, "
+          f"static {static.latency_mean_us:.0f} us")
     print(f"completions: adaptive {adaptive.completed}/{adaptive.sent}, "
           f"static {static.completed}/{static.sent}")
 
-    assert adaptive.mean_latency_us < static.mean_latency_us
+    assert adaptive.latency_mean_us < static.latency_mean_us
     # The observed-rate gain is positive, like the paper's +4.1 %.
     assert gain > 0.0
 

@@ -37,7 +37,7 @@ def main(out_dir: str = "ci-artifacts") -> int:
         duration_us=800_000.0, rate_per_s=150.0, seed=0,
         inject=crash, journal=True)
 
-    events = result.journal_events or []
+    events = result.journal.events
     jsonl_path = os.path.join(out_dir, "failure.journal.jsonl")
     html_path = os.path.join(out_dir, "failure.report.html")
     digest_path = os.path.join(out_dir, "failure.digest.json")
@@ -45,7 +45,8 @@ def main(out_dir: str = "ci-artifacts") -> int:
     with open(html_path, "w") as handle:
         handle.write(journal_html(events, title="CI failure journal"))
     with open(digest_path, "w") as handle:
-        json.dump(result.journal, handle, indent=2, sort_keys=True)
+        json.dump(result.metrics()["journal"], handle, indent=2,
+                  sort_keys=True)
 
     print(f"wrote {jsonl_path} ({len(events)} events), {html_path}, "
           f"{digest_path}")

@@ -84,10 +84,10 @@ def execute_trial(trial: TrialSpec,
             n_replicas=trial.n_replicas,
             inject=lambda run: compile_load(trial.fault_load, run),
             **window)
-    if journal_dir is not None and result.journal_events is not None:
+    if journal_dir is not None:
         from repro.journal.io import write_jsonl
         os.makedirs(journal_dir, exist_ok=True)
-        write_jsonl(result.journal_events,
+        write_jsonl(result.journal.events,
                     os.path.join(journal_dir,
                                  f"{trial.trial_id}.journal.jsonl"))
     return TrialRecord(trial_id=trial.trial_id, status="ok",

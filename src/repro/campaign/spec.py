@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 import zlib
 from dataclasses import asdict, dataclass, field
@@ -75,11 +76,13 @@ class TrialSpec:
             raise ConfigurationError(
                 f"sharded trials support fault loads 'none' and "
                 f"'process_crash', not {self.fault_load!r}")
-        if min(self.duration_us, self.rate_per_s, self.deadline_us) <= 0:
+        if not all(0 < value < math.inf for value in (
+                self.duration_us, self.rate_per_s, self.deadline_us)):
             raise ConfigurationError(
-                "duration, rate and deadline must be positive")
-        if self.settle_us < 0:
-            raise ConfigurationError("settle time must be non-negative")
+                "duration, rate and deadline must be positive and finite")
+        if not 0 <= self.settle_us < math.inf:
+            raise ConfigurationError(
+                "settle time must be non-negative and finite")
 
     @property
     def replication_style(self) -> ReplicationStyle:

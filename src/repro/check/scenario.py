@@ -19,7 +19,7 @@ must pass with zero false positives).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.check.history import Operation
@@ -164,16 +164,9 @@ class ScheduleOutcome:
     digest: str
     giveups: int
     events_dispatched: int = 0
-
-    @property
-    def truncated_rings(self) -> Dict[str, int]:
-        """Per-host flight-recorder truncation counts found in the
-        journal (non-empty means the evidence is incomplete)."""
-        out: Dict[str, int] = {}
-        for event in self.journal_events:
-            if event.kind == "journal.truncated":
-                out[event.host] = int(event.attrs.get("dropped", 0))
-        return out
+    #: Per-host flight-recorder truncation counts of the journal
+    #: (non-empty means the evidence is incomplete).
+    truncated_rings: Dict[str, int] = field(default_factory=dict)
 
 
 def _mutate_skip_final_checkpoint(replicas) -> None:
@@ -425,7 +418,8 @@ def run_schedule(scenario: CheckScenario,
         survivor_values=survivor_values,
         digest=run.outcome_digest(sorted(survivor_values)),
         giveups=client.replicator.failures,
-        events_dispatched=testbed.sim.events_dispatched)
+        events_dispatched=testbed.sim.events_dispatched,
+        truncated_rings=run.journal.truncated_rings())
 
 
 def _crash_at_checkpoint_phase(injector: FaultInjector, replica: Any,

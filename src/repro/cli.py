@@ -26,7 +26,11 @@ import sys
 from typing import List, Optional
 
 from repro.core import Constraints, CostFunction, ScalabilityPolicy, ThresholdSwitchPolicy
-from repro.errors import ConfigurationError, TelemetryOverflowError
+from repro.errors import (
+    ConfigurationError,
+    PolicyError,
+    TelemetryOverflowError,
+)
 from repro.experiments import (
     build_profile,
     run_adaptive_scenario,
@@ -75,6 +79,19 @@ def _positive_int(text: str) -> int:
             f"invalid integer: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _rate(text: str) -> float:
+    """argparse type for rates: a finite number >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid number: {text!r}") from None
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number >= 0, got {text}")
     return value
 
 
@@ -137,8 +154,11 @@ def _cmd_adaptive(args: argparse.Namespace) -> int:
                            spike_rate=args.spike_rate,
                            spike_start_us=1_500_000.0,
                            spike_end_us=5_500_000.0)
-    policy = ThresholdSwitchPolicy(rate_high_per_s=args.high,
-                                   rate_low_per_s=args.low)
+    try:
+        policy = ThresholdSwitchPolicy(rate_high_per_s=args.high,
+                                       rate_low_per_s=args.low)
+    except PolicyError as exc:
+        return _usage_error("adaptive", str(exc))
     adaptive = run_adaptive_scenario(profile, 7_000_000.0, policy=policy,
                                      n_clients=2, seed=args.seed)
     static = run_adaptive_scenario(
@@ -150,8 +170,7 @@ def _cmd_adaptive(args: argparse.Namespace) -> int:
     for record in adaptive.switch_events:
         print(f"  {record.switch_id}: {record.from_style.short} -> "
               f"{record.to_style.short} in {record.duration_us:.0f} us")
-    gain = (adaptive.observed_arrival_rate_per_s
-            / static.observed_arrival_rate_per_s - 1.0)
+    gain = adaptive.throughput_per_s / static.throughput_per_s - 1.0
     print(f"\nobserved arrival rate gain over static passive: "
           f"{gain * 100:+.1f} % (paper: +4.1 %)")
     return 0
@@ -470,7 +489,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
               f"{'replies':>8s} {'ckpts':>6s}")
         for name in sorted(result.per_shard):
             stats = result.per_shard[name]
-            print(f"{name:10s} {result.shard_styles[name]:14s} "
+            print(f"{name:10s} {stats['style']:14s} "
                   f"{stats['processed']:10d} {stats['replies']:8d} "
                   f"{stats['checkpoints']:6d}")
         return 0
@@ -485,14 +504,14 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         print(f"live rebalance over {args.shards} shard(s): "
               f"{out.migrations_committed} migration(s) committed, "
               f"{out.rerouted} request(s) re-routed in flight")
-        print(f"  {out.operations} acked operation(s), survivors "
+        print(f"  {out.check['operations']} acked operation(s), survivors "
               f"{ {k: max(v) if v else 0 for k, v in sorted(out.survivor_values.items())} }")
         print(f"  digest {out.digest[:16]}")
-        if out.ok:
+        if out.check["ok"]:
             print("verdict: OK — no acked update lost, none "
                   "double-applied")
             return 0
-        for violation in out.violations:
+        for violation in out.check["violations"]:
             print(f"  [{violation.get('invariant')}] "
                   f"{violation.get('message')}", file=sys.stderr)
         print("verdict: VIOLATED")
@@ -632,11 +651,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     adaptive_parser = sub.add_parser("adaptive",
                                      help=_SUMMARIES["adaptive"])
-    adaptive_parser.add_argument("--base-rate", type=float, default=100.0)
-    adaptive_parser.add_argument("--spike-rate", type=float, default=1100.0)
-    adaptive_parser.add_argument("--high", type=float, default=400.0,
+    adaptive_parser.add_argument("--base-rate", type=_rate, default=100.0)
+    adaptive_parser.add_argument("--spike-rate", type=_rate, default=1100.0)
+    adaptive_parser.add_argument("--high", type=_rate, default=400.0,
                                  help="switch-up threshold [req/s]")
-    adaptive_parser.add_argument("--low", type=float, default=200.0,
+    adaptive_parser.add_argument("--low", type=_rate, default=200.0,
                                  help="switch-down threshold [req/s]")
 
     campaign_parser = sub.add_parser(

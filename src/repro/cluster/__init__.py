@@ -23,7 +23,7 @@ Public surface:
 - :func:`run_cluster_load`, :func:`run_cluster_rebalance_check`,
   :func:`run_cluster_trial` — the scenarios behind the shard-scaling
   experiment, the no-lost-acked-updates check, and sharded campaign
-  trials
+  trials; each returns a :class:`repro.experiments.RunRecord`
 """
 
 from repro.cluster.admin import ShardAdmin
@@ -44,8 +44,6 @@ from repro.cluster.messages import (
 from repro.cluster.partition import PartitionMap, build_map
 from repro.cluster.router import ShardRouter, control_group
 from repro.cluster.scenario import (
-    ClusterCheckOutcome,
-    ClusterLoadResult,
     default_shard_styles,
     run_cluster_load,
     run_cluster_rebalance_check,
@@ -54,10 +52,8 @@ from repro.cluster.scenario import (
 
 __all__ = [
     "Cluster",
-    "ClusterCheckOutcome",
     "ClusterClientStack",
     "ClusterCoordinator",
-    "ClusterLoadResult",
     "MapCommit",
     "MigrationStart",
     "MigrationState",

@@ -11,8 +11,9 @@ Three engines built on :mod:`repro.cluster.deploy`:
   the client-observed history: no acknowledged increment may be lost
   across the migration, and none may double-apply.
 - :func:`run_cluster_trial` — the sharded flavour of one campaign
-  trial, producing the same :class:`FaultTrialResult` metrics as the
-  single-group trial so campaign records stay schema-compatible.
+  trial, producing the same :class:`~repro.experiments.run.RunRecord`
+  metrics as the single-group trial so campaign records stay
+  schema-compatible.
 
 Shard placement puts shard *i*'s primary alone on server host *i* and
 all backups on one spill host, so only the (single) active shard's
@@ -23,7 +24,6 @@ shard count until the client fleet saturates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.deploy import (
@@ -33,22 +33,16 @@ from repro.cluster.deploy import (
     deploy_cluster_client,
 )
 from repro.errors import ClusterError
-from repro.experiments.run import ScenarioRun
+from repro.experiments.run import RunRecord, ScenarioRun
 from repro.experiments.trial import (
     DEFAULT_SETTLE_US,
-    FaultTrialResult,
     begin_trial,
     finish_trial,
 )
 from repro.orb import BusyServant, CounterServant, Servant
 from repro.replication import ReplicationStyle
 from repro.sim import PAPER_LATENCY_LIMIT_US
-from repro.workload import (
-    ClosedLoopClient,
-    ConstantRate,
-    OpenLoopClient,
-    latency_stats,
-)
+from repro.workload import ClosedLoopClient, ConstantRate, OpenLoopClient
 
 #: Cluster-scenario defaults: heavier per-request work than the
 #: micro-benchmark, so primary CPU — the resource sharding multiplies —
@@ -100,41 +94,6 @@ def _deploy_sharded(run: ScenarioRun, specs: Sequence[ShardSpec],
     return cluster
 
 
-@dataclass
-class ClusterLoadResult:
-    """Aggregate outcome of one sharded load scenario."""
-
-    n_shards: int
-    n_clients: int
-    shard_styles: Dict[str, str]
-    sent: int
-    completed: int
-    throughput_per_s: float
-    latency_mean_us: float
-    jitter_us: float
-    bandwidth_mbps: float
-    wire_bytes: float
-    duration_us: float
-    events_dispatched: int
-    #: Per-shard request/reply/checkpoint rollups (summed over the
-    #: shard's replicas).
-    per_shard: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    #: One map digest per router; all equal iff the routers agree.
-    map_digests: List[str] = field(default_factory=list)
-    map_epoch: int = 0
-    rerouted: int = 0
-    migrations_committed: int = 0
-    #: The run's dependability journal (set when journaling was on).
-    journal: Optional[Any] = None
-    #: The run's span/metrics recorder (set when telemetry was on).
-    telemetry: Optional[Any] = None
-
-    @property
-    def routers_agree(self) -> bool:
-        """Did every router end the run on the same committed map?"""
-        return len(set(self.map_digests)) <= 1
-
-
 def run_cluster_load(n_shards: int = 4, n_clients: int = 12,
                      n_requests: int = 50, seed: int = 0,
                      n_keys: int = 8,
@@ -142,7 +101,7 @@ def run_cluster_load(n_shards: int = 4, n_clients: int = 12,
                      processing_us: float = DEFAULT_CLUSTER_PROCESSING_US,
                      rebalance: Optional[Tuple[str, str, float]] = None,
                      telemetry: bool = False,
-                     journal: bool = False) -> ClusterLoadResult:
+                     journal: bool = False) -> RunRecord:
     """Closed-loop load against a sharded service.
 
     Every client cycles through all ``n_keys`` keys round-robin, so
@@ -182,58 +141,30 @@ def run_cluster_load(n_shards: int = 4, n_clients: int = 12,
             lambda: cluster.coordinator.rebalance(key, dst))
     run.drain()
 
-    duration, completed = run.elapsed_us, run.completed
-    mean, jitter = latency_stats(run.latencies)
-    per_shard: Dict[str, Dict[str, int]] = {}
-    for name, deployment in cluster.shards.items():
-        per_shard[name] = {
+    per_shard: Dict[str, Dict[str, Any]] = {}
+    for spec in specs:
+        replicas = cluster.shards[spec.name].replicas
+        per_shard[spec.name] = {
+            "style": spec.style.value,
             "processed": sum(r.replicator.requests_processed
-                             for r in deployment.replicas),
-            "replies": sum(r.replicator.replies_sent
-                           for r in deployment.replicas),
+                             for r in replicas),
+            "replies": sum(r.replicator.replies_sent for r in replicas),
             "checkpoints": sum(r.replicator.checkpoints_sent
-                               for r in deployment.replicas),
+                               for r in replicas),
             "duplicates": sum(r.replicator.duplicates_suppressed
-                              for r in deployment.replicas),
+                              for r in replicas),
         }
-    return ClusterLoadResult(
-        n_shards=n_shards, n_clients=n_clients,
-        shard_styles={spec.name: spec.style.value for spec in specs},
-        sent=run.sent, completed=completed,
-        throughput_per_s=completed / duration * 1e6,
-        latency_mean_us=mean, jitter_us=jitter,
-        bandwidth_mbps=run.wire_bytes / duration,
-        wire_bytes=run.wire_bytes, duration_us=duration,
-        events_dispatched=run.testbed.sim.events_dispatched,
-        per_shard=per_shard,
+    return run.record(
+        run.elapsed_us, per_shard=per_shard,
         map_digests=[stack.router.map_digest for stack in run.stacks],
         map_epoch=cluster.coordinator.map.epoch,
         rerouted=sum(stack.router.rerouted for stack in run.stacks),
-        migrations_committed=cluster.coordinator.migrations_committed,
-        journal=run.journal, telemetry=run.telemetry)
+        migrations_committed=cluster.coordinator.migrations_committed)
 
 
 # ---------------------------------------------------------------------------
 # Rebalance safety: no acked request lost, none double-applied
 # ---------------------------------------------------------------------------
-
-@dataclass
-class ClusterCheckOutcome:
-    """Everything one rebalance-check run produced, plus the verdict."""
-
-    ok: bool
-    violations: List[Dict[str, Any]]
-    operations: int
-    completed: int
-    giveups: int
-    survivor_values: Dict[str, List[int]]
-    migrations_committed: int
-    rerouted: int
-    map_digests: List[str]
-    digest: str
-    events_dispatched: int
-    journal_events: List[Any] = field(default_factory=list)
-
 
 #: Offset of the first live migration in a rebalance check; the one
 #: in the opposite direction follows at twice that.
@@ -242,7 +173,7 @@ REBALANCE_AT_US = 60_000.0
 
 def run_cluster_rebalance_check(n_shards: int = 2, n_clients: int = 2,
                                 n_requests: int = 16, seed: int = 0,
-                                n_keys: int = 4) -> ClusterCheckOutcome:
+                                n_keys: int = 4) -> RunRecord:
     """Live-rebalance safety check over replicated counters.
 
     Closed-loop increment clients run against a sharded counter
@@ -251,8 +182,10 @@ def run_cluster_rebalance_check(n_shards: int = 2, n_clients: int = 2,
     Afterwards the :mod:`repro.check` verifiers assert, per key, that
     every acknowledged increment survived (``no_lost_acked_updates``)
     and none applied twice (``at_most_once``), plus the journal-level
-    protocol invariants.  Replicas of different shards never share a
-    host here, so view-based event attribution stays unambiguous.
+    protocol invariants; the record's ``check`` holds the verdict
+    (``ok``, acked ``operations``, ``violations``).  Replicas of
+    different shards never share a host here, so view-based event
+    attribution stays unambiguous.
     """
     if n_shards < 2:
         raise ClusterError("a rebalance check needs >= 2 shards")
@@ -304,24 +237,20 @@ def run_cluster_rebalance_check(n_shards: int = 2, n_clients: int = 2,
         for violation in check_counter_consistency(
                 history.operations, values, object_key=key):
             violations.append(violation.to_dict())
-    journal_events = list(run.journal.events)
-    for violation in check_invariants(journal_events):
+    for violation in check_invariants(run.journal.events):
         violations.append(violation.to_dict())
 
-    giveups = sum(stack.router.replicator(name).failures
-                  for stack in run.stacks for name in cluster.shards)
-    return ClusterCheckOutcome(
-        ok=not violations, violations=violations,
-        operations=len(history.operations),
-        completed=run.completed,
-        giveups=giveups,
+    return run.record(
+        run.elapsed_us,
+        check={"ok": not violations, "operations": len(history.operations),
+               "violations": violations},
+        giveups=sum(stack.router.replicator(name).failures
+                    for stack in run.stacks for name in cluster.shards),
         survivor_values=survivor_values,
         migrations_committed=cluster.coordinator.migrations_committed,
         rerouted=sum(stack.router.rerouted for stack in run.stacks),
         map_digests=[stack.router.map_digest for stack in run.stacks],
-        digest=run.outcome_digest(sorted(survivor_values.items())),
-        events_dispatched=run.testbed.sim.events_dispatched,
-        journal_events=journal_events)
+        digest=run.outcome_digest(sorted(survivor_values.items())))
 
 
 # ---------------------------------------------------------------------------
@@ -338,12 +267,12 @@ def run_cluster_trial(style: ReplicationStyle, n_shards: int,
                       telemetry: bool = False,
                       journal: bool = False,
                       check: bool = False,
-                      slo: bool = False) -> FaultTrialResult:
+                      slo: bool = False) -> RunRecord:
     """One open-loop campaign trial against a sharded deployment.
 
     The sharded description of :func:`repro.experiments.run_fault_trial`
-    — same validation, workload shape, metric definitions and result
-    type (they share the trial head and tail) — with the service
+    — same validation, workload shape, metric definitions and record
+    (they share the trial head and tail) — with the service
     sharded ``n_shards`` ways (every shard at ``style``) and a
     mid-window rebalance of one key, so campaign sweeps exercise the
     migration path as a matter of course.  ``fault_load`` is restricted
@@ -385,5 +314,4 @@ def run_cluster_trial(style: ReplicationStyle, n_shards: int,
                               object_key=keys[i % len(keys)],
                               payload_bytes=DEFAULT_CLUSTER_REQUEST_BYTES)
                for i, stack in enumerate(run.stacks)]
-    return finish_trial(run, loaders, style, REPLICAS_PER_SHARD, settle_us,
-                        deadline_us, keys, slo)
+    return finish_trial(run, loaders, settle_us, deadline_us, keys, slo)

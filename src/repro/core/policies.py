@@ -130,8 +130,8 @@ class ThresholdSwitchPolicy:
     def __post_init__(self) -> None:
         if self.rate_low_per_s > self.rate_high_per_s:
             raise PolicyError("low threshold must not exceed high")
-        if self.rate_low_per_s < 0:
-            raise PolicyError("thresholds must be non-negative")
+        if not (self.rate_low_per_s >= 0 and self.rate_high_per_s >= 0):
+            raise PolicyError("thresholds must be numbers >= 0")
 
     def decide(self, current: ReplicationStyle,
                rate_per_s: float) -> Optional[ReplicationStyle]:

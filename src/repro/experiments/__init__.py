@@ -7,23 +7,20 @@ Public surface:
 - :class:`ScenarioRun` — the staged runner (build, warm, drive,
   collect) every scenario engine goes through, and the object a fault
   load's ``inject`` hook receives
+- :class:`RunRecord` — the one result record every engine returns,
+  built by :meth:`ScenarioRun.record`
 - scenario engines: :func:`run_replicated_load`, :func:`build_profile`
   (Fig. 7 sweep), :func:`run_rtt_breakdown` (Fig. 3),
   :func:`run_overhead_modes` (Fig. 4), :func:`run_adaptive_scenario`
   (Fig. 6), :func:`run_fault_trial` (campaign trial unit)
-- result records: :class:`ScenarioResult`, :class:`OverheadResult`,
-  :class:`AdaptiveResult`, :class:`FaultTrialResult`
 """
 
-from repro.experiments.run import ScenarioRun
+from repro.experiments.run import RunRecord, ScenarioRun
 from repro.experiments.scenarios import (
-    AdaptiveResult,
     DEFAULT_PROCESSING_US,
     DEFAULT_REPLY_BYTES,
     DEFAULT_REQUEST_BYTES,
     DEFAULT_STATE_BYTES,
-    OverheadResult,
-    ScenarioResult,
     build_profile,
     run_adaptive_scenario,
     run_overhead_modes,
@@ -38,22 +35,16 @@ from repro.experiments.testbed import (
     deploy_replica,
     deploy_replica_group,
 )
-from repro.experiments.trial import (
-    FaultTrialResult,
-    run_fault_trial,
-)
+from repro.experiments.trial import run_fault_trial
 
 __all__ = [
-    "AdaptiveResult",
     "ClientStack",
-    "FaultTrialResult",
     "DEFAULT_PROCESSING_US",
     "DEFAULT_REPLY_BYTES",
     "DEFAULT_REQUEST_BYTES",
     "DEFAULT_STATE_BYTES",
-    "OverheadResult",
     "Replica",
-    "ScenarioResult",
+    "RunRecord",
     "ScenarioRun",
     "Testbed",
     "build_profile",

@@ -178,14 +178,13 @@ def write_report(out: TextIO, n_requests: int = 150,
                                      n_clients=2, seed=seed)
     static = run_adaptive_scenario(spike, 7_000_000.0, n_clients=2,
                                    static_style=P, seed=seed)
-    gain = (adaptive.observed_arrival_rate_per_s
-            / static.observed_arrival_rate_per_s - 1.0)
+    gain = adaptive.throughput_per_s / static.throughput_per_s - 1.0
     w("| metric | adaptive | static passive |\n|---|---|---|\n")
     w(f"| observed arrival rate [req/s] | "
-      f"{adaptive.observed_arrival_rate_per_s:.1f} | "
-      f"{static.observed_arrival_rate_per_s:.1f} |\n")
-    w(f"| mean latency [µs] | {adaptive.mean_latency_us:.0f} | "
-      f"{static.mean_latency_us:.0f} |\n")
+      f"{adaptive.throughput_per_s:.1f} | "
+      f"{static.throughput_per_s:.1f} |\n")
+    w(f"| mean latency [µs] | {adaptive.latency_mean_us:.0f} | "
+      f"{static.latency_mean_us:.0f} |\n")
     w(f"| style switches | {len(adaptive.switch_events)} | 0 |\n\n")
     switch_durations = ", ".join(
         f"{r.duration_us:.0f}" for r in adaptive.switch_events)

@@ -8,7 +8,8 @@ which result record — and goes through one :class:`ScenarioRun` for
 the mechanics.  The run is also the object a fault load receives: the
 campaign dictionary and every ``inject`` hook read ``testbed``,
 ``replicas``, ``stacks``, ``injector``, ``config``, ``duration_us``,
-``t0`` and ``respawn_replica()`` off it.
+``t0`` and ``respawn_replica()`` off it.  Every engine returns the
+one :class:`RunRecord` that :meth:`ScenarioRun.record` builds.
 
 Observer, checker and digest imports stay inside the methods that need
 them: a run with everything off must not pay for loading them (a
@@ -17,7 +18,7 @@ module-level ``import hashlib`` alone costs ~3.5 MiB of peak RSS).
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.adaptation import AdaptationManager
@@ -33,6 +34,7 @@ from repro.faults import FaultInjector
 from repro.orb import Servant
 from repro.replication import ClientReplicationConfig, ReplicationConfig
 from repro.sim import SubstrateCalibration, default_calibration
+from repro.workload import latency_stats
 
 #: Simulated warm-up (µs) before the load window opens: long enough
 #: for the groups to form, elect their primaries and settle.
@@ -41,6 +43,106 @@ WARMUP_US = 150_000.0
 #: Fault kinds that take the service (or part of it) down; the gap
 #: until the next completed request counts as downtime.
 OUTAGE_KINDS = ("process_crash", "host_crash", "crash_restart")
+
+
+@dataclass
+class RunRecord:
+    """What one run measured: the result every scenario engine returns.
+
+    The fields up to ``journal`` are common: :meth:`ScenarioRun.record`
+    derives them from the run, ``duration_us`` being the window the
+    scenario defines.  The rest are scenario-specific and stay None
+    unless the engine sets them (``docs/api.md`` lists which)."""
+
+    duration_us: float
+    #: The instant the load window opened.
+    t0: float
+    sent: int
+    completed: int
+    latency_mean_us: float
+    jitter_us: float
+    wire_bytes: float
+    #: ``wire_bytes`` per microsecond of the closed window.
+    bandwidth_mbps: float
+    #: Completions per second of ``duration_us``.
+    throughput_per_s: float
+    events_dispatched: int
+    #: The span/metrics recorder, or None when telemetry was off.
+    telemetry: Optional[Any]
+    #: The dependability journal, or None when journaling was off.
+    journal: Optional[Any]
+    # Fault trials: outcome and faults; ``check`` / ``slo`` verdicts
+    # when the trial ran with them (a rebalance check sets ``check``).
+    failed: Optional[int] = None
+    late: Optional[int] = None
+    availability: Optional[float] = None
+    mean_recovery_us: Optional[float] = None
+    injected: Optional[List[Any]] = None
+    check: Optional[Dict[str, Any]] = None
+    slo: Optional[Dict[str, Any]] = None
+    #: Duplicate-suppression entries that rode on checkpoints, summed
+    #: over the replicas (linear in requests: checkpoints ship deltas).
+    seen_entries_shipped: Optional[int] = None
+    # Sharded runs: per-shard style and rollups (summed over each
+    # shard's replicas), one map digest per router, map state.
+    per_shard: Optional[Dict[str, Dict[str, Any]]] = None
+    map_digests: Optional[List[str]] = None
+    map_epoch: Optional[int] = None
+    rerouted: Optional[int] = None
+    migrations_committed: Optional[int] = None
+    # Adaptive runs: the series Fig. 6 plots.
+    rate_series: Optional[List[Tuple[float, float]]] = None
+    style_series: Optional[List[Tuple[float, str]]] = None
+    switch_events: Optional[List[Any]] = None
+    max_latency_us: Optional[float] = None
+    # Checked runs: surviving replica state and the outcome digest.
+    giveups: Optional[int] = None
+    survivor_values: Optional[Dict[str, List[int]]] = None
+    digest: Optional[str] = None
+
+    @property
+    def routers_agree(self) -> bool:
+        """Did every router end the run on the same committed map?"""
+        return len(set(self.map_digests or ())) <= 1
+
+    def metrics(self) -> Dict[str, object]:
+        """The JSON view (a campaign trial's record payload): the load
+        figures, a trial's outcome and faults, and the telemetry and
+        journal summaries, built from the recorders on each call."""
+        out: Dict[str, object] = {
+            "sent": self.sent,
+            "completed": self.completed,
+            "latency_mean_us": self.latency_mean_us,
+            "jitter_us": self.jitter_us,
+            "bandwidth_mbps": self.bandwidth_mbps,
+            "wire_bytes": self.wire_bytes,
+            "duration_us": self.duration_us,
+        }
+        if self.injected is not None:
+            out.update(
+                failed=self.failed, late=self.late,
+                failed_fraction=(self.failed / self.sent
+                                 if self.sent else 0.0),
+                late_fraction=(self.late / self.completed
+                               if self.completed else 0.0),
+                availability=self.availability,
+                mean_recovery_us=self.mean_recovery_us,
+                faults=[{"kind": f.kind, "target": f.target,
+                         "at_us": f.at_us, "until_us": f.until_us}
+                        for f in self.injected])
+        if self.telemetry is not None:
+            from repro.telemetry.analysis import telemetry_summary
+            out["telemetry"] = telemetry_summary(self.telemetry)
+        if self.journal is not None:
+            from repro.journal.io import journal_digest
+            out["journal"] = journal_digest(
+                self.journal, window_start_us=self.t0,
+                window_end_us=self.t0 + self.duration_us)
+        if self.check is not None:
+            out["check"] = self.check
+        if self.slo is not None:
+            out["slo"] = self.slo
+        return out
 
 
 class ScenarioRun:
@@ -200,6 +302,21 @@ class ScenarioRun:
         """The dependability journal, or None when journaling is off."""
         journal = self.testbed.sim.journal
         return journal if journal.enabled else None
+
+    def record(self, duration_us: float, **scenario: Any) -> RunRecord:
+        """The run's :class:`RunRecord`: the common fields from the
+        closed books, throughput over ``duration_us``, plus the
+        engine's ``scenario``-specific fields."""
+        completed = self.completed
+        mean, jitter = latency_stats(self.latencies)
+        return RunRecord(
+            duration_us=duration_us, t0=self.t0, sent=self.sent,
+            completed=completed, latency_mean_us=mean, jitter_us=jitter,
+            wire_bytes=self.wire_bytes,
+            bandwidth_mbps=self.wire_bytes / self.elapsed_us,
+            throughput_per_s=completed / duration_us * 1e6,
+            events_dispatched=self.testbed.sim.events_dispatched,
+            telemetry=self.telemetry, journal=self.journal, **scenario)
 
     def outages(self, elapsed_us: float, duration_us: float
                 ) -> Tuple[float, List[float]]:

@@ -1,21 +1,22 @@
 """Experiment scenarios: the engines behind every table and figure.
 
 Each function describes one run — what is deployed, which workload,
-which result record — and hands the mechanics to the staged
-:class:`repro.experiments.run.ScenarioRun`.  The benchmark suite calls
-these with the paper's parameters; the examples call them with smaller
-ones.
+which scenario-specific fields — and hands the mechanics to the staged
+:class:`repro.experiments.run.ScenarioRun`, whose
+:class:`~repro.experiments.run.RunRecord` it returns.  The benchmark
+suite calls these with the paper's parameters; the examples call them
+with smaller ones.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.measurements import ConfigPoint, Measurement, Profile
 from repro.core.policies import ThresholdSwitchPolicy
 from repro.errors import TelemetryOverflowError
-from repro.experiments.run import ScenarioRun
+from repro.experiments.run import RunRecord, ScenarioRun
+from repro.experiments.testbed import ClientStack
 from repro.interpose import (
     InterceptedClientTransport,
     InterceptedServerTransport,
@@ -35,7 +36,6 @@ from repro.workload import (
     OpenLoopClient,
     RateProfile,
     ThinkTimeClient,
-    latency_stats,
 )
 
 #: Paper default: micro-benchmark request/response sizes and state.
@@ -43,41 +43,6 @@ DEFAULT_REQUEST_BYTES = 128
 DEFAULT_REPLY_BYTES = 128
 DEFAULT_STATE_BYTES = 1024
 DEFAULT_PROCESSING_US = 15.0
-
-
-@dataclass
-class ScenarioResult:
-    """Aggregate outcome of one load scenario."""
-
-    style: ReplicationStyle
-    n_replicas: int
-    n_clients: int
-    latency_mean_us: float
-    jitter_us: float
-    bandwidth_mbps: float
-    throughput_per_s: float
-    duration_us: float
-    completed: int
-    #: Kernel events dispatched over the whole run (bench throughput).
-    events_dispatched: int = 0
-    #: Duplicate-suppression entries that rode on checkpoints, summed
-    #: over the replicas (linear in requests: checkpoints ship deltas).
-    seen_entries_shipped: int = 0
-    per_client_latency_us: List[float] = field(default_factory=list)
-    #: The run's span/metrics recorder (set when telemetry was on).
-    telemetry: Optional[Any] = None
-    #: The run's dependability journal (set when journaling was on).
-    journal: Optional[Any] = None
-
-    def as_measurement(self) -> Measurement:
-        """Convert to a profile :class:`Measurement`."""
-        return Measurement(
-            config=ConfigPoint(style=self.style, n_replicas=self.n_replicas),
-            n_clients=self.n_clients,
-            latency_us=self.latency_mean_us,
-            jitter_us=self.jitter_us,
-            bandwidth_mbps=self.bandwidth_mbps,
-            throughput_per_s=self.throughput_per_s)
 
 
 def _bench_servants(state_bytes: int = DEFAULT_STATE_BYTES):
@@ -94,15 +59,14 @@ def run_replicated_load(style: ReplicationStyle, n_replicas: int,
                         checkpoint_interval: int = 1,
                         calibration: Optional[SubstrateCalibration] = None,
                         telemetry: bool = False,
-                        journal: bool = False) -> ScenarioResult:
+                        journal: bool = False) -> RunRecord:
     """Closed-loop load (the paper's request cycle) against a
     replicated service; measures latency, jitter and bandwidth.
 
     ``telemetry=True`` turns on span recording for the run (overriding
     the calibration's telemetry knob); the recorder is returned on
-    ``ScenarioResult.telemetry``.  ``journal=True`` likewise turns on
-    the dependability event journal, returned on
-    ``ScenarioResult.journal``.
+    ``RunRecord.telemetry``.  ``journal=True`` likewise turns on
+    the dependability event journal, returned on ``RunRecord.journal``.
     """
     run = ScenarioRun(n_replicas, n_clients, seed=seed,
                       calibration=calibration, telemetry=telemetry,
@@ -116,21 +80,8 @@ def run_replicated_load(style: ReplicationStyle, n_replicas: int,
                                 payload_bytes=DEFAULT_REQUEST_BYTES)
                for stack in run.stacks])
     run.drain()
-
-    duration, completed = run.elapsed_us, run.completed
-    mean, jitter = latency_stats(run.latencies)
-    return ScenarioResult(
-        style=style, n_replicas=n_replicas, n_clients=n_clients,
-        latency_mean_us=mean, jitter_us=jitter,
-        bandwidth_mbps=run.wire_bytes / duration,
-        throughput_per_s=completed / duration * 1e6,
-        duration_us=duration, completed=completed,
-        events_dispatched=run.testbed.sim.events_dispatched,
-        seen_entries_shipped=sum(r.replicator.seen_entries_shipped
-                                 for r in run.replicas),
-        per_client_latency_us=[loader.stats.mean_latency_us
-                               for loader in run.loaders],
-        telemetry=run.telemetry, journal=run.journal)
+    return run.record(run.elapsed_us, seen_entries_shipped=sum(
+        r.replicator.seen_entries_shipped for r in run.replicas))
 
 
 def build_profile(client_counts: Sequence[int] = (1, 2, 3, 4, 5),
@@ -139,21 +90,27 @@ def build_profile(client_counts: Sequence[int] = (1, 2, 3, 4, 5),
                       ReplicationStyle.ACTIVE,
                       ReplicationStyle.WARM_PASSIVE),
                   n_requests: int = 150, seed: int = 0,
-                  **load_kwargs) -> Tuple[Profile, List[ScenarioResult]]:
+                  **load_kwargs) -> Tuple[Profile, List[RunRecord]]:
     """The Fig. 7 sweep: measure every (style, replicas, clients)
     combination.  Returns the profile (for policy synthesis) plus the
-    raw results."""
+    raw records."""
     profile = Profile()
-    results = []
+    records = []
     for style in styles:
         for n_replicas in replica_counts:
             for n_clients in client_counts:
-                result = run_replicated_load(
+                record = run_replicated_load(
                     style, n_replicas, n_clients, n_requests,
                     seed=seed, **load_kwargs)
-                profile.add(result.as_measurement())
-                results.append(result)
-    return profile, results
+                profile.add(Measurement(
+                    config=ConfigPoint(style=style, n_replicas=n_replicas),
+                    n_clients=n_clients,
+                    latency_us=record.latency_mean_us,
+                    jitter_us=record.jitter_us,
+                    bandwidth_mbps=record.bandwidth_mbps,
+                    throughput_per_s=record.throughput_per_s))
+                records.append(record)
+    return profile, records
 
 
 # ---------------------------------------------------------------------------
@@ -180,38 +137,25 @@ def run_rtt_breakdown(n_requests: int = 500, seed: int = 0
     return component_breakdown(recorder.spans)
 
 
-@dataclass
-class OverheadResult:
-    """One bar of Fig. 4."""
-
-    mode: str
-    latency_mean_us: float
-    jitter_us: float
-
-
 def run_overhead_modes(n_requests: int = 300, seed: int = 0
-                       ) -> Dict[str, OverheadResult]:
-    """Fig. 4: baseline, interception-only modes, and single-replica
-    warm passive / active."""
-    out: Dict[str, OverheadResult] = {}
-    for mode in ("no_interceptor", "client_intercepted",
-                 "server_intercepted", "both_intercepted"):
-        mean, jitter = _run_tcp_mode(mode, n_requests, seed=seed)
-        out[mode] = OverheadResult(mode, mean, jitter)
+                       ) -> Dict[str, RunRecord]:
+    """Fig. 4, one record per bar: baseline, interception-only modes,
+    and single-replica warm passive / active."""
+    out = {mode: _run_tcp_mode(mode, n_requests, seed=seed)
+           for mode in ("no_interceptor", "client_intercepted",
+                        "server_intercepted", "both_intercepted")}
     for mode, style in (("warm_passive_1", ReplicationStyle.WARM_PASSIVE),
                         ("active_1", ReplicationStyle.ACTIVE)):
-        result = run_replicated_load(style, n_replicas=1, n_clients=1,
-                                     n_requests=n_requests, seed=seed)
-        out[mode] = OverheadResult(mode, result.latency_mean_us,
-                                   result.jitter_us)
+        out[mode] = run_replicated_load(style, n_replicas=1, n_clients=1,
+                                        n_requests=n_requests, seed=seed)
     return out
 
 
-def _run_tcp_mode(mode: str, n_requests: int, seed: int
-                  ) -> Tuple[float, float]:
+def _run_tcp_mode(mode: str, n_requests: int, seed: int) -> RunRecord:
     """A remote client-server pair over plain (optionally intercepted)
-    TCP — no group communication, no warm-up, its own request chain."""
-    testbed = ScenarioRun(1, 1, seed=seed).testbed
+    TCP — no group communication, no warm-up, one closed-loop client."""
+    run = ScenarioRun(1, 1, seed=seed)
+    testbed = run.testbed
     cal = testbed.calibration
     server_proc = testbed.spawn("s01", "srv")
     server_transport = TcpServerTransport(server_proc, testbed.network,
@@ -233,60 +177,26 @@ def _run_tcp_mode(mode: str, n_requests: int, seed: int
             client_proc, client_transport, calibration=cal.interpose)
     orb_client = OrbClient(client_proc, client_transport,
                            calibration=cal.orb)
-
-    latencies: List[float] = []
-
-    def loop(remaining: int) -> None:
-        sent_at = testbed.now
-
-        def on_reply(reply) -> None:
-            latencies.append(testbed.now - sent_at)
-            if remaining > 1:
-                loop(remaining - 1)
-        orb_client.invoke("bench", "op", 1, DEFAULT_REQUEST_BYTES,
-                          on_reply)
-
-    loop(n_requests)
-    while len(latencies) < n_requests:
-        testbed.run(500_000)
-    return latency_stats(latencies)
+    # Plain TCP: the stack has no group connection and no replicator.
+    stack = ClientStack(client_proc, gcs=None, replicator=None,
+                        orb_client=orb_client)
+    run.start([ClosedLoopClient(stack, n_requests, object_key="bench",
+                                operation="op",
+                                payload_bytes=DEFAULT_REQUEST_BYTES)])
+    run.drain()
+    return run.record(run.elapsed_us)
 
 
 # ---------------------------------------------------------------------------
 # Fig. 6: runtime adaptive replication under a load profile
 # ---------------------------------------------------------------------------
 
-@dataclass
-class AdaptiveResult:
-    """Outcome of one adaptive (or static) run under a rate profile."""
-
-    rate_series: List[Tuple[float, float]]
-    style_series: List[Tuple[float, str]]
-    switch_events: List
-    sent: int
-    completed: int
-    duration_us: float
-    mean_latency_us: float
-    max_latency_us: float = 0.0
-    #: The run's dependability journal (set when journaling was on).
-    journal: Optional[Any] = None
-
-    @property
-    def observed_arrival_rate_per_s(self) -> float:
-        """The paper's Fig. 6 headline metric: the request arrival
-        rate observed at the server over the run (completions-driven
-        for a closed feedback loop with offered retries)."""
-        if self.duration_us <= 0:
-            return 0.0
-        return self.completed / self.duration_us * 1e6
-
-
 def run_adaptive_scenario(profile: RateProfile, duration_us: float,
                           policy: Optional[ThresholdSwitchPolicy] = None,
                           static_style: Optional[ReplicationStyle] = None,
                           n_clients: int = 1,
                           seed: int = 0, closed_loop: bool = True,
-                          journal: bool = False) -> AdaptiveResult:
+                          journal: bool = False) -> RunRecord:
     """Drive a time-varying load against a three-replica group.
 
     With ``policy`` set, every replica runs an adaptation manager and
@@ -299,6 +209,10 @@ def run_adaptive_scenario(profile: RateProfile, duration_us: float,
     reply before thinking, so faster replies raise the *observed*
     arrival rate — the feedback behind the paper's +4.1 % result.
     ``closed_loop=False`` uses pure open-loop arrivals instead.
+
+    The record's ``duration_us`` runs to the end of the straggler
+    settle, so its ``throughput_per_s`` is the paper's Fig. 6 headline
+    metric: the request arrival rate observed at the server.
     """
     if (policy is None) == (static_style is None):
         raise ValueError("pass exactly one of policy / static_style")
@@ -341,12 +255,7 @@ def run_adaptive_scenario(profile: RateProfile, duration_us: float,
                        for t, rate in run.managers[0].rate_samples]
     switch_events = next((r.replicator.switch_history
                           for r in replicas if r.alive), [])
-    latencies = run.latencies
-    return AdaptiveResult(
-        rate_series=rate_series, style_series=style_series,
-        switch_events=list(switch_events),
-        sent=run.sent, completed=run.completed,
-        duration_us=testbed.now - start,
-        mean_latency_us=latency_stats(latencies)[0],
-        max_latency_us=max(latencies, default=0.0),
-        journal=run.journal)
+    return run.record(
+        testbed.now - start, rate_series=rate_series,
+        style_series=style_series, switch_events=list(switch_events),
+        max_latency_us=max(run.latencies, default=0.0))

@@ -35,8 +35,8 @@ class ConstantRate(RateProfile):
     rate_per_s: float
 
     def __post_init__(self) -> None:
-        if self.rate_per_s < 0:
-            raise ConfigurationError("rate must be non-negative")
+        if not self.rate_per_s >= 0:
+            raise ConfigurationError("rate must be a number >= 0")
 
     def rate_at(self, time_us: float) -> float:
         """See :meth:`RateProfile.rate_at`."""
@@ -53,8 +53,8 @@ class StepProfile(RateProfile):
         if ordered[0][0] > 0:
             ordered.insert(0, (0.0, 0.0))
         for _, rate in ordered:
-            if rate < 0:
-                raise ConfigurationError("rates must be non-negative")
+            if not rate >= 0:
+                raise ConfigurationError("rates must be numbers >= 0")
         self.steps: List[Tuple[float, float]] = ordered
 
     def rate_at(self, time_us: float) -> float:
@@ -78,10 +78,10 @@ class RampProfile(RateProfile):
     duration_us: float
 
     def __post_init__(self) -> None:
-        if self.duration_us <= 0:
+        if not self.duration_us > 0:
             raise ConfigurationError("ramp duration must be positive")
-        if self.start_rate < 0 or self.end_rate < 0:
-            raise ConfigurationError("rates must be non-negative")
+        if not (self.start_rate >= 0 and self.end_rate >= 0):
+            raise ConfigurationError("rates must be numbers >= 0")
 
     def rate_at(self, time_us: float) -> float:
         """See :meth:`RateProfile.rate_at`."""
@@ -102,10 +102,10 @@ class SpikeProfile(RateProfile):
     spike_end_us: float
 
     def __post_init__(self) -> None:
-        if self.spike_end_us <= self.spike_start_us:
+        if not self.spike_end_us > self.spike_start_us:
             raise ConfigurationError("spike end must be after start")
-        if self.base_rate < 0 or self.spike_rate < 0:
-            raise ConfigurationError("rates must be non-negative")
+        if not (self.base_rate >= 0 and self.spike_rate >= 0):
+            raise ConfigurationError("rates must be numbers >= 0")
 
     def rate_at(self, time_us: float) -> float:
         """See :meth:`RateProfile.rate_at`."""

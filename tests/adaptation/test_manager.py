@@ -128,7 +128,7 @@ def test_scenario_runner_adaptive_vs_static():
                                    static_style=ReplicationStyle.WARM_PASSIVE,
                                    seed=3)
     assert adaptive.switch_events, "no switch happened"
-    assert adaptive.mean_latency_us < static.mean_latency_us
+    assert adaptive.latency_mean_us < static.latency_mean_us
 
 
 def test_manager_rejects_bad_interval():

@@ -1,5 +1,7 @@
 """Campaign/trial specification tests: validation, expansion, JSON."""
 
+import json
+
 import pytest
 
 from repro.campaign import CampaignSpec, TrialSpec, derive_trial_seed
@@ -119,3 +121,17 @@ def test_trial_spec_validation():
     trial["fault_load"] = "bogus"
     with pytest.raises(ConfigurationError):
         TrialSpec.from_dict(trial)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("field", ["duration_us", "rate_per_s",
+                                   "deadline_us", "settle_us"])
+def test_non_finite_window_rejected(field, value):
+    """JSON admits NaN and Infinity; no comparison with NaN is true,
+    so every window field is checked for finiteness."""
+    data = json.loads(small_spec().to_json())
+    data[field] = value
+    text = json.dumps(data)
+    assert f'"{field}": {json.dumps(value)}' in text  # NaN / Infinity
+    with pytest.raises(ConfigurationError, match="finite"):
+        CampaignSpec.from_json(text)

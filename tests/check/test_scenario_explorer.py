@@ -87,6 +87,26 @@ class TestExploration:
         assert result.distinct_schedules >= 1
         assert all(r.decisions for r in result.reports)
 
+    def test_truncated_journal_rings_are_surfaced(self, monkeypatch):
+        """A flight-recorder ring too small for the run leaves its
+        ``journal.truncated`` marker in the journal; the outcome counts
+        it once and the verdict flags the evidence as incomplete."""
+        import repro.experiments.run as run_module
+        from repro.sim import JournalConfig
+
+        tiny = replace(run_module.default_calibration(),
+                       journal=JournalConfig(ring_size=8))
+        monkeypatch.setattr(run_module, "default_calibration",
+                            lambda: tiny)
+        outcome = run_schedule(_small_scenario())
+        markers = {e.host: e.attrs["dropped"]
+                   for e in outcome.journal_events
+                   if e.kind == "journal.truncated"}
+        assert markers and outcome.truncated_rings == markers
+        (flag,) = [v for v in explorer_module.verify_outcome(outcome)
+                   if v.invariant == "journal_truncated"]
+        assert flag.details == {"truncated_rings": markers}
+
     def test_skip_final_checkpoint_caught_within_default_budget(self):
         # The seeded protocol bug: the switch coordinator skips the
         # final state checkpoint, so the post-switch read loses acked

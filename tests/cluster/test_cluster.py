@@ -45,14 +45,14 @@ class TestClusterLoad:
     def test_mixes_replication_styles(self):
         result = run_cluster_load(n_shards=3, n_clients=2,
                                   n_requests=6, journal=True)
-        styles = set(result.shard_styles.values())
-        assert styles == {"active", "warm_passive"}
+        styles = {name: s["style"] for name, s in result.per_shard.items()}
+        assert set(styles.values()) == {"active", "warm_passive"}
         # The journal's deployment events agree with the specs.
         assert result.journal is not None
         deployed = {e.shard: e.attrs["style"]
                     for e in result.journal.events
                     if e.component == "cluster" and e.kind == "shard"}
-        assert deployed == result.shard_styles
+        assert deployed == styles
 
     def test_throughput_scales_with_shard_count(self):
         kwargs = dict(n_clients=12, n_requests=15, n_server_hosts=5)
@@ -81,7 +81,7 @@ class TestClusterLoad:
 class TestRebalanceSafety:
     def test_no_acked_update_lost_or_doubled(self):
         out = run_cluster_rebalance_check()
-        assert out.ok, out.violations
+        assert out.check["ok"], out.check["violations"]
         assert out.migrations_committed == 2
         assert out.giveups == 0
         # Every key's surviving replicas agree, and their value equals
@@ -108,7 +108,7 @@ class TestRebalanceSafety:
                                               n_requests=24)
         finally:
             scenario_mod.CounterServant = original
-        assert out.ok, out.violations
+        assert out.check["ok"], out.check["violations"]
         assert out.rerouted > 0
         assert out.survivor_values["ctr00"] == [96, 96]
 

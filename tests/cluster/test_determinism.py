@@ -31,7 +31,7 @@ def test_same_seed_load_runs_are_identical():
 def test_same_seed_rebalance_checks_share_a_digest():
     one = run_cluster_rebalance_check(n_requests=8, seed=5)
     two = run_cluster_rebalance_check(n_requests=8, seed=5)
-    assert one.ok and two.ok
+    assert one.check["ok"] and two.check["ok"]
     assert one.digest == two.digest
     assert one.survivor_values == two.survivor_values
 

@@ -140,3 +140,10 @@ class TestThresholdSwitchPolicy:
             ThresholdSwitchPolicy(rate_high_per_s=100, rate_low_per_s=200)
         with pytest.raises(PolicyError):
             ThresholdSwitchPolicy(rate_high_per_s=100, rate_low_per_s=-5)
+
+    @pytest.mark.parametrize("high, low", [(float("nan"), 200.0),
+                                           (400.0, float("nan")),
+                                           (float("nan"), float("nan"))])
+    def test_nan_thresholds_rejected(self, high, low):
+        with pytest.raises(PolicyError):
+            ThresholdSwitchPolicy(rate_high_per_s=high, rate_low_per_s=low)

@@ -66,14 +66,19 @@ class TestLoadScenario:
         assert result.latency_mean_us > 0
         assert result.bandwidth_mbps > 0
         assert result.throughput_per_s > 0
-        assert len(result.per_client_latency_us) == 2
+        assert result.throughput_per_s == \
+            result.completed / result.duration_us * 1e6
 
     def test_measurement_conversion(self):
-        result = run_replicated_load(ReplicationStyle.WARM_PASSIVE, 2, 1, 10)
-        m = result.as_measurement()
+        profile, (result,) = build_profile(
+            client_counts=(1,), replica_counts=(2,),
+            styles=(ReplicationStyle.WARM_PASSIVE,), n_requests=10)
+        (m,) = list(profile)
         assert m.config.label == "P(2)"
         assert m.config.faults_tolerated == 1
+        assert m.n_clients == 1
         assert m.latency_us == result.latency_mean_us
+        assert m.bandwidth_mbps == result.bandwidth_mbps
 
     def test_deterministic_given_seed(self):
         a = run_replicated_load(ReplicationStyle.ACTIVE, 2, 1, 20, seed=9)

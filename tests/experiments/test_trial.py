@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments import FaultTrialResult, run_fault_trial
+from repro.experiments import RunRecord, run_fault_trial
 from repro.replication import ReplicationStyle
 
 
@@ -19,7 +19,7 @@ def test_fault_free_trial_is_fully_available():
     assert result.sent > 0
     assert result.completed == result.sent
     assert result.availability == 1.0
-    assert result.failed_fraction == 0.0
+    assert result.metrics()["failed_fraction"] == 0.0
     assert result.mean_recovery_us == 0.0
     assert result.latency_mean_us > 0
     assert result.injected == []
@@ -73,7 +73,7 @@ def test_trials_are_deterministic_per_seed():
 def test_late_fraction_counts_deadline_misses():
     strict = run(deadline_us=1.0)
     assert strict.late == strict.completed
-    assert strict.late_fraction == 1.0
+    assert strict.metrics()["late_fraction"] == 1.0
     relaxed = run(deadline_us=10_000_000.0)
     assert relaxed.late == 0
 
@@ -102,18 +102,24 @@ def test_bad_arguments_rejected():
         run(rate_per_s=-5.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("field", ["duration_us", "rate_per_s",
+                                   "deadline_us", "settle_us"])
+def test_non_finite_window_rejected(field, value):
+    with pytest.raises(ConfigurationError, match="finite"):
+        run(**{field: value})
+
+
 def test_failed_fraction_of_empty_trial_is_zero():
-    result = FaultTrialResult(style=ReplicationStyle.ACTIVE,
-                              n_replicas=2, n_clients=0,
-                              duration_us=1.0, sent=0, completed=0,
-                              failed=0, late=0, availability=1.0,
-                              mean_recovery_us=0.0,
-                              recovery_times_us=[],
-                              latency_mean_us=0.0, jitter_us=0.0,
-                              bandwidth_mbps=0.0, wire_bytes=0.0,
-                              injected=[])
-    assert result.failed_fraction == 0.0
-    assert result.late_fraction == 0.0
+    metrics = RunRecord(duration_us=1.0, t0=0.0, sent=0, completed=0,
+                        latency_mean_us=0.0, jitter_us=0.0,
+                        wire_bytes=0.0, bandwidth_mbps=0.0,
+                        throughput_per_s=0.0, events_dispatched=0,
+                        telemetry=None, journal=None, failed=0, late=0,
+                        availability=1.0, mean_recovery_us=0.0,
+                        injected=[]).metrics()
+    assert metrics["failed_fraction"] == 0.0
+    assert metrics["late_fraction"] == 0.0
 
 
 def test_check_attaches_verification_verdict():
@@ -129,7 +135,7 @@ def test_check_attaches_verification_verdict():
 
 def test_check_forces_journal_capture():
     result = run(check=True, journal=False)
-    assert result.journal_events is not None
+    assert result.journal is not None
 
 
 def test_no_check_by_default():

@@ -66,8 +66,8 @@ def test_idle_link_filter_is_invisible():
 
     base, idle = trial(), trial(install_idle)
     assert base.completed > 0
-    assert (events_to_jsonl(idle.journal_events)
-            == events_to_jsonl(base.journal_events))
+    assert (events_to_jsonl(idle.journal.events)
+            == events_to_jsonl(base.journal.events))
     assert idle.metrics() == base.metrics()
 
 

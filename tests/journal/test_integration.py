@@ -45,16 +45,16 @@ class TestDeterminism:
     def test_same_seed_gives_byte_identical_jsonl(self):
         first = run_trial(journal=True)
         second = run_trial(journal=True)
-        assert events_to_jsonl(first.journal_events) == \
-            events_to_jsonl(second.journal_events)
-        assert json.dumps(first.journal, sort_keys=True) == \
-            json.dumps(second.journal, sort_keys=True)
+        assert events_to_jsonl(first.journal.events) == \
+            events_to_jsonl(second.journal.events)
+        assert json.dumps(first.metrics()["journal"], sort_keys=True) == \
+            json.dumps(second.metrics()["journal"], sort_keys=True)
 
     def test_different_seed_gives_different_jsonl(self):
         first = run_trial(journal=True, seed=3)
         second = run_trial(journal=True, seed=4)
-        assert events_to_jsonl(first.journal_events) != \
-            events_to_jsonl(second.journal_events)
+        assert events_to_jsonl(first.journal.events) != \
+            events_to_jsonl(second.journal.events)
 
 
 class TestOffByDefault:
@@ -62,7 +62,6 @@ class TestOffByDefault:
         off = run_trial(journal=False)
         on = run_trial(journal=True)
         assert off.journal is None
-        assert off.journal_events is None
         stripped = {k: v for k, v in on.metrics().items()
                     if k != "journal"}
         assert json.dumps(stripped, sort_keys=True, default=str) == \
@@ -84,35 +83,37 @@ class TestOffByDefault:
         assert on.bandwidth_mbps == off.bandwidth_mbps
         assert on.completed == off.completed
         assert on.throughput_per_s == off.throughput_per_s
-        assert on.per_client_latency_us == off.per_client_latency_us
+        assert on.duration_us == off.duration_us
 
 
 class TestFaultCrossCheck:
     def test_every_injected_fault_matched_or_missed(self):
         result = run_trial(journal=True)
-        digest = result.journal
+        digest = result.metrics()["journal"]
         assert digest["faults_injected"] == 1
         assert digest["faults_injected"] == \
             digest["faults_matched"] + digest["faults_missed"]
-        matches = match_faults(result.journal_events)
+        matches = match_faults(result.journal.events)
         assert all(m.detected or m.missed for m in matches)
 
     def test_process_crash_detected_with_positive_latency(self):
         result = run_trial(journal=True)
-        (match,) = match_faults(result.journal_events)
+        (match,) = match_faults(result.journal.events)
         assert match.fault_kind == "process_crash"
         assert match.detected
         assert match.detection_latency_us > 0.0
-        assert result.journal["mean_detection_latency_us"] > 0.0
+        assert result.metrics()["journal"]["mean_detection_latency_us"] \
+            > 0.0
 
     def test_journal_availability_tracks_trial_availability(self):
         result = run_trial(journal=True)
         # Both accountings bill the same outage; the journal closes it
         # at membership reconfiguration, the trial at the next
         # completed request, so they agree within 5 %.
-        assert result.journal["availability"] == pytest.approx(
+        digest = result.metrics()["journal"]
+        assert digest["availability"] == pytest.approx(
             result.availability, abs=0.05)
-        assert result.journal["outages"] == 1
+        assert digest["outages"] == 1
 
 
 class TestAdaptiveCrossCheck:

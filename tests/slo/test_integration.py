@@ -76,9 +76,9 @@ class TestObservationOnly:
 
         plain, observed = trial(False), trial(True)
         assert plain.slo is None and observed.slo["slos"] > 0
-        assert plain.journal_events
-        assert (events_to_jsonl(plain.journal_events)
-                == events_to_jsonl(observed.journal_events))
+        assert plain.journal.events
+        assert (events_to_jsonl(plain.journal.events)
+                == events_to_jsonl(observed.journal.events))
 
 
 class TestSloCli:

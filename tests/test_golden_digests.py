@@ -117,7 +117,7 @@ def cluster_trial_digests() -> dict:
         fault_load="process_crash", telemetry=True, check=True, slo=True)
     assert result.check["linearizable"] and len(result.injected) == 1
     return {"metrics": _sha256(json.dumps(result.metrics(), sort_keys=True)),
-            "journal": _sha256(events_to_jsonl(result.journal_events))}
+            "journal": _sha256(events_to_jsonl(result.journal.events))}
 
 
 def rebalance_check_digest() -> str:
@@ -125,7 +125,8 @@ def rebalance_check_digest() -> str:
     rebalance safety check."""
     outcome = run_cluster_rebalance_check(n_shards=2, n_clients=2,
                                           n_requests=12, seed=4)
-    assert outcome.ok and outcome.operations == 24 and outcome.giveups == 0
+    assert outcome.check["ok"] and outcome.check["operations"] == 24
+    assert outcome.giveups == 0
     return outcome.digest
 
 

@@ -127,6 +127,43 @@ def test_campaign_command_rejects_bad_spec(tmp_path, capsys):
     assert "bad spec" in capsys.readouterr().err
 
 
+def test_campaign_command_rejects_non_finite_rate(tmp_path, capsys):
+    import json
+
+    spec = _write_campaign_spec(tmp_path)
+    data = json.loads(spec.read_text())
+    data["rate_per_s"] = float("nan")
+    spec.write_text(json.dumps(data))
+    assert main(["campaign", str(spec), "--results",
+                 str(tmp_path / "out.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert "bad spec" in err and "finite" in err
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--base-rate", "-5"], ["--base-rate", "inf"],
+    ["--spike-rate", "nan"], ["--high", "-1", "--low", "5"],
+    ["--high", "nan"], ["--low=-inf"]], ids=[
+    "negative-base", "inf-base", "nan-spike", "negative-high",
+    "nan-high", "negative-inf-low"])
+def test_adaptive_rejects_bad_rates(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["adaptive", *argv])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    option = argv[0].split("=")[0]
+    assert f"argument {option}: " in err
+    assert "must be a finite number >= 0" in err
+    assert "Traceback" not in err
+
+
+def test_adaptive_low_above_high_is_a_one_line_usage_error(capsys):
+    assert main(["adaptive", "--high", "100", "--low", "200"]) == 2
+    err = capsys.readouterr().err
+    assert err == "adaptive: low threshold must not exceed high\n"
+
+
 def test_version_flag(capsys):
     from repro import __version__
 
@@ -468,7 +505,7 @@ def test_cluster_replay_command(tmp_path, capsys):
 
     out_path = tmp_path / "cluster.journal.jsonl"
     outcome = run_cluster_rebalance_check(n_requests=8)
-    write_jsonl(outcome.journal_events, str(out_path))
+    write_jsonl(outcome.journal.events, str(out_path))
     assert main(["cluster", "replay", str(out_path)]) == 0
     out = capsys.readouterr().out
     assert "cluster event(s)" in out

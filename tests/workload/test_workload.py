@@ -58,6 +58,20 @@ class TestProfiles:
         with pytest.raises(ConfigurationError):
             SpikeProfile(10.0, 100.0, 2000.0, 1000.0)
 
+    @pytest.mark.parametrize("make", [
+        lambda nan: ConstantRate(nan),
+        lambda nan: StepProfile([(0.0, 10.0), (1000.0, nan)]),
+        lambda nan: RampProfile(nan, 10.0, 1000.0),
+        lambda nan: RampProfile(0.0, nan, 1000.0),
+        lambda nan: RampProfile(0.0, 10.0, nan),
+        lambda nan: SpikeProfile(nan, 100.0, 1000.0, 2000.0),
+        lambda nan: SpikeProfile(10.0, nan, 1000.0, 2000.0),
+        lambda nan: SpikeProfile(10.0, 100.0, nan, 2000.0),
+        lambda nan: SpikeProfile(10.0, 100.0, 1000.0, nan)])
+    def test_nan_rejected(self, make):
+        with pytest.raises(ConfigurationError):
+            make(float("nan"))
+
     def test_peak(self):
         profile = SpikeProfile(base_rate=10.0, spike_rate=100.0,
                                spike_start_us=1000.0,
