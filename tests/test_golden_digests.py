@@ -12,6 +12,7 @@ behaviour (protocol or calibration) and says why::
     PYTHONPATH=src python tests/test_golden_digests.py
 """
 
+import dataclasses
 import hashlib
 import json
 import pathlib
@@ -95,9 +96,16 @@ def load_digests() -> dict:
             "telemetry": _sha256(chrome_trace_json(result.telemetry.spans))}
 
 
+def all_spans_json(spans) -> str:
+    """Canonical JSON of all eleven fields of every span.  Unlike the
+    chrome export it keeps open spans, as ``"end_us": null``."""
+    return json.dumps([dataclasses.asdict(span) for span in spans],
+                      sort_keys=True, separators=(",", ":"))
+
+
 def cluster_load_digests() -> dict:
-    """sha256 of the journal, the trace and the metrics export of one
-    sharded closed-loop run with a live rebalance."""
+    """sha256 of the journal, the trace, every span and the metrics
+    export of one sharded closed-loop run with a live rebalance."""
     result = run_cluster_load(
         n_shards=3, n_clients=4, n_requests=20, seed=3, n_server_hosts=4,
         journal=True, telemetry=True, rebalance=("obj00", "shard2", 30_000.0))
@@ -105,6 +113,7 @@ def cluster_load_digests() -> dict:
     metrics = result.telemetry.metrics.as_dict()
     return {"journal": _sha256(events_to_jsonl(result.journal.events)),
             "telemetry": _sha256(chrome_trace_json(result.telemetry.spans)),
+            "spans": _sha256(all_spans_json(result.telemetry.spans)),
             "metrics": _sha256(json.dumps(metrics, sort_keys=True))}
 
 
