@@ -279,6 +279,14 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     if args.replicas < 1 or args.clients < 1:
         return _usage_error("trace", "replicas and clients must be >= 1")
+    if args.out:
+        # Fail before the traced run, not after it; "a" leaves an
+        # existing file as it is until the export overwrites it.
+        try:
+            open(args.out, "a").close()
+        except OSError as exc:
+            return _usage_error("trace",
+                                f"cannot write {args.out}: {exc.strerror}")
     style = ReplicationStyle(args.style)
     result = run_replicated_load(
         style, n_replicas=args.replicas, n_clients=args.clients,

@@ -392,23 +392,23 @@ class GcsDaemon(Actor):
         """In-order reliable delivery from ``peer``: charge daemon CPU
         then dispatch on the message type."""
         telemetry = self.sim.telemetry
-        span = None
+        span_id = None
         if telemetry.enabled:
             # Application frames carry their trace context (read
             # through the payload wrappers); the hop span nests under
             # the in-flight transit span.
             ctx = payload_context(inner)
             if ctx is not None:
-                span = telemetry.begin(
+                span_id = telemetry.begin(
                     ctx, "gcsd.process", COMPONENT_GCS,
                     host=self.host.name, process=self.name,
                     now=self.sim.now, peer=peer)
-        if span is None:
+        if span_id is None:
             self.host.cpu.execute(self.cal.daemon_processing_us,
                                   self._if_alive, self._dispatch, peer, inner)
         else:
             def dispatched() -> None:
-                telemetry.end(span, self.sim.now)
+                telemetry.end(span_id, self.sim.now)
                 self._dispatch(peer, inner)
             self._cpu(dispatched)
 

@@ -189,8 +189,12 @@ class TelemetryConfig:
 
     def validate(self) -> None:
         """Raise :class:`ConfigurationError` on invalid fields."""
-        if self.max_spans < 1:
-            raise ConfigurationError("max_spans must be positive")
+        # NaN or inf would never reach the cap, so the recorder would
+        # grow without bound; a fraction or a bool is no span count.
+        if (not isinstance(self.max_spans, int)
+                or isinstance(self.max_spans, bool) or self.max_spans < 1):
+            raise ConfigurationError(
+                f"max_spans must be an integer >= 1, not {self.max_spans!r}")
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from repro.sim import (
     PAPER_FIG3_BREAKDOWN,
     ReplicationCalibration,
     SubstrateCalibration,
+    TelemetryConfig,
     default_calibration,
 )
 
@@ -84,3 +85,15 @@ def test_substrate_validate_covers_all_sections():
         host=HostCalibration(speed=-1.0))
     with pytest.raises(ConfigurationError):
         broken.validate()
+
+
+@pytest.mark.parametrize("max_spans", [float("nan"), float("inf"), 2.5,
+                                       True, 0, -3, "10"])
+def test_telemetry_max_spans_must_be_a_positive_int(max_spans):
+    with pytest.raises(ConfigurationError, match="max_spans"):
+        TelemetryConfig(enabled=True, max_spans=max_spans).validate()
+
+
+def test_telemetry_max_spans_accepts_positive_ints():
+    TelemetryConfig(enabled=True, max_spans=1).validate()
+    TelemetryConfig(max_spans=200_000).validate()

@@ -1,8 +1,10 @@
 """Unit tests for the span recorder lifecycle."""
 
+import pytest
+
 from repro.sim import NULL_TELEMETRY, Simulator
 from repro.telemetry import Telemetry, TraceContext, spans_by_trace
-from repro.telemetry.spans import KIND_CHARGED, KIND_MEASURED
+from repro.telemetry.spans import KIND_CHARGED, KIND_MEASURED, Span
 
 
 def test_start_trace_opens_root():
@@ -21,14 +23,16 @@ def test_start_trace_opens_root():
 def test_begin_end_child_span():
     t = Telemetry()
     ctx = t.start_trace("req-1", now=0.0)
-    span = t.begin(ctx, "marshal", "orb", now=5.0, operation="add")
-    assert span.parent_id == ctx.root_id
+    span_id = t.begin(ctx, "marshal", "orb", now=5.0, operation="add")
+    assert span_id == 2
+    span = t.spans[span_id - 1]
+    assert span.span_id == span_id and span.parent_id == ctx.root_id
     assert span.attrs == {"operation": "add"}
-    assert span.kind == KIND_MEASURED
-    t.end(span, 8.0)
-    assert span.duration_us == 3.0
-    t.end(span, 99.0)  # double-close is a no-op
-    assert span.end_us == 8.0
+    assert span.kind == KIND_MEASURED and not span.finished
+    t.end(span_id, 8.0)
+    assert t.spans[1].duration_us == 3.0
+    t.end(span_id, 99.0)  # double-close is a no-op
+    assert t.spans[1].end_us == 8.0
 
 
 def test_none_context_is_safe_everywhere():
@@ -45,7 +49,7 @@ def test_none_context_is_safe_everywhere():
 def test_emit_records_closed_charged_span():
     t = Telemetry()
     ctx = t.start_trace("req-1", now=0.0)
-    span = t.emit(ctx, "redirect", "replicator", 10.0, 42.0)
+    span = t.spans[t.emit(ctx, "redirect", "replicator", 10.0, 42.0) - 1]
     assert span.finished and span.kind == KIND_CHARGED
     assert span.duration_us == 32.0
     assert t.open_spans == 1  # only the root stays open
@@ -54,18 +58,18 @@ def test_emit_records_closed_charged_span():
 def test_transit_round_trip():
     t = Telemetry()
     ctx = t.start_trace("req-1", now=0.0)
-    span, carried = t.begin_transit(ctx, "gcs.request", "gcs", 100.0)
-    assert carried.inflight == span.span_id
-    assert carried.span_id == span.span_id  # hops nest under transit
+    span_id, carried = t.begin_transit(ctx, "gcs.request", "gcs", 100.0)
+    assert carried.inflight == span_id
+    assert carried.span_id == span_id  # hops nest under transit
     # Receiver-side hop span parents to the transit span.
     hop = t.begin(carried, "gcsd.process", "gcs", now=120.0)
-    assert hop.parent_id == span.span_id
+    assert t.spans[hop - 1].parent_id == span_id
     t.end(hop, 140.0)
-    closed = t.finish_inflight(carried, 150.0)
-    assert closed is span and span.end_us == 150.0
+    assert t.finish_inflight(carried, 150.0) == span_id
+    assert t.spans[span_id - 1].end_us == 150.0
     # First arrival wins: a second replica's close is a no-op.
     assert t.finish_inflight(carried, 200.0) is None
-    assert span.end_us == 150.0
+    assert t.spans[span_id - 1].end_us == 150.0
     back_at_root = carried.at_root()
     assert back_at_root.span_id == ctx.root_id
     assert back_at_root.inflight == 0
@@ -74,7 +78,8 @@ def test_transit_round_trip():
 def test_finish_trace_closes_root():
     t = Telemetry()
     ctx = t.start_trace("req-1", now=0.0)
-    root = t.finish_trace(ctx, 500.0)
+    assert t.finish_trace(ctx, 500.0) == ctx.root_id
+    root = t.spans[0]
     assert root.finished and root.duration_us == 500.0
     assert t.finish_trace(ctx, 600.0) is None
     assert t.open_spans == 0
@@ -179,3 +184,94 @@ def test_span_exports_are_pinned():
         "req-1,5,1,redirect,replicator,s01,srv,30.000,34.500,4.500,"
         "charged\r\n")
     assert validate_spans(spans) == []
+
+
+def test_span_rows_are_a_read_only_view():
+    t = _exported_round_trip()
+    spans = t.spans
+    assert not hasattr(spans, "append")
+    assert [s.span_id for s in spans] == [1, 2, 3, 4, 5]
+    assert spans[-1] == spans[4] and spans[-1].attrs == {"style": "active"}
+    assert [s.span_id for s in spans[1:3]] == [2, 3]
+    with pytest.raises(IndexError):
+        spans[5]
+    # Every read builds a fresh Span with a fresh attrs dict: changing
+    # it does not change what was recorded.
+    spans[4].attrs["style"] = "changed"
+    spans[4].end_us = 0.0
+    assert spans[4].attrs == {"style": "active"}
+    assert spans[4].end_us == 34.5
+    assert list(spans) == [spans[i] for i in range(len(spans))]
+
+
+def test_counts_build_no_span(monkeypatch):
+    from repro.telemetry import spans as spans_module
+
+    t = Telemetry(max_spans=3)
+    ctx = t.start_trace("req-1", now=0.0)
+    t.end(t.begin(ctx, "a", "orb", now=1.0), 2.0)
+    t.begin(ctx, "b", "orb", now=3.0)
+    assert t.emit(ctx, "c", "replicator", 4.0, 5.0) is None
+    built = []
+
+    def counting_span(*fields):
+        built.append(fields)
+        return Span(*fields)
+
+    monkeypatch.setattr(spans_module, "Span", counting_span)
+    assert len(t.spans) == 3 and len(t) == 3
+    assert t.open_spans == 2
+    assert t.dropped == 1
+    assert built == []
+    assert t.spans[2].name == "b"  # the probe does see a build
+    assert len(built) == 1
+
+
+def test_attrs_payloads_are_stored_once_and_typed():
+    t = Telemetry()
+    ctx = t.start_trace("req-1", now=0.0)
+    for now in (1.0, 2.0):
+        t.emit(ctx, "x", "orb", now, now, style="active", shard=1)
+    t.emit(ctx, "x", "orb", 3.0, 3.0, style="active", shard=True)
+    t.emit(ctx, "x", "orb", 4.0, 4.0, style="active", shard=1.0)
+    stored = t.spans.attrs
+    assert stored[0] is None  # the root carries no attrs
+    assert stored[1] is stored[2] == (("style", "active"), ("shard", 1))
+    # 1, True and 1.0 are equal and hash alike; they keep their type.
+    assert [type(s.attrs["shard"]) for s in t.spans[1:]] == [
+        int, int, bool, float]
+    # An unhashable payload is kept as its own dict.
+    t.emit(ctx, "y", "orb", 5.0, 5.0, hops=["a", "b"])
+    assert t.spans[-1].attrs == {"hops": ["a", "b"]}
+    assert t.spans[-1].attrs is not t.spans[-1].attrs
+
+
+def test_retained_bytes_per_span():
+    """The recorder keeps typed columns, not a Span object and a dict
+    per span: ~100 B per span retained (a Span-object store held ~310)."""
+    import gc
+    import tracemalloc
+
+    from repro.cluster import run_cluster_load
+
+    def retained(telemetry: bool):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = run_cluster_load(
+                n_shards=2, n_clients=4, n_requests=40, n_server_hosts=3,
+                seed=1, telemetry=telemetry)
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0] - before, result
+        finally:
+            tracemalloc.stop()
+
+    # Warm up imports and caches outside the measurement.
+    run_cluster_load(n_shards=1, n_clients=1, n_requests=2,
+                     n_server_hosts=3, seed=1, telemetry=True)
+    off, _ = retained(False)
+    on, result = retained(True)
+    n_spans = len(result.telemetry.spans)
+    assert n_spans > 3000 and result.telemetry.dropped == 0
+    assert (on - off) / n_spans <= 150

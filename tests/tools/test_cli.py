@@ -245,6 +245,28 @@ def test_breakdown_overflowing_the_span_cap_exits_2(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,reason", [
+    (["--out", "{missing}/x.txt"], "No such file or directory"),
+    (["--format", "chrome", "--out", "{tmp}"], "Is a directory"),
+])
+def test_trace_bad_out_path_fails_before_the_run(tmp_path, capsys,
+                                                  monkeypatch, argv, reason):
+    import repro.experiments.scenarios as scenarios
+
+    def never_run(*_args, **_kwargs):
+        raise AssertionError("the traced run started")
+
+    monkeypatch.setattr(scenarios, "run_replicated_load", never_run)
+    argv = [arg.format(missing=tmp_path / "missing", tmp=tmp_path)
+            for arg in argv]
+    assert main(["trace", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("trace: cannot write ")
+    assert captured.err.rstrip().endswith(reason)
+    assert captured.err.count("\n") == 1
+
+
 def test_trace_command_usage_errors_exit_2(capsys):
     assert main(["trace", "--replicas", "0"]) == 2
     assert "must be >= 1" in capsys.readouterr().err
