@@ -8,7 +8,8 @@ schedule space instead of sampling it:
 
 - :mod:`repro.check.policies` — pluggable kernel scheduling policies
   that perturb same-timestamp tie-breaks and add bounded message
-  delays, recording every decision for byte-identical replay;
+  delays, recording every decision (a compact :class:`Decisions`
+  trace) for byte-identical replay;
 - :mod:`repro.check.history` — client-observed operation histories
   captured at the ORB boundary;
 - :mod:`repro.check.linearizability` — a Wing–Gong single-object
@@ -50,6 +51,7 @@ from repro.check.linearizability import (
     check_linearizability,
 )
 from repro.check.policies import (
+    Decisions,
     RandomWalkPolicy,
     ReplayPolicy,
     SchedulerPolicy,
@@ -70,6 +72,7 @@ __all__ = [
     "CHECKPOINT_PHASES",
     "CheckScenario",
     "CounterSpec",
+    "Decisions",
     "ExplorationResult",
     "HistoryRecorder",
     "IncrementSpec",

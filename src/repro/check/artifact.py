@@ -18,13 +18,16 @@ artifact is the smallest variant that still fails.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional
 
 from repro.check.explorer import ScheduleReport, verify_outcome
 from repro.check.invariants import Violation
-from repro.check.policies import RandomWalkPolicy, ReplayPolicy
+from repro.check.policies import (
+    RandomWalkPolicy,
+    ReplayPolicy,
+    check_walk_parameters,
+)
 from repro.check.scenario import CheckScenario, run_schedule
 from repro.errors import VerificationError
 
@@ -71,8 +74,8 @@ class ReproArtifact:
             policy = data["policy"]
             artifact = cls(
                 scenario=CheckScenario.from_dict(data["scenario"]),
-                walk_seed=int(policy["walk_seed"]),
-                tie_choices=int(policy["tie_choices"]),
+                walk_seed=policy["walk_seed"],
+                tie_choices=policy["tie_choices"],
                 delay_bound_us=float(policy["delay_bound_us"]),
                 decisions=list(policy["decisions"]),
                 digest=str(data["digest"]),
@@ -90,12 +93,17 @@ class ReproArtifact:
         """A decision is a tie-break rank (``int`` in ``[0,
         tie_choices)``) or a frame delay (``float`` in ``[0,
         delay_bound_us]``).  Replay feeds them to the kernel unchecked,
-        so a negative, NaN or mistyped one must stop here."""
-        if self.tie_choices < 1 \
-                or not 0.0 <= self.delay_bound_us < math.inf:
+        so a negative, NaN or mistyped one must stop here, as must a
+        walk seed or ``tie_choices`` that is not an exact ``int``."""
+        if type(self.walk_seed) is not int:
             raise VerificationError(
-                "malformed repro artifact: tie_choices must be >= 1 "
-                "and delay_bound_us finite and >= 0")
+                "malformed repro artifact: walk_seed must be an int, "
+                f"got {self.walk_seed!r}")
+        try:
+            check_walk_parameters(self.tie_choices, self.delay_bound_us)
+        except VerificationError as exc:
+            raise VerificationError(
+                f"malformed repro artifact: {exc}") from exc
         for index, value in enumerate(self.decisions):
             # Exact types: bool is an int subclass, and JSON has no
             # other spelling for either kind of decision.

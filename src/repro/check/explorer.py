@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 import pickle
 from dataclasses import dataclass, field, replace
-from typing import Any, List, Optional, Set, Tuple
+from typing import Any, List, Optional, Sequence, Set, Tuple
 
 from repro.check.invariants import (
     Violation,
@@ -27,7 +27,12 @@ from repro.check.invariants import (
     check_invariants,
 )
 from repro.check.linearizability import CounterSpec, check_linearizability
-from repro.check.policies import RandomWalkPolicy, check_walk_parameters
+from repro.check.policies import (
+    Decision,
+    Decisions,
+    RandomWalkPolicy,
+    check_walk_parameters,
+)
 from repro.check.scenario import (
     CHECKPOINT_PHASES,
     CheckScenario,
@@ -89,7 +94,7 @@ class ScheduleReport:
     digest: str
     fresh: bool
     violations: List[Violation] = field(default_factory=list)
-    decisions: List[Any] = field(default_factory=list)
+    decisions: Sequence[Decision] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -140,8 +145,9 @@ def explore(scenario: CheckScenario, budget: int = 200,
     run's.  The parameters are validated here, before any worker
     starts: a bad one raises :class:`VerificationError` once.
     """
-    if budget < 1:
-        raise VerificationError("budget must be >= 1")
+    if type(budget) is not int or budget < 1:
+        raise VerificationError(
+            f"budget must be an int >= 1, got {budget!r}")
     check_walk_parameters(tie_choices, delay_bound_us)
     _validate(scenario)
     result = ExplorationResult(scenario=scenario, budget=budget)
@@ -197,7 +203,7 @@ _Job = Tuple[CheckScenario, int, int, int, float]
 
 
 def _walk(job: _Job) -> Tuple[CheckScenario, str, List[Violation],
-                              List[Any]]:
+                              Decisions]:
     """Run and verify walk ``i`` of ``scenario``: a pure function of
     its job, so any process may run it.
 

@@ -14,17 +14,31 @@ Policies are duck-typed by the kernel (``repro.sim`` never imports
 this module): anything with ``tie_break()`` and
 ``message_delay(wire_bytes)`` can be installed via
 :meth:`repro.sim.Simulator.set_scheduler_policy`.
+
+A random walk records its decisions in a :class:`Decisions` trace:
+two typed columns behind a read-only sequence, about 4 B per decision.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import List, Sequence, Union
+from array import array
+from collections.abc import Sequence
+from typing import Iterator, List, Union
 
 from repro.errors import VerificationError
 
 Decision = Union[int, float]
+
+#: Unsigned typecodes of a token column wider than one byte, narrowest
+#: first, each with the first value it cannot hold.
+_WIDE_TOKEN_COLUMNS = tuple((code, 1 << 8 * array(code).itemsize)
+                            for code in "HILQ")
+
+#: The largest ``tie_choices`` a walk accepts: its token column must
+#: hold ``tie_choices`` itself, the token that marks a delay.
+MAX_TIE_CHOICES = _WIDE_TOKEN_COLUMNS[-1][1] - 1
 
 
 class SchedulerPolicy:
@@ -47,13 +61,77 @@ class SchedulerPolicy:
 
 
 def check_walk_parameters(tie_choices: int, delay_bound_us: float) -> None:
-    """Reject walk parameters no random walk can honour: a NaN or
-    infinite delay bound would time frames at NaN or never."""
-    if tie_choices < 1:
-        raise VerificationError("tie_choices must be >= 1")
+    """Reject walk parameters no random walk can honour:
+    ``tie_choices`` must be an ``int`` (not a ``bool``) in ``[1,
+    MAX_TIE_CHOICES]``, and a NaN or infinite delay bound would time
+    frames at NaN or never."""
+    if type(tie_choices) is not int \
+            or not 1 <= tie_choices <= MAX_TIE_CHOICES:
+        raise VerificationError(
+            f"tie_choices must be an int in [1, {MAX_TIE_CHOICES}], "
+            f"got {tie_choices!r}")
     if not (delay_bound_us >= 0 and math.isfinite(delay_bound_us)):
         raise VerificationError(
             "delay_bound_us must be a finite number >= 0")
+
+
+class Decisions(Sequence[Decision]):
+    """A walk's decision trace in draw order, as two typed columns.
+
+    ``tokens`` holds one unsigned token per decision: a tie-break rank
+    in ``[0, tie_choices)``, or ``tie_choices`` itself, which means
+    "the next delay" — the next C double of ``delays``.  The token
+    column is the narrowest unsigned one that holds ``tie_choices``: a
+    ``bytearray`` up to 255 (1 B a tie-break, 9 B a delay), then an
+    ``array`` of typecode ``'H'``, ``'I'``, ``'L'`` or ``'Q'``.
+
+    Only :class:`RandomWalkPolicy` appends, straight to the columns.
+    Readers see a read-only sequence of ``int`` ranks and ``float``
+    delays: ``len()`` reads the token column, iteration decodes in one
+    pass, indexing and slicing decode on demand, and ``==`` compares
+    values in order with any sequence, as a list would.  A pickle
+    carries the two columns.
+    """
+
+    __slots__ = ("tie_choices", "tokens", "delays")
+
+    def __init__(self, tie_choices: int) -> None:
+        self.tie_choices = tie_choices
+        # One-byte tokens go in a bytearray, not an array('B'): its
+        # append costs what list.append does, while array.append
+        # parses every item, ~100 ns more on the hottest call of a walk.
+        self.tokens: Union[bytearray, array] = bytearray() \
+            if tie_choices < 256 else \
+            array(next(code for code, end in _WIDE_TOKEN_COLUMNS
+                       if tie_choices < end))
+        self.delays = array("d")
+
+    def __len__(self) -> int:
+        return len(self.tokens)
+
+    def __iter__(self) -> Iterator[Decision]:
+        delays = iter(self.delays)
+        delay = self.tie_choices
+        for token in self.tokens:
+            yield next(delays) if token == delay else token
+
+    def __getitem__(self, index: Union[int, slice]
+                    ) -> Union[Decision, List[Decision]]:
+        if isinstance(index, slice):
+            return list(self)[index]
+        i = range(len(self.tokens))[index]
+        token = self.tokens[i]
+        if token != self.tie_choices:
+            return token
+        return self.delays[self.tokens[:i].count(token)]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return f"Decisions({list(self)!r})"
 
 
 class RandomWalkPolicy(SchedulerPolicy):
@@ -61,9 +139,9 @@ class RandomWalkPolicy(SchedulerPolicy):
 
     Every decision is drawn from a private :class:`random.Random`
     (independent of the scenario's workload seed) and appended to
-    :attr:`decisions`, so a violating walk can be replayed exactly by
-    a :class:`ReplayPolicy` — without the replay depending on the rng
-    implementation at all.
+    :attr:`decisions`, a :class:`Decisions` trace, so a violating walk
+    can be replayed exactly by a :class:`ReplayPolicy` — without the
+    replay depending on the rng implementation at all.
 
     Parameters
     ----------
@@ -71,7 +149,8 @@ class RandomWalkPolicy(SchedulerPolicy):
         Seed of the policy's private rng: the walk's identity.
     tie_choices:
         Tie-break values are drawn uniformly from ``[0, tie_choices)``.
-        Larger values shuffle same-timestamp runs more aggressively.
+        Larger values shuffle same-timestamp runs more aggressively;
+        from 256 on, the token column widens to 2 B a decision.
     delay_bound_us:
         Finite upper bound (µs) of the per-frame extra delay; 0
         disables delay perturbation and explores tie-breaks only.
@@ -83,7 +162,10 @@ class RandomWalkPolicy(SchedulerPolicy):
         self.seed = seed
         self.tie_choices = tie_choices
         self.delay_bound_us = delay_bound_us
-        self.decisions: List[Decision] = []
+        self.decisions = Decisions(tie_choices)
+        # Bound appends: tie_break runs once per scheduled event.
+        self._append_token = self.decisions.tokens.append
+        self._append_delay = self.decisions.delays.append
         self._rng = random.Random(seed)
 
     def tie_break(self) -> int:
@@ -95,7 +177,7 @@ class RandomWalkPolicy(SchedulerPolicy):
         call of an exploration run.
         """
         value = int(self._rng.random() * self.tie_choices)
-        self.decisions.append(value)
+        self._append_token(value)
         return value
 
     def message_delay(self, wire_bytes: int) -> float:
@@ -108,7 +190,8 @@ class RandomWalkPolicy(SchedulerPolicy):
         if self.delay_bound_us <= 0.0:
             return 0.0
         value = self.delay_bound_us * self._rng.random()
-        self.decisions.append(value)
+        self._append_token(self.tie_choices)
+        self._append_delay(value)
         return value
 
 

@@ -341,15 +341,15 @@ def _cmd_check(args: argparse.Namespace) -> int:
     )
     from repro.check import replay as replay_artifact
     from repro.check.artifact import artifact_from_report
+    from repro.check.policies import check_walk_parameters
     from repro.errors import VerificationError
 
     if args.budget < 1:
         return _usage_error("check", "--budget must be >= 1")
-    if args.tie_choices < 1:
-        return _usage_error("check", "--tie-choices must be >= 1")
-    if not (args.delay_bound >= 0 and math.isfinite(args.delay_bound)):
-        return _usage_error("check",
-                            "--delay-bound must be a finite number >= 0")
+    try:
+        check_walk_parameters(args.tie_choices, args.delay_bound)
+    except VerificationError as exc:
+        return _usage_error("check", str(exc))
     if args.mutation is not None and args.mutation not in MUTATIONS:
         return _usage_error(
             "check", f"unknown --mutation {args.mutation!r} "

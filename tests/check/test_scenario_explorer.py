@@ -7,19 +7,22 @@ identity-policy runs here, and the pre-existing golden digests in
 ``tests/sim/test_golden_determinism.py`` staying green.
 """
 
+import gc
 import json
 import multiprocessing
 import os
+import tracemalloc
 from dataclasses import replace
 
 import pytest
 
 from repro.check import (MUTATIONS, CheckScenario, RandomWalkPolicy,
-                         SchedulerPolicy, canonical_scenario,
+                         ReplayPolicy, SchedulerPolicy, canonical_scenario,
                          explore, load_artifact, minimize, replay,
                          run_schedule, write_artifact)
 from repro.check import explorer as explorer_module
 from repro.check.artifact import artifact_from_report
+from repro.check.policies import Decisions
 from repro.errors import SimulationError, VerificationError
 from repro.sim import Simulator
 
@@ -139,7 +142,11 @@ class TestExploration:
         {"delay_bound_us": float("inf")},
         {"scenario": _small_scenario(n_replicas=0)},
         {"scenario": _small_scenario(heal_at_us=None,
-                                     partition_at_us=8_000.0)}])
+                                     partition_at_us=8_000.0)},
+        {"budget": 2.5}, {"budget": True}, {"budget": "4"},
+        {"tie_choices": 2.5}, {"tie_choices": True},
+        {"tie_choices": float("nan")}, {"tie_choices": float("inf")},
+        {"tie_choices": 2 ** 64}])
     def test_unusable_parameters_rejected_before_any_walk(
             self, monkeypatch, overrides):
         # A budget of 0 would otherwise verify "clean" with no
@@ -151,6 +158,43 @@ class TestExploration:
         kwargs = {"scenario": _small_scenario(), "budget": 4, **overrides}
         with pytest.raises(VerificationError):
             explore(**kwargs)
+
+
+class TestDecisionTraces:
+    """Reports keep each walk's decisions as a compact
+    :class:`~repro.check.policies.Decisions` trace."""
+
+    def test_retained_bytes_per_decision(self):
+        # A list held ~16 B a decision (a slot plus a boxed float per
+        # delay); the two columns hold ~4 (1 B a tie-break, 9 B a delay).
+        gc.collect()
+        tracemalloc.start()
+        try:
+            result = explore(canonical_scenario(seed=1), budget=20,
+                             stop_on_violation=False)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            decisions = sum(len(r.decisions) for r in result.reports)
+            del result
+            gc.collect()
+            held -= tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert decisions > 20 * 1_000
+        assert held / decisions <= 6.0
+
+    @pytest.mark.parametrize("tie_choices", [4, 300])
+    def test_report_decisions_replay_the_walk(self, tie_choices):
+        result = explore(_small_scenario(), budget=2,
+                         tie_choices=tie_choices, stop_on_violation=False)
+        assert result.ok
+        for report in result.reports:
+            assert isinstance(report.decisions, Decisions)
+            assert report.decisions.tie_choices == tie_choices
+            policy = ReplayPolicy(report.decisions, delay_bound_us=150.0)
+            again = run_schedule(report.scenario, policy)
+            assert again.digest == report.digest
+            assert policy.exhausted
 
 
 class TestParallelExploration:
@@ -181,6 +225,19 @@ class TestParallelExploration:
             == [self._fields(r) for r in pooled.reports]
         assert (serial.schedules_run, serial.distinct_schedules) \
             == (pooled.schedules_run, pooled.distinct_schedules)
+
+    def test_wide_token_column_identical(self, monkeypatch):
+        # tie_choices 300 needs 2-byte tokens; they cross the pool pipe
+        # pickled and must read back as the one-CPU run's values.
+        (serial, _), (pooled, _) = [
+            self._explore_on(monkeypatch, cpus, _small_scenario(),
+                             budget=3, tie_choices=300,
+                             stop_on_violation=False)
+            for cpus in (1, 2)]
+        assert [self._fields(r) for r in serial.reports] \
+            == [self._fields(r) for r in pooled.reports]
+        assert {memoryview(r.decisions.tokens).format
+                for r in pooled.reports} == {"H"}
 
     def test_stop_on_violation_stops_at_the_same_walk(self, monkeypatch):
         scenario = canonical_scenario(mutation="skip_final_checkpoint")
@@ -264,7 +321,12 @@ class TestArtifacts:
         ("crash_primary_at_us", -1.0), ("retry_timeout_us", 0),
         ("checkpoint_interval", 0), ("settle_us", float("nan")),
         ("late_duplicate", "yes"), ("n_requests", True),
-        ("mutation", ["skip_final_checkpoint"])])
+        ("mutation", ["skip_final_checkpoint"]),
+        # Exact ints only: a float or a string is not silently cast.
+        ("tie_choices", 2.5), ("tie_choices", "3"),
+        ("tie_choices", True), ("tie_choices", 4.0), ("tie_choices", "4"),
+        ("tie_choices", 2 ** 64), ("walk_seed", 2.5), ("walk_seed", "3"),
+        ("walk_seed", True), ("walk_seed", None)])
     def test_tampered_policy_rejected_at_load(self, violating_report,
                                               tmp_path, field, bad):
         # Replay hands decisions to the kernel and the scenario to the

@@ -401,6 +401,7 @@ def test_check_usage_errors_exit_2(tmp_path, capsys):
     assert main(["check", "--budget", "0"]) == 2
     assert "must be >= 1" in capsys.readouterr().err
     assert main(["check", "--tie-choices", "0"]) == 2
+    assert main(["check", "--tie-choices", str(2 ** 64)]) == 2
     assert main(["check", "--delay-bound", "-1"]) == 2
     assert main(["check", "--delay-bound", "nan"]) == 2
     assert main(["check", "--delay-bound", "inf"]) == 2
