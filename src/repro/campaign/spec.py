@@ -23,12 +23,16 @@ from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
 from repro.campaign.dictionary import available_loads
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_int
 from repro.replication.styles import ReplicationStyle
 from repro.sim.config import PAPER_LATENCY_LIMIT_US
 
 #: Bump when the expansion/seeding rules change incompatibly.
 SPEC_VERSION = 1
+
+#: Campaign axes of integers, with each one's minimum (None: any int).
+_INT_AXES = {"replica_counts": 1, "checkpoint_intervals": 1,
+             "shard_counts": 1, "seeds": None}
 
 
 @dataclass(frozen=True)
@@ -65,12 +69,11 @@ class TrialSpec:
             raise ConfigurationError(
                 f"unknown fault load {self.fault_load!r}; "
                 f"known: {', '.join(available_loads())}")
-        if self.n_replicas < 1 or self.n_clients < 1:
-            raise ConfigurationError("replicas and clients must be >= 1")
-        if self.checkpoint_interval < 1:
-            raise ConfigurationError("checkpoint interval must be >= 1")
-        if self.n_shards < 1:
-            raise ConfigurationError("shard count must be >= 1")
+        require_int("n_replicas", self.n_replicas, 1)
+        require_int("n_clients", self.n_clients, 1)
+        require_int("checkpoint_interval", self.checkpoint_interval, 1)
+        require_int("n_shards", self.n_shards, 1)
+        require_int("seed", self.seed)
         if self.n_shards > 1 and self.fault_load not in ("none",
                                                          "process_crash"):
             raise ConfigurationError(
@@ -155,6 +158,9 @@ class CampaignSpec:
             raise ConfigurationError(
                 f"unsupported spec version {self.version} "
                 f"(this build speaks {SPEC_VERSION})")
+        require_int("base_seed", self.base_seed)
+        if self.sample is not None:
+            require_int("sample", self.sample, 1)
         for axis, values in (("styles", self.styles),
                              ("replica_counts", self.replica_counts),
                              ("checkpoint_intervals",
@@ -162,12 +168,19 @@ class CampaignSpec:
                              ("fault_loads", self.fault_loads),
                              ("shard_counts", self.shard_counts),
                              ("seeds", self.seeds)):
+            if not isinstance(values, (list, tuple)):
+                raise ConfigurationError(f"campaign axis {axis} must be "
+                                         f"a list, not {values!r}")
             if not values:
                 raise ConfigurationError(f"empty campaign axis: {axis}")
+            for value in values:
+                if axis in _INT_AXES:
+                    require_int(f"each of {axis}", value, _INT_AXES[axis])
+                elif not isinstance(value, str):
+                    raise ConfigurationError(
+                        f"each of {axis} must be a string, not {value!r}")
             if len(set(values)) != len(values):
                 raise ConfigurationError(f"duplicate values in {axis}")
-        if self.sample is not None and self.sample < 1:
-            raise ConfigurationError("sample size must be >= 1")
         for trial in self._grid():
             trial.validate()
 

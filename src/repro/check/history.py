@@ -93,16 +93,6 @@ class HistoryRecorder:
         """All recorded operations, in invocation order."""
         return tuple(self._ops.values())
 
-    def for_object(self, object_key: str) -> Tuple[Operation, ...]:
-        """Operations against one object, in invocation order."""
-        return tuple(op for op in self._ops.values()
-                     if op.object_key == object_key)
-
-    @property
-    def completed_count(self) -> int:
-        """Number of operations whose reply was observed."""
-        return sum(1 for op in self._ops.values() if not op.pending)
-
     @property
     def pending_count(self) -> int:
         """Number of operations still open at the end of the run."""

@@ -127,10 +127,6 @@ class Cluster:
     coordinator: ClusterCoordinator
     clients: List[ClusterClientStack] = field(default_factory=list)
 
-    def shard_of(self, key: str) -> ShardDeployment:
-        """The shard currently owning ``key`` per the committed map."""
-        return self.shards[self.coordinator.map.owner_of(key)]
-
     def client_configs(self) -> Dict[str, ClientReplicationConfig]:
         """One client-side config per shard (expected style seeded
         from the shard's spec; replies teach the client the truth)."""

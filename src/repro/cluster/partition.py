@@ -134,18 +134,6 @@ class PartitionMap:
                     + ((key, shrunk.owner_of(key)),))
         return shrunk
 
-    def rebalance_moves(self, new: "PartitionMap",
-                        keys: Sequence[str]) -> Dict[Tuple[str, str],
-                                                     List[str]]:
-        """Keys of ``keys`` whose owner differs between ``self`` and
-        ``new``, grouped by (source shard, destination shard)."""
-        moves: Dict[Tuple[str, str], List[str]] = {}
-        for key in keys:
-            src, dst = self.owner_of(key), new.owner_of(key)
-            if src != dst:
-                moves.setdefault((src, dst), []).append(key)
-        return moves
-
     # ------------------------------------------------------------------
     # Canonical form
     # ------------------------------------------------------------------

@@ -33,10 +33,6 @@ class DesignPoint:
     performance: float
     resources: float
 
-    def as_tuple(self) -> Tuple[float, float, float]:
-        """(fault_tolerance, performance, resources)."""
-        return self.fault_tolerance, self.performance, self.resources
-
 
 class DesignSpace:
     """The normalized {FT x performance x resources} point cloud."""
@@ -126,12 +122,3 @@ class DesignSpace:
 
 def _bounds(values: List[float]) -> Tuple[float, float]:
     return min(values), max(values)
-
-
-def _between(x: float, y: float, slack: float) -> bool:
-    return abs(x - y) <= slack
-
-
-def _intervals_overlap(a: Tuple[float, float],
-                       b: Tuple[float, float]) -> bool:
-    return a[0] <= b[1] and b[0] <= a[1]

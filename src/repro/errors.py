@@ -4,6 +4,8 @@ All library-raised exceptions derive from :class:`ReproError` so that
 callers can distinguish library failures from programming errors.
 """
 
+from typing import Optional
+
 
 class ReproError(Exception):
     """Base class for all errors raised by this library."""
@@ -67,3 +69,19 @@ class VerificationError(ReproError):
     artifact is corrupt) — never for a protocol violation, which is
     reported as data, not raised.
     """
+
+
+def require_int(name: str, value: object,
+                minimum: Optional[int] = None) -> None:
+    """Raise :class:`ConfigurationError` unless ``value`` is an ``int``
+    of at least ``minimum``.
+
+    A fraction, NaN, inf, string or ``bool`` is no count or seed: a
+    fraction or a string fails later with a bare ``TypeError`` or
+    silently mislabels a run, and NaN or inf never reaches a cap.
+    """
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or (minimum is not None and value < minimum)):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ConfigurationError(
+            f"{name} must be an integer{bound}, not {value!r}")

@@ -295,13 +295,6 @@ class GcsDaemon(Actor):
         else:
             self._route_direct(message)
 
-    def group_view(self, group: str) -> Optional[GroupView]:
-        """Current view of ``group`` as known at this daemon."""
-        state = self._groups.get(group)
-        if state is None:
-            return None
-        return GroupView(group, state.view_id, tuple(state.members))
-
     def _require_client(self, member: MemberId) -> None:
         if member not in self._clients:
             raise GroupCommunicationError(f"{member} is not connected")

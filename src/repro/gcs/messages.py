@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.net.frame import FrozenSlots, slot_setters
 
@@ -36,11 +36,6 @@ class Grade(enum.Enum):
     @property
     def reliable(self) -> bool:
         return self is not Grade.UNRELIABLE
-
-    @property
-    def totally_ordered(self) -> bool:
-        return self in (Grade.AGREED, Grade.SAFE)
-
 
 @dataclass(frozen=True, order=True, slots=True)
 class MemberId:
@@ -77,11 +72,6 @@ class GroupView:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def oldest(self) -> Optional[MemberId]:
-        """The longest-standing member (deterministic leader choice)."""
-        return self.members[0] if self.members else None
-
 
 @dataclass(frozen=True, slots=True)
 class DaemonView:

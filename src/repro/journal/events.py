@@ -28,6 +28,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
+from repro.errors import require_int
+
 #: Event kind recorded for adaptation decisions; deduplicated by
 #: ``switch_id`` (see :meth:`Journal.record`).
 ADAPTATION_DECISION = "adaptation.decision"
@@ -107,10 +109,8 @@ class Journal:
     enabled = True
 
     def __init__(self, ring_size: int = 256, max_events: int = 100_000):
-        if ring_size < 1:
-            raise ValueError("ring_size must be positive")
-        if max_events < 1:
-            raise ValueError("max_events must be positive")
+        require_int("ring_size", ring_size, 1)
+        require_int("max_events", max_events, 1)
         self.ring_size = ring_size
         self.max_events = max_events
         self.events: List[JournalEvent] = []

@@ -3,9 +3,8 @@
 Public surface:
 
 - :class:`SlidingWindow` — time-windowed aggregation
-- :class:`MetricsHub`, :class:`MetricsSnapshot` and the individual
-  sensors (:class:`LatencySensor`, :class:`RateSensor`,
-  :class:`BandwidthSensor`, :class:`CpuSensor`)
+- :class:`MetricsSnapshot` — the metrics contracts are evaluated
+  against — and :class:`RateSensor`, the arrival-rate sensor
 - :class:`ReplicatedState` — the identically-replicated system-state
   object adaptation decisions are computed from
 - :class:`Contract`, :class:`ContractMonitor`, :class:`ContractStatus`,
@@ -19,25 +18,14 @@ from repro.monitoring.contracts import (
     ContractStatus,
 )
 from repro.monitoring.replicated_state import ReplicatedState, StateUpdate
-from repro.monitoring.sensors import (
-    BandwidthSensor,
-    CpuSensor,
-    LatencySensor,
-    MetricsHub,
-    MetricsSnapshot,
-    RateSensor,
-)
+from repro.monitoring.sensors import MetricsSnapshot, RateSensor
 from repro.monitoring.windows import SlidingWindow
 
 __all__ = [
-    "BandwidthSensor",
     "Contract",
     "ContractEvent",
     "ContractMonitor",
     "ContractStatus",
-    "CpuSensor",
-    "LatencySensor",
-    "MetricsHub",
     "MetricsSnapshot",
     "RateSensor",
     "ReplicatedState",

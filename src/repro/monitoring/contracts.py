@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.monitoring.sensors import MetricsSnapshot
 
@@ -32,7 +32,7 @@ class Contract:
     """A bound on one metric, with a warning margin on the correct side.
 
     ``metric`` names a :class:`MetricsSnapshot` field.  With
-    ``bound="upper"`` (latency, jitter, queue depth) the contract is
+    ``bound="upper"`` (latency, jitter) the contract is
     violated when the metric exceeds ``limit`` and in warning state
     when it exceeds ``limit * warning_fraction``.  With
     ``bound="lower"`` (availability, throughput — properties that must
@@ -91,14 +91,13 @@ class ContractEvent:
 
 class ContractMonitor:
     """Evaluates a set of contracts against successive snapshots and
-    reports status *transitions* to subscribers."""
+    records status *transitions* in :attr:`events`."""
 
     def __init__(self, contracts: Optional[List[Contract]] = None,
                  journal: Optional[object] = None,
                  host: str = "monitor"):
         self.contracts: List[Contract] = list(contracts or [])
         self._status: Dict[str, ContractStatus] = {}
-        self._subscribers: List[Callable[[ContractEvent], None]] = []
         self.events: List[ContractEvent] = []
         #: Optional dependability journal; transitions are recorded as
         #: ``contract.<status>`` events attributed to ``host``.
@@ -110,10 +109,6 @@ class ContractMonitor:
         if any(c.name == contract.name for c in self.contracts):
             raise ValueError(f"duplicate contract name: {contract.name}")
         self.contracts.append(contract)
-
-    def subscribe(self, callback: Callable[[ContractEvent], None]) -> None:
-        """Invoke ``callback`` on every status transition."""
-        self._subscribers.append(callback)
 
     def evaluate(self, snapshot: MetricsSnapshot) -> Dict[str, ContractStatus]:
         """Evaluate all contracts; emit events on transitions."""
@@ -136,8 +131,6 @@ class ContractMonitor:
                         contract=contract.name, metric=contract.metric,
                         value=getattr(snapshot, contract.metric),
                         limit=contract.limit, bound=contract.bound)
-                for subscriber in self._subscribers:
-                    subscriber(event)
             self._status[contract.name] = status
         return result
 

@@ -18,7 +18,7 @@ rounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.gcs.client import GcsClient
 from repro.gcs.messages import Grade, GroupView, MemberId
@@ -45,7 +45,6 @@ class ReplicatedState:
         self.group = group
         self._data: Dict[str, Any] = {}
         self._version = 0
-        self._listeners: List[Callable[[str, Any], None]] = []
         gcs.join(group, _StateListener(self))
 
     # ------------------------------------------------------------------
@@ -91,18 +90,12 @@ class ReplicatedState:
         """Copy of the whole map."""
         return dict(self._data)
 
-    def on_update(self, listener: Callable[[str, Any], None]) -> None:
-        """Invoke ``listener(key, value)`` on every applied update."""
-        self._listeners.append(listener)
-
     # ------------------------------------------------------------------
     # Delivery (from the GCS)
     # ------------------------------------------------------------------
     def _apply(self, update: StateUpdate) -> None:
         self._data[update.key] = update.value
         self._version += 1
-        for listener in self._listeners:
-            listener(update.key, update.value)
 
 
 class _StateListener:

@@ -1,19 +1,17 @@
-"""Metric sensors: latency, jitter, arrival rate, bandwidth, CPU.
+"""Metric snapshots and the arrival-rate sensor.
 
-A :class:`MetricsHub` aggregates the sensors of one process and
-renders a :class:`MetricsSnapshot` — the unit that gets published into
-the replicated system state and fed to adaptation policies.
+A :class:`MetricsSnapshot` is the unit contracts are evaluated
+against.  Each server replicator counts request arrivals in a
+:class:`RateSensor`; its adaptation manager publishes the rate into
+the replicated system state, from which every manager decides
+(Section 3.1).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
 
 from repro.monitoring.windows import SlidingWindow
-from repro.net.stats import NetworkStats
-from repro.sim.host import Cpu
-from repro.sim.kernel import Simulator
 
 
 @dataclass(frozen=True)
@@ -26,49 +24,6 @@ class MetricsSnapshot:
     request_rate_per_s: float = 0.0
     bandwidth_mbps: float = 0.0
     cpu_utilization: float = 0.0
-    #: Quantiles from the telemetry registry's latency histogram
-    #: (0.0 when telemetry is off or no samples landed yet).
-    latency_p50_us: float = 0.0
-    latency_p99_us: float = 0.0
-    #: Replicator intake-queue depth and last checkpoint size, read
-    #: from the telemetry registry when present.
-    queue_depth: float = 0.0
-    checkpoint_bytes: float = 0.0
-
-    def as_dict(self) -> Dict[str, float]:
-        """Plain-dict rendition for publication/serialization."""
-        return {
-            "time": self.time,
-            "latency_mean_us": self.latency_mean_us,
-            "latency_jitter_us": self.latency_jitter_us,
-            "request_rate_per_s": self.request_rate_per_s,
-            "bandwidth_mbps": self.bandwidth_mbps,
-            "cpu_utilization": self.cpu_utilization,
-            "latency_p50_us": self.latency_p50_us,
-            "latency_p99_us": self.latency_p99_us,
-            "queue_depth": self.queue_depth,
-            "checkpoint_bytes": self.checkpoint_bytes,
-        }
-
-
-class LatencySensor:
-    """Round-trip latency samples; mean is the paper's 'latency' and
-    the standard deviation its 'jitter'."""
-
-    def __init__(self, window_us: float = 1_000_000.0):
-        self.window = SlidingWindow(window_us)
-
-    def record(self, time: float, latency_us: float) -> None:
-        """Record one round-trip latency sample."""
-        self.window.add(time, latency_us)
-
-    def mean(self, now: float) -> float:
-        """Windowed mean latency."""
-        return self.window.mean(now)
-
-    def jitter(self, now: float) -> float:
-        """Windowed latency standard deviation."""
-        return self.window.std(now)
 
 
 class RateSensor:
@@ -84,102 +39,3 @@ class RateSensor:
     def rate(self, now: float) -> float:
         """Windowed arrival rate in events/second."""
         return self.window.rate_per_second(now)
-
-
-class BandwidthSensor:
-    """Recent network throughput, read from the LAN's accounting."""
-
-    def __init__(self, stats: NetworkStats):
-        self._stats = stats
-
-    def mbps(self, now: float) -> float:
-        """Recent LAN throughput in MB/s."""
-        return self._stats.bandwidth_mbps(now)
-
-
-class CpuSensor:
-    """CPU utilization over successive sampling intervals."""
-
-    def __init__(self, cpu: Cpu):
-        self._cpu = cpu
-        self._last_busy = 0.0
-        self._last_time = 0.0
-        self._utilization = 0.0
-
-    def sample(self, now: float) -> float:
-        """Utilization over the interval since the last sample."""
-        elapsed = now - self._last_time
-        if elapsed > 0:
-            busy = self._cpu.busy_us
-            self._utilization = min(1.0, (busy - self._last_busy) / elapsed)
-            self._last_busy = busy
-            self._last_time = now
-        return self._utilization
-
-    @property
-    def utilization(self) -> float:
-        return self._utilization
-
-
-class MetricsHub:
-    """All sensors of one process, snapshot-able in one call.
-
-    When the simulator runs with telemetry enabled, the hub reads the
-    shared :class:`~repro.telemetry.metrics.MetricsRegistry` too, so
-    snapshots gain latency quantiles, queue depth and checkpoint
-    size alongside the windowed sensor values (``registry=None`` and
-    disabled telemetry both degrade to zeros).
-    """
-
-    def __init__(self, sim: Simulator,
-                 network_stats: Optional[NetworkStats] = None,
-                 cpu: Optional[Cpu] = None,
-                 window_us: float = 1_000_000.0,
-                 registry: Optional[object] = None):
-        self.sim = sim
-        self.latency = LatencySensor(window_us)
-        self.rate = RateSensor(window_us)
-        self.bandwidth = BandwidthSensor(network_stats) \
-            if network_stats is not None else None
-        self.cpu = CpuSensor(cpu) if cpu is not None else None
-        self.registry = (registry if registry is not None
-                         else getattr(sim.telemetry, "metrics", None))
-
-    def record_request(self) -> None:
-        """Count one request arrival now."""
-        self.rate.record_arrival(self.sim.now)
-
-    def record_latency(self, latency_us: float) -> None:
-        """Record one latency sample now."""
-        self.latency.record(self.sim.now, latency_us)
-
-    def snapshot(self) -> MetricsSnapshot:
-        """Freeze all sensors into a :class:`MetricsSnapshot`."""
-        now = self.sim.now
-        p50 = p99 = queue = ckpt = 0.0
-        registry = self.registry
-        if registry is not None:
-            latency = registry.merged_histogram("request_latency_us")
-            if latency is not None and latency.count:
-                p50 = latency.quantile(0.50)
-                p99 = latency.quantile(0.99)
-            depths = [metric.value for _, metric
-                      in registry.find("replicator_queue_depth")]
-            queue = max(depths) if depths else 0.0
-            ckpts = registry.merged_histogram("checkpoint_bytes")
-            if ckpts is not None and ckpts.count:
-                ckpt = ckpts.mean
-        return MetricsSnapshot(
-            time=now,
-            latency_mean_us=self.latency.mean(now),
-            latency_jitter_us=self.latency.jitter(now),
-            request_rate_per_s=self.rate.rate(now),
-            bandwidth_mbps=(self.bandwidth.mbps(now)
-                            if self.bandwidth is not None else 0.0),
-            cpu_utilization=(self.cpu.sample(now)
-                             if self.cpu is not None else 0.0),
-            latency_p50_us=p50,
-            latency_p99_us=p99,
-            queue_depth=queue,
-            checkpoint_bytes=ckpt,
-        )

@@ -8,7 +8,6 @@ policies react to *recent* conditions rather than lifetime averages.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from typing import Deque, List, Optional, Tuple
 
@@ -54,30 +53,6 @@ class SlidingWindow:
         """Mean of the windowed samples (0 when empty)."""
         values = self.values(now)
         return sum(values) / len(values) if values else 0.0
-
-    def std(self, now: Optional[float] = None) -> float:
-        """Population standard deviation — the paper's 'jitter'."""
-        values = self.values(now)
-        if len(values) < 2:
-            return 0.0
-        mean = sum(values) / len(values)
-        return math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
-
-    def percentile(self, fraction: float,
-                   now: Optional[float] = None) -> float:
-        """Windowed percentile at ``fraction`` in [0, 1]."""
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError("fraction must be in [0, 1]")
-        values = sorted(self.values(now))
-        if not values:
-            return 0.0
-        index = min(len(values) - 1, int(fraction * len(values)))
-        return values[index]
-
-    def maximum(self, now: Optional[float] = None) -> float:
-        """Largest windowed sample (0 when empty)."""
-        values = self.values(now)
-        return max(values) if values else 0.0
 
     def rate_per_second(self, now: float) -> float:
         """Events per second over the window (for arrival rates)."""

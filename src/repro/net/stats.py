@@ -29,8 +29,8 @@ class NetworkStats:
     """Aggregate and per-host traffic counters.
 
     ``record_transmit`` is called once per frame actually placed on the
-    wire (dropped frames are counted separately so loss-injection
-    experiments can report delivery ratios).
+    wire; dropped frames are counted separately, in
+    :attr:`dropped_frames`.
     """
 
     total_bytes: int = 0
@@ -88,21 +88,6 @@ class NetworkStats:
         span = max(now - self._window[0][0], 1.0)
         total = sum(nbytes for _, nbytes in self._window)
         return bytes_per_us_to_mbps(total / span)
-
-    def lifetime_bandwidth_mbps(self, now: float, since: float = 0.0) -> float:
-        """Average throughput from ``since`` to ``now`` in MB/s."""
-        span = now - since
-        if span <= 0:
-            return 0.0
-        return bytes_per_us_to_mbps(self.total_bytes / span)
-
-    def delivery_ratio(self) -> float:
-        """Fraction of offered frames that made it onto the wire."""
-        offered = self.total_frames + self.dropped_frames
-        if offered == 0:
-            return 1.0
-        return self.total_frames / offered
-
 
 def bytes_per_us_to_mbps(bytes_per_us: float) -> float:
     """Convert bytes/µs to megabytes/second (1 MB = 10^6 bytes).

@@ -9,7 +9,7 @@ knob layer in :mod:`repro.core` manipulates these values.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ConfigurationError
@@ -100,11 +100,6 @@ class ReplicationConfig:
             raise ConfigurationError("active_head must be >= 1")
         if not self.group:
             raise ConfigurationError("replica group name required")
-
-    def with_style(self, style: ReplicationStyle) -> "ReplicationConfig":
-        """Copy of this config with a different style."""
-        return replace(self, style=style)
-
 
 @dataclass(frozen=True)
 class ResiliencePolicy:

@@ -55,12 +55,6 @@ class SwitchState:
         return (self.from_style.is_passive
                 and self.target.executes_everywhere)
 
-    @property
-    def active_to_passive(self) -> bool:
-        """Fig. 5 case 2: pick a new primary; others drain and stop."""
-        return (self.from_style.executes_everywhere
-                and self.target.is_passive)
-
     def duration_us(self) -> Optional[float]:
         """Switch duration, or None while still in progress."""
         if self.completed_at is None:

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_int
 
 
 @dataclass(frozen=True)
@@ -189,12 +189,7 @@ class TelemetryConfig:
 
     def validate(self) -> None:
         """Raise :class:`ConfigurationError` on invalid fields."""
-        # NaN or inf would never reach the cap, so the recorder would
-        # grow without bound; a fraction or a bool is no span count.
-        if (not isinstance(self.max_spans, int)
-                or isinstance(self.max_spans, bool) or self.max_spans < 1):
-            raise ConfigurationError(
-                f"max_spans must be an integer >= 1, not {self.max_spans!r}")
+        require_int("max_spans", self.max_spans, 1)
 
 
 @dataclass(frozen=True)
@@ -216,10 +211,8 @@ class JournalConfig:
 
     def validate(self) -> None:
         """Raise :class:`ConfigurationError` on invalid fields."""
-        if self.ring_size < 1:
-            raise ConfigurationError("ring_size must be positive")
-        if self.max_events < 1:
-            raise ConfigurationError("max_events must be positive")
+        require_int("ring_size", self.ring_size, 1)
+        require_int("max_events", self.max_events, 1)
 
 
 @dataclass(frozen=True)

@@ -65,11 +65,6 @@ class Gauge:
         """Raise the gauge by ``amount``."""
         self.value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        """Lower the gauge by ``amount``."""
-        self.value -= amount
-
-
 class Histogram:
     """Fixed-bucket histogram with mergeable state.
 

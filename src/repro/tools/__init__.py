@@ -5,8 +5,7 @@ Public surface:
 - :func:`render_journal`, :func:`journal_summary`,
   :func:`journal_html` — the dependability-journal observatory
 - :func:`profile_to_csv`, :func:`policy_to_csv`,
-  :func:`scores_to_csv`, :func:`series_to_csv` — data export for
-  external plotting
+  :func:`scores_to_csv` — data export for external plotting
 - :func:`render_series` — an ASCII bar chart of a time series
 """
 
@@ -15,7 +14,6 @@ from repro.tools.export import (
     profile_to_csv,
     render_series,
     scores_to_csv,
-    series_to_csv,
 )
 from repro.tools.observatory import (
     JOURNAL_TAGS,
@@ -33,5 +31,4 @@ __all__ = [
     "render_journal",
     "render_series",
     "scores_to_csv",
-    "series_to_csv",
 ]

@@ -83,20 +83,6 @@ def scores_to_csv(scores: Sequence, out: Optional[TextIO] = None) -> str:
     return text
 
 
-def series_to_csv(series: Iterable[tuple], header: tuple,
-                  out: Optional[TextIO] = None) -> str:
-    """Write any (x, y, ...) series as CSV with the given header."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(header)
-    for row in series:
-        writer.writerow(row)
-    text = buffer.getvalue()
-    if out is not None:
-        out.write(text)
-    return text
-
-
 def render_series(series: Iterable[Tuple[float, float]],
                   width: int = 50, label: str = "value",
                   time_divisor: float = 1e6,

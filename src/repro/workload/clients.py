@@ -116,14 +116,6 @@ class ClosedLoopClient(Actor):
     def done(self) -> bool:
         return self.finished_at is not None
 
-    def observed_duration_us(self) -> float:
-        """Wall-clock span of the cycle so far."""
-        if self.started_at is None:
-            return 0.0
-        end = self.finished_at if self.finished_at is not None else self.sim.now
-        return end - self.started_at
-
-
 class ThinkTimeClient(Actor):
     """Closed-loop client with a time-varying think time.
 

@@ -123,6 +123,17 @@ def test_trial_spec_validation():
         TrialSpec.from_dict(trial)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n_replicas", 2.0), ("n_clients", True), ("checkpoint_interval", 1.5),
+    ("n_shards", "1"), ("seed", 0.5), ("seed", None),
+])
+def test_trial_spec_requires_integer_counts_and_seed(field, value):
+    trial = small_spec().expand()[0].to_dict()
+    trial[field] = value
+    with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
+        TrialSpec.from_dict(trial)
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 @pytest.mark.parametrize("field", ["duration_us", "rate_per_s",
                                    "deadline_us", "settle_us"])

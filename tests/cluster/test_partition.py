@@ -59,15 +59,6 @@ def test_without_shard_repins_its_keys_to_survivors():
             assert shrunk.owner_of(key) == pmap.owner_of(key)
 
 
-def test_rebalance_moves_lists_differences():
-    pmap = build_map(["a", "b"])
-    key = next(f"key{i}" for i in range(50)
-               if pmap.owner_of(f"key{i}") == "a")
-    moved = pmap.reassign(key, "b")
-    moves = pmap.rebalance_moves(moved, [key, "stay-put-key"])
-    assert moves == {("a", "b"): [key]}
-
-
 def test_round_trips_through_dict():
     pmap = build_map(["a", "b"], overrides={"pinned": "a"})
     clone = PartitionMap.from_dict(pmap.to_dict())

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.journal import ADAPTATION_DECISION, Journal, JournalEvent
 from repro.sim import NULL_JOURNAL
 
@@ -43,10 +44,11 @@ class TestJournalRecord:
         assert journal.dropped == 2
 
     def test_validates_configuration(self):
-        with pytest.raises(ValueError):
-            Journal(ring_size=0)
-        with pytest.raises(ValueError):
-            Journal(max_events=0)
+        for kwargs in (dict(ring_size=0), dict(max_events=0),
+                       dict(ring_size=2.5), dict(max_events=float("nan")),
+                       dict(max_events=float("inf"))):
+            with pytest.raises(ConfigurationError):
+                Journal(**kwargs)
 
 
 class TestFlightRecorder:

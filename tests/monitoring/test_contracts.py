@@ -108,15 +108,6 @@ class TestMonitorTransitions:
             monitor.evaluate(snap(time=time, latency=500.0))
         assert monitor.events == []
 
-    def test_subscribers_see_each_transition(self):
-        monitor = self.ramp_monitor()
-        seen = []
-        monitor.subscribe(seen.append)
-        monitor.evaluate(snap(time=1.0, latency=1500.0))
-        monitor.evaluate(snap(time=2.0, latency=100.0))
-        assert [e.status for e in seen] == [
-            ContractStatus.VIOLATED, ContractStatus.HONOURED]
-
     def test_transitions_land_in_the_journal(self):
         journal = Journal()
         monitor = self.ramp_monitor(journal=journal)

@@ -68,15 +68,6 @@ def test_deterministic_policy_same_decision_everywhere(rig):
     assert decisions == [True, True, True]
 
 
-def test_listener_invoked(rig):
-    cluster, states = rig
-    seen = []
-    states[2].on_update(lambda key, value: seen.append((key, value)))
-    states[0].publish("k", "v")
-    cluster.run(100_000)
-    assert ("k", "v") in seen
-
-
 def test_snapshot_returns_copy(rig):
     cluster, states = rig
     states[0].publish("a", 1)

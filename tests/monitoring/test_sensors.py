@@ -1,4 +1,4 @@
-"""Tests for metric sensors and the metrics hub."""
+"""Tests for the arrival-rate sensor and contracts over snapshots."""
 
 import pytest
 
@@ -6,22 +6,9 @@ from repro.monitoring import (
     Contract,
     ContractMonitor,
     ContractStatus,
-    CpuSensor,
-    LatencySensor,
-    MetricsHub,
     MetricsSnapshot,
     RateSensor,
 )
-from repro.net import Network
-from repro.sim import Host, Simulator
-
-
-def test_latency_sensor_mean_and_jitter():
-    sensor = LatencySensor(window_us=1e9)
-    for v in (100.0, 200.0, 300.0):
-        sensor.record(0.0, v)
-    assert sensor.mean(0.0) == pytest.approx(200.0)
-    assert sensor.jitter(0.0) > 0
 
 
 def test_rate_sensor():
@@ -29,30 +16,6 @@ def test_rate_sensor():
     for i in range(100):
         sensor.record_arrival(i * 10_000.0)
     assert sensor.rate(990_000.0) == pytest.approx(101.0, rel=0.02)
-
-
-def test_cpu_sensor_tracks_busy_fraction():
-    sim = Simulator()
-    host = Host(sim, "h")
-    sensor = CpuSensor(host.cpu)
-    host.cpu.execute(500.0, lambda: None)
-    sim.run(until=1000.0)
-    util = sensor.sample(1000.0)
-    assert util == pytest.approx(0.5, abs=0.05)
-
-
-def test_metrics_hub_snapshot():
-    sim = Simulator()
-    net = Network(sim)
-    host = net.add_host("h")
-    hub = MetricsHub(sim, network_stats=net.stats, cpu=host.cpu)
-    hub.record_request()
-    hub.record_latency(123.0)
-    snap = hub.snapshot()
-    assert isinstance(snap, MetricsSnapshot)
-    assert snap.latency_mean_us == pytest.approx(123.0)
-    assert snap.request_rate_per_s > 0
-    assert "latency_mean_us" in snap.as_dict()
 
 
 class TestContracts:
@@ -69,13 +32,11 @@ class TestContracts:
     def test_monitor_emits_transitions_only(self):
         monitor = ContractMonitor([
             Contract("lat", "latency_mean_us", limit=1000.0)])
-        events = []
-        monitor.subscribe(events.append)
         monitor.evaluate(self._snap(100))   # honoured (no transition)
         monitor.evaluate(self._snap(2000))  # -> violated
         monitor.evaluate(self._snap(2100))  # still violated (no event)
         monitor.evaluate(self._snap(100))   # -> honoured
-        assert [e.status for e in events] == [
+        assert [e.status for e in monitor.events] == [
             ContractStatus.VIOLATED, ContractStatus.HONOURED]
 
     def test_all_honoured_property(self):

@@ -1,7 +1,5 @@
 """Unit and property tests for sliding windows."""
 
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,9 +14,7 @@ samples = st.lists(
 def test_empty_window_aggregates_to_zero():
     w = SlidingWindow(1000.0)
     assert w.mean() == 0.0
-    assert w.std() == 0.0
     assert w.count() == 0
-    assert w.maximum() == 0.0
 
 
 def test_mean_of_known_samples():
@@ -26,13 +22,6 @@ def test_mean_of_known_samples():
     for i, v in enumerate([2.0, 4.0, 6.0]):
         w.add(float(i), v)
     assert w.mean() == pytest.approx(4.0)
-
-
-def test_std_of_known_samples():
-    w = SlidingWindow(1000.0)
-    for i, v in enumerate([2.0, 4.0, 6.0]):
-        w.add(float(i), v)
-    assert w.std() == pytest.approx(math.sqrt(8.0 / 3.0))
 
 
 def test_old_samples_expire():
@@ -50,20 +39,6 @@ def test_total_count_survives_expiry():
     assert w.total_count == 2
 
 
-def test_percentile():
-    w = SlidingWindow(1e9)
-    for i in range(100):
-        w.add(float(i), float(i))
-    assert w.percentile(0.5) == pytest.approx(50.0)
-    assert w.percentile(0.99) == pytest.approx(99.0)
-
-
-def test_percentile_validates_fraction():
-    w = SlidingWindow(1000.0)
-    with pytest.raises(ValueError):
-        w.percentile(1.5)
-
-
 def test_rate_per_second():
     w = SlidingWindow(1_000_000.0)
     # 10 events over 900_000 us -> ~11.1 events/s.
@@ -77,32 +52,6 @@ def test_invalid_window_rejected():
         SlidingWindow(0.0)
 
 
-def test_maximum_of_known_samples():
-    w = SlidingWindow(1000.0)
-    for i, v in enumerate([3.0, 9.0, 6.0]):
-        w.add(float(i), v)
-    assert w.maximum() == pytest.approx(9.0)
-
-
-def test_maximum_tracks_expiry():
-    w = SlidingWindow(100.0)
-    w.add(0.0, 50.0)
-    w.add(150.0, 20.0)
-    assert w.maximum(now=150.0) == pytest.approx(20.0)
-
-
-def test_percentile_extremes():
-    w = SlidingWindow(1e9)
-    for i in range(10):
-        w.add(float(i), float(i))
-    assert w.percentile(0.0) == pytest.approx(0.0)
-    assert w.percentile(1.0) == pytest.approx(9.0)
-
-
-def test_percentile_of_empty_window_is_zero():
-    assert SlidingWindow(1000.0).percentile(0.5) == 0.0
-
-
 def test_rate_of_empty_window_is_zero():
     assert SlidingWindow(1000.0).rate_per_second(1_000.0) == 0.0
 
@@ -113,12 +62,6 @@ def test_rate_of_burst_at_one_instant():
         w.add(100.0, 1.0)
     # Zero elapsed span is clamped to 1 us, not a division by zero.
     assert w.rate_per_second(100.0) == pytest.approx(5e6)
-
-
-def test_std_of_single_sample_is_zero():
-    w = SlidingWindow(1000.0)
-    w.add(0.0, 42.0)
-    assert w.std() == 0.0
 
 
 def test_values_without_now_do_not_expire():
@@ -140,14 +83,6 @@ def test_mean_bounded_by_extremes(pairs):
     values = w.values()
     if values:
         assert min(values) - 1e-6 <= w.mean() <= max(values) + 1e-6
-
-
-@given(samples)
-def test_std_nonnegative(pairs):
-    w = SlidingWindow(1e12)
-    for t, v in sorted(pairs):
-        w.add(t, v)
-    assert w.std() >= 0.0
 
 
 @given(samples, st.floats(min_value=1, max_value=1e6))

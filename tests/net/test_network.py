@@ -173,15 +173,6 @@ class TestAccounting:
         assert net.stats.per_host["a"].tx_bytes == 100 + FRAME_OVERHEAD_BYTES
         assert net.stats.per_host["b"].rx_bytes == 100 + FRAME_OVERHEAD_BYTES
 
-    def test_lifetime_bandwidth(self, sim, net, pair):
-        a, b = pair
-        _recv(b, 7000)
-        for _ in range(10):
-            net.send(Endpoint("a", 1), Endpoint("b", 7000), "x", 946)
-        sim.run(until=10_000.0)
-        # 10 frames x 1000 wire bytes over 10_000 us = 1 byte/us = 1 MB/s.
-        assert net.stats.lifetime_bandwidth_mbps(sim.now) == pytest.approx(1.0)
-
     def test_windowed_bandwidth_decays(self, sim, net, pair):
         a, b = pair
         _recv(b, 7000)
@@ -190,15 +181,6 @@ class TestAccounting:
         assert net.stats.bandwidth_mbps(sim.now) > 0
         sim.run(until=sim.now + 2_000_000.0)
         assert net.stats.bandwidth_mbps(sim.now) == 0.0
-
-    def test_delivery_ratio(self, sim, net, pair):
-        a, b = pair
-        _recv(b, 7000)
-        net.send(Endpoint("a", 1), Endpoint("b", 7000), "x", 10)
-        net.send(Endpoint("a", 1), Endpoint("ghost", 1), "x", 10)
-        sim.run()
-        assert net.stats.delivery_ratio() == pytest.approx(0.5)
-
 
 class TestLossModels:
     def test_random_loss_drops_roughly_at_rate(self, sim, net, pair):

@@ -23,28 +23,6 @@ def test_drop_counter_separate():
     assert stats.total_frames == 0
 
 
-def test_delivery_ratio():
-    stats = NetworkStats()
-    assert stats.delivery_ratio() == 1.0  # nothing offered yet
-    stats.record_transmit(0.0, "a", "b", 10)
-    stats.record_drop()
-    stats.record_drop()
-    assert stats.delivery_ratio() == pytest.approx(1.0 / 3.0)
-
-
-def test_lifetime_bandwidth():
-    stats = NetworkStats()
-    stats.record_transmit(0.0, "a", "b", 500)
-    stats.record_transmit(100.0, "a", "b", 500)
-    # 1000 bytes over 1000 us = 1 byte/us = 1 MB/s.
-    assert stats.lifetime_bandwidth_mbps(now=1000.0) == pytest.approx(1.0)
-
-
-def test_lifetime_bandwidth_zero_span():
-    stats = NetworkStats()
-    assert stats.lifetime_bandwidth_mbps(now=0.0) == 0.0
-
-
 def test_windowed_bandwidth_expires_old_traffic():
     stats = NetworkStats(window_us=1000.0)
     stats.record_transmit(0.0, "a", "b", 10_000)

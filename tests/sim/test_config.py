@@ -7,6 +7,7 @@ from repro.sim import (
     GcsCalibration,
     HostCalibration,
     InterposeCalibration,
+    JournalConfig,
     NetworkCalibration,
     OrbCalibration,
     PAPER_FIG3_BREAKDOWN,
@@ -97,3 +98,13 @@ def test_telemetry_max_spans_must_be_a_positive_int(max_spans):
 def test_telemetry_max_spans_accepts_positive_ints():
     TelemetryConfig(enabled=True, max_spans=1).validate()
     TelemetryConfig(max_spans=200_000).validate()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 2.5,
+                                   True, 0, -3, "10"])
+@pytest.mark.parametrize("field", ["ring_size", "max_events"])
+def test_journal_sizes_must_be_positive_ints(field, value):
+    """A fraction used to pass and kill the run at the first record
+    with a bare TypeError; NaN or inf never reached the cap."""
+    with pytest.raises(ConfigurationError, match=field):
+        JournalConfig(enabled=True, **{field: value}).validate()

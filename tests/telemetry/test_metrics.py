@@ -29,8 +29,7 @@ class TestGauge:
         g = Gauge()
         g.set(10)
         g.inc(5)
-        g.dec(2)
-        assert g.value == 13.0
+        assert g.value == 15.0
 
 
 class TestHistogram:

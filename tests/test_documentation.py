@@ -116,3 +116,20 @@ def test_docs_name_only_defined_classes(doc):
     stale = sorted({name for name in _CAMEL_CASE_REF.findall(text)
                     if name not in defined})
     assert not stale, f"{doc} names undefined classes: {stale}"
+
+
+def test_python_floor_is_the_oldest_ci_python():
+    """``requires-python`` promises what CI tests: its floor is the
+    oldest interpreter in the test job's matrix (``@dataclass(slots=
+    True)`` in ``repro.gcs.messages`` needs 3.10)."""
+    pyproject = (REPO_ROOT / "pyproject.toml").read_text()
+    floor = re.search(r'^requires-python = ">=(\d+\.\d+)"$', pyproject,
+                      re.MULTILINE).group(1)
+    ci = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    matrix = re.search(r"^\s*python-version: \[([^\]]*)\]$", ci,
+                       re.MULTILINE).group(1)
+    versions = [tuple(int(part) for part in version.strip(' "').split("."))
+                for version in matrix.split(",")]
+    assert ".".join(map(str, min(versions))) == floor
+    readme = (REPO_ROOT / "README.md").read_text()
+    assert f"Requires Python >= {floor}." in readme

@@ -141,6 +141,29 @@ def test_campaign_command_rejects_non_finite_rate(tmp_path, capsys):
     assert not (tmp_path / "out.jsonl").exists()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n_clients", 2.5), ("n_clients", True), ("checkpoint_intervals", [2.5]),
+    ("replica_counts", [True]), ("replica_counts", 3),
+    ("shard_counts", [1.0]), ("seeds", ["a"]), ("seeds", [1.5]),
+    ("styles", [["active"]]), ("base_seed", "x"), ("sample", 1.5),
+])
+def test_campaign_command_rejects_non_integer_counts(tmp_path, capsys,
+                                                     field, value):
+    """A fraction, string or bool where a count or seed belongs is one
+    usage line, not trials that each fail or run mislabelled."""
+    import json
+
+    spec = _write_campaign_spec(tmp_path)
+    data = json.loads(spec.read_text())
+    data[field] = value
+    spec.write_text(json.dumps(data))
+    assert main(["campaign", str(spec), "--fresh", "--results",
+                 str(tmp_path / "out.jsonl")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("campaign: bad spec ")
+    assert not (tmp_path / "out.jsonl").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["--base-rate", "-5"], ["--base-rate", "inf"],
     ["--spike-rate", "nan"], ["--high", "-1", "--low", "5"],

@@ -6,7 +6,6 @@ from repro.tools import (
     policy_to_csv,
     profile_to_csv,
     render_series,
-    series_to_csv,
 )
 
 
@@ -61,11 +60,6 @@ class TestCsvExport:
         assert lines[0].startswith("n_clients,")
         assert len(lines) == 2  # one feasible load profiled
         assert "A(3)" in lines[1]
-
-    def test_series_csv(self):
-        text = series_to_csv([(0, 1.5), (1, 2.5)], header=("t", "v"))
-        assert text.strip().splitlines() == ["t,v", "0,1.5", "1,2.5"]
-
 
 class TestTelemetryCategories:
     def test_series_renders_telemetry_quantiles(self):
