@@ -16,15 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple, TYPE_CHECKING
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, Rule
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.experiments.run import ScenarioRun
 
 
-def _check_fraction(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ConfigurationError(f"{name} must be in [0, 1], got {value}")
+#: The declared rule of every ``*_fraction`` field of an entry: a share
+#: of the trial's load window, checked when the load is compiled.
+FRACTION_RULE = Rule(("*_fraction",), float, ge=0, le=1)
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,6 @@ class ProcessCrash(FaultEntry):
 
     def schedule(self, ctx: "ScenarioRun") -> None:
         """Kill the target replica's process mid-window."""
-        _check_fraction("at_fraction", self.at_fraction)
         ctx.injector.crash_process_at(
             self._replica(ctx, self.replica_index).process,
             ctx.t0 + self.at_fraction * ctx.duration_us)
@@ -67,7 +66,6 @@ class HostCrash(FaultEntry):
 
     def schedule(self, ctx: "ScenarioRun") -> None:
         """Crash the target replica's whole host mid-window."""
-        _check_fraction("at_fraction", self.at_fraction)
         index = (len(ctx.replicas) - 1 if self.replica_index < 0
                  else self.replica_index)
         ctx.injector.crash_host_at(
@@ -87,9 +85,6 @@ class CrashAndRestart(FaultEntry):
 
     def schedule(self, ctx: "ScenarioRun") -> None:
         """Crash the replica, then respawn it after the delay."""
-        _check_fraction("at_fraction", self.at_fraction)
-        _check_fraction("restart_after_fraction",
-                        self.restart_after_fraction)
         index = min(self.replica_index, len(ctx.replicas) - 1)
         ctx.injector.crash_and_restart_at(
             ctx.replicas[index].process,
@@ -108,8 +103,6 @@ class LossBurst(FaultEntry):
 
     def schedule(self, ctx: "ScenarioRun") -> None:
         """Drop frames at ``rate`` for the configured window."""
-        _check_fraction("start_fraction", self.start_fraction)
-        _check_fraction("duration_fraction", self.duration_fraction)
         start = ctx.t0 + self.start_fraction * ctx.duration_us
         ctx.injector.loss_burst(
             start, start + max(self.duration_fraction * ctx.duration_us,
@@ -127,8 +120,6 @@ class DelaySpike(FaultEntry):
 
     def schedule(self, ctx: "ScenarioRun") -> None:
         """Add ``extra_us`` to every frame in the window."""
-        _check_fraction("start_fraction", self.start_fraction)
-        _check_fraction("duration_fraction", self.duration_fraction)
         start = ctx.t0 + self.start_fraction * ctx.duration_us
         ctx.injector.delay_spike(
             start, start + max(self.duration_fraction * ctx.duration_us,
@@ -147,7 +138,6 @@ class CpuHog(FaultEntry):
 
     def schedule(self, ctx: "ScenarioRun") -> None:
         """Steal the target replica's CPU for ``busy_us``."""
-        _check_fraction("at_fraction", self.at_fraction)
         ctx.injector.cpu_hog_at(
             self._replica(ctx, self.replica_index).process.host,
             ctx.t0 + self.at_fraction * ctx.duration_us,
@@ -166,8 +156,6 @@ class Partition(FaultEntry):
 
     def schedule(self, ctx: "ScenarioRun") -> None:
         """Cut the target replica's host off, then heal."""
-        _check_fraction("start_fraction", self.start_fraction)
-        _check_fraction("duration_fraction", self.duration_fraction)
         index = (len(ctx.replicas) - 1 if self.replica_index < 0
                  else min(self.replica_index, len(ctx.replicas) - 1))
         start = ctx.t0 + self.start_fraction * ctx.duration_us
@@ -190,8 +178,6 @@ class AsymPartition(FaultEntry):
 
     def schedule(self, ctx: "ScenarioRun") -> None:
         """Drop the target host's outbound frames for the window."""
-        _check_fraction("start_fraction", self.start_fraction)
-        _check_fraction("duration_fraction", self.duration_fraction)
         index = (len(ctx.replicas) - 1 if self.replica_index < 0
                  else min(self.replica_index, len(ctx.replicas) - 1))
         src = ctx.replicas[index].process.host.name
@@ -216,8 +202,6 @@ class FlakyLinkFault(FaultEntry):
 
     def schedule(self, ctx: "ScenarioRun") -> None:
         """Make the one link between the two replicas lossy."""
-        _check_fraction("start_fraction", self.start_fraction)
-        _check_fraction("duration_fraction", self.duration_fraction)
         last = len(ctx.replicas) - 1
         a = ctx.replicas[min(self.replica_a, last)].process.host.name
         b_index = last if self.replica_b < 0 else min(self.replica_b,
@@ -242,8 +226,6 @@ class SlowHostFault(FaultEntry):
 
     def schedule(self, ctx: "ScenarioRun") -> None:
         """Slow the target replica's host for the window."""
-        _check_fraction("start_fraction", self.start_fraction)
-        _check_fraction("duration_fraction", self.duration_fraction)
         index = (len(ctx.replicas) - 1 if self.replica_index < 0
                  else min(self.replica_index, len(ctx.replicas) - 1))
         start = ctx.t0 + self.start_fraction * ctx.duration_us
@@ -310,5 +292,8 @@ def compile_load(name: str, ctx: "ScenarioRun") -> int:
     """Schedule every entry of the named load; returns how many."""
     entries = fault_load(name)
     for entry in entries:
+        for field, value in vars(entry).items():
+            if field.endswith("_fraction"):
+                FRACTION_RULE.check(field, value)
         entry.schedule(ctx)
     return len(entries)

@@ -21,12 +21,20 @@ from typing import Dict, Iterable, List, Optional, Set
 
 from repro.campaign.spec import TrialSpec
 from repro.core.cost import CostFunction
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, Rule, check_fields
 
 #: Bump on incompatible record layout changes; readers reject newer.
 SCHEMA_VERSION = 1
 
 _STATUSES = ("ok", "failed", "timeout")
+
+#: The declared rules of a stored record's JSON form.
+RECORD_RULES = (
+    Rule(("schema",), int, le=SCHEMA_VERSION),
+    Rule(("trial_id", "status"), str),
+    Rule(("spec", "metrics"), dict),
+    Rule(("error",), str, nullable=True),
+)
 
 
 @dataclass(frozen=True)
@@ -60,20 +68,21 @@ class TrialRecord:
 
     @classmethod
     def from_line(cls, line: str) -> "TrialRecord":
+        """Parse one stored line; raises :class:`ConfigurationError`
+        on a line that is not JSON or breaks :data:`RECORD_RULES` (a
+        newer schema included)."""
         try:
             data = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ConfigurationError(
                 f"corrupt results line: {exc}") from None
-        schema = data.get("schema")
-        if not isinstance(schema, int) or schema > SCHEMA_VERSION:
-            raise ConfigurationError(
-                f"results schema {schema!r} is newer than this build "
-                f"(speaks {SCHEMA_VERSION})")
+        if not isinstance(data, dict):
+            raise ConfigurationError("corrupt results line: not an object")
+        data = {"spec": {}, "metrics": {}, **data}
+        check_fields(data, RECORD_RULES, prefix="corrupt results line: ")
         return cls(trial_id=data["trial_id"], status=data["status"],
-                   spec=data.get("spec", {}),
-                   metrics=data.get("metrics", {}),
-                   error=data.get("error"), schema=schema)
+                   spec=data["spec"], metrics=data["metrics"],
+                   error=data.get("error"), schema=data["schema"])
 
 
 class ResultsStore:
@@ -111,10 +120,11 @@ class ResultsStore:
                 continue
             try:
                 out.append(TrialRecord.from_line(line))
-            except ConfigurationError:
+            except ConfigurationError as exc:
                 if index == len(lines) - 1:
                     break  # torn final write from an interrupted run
-                raise
+                raise ConfigurationError(
+                    f"{self.path} line {index + 1}: {exc}") from None
         return out
 
     def completed_ids(self, include_failed: bool = False) -> Set[str]:

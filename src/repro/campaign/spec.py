@@ -16,23 +16,44 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import random
 import zlib
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
 from repro.campaign.dictionary import available_loads
-from repro.errors import ConfigurationError, require_int
+from repro.errors import ConfigurationError, Rule, check_fields
 from repro.replication.styles import ReplicationStyle
 from repro.sim.config import PAPER_LATENCY_LIMIT_US
 
 #: Bump when the expansion/seeding rules change incompatibly.
 SPEC_VERSION = 1
 
-#: Campaign axes of integers, with each one's minimum (None: any int).
-_INT_AXES = {"replica_counts": 1, "checkpoint_intervals": 1,
-             "shard_counts": 1, "seeds": None}
+#: The declared rules of a :class:`TrialSpec`.
+TRIAL_RULES = (
+    Rule(("trial_id",), str, ge=1),
+    Rule(("style", "fault_load"), str),
+    Rule(("n_replicas", "checkpoint_interval", "n_clients", "n_shards"), int,
+         ge=1),
+    Rule(("seed",), int),
+    Rule(("duration_us", "rate_per_s", "deadline_us"), float, gt=0),
+    Rule(("settle_us",), float, ge=0),
+)
+#: The declared rules of a :class:`CampaignSpec` and of each element of
+#: its axis lists; its load window is checked as each trial's.
+CAMPAIGN_RULES = (
+    Rule(("name",), str, ge=1),
+    Rule(("styles", "replica_counts", "checkpoint_intervals", "fault_loads",
+          "shard_counts", "seeds"), list, ge=1),
+    Rule(("sample",), int, ge=1, nullable=True),
+    Rule(("base_seed", "version"), int),
+)
+AXIS_RULES = (
+    Rule(("styles", "fault_loads"), str),
+    Rule(("replica_counts", "checkpoint_intervals", "shard_counts"), int,
+         ge=1),
+    Rule(("seeds",), int),
+)
 
 
 @dataclass(frozen=True)
@@ -58,8 +79,7 @@ class TrialSpec:
 
     def validate(self) -> None:
         """Raise :class:`ConfigurationError` on any bad field."""
-        if not self.trial_id:
-            raise ConfigurationError("trial needs a non-empty id")
+        check_fields(vars(self), TRIAL_RULES)
         try:
             ReplicationStyle(self.style)
         except ValueError:
@@ -69,23 +89,11 @@ class TrialSpec:
             raise ConfigurationError(
                 f"unknown fault load {self.fault_load!r}; "
                 f"known: {', '.join(available_loads())}")
-        require_int("n_replicas", self.n_replicas, 1)
-        require_int("n_clients", self.n_clients, 1)
-        require_int("checkpoint_interval", self.checkpoint_interval, 1)
-        require_int("n_shards", self.n_shards, 1)
-        require_int("seed", self.seed)
         if self.n_shards > 1 and self.fault_load not in ("none",
                                                          "process_crash"):
             raise ConfigurationError(
                 f"sharded trials support fault loads 'none' and "
                 f"'process_crash', not {self.fault_load!r}")
-        if not all(0 < value < math.inf for value in (
-                self.duration_us, self.rate_per_s, self.deadline_us)):
-            raise ConfigurationError(
-                "duration, rate and deadline must be positive and finite")
-        if not 0 <= self.settle_us < math.inf:
-            raise ConfigurationError(
-                "settle time must be non-negative and finite")
 
     @property
     def replication_style(self) -> ReplicationStyle:
@@ -152,35 +160,18 @@ class CampaignSpec:
 
     def validate(self) -> None:
         """Raise :class:`ConfigurationError` on any bad field."""
-        if not self.name:
-            raise ConfigurationError("campaign needs a name")
+        check_fields(vars(self), CAMPAIGN_RULES)
         if self.version != SPEC_VERSION:
             raise ConfigurationError(
                 f"unsupported spec version {self.version} "
                 f"(this build speaks {SPEC_VERSION})")
-        require_int("base_seed", self.base_seed)
-        if self.sample is not None:
-            require_int("sample", self.sample, 1)
-        for axis, values in (("styles", self.styles),
-                             ("replica_counts", self.replica_counts),
-                             ("checkpoint_intervals",
-                              self.checkpoint_intervals),
-                             ("fault_loads", self.fault_loads),
-                             ("shard_counts", self.shard_counts),
-                             ("seeds", self.seeds)):
-            if not isinstance(values, (list, tuple)):
-                raise ConfigurationError(f"campaign axis {axis} must be "
-                                         f"a list, not {values!r}")
-            if not values:
-                raise ConfigurationError(f"empty campaign axis: {axis}")
-            for value in values:
-                if axis in _INT_AXES:
-                    require_int(f"each of {axis}", value, _INT_AXES[axis])
-                elif not isinstance(value, str):
-                    raise ConfigurationError(
-                        f"each of {axis} must be a string, not {value!r}")
-            if len(set(values)) != len(values):
-                raise ConfigurationError(f"duplicate values in {axis}")
+        for rule in AXIS_RULES:
+            for axis in rule.names:
+                values = getattr(self, axis)
+                for value in values:
+                    rule.check(f"each of {axis}", value)
+                if len(set(values)) != len(values):
+                    raise ConfigurationError(f"duplicate values in {axis}")
         for trial in self._grid():
             trial.validate()
 
@@ -250,8 +241,13 @@ class CampaignSpec:
 
     @classmethod
     def from_file(cls, path: str) -> "CampaignSpec":
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_json(handle.read())
+        """Load a spec file; raises :class:`ConfigurationError` naming
+        ``path`` when it cannot."""
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                return cls.from_json(handle.read())
+        except (OSError, UnicodeDecodeError, ConfigurationError) as exc:
+            raise ConfigurationError(f"bad spec {path}: {exc}") from None
 
 
 def derive_trial_seed(base_seed: int, trial_id: str) -> int:

@@ -23,16 +23,24 @@ from typing import Any, Dict, List, Optional
 
 from repro.check.explorer import ScheduleReport, verify_outcome
 from repro.check.invariants import Violation
-from repro.check.policies import (
-    RandomWalkPolicy,
-    ReplayPolicy,
-    check_walk_parameters,
-)
+from repro.check.policies import WALK_RULES, RandomWalkPolicy, ReplayPolicy
 from repro.check.scenario import CheckScenario, run_schedule
-from repro.errors import VerificationError
+from repro.errors import Rule, VerificationError, check_fields
 
 #: Artifact schema version.
 ARTIFACT_VERSION = 1
+
+#: The declared rules of an artifact's JSON form: its top level and
+#: its policy section (:data:`SCENARIO_RULES` check the scenario).
+ARTIFACT_RULES = (
+    Rule(("scenario", "policy"), dict),
+    Rule(("digest",), str),
+    Rule(("violations",), list),
+    Rule(("version",), int),
+    Rule(("minimized",), bool),
+)
+POLICY_RULES = WALK_RULES + (Rule(("walk_seed",), int),
+                             Rule(("decisions",), list))
 
 
 @dataclass
@@ -69,41 +77,33 @@ class ReproArtifact:
     def from_dict(cls, data: Dict[str, Any]) -> "ReproArtifact":
         """Inverse of :meth:`to_dict`; rejects a scenario section no
         schedule can honour and a policy section no recorded walk
-        could have produced."""
+        could have produced.  The values are checked as they are,
+        never cast."""
+        data = {"version": ARTIFACT_VERSION, "minimized": False, **data}
         try:
+            check_fields(data, ARTIFACT_RULES, VerificationError)
             policy = data["policy"]
+            check_fields(policy, POLICY_RULES, VerificationError,
+                         prefix="policy ")
             artifact = cls(
                 scenario=CheckScenario.from_dict(data["scenario"]),
                 walk_seed=policy["walk_seed"],
                 tie_choices=policy["tie_choices"],
-                delay_bound_us=float(policy["delay_bound_us"]),
-                decisions=list(policy["decisions"]),
-                digest=str(data["digest"]),
-                violations=list(data["violations"]),
-                version=int(data.get("version", ARTIFACT_VERSION)),
-                minimized=bool(data.get("minimized", False)))
-        except (KeyError, TypeError, ValueError,
-                VerificationError) as exc:
+                delay_bound_us=policy["delay_bound_us"],
+                decisions=policy["decisions"], digest=data["digest"],
+                violations=data["violations"], version=data["version"],
+                minimized=data["minimized"])
+        except (TypeError, VerificationError) as exc:
             raise VerificationError(
-                f"malformed repro artifact: {exc}") from exc
-        artifact._validate_policy()
+                f"malformed repro artifact: {exc}") from None
+        artifact._check_decisions()
         return artifact
 
-    def _validate_policy(self) -> None:
+    def _check_decisions(self) -> None:
         """A decision is a tie-break rank (``int`` in ``[0,
         tie_choices)``) or a frame delay (``float`` in ``[0,
         delay_bound_us]``).  Replay feeds them to the kernel unchecked,
-        so a negative, NaN or mistyped one must stop here, as must a
-        walk seed or ``tie_choices`` that is not an exact ``int``."""
-        if type(self.walk_seed) is not int:
-            raise VerificationError(
-                "malformed repro artifact: walk_seed must be an int, "
-                f"got {self.walk_seed!r}")
-        try:
-            check_walk_parameters(self.tie_choices, self.delay_bound_us)
-        except VerificationError as exc:
-            raise VerificationError(
-                f"malformed repro artifact: {exc}") from exc
+        so a negative, NaN or mistyped one must stop here."""
         for index, value in enumerate(self.decisions):
             # Exact types: bool is an int subclass, and JSON has no
             # other spelling for either kind of decision.
@@ -141,16 +141,17 @@ def write_artifact(artifact: ReproArtifact, path: str) -> None:
 
 
 def load_artifact(path: str) -> ReproArtifact:
-    """Load an artifact written by :func:`write_artifact`."""
-    with open(path) as handle:
-        try:
+    """Load an artifact written by :func:`write_artifact`; raises
+    :class:`VerificationError` naming ``path`` when it cannot."""
+    try:
+        with open(path) as handle:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise VerificationError(
-                f"repro artifact is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise VerificationError("repro artifact is not a JSON object")
-    return ReproArtifact.from_dict(data)
+        if not isinstance(data, dict):
+            raise VerificationError("repro artifact is not a JSON object")
+        return ReproArtifact.from_dict(data)
+    except (OSError, ValueError, VerificationError) as exc:
+        raise VerificationError(
+            f"cannot load artifact {path}: {exc}") from None
 
 
 @dataclass

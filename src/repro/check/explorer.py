@@ -28,10 +28,10 @@ from repro.check.invariants import (
 )
 from repro.check.linearizability import CounterSpec, check_linearizability
 from repro.check.policies import (
+    WALK_RULES,
     Decision,
     Decisions,
     RandomWalkPolicy,
-    check_walk_parameters,
 )
 from repro.check.scenario import (
     CHECKPOINT_PHASES,
@@ -40,7 +40,10 @@ from repro.check.scenario import (
     _validate,
     run_schedule,
 )
-from repro.errors import VerificationError
+from repro.errors import Rule, VerificationError, check_fields
+
+#: The declared rules of :func:`explore`'s parameters.
+EXPLORE_RULES = (Rule(("budget",), int, ge=1), *WALK_RULES)
 
 #: Crash-time multipliers cycled across walks, so the primary dies at
 #: varied points of the request stream (deterministic per walk index).
@@ -145,10 +148,9 @@ def explore(scenario: CheckScenario, budget: int = 200,
     run's.  The parameters are validated here, before any worker
     starts: a bad one raises :class:`VerificationError` once.
     """
-    if type(budget) is not int or budget < 1:
-        raise VerificationError(
-            f"budget must be an int >= 1, got {budget!r}")
-    check_walk_parameters(tie_choices, delay_bound_us)
+    check_fields({"budget": budget, "tie_choices": tie_choices,
+                  "delay_bound_us": delay_bound_us}, EXPLORE_RULES,
+                 VerificationError)
     _validate(scenario)
     result = ExplorationResult(scenario=scenario, budget=budget)
     seen_digests: Set[str] = set()

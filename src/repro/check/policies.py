@@ -21,13 +21,12 @@ two typed columns behind a read-only sequence, about 4 B per decision.
 
 from __future__ import annotations
 
-import math
 import random
 from array import array
 from collections.abc import Sequence
 from typing import Iterator, List, Union
 
-from repro.errors import VerificationError
+from repro.errors import Rule, VerificationError, check_fields
 
 Decision = Union[int, float]
 
@@ -60,19 +59,12 @@ class SchedulerPolicy:
         return 0.0
 
 
-def check_walk_parameters(tie_choices: int, delay_bound_us: float) -> None:
-    """Reject walk parameters no random walk can honour:
-    ``tie_choices`` must be an ``int`` (not a ``bool``) in ``[1,
-    MAX_TIE_CHOICES]``, and a NaN or infinite delay bound would time
-    frames at NaN or never."""
-    if type(tie_choices) is not int \
-            or not 1 <= tie_choices <= MAX_TIE_CHOICES:
-        raise VerificationError(
-            f"tie_choices must be an int in [1, {MAX_TIE_CHOICES}], "
-            f"got {tie_choices!r}")
-    if not (delay_bound_us >= 0 and math.isfinite(delay_bound_us)):
-        raise VerificationError(
-            "delay_bound_us must be a finite number >= 0")
+#: The declared rules of a random walk's parameters: a NaN or
+#: infinite delay bound would time frames at NaN or never.
+WALK_RULES = (
+    Rule(("tie_choices",), int, ge=1, le=MAX_TIE_CHOICES),
+    Rule(("delay_bound_us",), float, ge=0),
+)
 
 
 class Decisions(Sequence[Decision]):
@@ -158,10 +150,10 @@ class RandomWalkPolicy(SchedulerPolicy):
 
     def __init__(self, seed: int, tie_choices: int = 4,
                  delay_bound_us: float = 0.0):
-        check_walk_parameters(tie_choices, delay_bound_us)
         self.seed = seed
         self.tie_choices = tie_choices
         self.delay_bound_us = delay_bound_us
+        check_fields(vars(self), WALK_RULES, VerificationError)
         self.decisions = Decisions(tie_choices)
         # Bound appends: tie_break runs once per scheduled event.
         self._append_token = self.decisions.tokens.append

@@ -18,13 +18,12 @@ must pass with zero false positives).
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.check.history import Operation
 from repro.check.policies import SchedulerPolicy
-from repro.errors import AdaptationError, VerificationError
+from repro.errors import AdaptationError, Rule, VerificationError, check_fields
 from repro.experiments import ScenarioRun
 from repro.faults import FaultInjector
 from repro.gcs import Grade
@@ -242,38 +241,25 @@ MUTATIONS: Dict[str, Callable[[Any], None]] = {
 RESTART_AFTER_US = 10_000.0
 
 
-def _finite(value: Any) -> bool:
-    # Exact types: bool is an int subclass and no time is a bool.
-    return type(value) in (int, float) and math.isfinite(value)
-
-
-#: (fields, what they must be, test) — types and ranges of the scalar
-#: fields, checked first because a scenario loaded from an artifact
-#: file can hold anything JSON can spell.
-_FIELD_RULES = (
-    (("n_replicas", "n_requests", "checkpoint_interval"), "an int >= 1",
-     lambda v: type(v) is int and v >= 1),
-    (("seed",), "an int", lambda v: type(v) is int),
-    (("horizon_us", "settle_us", "retry_timeout_us"),
-     "a finite number > 0", lambda v: _finite(v) and v > 0),
-    (("switch_at_us", "crash_primary_at_us", "restart_backups_at_us",
-      "partition_at_us", "heal_at_us"), "None or a finite number >= 0",
-     lambda v: v is None or (_finite(v) and v >= 0)),
-    (("late_duplicate",), "a bool", lambda v: type(v) is bool),
-    (("mutation", "crash_primary_phase"), "None or a string",
-     lambda v: v is None or type(v) is str),
+#: The declared rules of a :class:`CheckScenario`, checked first
+#: because a scenario loaded from an artifact file can hold anything
+#: JSON can spell.
+SCENARIO_RULES = (
+    Rule(("n_replicas", "n_requests", "checkpoint_interval"), int, ge=1),
+    Rule(("seed",), int),
+    Rule(("horizon_us", "settle_us", "retry_timeout_us"), float, gt=0),
+    Rule(("switch_at_us", "crash_primary_at_us", "restart_backups_at_us",
+          "partition_at_us", "heal_at_us"), float, ge=0, nullable=True),
+    Rule(("late_duplicate",), bool),
+    Rule(("mutation", "crash_primary_phase"), str, nullable=True),
 )
 
 
 def _validate(scenario: CheckScenario) -> None:
     """Reject parameter values and combinations no schedule can
     honour."""
-    for names, expected, ok in _FIELD_RULES:
-        for name in names:
-            value = getattr(scenario, name)
-            if not ok(value):
-                raise VerificationError(
-                    f"scenario {name} must be {expected}, got {value!r}")
+    check_fields(vars(scenario), SCENARIO_RULES, VerificationError,
+                 prefix="scenario ")
     if scenario.mutation is not None \
             and scenario.mutation not in MUTATIONS:
         raise VerificationError(

@@ -21,15 +21,16 @@
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from typing import List, Optional
 
 from repro.core import Constraints, CostFunction, ScalabilityPolicy, ThresholdSwitchPolicy
 from repro.errors import (
+    ClusterError,
     ConfigurationError,
     PolicyError,
-    TelemetryOverflowError,
+    Rule,
+    VerificationError,
 )
 from repro.experiments import (
     build_profile,
@@ -70,29 +71,22 @@ def _usage_error(command: str, message: str) -> int:
     return 2
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _argument(kind: type, **bounds: float):
+    """argparse type: ``text`` read as ``kind`` and checked by the
+    :class:`Rule` that ``bounds`` declare."""
+    rule = Rule(("argument",), kind, **bounds)
 
-
-def _rate(text: str) -> float:
-    """argparse type for rates: a finite number >= 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid number: {text!r}") from None
-    if not 0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(
-            f"must be a finite number >= 0, got {text}")
-    return value
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not {rule.expected}") from None
+        if not rule.admits(value):
+            raise argparse.ArgumentTypeError(
+                f"must be {rule.expected}, got {text}")
+        return value
+    return parse
 
 
 def _cmd_breakdown(args: argparse.Namespace) -> int:
@@ -154,11 +148,8 @@ def _cmd_adaptive(args: argparse.Namespace) -> int:
                            spike_rate=args.spike_rate,
                            spike_start_us=1_500_000.0,
                            spike_end_us=5_500_000.0)
-    try:
-        policy = ThresholdSwitchPolicy(rate_high_per_s=args.high,
-                                       rate_low_per_s=args.low)
-    except PolicyError as exc:
-        return _usage_error("adaptive", str(exc))
+    policy = ThresholdSwitchPolicy(rate_high_per_s=args.high,
+                                   rate_low_per_s=args.low)
     adaptive = run_adaptive_scenario(profile, 7_000_000.0, policy=policy,
                                      n_clients=2, seed=args.seed)
     static = run_adaptive_scenario(
@@ -188,10 +179,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     )
     from repro.tools import scores_to_csv
 
-    try:
-        spec = CampaignSpec.from_file(args.spec)
-    except (ConfigurationError, OSError) as exc:
-        return _usage_error("campaign", f"bad spec {args.spec}: {exc}")
+    spec = CampaignSpec.from_file(args.spec)
     results_path = args.results or f"{args.spec}.results.jsonl"
     store = ResultsStore(results_path)
     if args.fresh:
@@ -205,15 +193,11 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
     print(f"campaign {spec.name!r}: {spec.n_trials()} trials, "
           f"{args.workers} worker(s), results -> {results_path}")
-    try:
-        summary = run_campaign(spec, store, workers=args.workers,
-                               trial_timeout_s=args.trial_timeout,
-                               progress=progress,
-                               telemetry=args.telemetry,
-                               journal_dir=args.journal,
-                               check=args.check, slo=args.slo)
-    except ConfigurationError as exc:
-        return _usage_error("campaign", str(exc))
+    summary = run_campaign(spec, store, workers=args.workers,
+                           trial_timeout_s=args.trial_timeout,
+                           progress=progress, telemetry=args.telemetry,
+                           journal_dir=args.journal, check=args.check,
+                           slo=args.slo)
     print(f"ran {summary.ran}, skipped {summary.skipped} "
           f"(already recorded), failed {summary.failed}, "
           f"in {summary.elapsed_s:.1f}s")
@@ -341,15 +325,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
     )
     from repro.check import replay as replay_artifact
     from repro.check.artifact import artifact_from_report
-    from repro.check.policies import check_walk_parameters
-    from repro.errors import VerificationError
 
     if args.budget < 1:
         return _usage_error("check", "--budget must be >= 1")
-    try:
-        check_walk_parameters(args.tie_choices, args.delay_bound)
-    except VerificationError as exc:
-        return _usage_error("check", str(exc))
     if args.mutation is not None and args.mutation not in MUTATIONS:
         return _usage_error(
             "check", f"unknown --mutation {args.mutation!r} "
@@ -357,11 +335,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
     if args.replay or args.minimize:
         path = args.replay or args.minimize
-        try:
-            artifact = load_artifact(path)
-        except (OSError, VerificationError) as exc:
-            return _usage_error(
-                "check", f"cannot load artifact {path}: {exc}")
+        artifact = load_artifact(path)
         if args.minimize:
             artifact = minimize(artifact)
             out = args.artifact or path
@@ -430,11 +404,7 @@ def _cmd_observe(args: argparse.Namespace) -> int:
 
     if args.limit is not None and args.limit < 1:
         return _usage_error("observe", "--limit must be >= 1")
-    try:
-        events = read_jsonl(args.journal)
-    except (OSError, ValueError) as exc:
-        return _usage_error(
-            "observe", f"cannot read {args.journal}: {exc}")
+    events = read_jsonl(args.journal)
     if args.shard:
         shards = discover_shards(events)
         if args.shard not in shards:
@@ -478,8 +448,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         return 0
 
     if args.action == "summary":
-        if args.shards < 1:
-            return _usage_error("cluster", "--shards must be >= 1")
         if args.clients < 1 or args.cycle < 1:
             return _usage_error(
                 "cluster", "--clients and --cycle must be >= 1")
@@ -527,11 +495,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
     # replay: render the cluster events of a captured journal.
     from repro.journal import read_jsonl
-    try:
-        events = read_jsonl(args.journal)
-    except (OSError, ValueError) as exc:
-        return _usage_error(
-            "cluster", f"cannot read {args.journal}: {exc}")
+    events = read_jsonl(args.journal)
     cluster_events = [e for e in events if e.component == "cluster"]
     if not cluster_events:
         print(f"cluster: {args.journal} holds no cluster events",
@@ -559,20 +523,11 @@ def _cmd_slo(args: argparse.Namespace) -> int:
         slo_status,
     )
 
-    try:
-        events = read_jsonl(args.journal)
-    except (OSError, ValueError) as exc:
-        return _usage_error("slo", f"cannot read {args.journal}: {exc}")
+    events = read_jsonl(args.journal)
     if not events:
         print(f"slo: {args.journal} holds no events", file=sys.stderr)
         return 1
-    if args.spec:
-        try:
-            specs = load_slo_specs(args.spec)
-        except (ConfigurationError, OSError, ValueError) as exc:
-            return _usage_error("slo", f"bad spec {args.spec}: {exc}")
-    else:
-        specs = default_slo_specs()
+    specs = load_slo_specs(args.spec) if args.spec else default_slo_specs()
     outcome = evaluate_slos(events, specs)
 
     if args.action == "alerts":
@@ -640,7 +595,8 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"repro {__version__}")
     parser.add_argument("--seed", type=int, default=0,
                         help="simulation seed (default 0)")
-    parser.add_argument("--requests", type=_positive_int, default=150,
+    parser.add_argument("--requests", type=_argument(int, ge=1),
+                        default=150,
                         help="requests per client per configuration "
                              "(default 150; paper used 10000)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -659,11 +615,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     adaptive_parser = sub.add_parser("adaptive",
                                      help=_SUMMARIES["adaptive"])
-    adaptive_parser.add_argument("--base-rate", type=_rate, default=100.0)
-    adaptive_parser.add_argument("--spike-rate", type=_rate, default=1100.0)
-    adaptive_parser.add_argument("--high", type=_rate, default=400.0,
+    rate = _argument(float, ge=0)
+    adaptive_parser.add_argument("--base-rate", type=rate, default=100.0)
+    adaptive_parser.add_argument("--spike-rate", type=rate, default=1100.0)
+    adaptive_parser.add_argument("--high", type=rate, default=400.0,
                                  help="switch-up threshold [req/s]")
-    adaptive_parser.add_argument("--low", type=_rate, default=200.0,
+    adaptive_parser.add_argument("--low", type=rate, default=200.0,
                                  help="switch-down threshold [req/s]")
 
     campaign_parser = sub.add_parser(
@@ -901,7 +858,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except TelemetryOverflowError as exc:
+    except (ClusterError, ConfigurationError, PolicyError,
+            VerificationError, OSError) as exc:
+        # Bad input or an unusable file: one line, exit 2.  A failed
+        # verdict is a result, not an error: its handler returns 1.
         return _usage_error(args.command, str(exc))
 
 

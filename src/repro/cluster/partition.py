@@ -27,7 +27,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, Rule, check_fields
 
 #: Default virtual nodes per shard; enough to spread a handful of
 #: shards evenly without bloating the ring.
@@ -35,6 +35,15 @@ DEFAULT_VNODES = 64
 
 #: Bump when the hashing/ring rules change incompatibly.
 MAP_VERSION = 1
+
+#: The declared rules of a :class:`PartitionMap`.
+MAP_RULES = (
+    Rule(("shards",), tuple, ge=1),
+    Rule(("overrides",), tuple),
+    Rule(("epoch",), int, ge=0),
+    Rule(("vnodes",), int, ge=1),
+    Rule(("version",), int),
+)
 
 
 def _point(token: str) -> int:
@@ -61,12 +70,9 @@ class PartitionMap:
 
     def __post_init__(self) -> None:
         """Validate shape (frozen dataclass, so only checks here)."""
-        if not self.shards:
-            raise ConfigurationError("a partition map needs >= 1 shard")
+        check_fields(vars(self), MAP_RULES)
         if len(set(self.shards)) != len(self.shards):
             raise ConfigurationError("duplicate shard names")
-        if self.vnodes < 1:
-            raise ConfigurationError("vnodes must be >= 1")
         for key, shard in self.overrides:
             if shard not in self.shards:
                 raise ConfigurationError(
@@ -146,15 +152,15 @@ class PartitionMap:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "PartitionMap":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`; the values are checked as they
+        are, never cast."""
         try:
             return cls(shards=tuple(data["shards"]),  # type: ignore[arg-type]
-                       epoch=int(data["epoch"]),  # type: ignore[arg-type]
-                       vnodes=int(data["vnodes"]),  # type: ignore[arg-type]
-                       overrides=tuple(
-                           (str(k), str(s))
-                           for k, s in data["overrides"]),  # type: ignore
-                       version=int(data["version"]))  # type: ignore[arg-type]
+                       epoch=data["epoch"],  # type: ignore[arg-type]
+                       vnodes=data["vnodes"],  # type: ignore[arg-type]
+                       overrides=tuple((k, s) for k, s
+                                       in data["overrides"]),  # type: ignore
+                       version=data["version"])  # type: ignore[arg-type]
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigurationError(f"bad partition map: {exc}") from None
 

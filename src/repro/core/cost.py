@@ -20,12 +20,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ConfigurationError
+from repro.errors import Rule, check_fields
 from repro.sim.config import (
     PAPER_BANDWIDTH_LIMIT_MBPS,
     PAPER_COST_WEIGHT,
     PAPER_LATENCY_LIMIT_US,
 )
+
+
+#: The declared rules of :class:`Constraints` and :class:`CostFunction`.
+CONSTRAINT_RULES = (
+    Rule(("max_latency_us", "max_bandwidth_mbps"), float, gt=0),)
+COST_RULES = (Rule(("latency_weight",), float, ge=0, le=1),
+              Rule(("latency_norm_us", "bandwidth_norm_mbps"), float, gt=0))
 
 
 @dataclass(frozen=True)
@@ -36,8 +43,7 @@ class Constraints:
     max_bandwidth_mbps: float = PAPER_BANDWIDTH_LIMIT_MBPS
 
     def __post_init__(self) -> None:
-        if self.max_latency_us <= 0 or self.max_bandwidth_mbps <= 0:
-            raise ConfigurationError("constraint limits must be positive")
+        check_fields(vars(self), CONSTRAINT_RULES)
 
     def satisfied_by(self, latency_us: float,
                      bandwidth_mbps: float) -> bool:
@@ -55,10 +61,7 @@ class CostFunction:
     bandwidth_norm_mbps: float = PAPER_BANDWIDTH_LIMIT_MBPS
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.latency_weight <= 1.0:
-            raise ConfigurationError("weight p must be in [0, 1]")
-        if self.latency_norm_us <= 0 or self.bandwidth_norm_mbps <= 0:
-            raise ConfigurationError("normalizers must be positive")
+        check_fields(vars(self), COST_RULES)
 
     def cost(self, latency_us: float, bandwidth_mbps: float) -> float:
         """The paper's weighted, normalized cost."""

@@ -17,10 +17,9 @@ as *failed* and slow ones as *late*.
 
 from __future__ import annotations
 
-import math
 from typing import Any, Callable, Dict, Optional, Sequence
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, Rule, check_fields
 from repro.experiments.run import RunRecord, ScenarioRun
 from repro.experiments.scenarios import (
     DEFAULT_REQUEST_BYTES,
@@ -34,6 +33,12 @@ from repro.workload import ConstantRate, OpenLoopClient
 #: detection plus flush, so in-flight requests resolve to completed
 #: or given-up before the books close.
 DEFAULT_SETTLE_US = 1_500_000.0
+
+#: The declared rules of a trial's load window and settle time.
+WINDOW_RULES = (Rule(("n_clients",), int, ge=1),
+                Rule(("duration_us", "rate_per_s", "deadline_us"), float,
+                     gt=0))
+SETTLE_RULES = (Rule(("settle_us",), float, ge=0),)
 
 
 def run_fault_trial(style: ReplicationStyle, n_replicas: int,
@@ -91,14 +96,9 @@ def begin_trial(n_server_hosts: int, n_clients: int, duration_us: float,
     """The head every trial shares: validate the load window, then
     build the run (``check`` and ``slo`` verdicts are computed from
     journal events, so either forces the journal on)."""
-    if n_clients < 1:
-        raise ConfigurationError("trial needs at least one client")
-    for name, value in (("duration", duration_us),
-                        ("request rate", rate_per_s),
-                        ("deadline", deadline_us)):
-        if not 0 < value < math.inf:
-            raise ConfigurationError(
-                f"trial {name} must be positive and finite, got {value}")
+    check_fields({"n_clients": n_clients, "duration_us": duration_us,
+                  "rate_per_s": rate_per_s, "deadline_us": deadline_us},
+                 WINDOW_RULES)
     return ScenarioRun(n_server_hosts, n_clients, seed=seed,
                        telemetry=telemetry,
                        journal=journal or check or slo, history=check,
@@ -113,9 +113,7 @@ def finish_trial(run: ScenarioRun, loaders: Sequence[Any],
     history recorder gets the :mod:`repro.check` verdict, with
     linearizability (a single-object property) checked per key of
     ``object_keys``."""
-    if not 0 <= settle_us < math.inf:
-        raise ConfigurationError(
-            f"settle time must be non-negative and finite, got {settle_us}")
+    check_fields({"settle_us": settle_us}, SETTLE_RULES)
     run.start(loaders)
     run.offer(settle_us)
     duration_us, journal = run.duration_us, run.journal

@@ -124,7 +124,6 @@ class FaultInjector:
                    rate: float = 1.0) -> BurstLoss:
         """Transient communication fault: drop frames in a window."""
         self._check_future(start_us)
-        self._check_window(start_us, end_us)
         model = BurstLoss(start_us, end_us, rate)
         self.network.add_loss_model(model)
         self._record(InjectedFault(
@@ -163,7 +162,6 @@ class FaultInjector:
         cover, which is what the split-brain invariant checks against.
         """
         self._check_future(start_us)
-        self._check_window(start_us, end_us)
         resolved = [frozenset(self._check_hosts(c))
                     for c in components if tuple(c)]
         named = set().union(*resolved) if resolved else set()
@@ -192,7 +190,6 @@ class FaultInjector:
         ``dst_hosts`` are dropped in the window; the reverse direction
         still works."""
         self._check_future(start_us)
-        self._check_window(start_us, end_us)
         src = self._check_hosts(src_hosts)
         dst = self._check_hosts(dst_hosts)
         filt = AsymmetricPartition(frozenset(src), frozenset(dst),
@@ -210,10 +207,6 @@ class FaultInjector:
                    symmetric: bool = True) -> FlakyLink:
         """Per-link Bernoulli loss on the ``a``/``b`` host pair."""
         self._check_future(start_us)
-        self._check_window(start_us, end_us)
-        if not 0.0 <= rate <= 1.0:
-            raise ConfigurationError(
-                f"loss rate must be in [0, 1], got {rate}")
         self._check_hosts((a, b))
         filt = FlakyLink(a, b, rate, start_us, end_us,
                          symmetric=symmetric)
@@ -231,9 +224,6 @@ class FaultInjector:
         delayed by ``extra_us`` in the window — the host is up but
         late, the fault class a binary up/down detector mishandles."""
         self._check_future(start_us)
-        self._check_window(start_us, end_us)
-        if extra_us < 0:
-            raise ConfigurationError("extra delay must be non-negative")
         self._check_hosts((host.name,))
         filt = SlowHost(host.name, extra_us, start_us, end_us)
         self._install_filter(filt, end_us)
@@ -249,7 +239,6 @@ class FaultInjector:
                     extra_us: float) -> DelaySpike:
         """Timing fault: messages arrive, but late."""
         self._check_future(start_us)
-        self._check_window(start_us, end_us)
         model = DelaySpike(start_us, end_us, extra_us)
         self.network.add_loss_model(model)
         self._record(InjectedFault(
@@ -279,10 +268,3 @@ class FaultInjector:
             raise ConfigurationError(
                 f"cannot inject a fault in the past (t={at_us}, "
                 f"now={self.sim.now})")
-
-    @staticmethod
-    def _check_window(start_us: float, end_us: float) -> None:
-        if end_us <= start_us:
-            raise ConfigurationError(
-                f"fault window must end after it starts "
-                f"(start={start_us}, end={end_us})")

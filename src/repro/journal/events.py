@@ -28,7 +28,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
-from repro.errors import require_int
+from repro.errors import Rule
+from repro.sim.config import JournalConfig
 
 #: Event kind recorded for adaptation decisions; deduplicated by
 #: ``switch_id`` (see :meth:`Journal.record`).
@@ -40,6 +41,17 @@ ADAPTATION_DECISION = "adaptation.decision"
 #: verdict over a truncated ring as advisory, because evidence was
 #: lost silently before this marker existed.
 RING_TRUNCATED = "journal.truncated"
+
+#: The declared rules of an event's JSON form (:meth:`JournalEvent.to_dict`),
+#: checked where a journal file is loaded, never per recorded event.
+EVENT_RULES = (
+    Rule(("seq",), int, ge=0),
+    Rule(("t_us",), float, ge=0),
+    Rule(("host", "component", "kind"), str),
+    Rule(("attrs",), dict),
+    Rule(("trace_id",), int, nullable=True),
+    Rule(("shard",), str, nullable=True),
+)
 
 
 @dataclass
@@ -82,14 +94,12 @@ class JournalEvent:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "JournalEvent":
-        """Inverse of :meth:`to_dict`."""
-        return cls(seq=int(data["seq"]), time_us=float(data["t_us"]),
-                   host=str(data["host"]),
-                   component=str(data["component"]),
-                   kind=str(data["kind"]),
-                   attrs=dict(data.get("attrs", {})),
-                   trace_id=data.get("trace_id"),
-                   shard=data.get("shard"))
+        """Inverse of :meth:`to_dict`, for ``data`` that holds to
+        :data:`EVENT_RULES`."""
+        return cls(seq=data["seq"], time_us=data["t_us"],
+                   host=data["host"], component=data["component"],
+                   kind=data["kind"], attrs=data.get("attrs", {}),
+                   trace_id=data.get("trace_id"), shard=data.get("shard"))
 
     def __str__(self) -> str:
         extra = " ".join(f"{k}={v}" for k, v in sorted(self.attrs.items()))
@@ -109,8 +119,7 @@ class Journal:
     enabled = True
 
     def __init__(self, ring_size: int = 256, max_events: int = 100_000):
-        require_int("ring_size", ring_size, 1)
-        require_int("max_events", max_events, 1)
+        JournalConfig(True, ring_size, max_events).validate()
         self.ring_size = ring_size
         self.max_events = max_events
         self.events: List[JournalEvent] = []

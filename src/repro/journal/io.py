@@ -17,7 +17,8 @@ from repro.journal.availability import (
     match_faults,
     per_shard_reports,
 )
-from repro.journal.events import JournalEvent
+from repro.errors import ConfigurationError, check_fields
+from repro.journal.events import EVENT_RULES, JournalEvent
 
 
 def event_to_line(event: JournalEvent) -> str:
@@ -43,8 +44,9 @@ def write_jsonl(events: Iterable[JournalEvent], path: str) -> int:
 def parse_jsonl(text: str) -> List[JournalEvent]:
     """Parse a JSONL journal back into events.
 
-    Raises ``ValueError`` on malformed lines — a journal is a
-    reproducible artifact, so corruption is an error, not a warning.
+    Raises :class:`ConfigurationError` on a line that is not JSON or
+    breaks :data:`EVENT_RULES` — a journal is a reproducible artifact,
+    so corruption is an error, not a warning.
     """
     events = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -53,22 +55,26 @@ def parse_jsonl(text: str) -> List[JournalEvent]:
         try:
             data = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise ValueError(f"journal line {lineno} is not valid "
-                             f"JSON: {exc}") from exc
+            raise ConfigurationError(f"journal line {lineno} is not valid "
+                                     f"JSON: {exc}") from None
         if not isinstance(data, dict):
-            raise ValueError(f"journal line {lineno} is not an object")
-        try:
-            events.append(JournalEvent.from_dict(data))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"journal line {lineno} is not a journal "
-                             f"event: {exc!r}") from exc
+            raise ConfigurationError(
+                f"journal line {lineno} is not an object")
+        data.setdefault("attrs", {})
+        check_fields(data, EVENT_RULES, prefix=f"journal line {lineno} "
+                                               f"is not a journal event: ")
+        events.append(JournalEvent.from_dict(data))
     return events
 
 
 def read_jsonl(path: str) -> List[JournalEvent]:
-    """Load a journal file written by :func:`write_jsonl`."""
-    with open(path) as handle:
-        return parse_jsonl(handle.read())
+    """Load a journal file written by :func:`write_jsonl`; raises
+    :class:`ConfigurationError` naming ``path`` when it cannot."""
+    try:
+        with open(path) as handle:
+            return parse_jsonl(handle.read())
+    except (OSError, UnicodeDecodeError, ConfigurationError) as exc:
+        raise ConfigurationError(f"cannot read {path}: {exc}") from None
 
 
 def journal_digest(journal: Any,

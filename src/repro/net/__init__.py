@@ -21,7 +21,7 @@ from repro.net.loss import (
     RandomLoss,
 )
 from repro.net.network import Network
-from repro.net.stats import HostTraffic, NetworkStats, bytes_per_us_to_mbps
+from repro.net.stats import HostTraffic, NetworkStats
 from repro.net.topology import (
     AsymmetricPartition,
     FlakyLink,
@@ -48,5 +48,4 @@ __all__ = [
     "RampJitter",
     "RandomLoss",
     "SlowHost",
-    "bytes_per_us_to_mbps",
 ]

@@ -9,7 +9,26 @@ so a base random-loss floor can be combined with injected loss bursts.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
+
+from repro.errors import ConfigurationError, Rule, check_fields
+
+#: The declared rules of the windowed fault models, here and in
+#: :mod:`repro.net.topology`: a finite window, a loss rate in [0, 1],
+#: an extra delay >= 0.
+WINDOW_RULES = (Rule(("start_us", "end_us"), float),)
+RATE_RULES = (Rule(("rate",), float, ge=0, le=1),)
+DELAY_RULES = (Rule(("extra_us",), float, ge=0),)
+RAMP_RULES = (Rule(("peak_extra_us",), float, ge=0),)
+
+
+def check_window(model: Any, rules: Tuple[Rule, ...] = ()) -> None:
+    """Check a windowed model's fields against ``rules`` and its
+    window, which must close after it opens."""
+    check_fields(vars(model), WINDOW_RULES + rules)
+    if model.end_us <= model.start_us:
+        raise ConfigurationError(
+            f"{type(model).__name__} window must end after it starts")
 
 
 class LossModel:
@@ -24,9 +43,8 @@ class RandomLoss(LossModel):
     """Drop each frame independently with probability ``rate``."""
 
     def __init__(self, rate: float):
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"loss rate must be in [0, 1], got {rate}")
         self.rate = rate
+        check_fields(vars(self), RATE_RULES)
 
     def judge(self, now: float, rng: random.Random) -> Tuple[bool, float]:
         """See :meth:`LossModel.judge`."""
@@ -41,13 +59,10 @@ class BurstLoss(LossModel):
     """
 
     def __init__(self, start_us: float, end_us: float, rate: float = 1.0):
-        if end_us <= start_us:
-            raise ValueError("burst end must be after start")
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"loss rate must be in [0, 1], got {rate}")
         self.start_us = start_us
         self.end_us = end_us
         self.rate = rate
+        check_window(self, RATE_RULES)
 
     def judge(self, now: float, rng: random.Random) -> Tuple[bool, float]:
         """See :meth:`LossModel.judge`."""
@@ -64,13 +79,10 @@ class DelaySpike(LossModel):
     """
 
     def __init__(self, start_us: float, end_us: float, extra_us: float):
-        if end_us <= start_us:
-            raise ValueError("spike end must be after start")
-        if extra_us < 0:
-            raise ValueError("extra delay must be non-negative")
         self.start_us = start_us
         self.end_us = end_us
         self.extra_us = extra_us
+        check_window(self, DELAY_RULES)
 
     def judge(self, now: float, rng: random.Random) -> Tuple[bool, float]:
         """See :meth:`LossModel.judge`."""
@@ -93,13 +105,10 @@ class RampJitter(LossModel):
 
     def __init__(self, start_us: float, end_us: float,
                  peak_extra_us: float):
-        if end_us <= start_us:
-            raise ValueError("window end must be after start")
-        if peak_extra_us < 0:
-            raise ValueError("peak extra delay must be non-negative")
         self.start_us = start_us
         self.end_us = end_us
         self.peak_extra_us = peak_extra_us
+        check_window(self, RAMP_RULES)
 
     def judge(self, now: float, rng: random.Random) -> Tuple[bool, float]:
         """See :meth:`LossModel.judge`."""

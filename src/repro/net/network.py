@@ -157,7 +157,7 @@ class Network:
                 extra_delay += f_extra
 
         wire_bytes = frame.payload_bytes + FRAME_OVERHEAD_BYTES
-        self.stats.record_transmit(sim.now, src_name, dst_name, wire_bytes)
+        self.stats.record_transmit(src_name, dst_name, wire_bytes)
         policy = sim.scheduler_policy
         if policy is not None:
             # Schedule-space exploration: the checker's policy may add

@@ -2,16 +2,14 @@
 
 The paper's Figure 7(b) and Table 2 report *bandwidth usage* in MB/s
 as the resource axis of the dependability design space.  The network
-keeps per-host and aggregate byte counters, plus a time-windowed view
-so monitors can observe recent throughput rather than the lifetime
-average.
+keeps per-host and aggregate byte counters; a run's bandwidth is its
+wire bytes over its window (``RunRecord.bandwidth_mbps``).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Tuple
+from typing import Dict
 
 
 @dataclass
@@ -37,15 +35,12 @@ class NetworkStats:
     total_frames: int = 0
     dropped_frames: int = 0
     per_host: Dict[str, HostTraffic] = field(default_factory=dict)
-    _window: Deque[Tuple[float, int]] = field(default_factory=deque)
-    window_us: float = 1_000_000.0
 
-    def record_transmit(self, time: float, src: str, dst: str,
-                        wire_bytes: int) -> None:
+    def record_transmit(self, src: str, dst: str, wire_bytes: int) -> None:
         """Account one frame of ``wire_bytes`` sent from src to dst.
 
         Called once per frame on the wire — the counters are updated
-        with single dict lookups and the window expiry inlined.
+        with single dict lookups.
         """
         self.total_bytes += wire_bytes
         self.total_frames += 1
@@ -60,39 +55,8 @@ class NetworkStats:
         src_traffic.tx_frames += 1
         dst_traffic.rx_bytes += wire_bytes
         dst_traffic.rx_frames += 1
-        window = self._window
-        window.append((time, wire_bytes))
-        cutoff = time - self.window_us
-        while window[0][0] < cutoff:
-            window.popleft()
 
     def record_drop(self) -> None:
         """Account one frame lost to fault injection or a dead host."""
         self.dropped_frames += 1
 
-    def _expire(self, now: float) -> None:
-        cutoff = now - self.window_us
-        window = self._window
-        while window and window[0][0] < cutoff:
-            window.popleft()
-
-    # ------------------------------------------------------------------
-    # Derived metrics
-    # ------------------------------------------------------------------
-    def bandwidth_mbps(self, now: float) -> float:
-        """Recent aggregate throughput over the sliding window, in
-        megabytes per second (the paper's unit)."""
-        self._expire(now)
-        if not self._window:
-            return 0.0
-        span = max(now - self._window[0][0], 1.0)
-        total = sum(nbytes for _, nbytes in self._window)
-        return bytes_per_us_to_mbps(total / span)
-
-def bytes_per_us_to_mbps(bytes_per_us: float) -> float:
-    """Convert bytes/µs to megabytes/second (1 MB = 10^6 bytes).
-
-    1 byte/µs = 10^6 bytes/s = 1 MB/s, so the conversion is the
-    identity — kept as a named function so call sites stay unit-honest.
-    """
-    return bytes_per_us

@@ -21,6 +21,17 @@ from __future__ import annotations
 import random
 from typing import FrozenSet, Tuple
 
+from repro.errors import ConfigurationError, Rule
+from repro.net.loss import DELAY_RULES, RATE_RULES, check_window
+
+#: The declared rules of the filters' own parameters (each filter's
+#: window is checked by :func:`repro.net.loss.check_window`).
+FLAKY_LINK_RULES = (Rule(("a", "b"), str), Rule(("symmetric",), bool),
+                    *RATE_RULES)
+SLOW_HOST_RULES = (Rule(("host",), str), *DELAY_RULES)
+PARTITION_RULES = (Rule(("components",), tuple, ge=2),)
+ASYMMETRIC_RULES = (Rule(("src_hosts", "dst_hosts"), frozenset, ge=1),)
+
 
 class LinkFilter:
     """Base per-link filter: passes every frame untouched."""
@@ -48,20 +59,18 @@ class PartitionFilter(LinkFilter):
 
     def __init__(self, components: Tuple[FrozenSet[str], ...],
                  start_us: float, end_us: float):
-        if len(components) < 2:
-            raise ValueError("a partition needs at least two components")
-        seen: set = set()
-        for component in components:
-            if not component:
-                raise ValueError("empty partition component")
-            if seen & component:
-                raise ValueError("partition components must be disjoint")
-            seen |= component
-        if end_us <= start_us:
-            raise ValueError("partition must heal after it starts")
         self.components = components
         self.start_us = start_us
         self.end_us = end_us
+        check_window(self, PARTITION_RULES)
+        seen: set = set()
+        for component in components:
+            if not component:
+                raise ConfigurationError("empty partition component")
+            if seen & component:
+                raise ConfigurationError(
+                    "partition components must be disjoint")
+            seen |= component
         self._side = {host: i for i, component in enumerate(components)
                       for host in component}
 
@@ -85,14 +94,11 @@ class AsymmetricPartition(LinkFilter):
     def __init__(self, src_hosts: FrozenSet[str],
                  dst_hosts: FrozenSet[str],
                  start_us: float, end_us: float):
-        if not src_hosts or not dst_hosts:
-            raise ValueError("asymmetric partition sides must be non-empty")
-        if end_us <= start_us:
-            raise ValueError("partition must heal after it starts")
         self.src_hosts = src_hosts
         self.dst_hosts = dst_hosts
         self.start_us = start_us
         self.end_us = end_us
+        check_window(self, ASYMMETRIC_RULES)
 
     def judge(self, src: str, dst: str, now: float,
               rng: random.Random) -> Tuple[bool, float]:
@@ -111,16 +117,13 @@ class FlakyLink(LinkFilter):
     def __init__(self, a: str, b: str, rate: float,
                  start_us: float, end_us: float,
                  symmetric: bool = True):
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"loss rate must be in [0, 1], got {rate}")
-        if end_us <= start_us:
-            raise ValueError("flaky window must end after it starts")
         self.a = a
         self.b = b
         self.rate = rate
         self.start_us = start_us
         self.end_us = end_us
         self.symmetric = symmetric
+        check_window(self, FLAKY_LINK_RULES)
 
     def judge(self, src: str, dst: str, now: float,
               rng: random.Random) -> Tuple[bool, float]:
@@ -142,14 +145,11 @@ class SlowHost(LinkFilter):
 
     def __init__(self, host: str, extra_us: float,
                  start_us: float, end_us: float):
-        if extra_us < 0:
-            raise ValueError("extra delay must be non-negative")
-        if end_us <= start_us:
-            raise ValueError("slow window must end after it starts")
         self.host = host
         self.extra_us = extra_us
         self.start_us = start_us
         self.end_us = end_us
+        check_window(self, SLOW_HOST_RULES)
 
     def judge(self, src: str, dst: str, now: float,
               rng: random.Random) -> Tuple[bool, float]:

@@ -24,13 +24,67 @@ scenario with different hardware assumptions by passing a modified
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict
+from typing import ClassVar, Dict, Tuple
 
-from repro.errors import ConfigurationError, require_int
+from repro.errors import ConfigurationError, Rule, check_fields
+
+#: The declared rules of each calibration section: every cost, delay
+#: and interval a finite number (a NaN cost would time every event at
+#: NaN), every count an exact integer.
+NETWORK_RULES = (
+    Rule(("propagation_us", "jitter_us", "local_loopback_us"), float, ge=0),
+    Rule(("bandwidth_bytes_per_us",), float, gt=0),
+)
+ORB_RULES = (
+    Rule(("marshal_fixed_us", "marshal_per_byte_us", "demarshal_fixed_us",
+          "demarshal_per_byte_us", "dispatch_us"), float, ge=0),
+    Rule(("giop_header_bytes",), int, ge=0),
+)
+GCS_RULES = (
+    Rule(("daemon_processing_us", "ordering_us", "local_ipc_us"), float,
+         ge=0),
+    Rule(("heartbeat_interval_us", "failure_timeout_us",
+          "retransmit_timeout_us", "rejoin_probe_interval_us"), float, gt=0),
+    Rule(("header_bytes",), int, ge=0),
+    # Fewer entries than this and a daemon forgets messages it may
+    # still have to retransmit.
+    Rule(("history_limit",), int, ge=16),
+    Rule(("adaptive_failure_detection", "primary_partition"), bool),
+)
+INTERPOSE_RULES = (Rule(("intercept_us", "redirect_us"), float, ge=0),)
+REPLICATION_RULES = (
+    Rule(("duplicate_check_us", "logging_us", "checkpoint_fixed_us",
+          "checkpoint_per_byte_us", "checkpoint_per_target_us",
+          "state_apply_fixed_us", "state_apply_per_byte_us",
+          "election_us", "spawn_replica_us"), float, ge=0),
+)
+HOST_RULES = (
+    Rule(("speed",), float, gt=0),
+    Rule(("context_switch_us",), float, ge=0),
+)
+TELEMETRY_RULES = (
+    Rule(("enabled",), bool),
+    Rule(("max_spans",), int, ge=1),
+)
+JOURNAL_RULES = (
+    Rule(("enabled",), bool),
+    Rule(("ring_size", "max_events"), int, ge=1),
+)
+
+
+class _Section:
+    """A calibration section: :meth:`validate` checks its ``RULES``."""
+
+    RULES: ClassVar[Tuple[Rule, ...]] = ()
+
+    def validate(self) -> None:
+        """Raise :class:`ConfigurationError` on the first field that
+        breaks a rule."""
+        check_fields(vars(self), self.RULES)
 
 
 @dataclass(frozen=True)
-class NetworkCalibration:
+class NetworkCalibration(_Section):
     """Latency/throughput model of the switched LAN.
 
     ``propagation_us`` covers wire + switch + kernel network-stack
@@ -44,16 +98,11 @@ class NetworkCalibration:
     jitter_us: float = 12.0
     local_loopback_us: float = 6.0
 
-    def validate(self) -> None:
-        """Raise :class:`ConfigurationError` on invalid fields."""
-        if self.propagation_us < 0 or self.jitter_us < 0:
-            raise ConfigurationError("network delays must be non-negative")
-        if self.bandwidth_bytes_per_us <= 0:
-            raise ConfigurationError("bandwidth must be positive")
+    RULES = NETWORK_RULES
 
 
 @dataclass(frozen=True)
-class OrbCalibration:
+class OrbCalibration(_Section):
     """Cost model of the miniature ORB (stands in for TAO 1.4).
 
     One round trip crosses the ORB four times (client marshal, server
@@ -68,17 +117,11 @@ class OrbCalibration:
     dispatch_us: float = 42.0
     giop_header_bytes: int = 48
 
-    def validate(self) -> None:
-        """Raise :class:`ConfigurationError` on invalid fields."""
-        for name in ("marshal_fixed_us", "marshal_per_byte_us",
-                     "demarshal_fixed_us", "demarshal_per_byte_us",
-                     "dispatch_us"):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"{name} must be non-negative")
+    RULES = ORB_RULES
 
 
 @dataclass(frozen=True)
-class GcsCalibration:
+class GcsCalibration(_Section):
     """Cost model of the group-communication daemons (stands in for
     Spread 3.17.01).
 
@@ -111,34 +154,30 @@ class GcsCalibration:
     #: with rejoin requests so a healed partition merges promptly.
     rejoin_probe_interval_us: float = 200_000.0
 
+    RULES = GCS_RULES
+
     def validate(self) -> None:
-        """Raise :class:`ConfigurationError` on invalid fields."""
+        """Check the rules, then that a failure timeout outlasts the
+        heartbeat interval (or every peer is suspected at once)."""
+        super().validate()
         if self.failure_timeout_us <= self.heartbeat_interval_us:
             raise ConfigurationError(
                 "failure timeout must exceed the heartbeat interval")
-        if self.history_limit < 16:
-            raise ConfigurationError("history_limit too small to be useful")
-        if self.rejoin_probe_interval_us <= 0:
-            raise ConfigurationError(
-                "rejoin probe interval must be positive")
 
 
 @dataclass(frozen=True)
-class InterposeCalibration:
+class InterposeCalibration(_Section):
     """Cost of the library-interposition layer (the replicator's
     system-call wrappers), per intercepted call."""
 
     intercept_us: float = 18.0
     redirect_us: float = 32.0
 
-    def validate(self) -> None:
-        """Raise :class:`ConfigurationError` on invalid fields."""
-        if self.intercept_us < 0 or self.redirect_us < 0:
-            raise ConfigurationError("interposition costs must be >= 0")
+    RULES = INTERPOSE_RULES
 
 
 @dataclass(frozen=True)
-class ReplicationCalibration:
+class ReplicationCalibration(_Section):
     """Cost model of the replication mechanisms themselves."""
 
     duplicate_check_us: float = 12.0
@@ -151,14 +190,11 @@ class ReplicationCalibration:
     election_us: float = 35.0
     spawn_replica_us: float = 250_000.0
 
-    def validate(self) -> None:
-        """Raise :class:`ConfigurationError` on invalid fields."""
-        if self.checkpoint_per_byte_us < 0 or self.state_apply_per_byte_us < 0:
-            raise ConfigurationError("per-byte costs must be non-negative")
+    RULES = REPLICATION_RULES
 
 
 @dataclass(frozen=True)
-class HostCalibration:
+class HostCalibration(_Section):
     """CPU model: a 900 MHz Pentium III executes ``speed = 1.0``;
     service demands elsewhere in the library are expressed in µs on
     this reference machine and scaled by the host's speed."""
@@ -166,14 +202,11 @@ class HostCalibration:
     speed: float = 1.0
     context_switch_us: float = 5.0
 
-    def validate(self) -> None:
-        """Raise :class:`ConfigurationError` on invalid fields."""
-        if self.speed <= 0:
-            raise ConfigurationError("CPU speed must be positive")
+    RULES = HOST_RULES
 
 
 @dataclass(frozen=True)
-class TelemetryConfig:
+class TelemetryConfig(_Section):
     """The single switch for the observability layer.
 
     Off by default: the simulator keeps its no-op recorder and the
@@ -187,13 +220,11 @@ class TelemetryConfig:
     enabled: bool = False
     max_spans: int = 200_000
 
-    def validate(self) -> None:
-        """Raise :class:`ConfigurationError` on invalid fields."""
-        require_int("max_spans", self.max_spans, 1)
+    RULES = TELEMETRY_RULES
 
 
 @dataclass(frozen=True)
-class JournalConfig:
+class JournalConfig(_Section):
     """Switch for the dependability event journal.
 
     Off by default: the simulator keeps its no-op journal and every
@@ -209,10 +240,7 @@ class JournalConfig:
     ring_size: int = 256
     max_events: int = 100_000
 
-    def validate(self) -> None:
-        """Raise :class:`ConfigurationError` on invalid fields."""
-        require_int("ring_size", self.ring_size, 1)
-        require_int("max_events", self.max_events, 1)
+    RULES = JOURNAL_RULES
 
 
 @dataclass(frozen=True)
@@ -231,14 +259,8 @@ class SubstrateCalibration:
 
     def validate(self) -> None:
         """Raise :class:`ConfigurationError` on any invalid field."""
-        self.network.validate()
-        self.orb.validate()
-        self.gcs.validate()
-        self.interpose.validate()
-        self.replication.validate()
-        self.host.validate()
-        self.telemetry.validate()
-        self.journal.validate()
+        for section in vars(self).values():
+            section.validate()
 
     def with_overrides(self, **sections) -> "SubstrateCalibration":
         """Return a copy with whole sections replaced, e.g.
@@ -263,6 +285,4 @@ PAPER_COST_WEIGHT: float = 0.5
 
 def default_calibration() -> SubstrateCalibration:
     """The paper-anchored default calibration."""
-    cal = SubstrateCalibration()
-    cal.validate()
-    return cal
+    return SubstrateCalibration()

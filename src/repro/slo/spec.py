@@ -18,12 +18,23 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, Rule, check_fields
 
 #: Spec applying to every shard discovered in the journal.
 ALL_SHARDS = "*"
+
+#: The declared rules of an :class:`SloSpec`.
+SLO_SPEC_RULES = (
+    Rule(("name",), str, ge=1),
+    Rule(("shard",), str),
+    Rule(("availability_target",), float, gt=0, lt=1),
+    Rule(("latency_p",), float, gt=0, le=1, nullable=True),
+    Rule(("latency_target_us",), float, gt=0, nullable=True),
+    Rule(("fast_window_us", "slow_window_us", "burn_threshold"), float,
+         gt=0),
+)
 
 
 @dataclass(frozen=True)
@@ -49,26 +60,13 @@ class SloSpec:
     burn_threshold: float = 2.0
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ConfigurationError("an SLO needs a name")
-        if not 0.0 < self.availability_target < 1.0:
-            raise ConfigurationError(
-                f"availability_target must be in (0, 1): "
-                f"{self.availability_target}")
+        check_fields(vars(self), SLO_SPEC_RULES)
         if (self.latency_p is None) != (self.latency_target_us is None):
             raise ConfigurationError(
                 "latency_p and latency_target_us come together")
-        if self.latency_p is not None \
-                and not 0.0 < self.latency_p <= 1.0:
-            raise ConfigurationError(
-                f"latency_p must be in (0, 1]: {self.latency_p}")
-        if self.fast_window_us <= 0 or self.slow_window_us <= 0:
-            raise ConfigurationError("burn windows must be positive")
         if self.fast_window_us > self.slow_window_us:
             raise ConfigurationError(
                 "fast burn window must not exceed the slow one")
-        if self.burn_threshold <= 0:
-            raise ConfigurationError("burn_threshold must be positive")
 
     def budget_us(self, span_us: float) -> float:
         """Tolerated downtime over a window of ``span_us``."""
@@ -91,20 +89,12 @@ class SloSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "SloSpec":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            name=str(data["name"]),
-            shard=str(data.get("shard", ALL_SHARDS)),
-            availability_target=float(data.get("availability_target",
-                                               0.999)),
-            latency_p=(float(data["latency_p"])
-                       if data.get("latency_p") is not None else None),
-            latency_target_us=(float(data["latency_target_us"])
-                               if data.get("latency_target_us") is not None
-                               else None),
-            fast_window_us=float(data.get("fast_window_us", 500_000.0)),
-            slow_window_us=float(data.get("slow_window_us", 4_000_000.0)),
-            burn_threshold=float(data.get("burn_threshold", 2.0)))
+        """Inverse of :meth:`to_dict`; the values are checked as
+        they are, never cast."""
+        try:
+            return cls(**data)
+        except TypeError as exc:
+            raise ConfigurationError(f"bad SLO spec: {exc}") from None
 
 
 def default_slo_specs() -> List[SloSpec]:
@@ -118,12 +108,16 @@ def default_slo_specs() -> List[SloSpec]:
 
 
 def load_slo_specs(path: str) -> List[SloSpec]:
-    """Load a JSON spec file: a list of spec objects (or one object)."""
-    with open(path) as handle:
-        data = json.load(handle)
-    if isinstance(data, dict):
-        data = [data]
-    if not isinstance(data, list):
-        raise ConfigurationError(
-            f"SLO spec file {path!r} must hold a list of objects")
-    return [SloSpec.from_dict(item) for item in data]
+    """Load a JSON spec file: a list of spec objects (or one object).
+    Raises :class:`ConfigurationError` naming ``path`` when it cannot."""
+    try:
+        with open(path) as handle:
+            data = json.load(handle)
+        if isinstance(data, dict):
+            data = [data]
+        if not isinstance(data, list) \
+                or not all(isinstance(item, dict) for item in data):
+            raise ConfigurationError("must hold a list of objects")
+        return [SloSpec.from_dict(item) for item in data]
+    except (OSError, ValueError, ConfigurationError) as exc:
+        raise ConfigurationError(f"bad spec {path}: {exc}") from None

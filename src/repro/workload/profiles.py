@@ -10,8 +10,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, Rule, check_fields
 
+#: The declared rules of each rate profile: rates in requests per
+#: second, instants and durations in µs, all finite.
+CONSTANT_RATE_RULES = (Rule(("rate_per_s",), float, ge=0),)
+STEP_RULES = (Rule(("start_us",), float), Rule(("rate",), float, ge=0))
+RAMP_RULES = (Rule(("start_rate", "end_rate"), float, ge=0),
+              Rule(("duration_us",), float, gt=0))
+SPIKE_RULES = (Rule(("base_rate", "spike_rate"), float, ge=0),
+               Rule(("spike_start_us", "spike_end_us"), float))
 
 class RateProfile:
     """A request rate (requests/second) as a function of time (µs)."""
@@ -35,8 +43,7 @@ class ConstantRate(RateProfile):
     rate_per_s: float
 
     def __post_init__(self) -> None:
-        if not self.rate_per_s >= 0:
-            raise ConfigurationError("rate must be a number >= 0")
+        check_fields(vars(self), CONSTANT_RATE_RULES)
 
     def rate_at(self, time_us: float) -> float:
         """See :meth:`RateProfile.rate_at`."""
@@ -49,12 +56,11 @@ class StepProfile(RateProfile):
     def __init__(self, steps: Sequence[Tuple[float, float]]):
         if not steps:
             raise ConfigurationError("a step profile needs steps")
+        for start, rate in steps:
+            check_fields({"start_us": start, "rate": rate}, STEP_RULES)
         ordered = sorted(steps)
         if ordered[0][0] > 0:
             ordered.insert(0, (0.0, 0.0))
-        for _, rate in ordered:
-            if not rate >= 0:
-                raise ConfigurationError("rates must be numbers >= 0")
         self.steps: List[Tuple[float, float]] = ordered
 
     def rate_at(self, time_us: float) -> float:
@@ -78,10 +84,7 @@ class RampProfile(RateProfile):
     duration_us: float
 
     def __post_init__(self) -> None:
-        if not self.duration_us > 0:
-            raise ConfigurationError("ramp duration must be positive")
-        if not (self.start_rate >= 0 and self.end_rate >= 0):
-            raise ConfigurationError("rates must be numbers >= 0")
+        check_fields(vars(self), RAMP_RULES)
 
     def rate_at(self, time_us: float) -> float:
         """See :meth:`RateProfile.rate_at`."""
@@ -102,10 +105,9 @@ class SpikeProfile(RateProfile):
     spike_end_us: float
 
     def __post_init__(self) -> None:
+        check_fields(vars(self), SPIKE_RULES)
         if not self.spike_end_us > self.spike_start_us:
             raise ConfigurationError("spike end must be after start")
-        if not (self.base_rate >= 0 and self.spike_rate >= 0):
-            raise ConfigurationError("rates must be numbers >= 0")
 
     def rate_at(self, time_us: float) -> float:
         """See :meth:`RateProfile.rate_at`."""

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.journal import (
     Journal,
     JournalEvent,
@@ -60,18 +61,18 @@ class TestJsonl:
         assert parse_jsonl(text) == journal.events
 
     def test_corrupt_line_raises(self):
-        with pytest.raises(ValueError, match="line 2"):
+        with pytest.raises(ConfigurationError, match="line 2"):
             parse_jsonl('{"seq":0,"t_us":1.0,"host":"h",'
                         '"component":"c","kind":"k"}\nnot json\n')
 
     def test_non_object_line_raises(self):
-        with pytest.raises(ValueError, match="not an object"):
+        with pytest.raises(ConfigurationError, match="not an object"):
             parse_jsonl("[1,2,3]\n")
 
     @pytest.mark.parametrize("line", NON_EVENT_JOURNAL_LINES.values(),
                              ids=list(NON_EVENT_JOURNAL_LINES))
     def test_non_event_line_raises(self, line):
-        with pytest.raises(ValueError,
+        with pytest.raises(ConfigurationError,
                            match="line 1 is not a journal event"):
             parse_jsonl(line + "\n")
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import NetworkError, SimulationError
+from repro.errors import ConfigurationError, NetworkError, SimulationError
 from repro.check.policies import RandomWalkPolicy
 from repro.net import (
     BurstLoss,
@@ -173,14 +173,6 @@ class TestAccounting:
         assert net.stats.per_host["a"].tx_bytes == 100 + FRAME_OVERHEAD_BYTES
         assert net.stats.per_host["b"].rx_bytes == 100 + FRAME_OVERHEAD_BYTES
 
-    def test_windowed_bandwidth_decays(self, sim, net, pair):
-        a, b = pair
-        _recv(b, 7000)
-        net.send(Endpoint("a", 1), Endpoint("b", 7000), "x", 10_000)
-        sim.run()
-        assert net.stats.bandwidth_mbps(sim.now) > 0
-        sim.run(until=sim.now + 2_000_000.0)
-        assert net.stats.bandwidth_mbps(sim.now) == 0.0
 
 class TestLossModels:
     def test_random_loss_drops_roughly_at_rate(self, sim, net, pair):
@@ -193,7 +185,7 @@ class TestLossModels:
         assert 120 < len(inbox) < 280
 
     def test_random_loss_rate_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             RandomLoss(1.5)
 
     def test_burst_loss_only_in_window(self, sim, net, pair):
@@ -228,11 +220,11 @@ class TestLossModels:
         assert len(inbox) == 1
 
     def test_burst_loss_validates_window(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             BurstLoss(10.0, 5.0)
 
     def test_delay_spike_validates(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             DelaySpike(0.0, 10.0, extra_us=-1.0)
 
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.net import (
     AsymmetricPartition,
     FlakyLink,
@@ -48,14 +49,14 @@ class TestPartitionFilter:
         assert self.filt().judge("a", "c", 200.0, rng()) == (False, 0.0)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             PartitionFilter((frozenset({"a"}),), 0.0, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             PartitionFilter((frozenset({"a"}), frozenset({"a"})),
                             0.0, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             PartitionFilter((frozenset({"a"}), frozenset()), 0.0, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             PartitionFilter((frozenset({"a"}), frozenset({"b"})),
                             5.0, 5.0)
 
@@ -73,7 +74,7 @@ class TestAsymmetricPartition:
         assert self.filt().judge("a", "b", 250.0, rng()) == (False, 0.0)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             AsymmetricPartition(frozenset(), frozenset({"b"}), 0.0, 1.0)
 
 
@@ -101,7 +102,7 @@ class TestFlakyLink:
         assert r.calls == 1
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             FlakyLink("a", "b", 1.5, 0.0, 1.0)
 
 
@@ -117,5 +118,5 @@ class TestSlowHost:
         assert filt.judge("a", "b", 50.0, rng()) == (False, 0.0)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             SlowHost("a", -1.0, 0.0, 1.0)

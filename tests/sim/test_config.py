@@ -108,3 +108,27 @@ def test_journal_sizes_must_be_positive_ints(field, value):
     with a bare TypeError; NaN or inf never reached the cap."""
     with pytest.raises(ConfigurationError, match=field):
         JournalConfig(enabled=True, **{field: value}).validate()
+
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("name, section, field, value", [
+    ("network", NetworkCalibration, "propagation_us", NAN),
+    ("host", HostCalibration, "speed", NAN),
+    ("gcs", GcsCalibration, "history_limit", 16.5),
+    ("gcs", GcsCalibration, "heartbeat_interval_us", NAN),
+    ("replication", ReplicationCalibration, "checkpoint_fixed_us", -5),
+    ("orb", OrbCalibration, "giop_header_bytes", -3),
+])
+def test_section_rules_close_the_holes(name, section, field, value):
+    """Each of these passed the hand-written checks: no comparison
+    with NaN is true, and a fraction or a negative size was never
+    looked at.  Each is refused naming its field, alone and inside a
+    whole calibration."""
+    broken = section(**{field: value})
+    with pytest.raises(ConfigurationError, match=field):
+        broken.validate()
+    with pytest.raises(ConfigurationError, match=field):
+        SubstrateCalibration(**{name: broken}).validate()

@@ -24,6 +24,12 @@ NON_EVENT_JOURNAL_LINES = {
                            '"component":"c","kind":"k","attrs":[1]}',
     "seq-not-a-number": '{"seq":"x","t_us":1.0,"host":"h",'
                         '"component":"c","kind":"k"}',
+    "shard-not-a-string": '{"seq":0,"t_us":5,"host":"s01","component":"gcs",'
+                          '"kind":"request.done","attrs":{},"shard":3}',
+    "time-not-finite": '{"seq":0,"t_us":NaN,"host":"h",'
+                       '"component":"c","kind":"k"}',
+    "attrs-a-list-of-pairs": '{"seq":0,"t_us":1.0,"host":"h",'
+                             '"component":"c","kind":"k","attrs":[["a",1]]}',
 }
 
 

@@ -565,3 +565,23 @@ def test_cluster_replay_rejects_missing_file(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
     assert_cli_refuses_non_event_journals(["cluster", "replay"],
                                           tmp_path, capsys)
+
+
+@pytest.mark.parametrize("text", [
+    "[1]",
+    '{"name": "x", "fast_window_us": null}',
+    '{"name": "x", "burn_threshold": NaN}',
+    '{"name": "x", "availability_target": "0.99"}',
+    '{"name": "x", "no_such_field": 1}',
+], ids=["list-of-scalars", "null-window", "nan-threshold",
+        "string-target", "unknown-field"])
+def test_slo_rejects_bad_spec_files(tmp_path, capsys, text):
+    """Each spec is refused with one ``slo: bad spec`` line, exit 2:
+    not a traceback, and not an ``ok`` verdict over a NaN threshold."""
+    journal = _write_journal(tmp_path)
+    spec = tmp_path / "spec.json"
+    spec.write_text(text)
+    capsys.readouterr()
+    assert main(["slo", "status", str(journal), "--spec", str(spec)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"slo: bad spec {spec}")
