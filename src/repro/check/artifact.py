@@ -10,7 +10,7 @@ match byte-for-byte, otherwise the replay *drifted* and the artifact
 is reported as stale rather than silently trusted.
 
 :func:`minimize` greedily shrinks the scenario (fewer requests, then
-a shorter horizon) while re-exploring with the same walk seed,
+a shorter horizon cap) while re-exploring with the same walk seed,
 keeping each shrink only if the violation persists — the emitted
 artifact is the smallest variant that still fails.
 """
@@ -27,8 +27,10 @@ from repro.check.policies import WALK_RULES, RandomWalkPolicy, ReplayPolicy
 from repro.check.scenario import CheckScenario, run_schedule
 from repro.errors import Rule, VerificationError, check_fields
 
-#: Artifact schema version.
-ARTIFACT_VERSION = 1
+#: Artifact schema version.  Version 2: a walk's waits end when the
+#: system is quiet (``horizon_us``/``settle_us`` are caps), so a
+#: version-1 trace, recorded under fixed waits, cannot replay.
+ARTIFACT_VERSION = 2
 
 #: The declared rules of an artifact's JSON form: its top level and
 #: its policy section (:data:`SCENARIO_RULES` check the scenario).
@@ -54,13 +56,12 @@ class ReproArtifact:
     decisions: List[Any]
     digest: str
     violations: List[Dict[str, Any]]
-    version: int = ARTIFACT_VERSION
     minimized: bool = False
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready dict (sorted-keys on serialization)."""
         return {
-            "version": self.version,
+            "version": ARTIFACT_VERSION,
             "scenario": self.scenario.to_dict(),
             "policy": {
                 "walk_seed": self.walk_seed,
@@ -75,13 +76,17 @@ class ReproArtifact:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ReproArtifact":
-        """Inverse of :meth:`to_dict`; rejects a scenario section no
-        schedule can honour and a policy section no recorded walk
-        could have produced.  The values are checked as they are,
-        never cast."""
-        data = {"version": ARTIFACT_VERSION, "minimized": False, **data}
+        """Inverse of :meth:`to_dict`; rejects another format version,
+        a scenario section no schedule can honour and a policy section
+        no recorded walk could have produced.  The values are checked
+        as they are, never cast."""
+        data = {"minimized": False, **data}
         try:
             check_fields(data, ARTIFACT_RULES, VerificationError)
+            if data["version"] != ARTIFACT_VERSION:
+                raise VerificationError(
+                    f"version {data['version']} is not the supported "
+                    f"{ARTIFACT_VERSION}")
             policy = data["policy"]
             check_fields(policy, POLICY_RULES, VerificationError,
                          prefix="policy ")
@@ -91,7 +96,7 @@ class ReproArtifact:
                 tie_choices=policy["tie_choices"],
                 delay_bound_us=policy["delay_bound_us"],
                 decisions=policy["decisions"], digest=data["digest"],
-                violations=data["violations"], version=data["version"],
+                violations=data["violations"],
                 minimized=data["minimized"])
         except (TypeError, VerificationError) as exc:
             raise VerificationError(
@@ -201,7 +206,7 @@ def minimize(artifact: ReproArtifact) -> ReproArtifact:
     """Greedily shrink an artifact's scenario while it still fails.
 
     Tries, in order: halving the request count (repeatedly, floor 1),
-    then shortening the horizon and settle windows.  Each candidate
+    then shortening the horizon and settle caps.  Each candidate
     re-runs the walk with the *same* policy seed; a shrink is kept
     only when some violation persists.  The result replays
     byte-identically because its decision trace is re-recorded from

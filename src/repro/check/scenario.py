@@ -81,6 +81,9 @@ class CheckScenario:
     #: Offset at which the partition heals (required with
     #: ``partition_at_us``; must exceed it).
     heal_at_us: Optional[float] = None
+    #: Caps on the load wait and on each settle wait (the late
+    #: duplicate's, the closing read's): a wait ends earlier, once the
+    #: system is quiet (:func:`_run_until_quiet`).
     horizon_us: float = 8_000_000.0
     settle_us: float = 2_000_000.0
     retry_timeout_us: float = 120_000.0
@@ -335,6 +338,9 @@ def run_schedule(scenario: CheckScenario,
             "counter", "add", 1, 32,
             lambda _reply: next_request(remaining - 1))
 
+    # The instants the planned switch, faults, restarts and heal fire
+    # at; a phase crash's instant is known once it strikes.
+    planned = [start]
     if scenario.switch_at_us is not None:
         initiator = replicas[-1]
 
@@ -347,23 +353,28 @@ def run_schedule(scenario: CheckScenario,
                 pass  # already there (e.g. a rollback raced the timer)
 
         testbed.sim.schedule_at(start + scenario.switch_at_us, fire_switch)
+        planned.append(start + scenario.switch_at_us)
     # Faults go through the injector (not a raw kill) so the journal
     # carries the fault.inject ground truth the availability
     # accounting, the split-brain monitor and the SLO fault/alert
     # cross-check match against.
+    crashed: List[float] = []  # the instant a phase crash struck
     if scenario.crash_primary_phase is not None:
-        _crash_at_checkpoint_phase(
+        crashed = _crash_at_checkpoint_phase(
             injector, replicas[0], scenario.crash_primary_phase,
             start + scenario.crash_primary_at_us)
     elif scenario.crash_primary_at_us is not None:
         injector.crash_process_at(replicas[0].process,
                                   start + scenario.crash_primary_at_us)
+        planned.append(start + scenario.crash_primary_at_us)
     if scenario.restart_backups_at_us is not None:
         for index in range(1, len(replicas)):
             injector.crash_and_restart_at(
                 replicas[index].process,
                 start + scenario.restart_backups_at_us, RESTART_AFTER_US,
                 restart=lambda index=index: run.respawn_replica(index))
+        planned.append(start + scenario.restart_backups_at_us
+                       + RESTART_AFTER_US)
     if scenario.partitioned:
         # Isolate the LAST replica host: the sequencer (lowest
         # host) and the client both stay majority-side, so the
@@ -373,8 +384,20 @@ def run_schedule(scenario: CheckScenario,
         injector.partition_at([[minority]],
                               start + scenario.partition_at_us,
                               start + scenario.heal_at_us)
+        planned.append(start + scenario.heal_at_us)
     next_request(scenario.n_requests)
-    testbed.run(scenario.horizon_us)
+
+    def fired_at() -> Optional[float]:
+        """When the last planned fault, heal, restart or switch fires,
+        or None while one is still to come: a phase crash that has not
+        struck, or a switch some live replica is still in."""
+        if (scenario.crash_primary_phase is not None and not crashed) \
+                or any(replica.alive and replica.replicator.switching
+                       for replica in run.replicas):
+            return None
+        return max(planned + crashed)
+
+    _run_until_quiet(run, scenario.horizon_us, fired_at)
 
     if scenario.late_duplicate:
         first = next((op for op in history.operations if not op.pending),
@@ -388,12 +411,12 @@ def run_schedule(scenario: CheckScenario,
                 client=client.gcs.member)
             client.gcs.multicast("svc", duplicate, duplicate.wire_bytes,
                                  grade=Grade.AGREED)
-            testbed.run(scenario.settle_us)
+            _run_until_quiet(run, scenario.settle_us, fired_at)
 
     # The closing read: observed through the same history capture, it
     # forces the final state onto the client-visible record.
     client.orb_client.invoke("counter", "read", 0, 32, lambda _reply: None)
-    testbed.run(scenario.settle_us)
+    _run_until_quiet(run, scenario.settle_us, fired_at)
 
     survivor_values = [r.servants["counter"].value
                        for r in replicas if r.alive]
@@ -408,15 +431,55 @@ def run_schedule(scenario: CheckScenario,
         truncated_rings=run.journal.truncated_rings())
 
 
+def _run_until_quiet(run: ScenarioRun, cap_us: float,
+                     fired_at: Callable[[], Optional[float]]) -> None:
+    """Run until the system is quiet, or for ``cap_us`` at most.
+
+    The wait ends at the first instant at which no client request is
+    pending, every planned fault, heal, restart and switch has fired
+    (``fired_at`` is not None), and ``2 x failure_timeout_us`` has
+    passed since the last of: the wait's start, a journal event, a
+    completion, the last planned action.  Twice the failure timeout
+    outlasts a crash's detection and the view change it starts.
+
+    The loop only advances the clock to instants it computes: it
+    schedules no event, so it draws no policy decision, and the run
+    up to its end is the run a fixed wait of ``cap_us`` makes.
+    """
+    sim = run.testbed.sim
+    quiet_us = 2 * run.testbed.calibration.gcs.failure_timeout_us
+    events = run.journal.events
+    start = sim.now
+    cap = start + cap_us
+    while sim.now < cap:
+        ops = run.history.operations
+        last_planned = fired_at()
+        if last_planned is None or any(op.pending for op in ops):
+            # Nothing before the awaited completion or crash can end
+            # the wait, and that instant plus the quiet lies past this.
+            until = sim.now + quiet_us
+        else:
+            until = max(start, last_planned,
+                        events[-1].time_us if events else start,
+                        *(op.completed_at for op in ops)) + quiet_us
+            if until <= sim.now:
+                return
+        sim.run(until=min(until, cap))
+
+
 def _crash_at_checkpoint_phase(injector: FaultInjector, replica: Any,
-                               phase: str, armed_at_us: float) -> None:
+                               phase: str, armed_at_us: float
+                               ) -> List[float]:
     """Kill ``replica`` at ``phase`` of the first checkpoint it captures
-    at or after ``armed_at_us`` (absolute simulated time)."""
+    at or after ``armed_at_us`` (absolute simulated time); returns the
+    list the crash instant is appended to once it fires."""
     replicator = replica.replicator
     sim = replicator.sim
     doomed: List[int] = []  # ckpt_id of the checkpoint to die on
+    crashed: List[float] = []
 
     def crash() -> None:
+        crashed.append(sim.now)
         injector.crash_process_at(replica.process, sim.now)
 
     def is_doomed(payload: Any) -> bool:
@@ -449,3 +512,4 @@ def _crash_at_checkpoint_phase(injector: FaultInjector, replica: Any,
     replicator._checkpoint = checkpoint
     replicator.gcs.multicast = publish
     replicator._receive_checkpoint = stable
+    return crashed

@@ -341,7 +341,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             out = args.artifact or path
             _write_check_artifact(artifact, out, write_artifact)
             print(f"minimized to {artifact.scenario.n_requests} "
-                  f"request(s), horizon "
+                  f"request(s), horizon cap "
                   f"{artifact.scenario.horizon_us / 1e6:.1f} s, "
                   f"{len(artifact.decisions)} decision(s)")
             print(f"wrote {out}")

@@ -53,6 +53,17 @@ EVENT_RULES = (
     Rule(("shard",), str, nullable=True),
 )
 
+#: The declared rules of the ``attrs`` that journal readers (the
+#: availability fold, the SLO fold, ``observe``) read as numbers,
+#: lists or keys.  Attrs are kind-specific, so each rule applies where
+#: its key is present.
+ATTR_RULES = (
+    Rule(("at_us", "rate_per_s"), float, ge=0),
+    Rule(("until_us",), float, ge=0, nullable=True),
+    Rule(("groups", "newly"), list),
+    Rule(("switch_id",), str, nullable=True),
+)
+
 
 @dataclass
 class JournalEvent:

@@ -18,7 +18,7 @@ from repro.journal.availability import (
     per_shard_reports,
 )
 from repro.errors import ConfigurationError, check_fields
-from repro.journal.events import EVENT_RULES, JournalEvent
+from repro.journal.events import ATTR_RULES, EVENT_RULES, JournalEvent
 
 
 def event_to_line(event: JournalEvent) -> str:
@@ -44,8 +44,9 @@ def write_jsonl(events: Iterable[JournalEvent], path: str) -> int:
 def parse_jsonl(text: str) -> List[JournalEvent]:
     """Parse a JSONL journal back into events.
 
-    Raises :class:`ConfigurationError` on a line that is not JSON or
-    breaks :data:`EVENT_RULES` — a journal is a reproducible artifact,
+    Raises :class:`ConfigurationError` on a line that is not JSON,
+    breaks :data:`EVENT_RULES`, or holds an attr that breaks
+    :data:`ATTR_RULES` — a journal is a reproducible artifact,
     so corruption is an error, not a warning.
     """
     events = []
@@ -61,8 +62,13 @@ def parse_jsonl(text: str) -> List[JournalEvent]:
             raise ConfigurationError(
                 f"journal line {lineno} is not an object")
         data.setdefault("attrs", {})
-        check_fields(data, EVENT_RULES, prefix=f"journal line {lineno} "
-                                               f"is not a journal event: ")
+        prefix = f"journal line {lineno} is not a journal event: "
+        check_fields(data, EVENT_RULES, prefix=prefix)
+        attrs = data["attrs"]
+        for rule in ATTR_RULES:
+            for name in rule.names:
+                if name in attrs:
+                    rule.check(f"{prefix}attrs.{name}", attrs[name])
         events.append(JournalEvent.from_dict(data))
     return events
 

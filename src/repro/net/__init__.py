@@ -4,7 +4,7 @@ Public surface:
 
 - :class:`Network` — the LAN segment; attach hosts, send frames
 - :class:`Endpoint`, :class:`Frame` — addressing and on-wire units
-- :class:`NetworkStats`, :class:`HostTraffic` — bandwidth accounting
+- :class:`NetworkStats` — wire-byte accounting
 - loss models: :class:`RandomLoss`, :class:`BurstLoss`,
   :class:`DelaySpike`, :class:`CompositeLoss`
 - per-link topology filters: :class:`PartitionFilter`,
@@ -21,7 +21,7 @@ from repro.net.loss import (
     RandomLoss,
 )
 from repro.net.network import Network
-from repro.net.stats import HostTraffic, NetworkStats
+from repro.net.stats import NetworkStats
 from repro.net.topology import (
     AsymmetricPartition,
     FlakyLink,
@@ -39,7 +39,6 @@ __all__ = [
     "FRAME_OVERHEAD_BYTES",
     "FlakyLink",
     "Frame",
-    "HostTraffic",
     "LinkFilter",
     "LossModel",
     "Network",

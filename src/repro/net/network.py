@@ -124,16 +124,13 @@ class Network:
         if not src_host.alive:
             # A dead host cannot transmit; this is not an error because
             # in-flight callbacks may race with a crash.
-            self.stats.record_drop()
             return
         if dst_host is None or not dst_host.alive:
-            self.stats.record_drop()
             return
 
         if self.loss.models:
             dropped, extra_delay = self.loss.judge(sim.now, sim.rng)
             if dropped:
-                self.stats.record_drop()
                 return
         else:
             # Fast path: with no fault models installed the composite
@@ -152,12 +149,11 @@ class Network:
                 f_dropped, f_extra = filt.judge(src_name, dst_name,
                                                 sim.now, sim.rng)
                 if f_dropped:
-                    self.stats.record_drop()
                     return
                 extra_delay += f_extra
 
         wire_bytes = frame.payload_bytes + FRAME_OVERHEAD_BYTES
-        self.stats.record_transmit(src_name, dst_name, wire_bytes)
+        self.stats.total_bytes += wire_bytes
         policy = sim.scheduler_policy
         if policy is not None:
             # Schedule-space exploration: the checker's policy may add

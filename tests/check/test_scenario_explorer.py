@@ -17,10 +17,12 @@ from dataclasses import replace
 import pytest
 
 from repro.check import (MUTATIONS, CheckScenario, RandomWalkPolicy,
-                         ReplayPolicy, SchedulerPolicy, canonical_scenario,
+                         ReplayPolicy, SchedulerPolicy,
+                         canonical_partition_scenario, canonical_scenario,
                          explore, load_artifact, minimize, replay,
                          run_schedule, write_artifact)
 from repro.check import explorer as explorer_module
+from repro.check import scenario as scenario_module
 from repro.check.artifact import artifact_from_report
 from repro.check.policies import Decisions
 from repro.errors import SimulationError, VerificationError
@@ -67,6 +69,85 @@ class TestKernelPolicyHook:
         sim.schedule(1.0, lambda: None)
         with pytest.raises(SimulationError):
             sim.set_scheduler_policy(SchedulerPolicy())
+
+
+@pytest.fixture
+def wait_ends(monkeypatch):
+    """The instant each of a schedule's waits ended, and its run."""
+    ends, runs = [], []
+    wait = scenario_module._run_until_quiet
+
+    def recorded(run, cap_us, fired_at):
+        wait(run, cap_us, fired_at)
+        runs.append(run)
+        ends.append(run.testbed.now)
+
+    monkeypatch.setattr(scenario_module, "_run_until_quiet", recorded)
+    return ends, runs
+
+
+class TestQuietEnd:
+    """A schedule's waits end when the system is quiet; the horizon
+    and settle values are caps."""
+
+    def test_canonical_run_ends_early(self, wait_ends):
+        outcome = run_schedule(canonical_scenario(seed=1))
+        ends, _ = wait_ends
+        # A fixed 8 s + 2 s dispatched 2,698 events.
+        assert outcome.events_dispatched <= 1_200
+        assert ends[-1] < 2_500_000.0
+
+    def test_late_crash_fails_over_before_the_closing_read(self):
+        # The crash at variation 2.4 strikes long after the load; the
+        # view that removes the dead primary comes before the read.
+        scenario = replace(canonical_scenario(seed=1),
+                           crash_primary_at_us=90_000.0 * 2.4)
+        outcome = run_schedule(scenario)
+        read = outcome.operations[-1]
+        assert read.operation == "read" and read.result == 8
+        failover = [e for e in outcome.journal_events
+                    if e.kind == "membership.view"
+                    and any("@s01" in m for m in e.attrs.get("left", ()))]
+        assert failover
+        assert max(e.time_us for e in failover) < read.invoked_at
+        assert outcome.survivor_values == [8, 8]
+
+    def test_partition_heals_and_merges_before_the_closing_read(self):
+        outcome = run_schedule(canonical_partition_scenario(seed=1))
+        read = outcome.operations[-1]
+        kinds = [(e.kind, len(e.attrs.get("members", ())))
+                 for e in outcome.journal_events
+                 if e.time_us < read.invoked_at]
+        healed = kinds.index(("partition.healed", 4))  # daemon hosts
+        assert ("membership.view", 3) in kinds[healed:]  # replicas
+        assert outcome.survivor_values == [8, 8, 8]
+
+    def test_wedged_switch_runs_to_the_caps_and_is_flagged(self,
+                                                           wait_ends):
+        # Walk 2 crashes the primary before its switch: the backups
+        # stay in PREPARING, so no wait sees the system quiet.
+        scenario = canonical_scenario(mutation="skip_final_checkpoint")
+        variant, _digest, violations, _decisions = explorer_module._walk(
+            (scenario, 2, 2, 4, 150.0))
+        ends, (run, *_) = wait_ends
+        cap = run.t0 + scenario.horizon_us
+        assert ends == [cap, cap + scenario.settle_us]
+        assert "switch_bounded_completion" in {
+            v.invariant for v in violations}
+
+    def test_quiet_end_equals_a_cap_at_that_instant(self, wait_ends):
+        # The rule only advances the clock: a load wait it ends at T is
+        # the load wait a cap of T makes, decision for decision.
+        scenario = canonical_scenario(seed=1)
+        quiet = RandomWalkPolicy(seed=3, delay_bound_us=150.0)
+        outcome = run_schedule(scenario, quiet)
+        ends, (run, *_) = wait_ends
+        capped = RandomWalkPolicy(seed=3, delay_bound_us=150.0)
+        again = run_schedule(replace(scenario,
+                                     horizon_us=ends[0] - run.t0), capped)
+        assert ends[2] == ends[0]
+        assert again.digest == outcome.digest
+        assert list(capped.decisions) == list(quiet.decisions)
 
 
 class TestScenarioRoundTrip:
@@ -170,7 +251,8 @@ class TestDecisionTraces:
         gc.collect()
         tracemalloc.start()
         try:
-            result = explore(canonical_scenario(seed=1), budget=20,
+            # About 1,000 decisions a walk since walks end when quiet.
+            result = explore(canonical_scenario(seed=1), budget=50,
                              stop_on_violation=False)
             gc.collect()
             held = tracemalloc.get_traced_memory()[0]
@@ -326,7 +408,11 @@ class TestArtifacts:
         ("tie_choices", 2.5), ("tie_choices", "3"),
         ("tie_choices", True), ("tie_choices", 4.0), ("tie_choices", "4"),
         ("tie_choices", 2 ** 64), ("walk_seed", 2.5), ("walk_seed", "3"),
-        ("walk_seed", True), ("walk_seed", None)])
+        ("walk_seed", True), ("walk_seed", None),
+        # Only this format's version: a version-1 trace was recorded
+        # under fixed waits and cannot replay.
+        ("version", 1), ("version", 99), ("version", 0), ("version", "2"),
+        ("version", 2.0), ("version", None)])
     def test_tampered_policy_rejected_at_load(self, violating_report,
                                               tmp_path, field, bad):
         # Replay hands decisions to the kernel and the scenario to the
@@ -336,6 +422,8 @@ class TestArtifacts:
                                     delay_bound_us=150.0).to_dict()
         if field == "decisions":
             data["policy"]["decisions"][0] = bad
+        elif field == "version":
+            data["version"] = bad
         elif field in data["policy"]:
             data["policy"][field] = bad
         else:

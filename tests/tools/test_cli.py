@@ -463,15 +463,16 @@ def test_check_explore_mutation_writes_replayable_artifact(tmp_path,
     assert main(["check", "--replay", str(artifact)]) == 0
     assert "REPRODUCED" in capsys.readouterr().out
 
-    # Tampered decisions and scenario values are refused at load
-    # (exit 2, one line), never replayed.
+    # Tampered decisions and scenario values, and another format
+    # version, are refused at load (exit 2, one line), never replayed.
     import json
     for section, field, bad in (("policy", "decisions", [-50_000.0]),
                                 ("policy", "decisions", ["abc"]),
                                 ("scenario", "n_replicas", 0),
-                                ("scenario", "horizon_us", "x")):
+                                ("scenario", "horizon_us", "x"),
+                                (None, "version", 1)):
         data = json.loads(artifact.read_text())
-        data[section][field] = bad
+        (data if section is None else data[section])[field] = bad
         tampered = tmp_path / "tampered.json"
         tampered.write_text(json.dumps(data))
         for mode in ("--replay", "--minimize"):

@@ -2,7 +2,8 @@
 
 One valid file of each kind the CLI loads — a journal, an SLO spec, a
 campaign spec and a repro artifact — is mutated once, structurally
-(another document, a truncated text) or in one field.  Field mutations
+(another document, a truncated text) or in one field (of a journal
+line, also one of its ``attrs``).  Field mutations
 are drawn from the declared rules of that file's values
 (:class:`repro.errors.Rule`): a value of the wrong kind, NaN or inf, a
 value just outside the range, a missing field, ``null``.  Whatever the
@@ -30,7 +31,7 @@ from repro.check.artifact import ARTIFACT_RULES, POLICY_RULES, ReproArtifact
 from repro.check.scenario import SCENARIO_RULES
 from repro.cli import main
 from repro.errors import Rule
-from repro.journal.events import EVENT_RULES
+from repro.journal.events import ATTR_RULES, EVENT_RULES
 from repro.slo.spec import SLO_SPEC_RULES
 
 #: Values of every JSON kind; a rule's wrong-kind values are the ones
@@ -42,6 +43,25 @@ MISSING = object()
 JOURNAL_LINE = {"seq": 0, "t_us": 5.0, "host": "s01", "component": "gcs",
                 "kind": "request.done", "attrs": {"op": "add"},
                 "trace_id": 1, "shard": "shard0"}
+#: Lines whose attrs the journal readers use: one per kind that reads
+#: an :data:`ATTR_RULES` key.
+ATTR_LINES = tuple(
+    {"seq": 1, "t_us": 9.0, "host": "s01", "component": component,
+     "kind": kind, "attrs": attrs}
+    for component, kind, attrs in (
+        ("injector", "fault.inject",
+         {"fault": "crash_restart", "target": "svc-r1", "at_us": 6.0,
+          "until_us": 8.0}),
+        ("injector", "fault.restart_skipped",
+         {"target": "svc-r1", "at_us": 6.0, "until_us": 8.0}),
+        ("gcs", "partition.wedged", {"live": ["s01"], "groups": ["svc"]}),
+        ("gcs", "detector.suspect", {"newly": ["s02"]}),
+        ("replicator", "switch.prepare",
+         {"switch_id": "svc:P->A:0", "from_style": "warm_passive",
+          "to_style": "active"}),
+        ("adaptation", "adaptation.decision",
+         {"switch_id": "svc:P->A:0", "rate_per_s": 500.0}),
+    ))
 SLO_SPEC = {"name": "fuzz", "shard": "*", "availability_target": 0.99,
             "latency_p": 0.99, "latency_target_us": 5000.0,
             "fast_window_us": 100_000.0, "slow_window_us": 1_000_000.0,
@@ -125,6 +145,18 @@ def test_mutated_journal(text):
                      + text + "\n")
         run_cli(["observe", path])
         run_cli(["slo", "status", path])
+
+
+@settings(FUZZ, max_examples=60)
+@given(st.data())
+def test_mutated_journal_attrs(data):
+    line = data.draw(st.sampled_from(ATTR_LINES))
+    text = data.draw(mutated(line, [(("attrs",), ATTR_RULES, False)]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write(tmp, "run.jsonl", json.dumps(JOURNAL_LINE) + "\n"
+                     + text + "\n")
+        run_cli(["observe", path])
+        run_cli(["slo", "report", path])
 
 
 @FUZZ
