@@ -133,7 +133,3 @@ class AdaptationManager(Actor):
         reflects the true offered load."""
         rates = self.state.values_matching("rate")
         return max(rates) if rates else 0.0
-
-    @property
-    def switches_triggered(self) -> int:
-        return len(self.events)

@@ -179,8 +179,3 @@ class ModeManager:
                 f"intervention required")
         self._apply(self._current_index + 1, time,
                     reason="sustained contract violation")
-
-    @property
-    def degradations(self) -> int:
-        return sum(1 for t in self.transitions
-                   if t.reason == "sustained contract violation")

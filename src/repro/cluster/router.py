@@ -140,8 +140,8 @@ class ShardRouter(Actor, ClientTransport):
             if ctx is not None:
                 # Zero-width charged span: the routing decision itself
                 # costs no simulated time, but the span pins the shard
-                # (and epoch) onto the trace so cross-shard stitching
-                # can see every hop of a re-routed request.
+                # (and epoch) onto the trace, so the trace of a
+                # re-routed request shows every shard it visited.
                 telemetry.emit(ctx.at_root(), "router.route", "router",
                                self.sim.now, self.sim.now,
                                host=self.process.host.name,
@@ -210,8 +210,8 @@ class ShardRouter(Actor, ClientTransport):
                     if ctx is not None:
                         # Re-root the carried context so the new
                         # owner's spans hang off the original client
-                        # request — one stitched trace across the map
-                        # flip, not a trace per shard attempt.
+                        # request — one trace across the map flip, not
+                        # a trace per shard attempt.
                         ctx = ctx.at_root()
                         set_context(request, ctx)
                         telemetry.emit(ctx, "router.reroute", "router",
@@ -229,12 +229,6 @@ class ShardRouter(Actor, ClientTransport):
     def map_digest(self) -> str:
         """Digest of the current map; equal across agreeing routers."""
         return self.map.digest()
-
-    @property
-    def outstanding_count(self) -> int:
-        """Invocations awaiting a reply, across all shards."""
-        return sum(r.outstanding_count
-                   for r in self._replicators.values())
 
     def replicator(self, shard: str) -> ClientReplicator:
         """The client replicator bound to ``shard``."""

@@ -28,11 +28,6 @@ from repro.core.knobs import (
     ReplicationStyleKnob,
     ScalabilityKnob,
 )
-from repro.core.markov import (
-    RepairableGroupModel,
-    failover_window_for_style,
-    plan_redundancy,
-)
 from repro.core.measurements import ConfigPoint, Measurement, Profile
 from repro.core.policies import (
     PolicyEntry,
@@ -72,7 +67,6 @@ __all__ = [
     "PolicyEntry",
     "Profile",
     "RealTimeEntry",
-    "RepairableGroupModel",
     "RealTimeKnob",
     "RealTimePolicy",
     "RealTimeRequirement",
@@ -82,7 +76,5 @@ __all__ = [
     "TABLE_1",
     "ThresholdSwitchPolicy",
     "deadline_meet_probability",
-    "failover_window_for_style",
-    "plan_redundancy",
     "validate_table",
 ]

@@ -106,10 +106,6 @@ class Testbed:
         """Advance simulated time by ``duration_us``."""
         self.sim.run(until=self.sim.now + duration_us)
 
-    def run_until_idle(self) -> None:
-        """Run until the event queue drains (unbounded)."""
-        self.sim.run_until_idle()
-
     @property
     def now(self) -> float:
         return self.sim.now

@@ -5,9 +5,8 @@ Public surface:
 - :class:`GcsDaemon` — per-host daemon (membership, ordering, flush)
 - :class:`GcsClient` — per-process connection (join/watch/multicast)
 - :class:`GroupListener`, :class:`CallbackListener` — delivery callbacks
-- :class:`Grade` — the four Spread-style service grades
+- :class:`Grade` — the two Spread service grades, AGREED and SAFE
 - :class:`MemberId`, :class:`GroupView`, :class:`DaemonView` — identities
-- :class:`VectorClock` — causal-order stamps
 - :data:`GCS_PORT` — the well-known daemon port
 """
 
@@ -19,7 +18,6 @@ from repro.gcs.failure_detector import (
 )
 from repro.gcs.daemon import GCS_PORT, GcsDaemon
 from repro.gcs.messages import DaemonView, Grade, GroupView, MemberId
-from repro.gcs.vector_clock import VectorClock
 
 __all__ = [
     "AdaptiveDetector",
@@ -34,5 +32,4 @@ __all__ = [
     "GroupListener",
     "GroupView",
     "MemberId",
-    "VectorClock",
 ]

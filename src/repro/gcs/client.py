@@ -3,8 +3,8 @@
 A process creates one :class:`GcsClient` connected to the daemon on
 its own host (the Spread model).  The client can join groups, watch
 group membership without joining (open-group semantics), multicast
-with any service grade, and exchange point-to-point messages with any
-connected process.
+in total order (AGREED or SAFE), and exchange point-to-point messages
+with any connected process.
 """
 
 from __future__ import annotations
@@ -137,10 +137,6 @@ class GcsClient(Actor, ClientPort):
     def current_view(self, group: str) -> Optional[GroupView]:
         """Most recent view delivered to this client for ``group``."""
         return self._views.get(group)
-
-    @property
-    def joined_groups(self) -> List[str]:
-        return sorted(self._listeners)
 
     # ------------------------------------------------------------------
     # ClientPort (called by the daemon, post-IPC-delay)

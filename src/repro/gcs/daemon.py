@@ -8,10 +8,9 @@ provide:
   heartbeats plus a coordinator-driven flush protocol; group-level
   views derived from totally-ordered JOIN/LEAVE stamps;
 - **reliable ordered multicast**: AGREED (total order via a sequencer
-  daemon), SAFE (total order + all-daemons-hold-a-copy before
-  delivery), FIFO (per-sender order), CAUSAL (vector clocks), and
-  UNRELIABLE (raw frames) — Spread's service grades that the paper
-  relies on (Section 3.1);
+  daemon) and SAFE (total order + all-daemons-hold-a-copy before
+  delivery) — the Spread service grades the paper relies on
+  (Section 3.1);
 - **virtual synchrony**: on a view change, survivors exchange recent
   stamp histories and reconcile, so every survivor delivers the same
   set of AGREED messages before installing the new view.  This is the
@@ -39,12 +38,10 @@ from repro.gcs.failure_detector import (
 )
 from repro.gcs.links import ReliableLink
 from repro.gcs.messages import (
-    CausalData,
     SafeAck,
     SafeRelease,
     DaemonView,
     Direct,
-    FifoData,
     FlushAck,
     FlushRequest,
     Forward,
@@ -57,14 +54,12 @@ from repro.gcs.messages import (
     LinkAck,
     LinkData,
     MemberId,
-    RawData,
     RejoinRequest,
     Stamped,
     StampKind,
     ViewInstall,
     estimate_control_bytes,
 )
-from repro.gcs.vector_clock import VectorClock
 from repro.net.frame import Endpoint, Frame
 from repro.net.network import Network
 from repro.sim.actor import Actor
@@ -103,8 +98,7 @@ class _GroupState:
     """
 
     __slots__ = ("members", "view_id", "last_stamp", "history",
-                 "recent_msg_ids", "causal_clock", "fanout_hosts",
-                 "local_members")
+                 "recent_msg_ids", "fanout_hosts", "local_members")
 
     def __init__(self) -> None:
         self.members: List[MemberId] = []
@@ -112,7 +106,6 @@ class _GroupState:
         self.last_stamp = 0
         self.history: "OrderedDict[int, Stamped]" = OrderedDict()
         self.recent_msg_ids: Set[str] = set()
-        self.causal_clock = VectorClock()
         self.fanout_hosts: Tuple[str, ...] = ()
         self.local_members: Tuple[MemberId, ...] = ()
 
@@ -179,10 +172,6 @@ class GcsDaemon(Actor):
         self._pending_forwards: "OrderedDict[str, Forward]" = OrderedDict()
         self._pending_membership: "OrderedDict[str, Any]" = OrderedDict()
         self._forward_ids = itertools.count(1)
-
-        # FIFO-grade receive ordering is given by the links themselves;
-        # CAUSAL needs a holdback queue per group.
-        self._causal_holdback: Dict[str, List[CausalData]] = {}
 
         # SAFE grade: stamps held until the sequencer confirms every
         # member daemon has a copy; the sequencer tracks outstanding
@@ -264,25 +253,12 @@ class GcsDaemon(Actor):
 
     def client_multicast(self, group: str, member: MemberId, payload: Any,
                          payload_bytes: int, grade: Grade) -> None:
-        """Send a group multicast with the given service grade."""
+        """Send a totally-ordered group multicast (AGREED or SAFE)."""
         self._require_client(member)
-        if grade is Grade.AGREED or grade is Grade.SAFE:
-            self._enqueue_or_run(
-                lambda: self._forward_agreed(group, member, payload,
-                                             payload_bytes,
-                                             safe=grade is Grade.SAFE))
-        elif grade is Grade.FIFO:
-            self._enqueue_or_run(
-                lambda: self._multicast_fifo(group, member, payload,
-                                             payload_bytes))
-        elif grade is Grade.CAUSAL:
-            self._enqueue_or_run(
-                lambda: self._multicast_causal(group, member, payload,
-                                               payload_bytes))
-        elif grade is Grade.UNRELIABLE:
-            self._multicast_raw(group, member, payload, payload_bytes)
-        else:  # pragma: no cover - exhaustive over Grade
-            raise GroupCommunicationError(f"unknown grade: {grade}")
+        self._enqueue_or_run(
+            lambda: self._forward_agreed(group, member, payload,
+                                         payload_bytes,
+                                         safe=grade is Grade.SAFE))
 
     def client_send_direct(self, src: MemberId, dst: MemberId, payload: Any,
                            payload_bytes: int) -> None:
@@ -374,9 +350,6 @@ class GcsDaemon(Actor):
                                   payload.inner_bytes)
             else:
                 link.on_ack(payload.cum_seq)
-        elif kind is RawData:
-            # Best-effort data: no CPU-intensive ordering, deliver now.
-            self._cpu(self._deliver_raw, payload)
         elif kind is RejoinRequest:
             self._cpu(self._on_rejoin_request, payload)
         # Any other frame kind is dropped silently, like real UDP.
@@ -435,10 +408,6 @@ class GcsDaemon(Actor):
             self._on_safe_release(inner)
         elif isinstance(inner, Direct):
             self._deliver_direct(inner)
-        elif isinstance(inner, FifoData):
-            self._deliver_fifo(inner)
-        elif isinstance(inner, CausalData):
-            self._receive_causal(inner)
         elif isinstance(inner, FlushRequest):
             self._on_flush_request(inner)
         elif isinstance(inner, FlushAck):
@@ -675,91 +644,6 @@ class GcsDaemon(Actor):
         self._safe_awaiting.clear()
 
     # ==================================================================
-    # FIFO grade
-    # ==================================================================
-    def _multicast_fifo(self, group: str, origin: MemberId, payload: Any,
-                        payload_bytes: int) -> None:
-        message = FifoData(group=group, origin=origin, payload=payload,
-                           payload_bytes=payload_bytes)
-        self._fanout_reliable(group, message, payload_bytes,
-                              local=lambda: self._deliver_fifo(message))
-
-    def _deliver_fifo(self, message: FifoData) -> None:
-        state = self._group(message.group)
-        for member in state.local_members:
-            self._deliver_data_to(member, message.group, message.origin,
-                                  message.payload, message.payload_bytes)
-
-    # ==================================================================
-    # CAUSAL grade
-    # ==================================================================
-    def _multicast_causal(self, group: str, origin: MemberId, payload: Any,
-                          payload_bytes: int) -> None:
-        state = self._group(group)
-        state.causal_clock.tick(self.host.name)
-        message = CausalData(group=group, origin=origin,
-                             clock=state.causal_clock.snapshot(),
-                             payload=payload, payload_bytes=payload_bytes)
-        self._fanout_reliable(group, message, payload_bytes + 32,
-                              local=lambda: self._deliver_causal_now(message))
-
-    def _receive_causal(self, message: CausalData) -> None:
-        self._causal_holdback.setdefault(message.group, []).append(message)
-        self._drain_causal(message.group)
-
-    def _drain_causal(self, group: str) -> None:
-        state = self._group(group)
-        holdback = self._causal_holdback.get(group, [])
-        progressed = True
-        while progressed:
-            progressed = False
-            for message in list(holdback):
-                sender_host = message.origin.host
-                if state.causal_clock.can_deliver(message.clock, sender_host):
-                    holdback.remove(message)
-                    state.causal_clock.deliver(message.clock, sender_host)
-                    self._deliver_causal_now(message)
-                    progressed = True
-
-    def _deliver_causal_now(self, message: CausalData) -> None:
-        state = self._group(message.group)
-        for member in state.local_members:
-            self._deliver_data_to(member, message.group, message.origin,
-                                  message.payload, message.payload_bytes)
-
-    # ==================================================================
-    # UNRELIABLE grade
-    # ==================================================================
-    def _multicast_raw(self, group: str, origin: MemberId, payload: Any,
-                       payload_bytes: int) -> None:
-        message = RawData(group=group, origin=origin, payload=payload,
-                          payload_bytes=payload_bytes)
-        state = self._group(group)
-        nbytes = payload_bytes + self.cal.header_bytes
-        for target in state.fanout_hosts:
-            if target == self.host.name:
-                self._deliver_raw(message)
-            else:
-                self.network.send(self.endpoint, Endpoint(target, GCS_PORT),
-                                  message, nbytes, kind="gcs.raw")
-
-    def _deliver_raw(self, message: RawData) -> None:
-        state = self._group(message.group)
-        for member in state.local_members:
-            self._deliver_data_to(member, message.group, message.origin,
-                                  message.payload, message.payload_bytes)
-
-    def _fanout_reliable(self, group: str, message: Any, nbytes: int,
-                         local: Callable[[], None]) -> None:
-        state = self._group(group)
-        view_set = self._view_set
-        for target in state.fanout_hosts:
-            if target == self.host.name:
-                self._cpu(local)
-            elif target in view_set:
-                self._send_to(target)(message, nbytes)
-
-    # ==================================================================
     # Direct (point-to-point) messages
     # ==================================================================
     def _route_direct(self, message: Direct) -> None:
@@ -958,18 +842,13 @@ class GcsDaemon(Actor):
         the merge install on the same reliable link."""
         groups: Dict[str, Tuple[Tuple[MemberId, ...], int, int]] = {}
         recent: Dict[str, List[Stamped]] = {}
-        clocks: Dict[str, Dict[str, int]] = {}
         for group in sorted(self._groups):
             state = self._groups[group]
             groups[group] = (tuple(state.members), state.view_id,
                              state.last_stamp)
             window = list(state.history.values())[-FLUSH_HISTORY_WINDOW:]
             recent[group] = window
-            clock = state.causal_clock.snapshot()
-            if clock:
-                clocks[group] = clock
-        return GroupSnapshot(epoch=epoch, groups=groups, recent=recent,
-                             causal_clocks=clocks)
+        return GroupSnapshot(epoch=epoch, groups=groups, recent=recent)
 
     def _on_group_snapshot(self, snapshot: GroupSnapshot) -> None:
         """Rejoiner side: discard stale (possibly forked) group state
@@ -981,7 +860,6 @@ class GcsDaemon(Actor):
         self._groups = {}
         self._safe_held.clear()
         self._safe_awaiting.clear()
-        self._causal_holdback.clear()
         self._pending_forwards.clear()
         for group in sorted(snapshot.groups):
             members, view_id, last_seq = snapshot.groups[group]
@@ -993,9 +871,6 @@ class GcsDaemon(Actor):
                 state.history[stamp.seq] = stamp
                 if stamp.msg_id:
                     state.recent_msg_ids.add(stamp.msg_id)
-            clock = snapshot.causal_clocks.get(group)
-            if clock:
-                state.causal_clock = VectorClock(clock)
             self._rebuild_group_routing(state)
 
     def _heal_wedge(self) -> None:

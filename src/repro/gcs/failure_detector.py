@@ -21,7 +21,9 @@ the adaptive one.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterable, Optional
+from typing import Deque, Dict, Iterable
+
+from repro.errors import ConfigurationError, Rule, check_fields
 
 
 class FailureDetector:
@@ -50,9 +52,8 @@ class FixedTimeoutDetector(FailureDetector):
     """Suspect a peer after ``timeout_us`` of silence (Spread-style)."""
 
     def __init__(self, timeout_us: float):
-        if timeout_us <= 0:
-            raise ValueError("timeout must be positive")
         self.timeout_us = timeout_us
+        check_fields(vars(self), (Rule(("timeout_us",), float, gt=0),))
         self.last_heard: Dict[str, float] = {}
 
     def heard_from(self, peer: str, now: float) -> None:
@@ -84,15 +85,16 @@ class AdaptiveDetector(FailureDetector):
                  margin_us: float = 50_000.0, window: int = 32,
                  floor_us: float = 350_000.0,
                  ceiling_us: float = 5_000_000.0):
-        if safety_factor <= 0 or margin_us < 0:
-            raise ValueError("bad detector parameters")
-        if floor_us <= 0 or ceiling_us < floor_us:
-            raise ValueError("need 0 < floor <= ceiling")
         self.safety_factor = safety_factor
         self.margin_us = margin_us
         self.window = window
         self.floor_us = floor_us
         self.ceiling_us = ceiling_us
+        check_fields(vars(self), (
+            Rule(("safety_factor", "floor_us", "ceiling_us"), float, gt=0),
+            Rule(("margin_us",), float, ge=0), Rule(("window",), int, gt=0)))
+        if ceiling_us < floor_us:
+            raise ConfigurationError("need floor_us <= ceiling_us")
         self.last_heard: Dict[str, float] = {}
         self._intervals: Dict[str, Deque[float]] = {}
 

@@ -1,7 +1,7 @@
 """Reliable FIFO links between daemon pairs.
 
-All reliable GCS traffic (AGREED forwards and stamps, FIFO/CAUSAL
-data, direct messages, flush control) travels over a
+All reliable GCS traffic (AGREED/SAFE forwards, stamps and SAFE
+acknowledgements, direct messages, flush control) travels over a
 :class:`ReliableLink`: per-destination sequence numbers, in-order
 delivery with an out-of-order stash, cumulative delayed ACKs, and
 timer-driven retransmission.  On a lossless run the only overhead is
@@ -178,10 +178,6 @@ class ReliableLink:
             self._ack_timer.cancel()
         if self._on_close is not None:
             self._on_close()
-
-    @property
-    def unacked_count(self) -> int:
-        return len(self._unacked)
 
     def __repr__(self) -> str:
         return (f"<ReliableLink {self.local}->{self.peer} "

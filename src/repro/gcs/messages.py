@@ -5,15 +5,15 @@ one per host, application processes connect to their local daemon, and
 daemons exchange the control/data messages defined here over the
 simulated LAN.
 
-Naming follows Spread's service grades: ``UNRELIABLE`` (best effort),
-``FIFO`` (by sender), ``CAUSAL``, ``AGREED`` (total order) and ``SAFE``
-(total order with all-daemons-hold-a-copy delivery).
+Naming follows Spread's service grades.  Two are implemented, the two
+the replicator sends: ``AGREED`` (total order) and ``SAFE`` (total
+order with all-daemons-hold-a-copy delivery).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Tuple
 
 from repro.net.frame import FrozenSlots, slot_setters
@@ -22,20 +22,16 @@ from repro.net.frame import FrozenSlots, slot_setters
 class Grade(enum.Enum):
     """Message-delivery guarantee, per Spread's service grades.
 
-    SAFE is Spread's strongest grade: a message is delivered only
-    once every member's daemon holds a copy, so a delivered message
-    can never be "known" by only a subset that then dies.
+    AGREED delivers every message in one total order, consistent with
+    the view changes (virtual synchrony).  SAFE is Spread's strongest
+    grade: a message is delivered only once every member's daemon
+    holds a copy, so a delivered message can never be "known" by only
+    a subset that then dies.
     """
 
-    UNRELIABLE = "unreliable"
-    FIFO = "fifo"
-    CAUSAL = "causal"
     AGREED = "agreed"
     SAFE = "safe"
 
-    @property
-    def reliable(self) -> bool:
-        return self is not Grade.UNRELIABLE
 
 @dataclass(frozen=True, order=True, slots=True)
 class MemberId:
@@ -90,8 +86,8 @@ class DaemonView:
 
 # ---------------------------------------------------------------------------
 # Daemon-to-daemon payloads.  All reliable traffic is wrapped in
-# LinkData/LinkAck by the reliable-link layer; heartbeats and
-# best-effort data travel as raw frames.
+# LinkData/LinkAck by the reliable-link layer; heartbeats and rejoin
+# probes travel as raw frames.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, slots=True)
@@ -239,38 +235,6 @@ class Direct(_CarriesTrace):
     payload_bytes: int
 
 
-@dataclass(frozen=True, slots=True)
-class FifoData(_CarriesTrace):
-    """Sender-ordered group data (FIFO grade), multicast directly by
-    the origin daemon over reliable links."""
-
-    group: str
-    origin: MemberId
-    payload: Any
-    payload_bytes: int
-
-
-@dataclass(frozen=True, slots=True)
-class CausalData(_CarriesTrace):
-    """Causally-ordered group data: vector clock keyed by origin host."""
-
-    group: str
-    origin: MemberId
-    clock: Dict[str, int]
-    payload: Any
-    payload_bytes: int
-
-
-@dataclass(frozen=True, slots=True)
-class RawData(_CarriesTrace):
-    """Best-effort group data: one unreliable frame per member daemon."""
-
-    group: str
-    origin: MemberId
-    payload: Any
-    payload_bytes: int
-
-
 # ---------------------------------------------------------------------------
 # View-change (flush) protocol payloads.
 # ---------------------------------------------------------------------------
@@ -361,8 +325,6 @@ class GroupSnapshot:
     groups: Dict[str, Tuple[Tuple[MemberId, ...], int, int]]
     #: group -> recent Stamped window (duplicate suppression + history)
     recent: Dict[str, List[Stamped]]
-    #: group -> causal vector clock (keyed by origin host)
-    causal_clocks: Dict[str, Dict[str, int]]
 
 
 def estimate_control_bytes(message: Any) -> int:
@@ -385,8 +347,6 @@ def estimate_control_bytes(message: Any) -> int:
         for stamps in message.recent.values():
             for stamped in stamps:
                 total += 48 + stamped.payload_bytes
-        for clock in message.causal_clocks.values():
-            total += 12 * len(clock)
         return total
     if isinstance(message, FlushAck):
         total = 64

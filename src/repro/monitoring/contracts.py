@@ -14,10 +14,16 @@ change); beyond the limit a *violation* fires.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional
 
+from repro.errors import ConfigurationError, Rule, check_fields
 from repro.monitoring.sensors import MetricsSnapshot
+
+#: The words ``metric`` and ``bound`` may hold.
+_CHOICES = {"metric": tuple(f.name for f in fields(MetricsSnapshot)
+                            if f.name != "time"),
+            "bound": ("upper", "lower")}
 
 
 class ContractStatus(enum.Enum):
@@ -49,12 +55,13 @@ class Contract:
     bound: str = "upper"
 
     def __post_init__(self) -> None:
-        if self.limit <= 0:
-            raise ValueError("contract limit must be positive")
-        if not 0.0 < self.warning_fraction <= 1.0:
-            raise ValueError("warning fraction must be in (0, 1]")
-        if self.bound not in ("upper", "lower"):
-            raise ValueError("bound must be 'upper' or 'lower'")
+        check_fields(vars(self), (
+            Rule(("limit",), float, gt=0),
+            Rule(("warning_fraction",), float, gt=0, le=1)))
+        for name, choices in _CHOICES.items():
+            if getattr(self, name) not in choices:
+                raise ConfigurationError(f"{name} must be one of {choices}, "
+                                         f"not {getattr(self, name)!r}")
 
     @property
     def warning_threshold(self) -> float:
@@ -107,7 +114,8 @@ class ContractMonitor:
     def add(self, contract: Contract) -> None:
         """Register another contract (names must be unique)."""
         if any(c.name == contract.name for c in self.contracts):
-            raise ValueError(f"duplicate contract name: {contract.name}")
+            raise ConfigurationError(
+                f"duplicate contract name: {contract.name}")
         self.contracts.append(contract)
 
     def evaluate(self, snapshot: MetricsSnapshot) -> Dict[str, ContractStatus]:

@@ -12,7 +12,7 @@ Public surface:
 
 from repro.orb.client import OrbClient
 from repro.orb.giop import GiopReply, GiopRequest, ReplyStatus
-from repro.orb.marshal import marshalled_size, padded
+from repro.orb.marshal import marshalled_size
 from repro.orb.servant import (
     BusyServant,
     CounterServant,
@@ -48,5 +48,4 @@ __all__ = [
     "TcpClientTransport",
     "TcpServerTransport",
     "marshalled_size",
-    "padded",
 ]

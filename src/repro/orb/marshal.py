@@ -57,11 +57,3 @@ def marshalled_size(value: Any, _depth: int = 0) -> int:
         return total
     # Fallback: encode like a string.
     return _LENGTH_PREFIX + len(repr(value).encode("utf-8")) + 1
-
-
-def padded(size: int, alignment: int = 8) -> int:
-    """Round ``size`` up to the CDR alignment boundary."""
-    if alignment <= 0:
-        raise ValueError("alignment must be positive")
-    remainder = size % alignment
-    return size if remainder == 0 else size + alignment - remainder

@@ -417,10 +417,6 @@ class ClientReplicator(Actor, ClientTransport):
         else:
             self.primary = None
 
-    @property
-    def outstanding_count(self) -> int:
-        return len(self._outstanding)
-
     def on_stop(self) -> None:
         """Drop outstanding invocations when the process dies."""
         self._outstanding.clear()

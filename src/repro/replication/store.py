@@ -71,7 +71,3 @@ class StableStore:
             on_done(snapshot)
 
         self.sim.schedule(delay, finish)
-
-    def latest(self, group: str) -> Optional[StoredCheckpoint]:
-        """Synchronous peek used by tests and metrics."""
-        return self._checkpoints.get(group)

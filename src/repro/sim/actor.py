@@ -76,10 +76,6 @@ class Actor:
             handle.cancel()
         self._timers.clear()
 
-    def timer_pending(self, key: str) -> bool:
-        """True if the named timer is armed."""
-        return key in self._timers
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------

@@ -72,18 +72,6 @@ class Cpu:
     def jobs_run(self) -> int:
         return self._jobs_run
 
-    @property
-    def queue_delay_us(self) -> float:
-        """How long a job submitted now would wait before starting."""
-        return max(0.0, self._ready_at - self._sim.now)
-
-    def utilization(self, window_start: float) -> float:
-        """Approximate utilization since ``window_start`` (0..1)."""
-        elapsed = self._sim.now - window_start
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, self._busy_us / elapsed)
-
 
 class Host:
     """One machine: a CPU, a NIC attachment, and its processes."""

@@ -447,10 +447,6 @@ class Simulator:
             self.now = until
         return self.now
 
-    def run_until_idle(self) -> float:
-        """Run until no events remain; returns the final clock value."""
-        return self.run()
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------

@@ -3,9 +3,8 @@
 Turns the raw journal/telemetry streams into operator-grade signals,
 per shard: declarative SLOs (:mod:`repro.slo.spec`), error-budget
 ledgers and multi-window burn-rate alerts (:mod:`repro.slo.engine`),
-a fault/alert consistency cross-check (:mod:`repro.slo.alerts`),
-cross-shard trace stitching (:mod:`repro.slo.stitch`) and the status
-/ report / HTML renderings behind ``python -m repro slo``
+a fault/alert consistency cross-check (:mod:`repro.slo.alerts`) and
+the status / report / HTML renderings behind ``python -m repro slo``
 (:mod:`repro.slo.report`).
 
 Like journaling and telemetry, SLO evaluation is observation-only and
@@ -29,12 +28,6 @@ from repro.slo.spec import (
     default_slo_specs,
     load_slo_specs,
 )
-from repro.slo.stitch import (
-    StitchedTrace,
-    cross_shard_traces,
-    stitch_summary,
-    stitch_traces,
-)
 
 __all__ = [
     "ALL_SHARDS",
@@ -44,8 +37,6 @@ __all__ = [
     "ErrorBudget",
     "SloOutcome",
     "SloSpec",
-    "StitchedTrace",
-    "cross_shard_traces",
     "default_slo_specs",
     "evaluate_slos",
     "load_slo_specs",
@@ -54,7 +45,5 @@ __all__ = [
     "slo_html",
     "slo_report",
     "slo_status",
-    "stitch_summary",
-    "stitch_traces",
     "unmatched_alerts",
 ]

@@ -89,7 +89,7 @@ def test_honoured_contract_stays_put():
         status = manager.evaluate(_snap(t, 1000.0))
         assert status is ContractStatus.HONOURED
     assert manager.current_mode.name == "encounter"
-    assert manager.degradations == 0
+    assert len(manager.transitions) == 1  # the initial mode only
 
 
 def test_sustained_violation_degrades_one_step():
@@ -100,7 +100,7 @@ def test_sustained_violation_degrades_one_step():
     manager.evaluate(_snap(2, 9000.0))
     assert manager.current_mode.name == "cruise"  # degraded
     assert style.value is P
-    assert manager.degradations == 1
+    assert manager.transitions[-1].reason == "sustained contract violation"
 
 
 def test_transient_spike_does_not_degrade():

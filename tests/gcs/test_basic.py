@@ -1,9 +1,8 @@
-"""GCS behaviour on a healthy cluster: joins, grades, ordering."""
+"""GCS behaviour on a healthy cluster: joins, ordering, directs."""
 
 import pytest
 
 from repro.errors import GroupCommunicationError
-from repro.gcs import Grade
 from tests.support import Cluster, RecordingListener
 
 
@@ -117,43 +116,6 @@ def test_open_group_send_from_non_member(cluster):
     assert listener.payloads == ["request"]
     # The outsider never appears in the membership.
     assert all("client" not in str(ms) for ms in listener.member_sets)
-
-
-def test_fifo_grade_preserves_sender_order(cluster):
-    _, sender = cluster.client("h1", "sender")
-    _, receiver = cluster.client("h2", "receiver")
-    listener = RecordingListener()
-    receiver.join("grp", listener)
-    cluster.run(50_000)
-    for i in range(20):
-        sender.multicast("grp", i, nbytes=10, grade=Grade.FIFO)
-    cluster.run(100_000)
-    assert listener.payloads == list(range(20))
-
-
-def test_causal_grade_delivers_all(cluster):
-    _, a = cluster.client("h1", "a")
-    _, b = cluster.client("h2", "b")
-    la, lb = RecordingListener(), RecordingListener()
-    a.join("grp", la)
-    b.join("grp", lb)
-    cluster.run(50_000)
-    a.multicast("grp", "x", nbytes=10, grade=Grade.CAUSAL)
-    b.multicast("grp", "y", nbytes=10, grade=Grade.CAUSAL)
-    cluster.run(100_000)
-    assert sorted(la.payloads) == ["x", "y"]
-    assert sorted(lb.payloads) == ["x", "y"]
-
-
-def test_unreliable_grade_delivers_on_clean_network(cluster):
-    _, a = cluster.client("h1", "a")
-    _, b = cluster.client("h2", "b")
-    lb = RecordingListener()
-    b.join("grp", lb)
-    cluster.run(50_000)
-    a.multicast("grp", "besteffort", nbytes=10, grade=Grade.UNRELIABLE)
-    cluster.run(50_000)
-    assert lb.payloads == ["besteffort"]
 
 
 def test_direct_message_between_processes(cluster):

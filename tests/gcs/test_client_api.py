@@ -3,25 +3,13 @@
 import pytest
 
 from repro.errors import GroupCommunicationError
-from repro.gcs import CallbackListener, Grade
+from repro.gcs import CallbackListener
 from tests.support import Cluster, RecordingListener
 
 
 @pytest.fixture
 def cluster():
     return Cluster(["h1", "h2"])
-
-
-def test_joined_groups_property(cluster):
-    _, client = cluster.client("h1", "app")
-    assert client.joined_groups == []
-    client.join("alpha", RecordingListener())
-    client.join("beta", RecordingListener())
-    cluster.run(80_000)
-    assert client.joined_groups == ["alpha", "beta"]
-    client.leave("alpha")
-    cluster.run(80_000)
-    assert client.joined_groups == ["beta"]
 
 
 def test_member_identity_fields(cluster):
@@ -127,9 +115,3 @@ def test_watch_then_join_same_group(cluster):
     assert member_listener.payloads == ["data"]
     assert watch_listener.payloads == []  # watchers get no data
 
-
-def test_grade_enum_reliability_flags():
-    assert Grade.AGREED.reliable
-    assert Grade.FIFO.reliable
-    assert Grade.CAUSAL.reliable
-    assert not Grade.UNRELIABLE.reliable

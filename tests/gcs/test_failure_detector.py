@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.gcs import AdaptiveDetector, FixedTimeoutDetector
 from repro.sim import GcsCalibration
 from tests.support import Cluster, RecordingListener
@@ -31,8 +32,12 @@ class TestFixedDetector:
         assert fd.suspects(["a"], 1500.0) == {"a"}
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             FixedTimeoutDetector(timeout_us=0.0)
+
+    def test_rejects_nan_timeout(self):
+        with pytest.raises(ConfigurationError, match="timeout_us"):
+            FixedTimeoutDetector(timeout_us=float("nan"))
 
 
 class TestAdaptiveDetector:
@@ -93,10 +98,16 @@ class TestAdaptiveDetector:
         assert fd.threshold_us("a") == 500.0
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             AdaptiveDetector(safety_factor=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             AdaptiveDetector(floor_us=100.0, ceiling_us=50.0)
+
+    def test_rejects_nan_ceiling_and_fractional_window(self):
+        with pytest.raises(ConfigurationError, match="ceiling_us"):
+            AdaptiveDetector(ceiling_us=float("nan"))
+        with pytest.raises(ConfigurationError, match="window"):
+            AdaptiveDetector(window=2.5)
 
 
 class TestAdaptiveUnderDelaySpike:

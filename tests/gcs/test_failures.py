@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.gcs import Grade
 from repro.net import BurstLoss, RandomLoss
 from tests.support import Cluster, RecordingListener
 
@@ -181,22 +180,9 @@ class TestMessageLoss:
         cluster.run(2_000_000)
         assert listener.payloads == list(range(20))
 
-    def test_unreliable_grade_loses_under_burst(self):
-        cluster = Cluster(["h1", "h2"], seed=5)
-        _, sender = cluster.client("h1", "s")
-        _, receiver = cluster.client("h2", "r")
-        listener = RecordingListener()
-        receiver.join("grp", listener)
-        cluster.run(80_000)
-        start = cluster.sim.now
-        cluster.network.add_loss_model(
-            BurstLoss(start, start + 1_000_000, rate=1.0))
-        for i in range(5):
-            sender.multicast("grp", i, nbytes=10, grade=Grade.UNRELIABLE)
-        cluster.run(2_000_000)
-        assert listener.payloads == []
-
     def test_fifo_order_preserved_under_loss(self):
+        """AGREED keeps each sender's order while the reliable links
+        retransmit what the loss drops, in both directions."""
         cluster = Cluster(["h1", "h2"], seed=11)
         _, sender = cluster.client("h1", "s")
         _, receiver = cluster.client("h2", "r")
@@ -205,9 +191,12 @@ class TestMessageLoss:
         cluster.run(80_000)
         cluster.network.add_loss_model(RandomLoss(0.25))
         for i in range(15):
-            sender.multicast("grp", i, nbytes=10, grade=Grade.FIFO)
+            sender.multicast("grp", ("s", i), nbytes=10)
+            receiver.multicast("grp", ("r", i), nbytes=10)
         cluster.run(2_000_000)
-        assert listener.payloads == list(range(15))
+        for name in ("s", "r"):
+            assert [i for who, i in listener.payloads
+                    if who == name] == list(range(15))
 
     def test_short_loss_burst_does_not_break_membership(self):
         cluster = Cluster(["h1", "h2", "h3"], seed=7)

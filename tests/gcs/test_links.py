@@ -50,9 +50,9 @@ def test_in_order_delivery(rig):
 def test_acks_clear_sender_buffer(rig):
     sim, net, links, delivered = rig
     links["a"].send("x", 10)
-    assert links["a"].unacked_count == 1
+    assert len(links["a"]._unacked) == 1
     sim.run(until=100_000)
-    assert links["a"].unacked_count == 0
+    assert not links["a"]._unacked
 
 
 def test_retransmission_recovers_from_loss(rig):

@@ -7,10 +7,8 @@ bytes and a dict allocation per message.  These tests pin the layout.
 """
 
 from repro.gcs.messages import (
-    CausalData,
     DaemonView,
     Direct,
-    FifoData,
     FlushAck,
     FlushRequest,
     Forward,
@@ -21,7 +19,6 @@ from repro.gcs.messages import (
     LinkAck,
     LinkData,
     MemberId,
-    RawData,
     SafeAck,
     SafeRelease,
     Stamped,
@@ -48,10 +45,6 @@ INSTANCES = [
     JoinRequest(group="g", member=MEMBER, msg_id="s01:2"),
     LeaveRequest(group="g", member=MEMBER, msg_id="s01:3"),
     Direct(dst=MEMBER, src=MEMBER, payload="p", payload_bytes=4),
-    FifoData(group="g", origin=MEMBER, payload="p", payload_bytes=4),
-    CausalData(group="g", origin=MEMBER, clock={"s01": 1}, payload="p",
-               payload_bytes=4),
-    RawData(group="g", origin=MEMBER, payload="p", payload_bytes=4),
     FlushRequest(epoch=1, proposer="s01", members=("s01",)),
     FlushAck(epoch=1, sender="s01", histories={}, next_seqs={}),
     ViewInstall(epoch=1, view=DaemonView(1, ("s01",)), recovery={},

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.journal import Journal
 from repro.monitoring import (
     Contract,
@@ -63,20 +64,26 @@ class TestLowerBoundContract:
 
 class TestContractValidation:
     def test_rejects_bad_limit(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             Contract("c", "latency_mean_us", limit=0.0)
 
     def test_rejects_bad_warning_fraction(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             Contract("c", "latency_mean_us", limit=1.0,
                      warning_fraction=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             Contract("c", "latency_mean_us", limit=1.0,
                      warning_fraction=1.5)
 
     def test_rejects_bad_bound(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             Contract("c", "latency_mean_us", limit=1.0, bound="sideways")
+
+    def test_rejects_unknown_metric_and_nan_limit(self):
+        with pytest.raises(ConfigurationError, match="bogus"):
+            Contract("c", metric="bogus", limit=1.0)
+        with pytest.raises(ConfigurationError, match="limit"):
+            Contract("c", "latency_mean_us", limit=float("nan"))
 
 
 class TestMonitorTransitions:
@@ -126,5 +133,5 @@ class TestMonitorTransitions:
 
     def test_duplicate_contract_name_rejected(self):
         monitor = self.ramp_monitor()
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             monitor.add(Contract("lat", "latency_mean_us", limit=5.0))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.monitoring import (
     Contract,
     ContractMonitor,
@@ -50,12 +51,12 @@ class TestContracts:
     def test_duplicate_contract_name_rejected(self):
         monitor = ContractMonitor([
             Contract("lat", "latency_mean_us", limit=1000.0)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             monitor.add(Contract("lat", "latency_mean_us", limit=2000.0))
 
     def test_invalid_contract_params(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             Contract("x", "latency_mean_us", limit=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             Contract("x", "latency_mean_us", limit=10.0,
                      warning_fraction=0.0)

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.orb.marshal import marshalled_size, padded
+from repro.orb.marshal import marshalled_size
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-2**40, 2**40)
@@ -59,15 +59,6 @@ def test_unknown_object_falls_back_to_repr():
             return "<opaque>"
 
     assert marshalled_size(Opaque()) == 4 + len("<opaque>") + 1
-
-
-def test_padded():
-    assert padded(0) == 0
-    assert padded(1) == 8
-    assert padded(8) == 8
-    assert padded(9, alignment=4) == 12
-    with pytest.raises(ValueError):
-        padded(8, alignment=0)
 
 
 @given(json_values)

@@ -76,9 +76,9 @@ def test_outstanding_count_tracks_inflight():
     testbed, replicas, clients = build_rig(ReplicationStyle.ACTIVE)
     fire(clients[0], "add", 1)
     testbed.run(500)  # let the marshalling CPU job hand off
-    assert clients[0].replicator.outstanding_count == 1
+    assert len(clients[0].replicator._outstanding) == 1
     testbed.run(2_000_000)
-    assert clients[0].replicator.outstanding_count == 0
+    assert not clients[0].replicator._outstanding
 
 
 def _frames_of_second_call(style):

@@ -184,9 +184,11 @@ class TestColdPassive:
             ReplicationStyle.COLD_PASSIVE, n_replicas=1)
         call(testbed, clients[0], "add", 5)
         testbed.run(500_000)
-        snapshot = testbed.store.latest("svc")
-        assert snapshot is not None
-        assert snapshot.state["counter"]["value"] == 5
+        stored = []
+        testbed.store.read("svc", stored.append)
+        testbed.run(100_000)
+        assert stored[0] is not None
+        assert stored[0].state["counter"]["value"] == 5
 
     def test_cold_restart_restores_from_store(self):
         testbed, replicas, clients = build_rig(

@@ -38,7 +38,10 @@ class TestStableStore:
         store.write("grp", 1, "old", 10)
         store.write("grp", 2, "new", 10)
         sim.run()
-        assert store.latest("grp").state == "new"
+        results = []
+        store.read("grp", results.append)
+        sim.run()
+        assert results[0].state == "new"
 
     def test_write_cost_scales_with_size(self):
         sim = Simulator()
@@ -68,7 +71,10 @@ class TestStableStore:
         store = StableStore(sim)
         store.write("grp", 1, "s", 10)  # no on_done: must not raise
         sim.run()
-        assert store.latest("grp") is not None
+        results = []
+        store.read("grp", results.append)
+        sim.run()
+        assert results[0] is not None
 
 
 class TestSafeCheckpoints:

@@ -183,4 +183,7 @@ def test_active_to_cold_switch_requires_store_present():
     assert _styles(replicas) == [ReplicationStyle.COLD_PASSIVE] * 3
     call(testbed, clients[0], "add", 4)
     testbed.run(1_000_000)
-    assert testbed.store.latest("svc") is not None
+    stored = []
+    testbed.store.read("svc", stored.append)
+    testbed.run(100_000)
+    assert stored[0] is not None

@@ -48,9 +48,9 @@ def test_cancel_unknown_timer_is_noop(sim, process):
 def test_timer_pending(sim, process):
     actor = Actor(process)
     actor.set_timer("t", 10.0, lambda: None)
-    assert actor.timer_pending("t")
+    assert "t" in actor._timers
     sim.run()
-    assert not actor.timer_pending("t")
+    assert "t" not in actor._timers
 
 
 def test_periodic_timer_refires(sim, process):
@@ -99,7 +99,7 @@ def test_set_timer_on_dead_actor_is_noop(sim, process):
     actor.set_timer("t", 1.0, lambda: None)
     actor.set_periodic_timer("p", 1.0, lambda: None)
     sim.run()
-    assert not actor.timer_pending("t")
+    assert not actor._timers
 
 
 def test_alive_tracks_process(sim, process):

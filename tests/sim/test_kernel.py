@@ -212,10 +212,10 @@ def test_determinism_same_seed_same_trace():
     assert run(7) != run(8)
 
 
-def test_run_until_idle_returns_final_time():
+def test_run_returns_final_time():
     sim = Simulator()
     sim.schedule(123.0, lambda: None)
-    assert sim.run_until_idle() == 123.0
+    assert sim.run() == 123.0
 
 
 def test_repr_mentions_time_and_pending():

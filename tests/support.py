@@ -81,9 +81,6 @@ class Cluster:
     def run(self, duration_us: float) -> None:
         self.sim.run(until=self.sim.now + duration_us)
 
-    def run_until_idle(self) -> None:
-        self.sim.run_until_idle()
-
 
 class RecordingListener:
     """GroupListener that records everything it sees."""

@@ -1,20 +1,28 @@
-"""Earn-or-delete gate: every definition under ``src/repro`` has a reader.
+"""Earn-or-delete gate: every definition under ``src/repro`` is reached.
 
 An ``ast`` walk collects each function, class and method defined under
-``src/repro`` (dunders excluded) and every name the non-test code
-mentions: ``Name`` and ``Attribute`` nodes, ``from … import`` aliases,
-and the words of string constants that are not docstrings (dispatch
-tables and ``getattr`` lookups name code in strings).  ``__init__.py``
-re-exports and ``__all__`` lists do not count as readers: exporting a
-name is not using it.  Non-test code is everything under ``src/``,
-``examples/``, ``benchmarks/``, ``scripts/`` and ``perfbench/``.
+``src/repro`` (dunders excluded: they run without being named, so
+they count as part of the code around them) and the names each piece
+of code mentions: ``Name`` and ``Attribute`` nodes, and the words of
+string constants that are not docstrings (dispatch tables and
+``getattr`` lookups name code in strings).  ``__init__.py``
+re-exports and ``__all__`` lists do not count: exporting a name is not
+using it.
 
-A definition whose name nothing outside ``tests/`` mentions fails the
-gate unless :data:`ALLOWED` lists it with a reason.  An allow-list
-entry fails too when it is no longer defined or has gained a non-test
-reader, so the list cannot rot.  It is a name heuristic: a method
-shares its name with every other method so called, so the gate finds
-a lower bound of dead code, never a false "dead".
+A name is *reached* when it is mentioned by non-test code outside
+``src/`` (``examples/``, ``benchmarks/``, ``scripts/``, ``perfbench/``;
+``from … import`` aliases count there), by module-level code under
+``src/repro``, or by the body of a definition whose own name is
+reached: a least fixpoint, so a method that only names itself, or an
+island of helpers only an unreached function calls, stays unreached.
+
+A definition whose name is not reached fails the gate unless
+:data:`ALLOWED` lists it with a reason.  An allowed definition is
+exempt itself, but its body reaches nothing.  An allow-list entry
+fails too when it is no longer defined or has been reached, so the
+list cannot rot.  It is a name heuristic: a method shares its name
+with every other method so called, so the gate finds a lower bound of
+dead code, never a false "dead".
 """
 
 from __future__ import annotations
@@ -23,10 +31,10 @@ import ast
 import pathlib
 import re
 import textwrap
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
-READER_DIRS = ("src", "examples", "benchmarks", "scripts", "perfbench")
+READER_DIRS = ("examples", "benchmarks", "scripts", "perfbench")
 _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 #: Definitions kept although no non-test code reads them, each with
@@ -45,12 +53,8 @@ ALLOWED: Dict[str, str] = {
         "oracle: the error-budget ledger the SLO tests compare",
     "repro.cluster.partition:PartitionMap.assignment":
         "oracle: the whole shard map, checked by the partition tests",
-    "repro.gcs.vector_clock:VectorClock.concurrent_with":
-        "oracle: the causal-order property tests use it",
-    "repro.slo.stitch:cross_shard_traces":
-        "oracle: the end-to-end stitching test checks against it",
-    "repro.slo.stitch:stitch_summary":
-        "oracle: the end-to-end stitching test checks against it",
+    "repro.sim.kernel:Simulator.step":
+        "oracle: the reference kernel dispatches one event at a time",
     "repro.campaign.spec:CampaignSpec.to_json":
         "oracle: golden digests and store tests hash specs through it",
     "repro.journal.availability:FaultMatch.missed":
@@ -66,35 +70,15 @@ ALLOWED: Dict[str, str] = {
         "fixture: a rate step for the adaptation tests",
     "repro.workload.profiles:RampProfile":
         "fixture: a rate ramp for the adaptation tests",
-    "repro.orb.marshal:padded":
-        "fixture: the CDR alignment rule the marshal tests pin",
     # Inspection accessors.
     "repro.gcs.client:GcsClient.current_view":
         "accessor: a client's installed view, for inspection",
     "repro.sim.host:Cpu.jobs_run":
         "accessor: jobs a CPU has run, for inspection",
-    "repro.adaptation.manager:AdaptationManager.switches_triggered":
-        "accessor: switches a manager has ordered",
-    "repro.adaptation.modes:ModeManager.degradations":
-        "accessor: mode degradations caused by violated contracts",
     "repro.cluster.deploy:ShardDeployment.primary_replica":
         "accessor: a shard's live primary",
-    "repro.gcs.client:GcsClient.joined_groups":
-        "accessor: the groups a client has joined",
-    "repro.gcs.links:ReliableLink.unacked_count":
-        "accessor: frames a link still retransmits",
-    "repro.gcs.messages:Grade.reliable":
-        "accessor: whether a grade retransmits",
     "repro.monitoring.contracts:ContractMonitor.all_honoured":
         "accessor: whether every contract is honoured",
-    "repro.replication.store:StableStore.latest":
-        "accessor: synchronous peek at a group's stored checkpoint",
-    "repro.sim.actor:Actor.timer_pending":
-        "accessor: whether a named timer is armed",
-    "repro.sim.host:Cpu.queue_delay_us":
-        "accessor: how long a job submitted now would wait",
-    "repro.sim.host:Cpu.utilization":
-        "accessor: CPU utilization since an instant",
     "repro.journal.events:Journal.flight_recorder":
         "accessor: the flight-recorder ring, kept until it gets a reader",
     "repro.sim.kernel:NullJournal.flight_recorder":
@@ -102,21 +86,21 @@ ALLOWED: Dict[str, str] = {
     # The paper's knobs, which ROADMAP item 7 decides on.
     "repro.core.realtime:RealTimeKnob":
         "paper knob: Table 1 real-time knob, ROADMAP item 7",
+    "repro.core.realtime:RealTimePolicy":
+        "paper knob: the policy RealTimeKnob applies, ROADMAP item 7",
     "repro.core.knobs:CheckpointIntervalKnob":
         "paper knob: Table 1 checkpointing knob, ROADMAP item 7",
-    "repro.core.markov:plan_redundancy":
-        "paper model: replica count for an availability target, item 7",
     "repro.core.realtime:RealTimePolicy.tightest_feasible_deadline":
         "paper model: real-time bound, ROADMAP item 7",
-    "repro.core.markov:RepairableGroupModel.mean_time_to_total_failure_us":
-        "paper model: availability helper, ROADMAP item 7",
-    "repro.core.markov:RepairableGroupModel.expected_live_replicas":
-        "paper model: availability helper, ROADMAP item 7",
     # Planned readers.
     "repro.telemetry.analysis:critical_path":
         "planned: ROADMAP items 2 and 3 read the critical path",
     "repro.telemetry.analysis:style_aggregates":
         "planned: ROADMAP items 2 and 3 aggregate spans per style",
+    "repro.telemetry.analysis:PathSegment":
+        "planned: ROADMAP items 2 and 3, one step of a critical path",
+    "repro.telemetry.analysis:SpanStats":
+        "planned: ROADMAP items 2 and 3, per-style span aggregates",
 }
 
 
@@ -144,13 +128,15 @@ def _all_ids(tree: ast.AST) -> Set[int]:
     return ids
 
 
-def names_read(path: pathlib.Path) -> Set[str]:
-    """Every name one file mentions, as the module docstring defines."""
-    tree = ast.parse(path.read_text(), str(path))
-    is_init = path.name == "__init__.py"
-    skip = _docstring_ids(tree) | _all_ids(tree)
+def _mentions(nodes: Iterable[ast.AST], skip: Set[int],
+              imports: bool) -> Set[str]:
+    """Every name the subtrees of ``nodes`` mention, as the module
+    docstring defines; ``from … import`` aliases count when
+    ``imports`` is set."""
     names: Set[str] = set()
-    for node in ast.walk(tree):
+    stack = list(nodes)
+    while stack:
+        node = stack.pop()
         if id(node) in skip:
             continue
         if isinstance(node, ast.Name):
@@ -158,41 +144,76 @@ def names_read(path: pathlib.Path) -> Set[str]:
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
-            if not is_init:
+            if imports:
                 names.update(alias.name for alias in node.names)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             names.update(_WORD.findall(node.value))
+        stack.extend(ast.iter_child_nodes(node))
     return names
 
 
-def _defs_in(body: List[ast.stmt], prefix: str
-             ) -> Iterator[Tuple[str, str, int]]:
+def _parse(path: pathlib.Path) -> Tuple[ast.Module, Set[int]]:
+    tree = ast.parse(path.read_text(), str(path))
+    return tree, _docstring_ids(tree) | _all_ids(tree)
+
+
+def names_read(path: pathlib.Path) -> Set[str]:
+    """Every name one file mentions, anywhere in it."""
+    tree, skip = _parse(path)
+    return _mentions([tree], skip, imports=path.name != "__init__.py")
+
+
+def _is_def(node: ast.stmt) -> bool:
+    """A function, class or method the gate tracks (dunders are part
+    of the code around them: they run without being named)."""
+    return (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef))
+            and not (node.name.startswith("__")
+                     and node.name.endswith("__")))
+
+
+def _collect(body: List[ast.stmt], prefix: str, skip: Set[int],
+             found: Dict[str, Tuple[str, int, Set[str]]]) -> Set[str]:
+    """Record each tracked definition in ``body`` in ``found`` as
+    qualname → (bare name, line, names its body mentions); return the
+    names the rest of ``body`` mentions.  A class's body is its
+    decorators, bases and every statement but its tracked methods; a
+    function's body is all of it, nested functions included."""
+    loose: List[ast.AST] = []
     for node in body:
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
+        if not _is_def(node):
+            loose.append(node)
             continue
-        name = node.name
-        if name.startswith("__") and name.endswith("__"):
-            continue
-        qualname = f"{prefix}{name}"
-        yield qualname, name, node.lineno
+        qualname = f"{prefix}{node.name}"
         if isinstance(node, ast.ClassDef):
-            yield from _defs_in(node.body, f"{qualname}.")
+            head = node.decorator_list + node.bases + node.keywords
+            mentions = (_mentions(head, skip, imports=False)
+                        | _collect(node.body, f"{qualname}.", skip, found))
+        else:
+            mentions = _mentions([node], skip, imports=False)
+        found[qualname] = (node.name, node.lineno, mentions)
+    return _mentions(loose, skip, imports=False)
 
 
-def definitions(root: pathlib.Path) -> Dict[str, Tuple[str, str]]:
-    """``<module>:<qualname>`` → (bare name, ``path:line``) for every
-    function, class and method under ``root/src/repro``."""
+def definitions(root: pathlib.Path
+                ) -> Tuple[Set[str], Dict[str, Tuple[str, str, Set[str]]]]:
+    """(names module-level code under ``root/src`` mentions,
+    ``<module>:<qualname>`` → (bare name, ``path:line``, names its
+    body mentions) for every function, class and method under
+    ``root/src/repro``)."""
     src = root / "src"
+    roots: Set[str] = set()
     found = {}
     for path in sorted((src / "repro").rglob("*.py")):
         module = ".".join(path.relative_to(src).with_suffix("").parts)
         module = module.removesuffix(".__init__")
-        tree = ast.parse(path.read_text(), str(path))
-        for qualname, name, line in _defs_in(tree.body, ""):
+        tree, skip = _parse(path)
+        defs: Dict[str, Tuple[str, int, Set[str]]] = {}
+        roots |= _collect(tree.body, "", skip, defs)
+        for qualname, (name, line, mentions) in defs.items():
             where = f"{path.relative_to(root)}:{line}"
-            found[f"{module}:{qualname}"] = (name, where)
-    return found
+            found[f"{module}:{qualname}"] = (name, where, mentions)
+    return roots, found
 
 
 def _names_under(root: pathlib.Path, dirs) -> Set[str]:
@@ -203,36 +224,61 @@ def _names_under(root: pathlib.Path, dirs) -> Set[str]:
     return names
 
 
+def reached_names(roots: Set[str],
+                  defined: Dict[str, Tuple[str, str, Set[str]]]
+                  ) -> Set[str]:
+    """Least fixpoint: ``roots``, plus what the body of every
+    definition named by a reached name mentions.  ``ALLOWED`` plays no
+    part: an allowed definition's body counts only once it is
+    reached."""
+    by_name: Dict[str, List[Set[str]]] = {}
+    for name, _, mentions in defined.values():
+        by_name.setdefault(name, []).append(mentions)
+    reached: Set[str] = set()
+    queue = list(roots)
+    while queue:
+        name = queue.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        for mentions in by_name.get(name, ()):
+            queue.extend(mentions - reached)
+    return reached
+
+
 def audit(root: pathlib.Path, allowed: Dict[str, str]
           ) -> Tuple[List[str], List[str]]:
     """(orphans, stale allow-list entries) of the tree at ``root``.
 
-    An orphan line names the definition, where it is, and whether the
-    tests read it; a stale line says why the entry no longer holds.
+    An orphan line names the definition, where it is, and who reads
+    it; a stale line says why the entry no longer holds.
     """
-    defined = definitions(root)
-    readers = _names_under(root, READER_DIRS)
+    roots, defined = definitions(root)
+    reached = reached_names(roots | _names_under(root, READER_DIRS),
+                            defined)
+    in_src = set().union(*(m for _, _, m in defined.values()))
     test_readers = _names_under(root, ("tests",))
     orphans = []
-    for key, (name, where) in sorted(defined.items()):
-        if name in readers or key in allowed:
+    for key, (name, where, _) in sorted(defined.items()):
+        if name in reached or key in allowed:
             continue
         reach = ("reached only from tests" if name in test_readers
+                 else "read only by unreached code" if name in in_src
                  else "referenced nowhere")
         orphans.append(f"{key} ({where}): {reach}")
     stale = []
     for key in sorted(allowed):
         if key not in defined:
             stale.append(f"{key}: allowed but no longer defined")
-        elif defined[key][0] in readers:
-            stale.append(f"{key}: allowed but now read outside tests")
+        elif defined[key][0] in reached:
+            stale.append(f"{key}: allowed but now reached")
     return orphans, stale
 
 
 def test_every_definition_has_a_reader_outside_tests():
     orphans, stale = audit(REPO_ROOT, ALLOWED)
     assert not orphans + stale, (
-        "definitions no non-test code reads (delete them, or add them "
+        "definitions no reached code reads (delete them, or add them "
         "to ALLOWED with a reason) and stale ALLOWED entries:\n  "
         + "\n  ".join(orphans + stale))
 
@@ -305,5 +351,40 @@ def test_gate_flags_a_planted_orphan_and_a_stale_entry(tmp_path):
     ]
     assert stale == [
         "repro.mod:gone: allowed but no longer defined",
-        "repro.mod:now_read: allowed but now read outside tests",
+        "repro.mod:now_read: allowed but now reached",
     ]
+
+
+def test_gate_follows_reachability(tmp_path):
+    """A method that only names itself, and a helper that only an
+    allowed definition calls, are not reached."""
+    _plant(tmp_path, {
+        "src/repro/__init__.py": '''
+            """Package."""
+        ''',
+        "src/repro/mod.py": '''
+            """Module."""
+
+            class Pool:
+                def total(self):
+                    return sum(part.total for part in self.parts)
+
+            def oracle():
+                return island()
+
+            def island():
+                return 1
+        ''',
+        "examples/use.py": '''
+            from repro.mod import Pool
+            Pool()
+        ''',
+    })
+    orphans, stale = audit(tmp_path, {"repro.mod:oracle": "oracle"})
+    assert orphans == [
+        "repro.mod:Pool.total (src/repro/mod.py:5): "
+        "read only by unreached code",
+        "repro.mod:island (src/repro/mod.py:11): "
+        "read only by unreached code",
+    ]
+    assert stale == []

@@ -41,7 +41,7 @@ def test_never_more_than_one_outstanding():
     loader.start()
     for _ in range(20):
         testbed.run(20_000)
-        assert clients[0].replicator.outstanding_count <= 1
+        assert len(clients[0].replicator._outstanding) <= 1
 
 
 def test_stops_after_duration():

@@ -103,7 +103,7 @@ class TestClosedLoop:
         loader = ClosedLoopClient(clients[0], 5)
         loader.start()
         testbed.run(3_000)
-        assert clients[0].replicator.outstanding_count <= 1
+        assert len(clients[0].replicator._outstanding) <= 1
 
     def test_cannot_start_twice(self):
         testbed, replicas, clients = build_rig(ReplicationStyle.ACTIVE)
