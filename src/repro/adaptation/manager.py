@@ -76,7 +76,7 @@ class AdaptationManager(Actor):
     def _tick(self) -> None:
         if not self.replicator.synced:
             return
-        local_rate = self.replicator.arrivals.rate(self.sim.now)
+        local_rate = self.replicator.arrivals.rate_per_second(self.sim.now)
         self.state.publish_own("rate", local_rate)
         group_rate = self.group_rate()
         self.rate_samples.append((self.sim.now, group_rate))

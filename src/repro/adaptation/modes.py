@@ -19,7 +19,7 @@ when even the most degraded mode cannot be honoured.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import AdaptationError, ContractViolation

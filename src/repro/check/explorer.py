@@ -77,14 +77,14 @@ def verify_outcome(outcome: ScheduleOutcome) -> List[Violation]:
                          lin.configurations_explored}))
     violations.extend(check_counter_consistency(
         counter_ops, outcome.survivor_values))
-    if outcome.truncated_rings:
+    if outcome.journal_dropped:
         # Not a violation — but any verdict over a truncated journal
         # is advisory, so surface it alongside the violations.
         violations.append(Violation(
             invariant="journal_truncated",
-            message="per-host flight-recorder rings truncated; the "
-                    "journal evidence for this schedule is incomplete",
-            details={"truncated_rings": outcome.truncated_rings}))
+            message="the journal dropped events past its cap; the "
+                    "evidence for this schedule is incomplete",
+            details={"dropped": outcome.journal_dropped}))
     return violations
 
 

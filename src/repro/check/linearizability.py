@@ -20,8 +20,8 @@ truncated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from repro.check.history import Operation
 

@@ -18,7 +18,7 @@ must pass with zero false positives).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.check.history import Operation
@@ -166,9 +166,11 @@ class ScheduleOutcome:
     digest: str
     giveups: int
     events_dispatched: int = 0
-    #: Per-host flight-recorder truncation counts of the journal
-    #: (non-empty means the evidence is incomplete).
-    truncated_rings: Dict[str, int] = field(default_factory=dict)
+    #: Events the journal refused past its ``max_events`` cap (non-zero
+    #: means the evidence the checkers read is incomplete).  Per-host
+    #: flight-recorder rings evicting old events lose nothing here: the
+    #: checkers read the global stream.
+    journal_dropped: int = 0
 
 
 def _mutate_skip_final_checkpoint(replicas) -> None:
@@ -428,7 +430,7 @@ def run_schedule(scenario: CheckScenario,
         digest=run.outcome_digest(sorted(survivor_values)),
         giveups=client.replicator.failures,
         events_dispatched=testbed.sim.events_dispatched,
-        truncated_rings=run.journal.truncated_rings())
+        journal_dropped=run.journal.dropped)
 
 
 def _run_until_quiet(run: ScenarioRun, cap_us: float,

@@ -28,7 +28,7 @@ published); the coordinator's fault scope excludes that window.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Set
+from typing import Any, Dict, Set
 
 from repro.gcs.client import CallbackListener
 from repro.gcs.messages import Grade, MemberId

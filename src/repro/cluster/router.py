@@ -20,7 +20,6 @@ contract at-most-once.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Any, Callable, Dict, Optional
 
 from repro.errors import ReplicationError
@@ -32,10 +31,7 @@ from repro.cluster.messages import MapCommit
 from repro.cluster.partition import PartitionMap
 from repro.replication.client import ClientReplicator
 from repro.replication.messages import RepReply
-from repro.replication.styles import (
-    ClientReplicationConfig,
-    ResiliencePolicy,
-)
+from repro.replication.styles import ClientReplicationConfig
 from repro.sim.actor import Actor
 from repro.sim.config import InterposeCalibration
 from repro.telemetry.context import context_of, set_context
@@ -52,20 +48,13 @@ class ShardRouter(Actor, ClientTransport):
     def __init__(self, gcs: GcsClient, cluster: str, pmap: PartitionMap,
                  configs: Dict[str, ClientReplicationConfig],
                  interpose_cal: Optional[InterposeCalibration] = None,
-                 on_failure: Optional[Callable[[GiopRequest], None]] = None,
-                 resilience: Optional[ResiliencePolicy] = None):
+                 on_failure: Optional[Callable[[GiopRequest], None]] = None):
         super().__init__(gcs.process, name=f"router:{gcs.process.name}")
         if set(configs) != set(pmap.shards):
             raise ReplicationError(
                 "router needs exactly one client config per shard: "
                 f"map has {sorted(pmap.shards)}, configs for "
                 f"{sorted(configs)}")
-        if resilience is not None:
-            # Router-level resilience knob: apply one policy uniformly
-            # across every shard's replicator (per-shard configs with
-            # their own policy win when no override is given).
-            configs = {shard: replace(cfg, resilience=resilience)
-                       for shard, cfg in configs.items()}
         self.gcs = gcs
         self.cluster = cluster
         self.map = pmap

@@ -11,9 +11,8 @@ external properties" (Section 1).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 from repro.core.policies import PolicyEntry, ScalabilityPolicy
 from repro.errors import PolicyError

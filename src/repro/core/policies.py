@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.core.cost import Constraints, CostFunction
-from repro.core.measurements import ConfigPoint, Measurement, Profile
+from repro.core.measurements import ConfigPoint, Profile
 from repro.errors import ContractViolation, PolicyError
 from repro.replication.styles import ReplicationStyle
 

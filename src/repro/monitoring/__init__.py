@@ -2,9 +2,10 @@
 
 Public surface:
 
-- :class:`SlidingWindow` — time-windowed aggregation
+- :class:`SlidingWindow` — time-windowed aggregation (each server
+  replicator's arrival-rate sensor is one)
 - :class:`MetricsSnapshot` — the metrics contracts are evaluated
-  against — and :class:`RateSensor`, the arrival-rate sensor
+  against
 - :class:`ReplicatedState` — the identically-replicated system-state
   object adaptation decisions are computed from
 - :class:`Contract`, :class:`ContractMonitor`, :class:`ContractStatus`,
@@ -18,7 +19,7 @@ from repro.monitoring.contracts import (
     ContractStatus,
 )
 from repro.monitoring.replicated_state import ReplicatedState, StateUpdate
-from repro.monitoring.sensors import MetricsSnapshot, RateSensor
+from repro.monitoring.sensors import MetricsSnapshot
 from repro.monitoring.windows import SlidingWindow
 
 __all__ = [
@@ -27,7 +28,6 @@ __all__ = [
     "ContractMonitor",
     "ContractStatus",
     "MetricsSnapshot",
-    "RateSensor",
     "ReplicatedState",
     "SlidingWindow",
     "StateUpdate",

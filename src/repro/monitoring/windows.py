@@ -21,12 +21,10 @@ class SlidingWindow:
         self.window_us = window_us
         check_fields(vars(self), (Rule(("window_us",), float, gt=0),))
         self._samples: Deque[Tuple[float, float]] = deque()
-        self.total_count = 0
 
     def add(self, time: float, value: float) -> None:
         """Record one sample at ``time``."""
         self._samples.append((time, value))
-        self.total_count += 1
         self._expire(time)
 
     def _expire(self, now: float) -> None:

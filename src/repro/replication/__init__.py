@@ -5,7 +5,7 @@ Public surface:
 - :class:`ReplicationStyle`, :class:`ReplicationConfig`,
   :class:`ClientReplicationConfig` — the low-level knob values
 - :class:`ServerReplicator` — server-side replication middleware
-  (active / warm passive / cold passive / hybrid, runtime switching)
+  (active / warm passive / cold passive, runtime switching)
 - :class:`ClientReplicator` — client-side routing, retries, voting
 - :class:`ReplicaFactory` — redundancy-level maintenance & cold spawn
 - :class:`StableStore` — checkpoint persistence for cold passive

@@ -18,12 +18,17 @@ Routing policy
 - **Retries** go AGREED to the whole group, which is correct in every
   style and during style switches; server-side duplicate suppression
   makes retries safe.
-- **Resilience** (optional, :class:`ResiliencePolicy`): retries back
-  off exponentially with deterministic hash-derived jitter, requests
-  carry propagated deadlines, and a per-endpoint circuit breaker stops
-  first attempts from chasing a primary that has stopped answering
-  (e.g. one wedged in a minority partition) — they fall back to the
-  group multicast the reachable majority serves.
+- **Backoff**: retry ``n`` waits ``retry_timeout_us * BACKOFF_FACTOR
+  ** (n - 1)``, capped at :data:`BACKOFF_CAP_US`, plus up to
+  ``±JITTER_FRAC`` of jitter hashed (crc32) from the request id and
+  attempt number — never drawn from the simulation RNG, so backing off
+  perturbs no other random stream.
+- **Circuit breaker**: :data:`BREAKER_THRESHOLD` consecutive timeouts
+  of point-to-point attempts against one endpoint open its breaker for
+  :data:`BREAKER_COOLDOWN_US`; while open, first attempts stop chasing
+  that primary (crashed, or wedged in a minority partition) and fall
+  back to the group multicast the reachable majority serves.  Any reply
+  from the endpoint closes its breaker.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.errors import ReplicationError
 from repro.gcs.client import GcsClient
 from repro.gcs.messages import Grade, GroupView, MemberId
-from repro.orb.giop import GiopReply, GiopRequest
+from repro.orb.giop import GiopRequest
 from repro.orb.transport import ClientTransport, ReplyHandler
 from repro.replication.messages import RepReply, RepRequest
 from repro.replication.styles import (
@@ -46,6 +51,17 @@ from repro.sim.config import InterposeCalibration
 from repro.telemetry.context import context_of, set_context
 from repro.telemetry.metrics import DEFAULT_LATENCY_BUCKETS_US
 from repro.telemetry.spans import COMPONENT_GCS, COMPONENT_REPLICATOR
+
+#: Retry backoff: each retransmission waits this factor longer than the
+#: previous one, up to the cap, with ± this fraction of hashed jitter.
+BACKOFF_FACTOR = 2.0
+BACKOFF_CAP_US = 2_000_000.0
+JITTER_FRAC = 0.1
+
+#: Consecutive point-to-point timeouts that open an endpoint's circuit
+#: breaker, and how long it then stays open.
+BREAKER_THRESHOLD = 3
+BREAKER_COOLDOWN_US = 1_000_000.0
 
 
 class _Outstanding:
@@ -98,15 +114,13 @@ class ClientReplicator(Actor, ClientTransport):
         self.members: tuple = ()
         self.on_failure = on_failure
         self._outstanding: Dict[str, _Outstanding] = {}
-        # Per-endpoint circuit breakers (only populated when a
-        # ResiliencePolicy is configured).
+        # Per-endpoint circuit breakers.
         self._breakers: Dict[MemberId, _Breaker] = {}
         self.requests_sent = 0
         self.retries = 0
         self.replies_received = 0
         self.duplicate_replies = 0
         self.failures = 0
-        self.deadline_giveups = 0
         self.breaker_trips = 0
         self.breaker_rerouted = 0
         gcs.on_direct(self._on_direct)
@@ -120,12 +134,7 @@ class ClientReplicator(Actor, ClientTransport):
         """ClientTransport hook: route one invocation to the group."""
         if not self.alive:
             raise ReplicationError(f"{self.process.name} is dead")
-        policy = self.config.resilience
-        deadline = None
-        if policy is not None and policy.deadline_us is not None:
-            deadline = self.sim.now + policy.deadline_us
-        rep = RepRequest(request=request, client=self.gcs.member,
-                         deadline_us=deadline)
+        rep = RepRequest(request=request, client=self.gcs.member)
         entry = _Outstanding(rep, on_reply)
         if not request.oneway:
             self._outstanding[request.request_id] = entry
@@ -210,24 +219,13 @@ class ClientReplicator(Actor, ClientTransport):
                            self._on_timeout, request.request_id)
 
     def _retry_delay_us(self, request_id: str, attempts: int) -> float:
-        """Rearm interval after the ``attempts``-th transmission.
-
-        Legacy (no resilience policy): the fixed configured timeout.
-        With a policy: exponential backoff capped at ``backoff_cap_us``
-        plus deterministic jitter hashed from (request id, attempt) —
-        never the simulation RNG, so the rest of the run is
-        byte-identical whether or not this client backs off.
-        """
-        policy = self.config.resilience
-        base = self.config.retry_timeout_us
-        if policy is None:
-            return base
-        delay = min(base * policy.backoff_factor ** (attempts - 1),
-                    policy.backoff_cap_us)
-        if policy.jitter_frac > 0.0:
-            h = zlib.crc32(f"{request_id}:{attempts}".encode()) % 1024
-            delay *= 1.0 + policy.jitter_frac * (2.0 * h / 1023.0 - 1.0)
-        return delay
+        """Rearm interval after the ``attempts``-th transmission:
+        capped exponential backoff plus jitter hashed from (request id,
+        attempt)."""
+        delay = min(self.config.retry_timeout_us
+                    * BACKOFF_FACTOR ** (attempts - 1), BACKOFF_CAP_US)
+        h = zlib.crc32(f"{request_id}:{attempts}".encode()) % 1024
+        return delay * (1.0 + JITTER_FRAC * (2.0 * h / 1023.0 - 1.0))
 
     def _routing_target(self) -> Optional[MemberId]:
         """Point-to-point target for the first attempt, or None for
@@ -247,24 +245,19 @@ class ClientReplicator(Actor, ClientTransport):
         return None
 
     # ------------------------------------------------------------------
-    # Circuit breaker (resilience policy only)
+    # Circuit breaker
     # ------------------------------------------------------------------
     def _breaker_open(self, endpoint: MemberId) -> bool:
-        if self.config.resilience is None:
-            return False
         breaker = self._breakers.get(endpoint)
         return breaker is not None and self.sim.now < breaker.open_until_us
 
     def _breaker_timeout(self, endpoint: MemberId) -> None:
-        policy = self.config.resilience
-        if policy is None:
-            return
         breaker = self._breakers.setdefault(endpoint, _Breaker())
         breaker.consecutive_timeouts += 1
-        if breaker.consecutive_timeouts < policy.breaker_threshold \
+        if breaker.consecutive_timeouts < BREAKER_THRESHOLD \
                 or self.sim.now < breaker.open_until_us:
             return
-        breaker.open_until_us = self.sim.now + policy.breaker_cooldown_us
+        breaker.open_until_us = self.sim.now + BREAKER_COOLDOWN_US
         self.breaker_trips += 1
         journal = self.sim.journal
         if journal.enabled:
@@ -287,28 +280,18 @@ class ClientReplicator(Actor, ClientTransport):
             return
         if entry.last_target is not None:
             self._breaker_timeout(entry.last_target)
-        policy = self.config.resilience
-        expired = (policy is not None
-                   and entry.rep.deadline_us is not None
-                   and self.sim.now >= entry.rep.deadline_us)
-        if expired or entry.attempts > self.config.max_retries:
+        if entry.attempts > self.config.max_retries:
             entry.failed = True
             self._outstanding.pop(request_id, None)
             self.failures += 1
-            if expired:
-                self.deadline_giveups += 1
             journal = self.sim.journal
             if journal.enabled:
-                # The ``reason`` attribute only appears on the deadline
-                # path, which only exists under a resilience policy —
-                # legacy journals stay byte-identical.
-                extra = {"reason": "deadline"} if expired else {}
                 journal.record(self.sim.now, self.process.host.name,
                                "replicator", "client.giveup",
                                shard=self.shard,
                                process=self.process.name,
                                request_id=request_id,
-                               attempts=entry.attempts, **extra)
+                               attempts=entry.attempts)
             if self.on_failure is not None:
                 self.on_failure(entry.rep.request)
             return
@@ -322,9 +305,8 @@ class ClientReplicator(Actor, ClientTransport):
         if not isinstance(payload, RepReply):
             return
         self._learn(payload)
-        if self.config.resilience is not None:
-            # Any answer closes the replica's breaker.
-            self._breaker_reset(payload.replica)
+        # Any answer closes the replica's breaker.
+        self._breaker_reset(payload.replica)
         request_id = payload.reply.request_id
         entry = self._outstanding.get(request_id)
         if entry is None:

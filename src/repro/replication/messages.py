@@ -28,11 +28,6 @@ class RepRequest:
     #: Set when a backup relays a misdirected request to the primary,
     #: so the relay cannot loop.
     relayed: bool = False
-    #: Absolute simulated-time deadline propagated from the client's
-    #: :class:`~repro.replication.styles.ResiliencePolicy`; replicas
-    #: shed requests that arrive already expired (the client has given
-    #: up, so processing them is wasted work).  None = no deadline.
-    deadline_us: Optional[float] = None
 
     @property
     def wire_bytes(self) -> int:

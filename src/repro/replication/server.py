@@ -22,9 +22,6 @@ Roles by style
 - **Cold passive**: like warm passive, but checkpoints go to stable
   storage and no live backups exist; a :class:`ReplicaFactory`
   launches a replacement on failure.
-- **Hybrid**: the first ``active_head`` members behave actively; the
-  remainder are warm backups of the head's oldest member (the
-  Bakken-style extension the paper's related work sketches).
 """
 
 from __future__ import annotations
@@ -35,8 +32,9 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.errors import AdaptationError, ReplicationError
 from repro.gcs.client import GcsClient
 from repro.gcs.messages import Grade, GroupView, MemberId
-from repro.orb.giop import GiopReply, GiopRequest
-from repro.orb.transport import ReplyHandler, RequestHandler, ServerTransport, ServiceAddress
+from repro.monitoring.windows import SlidingWindow
+from repro.orb.giop import GiopReply
+from repro.orb.transport import RequestHandler, ServerTransport, ServiceAddress
 from repro.replication.messages import (
     Checkpoint,
     Fence,
@@ -137,8 +135,7 @@ class ServerReplicator(Actor, ServerTransport):
         #: ``(registry, kind, name, shard)`` -> telemetry instrument.
         self._instruments: Dict[tuple, Any] = {}
         # Arrival-rate sensor (feeds the adaptation layer, Fig. 6).
-        from repro.monitoring.sensors import RateSensor
-        self.arrivals = RateSensor(window_us=500_000.0)
+        self.arrivals = SlidingWindow(500_000.0)
         # Statistics.
         self.requests_processed = 0
         self.replies_sent = 0
@@ -223,8 +220,7 @@ class ServerReplicator(Actor, ServerTransport):
     # ==================================================================
     @property
     def primary(self) -> Optional[MemberId]:
-        """Deterministic primary: the longest-standing group member
-        (for hybrid: the longest-standing member of the active head)."""
+        """Deterministic primary: the longest-standing group member."""
         if self.view is None or not self.view.members:
             return None
         return self.view.members[0]
@@ -236,27 +232,7 @@ class ServerReplicator(Actor, ServerTransport):
     @property
     def processes_requests(self) -> bool:
         """Does this replica execute application requests right now?"""
-        if self.style.executes_everywhere:
-            return True
-        if self.style is ReplicationStyle.HYBRID:
-            return self._hybrid_rank() < self.config.active_head
-        return self.is_primary
-
-    @property
-    def transmits_replies(self) -> bool:
-        """Semi-active (Delta-4 XPA leader-follower): every replica
-        executes, but only the leader transmits output responses."""
-        if self.style is ReplicationStyle.SEMI_ACTIVE:
-            return self.is_primary
-        return True
-
-    def _hybrid_rank(self) -> int:
-        if self.view is None:
-            return 0
-        try:
-            return self.view.members.index(self.member)
-        except ValueError:
-            return 0
+        return self.style is ReplicationStyle.ACTIVE or self.is_primary
 
     @property
     def switching(self) -> bool:
@@ -288,7 +264,7 @@ class ServerReplicator(Actor, ServerTransport):
     def _receive_request(self, rep: RepRequest, via_group: bool) -> None:
         if not self.alive or not self._started:
             return
-        self.arrivals.record_arrival(self.sim.now)
+        self.arrivals.add(self.sim.now, 1.0)
         if self._switch is not None or self._paused or not self._synced:
             if via_group:
                 self._queue.append(rep)
@@ -318,26 +294,20 @@ class ServerReplicator(Actor, ServerTransport):
                     and self.primary != self.member:
                 self.relays += 1
                 relay = RepRequest(request=rep.request, client=rep.client,
-                                   relayed=True, deadline_us=rep.deadline_us)
+                                   relayed=True)
                 self.gcs.send_direct(self.primary, relay, relay.wire_bytes)
             return
         self._process(rep)
 
     def _republish(self, rep: RepRequest) -> None:
         again = RepRequest(request=rep.request, client=rep.client,
-                           relayed=True, deadline_us=rep.deadline_us)
+                           relayed=True)
         self.gcs.multicast(self.group, again, again.wire_bytes,
                            grade=Grade.AGREED)
 
     def _process(self, rep: RepRequest) -> None:
         request = rep.request
         req_id = request.request_id
-        if rep.deadline_us is not None and self.sim.now > rep.deadline_us:
-            # The propagated deadline passed in flight: the client has
-            # given up, so executing (or even resending a cached reply)
-            # is wasted work — shed it.
-            self._count("replicator_expired_total")
-            return
         if self.owned_filter is not None \
                 and not self.owned_filter(request.object_key):
             # A request for a key this shard no longer owns (it raced
@@ -349,10 +319,14 @@ class ServerReplicator(Actor, ServerTransport):
         if req_id in self._seen:
             cached = self._seen[req_id]
             if cached is not None:
-                # At-most-once semantics: resend the cached reply.
+                # At-most-once semantics: resend the cached answer,
+                # stamped with this replica's configuration — the one
+                # it carries is from whenever (and wherever) the
+                # request first ran, and the client learns from it.
                 self.duplicates_suppressed += 1
                 self._count("replicator_duplicates_total")
-                self.gcs.send_direct(rep.client, cached, cached.wire_bytes)
+                again = self._rep_reply(cached.reply)
+                self.gcs.send_direct(rep.client, again, again.wire_bytes)
             return
         self._remember(req_id, None)
         tracked = not request.oneway
@@ -394,9 +368,7 @@ class ServerReplicator(Actor, ServerTransport):
             self.requests_processed += 1
             if telemetry.enabled:
                 self._count("replicator_requests_total")
-            rep_reply = RepReply(reply=reply, replica=self.member,
-                                 style=self.style, primary=self.primary,
-                                 broadcast=self.config.broadcast_requests)
+            rep_reply = self._rep_reply(reply)
             self._remember(req_id, rep_reply)
             if self._seen_base:
                 self._seen_delta.append((req_id, rep_reply))
@@ -414,12 +386,7 @@ class ServerReplicator(Actor, ServerTransport):
                 self._observe("replica_service_us",
                               self.sim.now - service_start,
                               DEFAULT_LATENCY_BUCKETS_US)
-            if not self.transmits_replies:
-                # Semi-active follower: execute for state consistency
-                # and fast failover, but suppress the output (it is
-                # cached for duplicate-triggered resends).
-                pass
-            elif self._must_hold_reply():
+            if self._must_hold_reply():
                 # The covering checkpoint goes out first; the reply is
                 # released when that checkpoint is stable.
                 self._held_replies.append((rep.client, rep_reply))
@@ -441,6 +408,12 @@ class ServerReplicator(Actor, ServerTransport):
                 self._fire_drain_waiters()
 
         self.process.host.cpu.execute(overhead, hand_to_orb)
+
+    def _rep_reply(self, reply: GiopReply) -> RepReply:
+        """``reply`` wrapped with the configuration clients learn."""
+        return RepReply(reply=reply, replica=self.member, style=self.style,
+                        primary=self.primary,
+                        broadcast=self.config.broadcast_requests)
 
     def _remember(self, req_id: str, reply: Optional[RepReply]) -> None:
         self._seen[req_id] = reply
@@ -482,7 +455,7 @@ class ServerReplicator(Actor, ServerTransport):
     def _after_request(self) -> None:
         """Post-processing hook: periodic checkpointing for the styles
         that need it."""
-        if self.style.executes_everywhere:
+        if self.style is ReplicationStyle.ACTIVE:
             if self._held_replies:
                 self._release_held_replies()
             return
@@ -540,8 +513,9 @@ class ServerReplicator(Actor, ServerTransport):
         # checkpoints periodically (an active replica answering a sync
         # request is not, and would collect a delta nobody ships).
         self._seen_delta = []
-        self._seen_base = 0 if to_store or self.style.executes_everywhere \
-            else ckpt.ckpt_id
+        self._seen_base = (0 if to_store
+                           or self.style is ReplicationStyle.ACTIVE
+                           else ckpt.ckpt_id)
         if self.sim.telemetry.enabled:
             self._count("replicator_checkpoints_total")
             self._observe("checkpoint_bytes", wire_state,

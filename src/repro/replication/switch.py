@@ -18,7 +18,7 @@ III. SWITCH — the final checkpoint (or its absence, if the primary
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.replication.styles import ReplicationStyle
@@ -53,7 +53,7 @@ class SwitchState:
         """Fig. 5 case 1: a final checkpoint must hand the primary's
         state to replicas that will start executing."""
         return (self.from_style.is_passive
-                and self.target.executes_everywhere)
+                and self.target is ReplicationStyle.ACTIVE)
 
     def duration_us(self) -> Optional[float]:
         """Switch duration, or None while still in progress."""

@@ -135,6 +135,19 @@ class TestQuietEnd:
         assert "switch_bounded_completion" in {
             v.invariant for v in violations}
 
+    @pytest.mark.parametrize("phase", scenario_module.CHECKPOINT_PHASES)
+    def test_late_duplicate_answer_keeps_the_live_primary(self, phase):
+        """The answer to the late duplicate comes from the reply cache
+        of the backup that took over.  It names that backup as primary,
+        so the closing read goes to a live replica and needs no retry."""
+        scenario = replace(
+            scenario_module.canonical_checkpoint_crash_scenario(seed=1),
+            crash_primary_phase=phase)
+        read = run_schedule(scenario).operations[-1]
+        assert read.operation == "read" and not read.pending
+        assert read.completed_at - read.invoked_at \
+            < scenario.retry_timeout_us
+
     def test_quiet_end_equals_a_cap_at_that_instant(self, wait_ends):
         # The rule only advances the clock: a load wait it ends at T is
         # the load wait a cap of T makes, decision for decision.
@@ -172,24 +185,33 @@ class TestExploration:
         assert all(r.decisions for r in result.reports)
 
     def test_truncated_journal_rings_are_surfaced(self, monkeypatch):
-        """A flight-recorder ring too small for the run leaves its
-        ``journal.truncated`` marker in the journal; the outcome counts
-        it once and the verdict flags the evidence as incomplete."""
+        """The checkers read the global journal, so only its cap can
+        lose evidence: a journal that dropped events past
+        ``max_events`` flags the verdict as incomplete, while a
+        flight-recorder ring too small for the run (its
+        ``journal.truncated`` marker) loses nothing they read."""
         import repro.experiments.run as run_module
         from repro.sim import JournalConfig
 
-        tiny = replace(run_module.default_calibration(),
-                       journal=JournalConfig(ring_size=8))
-        monkeypatch.setattr(run_module, "default_calibration",
-                            lambda: tiny)
-        outcome = run_schedule(_small_scenario())
-        markers = {e.host: e.attrs["dropped"]
-                   for e in outcome.journal_events
-                   if e.kind == "journal.truncated"}
-        assert markers and outcome.truncated_rings == markers
-        (flag,) = [v for v in explorer_module.verify_outcome(outcome)
-                   if v.invariant == "journal_truncated"]
-        assert flag.details == {"truncated_rings": markers}
+        def flags(journal_config):
+            tiny = replace(run_module.default_calibration(),
+                           journal=journal_config)
+            monkeypatch.setattr(run_module, "default_calibration",
+                                lambda: tiny)
+            outcome = run_schedule(_small_scenario())
+            return outcome, [v for v in
+                             explorer_module.verify_outcome(outcome)
+                             if v.invariant == "journal_truncated"]
+
+        outcome, found = flags(JournalConfig(ring_size=8))
+        assert any(e.kind == "journal.truncated"
+                   for e in outcome.journal_events)
+        assert outcome.journal_dropped == 0 and found == []
+
+        outcome, (flag,) = flags(JournalConfig(max_events=20))
+        assert len(outcome.journal_events) == 20
+        assert outcome.journal_dropped > 0
+        assert flag.details == {"dropped": outcome.journal_dropped}
 
     def test_skip_final_checkpoint_caught_within_default_budget(self):
         # The seeded protocol bug: the switch coordinator skips the

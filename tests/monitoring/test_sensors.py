@@ -8,15 +8,26 @@ from repro.monitoring import (
     ContractMonitor,
     ContractStatus,
     MetricsSnapshot,
-    RateSensor,
+    SlidingWindow,
 )
+from repro.replication import ReplicationStyle
+from tests.replication.helpers import build_rig, drive
 
 
 def test_rate_sensor():
-    sensor = RateSensor(window_us=1_000_000.0)
-    for i in range(100):
-        sensor.record_arrival(i * 10_000.0)
-    assert sensor.rate(990_000.0) == pytest.approx(101.0, rel=0.02)
+    """Each server replicator's arrival-rate sensor is a half-second
+    window with one sample per request it receives."""
+    testbed, replicas, clients = build_rig(ReplicationStyle.ACTIVE)
+    drive(testbed, clients[0], 10)
+    for replica in replicas:
+        arrivals = replica.replicator.arrivals
+        assert isinstance(arrivals, SlidingWindow)
+        assert arrivals.window_us == 500_000.0
+        times = [t for t, _ in arrivals._samples]
+        assert len(times) == 10
+        span = testbed.now - times[0]
+        assert arrivals.rate_per_second(testbed.now) \
+            == pytest.approx(10 / span * 1e6)
 
 
 class TestContracts:

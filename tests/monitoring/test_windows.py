@@ -16,14 +16,6 @@ def test_old_samples_expire():
     assert list(w._samples) == [(150.0, 20.0)]
 
 
-def test_total_count_survives_expiry():
-    w = SlidingWindow(100.0)
-    w.add(0.0, 1.0)
-    w.add(500.0, 1.0)
-    assert len(w._samples) == 1
-    assert w.total_count == 2
-
-
 def test_rate_per_second():
     w = SlidingWindow(1_000_000.0)
     # 10 events over 900_000 us -> ~11.1 events/s.

@@ -19,7 +19,6 @@ from repro.replication import (
     ReplicationStyle,
     RepRequest,
 )
-from repro.replication.styles import ResiliencePolicy
 
 #: Long enough for heartbeat-based failure detection + flush.
 FAILOVER_US = 1_500_000
@@ -32,7 +31,6 @@ def build_rig(style: ReplicationStyle, n_replicas: int = 3,
               checkpoint_interval: int = 1,
               voting: bool = False,
               sync_checkpoints: bool = True,
-              resilience: Optional[ResiliencePolicy] = None,
               calibration=None):
     """Standard rig: N replicas + M clients on the paper's testbed."""
     testbed = Testbed.paper_testbed(max(n_replicas, 1), max(n_clients, 1),
@@ -47,8 +45,7 @@ def build_rig(style: ReplicationStyle, n_replicas: int = 3,
         config, servants, sync_checkpoints=sync_checkpoints)
     clients = [
         deploy_client(testbed, f"w{i:02d}", ClientReplicationConfig(
-            group="svc", expected_style=style, voting=voting,
-            resilience=resilience))
+            group="svc", expected_style=style, voting=voting))
         for i in range(1, n_clients + 1)
     ]
     testbed.run(100_000)

@@ -222,36 +222,3 @@ class TestColdPassive:
             ServerReplicator(gcs, ReplicationConfig(
                 style=ReplicationStyle.COLD_PASSIVE, group="svc"),
                 store=None)
-
-
-class TestHybrid:
-    def test_head_processes_tail_does_not(self):
-        testbed, replicas, clients = build_rig(ReplicationStyle.HYBRID)
-        # Default active_head=1: behaves like a primary-only processor
-        # with checkpointed backups.
-        call(testbed, clients[0], "add", 5)
-        testbed.run(500_000)
-        processed = [r.replicator.requests_processed for r in replicas]
-        assert processed[0] >= 1
-        assert processed[2] == 0
-
-    def test_hybrid_two_active_heads(self):
-        from repro.experiments.testbed import (
-            Testbed, deploy_client, deploy_replica_group)
-        from repro.orb import CounterServant
-        from repro.replication import (
-            ClientReplicationConfig, ReplicationConfig)
-        testbed = Testbed.paper_testbed(3, 1)
-        config = ReplicationConfig(style=ReplicationStyle.HYBRID,
-                                   group="svc", active_head=2)
-        replicas = deploy_replica_group(
-            testbed, ["s01", "s02", "s03"], config,
-            {"counter": CounterServant})
-        client = deploy_client(testbed, "w01", ClientReplicationConfig(
-            group="svc", expected_style=ReplicationStyle.HYBRID))
-        testbed.run(100_000)
-        reply = call(testbed, client, "add", 3)
-        assert reply.payload == 3
-        processed = [r.replicator.requests_processed for r in replicas]
-        assert processed[0] >= 1 and processed[1] >= 1
-        assert processed[2] == 0

@@ -163,7 +163,7 @@ class TestSameCacheAsWholeShipping:
 
     @pytest.mark.parametrize("interval", [1, 7, 25])
     @pytest.mark.parametrize("style,broadcast", [
-        (WARM, False), (WARM, True), (ReplicationStyle.HYBRID, False)])
+        (WARM, False), (WARM, True)])
     def test_backups_mirror_the_primary(self, monkeypatch, style,
                                         broadcast, interval):
         monkeypatch.setattr(server_module, "SEEN_CACHE_LIMIT", self.LIMIT)

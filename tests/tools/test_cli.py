@@ -146,6 +146,7 @@ def test_campaign_command_rejects_non_finite_rate(tmp_path, capsys):
     ("replica_counts", [True]), ("replica_counts", 3),
     ("shard_counts", [1.0]), ("seeds", ["a"]), ("seeds", [1.5]),
     ("styles", [["active"]]), ("base_seed", "x"), ("sample", 1.5),
+    ("styles", ["hybrid"]), ("styles", ["semi_active"]),
 ])
 def test_campaign_command_rejects_non_integer_counts(tmp_path, capsys,
                                                      field, value):
@@ -297,9 +298,10 @@ def test_trace_command_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["trace", "--format", "yaml"])
     assert excinfo.value.code == 2
-    with pytest.raises(SystemExit) as excinfo:
-        main(["trace", "--style", "bogus"])
-    assert excinfo.value.code == 2
+    for style in ("bogus", "hybrid", "semi_active"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["trace", "--style", style])
+        assert excinfo.value.code == 2
 
 
 def test_campaign_telemetry_flag_attaches_summaries(tmp_path, capsys):
