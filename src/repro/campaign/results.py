@@ -19,6 +19,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set
 
+from repro.canonical import canonical_json
 from repro.campaign.spec import TrialSpec
 from repro.core.cost import CostFunction
 from repro.errors import ConfigurationError, Rule, check_fields
@@ -60,11 +61,10 @@ class TrialRecord:
 
     def to_line(self) -> str:
         """Canonical single-line JSON (sorted keys: byte-stable)."""
-        return json.dumps(
+        return canonical_json(
             {"schema": self.schema, "trial_id": self.trial_id,
              "status": self.status, "spec": self.spec,
-             "metrics": self.metrics, "error": self.error},
-            sort_keys=True, separators=(",", ":"))
+             "metrics": self.metrics, "error": self.error})
 
     @classmethod
     def from_line(cls, line: str) -> "TrialRecord":

@@ -178,6 +178,14 @@ def _mp_context():
         "fork" if "fork" in methods else "spawn")
 
 
+def chunk_size(n_jobs: int, workers: int) -> int:
+    """Jobs per dispatch to a pool of ``workers``: small enough to keep
+    the pool balanced (about four chunks per worker), capped at 8 so a
+    late straggler never sits behind a long private queue."""
+    per_worker = -(-n_jobs // (workers * 4))
+    return max(1, min(8, per_worker))
+
+
 class CampaignRunner:
     """Executes one campaign against one results store."""
 
@@ -256,7 +264,7 @@ class CampaignRunner:
         write_queue = [index for index, _ in todo]
         next_write = 0
         done = skipped
-        chunk_size = self._chunk_size(len(todo))
+        per_chunk = chunk_size(len(todo), self.workers)
         pool = [self._spawn(ctx)
                 for _ in range(min(self.workers, len(todo)))]
 
@@ -278,7 +286,7 @@ class CampaignRunner:
         while pending or any(w.busy for w in pool):
             for worker in pool:
                 if worker.idle and pending:
-                    chunk, pending = pending[:chunk_size], pending[chunk_size:]
+                    chunk, pending = pending[:per_chunk], pending[per_chunk:]
                     self._dispatch(worker, chunk)
 
             time.sleep(0.005)
@@ -292,13 +300,6 @@ class CampaignRunner:
         for worker in pool:
             self._retire(worker)
         return [finished[index] for index, _ in todo]
-
-    def _chunk_size(self, n_todo: int) -> int:
-        """Trials per dispatch: small enough to keep the pool balanced
-        (≈4 chunks per worker), capped so a late straggler never sits
-        behind a long private queue."""
-        per_worker = -(-n_todo // (self.workers * 4))
-        return max(1, min(8, per_worker))
 
     def _spawn(self, ctx) -> _PoolWorker:
         """Fork one persistent pool worker."""

@@ -27,10 +27,11 @@ from repro.check.policies import WALK_RULES, RandomWalkPolicy, ReplayPolicy
 from repro.check.scenario import CheckScenario, run_schedule
 from repro.errors import Rule, VerificationError, check_fields
 
-#: Artifact schema version.  Version 2: a walk's waits end when the
-#: system is quiet (``horizon_us``/``settle_us`` are caps), so a
-#: version-1 trace, recorded under fixed waits, cannot replay.
-ARTIFACT_VERSION = 2
+#: Artifact schema version.  Version 3: a walk's waits end at the
+#: first slice end at which the system is at rest, and each daemon has
+#: one liveness timer, so a trace recorded under an older version
+#: (fixed waits, then quiet periods and two timers) cannot replay.
+ARTIFACT_VERSION = 3
 
 #: The declared rules of an artifact's JSON form: its top level and
 #: its policy section (:data:`SCENARIO_RULES` check the scenario).

@@ -160,14 +160,16 @@ def explore(scenario: CheckScenario, budget: int = 200,
     pool = None
     try:
         if workers > 1:
-            from repro.campaign.runner import _mp_context  # lazy: the
-            # one-CPU path needs no multiprocessing
+            # Lazy: the one-CPU path needs no multiprocessing.
+            from repro.campaign.runner import _mp_context, chunk_size
             pool = _mp_context().Pool(workers)
             # Unpickled here, not by the pool's result thread: that
             # thread's malloc arena cannot reuse memory this thread
             # freed, and holding every report there cost 4-10 MiB of
             # peak RSS on perfbench's check_explore.
-            walks = map(pickle.loads, pool.imap(_pickled_walk, jobs))
+            walks = map(_unpickled_walk, pool.imap(
+                _pickled_walk, jobs,
+                chunksize=chunk_size(budget, workers)))
         else:
             walks = map(_walk, jobs)
         for i, (variant, digest, violations, decisions) in enumerate(walks):
@@ -240,6 +242,24 @@ def _walk(job: _Job) -> Tuple[CheckScenario, str, List[Violation],
 
 
 def _pickled_walk(job: _Job) -> bytes:
-    """:func:`_walk` in a pool worker, its result pickled for the
-    consuming thread to load."""
-    return pickle.dumps(_walk(job))
+    """:func:`_walk` in a pool worker, its result (or the exception it
+    raised) pickled for the consuming thread to load.
+
+    A chunk of walks comes back whole or not at all, so a walk that
+    raises ships its exception as its result: the walks before it are
+    still reported, and :func:`_unpickled_walk` raises it in its turn
+    (without the worker's traceback; the one-CPU path keeps it).
+    """
+    try:
+        return pickle.dumps((None, _walk(job)))
+    except Exception as error:  # re-raised by the consumer
+        return pickle.dumps((error, None))
+
+
+def _unpickled_walk(blob: bytes) -> Tuple[CheckScenario, str,
+                                          List[Violation], Decisions]:
+    """Load one :func:`_pickled_walk` result; raise what it raised."""
+    error, walk = pickle.loads(blob)
+    if error is not None:
+        raise error
+    return walk

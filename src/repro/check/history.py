@@ -15,9 +15,10 @@ so simulated outcomes are byte-identical with capture on or off.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
+
+from repro.canonical import canonical_json
 
 
 @dataclass
@@ -101,8 +102,7 @@ class HistoryRecorder:
     def serialize(self) -> str:
         """Canonical JSONL of the history (stable across runs of the
         same schedule; feeds the schedule digest)."""
-        lines = [json.dumps(op.to_dict(), sort_keys=True,
-                            separators=(",", ":"))
+        lines = [canonical_json(op.to_dict())
                  for op in self._ops.values()]
         return "\n".join(lines) + ("\n" if lines else "")
 

@@ -83,7 +83,7 @@ class CheckScenario:
     heal_at_us: Optional[float] = None
     #: Caps on the load wait and on each settle wait (the late
     #: duplicate's, the closing read's): a wait ends earlier, once the
-    #: system is quiet (:func:`_run_until_quiet`).
+    #: system is at rest (:func:`_run_until_quiet`).
     horizon_us: float = 8_000_000.0
     settle_us: float = 2_000_000.0
     retry_timeout_us: float = 120_000.0
@@ -388,18 +388,17 @@ def run_schedule(scenario: CheckScenario,
                               start + scenario.heal_at_us)
         planned.append(start + scenario.heal_at_us)
     next_request(scenario.n_requests)
+    last_planned = max(planned)
 
-    def fired_at() -> Optional[float]:
-        """When the last planned fault, heal, restart or switch fires,
-        or None while one is still to come: a phase crash that has not
-        struck, or a switch some live replica is still in."""
-        if (scenario.crash_primary_phase is not None and not crashed) \
-                or any(replica.alive and replica.replicator.switching
-                       for replica in run.replicas):
-            return None
-        return max(planned + crashed)
+    def fired() -> bool:
+        """True once every planned fault, heal, restart and switch has
+        fired: a phase crash has struck and no live replica is still in
+        a switch (the fixed instants lie behind the wait's jump)."""
+        return (scenario.crash_primary_phase is None or bool(crashed)) \
+            and not any(replica.alive and replica.replicator.switching
+                        for replica in run.replicas)
 
-    _run_until_quiet(run, scenario.horizon_us, fired_at)
+    _run_until_quiet(run, scenario.horizon_us, last_planned, fired)
 
     if scenario.late_duplicate:
         first = next((op for op in history.operations if not op.pending),
@@ -413,12 +412,12 @@ def run_schedule(scenario: CheckScenario,
                 client=client.gcs.member)
             client.gcs.multicast("svc", duplicate, duplicate.wire_bytes,
                                  grade=Grade.AGREED)
-            _run_until_quiet(run, scenario.settle_us, fired_at)
+            _run_until_quiet(run, scenario.settle_us, last_planned, fired)
 
     # The closing read: observed through the same history capture, it
     # forces the final state onto the client-visible record.
     client.orb_client.invoke("counter", "read", 0, 32, lambda _reply: None)
-    _run_until_quiet(run, scenario.settle_us, fired_at)
+    _run_until_quiet(run, scenario.settle_us, last_planned, fired)
 
     survivor_values = [r.servants["counter"].value
                        for r in replicas if r.alive]
@@ -433,40 +432,45 @@ def run_schedule(scenario: CheckScenario,
         journal_dropped=run.journal.dropped)
 
 
-def _run_until_quiet(run: ScenarioRun, cap_us: float,
-                     fired_at: Callable[[], Optional[float]]) -> None:
-    """Run until the system is quiet, or for ``cap_us`` at most.
+def _run_until_quiet(run: ScenarioRun, cap_us: float, planned_us: float,
+                     fired: Callable[[], bool]) -> None:
+    """Run until the system is at rest, or for ``cap_us`` at most.
 
-    The wait ends at the first instant at which no client request is
-    pending, every planned fault, heal, restart and switch has fired
-    (``fired_at`` is not None), and ``2 x failure_timeout_us`` has
-    passed since the last of: the wait's start, a journal event, a
-    completion, the last planned action.  Twice the failure timeout
-    outlasts a crash's detection and the view change it starts.
+    The wait jumps to ``planned_us``, the last planned instant, then
+    advances in slices of one ``retransmit_timeout_us`` and ends at the
+    first slice end at which no client request is pending, every
+    planned action has ``fired`` and :func:`_at_rest` holds.
 
     The loop only advances the clock to instants it computes: it
     schedules no event, so it draws no policy decision, and the run
     up to its end is the run a fixed wait of ``cap_us`` makes.
     """
     sim = run.testbed.sim
-    quiet_us = 2 * run.testbed.calibration.gcs.failure_timeout_us
-    events = run.journal.events
-    start = sim.now
-    cap = start + cap_us
+    slice_us = run.testbed.calibration.gcs.retransmit_timeout_us
+    cap = sim.now + cap_us
+    if planned_us > sim.now:
+        sim.run(until=min(planned_us, cap))
     while sim.now < cap:
-        ops = run.history.operations
-        last_planned = fired_at()
-        if last_planned is None or any(op.pending for op in ops):
-            # Nothing before the awaited completion or crash can end
-            # the wait, and that instant plus the quiet lies past this.
-            until = sim.now + quiet_us
-        else:
-            until = max(start, last_planned,
-                        events[-1].time_us if events else start,
-                        *(op.completed_at for op in ops)) + quiet_us
-            if until <= sim.now:
-                return
-        sim.run(until=min(until, cap))
+        sim.run(until=min(sim.now + slice_us, cap))
+        if not any(op.pending for op in run.history.operations) \
+                and fired() and _at_rest(run):
+            return
+
+
+def _at_rest(run: ScenarioRun) -> bool:
+    """True when nothing but liveness timers is left to run: no CPU
+    has a job, every live daemon is at rest in one view whose members
+    are exactly the live daemons, and every live replica is at rest."""
+    testbed = run.testbed
+    if not all(host.cpu.idle for host in testbed.hosts.values()
+               if host.alive):
+        return False
+    daemons = [d for d in testbed.daemons.values() if d.alive]
+    views = {d.view for d in daemons}
+    return len(views) == 1 \
+        and set(views.pop().members) == {d.host.name for d in daemons} \
+        and all(d.at_rest for d in daemons) \
+        and all(r.replicator.at_rest for r in run.replicas if r.alive)
 
 
 def _crash_at_checkpoint_phase(injector: FaultInjector, replica: Any,

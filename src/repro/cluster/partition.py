@@ -22,11 +22,11 @@ Determinism requirements, all load-bearing:
 from __future__ import annotations
 
 import hashlib
-import json
 import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.canonical import canonical_json
 from repro.errors import ConfigurationError, Rule, check_fields
 
 #: Default virtual nodes per shard; enough to spread a handful of
@@ -167,8 +167,7 @@ class PartitionMap:
     def digest(self) -> str:
         """SHA-256 over the canonical JSON form: two routers agree on
         the map iff their digests match."""
-        canonical = json.dumps(self.to_dict(), sort_keys=True,
-                               separators=(",", ":"))
+        canonical = canonical_json(self.to_dict())
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 

@@ -193,10 +193,8 @@ class GcsDaemon(Actor):
         self._wedged = False
         self._rejoiners: Set[str] = set()
 
-        self.set_periodic_timer("heartbeat", self.cal.heartbeat_interval_us,
-                                self._send_heartbeats)
-        self.set_periodic_timer("failcheck", self.cal.heartbeat_interval_us,
-                                self._check_failures)
+        self.set_periodic_timer("liveness", self.cal.heartbeat_interval_us,
+                                self._liveness_tick)
 
     # ==================================================================
     # Public API used by GcsClient
@@ -701,6 +699,12 @@ class GcsDaemon(Actor):
     # ==================================================================
     # Failure detection
     # ==================================================================
+    def _liveness_tick(self) -> None:
+        """One periodic tick: beat to every peer, then check who fell
+        silent."""
+        self._send_heartbeats()
+        self._check_failures()
+
     def _send_heartbeats(self) -> None:
         view_id = self.view.view_id
         cached = self._hb_beat
@@ -876,9 +880,19 @@ class GcsDaemon(Actor):
     def _heal_wedge(self) -> None:
         """Called on the merge install at a previously wedged daemon:
         resume serving and re-submit joins for local members the
-        majority removed while we were away."""
+        majority removed while we were away.
+
+        Every member of the installed view is un-suspected and its
+        detector window restarts now: a suspicion kept from the wedge
+        would exempt that peer from every later failure check."""
         self._wedged = False
         self.cancel_timer("rejoin")
+        now = self.sim.now
+        for peer in self.view.members:
+            if peer != self.host.name:
+                self._suspects.discard(peer)
+                self._detector.forget(peer)
+                self._detector.heard_from(peer, now)
         journal = self.sim.journal
         if journal.enabled:
             journal.record(self.sim.now, self.host.name, "gcs",
@@ -1092,6 +1106,16 @@ class GcsDaemon(Actor):
     # ==================================================================
     # Internals
     # ==================================================================
+    @property
+    def at_rest(self) -> bool:
+        """True when no flush, wedge or suspicion is pending and no
+        link holds an unacknowledged or stashed frame.  Whether the
+        daemons agree on one view of the live ones is for the caller
+        to compare."""
+        return not (self._suspended or self._wedged or self._suspects
+                    or self._flush_proposal is not None) \
+            and all(link.idle for link in self._links.values())
+
     def _group(self, group: str) -> _GroupState:
         state = self._groups.get(group)
         if state is None:

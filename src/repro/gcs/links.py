@@ -179,6 +179,11 @@ class ReliableLink:
         if self._on_close is not None:
             self._on_close()
 
+    @property
+    def idle(self) -> bool:
+        """True when no frame awaits an ACK or a gap to fill."""
+        return not self._unacked and not self._stash
+
     def __repr__(self) -> str:
         return (f"<ReliableLink {self.local}->{self.peer} "
                 f"out={self._next_out - 1} in={self._next_in - 1} "

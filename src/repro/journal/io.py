@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
+from repro.canonical import canonical_json
 from repro.journal.availability import (
     availability_report,
     match_faults,
@@ -23,8 +24,7 @@ from repro.journal.events import ATTR_RULES, EVENT_RULES, JournalEvent
 
 def event_to_line(event: JournalEvent) -> str:
     """One event as canonical JSON (sorted keys, compact separators)."""
-    return json.dumps(event.to_dict(), sort_keys=True,
-                      separators=(",", ":"))
+    return canonical_json(event.to_dict())
 
 
 def events_to_jsonl(events: Iterable[JournalEvent]) -> str:

@@ -122,6 +122,8 @@ class ServerReplicator(Actor, ServerTransport):
         self.switch_history: List[SwitchRecord] = []
         # Joiner state transfer.
         self._synced = False
+        # Start of the ``sync`` timer's 120 ms grid (set by start()).
+        self._sync_grid_us = 0.0
         # Cluster seams (installed by repro.cluster's ShardAdmin; both
         # stay None in non-sharded deployments, costing one comparison).
         # fence_handler(fence) runs at the fence's total-order position
@@ -201,6 +203,7 @@ class ServerReplicator(Actor, ServerTransport):
         self._started = True
         self.gcs.on_direct(self._on_direct)
         self.gcs.join(self.group, _ListenerShim(self))
+        self._sync_grid_us = self.sim.now
         self.set_periodic_timer("sync", SYNC_RETRY_US, self._sync_tick)
         return ServiceAddress.replicated(self.group)
 
@@ -644,10 +647,23 @@ class ServerReplicator(Actor, ServerTransport):
         if self._synced:
             return
         self._synced = True
+        self.cancel_timer("sync")
         self.cancel_timer("sync-retry")
         self._journal("state.sync", member=str(self.member),
                       style=self.style.value)
         self._drain_queue()
+
+    def _unsync(self) -> None:
+        """Drop back to unsynced and re-arm the ``sync`` timer that
+        :meth:`_mark_synced` stopped, on the grid it ticked on from
+        :meth:`start`: its next tick is the first grid instant after
+        now."""
+        self._synced = False
+        due = self._sync_grid_us
+        while due <= self.sim.now:
+            due += SYNC_RETRY_US
+        self.set_periodic_timer("sync", SYNC_RETRY_US, self._sync_tick,
+                                first_at_us=due)
 
     def _sync_tick(self) -> None:
         """Joiner-driven state transfer: until synced, periodically ask
@@ -915,7 +931,7 @@ class ServerReplicator(Actor, ServerTransport):
                 # daemon.  Its state missed everything the majority
                 # processed meanwhile — drop back to unsynced and pull
                 # a fresh checkpoint before serving again.
-                self._synced = False
+                self._unsync()
             if len(view.members) == 1:
                 # First member: no live peer to sync from.  A cold
                 # passive (re)start recovers from stable storage first.
@@ -980,6 +996,12 @@ class ServerReplicator(Actor, ServerTransport):
     @property
     def synced(self) -> bool:
         return self._synced
+
+    @property
+    def at_rest(self) -> bool:
+        """True when this replica holds current state and is in no
+        switch."""
+        return self._synced and self._switch is None
 
     @property
     def queued_requests(self) -> int:

@@ -42,9 +42,12 @@ class Actor:
         self._timers[key] = self.sim.schedule(delay_us, fire)
 
     def set_periodic_timer(self, key: str, interval_us: float,
-                           callback: Callable[[], None]) -> None:
+                           callback: Callable[[], None],
+                           first_at_us: Optional[float] = None) -> None:
         """Arm a named timer that refires every ``interval_us`` until
-        cancelled or the process dies."""
+        cancelled or the process dies; it first fires at the absolute
+        instant ``first_at_us`` if given, else ``interval_us`` from
+        now."""
         self.cancel_timer(key)
         if not self.alive:
             return
@@ -62,7 +65,8 @@ class Actor:
             timers[key] = schedule(interval_us, fire)
             callback()
 
-        timers[key] = schedule(interval_us, fire)
+        timers[key] = schedule(interval_us, fire) if first_at_us is None \
+            else self.sim.schedule_at(first_at_us, fire)
 
     def cancel_timer(self, key: str) -> None:
         """Cancel a named timer (no-op if absent)."""

@@ -64,6 +64,11 @@ class Cpu:
         return done
 
     @property
+    def idle(self) -> bool:
+        """True when no job is running or queued."""
+        return self._ready_at <= self._sim.now
+
+    @property
     def busy_us(self) -> float:
         """Total busy time accumulated so far (µs)."""
         return self._busy_us

@@ -22,10 +22,10 @@ window start, so the same journal always yields byte-identical ledgers
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.canonical import canonical_json
 from repro.journal.availability import (
     AvailabilityReport,
     discover_shards,
@@ -160,7 +160,7 @@ class SloOutcome:
     def ledger_jsonl(self) -> str:
         """Canonical JSONL of the ledger + alerts: the byte-identity
         artifact (sorted keys, compact separators, trailing newline)."""
-        lines = [json.dumps(row, sort_keys=True, separators=(",", ":"))
+        lines = [canonical_json(row)
                  for row in ([b.to_dict() for b in self.budgets]
                              + [a.to_dict() for a in self.alerts])]
         return "\n".join(lines) + ("\n" if lines else "")

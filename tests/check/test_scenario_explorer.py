@@ -27,6 +27,7 @@ from repro.check.artifact import artifact_from_report
 from repro.check.policies import Decisions
 from repro.errors import SimulationError, VerificationError
 from repro.sim import Simulator
+from tests.test_golden_digests import EXPLORATIONS
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -77,8 +78,8 @@ def wait_ends(monkeypatch):
     ends, runs = [], []
     wait = scenario_module._run_until_quiet
 
-    def recorded(run, cap_us, fired_at):
-        wait(run, cap_us, fired_at)
+    def recorded(run, cap_us, planned_us, fired):
+        wait(run, cap_us, planned_us, fired)
         runs.append(run)
         ends.append(run.testbed.now)
 
@@ -86,16 +87,98 @@ def wait_ends(monkeypatch):
     return ends, runs
 
 
-class TestQuietEnd:
-    """A schedule's waits end when the system is quiet; the horizon
-    and settle values are caps."""
+_RUN_UNTIL_QUIET = scenario_module._run_until_quiet
 
-    def test_canonical_run_ends_early(self, wait_ends):
-        outcome = run_schedule(canonical_scenario(seed=1))
-        ends, _ = wait_ends
-        # A fixed 8 s + 2 s dispatched 2,698 events.
-        assert outcome.events_dispatched <= 1_200
-        assert ends[-1] < 2_500_000.0
+
+def _extend_wait(monkeypatch, index):
+    """Make wait ``index`` of each schedule run on for twice the
+    failure timeout past its end; return, per extended wait, whether
+    it had ended at rest and what the extension added: journal events
+    and completions."""
+    added = []
+    current = [None, 0]  # the run, and its waits so far
+
+    def extended(run, cap_us, planned_us, fired):
+        cap = run.testbed.now + cap_us
+        _RUN_UNTIL_QUIET(run, cap_us, planned_us, fired)
+        if current[0] is not run:
+            current[:] = [run, 0]
+        current[1] += 1
+        if current[1] - 1 != index:
+            return
+
+        def progress():
+            return (len(run.journal.events),
+                    sum(not op.pending for op in run.history.operations))
+
+        sim = run.testbed.sim
+        at_rest, before = sim.now < cap, progress()
+        sim.run(until=sim.now + 2 * run.testbed.calibration.gcs
+                .failure_timeout_us)
+        after = progress()
+        added.append((at_rest, after[0] - before[0], after[1] - before[1]))
+
+    monkeypatch.setattr(scenario_module, "_run_until_quiet", extended)
+    return added
+
+
+class TestQuietEnd:
+    """A schedule's waits end at the first slice end at which the
+    system is at rest; the horizon and settle values are caps."""
+
+    def test_canonical_run_ends_early(self):
+        # Waits for 2 x failure_timeout_us of quiet dispatched 856,
+        # 1,287 and 1,663 events for the same journals.
+        outcomes = [run_schedule(make(seed=1)) for make in (
+            canonical_scenario, canonical_partition_scenario,
+            scenario_module.canonical_checkpoint_crash_scenario)]
+        assert [(o.events_dispatched, len(o.journal_events))
+                for o in outcomes] == [(529, 58), (814, 69), (1_182, 110)]
+
+    def test_wait_jumps_to_the_last_plan_then_slices(self, wait_ends):
+        # The load wait runs straight to the crash instant, then in
+        # retransmit_timeout_us slices to the first one that ends at
+        # rest.
+        scenario = canonical_scenario(seed=1)
+        run_schedule(scenario)
+        ends, (run, *_) = wait_ends
+        slice_us = run.testbed.calibration.gcs.retransmit_timeout_us
+        planned = run.t0 + scenario.crash_primary_at_us
+        slices = (ends[0] - planned) / slice_us
+        assert slices >= 1 and slices == pytest.approx(round(slices))
+        assert ends[0] < planned + 100 * slice_us
+
+    @pytest.mark.parametrize("name", sorted(EXPLORATIONS))
+    def test_rest_is_final(self, monkeypatch, name):
+        """Each wait of every walk behind an ``explore`` literal, and
+        of the policy-free run, ends at rest, and twice the failure
+        timeout more adds no journal event and no completion."""
+        make, budget = EXPLORATIONS[name]
+        scenario = make(seed=1)
+        for index in range(3 if scenario.late_duplicate else 2):
+            added = _extend_wait(monkeypatch, index)
+            run_schedule(scenario)
+            for i in range(budget):
+                explorer_module._walk((scenario, i, i, 4, 150.0))
+            assert added == [(True, 0, 0)] * (budget + 1)
+
+    def test_each_layer_can_hold_rest_off(self, wait_ends):
+        # A walk ends at rest; a CPU job, a frame on a reliable link or
+        # an unsynced replica each puts it back in motion.
+        run_schedule(canonical_scenario(seed=1))
+        _, (run, *_) = wait_ends
+        at_rest, testbed = scenario_module._at_rest, run.testbed
+        assert at_rest(run)
+        testbed.hosts["s02"].cpu.execute(10.0, lambda: None)
+        assert not at_rest(run)
+        testbed.run(10.0)
+        assert at_rest(run)
+        testbed.daemons["s02"]._send_to("s03")("stray", 16)
+        assert not at_rest(run)
+        testbed.run(2 * testbed.calibration.gcs.retransmit_timeout_us)
+        assert at_rest(run)
+        run.replicas[1].replicator._unsync()
+        assert not at_rest(run)
 
     def test_late_crash_fails_over_before_the_closing_read(self):
         # The crash at variation 2.4 strikes long after the load; the
@@ -125,7 +208,7 @@ class TestQuietEnd:
     def test_wedged_switch_runs_to_the_caps_and_is_flagged(self,
                                                            wait_ends):
         # Walk 2 crashes the primary before its switch: the backups
-        # stay in PREPARING, so no wait sees the system quiet.
+        # stay in PREPARING, so no wait sees the system at rest.
         scenario = canonical_scenario(mutation="skip_final_checkpoint")
         variant, _digest, violations, _decisions = explorer_module._walk(
             (scenario, 2, 2, 4, 150.0))
@@ -431,10 +514,11 @@ class TestArtifacts:
         ("tie_choices", True), ("tie_choices", 4.0), ("tie_choices", "4"),
         ("tie_choices", 2 ** 64), ("walk_seed", 2.5), ("walk_seed", "3"),
         ("walk_seed", True), ("walk_seed", None),
-        # Only this format's version: a version-1 trace was recorded
-        # under fixed waits and cannot replay.
-        ("version", 1), ("version", 99), ("version", 0), ("version", "2"),
-        ("version", 2.0), ("version", None)])
+        # Only this format's version: a version-1 or version-2 trace
+        # was recorded under other wait rules and cannot replay.
+        ("version", 1), ("version", 2), ("version", 99), ("version", 0),
+        ("version", "3"), ("version", 2.0), ("version", 3.0),
+        ("version", None)])
     def test_tampered_policy_rejected_at_load(self, violating_report,
                                               tmp_path, field, bad):
         # Replay hands decisions to the kernel and the scenario to the

@@ -82,3 +82,27 @@ class TestHealAndMerge:
         wedged_at = [e.time_us for e in cluster.sim.journal.events
                      if e.kind == "partition.wedged"][0]
         assert healed[0].time_us > wedged_at
+
+    def test_second_partition_wedges_and_merges_again(self):
+        """A merge un-suspects the rejoiner's peers: suspicions it kept
+        from its wedge would exempt them from every later failure
+        check, so a second partition would neither wedge it nor let it
+        rejoin."""
+        calibration = default_calibration().with_overrides(
+            gcs=GcsCalibration(primary_partition=True))
+        cluster = Cluster(["s01", "s02", "s03", "w01"], seed=1,
+                          calibration=calibration)
+        cluster.sim.journal = Journal()
+        injector = FaultInjector(cluster.sim, cluster.network)
+        injector.partition_at([["s03"]], 100_000, 1_500_000)
+        injector.partition_at([["s03"]], 3_000_000, 4_500_000)
+        cluster.run(7_000_000)
+        second = [e.kind for e in cluster.sim.journal.events
+                  if e.time_us > 3_000_000 and e.host == "s03"]
+        assert second == ["detector.suspect", "partition.detected",
+                          "partition.wedged", "daemon.install",
+                          "partition.healed"]
+        views = {d.view for d in cluster.daemons.values()}
+        assert len(views) == 1
+        assert views.pop().members == ("s01", "s02", "s03", "w01")
+        assert not cluster.daemons["s03"]._wedged

@@ -116,7 +116,7 @@ class TestLateSyncThenPromotion:
         testbed, replicas, clients = build_rig(WARM)
         drive(testbed, clients[0], 5)
         primary, backup = replicas[0].replicator, replicas[1].replicator
-        backup._synced = False
+        backup._unsync()
         applied = backup.checkpoints_applied
         stray = Checkpoint(ckpt_id=99, state={"counter": {"value": 1000}},
                            state_bytes=64, source=primary.member,

@@ -472,7 +472,8 @@ def test_check_explore_mutation_writes_replayable_artifact(tmp_path,
                                 ("policy", "decisions", ["abc"]),
                                 ("scenario", "n_replicas", 0),
                                 ("scenario", "horizon_us", "x"),
-                                (None, "version", 1)):
+                                (None, "version", 1),
+                                (None, "version", 2)):
         data = json.loads(artifact.read_text())
         (data if section is None else data[section])[field] = bad
         tampered = tmp_path / "tampered.json"
