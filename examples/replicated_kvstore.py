@@ -9,9 +9,10 @@ workload class the paper's introduction motivates.
    runs active replication (every replica executes every put).
 2. **Serving phase** — reads with a tight latency budget, chosen with
    the real-time knob's probabilistic deadline machinery.
-3. **Archival phase** — the store goes warm passive with SAFE-grade
-   checkpoints: every acknowledged write is provably held by every
-   backup's daemon before the client sees the reply.
+3. **Archival phase** — the store goes warm passive: the primary
+   holds each reply until its checkpoint is stable (delivered back on
+   the total order, so every backup's state includes the write) before
+   the client sees it.
 
 Along the way a replica is lost and the group keeps answering, and
 duplicate client retries are shown to be idempotent.
@@ -46,8 +47,7 @@ def call(testbed, client, operation, payload):
 
 def main() -> None:
     testbed = Testbed.paper_testbed(3, 1, seed=13)
-    config = ReplicationConfig(style=ReplicationStyle.ACTIVE, group="kv",
-                               safe_checkpoints=True)
+    config = ReplicationConfig(style=ReplicationStyle.ACTIVE, group="kv")
     replicas = deploy_replica_group(testbed, ["s01", "s02", "s03"],
                                     config, {"kv": KeyValueServant})
     client = deploy_client(testbed, "w01", ClientReplicationConfig(
@@ -79,7 +79,7 @@ def main() -> None:
     print(f"  get telemetry/0002 -> {value}   [{rtt:.0f} us, "
           f"{client.replicator.retries} retries]")
 
-    print("\nphase 3 — archival (warm passive + SAFE checkpoints):")
+    print("\nphase 3 — archival (warm passive, replies wait for a stable checkpoint):")
     live = next(r for r in replicas if r.alive)
     live.replicator.request_switch(ReplicationStyle.WARM_PASSIVE)
     testbed.run(1_500_000)
@@ -88,7 +88,7 @@ def main() -> None:
     result, rtt = call(testbed, client, "put",
                        ("archive/manifest", list(records)))
     print(f"  durable put -> {result}   [{rtt:.0f} us; the reply "
-          f"waited for the SAFE checkpoint]")
+          f"waited for a stable checkpoint]")
 
     print("\nconsistency check across survivors:")
     for replica in replicas:

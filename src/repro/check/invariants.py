@@ -30,9 +30,7 @@ order, which is simulator dispatch order) and reports
   servant state).
 
 Monitors never raise on violations; they return data the explorer
-folds into its report.  A journal whose per-host flight-recorder
-rings truncated is flagged so downstream consumers know the evidence
-is incomplete.
+folds into its report.
 """
 
 from __future__ import annotations
@@ -129,14 +127,22 @@ def _check_unique_primary(events: Sequence[Any]) -> List[Violation]:
             or event.kind == "failover")
         if not is_primary_act:
             continue
-        # The replicator journals per process; its group is the only
-        # one its host has a view for in single-group scenarios.  Use
-        # the host's most recently installed view of any group.
-        views = [(g, v) for (h, g), v in host_view.items()
-                 if h == event.host]
-        if not views:
-            continue
-        group, view_id = views[-1]
+        if event.shard is not None:
+            # A sharded replicator's group is its shard: a host serving
+            # two shards acts in each one's view separately.
+            group = event.shard
+            view_id = host_view.get((event.host, group))
+            if view_id is None:
+                continue
+        else:
+            # Single-group runs: the replicator's group is the only one
+            # its host has a view for.  Use the host's most recently
+            # installed view of any group.
+            views = [(g, v) for (h, g), v in host_view.items()
+                     if h == event.host]
+            if not views:
+                continue
+            group, view_id = views[-1]
         key = (group, view_id)
         actors = acting.setdefault(key, set())
         actors.add(event.host)

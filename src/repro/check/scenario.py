@@ -26,7 +26,6 @@ from repro.check.policies import SchedulerPolicy
 from repro.errors import AdaptationError, Rule, VerificationError, check_fields
 from repro.experiments import ScenarioRun
 from repro.faults import FaultInjector
-from repro.gcs import Grade
 from repro.orb import CounterServant, GiopRequest
 from repro.replication import (
     Checkpoint,
@@ -167,9 +166,7 @@ class ScheduleOutcome:
     giveups: int
     events_dispatched: int = 0
     #: Events the journal refused past its ``max_events`` cap (non-zero
-    #: means the evidence the checkers read is incomplete).  Per-host
-    #: flight-recorder rings evicting old events lose nothing here: the
-    #: checkers read the global stream.
+    #: means the evidence the checkers read is incomplete).
     journal_dropped: int = 0
 
 
@@ -410,8 +407,7 @@ def run_schedule(scenario: CheckScenario,
                     operation=first.operation, payload=first.payload,
                     payload_bytes=32),
                 client=client.gcs.member)
-            client.gcs.multicast("svc", duplicate, duplicate.wire_bytes,
-                                 grade=Grade.AGREED)
+            client.gcs.multicast("svc", duplicate, duplicate.wire_bytes)
             _run_until_quiet(run, scenario.settle_us, last_planned, fired)
 
     # The closing read: observed through the same history capture, it
@@ -504,8 +500,8 @@ def _crash_at_checkpoint_phase(injector: FaultInjector, replica: Any,
             if phase == "capture":
                 crash()
 
-    def publish(group, payload, nbytes, grade=Grade.AGREED) -> None:
-        multicast(group, payload, nbytes, grade=grade)
+    def publish(group, payload, nbytes) -> None:
+        multicast(group, payload, nbytes)
         if phase == "publish" and is_doomed(payload):
             crash()
 

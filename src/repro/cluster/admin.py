@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import Any, Dict, Set
 
 from repro.gcs.client import CallbackListener
-from repro.gcs.messages import Grade, MemberId
+from repro.gcs.messages import MemberId
 from repro.cluster.messages import MapCommit, MigrationStart, MigrationState
 from repro.cluster.partition import PartitionMap
 from repro.cluster.router import control_group
@@ -93,8 +93,7 @@ class ShardAdmin:
                 fence = Fence(fence_id=start.migration_id,
                               initiator=self.replicator.member)
                 self.replicator.gcs.multicast(
-                    self.shard, fence, fence.wire_bytes,
-                    grade=Grade.AGREED)
+                    self.shard, fence, fence.wire_bytes)
         elif start.state_lost and start.src != self.shard:
             # Dead-shard reassignment (``dst`` is ``"*"``): the source
             # group is gone, so no state or seen-cache will ever
@@ -138,8 +137,7 @@ class ShardAdmin:
                              state_bytes=nbytes, seen=seen,
                              source=self.replicator.member)
         self.replicator.gcs.multicast(
-            control_group(self.cluster), msg, msg.wire_bytes,
-            grade=Grade.AGREED)
+            control_group(self.cluster), msg, msg.wire_bytes)
         self._journal("migrate.capture", migration_id=migration_id,
                       dst=start.dst, keys=len(start.keys),
                       state_bytes=nbytes, seen=len(seen))

@@ -30,7 +30,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ReplicationError
 from repro.gcs.client import CallbackListener, GcsClient, GroupListener
-from repro.gcs.messages import Grade, GroupView, MemberId
+from repro.gcs.messages import GroupView, MemberId
 from repro.cluster.messages import MapCommit, MigrationStart, MigrationState
 from repro.cluster.partition import PartitionMap
 from repro.cluster.router import control_group
@@ -136,7 +136,7 @@ class ClusterCoordinator(Actor):
             dst=planned.dst, keys=planned.keys,
             state_lost=planned.state_lost)
         self.gcs.multicast(control_group(self.cluster), start,
-                           start.wire_bytes, grade=Grade.AGREED)
+                           start.wire_bytes)
         self._journal("migrate.start", shard=planned.src,
                       migration_id=planned.migration_id,
                       src=planned.src, dst=planned.dst,
@@ -172,7 +172,7 @@ class ClusterCoordinator(Actor):
                            new_map=planned.new_map.to_dict(),
                            map_digest=planned.new_map.digest())
         self.gcs.multicast(control_group(self.cluster), commit,
-                           commit.wire_bytes, grade=Grade.AGREED)
+                           commit.wire_bytes)
         self._journal("map", shard=planned.src,
                       migration_id=planned.migration_id,
                       epoch=planned.new_map.epoch,

@@ -60,7 +60,6 @@ class Testbed:
         if self.calibration.journal.enabled:
             from repro.journal.events import Journal
             self.sim.journal = Journal(
-                ring_size=self.calibration.journal.ring_size,
                 max_events=self.calibration.journal.max_events)
         self.network = Network(self.sim, self.calibration.network)
         self.hosts: Dict[str, Host] = {}

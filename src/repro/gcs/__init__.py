@@ -5,7 +5,6 @@ Public surface:
 - :class:`GcsDaemon` — per-host daemon (membership, ordering, flush)
 - :class:`GcsClient` — per-process connection (join/watch/multicast)
 - :class:`GroupListener`, :class:`CallbackListener` — delivery callbacks
-- :class:`Grade` — the two Spread service grades, AGREED and SAFE
 - :class:`MemberId`, :class:`GroupView`, :class:`DaemonView` — identities
 - :data:`GCS_PORT` — the well-known daemon port
 """
@@ -17,7 +16,7 @@ from repro.gcs.failure_detector import (
     FixedTimeoutDetector,
 )
 from repro.gcs.daemon import GCS_PORT, GcsDaemon
-from repro.gcs.messages import DaemonView, Grade, GroupView, MemberId
+from repro.gcs.messages import DaemonView, GroupView, MemberId
 
 __all__ = [
     "AdaptiveDetector",
@@ -28,7 +27,6 @@ __all__ = [
     "GCS_PORT",
     "GcsClient",
     "GcsDaemon",
-    "Grade",
     "GroupListener",
     "GroupView",
     "MemberId",

@@ -3,8 +3,8 @@
 A process creates one :class:`GcsClient` connected to the daemon on
 its own host (the Spread model).  The client can join groups, watch
 group membership without joining (open-group semantics), multicast
-in total order (AGREED or SAFE), and exchange point-to-point messages
-with any connected process.
+in total order (Spread's AGREED grade), and exchange point-to-point
+messages with any connected process.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import GroupCommunicationError
 from repro.gcs.daemon import ClientPort, GcsDaemon
-from repro.gcs.messages import Grade, GroupView, MemberId
+from repro.gcs.messages import GroupView, MemberId
 from repro.sim.actor import Actor
 from repro.sim.host import Process
 
@@ -99,15 +99,14 @@ class GcsClient(Actor, ClientPort):
         self._watch_listeners[group] = listener
         self.daemon.client_watch(group, self.member)
 
-    def multicast(self, group: str, payload: Any, nbytes: int,
-                  grade: Grade = Grade.AGREED) -> None:
-        """Multicast to ``group`` (membership not required: open groups)."""
+    def multicast(self, group: str, payload: Any, nbytes: int) -> None:
+        """Multicast to ``group`` in total order (membership not
+        required: open groups)."""
         if nbytes < 0:
             raise GroupCommunicationError(f"negative payload size {nbytes}")
         if self.sim.telemetry.enabled:
             self._count("gcs_sent_total", kind="multicast")
-        self.daemon.client_multicast(group, self.member, payload, nbytes,
-                                     grade)
+        self.daemon.client_multicast(group, self.member, payload, nbytes)
 
     def send_direct(self, dst: MemberId, payload: Any, nbytes: int) -> None:
         """Reliable point-to-point message to another connected process."""

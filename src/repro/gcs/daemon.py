@@ -8,8 +8,7 @@ provide:
   heartbeats plus a coordinator-driven flush protocol; group-level
   views derived from totally-ordered JOIN/LEAVE stamps;
 - **reliable ordered multicast**: AGREED (total order via a sequencer
-  daemon) and SAFE (total order + all-daemons-hold-a-copy before
-  delivery) — the Spread service grades the paper relies on
+  daemon) — the Spread service grade the paper relies on
   (Section 3.1);
 - **virtual synchrony**: on a view change, survivors exchange recent
   stamp histories and reconcile, so every survivor delivers the same
@@ -38,14 +37,11 @@ from repro.gcs.failure_detector import (
 )
 from repro.gcs.links import ReliableLink
 from repro.gcs.messages import (
-    SafeAck,
-    SafeRelease,
     DaemonView,
     Direct,
     FlushAck,
     FlushRequest,
     Forward,
-    Grade,
     GroupSnapshot,
     GroupView,
     Heartbeat,
@@ -173,12 +169,6 @@ class GcsDaemon(Actor):
         self._pending_membership: "OrderedDict[str, Any]" = OrderedDict()
         self._forward_ids = itertools.count(1)
 
-        # SAFE grade: stamps held until the sequencer confirms every
-        # member daemon has a copy; the sequencer tracks outstanding
-        # acknowledgements per (group, seq).
-        self._safe_held: Dict[Tuple[str, int], Stamped] = {}
-        self._safe_awaiting: Dict[Tuple[str, int], Set[str]] = {}
-
         # Flush / view-change state.
         self._suspended = False
         self._outbox: List[Callable[[], None]] = []
@@ -250,13 +240,12 @@ class GcsDaemon(Actor):
                                   crashed=False)
 
     def client_multicast(self, group: str, member: MemberId, payload: Any,
-                         payload_bytes: int, grade: Grade) -> None:
-        """Send a totally-ordered group multicast (AGREED or SAFE)."""
+                         payload_bytes: int) -> None:
+        """Send a totally-ordered (AGREED) group multicast."""
         self._require_client(member)
         self._enqueue_or_run(
             lambda: self._forward_agreed(group, member, payload,
-                                         payload_bytes,
-                                         safe=grade is Grade.SAFE))
+                                         payload_bytes))
 
     def client_send_direct(self, src: MemberId, dst: MemberId, payload: Any,
                            payload_bytes: int) -> None:
@@ -400,10 +389,6 @@ class GcsDaemon(Actor):
                                              crashed=inner.crashed)
         elif isinstance(inner, Stamped):
             self._apply_stamp(inner)
-        elif isinstance(inner, SafeAck):
-            self._on_safe_ack(inner)
-        elif isinstance(inner, SafeRelease):
-            self._on_safe_release(inner)
         elif isinstance(inner, Direct):
             self._deliver_direct(inner)
         elif isinstance(inner, FlushRequest):
@@ -428,10 +413,10 @@ class GcsDaemon(Actor):
     # AGREED grade: sequencer-based total order
     # ==================================================================
     def _forward_agreed(self, group: str, origin: MemberId, payload: Any,
-                        payload_bytes: int, safe: bool = False) -> None:
+                        payload_bytes: int) -> None:
         forward = Forward(group=group, origin=origin, payload=payload,
                           payload_bytes=payload_bytes,
-                          msg_id=self._new_msg_id(), safe=safe)
+                          msg_id=self._new_msg_id())
         self._pending_forwards[forward.msg_id] = forward
         self._route_to_sequencer(forward)
 
@@ -456,11 +441,7 @@ class GcsDaemon(Actor):
         stamp = Stamped(group=forward.group, seq=seq, kind=StampKind.DATA,
                         origin=forward.origin, payload=forward.payload,
                         payload_bytes=forward.payload_bytes,
-                        msg_id=forward.msg_id, safe=forward.safe)
-        if forward.safe:
-            # Track which member daemons still owe an acknowledgement.
-            self._safe_awaiting[(forward.group, seq)] = \
-                set(state.fanout_hosts)
+                        msg_id=forward.msg_id)
         self._disseminate(stamp)
 
     def _sequencer_stamp_membership(self, kind: StampKind, group: str,
@@ -533,18 +514,6 @@ class GcsDaemon(Actor):
         self._pending_membership.pop(stamp.msg_id, None)
 
         if stamp.kind is StampKind.DATA:
-            if stamp.safe:
-                # Hold delivery until the sequencer's release; tell the
-                # sequencer we hold a copy.
-                self._safe_held[(stamp.group, stamp.seq)] = stamp
-                ack = SafeAck(group=stamp.group, seq=stamp.seq,
-                              sender=self.host.name)
-                if self.is_sequencer:
-                    self._on_safe_ack(ack)
-                else:
-                    self._send_to(self.sequencer)(
-                        ack, estimate_control_bytes(ack))
-                return
             for member in state.local_members:
                 self._deliver_data_to(member, stamp.group, stamp.origin,
                                       stamp.payload, stamp.payload_bytes)
@@ -599,47 +568,6 @@ class GcsDaemon(Actor):
                 self._deliver_view_to(member, view, joined, left, crashed)
         for watcher in sorted(self._watchers.get(group, ())):
             self._deliver_view_to(watcher, view, joined, left, crashed)
-
-    # ==================================================================
-    # SAFE grade: acknowledgement collection and release
-    # ==================================================================
-    def _on_safe_ack(self, ack: SafeAck) -> None:
-        key = (ack.group, ack.seq)
-        awaiting = self._safe_awaiting.get(key)
-        if awaiting is None:
-            return
-        awaiting.discard(ack.sender)
-        # Daemons that left the view no longer owe acknowledgements.
-        awaiting &= self._view_set
-        if awaiting:
-            return
-        del self._safe_awaiting[key]
-        release = SafeRelease(group=ack.group, seq=ack.seq)
-        nbytes = estimate_control_bytes(release)
-        view_set = self._view_set
-        for target in self._group(ack.group).fanout_hosts:
-            if target == self.host.name:
-                self._on_safe_release(release)
-            elif target in view_set:
-                self._send_to(target)(release, nbytes)
-
-    def _on_safe_release(self, release: SafeRelease) -> None:
-        stamp = self._safe_held.pop((release.group, release.seq), None)
-        if stamp is None:
-            return
-        state = self._group(release.group)
-        for member in state.local_members:
-            self._deliver_data_to(member, stamp.group, stamp.origin,
-                                  stamp.payload, stamp.payload_bytes)
-
-    def _release_all_held_safe(self) -> None:
-        """View change: the flush reconciliation guarantees every
-        survivor holds the same SAFE stamps, so the safety condition
-        is met for the surviving membership — deliver them all."""
-        held = sorted(self._safe_held)
-        for key in held:
-            self._on_safe_release(SafeRelease(group=key[0], seq=key[1]))
-        self._safe_awaiting.clear()
 
     # ==================================================================
     # Direct (point-to-point) messages
@@ -862,8 +790,6 @@ class GcsDaemon(Actor):
         if snapshot.epoch < self._flush_epoch:
             return
         self._groups = {}
-        self._safe_held.clear()
-        self._safe_awaiting.clear()
         self._pending_forwards.clear()
         for group in sorted(snapshot.groups):
             members, view_id, last_seq = snapshot.groups[group]
@@ -1080,9 +1006,6 @@ class GcsDaemon(Actor):
             if gone:
                 self._apply_membership(state, group, joined=[], left=gone,
                                        crashed=True)
-        # 3b. Release SAFE messages held across the change: every
-        #     survivor now provably holds them (flush reconciliation).
-        self._release_all_held_safe()
         # 4. Resume: re-route membership requests and AGREED messages
         #    that never got stamped (their sequencer may have died),
         #    then drain sends buffered during the flush.

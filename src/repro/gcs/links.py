@@ -1,7 +1,7 @@
 """Reliable FIFO links between daemon pairs.
 
-All reliable GCS traffic (AGREED/SAFE forwards, stamps and SAFE
-acknowledgements, direct messages, flush control) travels over a
+All reliable GCS traffic (AGREED forwards and stamps, direct
+messages, flush control) travels over a
 :class:`ReliableLink`: per-destination sequence numbers, in-order
 delivery with an out-of-order stash, cumulative delayed ACKs, and
 timer-driven retransmission.  On a lossless run the only overhead is

@@ -5,9 +5,9 @@ one per host, application processes connect to their local daemon, and
 daemons exchange the control/data messages defined here over the
 simulated LAN.
 
-Naming follows Spread's service grades.  Two are implemented, the two
-the replicator sends: ``AGREED`` (total order) and ``SAFE`` (total
-order with all-daemons-hold-a-copy delivery).
+Every group multicast is delivered in Spread's ``AGREED`` grade: one
+total order, consistent with the view changes (virtual synchrony) —
+the one guarantee the replicator needs.
 """
 
 from __future__ import annotations
@@ -17,20 +17,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Tuple
 
 from repro.net.frame import FrozenSlots, slot_setters
-
-
-class Grade(enum.Enum):
-    """Message-delivery guarantee, per Spread's service grades.
-
-    AGREED delivers every message in one total order, consistent with
-    the view changes (virtual synchrony).  SAFE is Spread's strongest
-    grade: a message is delivered only once every member's daemon
-    holds a copy, so a delivered message can never be "known" by only
-    a subset that then dies.
-    """
-
-    AGREED = "agreed"
-    SAFE = "safe"
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -148,14 +134,13 @@ class _CarriesTrace:
 @dataclass(frozen=True, slots=True)
 class Forward(_CarriesTrace):
     """Origin daemon asks the sequencer to stamp a totally-ordered
-    message (AGREED, or SAFE when ``safe`` is set)."""
+    message."""
 
     group: str
     origin: MemberId
     payload: Any
     payload_bytes: int
     msg_id: str
-    safe: bool = False
 
 
 class StampKind(enum.Enum):
@@ -171,9 +156,7 @@ class Stamped(_CarriesTrace):
 
     ``seq`` is contiguous per group.  JOIN/LEAVE stamps are routed to
     every daemon (they update routing state); DATA stamps go only to
-    daemons hosting members.  SAFE stamps are held back at the
-    receivers until the sequencer confirms every member daemon has a
-    copy (the SafeAck / SafeRelease exchange).
+    daemons hosting members.
     """
 
     group: str
@@ -183,26 +166,7 @@ class Stamped(_CarriesTrace):
     payload: Any = None
     payload_bytes: int = 0
     msg_id: str = ""
-    safe: bool = False
     crashed: bool = False
-
-
-@dataclass(frozen=True, slots=True)
-class SafeAck:
-    """Member daemon -> sequencer: 'I hold SAFE stamp (group, seq)'."""
-
-    group: str
-    seq: int
-    sender: str
-
-
-@dataclass(frozen=True, slots=True)
-class SafeRelease:
-    """Sequencer -> member daemons: every member daemon holds the
-    SAFE stamp; deliver it."""
-
-    group: str
-    seq: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -332,8 +296,6 @@ def estimate_control_bytes(message: Any) -> int:
     size of their own (flush traffic, acks, heartbeats)."""
     if isinstance(message, (Heartbeat, LinkAck)):
         return 16
-    if isinstance(message, (SafeAck, SafeRelease)):
-        return 28
     if isinstance(message, (JoinRequest, LeaveRequest)):
         return 64
     if isinstance(message, RejoinRequest):

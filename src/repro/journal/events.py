@@ -7,15 +7,9 @@ record behind that requirement: every dependability-relevant system
 event — failure-detector verdicts, membership changes, checkpoints,
 Fig. 5 switch phases, adaptation decisions, contract transitions and
 injected-fault ground truth — lands in one ordered, structured stream
-an operator (or the campaign ranker) can audit after the fact.
-
-Two views of the same stream:
-
-- the **global collector**: every event in record order, capped at
-  ``max_events`` (overflow is counted, not recorded);
-- a per-host **flight recorder**: a small ring of the last events
-  that touched each host, the black-box excerpt an operator pulls
-  when one machine misbehaves.
+an operator (or the campaign ranker) can audit after the fact.  The
+stream keeps every event in record order, capped at ``max_events``
+(overflow is counted in ``dropped``, not recorded).
 
 Like telemetry, journaling is observation-only: recording never
 schedules simulator events and never adds simulated time, so all
@@ -24,9 +18,8 @@ simulated outcomes are byte-identical with the journal on or off.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import Rule
 from repro.sim.config import JournalConfig
@@ -34,13 +27,6 @@ from repro.sim.config import JournalConfig
 #: Event kind recorded for adaptation decisions; deduplicated by
 #: ``switch_id`` (see :meth:`Journal.record`).
 ADAPTATION_DECISION = "adaptation.decision"
-
-#: Event kind recorded (once per host, counter updated in place) when
-#: a per-host flight-recorder ring evicts events.  Consumers — the
-#: ``observe`` CLI and the ``repro.check`` verifiers — treat any
-#: verdict over a truncated ring as advisory, because evidence was
-#: lost silently before this marker existed.
-RING_TRUNCATED = "journal.truncated"
 
 #: The declared rules of an event's JSON form (:meth:`JournalEvent.to_dict`),
 #: checked where a journal file is loaded, never per recorded event.
@@ -119,7 +105,7 @@ class JournalEvent:
 
 
 class Journal:
-    """Enabled journal recorder: global collector + per-host rings.
+    """Enabled journal recorder: one capped, ordered event stream.
 
     Determinism: events are appended in simulator dispatch order and
     stamped with a private sequence counter, so two runs with the same
@@ -129,21 +115,15 @@ class Journal:
 
     enabled = True
 
-    def __init__(self, ring_size: int = 256, max_events: int = 100_000):
-        JournalConfig(True, ring_size, max_events).validate()
-        self.ring_size = ring_size
+    def __init__(self, max_events: int = 100_000):
+        JournalConfig(True, max_events).validate()
         self.max_events = max_events
         self.events: List[JournalEvent] = []
         self.dropped = 0
-        self._rings: Dict[str, Deque[JournalEvent]] = {}
         self._seq = 0
         # Adaptation decisions keyed by switch_id: the first manager to
         # record one wins; later identical decisions become voters.
         self._decisions: Dict[str, JournalEvent] = {}
-        # One truncation marker per host whose ring evicted events;
-        # its ``dropped`` attr is updated in place on every eviction
-        # (same arrangement as decision ``voters``).
-        self._ring_markers: Dict[str, JournalEvent] = {}
 
     # ------------------------------------------------------------------
     # Recording
@@ -178,24 +158,6 @@ class Journal:
                              shard=shard)
         self._seq += 1
         self.events.append(event)
-        ring = self._rings.get(host)
-        if ring is None:
-            ring = self._rings[host] = deque(maxlen=self.ring_size)
-        elif len(ring) == self.ring_size:
-            # The ring is about to evict its oldest event.  Record the
-            # loss once per host — in the global stream, so exports and
-            # checkers see it — and count further evictions in place.
-            marker = self._ring_markers.get(host)
-            if marker is None:
-                marker = JournalEvent(
-                    seq=self._seq, time_us=time_us, host=host,
-                    component="journal", kind=RING_TRUNCATED,
-                    attrs={"dropped": 0, "ring_size": self.ring_size})
-                self._seq += 1
-                self.events.append(marker)
-                self._ring_markers[host] = marker
-            marker.attrs["dropped"] += 1
-        ring.append(event)
         if kind == ADAPTATION_DECISION and "switch_id" in event.attrs:
             event.attrs.setdefault("voters", 1)
             event.attrs.setdefault("voter_hosts", [host])
@@ -205,36 +167,14 @@ class Journal:
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
-    def flight_recorder(self, host: str) -> Tuple[JournalEvent, ...]:
-        """The last ``ring_size`` events that touched ``host``.
-
-        When the ring has evicted events, the excerpt is prefixed with
-        the host's ``journal.truncated`` marker so the black box
-        self-describes how much evidence it lost.
-        """
-        ring = tuple(self._rings.get(host, ()))
-        marker = self._ring_markers.get(host)
-        if marker is not None:
-            return (marker,) + ring
-        return ring
-
-    def truncated_rings(self) -> Dict[str, int]:
-        """Dropped-event counts of every truncated per-host ring."""
-        return {host: marker.attrs["dropped"]
-                for host, marker in sorted(self._ring_markers.items())}
-
     def of_kind(self, prefix: str) -> Tuple[JournalEvent, ...]:
         """Events whose kind equals or starts with ``prefix``."""
         return tuple(e for e in self.events
                      if e.kind == prefix or e.kind.startswith(prefix + "."))
-
-    def hosts(self) -> Tuple[str, ...]:
-        """Hosts with at least one recorded event, sorted."""
-        return tuple(sorted(self._rings))
 
     def __len__(self) -> int:
         return len(self.events)
 
     def __repr__(self) -> str:
         return (f"<Journal events={len(self.events)} "
-                f"dropped={self.dropped} hosts={len(self._rings)}>")
+                f"dropped={self.dropped}>")

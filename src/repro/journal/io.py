@@ -123,7 +123,6 @@ def journal_digest(journal: Any,
         **({"per_shard": per_shard} if per_shard else {}),
         "events": len(events),
         "dropped": journal.dropped,
-        "truncated_rings": dict(journal.truncated_rings()),
         "by_component": dict(sorted(by_component.items())),
         "availability": report.availability,
         "degraded_fraction": report.degraded_fraction,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List
 
 from repro.gcs.client import GcsClient
-from repro.gcs.messages import Grade, GroupView, MemberId
+from repro.gcs.messages import GroupView, MemberId
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,7 @@ class ReplicatedState:
         """Publish an update; it lands in everyone's map (including
         this one) in the same totally-ordered position."""
         update = StateUpdate(key=key, value=value, publisher=self.gcs.member)
-        self.gcs.multicast(self.group, update, update.wire_bytes,
-                           grade=Grade.AGREED)
+        self.gcs.multicast(self.group, update, update.wire_bytes)
 
     def publish_own(self, suffix: str, value: Any) -> None:
         """Publish under a per-member key (``<member>/<suffix>``)."""

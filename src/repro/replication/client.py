@@ -38,7 +38,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ReplicationError
 from repro.gcs.client import GcsClient
-from repro.gcs.messages import Grade, GroupView, MemberId
+from repro.gcs.messages import GroupView, MemberId
 from repro.orb.giop import GiopRequest
 from repro.orb.transport import ClientTransport, ReplyHandler
 from repro.replication.messages import RepReply, RepRequest
@@ -206,8 +206,7 @@ class ClientReplicator(Actor, ClientTransport):
         else:
             # Active style, unknown primary, or a retry: the safe path
             # is an AGREED multicast to the whole group.
-            self.gcs.multicast(self.group, entry.rep, entry.rep.wire_bytes,
-                               grade=Grade.AGREED)
+            self.gcs.multicast(self.group, entry.rep, entry.rep.wire_bytes)
         if first_attempt:
             self.requests_sent += 1
         else:

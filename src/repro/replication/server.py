@@ -31,7 +31,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import AdaptationError, ReplicationError
 from repro.gcs.client import GcsClient
-from repro.gcs.messages import Grade, GroupView, MemberId
+from repro.gcs.messages import GroupView, MemberId
 from repro.monitoring.windows import SlidingWindow
 from repro.orb.giop import GiopReply
 from repro.orb.transport import RequestHandler, ServerTransport, ServiceAddress
@@ -100,6 +100,10 @@ class ServerReplicator(Actor, ServerTransport):
         # complete cache.
         self._seen_delta: List[Tuple[str, RepReply]] = []
         self._seen_base = 0
+        # The complete cache this replica's last stable-store write
+        # persisted, and that write's checkpoint id (cold passive).
+        self._stored_seen: Tuple[Tuple[str, RepReply], ...] = ()
+        self._stored_at = 0
         # The (source, ckpt_id) of the checkpoint this replica applied
         # last — the only point a received delta may extend.
         self._seen_applied: Optional[Tuple[MemberId, int]] = None
@@ -305,8 +309,7 @@ class ServerReplicator(Actor, ServerTransport):
     def _republish(self, rep: RepRequest) -> None:
         again = RepRequest(request=rep.request, client=rep.client,
                            relayed=True)
-        self.gcs.multicast(self.group, again, again.wire_bytes,
-                           grade=Grade.AGREED)
+        self.gcs.multicast(self.group, again, again.wire_bytes)
 
     def _process(self, rep: RepRequest) -> None:
         request = rep.request
@@ -499,10 +502,10 @@ class ServerReplicator(Actor, ServerTransport):
         # reply resent) by whoever restores from it.  A periodic
         # checkpoint ships only the entries added since the previous
         # capture, tagged with the checkpoint they extend; everything
-        # else — and a periodic one with no open delta — ships the
-        # complete cache.  The stable store keeps no reply cache.
+        # else — a stable-store write (it overwrites the last one) and a
+        # periodic one with no open delta — ships the complete cache.
         if to_store:
-            seen, seen_base = (), 0
+            seen, seen_base = self._store_seen(), 0
         elif periodic and self._seen_base:
             seen, seen_base = tuple(self._seen_delta), self._seen_base
         else:
@@ -511,13 +514,13 @@ class ServerReplicator(Actor, ServerTransport):
                           state_bytes=wire_state, source=self.member,
                           final_for=final_for, sync_for=sync_for,
                           seen=seen, seen_base=seen_base)
-        # Every group member is delivered this checkpoint, so the next
-        # periodic one may extend it — if this replica is the one that
-        # checkpoints periodically (an active replica answering a sync
-        # request is not, and would collect a delta nobody ships).
+        # Every group member (or the store) is delivered this
+        # checkpoint, so the next periodic one may extend it — if this
+        # replica is the one that checkpoints periodically (an active
+        # replica answering a sync request is not, and would collect a
+        # delta nobody ships).
         self._seen_delta = []
-        self._seen_base = (0 if to_store
-                           or self.style is ReplicationStyle.ACTIVE
+        self._seen_base = (0 if self.style is ReplicationStyle.ACTIVE
                            else ckpt.ckpt_id)
         if self.sim.telemetry.enabled:
             self._count("replicator_checkpoints_total")
@@ -537,19 +540,17 @@ class ServerReplicator(Actor, ServerTransport):
                     self._pause()
                     self.store.write(self.group, ckpt.ckpt_id, ckpt.state,
                                      ckpt.state_bytes,
-                                     on_done=self._on_checkpoint_stable)
+                                     on_done=self._on_checkpoint_stable,
+                                     seen=seen)
                 else:
                     self.store.write(self.group, ckpt.ckpt_id, ckpt.state,
-                                     ckpt.state_bytes)
+                                     ckpt.state_bytes, seen=seen)
                 self.checkpoints_sent += 1
                 self._journal("checkpoint.publish", ckpt_id=ckpt.ckpt_id,
                               state_bytes=wire_state, final_for=None,
                               sync_for=None, stable_store=True)
                 return
-            grade = (Grade.SAFE if self.config.safe_checkpoints
-                     else Grade.AGREED)
-            self.gcs.multicast(self.group, ckpt, ckpt.wire_bytes,
-                               grade=grade)
+            self.gcs.multicast(self.group, ckpt, ckpt.wire_bytes)
             self.checkpoints_sent += 1
             self.seen_entries_shipped += len(seen)
             self._journal("checkpoint.publish", ckpt_id=ckpt.ckpt_id,
@@ -607,8 +608,22 @@ class ServerReplicator(Actor, ServerTransport):
 
         self.process.host.cpu.execute(apply_cost, apply)
 
+    def _store_seen(self) -> Tuple[Tuple[str, RepReply], ...]:
+        """The complete cache for the stable-store write being
+        captured: the last write's copy extended by the delta when that
+        write is the delta's base (costing the delta, where a rebuild
+        costs the whole cache)."""
+        if self._seen_base and self._seen_base == self._stored_at:
+            self._stored_seen = (self._stored_seen + tuple(
+                self._seen_delta))[-SEEN_CACHE_LIMIT:]
+        else:
+            self._stored_seen = self.completed_seen()
+        self._stored_at = self._ckpt_ids
+        return self._stored_seen
+
     def _restore_from_store(self) -> None:
-        """Cold-passive recovery: load the last persisted checkpoint."""
+        """Cold-passive recovery: load the last persisted checkpoint and
+        the reply cache stored with it, then serve."""
         assert self.store is not None
 
         def loaded(snapshot) -> None:
@@ -619,19 +634,19 @@ class ServerReplicator(Actor, ServerTransport):
                               + self.rcal.state_apply_per_byte_us
                               * snapshot.state_bytes)
                 self.process.host.cpu.execute(
-                    apply_cost,
-                    self._guarded_restore(snapshot.state))
+                    apply_cost, self._guarded_restore(snapshot))
             else:
                 self._mark_synced()
 
         self.store.read(self.group, loaded)
 
-    def _guarded_restore(self, state: Any) -> Callable[[], None]:
+    def _guarded_restore(self, snapshot) -> Callable[[], None]:
         def run() -> None:
             if not self.alive:
                 return
-            if self._state_provider is not None:
-                self._state_provider.restore_state(state)
+            self._state_provider.restore_state(snapshot.state)
+            for rid, cached in snapshot.seen:
+                self._remember(rid, cached)
             self._mark_synced()
         return run
 
@@ -781,8 +796,7 @@ class ServerReplicator(Actor, ServerTransport):
         switch_id = f"{self.group}:{self.style.short}->{target.short}:{epoch}"
         command = SwitchCommand(switch_id=switch_id, target=target,
                                 initiator=self.member)
-        self.gcs.multicast(self.group, command, command.wire_bytes,
-                           grade=Grade.AGREED)
+        self.gcs.multicast(self.group, command, command.wire_bytes)
         return switch_id
 
     def _on_switch_command(self, command: SwitchCommand) -> None:
@@ -956,12 +970,18 @@ class ServerReplicator(Actor, ServerTransport):
             self._take_over_as_primary()
 
     def _take_over_as_primary(self) -> None:
-        """Warm-passive failover: the oldest surviving backup becomes
-        primary — its state is the last applied checkpoint, plus the
-        replay of logged requests in broadcast mode."""
+        """Passive failover: the oldest surviving backup becomes
+        primary.  A warm backup's state is the last applied checkpoint,
+        plus the replay of logged requests in broadcast mode.  A cold
+        backup holds only the state it synced at join, so it stays
+        unsynced (requests queue) until it has restored the last
+        checkpoint in the stable store."""
         self._journal("failover", member=str(self.member),
                       style=self.style.value,
                       logged_requests=len(self._request_log))
+        cold = self.style is ReplicationStyle.COLD_PASSIVE
+        if cold:
+            self._synced = False
 
         def promoted() -> None:
             if not self.alive:
@@ -970,6 +990,14 @@ class ServerReplicator(Actor, ServerTransport):
             # the re-arming checkpoint below must ship the whole cache.
             self._close_seen_delta()
             log, self._request_log = self._request_log, []
+            if cold:
+                # The log replays after the restore, ahead of what
+                # queued since (the restored cache suppresses what the
+                # stored state already holds).  No re-arming checkpoint:
+                # it would overwrite the store with the stale state.
+                self._queue[:0] = log
+                self._restore_from_store()
+                return
             for rep in log:
                 self._process(rep)
             # A fresh checkpoint re-arms the remaining backups.

@@ -10,19 +10,23 @@ site) with per-byte write/read costs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.sim.kernel import Simulator
 
 
 @dataclass(frozen=True)
 class StoredCheckpoint:
-    """One persisted snapshot."""
+    """One persisted snapshot, with the reply cache of the requests
+    whose effect it holds (``(req_id, reply)`` pairs), so a replica
+    restored from it answers their retries instead of re-executing
+    them."""
 
     ckpt_id: int
     state: Any
     state_bytes: int
     written_at: float
+    seen: Tuple[Tuple[str, Any], ...] = ()
 
 
 class StableStore:
@@ -43,15 +47,18 @@ class StableStore:
         self.bytes_written = 0
 
     def write(self, group: str, ckpt_id: int, state: Any, state_bytes: int,
-              on_done: Optional[Callable[[], None]] = None) -> None:
+              on_done: Optional[Callable[[], None]] = None,
+              seen: Tuple[Tuple[str, Any], ...] = ()) -> None:
         """Persist a checkpoint asynchronously (overwrite semantics:
-        only the latest snapshot matters for recovery)."""
+        only the latest snapshot matters for recovery).  Only
+        ``state_bytes`` are charged: the reply cache rides uncharged
+        (see docs/calibration.md)."""
         delay = self.write_fixed_us + self.write_per_byte_us * state_bytes
 
         def commit() -> None:
             self._checkpoints[group] = StoredCheckpoint(
                 ckpt_id=ckpt_id, state=state, state_bytes=state_bytes,
-                written_at=self.sim.now)
+                written_at=self.sim.now, seen=seen)
             self.writes += 1
             self.bytes_written += state_bytes
             if on_done is not None:

@@ -66,10 +66,6 @@ class ReplicationConfig:
     checkpoint_interval_requests: int = 1
     broadcast_requests: bool = False
     checkpoint_delta_fraction: float = 1.0
-    #: Multicast checkpoints with the SAFE grade: the primary's
-    #: stability point then additionally guarantees every backup's
-    #: daemon holds the state update before any covered reply leaves.
-    safe_checkpoints: bool = False
 
     def __post_init__(self) -> None:
         if self.checkpoint_interval_requests < 1:

@@ -68,7 +68,7 @@ TELEMETRY_RULES = (
 )
 JOURNAL_RULES = (
     Rule(("enabled",), bool),
-    Rule(("ring_size", "max_events"), int, ge=1),
+    Rule(("max_events",), int, ge=1),
 )
 
 
@@ -229,15 +229,13 @@ class JournalConfig(_Section):
 
     Off by default: the simulator keeps its no-op journal and every
     instrumentation site reduces to one guarded branch.  When enabled,
-    the testbed attaches a :class:`repro.journal.Journal`: a global
-    collector capped at ``max_events`` plus a per-host "flight
-    recorder" ring of the last ``ring_size`` events.  Journaling adds
+    the testbed attaches a :class:`repro.journal.Journal`: one ordered
+    event stream capped at ``max_events``.  Journaling adds
     **no simulated time** either way, so simulated results are
     byte-identical on or off.
     """
 
     enabled: bool = False
-    ring_size: int = 256
     max_events: int = 100_000
 
     RULES = JOURNAL_RULES

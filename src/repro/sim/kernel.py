@@ -153,17 +153,9 @@ class NullJournal:
         """No-op; a real journal would append a JournalEvent."""
         return None
 
-    def flight_recorder(self, _host: str) -> tuple:
-        """Return an empty per-host ring: nothing is ever recorded."""
-        return ()
-
     def of_kind(self, _prefix: str) -> tuple:
         """Return no events: nothing is ever recorded."""
         return ()
-
-    def truncated_rings(self) -> dict:
-        """Return no truncation: nothing is ever recorded or evicted."""
-        return {}
 
     def __len__(self) -> int:
         return 0

@@ -37,7 +37,6 @@ JOURNAL_TAGS: Tuple[Tuple[str, str], ...] = (
     ("adaptation.decision", "ADAPT"),
     ("contract", "CONTRACT"),
     ("client.giveup", "GIVEUP"),
-    ("journal.truncated", "TRUNC"),
 )
 
 _STATE_COLOURS = {"up": "#2e7d32", "degraded": "#f9a825",
@@ -108,10 +107,6 @@ def _describe(event: JournalEvent) -> str:
     if event.kind == "client.giveup":
         return (f"gave up on {attrs.get('request_id')} after "
                 f"{attrs.get('attempts')} attempts")
-    if event.kind == "journal.truncated":
-        return (f"flight recorder dropped {attrs.get('dropped')} "
-                f"event(s) (ring size {attrs.get('ring_size')}); "
-                f"excerpt incomplete")
     return " ".join(f"{k}={v}" for k, v in sorted(attrs.items()))
 
 
@@ -152,13 +147,6 @@ def journal_summary(events: Sequence[JournalEvent],
         f"MTTF {report.mttf_us / 1e6:.3f} s, "
         f"{report.false_positives} false positive(s)",
     ]
-    truncated = {e.host: e.attrs.get("dropped", 0)
-                 for e in events if e.kind == "journal.truncated"}
-    if truncated:
-        detail = ", ".join(f"{host} lost {n}"
-                           for host, n in sorted(truncated.items()))
-        lines.append(f"WARNING: flight-recorder rings truncated "
-                     f"({detail}); per-host excerpts are incomplete")
     # Per-shard rollup, only for journals whose events carry
     # first-class shard tags (cluster runs) — single-group artifacts
     # keep the exact pre-shard summary.

@@ -77,6 +77,39 @@ class TestUniquePrimary:
         ]
         assert check_invariants(events) == []
 
+    @staticmethod
+    def _sharded(kind, host, shard, time_us):
+        return JournalEvent(seq=0, time_us=time_us, host=host,
+                            component="replicator", kind=kind,
+                            attrs={"sync_for": None}, shard=shard)
+
+    def _two_shard_views(self):
+        # s01 hosts sh0's primary and a backup of sh1; s02 the reverse.
+        return [
+            _view("s01", 1, ["a@s01", "b@s02"], group="sh0"),
+            _view("s02", 1, ["a@s01", "b@s02"], group="sh0"),
+            _view("s01", 1, ["d@s02", "c@s01"], group="sh1"),
+            _view("s02", 1, ["d@s02", "c@s01"], group="sh1"),
+        ]
+
+    def test_one_primary_per_shard_on_shared_hosts_passes(self):
+        events = self._two_shard_views() + [
+            self._sharded("checkpoint.publish", "s01", "sh0", 10.0),
+            self._sharded("checkpoint.publish", "s02", "sh1", 11.0),
+            self._sharded("checkpoint.publish", "s01", "sh0", 12.0),
+        ]
+        assert check_invariants(events) == []
+
+    def test_two_primaries_in_one_shards_view_flagged(self):
+        events = self._two_shard_views() + [
+            self._sharded("checkpoint.publish", "s01", "sh0", 10.0),
+            self._sharded("checkpoint.publish", "s02", "sh0", 11.0),
+        ]
+        (violation,) = check_invariants(events)
+        assert violation.invariant == "unique_primary"
+        assert violation.details == {"group": "sh0", "view_id": 1,
+                                     "hosts": ["s01", "s02"]}
+
 
 class TestSwitchPhases:
     def _switch(self, kind, host, time_us, switch_id="sw1"):

@@ -1,5 +1,7 @@
 """Tests for the single fault-injection trial harness."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -129,8 +131,23 @@ def test_check_attaches_verification_verdict():
     assert result.check["linearizable"] is True
     assert result.check["violations"] == []
     assert result.check["operations"] > 0
-    assert result.check["truncated_rings"] == {}
+    assert result.check["journal_dropped"] == 0
     assert result.metrics()["check"]["ok"] is True
+
+
+def test_check_fails_a_trial_whose_journal_dropped_events(monkeypatch):
+    """Events dropped past ``max_events`` hide evidence, so the verdict
+    fails even when every check that ran passed."""
+    import repro.experiments.run as run_module
+    from repro.sim import JournalConfig
+
+    tiny = replace(run_module.default_calibration(),
+                   journal=JournalConfig(max_events=5))
+    monkeypatch.setattr(run_module, "default_calibration", lambda: tiny)
+    result = run(check=True)
+    assert result.check["journal_dropped"] > 0
+    assert result.check["violations"] == []
+    assert result.check["ok"] is False
 
 
 def test_check_forces_journal_capture():

@@ -7,7 +7,6 @@ itself mid-protocol.  These tests target those windows directly.
 
 import pytest
 
-from repro.gcs import Grade
 from tests.support import Cluster, RecordingListener
 
 FAILOVER_US = 1_500_000
@@ -80,7 +79,7 @@ def test_traffic_during_flush_is_buffered_not_lost():
     # Pump messages through the whole detection+flush window.
     for i in range(30):
         cluster.sim.schedule(i * 40_000.0, clients[0].multicast,
-                             "grp", f"m{i}", 10, Grade.AGREED)
+                             "grp", f"m{i}", 10)
     cluster.run(4 * FAILOVER_US)
     expected = [f"m{i}" for i in range(30)]
     assert listeners[0].payloads == expected

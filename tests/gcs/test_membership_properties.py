@@ -7,7 +7,6 @@ membership, and deliver identical message sequences.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.gcs import Grade
 from tests.support import Cluster, RecordingListener
 
 HOSTS = ["h1", "h2", "h3", "h4"]
@@ -44,7 +43,7 @@ def test_survivors_converge_on_views_and_deliveries(plan, seed):
         for k in range(8):
             cluster.sim.schedule(k * 150_000.0 + i * 1_000.0,
                                  client.multicast, "grp",
-                                 (i, k), 24, Grade.AGREED)
+                                 (i, k), 24)
     cluster.run(start + 4 * FAILOVER_US)
 
     survivors = [i for i in range(4) if i not in crashed]

@@ -2,7 +2,6 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.gcs import Grade
 from tests.support import Cluster, RecordingListener
 
 # Small alphabet of (sender_index, round) send operations.
@@ -32,8 +31,7 @@ def test_agreed_total_order_property(plan, seed):
     identical at every member and loses nothing."""
     cluster, clients, listeners = _three_member_rig(seed)
     for sender, tag in plan:
-        clients[sender].multicast("grp", (sender, tag), nbytes=20,
-                                  grade=Grade.AGREED)
+        clients[sender].multicast("grp", (sender, tag), nbytes=20)
     cluster.run(2_000_000)
     sequences = [listener.payloads for listener in listeners]
     assert sequences[0] == sequences[1] == sequences[2]
@@ -50,24 +48,9 @@ def test_fifo_per_sender_order_property(plan, seed):
     for sequence_number, (sender, tag) in enumerate(plan):
         payload = (sender, sequence_number)
         per_sender_sent[sender].append(payload)
-        clients[sender].multicast("grp", payload, nbytes=20,
-                                  grade=Grade.AGREED)
+        clients[sender].multicast("grp", payload, nbytes=20)
     cluster.run(2_000_000)
     for listener in listeners:
         for sender in (0, 1, 2):
             received = [p for p in listener.payloads if p[0] == sender]
             assert received == per_sender_sent[sender]
-
-
-@given(send_plans, st.integers(min_value=0, max_value=5))
-@settings(max_examples=10, deadline=None)
-def test_safe_total_order_property(plan, seed):
-    """SAFE delivery is totally ordered and complete, like AGREED."""
-    cluster, clients, listeners = _three_member_rig(seed)
-    for sender, tag in plan:
-        clients[sender].multicast("grp", (sender, tag), nbytes=20,
-                                  grade=Grade.SAFE)
-    cluster.run(3_000_000)
-    sequences = [listener.payloads for listener in listeners]
-    assert sequences[0] == sequences[1] == sequences[2]
-    assert len(sequences[0]) == len(plan)

@@ -44,42 +44,11 @@ class TestJournalRecord:
         assert journal.dropped == 2
 
     def test_validates_configuration(self):
-        for kwargs in (dict(ring_size=0), dict(max_events=0),
-                       dict(ring_size=2.5), dict(max_events=float("nan")),
+        for kwargs in (dict(max_events=0), dict(max_events=2.5),
+                       dict(max_events=float("nan")),
                        dict(max_events=float("inf"))):
             with pytest.raises(ConfigurationError):
                 Journal(**kwargs)
-
-
-class TestFlightRecorder:
-    def test_ring_keeps_last_events_per_host(self):
-        journal = Journal(ring_size=3)
-        record_n(journal, 5, host="s01")
-        journal.record(99.0, "s02", "gcs", "membership.view")
-        ring = journal.flight_recorder("s01")
-        # A truncated ring leads with its journal.truncated marker.
-        assert ring[0].kind == "journal.truncated"
-        assert ring[0].attrs["dropped"] == 2
-        assert [e.attrs["index"] for e in ring[1:]] == [2, 3, 4]
-        assert len(journal.flight_recorder("s02")) == 1
-        assert journal.flight_recorder("nowhere") == ()
-        # The global collector keeps everything the ring evicted,
-        # plus the marker itself.
-        assert len(journal) == 7
-        assert journal.truncated_rings() == {"s01": 2}
-
-    def test_untruncated_ring_has_no_marker(self):
-        journal = Journal(ring_size=8)
-        record_n(journal, 5, host="s01")
-        ring = journal.flight_recorder("s01")
-        assert [e.kind for e in ring] == ["membership.view"] * 5
-        assert journal.truncated_rings() == {}
-
-    def test_hosts_sorted(self):
-        journal = Journal()
-        for host in ("w02", "s01", "w01"):
-            journal.record(1.0, host, "gcs", "membership.view")
-        assert journal.hosts() == ("s01", "w01", "w02")
 
 
 class TestOfKind:
@@ -178,7 +147,6 @@ class TestNullJournal:
         assert NULL_JOURNAL.enabled is False
         assert NULL_JOURNAL.record(1.0, "h", "c", "k") is None
         assert NULL_JOURNAL.events == ()
-        assert NULL_JOURNAL.flight_recorder("h") == ()
         assert NULL_JOURNAL.of_kind("k") == ()
         assert len(NULL_JOURNAL) == 0
         assert NULL_JOURNAL.dropped == 0

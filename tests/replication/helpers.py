@@ -11,7 +11,6 @@ from repro.experiments.testbed import (
     deploy_client,
     deploy_replica_group,
 )
-from repro.gcs import Grade
 from repro.orb import CounterServant, GiopRequest, Servant
 from repro.replication import (
     ClientReplicationConfig,
@@ -118,7 +117,7 @@ def resend(client, request_id: str, group: str = "svc",
                             operation="add", payload=1,
                             payload_bytes=payload_bytes),
         client=client.gcs.member)
-    client.gcs.multicast(group, dup, dup.wire_bytes, grade=Grade.AGREED)
+    client.gcs.multicast(group, dup, dup.wire_bytes)
 
 
 def record_checkpoints(replica: Replica) -> List:

@@ -73,7 +73,6 @@ def test_duplicate_requests_suppressed_server_side():
     before = [r.replicator.requests_processed for r in replicas]
     # Replay the exact RepRequest through the group, as a client
     # retry would.
-    from repro.gcs import Grade
     from repro.orb import GiopRequest
     from repro.replication import RepRequest
     original_id = next(iter(replicas[0].replicator._seen))
@@ -81,7 +80,7 @@ def test_duplicate_requests_suppressed_server_side():
         request=GiopRequest(request_id=original_id, object_key="counter",
                             operation="add", payload=2, payload_bytes=32),
         client=clients[0].gcs.member)
-    clients[0].gcs.multicast("svc", dup, dup.wire_bytes, grade=Grade.AGREED)
+    clients[0].gcs.multicast("svc", dup, dup.wire_bytes)
     testbed.run(500_000)
     assert [r.replicator.requests_processed for r in replicas] == before
     assert counter_values(replicas) == [2, 2, 2]

@@ -9,6 +9,7 @@ from tests.replication.helpers import (
     call,
     counter_values,
     fire,
+    resend,
 )
 
 
@@ -106,14 +107,12 @@ class TestWarmPassive:
         # The first attempt goes direct (the client has not yet
         # learned the mode); replies piggyback broadcast=True, so
         # subsequent requests are multicast and the backups log them.
-        from repro.gcs import Grade
         from repro.orb import GiopRequest
         from repro.replication import RepRequest
         req = GiopRequest(request_id="logged-1", object_key="counter",
                           operation="add", payload=2, payload_bytes=32)
         rep = RepRequest(request=req, client=clients[0].gcs.member)
-        clients[0].gcs.multicast("svc", rep, rep.wire_bytes,
-                                 grade=Grade.AGREED)
+        clients[0].gcs.multicast("svc", rep, rep.wire_bytes)
         testbed.run(500_000)
         assert clients[0].replicator.broadcast is True
         assert replicas[0].servants["counter"].value == 5
@@ -125,7 +124,6 @@ class TestWarmPassive:
         testbed, replicas, clients = build_rig(
             ReplicationStyle.WARM_PASSIVE, broadcast_requests=True,
             checkpoint_interval=100, seed=2)
-        from repro.gcs import Grade
         from repro.orb import GiopRequest
         from repro.replication import RepRequest
         # Three requests through the group so backups log them.
@@ -134,8 +132,7 @@ class TestWarmPassive:
                               object_key="counter", operation="add",
                               payload=10, payload_bytes=32)
             rep = RepRequest(request=req, client=clients[0].gcs.member)
-            clients[0].gcs.multicast("svc", rep, rep.wire_bytes,
-                                     grade=Grade.AGREED)
+            clients[0].gcs.multicast("svc", rep, rep.wire_bytes)
         testbed.run(500_000)
         assert replicas[0].servants["counter"].value == 30
         assert replicas[1].servants["counter"].value == 0  # only logged
@@ -207,6 +204,57 @@ class TestColdPassive:
                                  process_name="svc-r2")
         testbed.run(1_000_000)
         assert revived.replicator.synced
+        assert revived.servants["counter"].value == 8
+
+    def test_cold_primary_crash_keeps_the_counter(self):
+        """A cold backup holds only the state it synced at join; the
+        take-over restores the stored checkpoint before serving."""
+        testbed, replicas, clients = build_rig(ReplicationStyle.COLD_PASSIVE)
+        for _ in range(3):
+            call(testbed, clients[0], "add", 4)
+        testbed.run(300_000)
+        replicas[0].crash()
+        reply = call(testbed, clients[0], "add", 1,
+                     timeout_us=2 * FAILOVER_US)
+        assert replicas[1].replicator.is_primary
+        assert reply.payload == 13
+
+    def test_cold_take_over_answers_a_pre_crash_retry_from_the_cache(self):
+        testbed, replicas, clients = build_rig(ReplicationStyle.COLD_PASSIVE)
+        for _ in range(3):
+            call(testbed, clients[0], "add", 1)
+        testbed.run(300_000)
+        executed = list(replicas[0].replicator._seen)
+        replicas[0].crash()
+        testbed.run(FAILOVER_US)
+        for request_id in executed:
+            resend(clients[0], request_id)
+        testbed.run(500_000)
+        new_primary = replicas[1].replicator
+        assert new_primary.is_primary
+        assert new_primary.duplicates_suppressed == 3
+        assert replicas[1].servants["counter"].value == 3
+
+    def test_cold_restart_answers_a_pre_crash_retry_from_the_cache(self):
+        testbed, replicas, clients = build_rig(
+            ReplicationStyle.COLD_PASSIVE, n_replicas=1)
+        call(testbed, clients[0], "add", 8)
+        testbed.run(500_000)
+        last = next(reversed(replicas[0].replicator._seen))
+        replicas[0].crash()
+        testbed.run(FAILOVER_US)
+        from repro.experiments.testbed import deploy_replica
+        from repro.orb import CounterServant
+        from repro.replication import ReplicationConfig
+        revived = deploy_replica(
+            testbed, "s01",
+            ReplicationConfig(style=ReplicationStyle.COLD_PASSIVE,
+                              group="svc"),
+            {"counter": CounterServant}, process_name="svc-r2")
+        testbed.run(1_000_000)
+        resend(clients[0], last)
+        testbed.run(500_000)
+        assert revived.replicator.duplicates_suppressed == 1
         assert revived.servants["counter"].value == 8
 
     def test_cold_requires_store(self):

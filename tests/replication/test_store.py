@@ -1,15 +1,9 @@
-"""Unit tests for the stable checkpoint store, plus the SAFE-grade
-checkpoint option."""
+"""Unit tests for the stable checkpoint store."""
 
 import pytest
 
-from repro.replication import ReplicationStyle, StableStore
+from repro.replication import StableStore
 from repro.sim import Simulator
-from tests.replication.helpers import (
-    build_rig,
-    counter_values,
-    timed_call,
-)
 
 
 class TestStableStore:
@@ -31,6 +25,21 @@ class TestStableStore:
         store.read("ghost", results.append)
         sim.run()
         assert results == [None]
+
+    def test_reply_cache_rides_uncharged(self):
+        sim = Simulator()
+        store = StableStore(sim, write_fixed_us=100.0,
+                            write_per_byte_us=1.0)
+        done = []
+        store.write("grp", 1, {"v": 5}, 10,
+                    on_done=lambda: done.append(sim.now),
+                    seen=(("r1", "reply"),))
+        sim.run()
+        results = []
+        store.read("grp", results.append)
+        sim.run()
+        assert results[0].seen == (("r1", "reply"),)
+        assert done == [pytest.approx(110.0)]
 
     def test_overwrite_semantics(self):
         sim = Simulator()
@@ -75,42 +84,3 @@ class TestStableStore:
         store.read("grp", results.append)
         sim.run()
         assert results[0] is not None
-
-
-class TestSafeCheckpoints:
-    def _rig(self, safe):
-        from repro.experiments import (Testbed, deploy_client,
-                                       deploy_replica_group)
-        from repro.orb import CounterServant
-        from repro.replication import (ClientReplicationConfig,
-                                       ReplicationConfig)
-        testbed = Testbed.paper_testbed(3, 1, seed=0)
-        config = ReplicationConfig(style=ReplicationStyle.WARM_PASSIVE,
-                                   group="svc", safe_checkpoints=safe)
-        replicas = deploy_replica_group(testbed, ["s01", "s02", "s03"],
-                                        config,
-                                        {"counter": CounterServant})
-        client = deploy_client(testbed, "w01", ClientReplicationConfig(
-            group="svc",
-            expected_style=ReplicationStyle.WARM_PASSIVE))
-        testbed.run(100_000)
-        return testbed, replicas, client
-
-    def test_safe_checkpoints_preserve_semantics(self):
-        testbed, replicas, client = self._rig(safe=True)
-        replies = []
-        client.orb_client.invoke("counter", "add", 6, 32, replies.append)
-        testbed.run(3_000_000)
-        assert replies and replies[0].payload == 6
-        values = [r.servants["counter"].value for r in replicas]
-        assert values == [6, 6, 6]
-
-    def test_safe_checkpoints_slower_replies(self):
-        """SAFE stability waits for every backup daemon to hold the
-        state update, so checkpoint-covered replies take longer."""
-        def latency(safe):
-            testbed, replicas, client = self._rig(safe)
-            return timed_call(testbed, client, "add", 1,
-                              timeout_us=3_000_000)[1]
-
-        assert latency(True) > latency(False)

@@ -124,7 +124,7 @@ def cluster_trial_digests() -> dict:
         ReplicationStyle.WARM_PASSIVE, n_shards=2, n_clients=2,
         duration_us=300_000.0, rate_per_s=150.0, seed=2,
         fault_load="process_crash", telemetry=True, check=True, slo=True)
-    assert result.check["linearizable"] and len(result.injected) == 1
+    assert result.check["ok"] and len(result.injected) == 1
     return {"metrics": _sha256(json.dumps(result.metrics(), sort_keys=True)),
             "journal": _sha256(events_to_jsonl(result.journal.events))}
 

@@ -79,10 +79,6 @@ ALLOWED: Dict[str, str] = {
         "accessor: a shard's live primary",
     "repro.monitoring.contracts:ContractMonitor.all_honoured":
         "accessor: whether every contract is honoured",
-    "repro.journal.events:Journal.flight_recorder":
-        "accessor: the flight-recorder ring, kept until it gets a reader",
-    "repro.sim.kernel:NullJournal.flight_recorder":
-        "accessor: the disabled journal's twin of flight_recorder",
     # The paper's knobs, which ROADMAP item 7 decides on.
     "repro.core.realtime:RealTimeKnob":
         "paper knob: Table 1 real-time knob, ROADMAP item 7",
