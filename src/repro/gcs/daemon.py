@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import GroupCommunicationError
@@ -67,9 +67,9 @@ from repro.telemetry.spans import COMPONENT_GCS
 #: Well-known daemon port (Spread's default).
 GCS_PORT = 4803
 
-#: How many recent stamps per group are carried in a FlushAck; must
-#: exceed the largest possible divergence window between survivors
-#: (bounded by retransmit timeout << failure timeout).
+#: How many recent stamps per group a daemon keeps for a FlushAck or a
+#: GroupSnapshot; must exceed the largest possible divergence window
+#: between survivors (bounded by retransmit timeout << failure timeout).
 FLUSH_HISTORY_WINDOW = 64
 
 #: A flushing daemon waits this long for the install before suspecting
@@ -90,17 +90,20 @@ class _GroupState:
     fan-out iterates them) and this daemon's co-located members (every
     local delivery iterates them).  They are recomputed only when the
     membership changes — previously each multicast paid a ``sorted()``
-    plus a set build per fan-out.
+    plus a set build per fan-out.  ``history`` holds the stamps a flush
+    reads; ``msg_ids`` the ids of the last ``history_limit`` stamps.
     """
 
-    __slots__ = ("members", "view_id", "last_stamp", "history",
+    __slots__ = ("members", "view_id", "last_stamp", "history", "msg_ids",
                  "recent_msg_ids", "fanout_hosts", "local_members")
 
-    def __init__(self) -> None:
+    def __init__(self, history_limit: int) -> None:
         self.members: List[MemberId] = []
         self.view_id = 0
         self.last_stamp = 0
-        self.history: "OrderedDict[int, Stamped]" = OrderedDict()
+        self.history: "deque[Stamped]" = deque(
+            maxlen=min(history_limit, FLUSH_HISTORY_WINDOW))
+        self.msg_ids: "deque[str]" = deque(maxlen=history_limit)
         self.recent_msg_ids: Set[str] = set()
         self.fanout_hosts: Tuple[str, ...] = ()
         self.local_members: Tuple[MemberId, ...] = ()
@@ -417,7 +420,11 @@ class GcsDaemon(Actor):
         forward = Forward(group=group, origin=origin, payload=payload,
                           payload_bytes=payload_bytes,
                           msg_id=self._new_msg_id())
-        self._pending_forwards[forward.msg_id] = forward
+        # Only a host with a member sees the stamp that pops a forward;
+        # elsewhere (a client) the sender's retry recovers a lost one.
+        state = self._groups.get(group)
+        if state is not None and state.local_members:
+            self._pending_forwards[forward.msg_id] = forward
         self._route_to_sequencer(forward)
 
     def _route_to_sequencer(self, message: Any) -> None:
@@ -502,14 +509,12 @@ class GcsDaemon(Actor):
         if stamp.seq <= state.last_stamp:
             return  # duplicate (e.g. flush recovery overlap)
         state.last_stamp = stamp.seq
-        state.history[stamp.seq] = stamp
-        while len(state.history) > self.cal.history_limit:
-            state.history.popitem(last=False)
+        state.history.append(stamp)
+        state.msg_ids.append(stamp.msg_id)
         if stamp.msg_id:
             state.recent_msg_ids.add(stamp.msg_id)
             if len(state.recent_msg_ids) > 4 * self.cal.history_limit:
-                state.recent_msg_ids = {
-                    s.msg_id for s in state.history.values() if s.msg_id}
+                state.recent_msg_ids = {m for m in state.msg_ids if m}
         self._pending_forwards.pop(stamp.msg_id, None)
         self._pending_membership.pop(stamp.msg_id, None)
 
@@ -778,8 +783,7 @@ class GcsDaemon(Actor):
             state = self._groups[group]
             groups[group] = (tuple(state.members), state.view_id,
                              state.last_stamp)
-            window = list(state.history.values())[-FLUSH_HISTORY_WINDOW:]
-            recent[group] = window
+            recent[group] = list(state.history)
         return GroupSnapshot(epoch=epoch, groups=groups, recent=recent)
 
     def _on_group_snapshot(self, snapshot: GroupSnapshot) -> None:
@@ -798,7 +802,8 @@ class GcsDaemon(Actor):
             state.view_id = view_id
             state.last_stamp = last_seq
             for stamp in snapshot.recent.get(group, ()):
-                state.history[stamp.seq] = stamp
+                state.history.append(stamp)
+                state.msg_ids.append(stamp.msg_id)
                 if stamp.msg_id:
                     state.recent_msg_ids.add(stamp.msg_id)
             self._rebuild_group_routing(state)
@@ -873,8 +878,7 @@ class GcsDaemon(Actor):
             pass
         else:
             for group, state in self._groups.items():
-                recent = list(state.history.items())[-FLUSH_HISTORY_WINDOW:]
-                histories[group] = dict(recent)
+                histories[group] = {s.seq: s for s in state.history}
                 next_seqs[group] = state.last_stamp + 1
         ack = FlushAck(epoch=request.epoch, sender=self.host.name,
                        histories=histories, next_seqs=next_seqs)
@@ -1042,7 +1046,7 @@ class GcsDaemon(Actor):
     def _group(self, group: str) -> _GroupState:
         state = self._groups.get(group)
         if state is None:
-            state = _GroupState()
+            state = _GroupState(self.cal.history_limit)
             self._groups[group] = state
         return state
 

@@ -7,7 +7,8 @@ argument/result size and the transport adds the GIOP header.
 key/value metadata that middleware layers attach without the
 application noticing.  The telemetry layer stores its trace context
 there (see :mod:`repro.telemetry.context`); replies inherit the
-request's contexts so the trace survives the round trip.
+request's contexts so the trace survives the round trip.  A message
+without contexts carries ``None``: with telemetry off, none has a dict.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ class ReplyStatus(enum.Enum):
     NO_SUCH_OBJECT = "no_such_object"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GiopRequest:
     """One marshalled invocation."""
 
@@ -37,8 +38,8 @@ class GiopRequest:
     #: Simulated instant the client ORB built the request: every
     #: round-trip latency is measured from here.
     started_at: Optional[float] = field(default=None, compare=False)
-    service_contexts: Dict[str, Any] = field(default_factory=dict,
-                                             compare=False)
+    service_contexts: Optional[Dict[str, Any]] = field(default=None,
+                                                       compare=False)
 
     def __post_init__(self) -> None:
         if self.payload_bytes < 0:
@@ -50,14 +51,15 @@ class GiopRequest:
         Service contexts are copied (each replica updates its own
         trace context independently of its siblings).
         """
+        contexts = self.service_contexts
         return GiopRequest(self.request_id, self.object_key,
                            self.operation, self.payload,
                            self.payload_bytes, self.oneway,
                            self.started_at,
-                           dict(self.service_contexts))
+                           dict(contexts) if contexts else None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GiopReply:
     """One marshalled result."""
 
@@ -65,12 +67,8 @@ class GiopReply:
     status: ReplyStatus
     payload: Any
     payload_bytes: int
-    #: Replication metadata piggybacked on replies (replica identity,
-    #: current style/primary) so clients can track the server group
-    #: configuration without extra round trips.
-    replica_info: Optional[dict] = None
-    service_contexts: Dict[str, Any] = field(default_factory=dict,
-                                             compare=False)
+    service_contexts: Optional[Dict[str, Any]] = field(default=None,
+                                                       compare=False)
 
     def __post_init__(self) -> None:
         if self.payload_bytes < 0:

@@ -19,7 +19,7 @@ from repro.telemetry.context import SERVICE_CONTEXT_TRACE
 REP_HEADER_BYTES = 40
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RepRequest:
     """A client invocation wrapped for the replica group."""
 
@@ -39,10 +39,11 @@ class RepRequest:
         (the GCS daemons use this to join a frame to its trace, via
         :func:`~repro.telemetry.context.payload_context`, which checks
         the type)."""
-        return self.request.service_contexts.get(SERVICE_CONTEXT_TRACE)
+        contexts = self.request.service_contexts
+        return contexts and contexts.get(SERVICE_CONTEXT_TRACE)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RepReply:
     """A server reply sent point-to-point back to the client.
 
@@ -66,7 +67,8 @@ class RepReply:
     @property
     def trace_context(self):
         """Telemetry context, read through to the wrapped GIOP reply."""
-        return self.reply.service_contexts.get(SERVICE_CONTEXT_TRACE)
+        contexts = self.reply.service_contexts
+        return contexts and contexts.get(SERVICE_CONTEXT_TRACE)
 
 
 @dataclass(frozen=True)
@@ -86,7 +88,7 @@ class Checkpoint:
     final_for: Optional[str] = None
     sync_for: Optional[MemberId] = None
     #: Completed entries of the source's duplicate-suppression cache
-    #: (request id -> cached reply).  A backup that takes over after
+    #: (request id -> cached GIOP reply).  A backup that takes over after
     #: applying this checkpoint must suppress retries of requests whose
     #: effects the checkpointed state already contains — re-executing
     #: them would double-apply acknowledged work.  With ``seen_base``

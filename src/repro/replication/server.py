@@ -26,7 +26,7 @@ Roles by style
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import AdaptationError, ReplicationError
@@ -90,25 +90,27 @@ class ServerReplicator(Actor, ServerTransport):
         self._state_provider: Optional[Any] = None
         self._started = False
 
-        # Duplicate suppression + reply cache: req_id -> reply (None
-        # while the request is still in flight).
-        self._seen: "OrderedDict[str, Optional[RepReply]]" = OrderedDict()
+        # Duplicate suppression + reply cache: req_id -> GIOP reply
+        # (None while the request is still in flight).
+        self._seen: "OrderedDict[str, Optional[GiopReply]]" = OrderedDict()
         # Seen-cache delta: the entries completed or absorbed since this
         # replica captured checkpoint ``_seen_base``, which its next
         # periodic checkpoint ships instead of the whole cache.  Base 0
         # means no delta is open and the next checkpoint ships the
         # complete cache.
-        self._seen_delta: List[Tuple[str, RepReply]] = []
+        self._seen_delta: List[Tuple[str, GiopReply]] = []
         self._seen_base = 0
         # The complete cache this replica's last stable-store write
         # persisted, and that write's checkpoint id (cold passive).
-        self._stored_seen: Tuple[Tuple[str, RepReply], ...] = ()
+        self._stored_seen: Tuple[Tuple[str, GiopReply], ...] = ()
         self._stored_at = 0
         # The (source, ckpt_id) of the checkpoint this replica applied
         # last — the only point a received delta may extend.
         self._seen_applied: Optional[Tuple[MemberId, int]] = None
-        # Requests logged since the last checkpoint (broadcast mode).
-        self._request_log: List[RepRequest] = []
+        # Requests logged since the last checkpoint (broadcast mode; a
+        # cold backup applies none), as many as the reply cache covers.
+        self._request_log: "deque[RepRequest]" = deque(
+            maxlen=SEEN_CACHE_LIMIT)
         self._since_ckpt = 0
         self._ckpt_ids = 0
         # Pause/queue machinery (switches, sync fences, quiescence).
@@ -331,7 +333,7 @@ class ServerReplicator(Actor, ServerTransport):
                 # request first ran, and the client learns from it.
                 self.duplicates_suppressed += 1
                 self._count("replicator_duplicates_total")
-                again = self._rep_reply(cached.reply)
+                again = self._rep_reply(cached)
                 self.gcs.send_direct(rep.client, again, again.wire_bytes)
             return
         self._remember(req_id, None)
@@ -375,9 +377,9 @@ class ServerReplicator(Actor, ServerTransport):
             if telemetry.enabled:
                 self._count("replicator_requests_total")
             rep_reply = self._rep_reply(reply)
-            self._remember(req_id, rep_reply)
+            self._remember(req_id, reply)
             if self._seen_base:
-                self._seen_delta.append((req_id, rep_reply))
+                self._seen_delta.append((req_id, reply))
             reply_ctx = context_of(reply) if telemetry.enabled else None
             if reply_ctx is not None:
                 # The reply redirect is charged without elapsing
@@ -421,7 +423,7 @@ class ServerReplicator(Actor, ServerTransport):
                         primary=self.primary,
                         broadcast=self.config.broadcast_requests)
 
-    def _remember(self, req_id: str, reply: Optional[RepReply]) -> None:
+    def _remember(self, req_id: str, reply: Optional[GiopReply]) -> None:
         self._seen[req_id] = reply
         self._seen.move_to_end(req_id)
         while len(self._seen) > SEEN_CACHE_LIMIT:
@@ -608,7 +610,7 @@ class ServerReplicator(Actor, ServerTransport):
 
         self.process.host.cpu.execute(apply_cost, apply)
 
-    def _store_seen(self) -> Tuple[Tuple[str, RepReply], ...]:
+    def _store_seen(self) -> Tuple[Tuple[str, GiopReply], ...]:
         """The complete cache for the stable-store write being
         captured: the last write's copy extended by the delta when that
         write is the delta's base (costing the delta, where a rebuild
@@ -921,7 +923,8 @@ class ServerReplicator(Actor, ServerTransport):
         # checkpoint; the rollback promotes them to executors, so the
         # log must replay (mirroring _take_over_as_primary) or those
         # acknowledged requests are lost.
-        log, self._request_log = self._request_log, []
+        log = list(self._request_log)
+        self._request_log.clear()
         for rep in log:
             self._process(rep)
         self._drain_queue()
@@ -989,7 +992,8 @@ class ServerReplicator(Actor, ServerTransport):
             # The backups anchor on the old primary's checkpoints, so
             # the re-arming checkpoint below must ship the whole cache.
             self._close_seen_delta()
-            log, self._request_log = self._request_log, []
+            log = list(self._request_log)
+            self._request_log.clear()
             if cold:
                 # The log replays after the restore, ahead of what
                 # queued since (the restored cache suppresses what the

@@ -76,7 +76,10 @@ def context_of(message: Any) -> Optional[TraceContext]:
 
 
 def set_context(message: Any, ctx: TraceContext) -> None:
-    """Install ``ctx`` on a GIOP message's service contexts."""
+    """Install ``ctx`` on a GIOP message's service contexts, making the
+    dict on first use (a message without contexts carries None)."""
+    if message.service_contexts is None:
+        object.__setattr__(message, "service_contexts", {})
     message.service_contexts[SERVICE_CONTEXT_TRACE] = ctx
 
 

@@ -1,10 +1,16 @@
 """Memory-layout regression: high-churn message objects stay slotted.
 
 The GCS creates one wrapper object per multicast hop and one Frame per
-wire transmission; a stray ``__dict__`` on any of them (easily
-reintroduced by a slotless base class or a dataclass edit) costs ~100
-bytes and a dict allocation per message.  These tests pin the layout.
+wire transmission, and every request carries a GIOP request, its
+replication wrapper and a GIOP reply that replicas keep in their reply
+caches; a stray ``__dict__`` on any of them (easily reintroduced by a
+slotless base class or a dataclass edit) costs ~100 bytes and a dict
+allocation per message.  These tests pin the layout.
 """
+
+import copy
+import dataclasses
+import pickle
 
 from repro.gcs.messages import (
     DaemonView,
@@ -24,9 +30,29 @@ from repro.gcs.messages import (
     ViewInstall,
 )
 from repro.net.frame import Endpoint, Frame
+from repro.orb.giop import GiopReply, GiopRequest, ReplyStatus
+from repro.replication.messages import RepReply, RepRequest
+from repro.replication.styles import ReplicationStyle
 from repro.sim.kernel import EventHandle, Simulator
+from repro.telemetry.context import TraceContext, set_context
 
 MEMBER = MemberId("s01", 1, "svc")
+
+REQUEST = GiopRequest(request_id="c1:1", object_key="counter",
+                      operation="add", payload=1, payload_bytes=32,
+                      started_at=5.0)
+REPLY = GiopReply(request_id="c1:1", status=ReplyStatus.OK, payload=1,
+                  payload_bytes=8)
+
+#: The frozen dataclasses made slotted for the reply cache: pickling
+#: and copying them must survive the frozen ``__setattr__``.
+PER_REQUEST = [
+    REQUEST,
+    REPLY,
+    RepRequest(request=REQUEST, client=MEMBER),
+    RepReply(reply=REPLY, replica=MEMBER, style=ReplicationStyle.ACTIVE,
+             primary=MEMBER),
+]
 
 INSTANCES = [
     MemberId("s01", 1, "svc"),
@@ -47,6 +73,7 @@ INSTANCES = [
                 next_seqs={}),
     Endpoint("s01", 4803),
     Frame(src=Endpoint("s01", 1), dst=Endpoint("s02", 2), payload="p"),
+    *PER_REQUEST,
 ]
 
 
@@ -92,3 +119,32 @@ def test_wire_messages_reject_assignment():
                 continue
             raise AssertionError(
                 f"{type(obj).__name__}.{name} accepted an assignment")
+
+
+def _fields(obj):
+    """Every field, those left out of ``==`` included."""
+    return [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+
+
+def test_per_request_messages_copy_and_pickle_whole():
+    for obj in PER_REQUEST:
+        for twin in (copy.copy(obj), pickle.loads(pickle.dumps(obj))):
+            assert type(twin) is type(obj)
+            assert _fields(twin) == _fields(obj), type(obj).__name__
+
+
+def test_giop_contexts_are_made_on_first_use():
+    """No context dict while a message has no context; the first
+    ``set_context`` makes one, and a fork copies it."""
+    request = GiopRequest(request_id="c1:2", object_key="counter",
+                          operation="add", payload=1, payload_bytes=32)
+    assert request.service_contexts is None
+    assert request.fork().service_contexts is None
+    ctx = TraceContext("c1:2", 1, 1)
+    set_context(request, ctx)
+    assert RepRequest(request=request, client=MEMBER).trace_context == ctx
+    forked = request.fork()
+    assert forked.service_contexts == request.service_contexts
+    assert forked.service_contexts is not request.service_contexts
+    twin = pickle.loads(pickle.dumps(request))
+    assert twin.service_contexts == {"telemetry.trace": ctx}
