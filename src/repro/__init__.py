@@ -20,7 +20,7 @@ Layering, bottom-up::
     repro.core         knobs, policies, cost model, design space
     repro.faults       fault injection
     repro.workload     closed-/open-loop clients
-    repro.telemetry    causal tracing, metrics registry, critical path
+    repro.telemetry    causal tracing, critical path
     repro.experiments  scenario harness shared by examples & benchmarks
 """
 

@@ -58,11 +58,6 @@ class AdaptationManager(Actor):
         self._last_switch_at = -cooldown_us
         self.events: List[AdaptationEvent] = []
         self.rate_samples: List[tuple] = []
-        #: ``(time, service_p99_us, queue_depth)`` samples read from the
-        #: telemetry registry each tick (empty when telemetry is off).
-        #: Kept local — publishing them would add GCS traffic and break
-        #: the telemetry-on/off determinism guarantee.
-        self.telemetry_samples: List[tuple] = []
         # The replicated system state lives in a sibling group so the
         # monitoring traffic never mixes with application requests.
         gcs = monitor_gcs or replicator.gcs
@@ -80,7 +75,6 @@ class AdaptationManager(Actor):
         self.state.publish_own("rate", local_rate)
         group_rate = self.group_rate()
         self.rate_samples.append((self.sim.now, group_rate))
-        self._sample_telemetry()
         target = self.policy.decide(self.replicator.style, group_rate)
         if target is None:
             return
@@ -112,19 +106,6 @@ class AdaptationManager(Actor):
                 to_style=target.value,
                 inputs={str(k): v
                         for k, v in self.state.items_matching("rate").items()})
-
-    def _sample_telemetry(self) -> None:
-        """Record registry-backed service-time p99 and queue depth for
-        this replica (observation only; nothing is multicast)."""
-        registry = getattr(self.sim.telemetry, "metrics", None)
-        if registry is None:
-            return
-        p99 = 0.0
-        hist = registry.merged_histogram("replica_service_us")
-        if hist is not None and hist.count:
-            p99 = hist.quantile(0.99)
-        self.telemetry_samples.append(
-            (self.sim.now, p99, float(self.replicator.queued_requests)))
 
     def group_rate(self) -> float:
         """Deterministic aggregate over the replicated state: the

@@ -161,13 +161,18 @@ def explore(scenario: CheckScenario, budget: int = 200,
     try:
         if workers > 1:
             # Lazy: the one-CPU path needs no multiprocessing.
+            from concurrent.futures import ProcessPoolExecutor
+
             from repro.campaign.runner import _mp_context, chunk_size
-            pool = _mp_context().Pool(workers)
-            # Unpickled here, not by the pool's result thread: that
+            # An executor, not a multiprocessing.Pool: when a worker
+            # dies, Pool.imap loses its chunk and waits for good, the
+            # executor raises BrokenProcessPool.
+            pool = ProcessPoolExecutor(workers, mp_context=_mp_context())
+            # Unpickled here, not by the executor's manager thread: that
             # thread's malloc arena cannot reuse memory this thread
             # freed, and holding every report there cost 4-10 MiB of
             # peak RSS on perfbench's check_explore.
-            walks = map(_unpickled_walk, pool.imap(
+            walks = map(_unpickled_walk, pool.map(
                 _pickled_walk, jobs,
                 chunksize=chunk_size(budget, workers)))
         else:
@@ -187,8 +192,9 @@ def explore(scenario: CheckScenario, budget: int = 200,
                 break
     finally:
         if pool is not None:
-            pool.terminate()
-            pool.join()
+            # Walks not yet started are dropped; those running finish,
+            # so no worker outlives the call.
+            pool.shutdown(wait=True, cancel_futures=True)
     result.distinct_schedules = len(seen_digests)
     return result
 

@@ -261,8 +261,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         telemetry_summary,
     )
 
-    if args.replicas < 1 or args.clients < 1:
-        return _usage_error("trace", "replicas and clients must be >= 1")
     if args.out:
         # Fail before the traced run, not after it; "a" leaves an
         # existing file as it is until the export overwrites it.
@@ -281,7 +279,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if args.format == "chrome":
         rendered = chrome_trace_json(recorder.spans)
     elif args.format == "prometheus":
-        rendered = prometheus_text(recorder.metrics)
+        rendered = prometheus_text(recorder.spans)
     elif args.format == "csv":
         rendered = spans_to_csv(recorder.spans)
     else:  # summary
@@ -326,8 +324,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     from repro.check import replay as replay_artifact
     from repro.check.artifact import artifact_from_report
 
-    if args.budget < 1:
-        return _usage_error("check", "--budget must be >= 1")
     if args.mutation is not None and args.mutation not in MUTATIONS:
         return _usage_error(
             "check", f"unknown --mutation {args.mutation!r} "
@@ -402,8 +398,6 @@ def _cmd_observe(args: argparse.Namespace) -> int:
     from repro.journal import discover_shards, event_shard, read_jsonl
     from repro.tools import journal_html, journal_summary, render_journal
 
-    if args.limit is not None and args.limit < 1:
-        return _usage_error("observe", "--limit must be >= 1")
     events = read_jsonl(args.journal)
     if args.shard:
         shards = discover_shards(events)
@@ -438,8 +432,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     )
 
     if args.action == "route":
-        if args.shards < 1:
-            return _usage_error("cluster", "--shards must be >= 1")
         pmap = build_map([f"shard{i}" for i in range(args.shards)])
         print(f"map of {args.shards} shard(s), "
               f"digest {pmap.digest()[:16]}")
@@ -448,9 +440,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         return 0
 
     if args.action == "summary":
-        if args.clients < 1 or args.cycle < 1:
-            return _usage_error(
-                "cluster", "--clients and --cycle must be >= 1")
         result = run_cluster_load(
             n_shards=args.shards, n_clients=args.clients,
             n_requests=args.cycle, seed=args.seed, journal=True)
@@ -471,9 +460,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         return 0
 
     if args.action == "rebalance":
-        if args.shards < 2:
-            return _usage_error(
-                "cluster", "a rebalance check needs --shards >= 2")
         out = run_cluster_rebalance_check(
             n_shards=args.shards, n_clients=args.clients,
             n_requests=args.cycle, seed=args.seed)
@@ -591,12 +577,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Versatile Dependability (DSN 2004) reproduction")
+    count = _argument(int, ge=1)
     parser.add_argument("--version", action="version",
                         version=f"repro {__version__}")
     parser.add_argument("--seed", type=int, default=0,
                         help="simulation seed (default 0)")
-    parser.add_argument("--requests", type=_argument(int, ge=1),
-                        default=150,
+    parser.add_argument("--requests", type=count, default=150,
                         help="requests per client per configuration "
                              "(default 150; paper used 10000)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -672,9 +658,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--style", default=ReplicationStyle.ACTIVE.value,
         choices=[s.value for s in ReplicationStyle],
         help="replication style (default active)")
-    trace_parser.add_argument("--replicas", type=int, default=1,
+    trace_parser.add_argument("--replicas", type=count, default=1,
                               help="replica count (default 1)")
-    trace_parser.add_argument("--clients", type=int, default=1,
+    trace_parser.add_argument("--clients", type=count, default=1,
                               help="client count (default 1)")
     trace_parser.add_argument(
         "--format", default="summary",
@@ -697,7 +683,7 @@ def build_parser() -> argparse.ArgumentParser:
     observe_parser.add_argument("--shard",
                                 help="only show events attributed to "
                                      "this shard (replica group)")
-    observe_parser.add_argument("--limit", type=int,
+    observe_parser.add_argument("--limit", type=count,
                                 help="cap the timeline at N events")
     observe_parser.add_argument("--no-timeline", action="store_true",
                                 help="print only the summary")
@@ -728,7 +714,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "+ a primary crash at each "
                                    "checkpoint phase + a late "
                                    "duplicate (default crash)")
-    check_parser.add_argument("--budget", type=int, default=200,
+    check_parser.add_argument("--budget", type=count, default=200,
                               help="schedules to explore (default 200)")
     check_parser.add_argument("--walk-seed", type=int, default=0,
                               help="base random-walk seed (default 0)")
@@ -755,27 +741,29 @@ def build_parser() -> argparse.ArgumentParser:
     summary_parser = cluster_sub.add_parser(
         "summary", help="run a sharded closed-loop load and print "
                         "per-shard rollups")
-    summary_parser.add_argument("--shards", type=int, default=4,
+    summary_parser.add_argument("--shards", type=count, default=4,
                                 help="shard count (default 4)")
-    summary_parser.add_argument("--clients", type=int, default=12,
+    summary_parser.add_argument("--clients", type=count, default=12,
                                 help="closed-loop clients (default 12)")
-    summary_parser.add_argument("--cycle", type=int, default=20,
+    summary_parser.add_argument("--cycle", type=count, default=20,
                                 help="requests per client (default 20)")
     route_parser = cluster_sub.add_parser(
         "route", help="show which shard owns each key under the "
                       "deterministic hash map")
     route_parser.add_argument("keys", nargs="+",
                               help="object key(s) to route")
-    route_parser.add_argument("--shards", type=int, default=4,
+    route_parser.add_argument("--shards", type=count, default=4,
                               help="shard count (default 4)")
     rebalance_parser = cluster_sub.add_parser(
         "rebalance", help="migrate keys under live traffic and verify "
                           "no acked update is lost")
-    rebalance_parser.add_argument("--shards", type=int, default=2,
-                                  help="shard count (default 2)")
-    rebalance_parser.add_argument("--clients", type=int, default=2,
+    rebalance_parser.add_argument("--shards", type=_argument(int, ge=2),
+                                  default=2,
+                                  help="shard count, at least 2 "
+                                       "(default 2)")
+    rebalance_parser.add_argument("--clients", type=count, default=2,
                                   help="closed-loop clients (default 2)")
-    rebalance_parser.add_argument("--cycle", type=int, default=16,
+    rebalance_parser.add_argument("--cycle", type=count, default=16,
                                   help="requests per client (default 16)")
     replay_parser = cluster_sub.add_parser(
         "replay", help="render the cluster events (map changes, "

@@ -152,8 +152,7 @@ def finish_trial(run: ScenarioRun, loaders: Sequence[Any],
     if slo:
         slo_digest = slo_trial_digest(
             journal.events, window_start_us=run.t0,
-            window_end_us=run.t0 + duration_us,
-            registry=getattr(run.testbed.sim.telemetry, "metrics", None))
+            window_end_us=run.t0 + duration_us)
 
     return run.record(
         duration_us, failed=max(run.sent - run.completed, 0),
@@ -166,8 +165,7 @@ def finish_trial(run: ScenarioRun, loaders: Sequence[Any],
 
 
 def slo_trial_digest(journal_events, window_start_us: float,
-                     window_end_us: float,
-                     registry=None) -> Dict[str, object]:
+                     window_end_us: float) -> Dict[str, object]:
     """Evaluate the default SLO set over one trial's journal.
 
     The JSON-ready digest a ``--slo`` campaign attaches to each trial
@@ -179,8 +177,7 @@ def slo_trial_digest(journal_events, window_start_us: float,
     from repro.slo import evaluate_slos, match_fault_alerts
     outcome = evaluate_slos(journal_events,
                             window_start_us=window_start_us,
-                            window_end_us=window_end_us,
-                            registry=registry)
+                            window_end_us=window_end_us)
     matches = match_fault_alerts(journal_events, outcome)
     return {
         **outcome.verdict(),

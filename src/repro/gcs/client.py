@@ -73,8 +73,6 @@ class GcsClient(Actor, ClientPort):
         self._watch_listeners: Dict[str, GroupListener] = {}
         self._direct_handler: Optional[Callable[[MemberId, Any, int], None]] = None
         self._views: Dict[str, GroupView] = {}
-        #: ``(registry, name, kind)`` -> telemetry counter.
-        self._counters: Dict[tuple, Any] = {}
         daemon.connect(self)
 
     # ------------------------------------------------------------------
@@ -104,27 +102,11 @@ class GcsClient(Actor, ClientPort):
         required: open groups)."""
         if nbytes < 0:
             raise GroupCommunicationError(f"negative payload size {nbytes}")
-        if self.sim.telemetry.enabled:
-            self._count("gcs_sent_total", kind="multicast")
         self.daemon.client_multicast(group, self.member, payload, nbytes)
 
     def send_direct(self, dst: MemberId, payload: Any, nbytes: int) -> None:
         """Reliable point-to-point message to another connected process."""
-        if self.sim.telemetry.enabled:
-            self._count("gcs_sent_total", kind="direct")
         self.daemon.client_send_direct(self.member, dst, payload, nbytes)
-
-    def _count(self, name: str, kind: str) -> None:
-        """Bump a telemetry counter; callers check
-        ``telemetry.enabled`` first."""
-        registry = self.sim.telemetry.metrics
-        key = (registry, name, kind)
-        counter = self._counters.get(key)
-        if counter is None:
-            counter = self._counters[key] = registry.counter(
-                name, host=self.process.host.name,
-                process=self.process.name, kind=kind)
-        counter.inc()
 
     def on_direct(self, handler: Callable[[MemberId, Any, int], None]) -> None:
         """Install the handler for incoming point-to-point messages."""
@@ -147,8 +129,6 @@ class GcsClient(Actor, ClientPort):
             return
         listener = self._listeners.get(group)
         if listener is not None:
-            if self.sim.telemetry.enabled:
-                self._count("gcs_delivered_total", kind="multicast")
             listener.on_message(group, sender, payload, nbytes)
 
     def deliver_view(self, view: GroupView, joined: List[MemberId],
@@ -175,8 +155,6 @@ class GcsClient(Actor, ClientPort):
         if not self.alive:
             return
         if self._direct_handler is not None:
-            if self.sim.telemetry.enabled:
-                self._count("gcs_delivered_total", kind="direct")
             self._direct_handler(sender, payload, nbytes)
 
     # ------------------------------------------------------------------

@@ -18,7 +18,4 @@ class MetricsSnapshot:
 
     time: float
     latency_mean_us: float = 0.0
-    latency_jitter_us: float = 0.0
     request_rate_per_s: float = 0.0
-    bandwidth_mbps: float = 0.0
-    cpu_utilization: float = 0.0

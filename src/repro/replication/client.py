@@ -49,7 +49,6 @@ from repro.replication.styles import (
 from repro.sim.actor import Actor
 from repro.sim.config import InterposeCalibration
 from repro.telemetry.context import context_of, set_context
-from repro.telemetry.metrics import DEFAULT_LATENCY_BUCKETS_US
 from repro.telemetry.spans import COMPONENT_GCS, COMPONENT_REPLICATOR
 
 #: Retry backoff: each retransmission waits this factor longer than the
@@ -103,11 +102,8 @@ class ClientReplicator(Actor, ClientTransport):
         self.ical = interpose_cal or InterposeCalibration()
         self.group = config.group
         # Shard attribution (set by the shard router in sharded
-        # deployments): journal events and the round-trip latency
-        # histogram carry the shard name when set.
+        # deployments): journal events carry the shard name when set.
         self.shard: Optional[str] = None
-        #: ``(registry, shard)`` -> round-trip latency histogram.
-        self._latency_hists: Dict[tuple, Any] = {}
         self.style: ReplicationStyle = config.expected_style
         self.primary: Optional[MemberId] = None
         self.broadcast = False
@@ -356,10 +352,6 @@ class ClientReplicator(Actor, ClientTransport):
                     ctx, "client.accept", COMPONENT_REPLICATOR,
                     host=self.process.host.name,
                     process=self.process.name, now=self.sim.now)
-            latency_hist = self._latency_hist()
-            started_at = entry.rep.request.started_at
-            if latency_hist is not None and started_at is not None:
-                latency_hist.observe(self.sim.now - started_at)
 
         def deliver() -> None:
             if telemetry.enabled:
@@ -368,24 +360,6 @@ class ClientReplicator(Actor, ClientTransport):
                 entry.on_reply(reply)
 
         self.process.host.cpu.execute(self.ical.redirect_us, deliver)
-
-    def _latency_hist(self):
-        """Round-trip latency histogram in the telemetry registry, or
-        None when telemetry is off."""
-        registry = getattr(self.sim.telemetry, "metrics", None)
-        if registry is None:
-            return None
-        key = (registry, self.shard)
-        hist = self._latency_hists.get(key)
-        if hist is None:
-            labels = {"host": self.process.host.name,
-                      "process": self.process.name}
-            if self.shard is not None:
-                labels["shard"] = self.shard
-            hist = self._latency_hists[key] = registry.histogram(
-                "request_latency_us", bounds=DEFAULT_LATENCY_BUCKETS_US,
-                **labels)
-        return hist
 
     # ==================================================================
     # Group view tracking

@@ -27,7 +27,7 @@ Roles by style
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import AdaptationError, ReplicationError
 from repro.gcs.client import GcsClient
@@ -49,10 +49,6 @@ from repro.replication.switch import SwitchPhase, SwitchRecord, SwitchState
 from repro.sim.actor import Actor
 from repro.sim.config import InterposeCalibration, ReplicationCalibration
 from repro.telemetry.context import context_of, set_context
-from repro.telemetry.metrics import (
-    DEFAULT_BYTES_BUCKETS,
-    DEFAULT_LATENCY_BUCKETS_US,
-)
 from repro.telemetry.spans import COMPONENT_GCS, COMPONENT_REPLICATOR
 
 #: Reply-cache bound (duplicate suppression window).
@@ -138,10 +134,8 @@ class ServerReplicator(Actor, ServerTransport):
         self.fence_handler: Optional[Callable[[Fence], None]] = None
         self.owned_filter: Optional[Callable[[str], bool]] = None
         # Shard attribution (set by repro.cluster's deploy): journal
-        # events and metric labels carry the shard name when set.
+        # events carry the shard name when set.
         self.shard: Optional[str] = None
-        #: ``(registry, kind, name, shard)`` -> telemetry instrument.
-        self._instruments: Dict[tuple, Any] = {}
         # Arrival-rate sensor (feeds the adaptation layer, Fig. 6).
         self.arrivals = SlidingWindow(500_000.0)
         # Statistics.
@@ -152,42 +146,6 @@ class ServerReplicator(Actor, ServerTransport):
         self.seen_entries_shipped = 0
         self.checkpoints_applied = 0
         self.relays = 0
-
-    # ==================================================================
-    # Telemetry metrics (registry-backed; all no-ops when disabled)
-    # ==================================================================
-    def _instrument(self, kind: str, name: str, *args: Any) -> Any:
-        """This replica's ``kind`` instrument ``name`` (``args`` bind on
-        creation), or None when telemetry is off.  Resolved once per
-        registry and shard: the shard is assigned after construction."""
-        registry = getattr(self.sim.telemetry, "metrics", None)
-        if registry is None:
-            return None
-        key = (registry, kind, name, self.shard)
-        metric = self._instruments.get(key)
-        if metric is None:
-            labels = {"host": self.process.host.name,
-                      "process": self.process.name}
-            if self.shard is not None:
-                labels["shard"] = self.shard
-            metric = self._instruments[key] = getattr(registry, kind)(
-                name, *args, **labels)
-        return metric
-
-    def _count(self, name: str, amount: int = 1) -> None:
-        counter = self._instrument("counter", name)
-        if counter is not None:
-            counter.inc(amount)
-
-    def _observe(self, name: str, value: float, bounds) -> None:
-        histogram = self._instrument("histogram", name, bounds)
-        if histogram is not None:
-            histogram.observe(value)
-
-    def _note_queue(self) -> None:
-        gauge = self._instrument("gauge", "replicator_queue_depth")
-        if gauge is not None:
-            gauge.set(len(self._queue))
 
     def _journal(self, kind: str, trace_id=None, **attrs) -> None:
         """Record a dependability event (no-op when the journal is off)."""
@@ -277,7 +235,6 @@ class ServerReplicator(Actor, ServerTransport):
         if self._switch is not None or self._paused or not self._synced:
             if via_group:
                 self._queue.append(rep)
-                self._note_queue()
             else:
                 # Point-to-point requests arriving mid-switch are
                 # re-multicast so every (soon-to-be-active) replica
@@ -322,7 +279,6 @@ class ServerReplicator(Actor, ServerTransport):
             # a migration commit).  Stay silent: the client's retry
             # goes through the router's fresh map to the new owner,
             # whose transferred seen-cache keeps it at-most-once.
-            self._count("replicator_disowned_total")
             return
         if req_id in self._seen:
             cached = self._seen[req_id]
@@ -332,7 +288,6 @@ class ServerReplicator(Actor, ServerTransport):
                 # it carries is from whenever (and wherever) the
                 # request first ran, and the client learns from it.
                 self.duplicates_suppressed += 1
-                self._count("replicator_duplicates_total")
                 again = self._rep_reply(cached)
                 self.gcs.send_direct(rep.client, again, again.wire_bytes)
             return
@@ -347,7 +302,6 @@ class ServerReplicator(Actor, ServerTransport):
         telemetry = self.sim.telemetry
         process_span = None
         ctx = None
-        service_start = self.sim.now
         if telemetry.enabled:
             ctx = context_of(local)
             if ctx is not None:
@@ -374,8 +328,6 @@ class ServerReplicator(Actor, ServerTransport):
             if tracked:
                 self._inflight -= 1
             self.requests_processed += 1
-            if telemetry.enabled:
-                self._count("replicator_requests_total")
             rep_reply = self._rep_reply(reply)
             self._remember(req_id, reply)
             if self._seen_base:
@@ -390,10 +342,6 @@ class ServerReplicator(Actor, ServerTransport):
                     self.sim.now, self.sim.now + self.ical.redirect_us,
                     host=self.process.host.name,
                     process=self.process.name, style=self.style.value)
-            if telemetry.enabled:
-                self._observe("replica_service_us",
-                              self.sim.now - service_start,
-                              DEFAULT_LATENCY_BUCKETS_US)
             if self._must_hold_reply():
                 # The covering checkpoint goes out first; the reply is
                 # released when that checkpoint is stable.
@@ -409,8 +357,6 @@ class ServerReplicator(Actor, ServerTransport):
                 self.gcs.send_direct(rep.client, rep_reply,
                                      rep_reply.wire_bytes)
                 self.replies_sent += 1
-                if telemetry.enabled:
-                    self._count("replicator_replies_total")
             self._after_request()
             if tracked and self._inflight == 0:
                 self._fire_drain_waiters()
@@ -458,7 +404,6 @@ class ServerReplicator(Actor, ServerTransport):
                         set_context(reply, carried)
             self.gcs.send_direct(client, rep_reply, rep_reply.wire_bytes)
             self.replies_sent += 1
-            self._count("replicator_replies_total")
 
     def _after_request(self) -> None:
         """Post-processing hook: periodic checkpointing for the styles
@@ -524,10 +469,6 @@ class ServerReplicator(Actor, ServerTransport):
         self._seen_delta = []
         self._seen_base = (0 if self.style is ReplicationStyle.ACTIVE
                            else ckpt.ckpt_id)
-        if self.sim.telemetry.enabled:
-            self._count("replicator_checkpoints_total")
-            self._observe("checkpoint_bytes", wire_state,
-                          DEFAULT_BYTES_BUCKETS)
         backups = max(0, len(self.view.members) - 1) if self.view else 0
         cost = (self.rcal.checkpoint_fixed_us
                 + self.rcal.checkpoint_per_byte_us * nbytes  # full state
@@ -769,7 +710,6 @@ class ServerReplicator(Actor, ServerTransport):
                 self._process(rep)
             elif self.config.broadcast_requests:
                 self._request_log.append(rep)
-        self._note_queue()
 
     def _when_drained(self, action: Callable[[], None]) -> None:
         if self._inflight == 0:
@@ -887,7 +827,6 @@ class ServerReplicator(Actor, ServerTransport):
         during the switch (keeping its state aligned with the new
         primary at the switch point), then stops processing."""
         outstanding, self._queue = self._queue, []
-        self._note_queue()
         for rep in outstanding:
             self._process(rep)
 

@@ -90,7 +90,6 @@ class NullTelemetry:
 
     enabled = False
     spans: tuple = ()
-    metrics = None
     dropped = 0
     open_spans = 0
 

@@ -51,9 +51,6 @@ class ErrorBudget:
     budget_us: float
     consumed_us: float
     exhausted_at_us: Optional[float] = None
-    latency_p: Optional[float] = None
-    latency_target_us: Optional[float] = None
-    latency_actual_us: Optional[float] = None
 
     @property
     def remaining_us(self) -> float:
@@ -64,19 +61,11 @@ class ErrorBudget:
         return self.consumed_us > self.budget_us
 
     @property
-    def latency_ok(self) -> bool:
-        """True when no latency objective applies or it is met."""
-        if self.latency_target_us is None \
-                or self.latency_actual_us is None:
-            return True
-        return self.latency_actual_us <= self.latency_target_us
-
-    @property
     def ok(self) -> bool:
-        return not self.exhausted and self.latency_ok
+        return not self.exhausted
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready ledger row (latency fields omitted when unset)."""
+        """JSON-ready ledger row."""
         out: Dict[str, Any] = {
             "spec": self.spec_name,
             "shard": self.shard,
@@ -91,10 +80,6 @@ class ErrorBudget:
         }
         if self.exhausted_at_us is not None:
             out["exhausted_at_us"] = self.exhausted_at_us
-        if self.latency_target_us is not None:
-            out["latency_p"] = self.latency_p
-            out["latency_target_us"] = self.latency_target_us
-            out["latency_actual_us"] = self.latency_actual_us
         return out
 
 
@@ -277,33 +262,13 @@ def _alerts_for(spec: SloSpec, shard: str,
     return alerts
 
 
-def _latency_actual(registry: Any, shard: str, n_shards: int,
-                    spec: SloSpec) -> Optional[float]:
-    """The shard's observed latency percentile, when measurable."""
-    if registry is None or spec.latency_p is None:
-        return None
-    hist = registry.merged_histogram("request_latency_us", shard=shard)
-    if hist is None and n_shards == 1:
-        # Single-group deployments label latency by host/process only.
-        hist = registry.merged_histogram("request_latency_us")
-    if hist is None or hist.count == 0:
-        return None
-    return hist.quantile(spec.latency_p)
-
-
 def evaluate_slos(events: Sequence[JournalEvent],
                   specs: Optional[Sequence[SloSpec]] = None,
                   window_start_us: Optional[float] = None,
                   window_end_us: Optional[float] = None,
-                  registry: Any = None,
                   eval_step_us: float = DEFAULT_EVAL_STEP_US
                   ) -> SloOutcome:
-    """Compile ``specs`` against the journal into one outcome.
-
-    ``registry`` (a telemetry :class:`MetricsRegistry`) is only needed
-    for latency objectives; journal-driven callers (the ``repro slo``
-    CLI) evaluate availability objectives alone.
-    """
+    """Compile ``specs`` against the journal into one outcome."""
     if eval_step_us <= 0:
         raise ValueError("eval_step_us must be positive")
     specs = list(specs) if specs is not None else default_slo_specs()
@@ -334,11 +299,7 @@ def evaluate_slos(events: Sequence[JournalEvent],
                 availability_target=spec.availability_target,
                 window_start_us=start, window_end_us=end,
                 budget_us=budget_us, consumed_us=consumed,
-                exhausted_at_us=_exhausted_at(intervals, budget_us),
-                latency_p=spec.latency_p,
-                latency_target_us=spec.latency_target_us,
-                latency_actual_us=_latency_actual(
-                    registry, shard, len(universe), spec)))
+                exhausted_at_us=_exhausted_at(intervals, budget_us)))
             if end > start:
                 alerts.extend(_alerts_for(spec, shard, intervals,
                                           start, end, eval_step_us))

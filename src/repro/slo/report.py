@@ -22,11 +22,7 @@ def _ms(value_us: Optional[float]) -> str:
 
 
 def _budget_status(budget: ErrorBudget) -> str:
-    if budget.exhausted:
-        return "BREACH"
-    if not budget.latency_ok:
-        return "LAT-BREACH"
-    return "ok"
+    return "BREACH" if budget.exhausted else "ok"
 
 
 def slo_status(outcome: SloOutcome) -> str:
@@ -54,13 +50,6 @@ def slo_status(outcome: SloOutcome) -> str:
             f"{_ms(budget.consumed_us):>10s} "
             f"{left_pct:6.1f}% {n_alerts:6d}  "
             f"{_budget_status(budget)}")
-        if budget.latency_target_us is not None:
-            actual = (_ms(budget.latency_actual_us)
-                      if budget.latency_actual_us is not None else "n/a")
-            lines.append(
-                f"  {'':12s}   latency p{budget.latency_p:.2f} "
-                f"<= {_ms(budget.latency_target_us)} "
-                f"(observed {actual})")
     if not outcome.budgets:
         lines.append("  (no shards discovered in the journal)")
     return "\n".join(lines)
@@ -118,7 +107,7 @@ def slo_html(outcome: SloOutcome, title: str = "SLO fleet panel") -> str:
                 if budget.budget_us > 0 else 1.0)
         pct = min(used * 100.0, 100.0)
         colour = _BAR_COLOURS["ok"]
-        if budget.exhausted or not budget.latency_ok:
+        if budget.exhausted:
             colour = _BAR_COLOURS["breach"]
         elif used > 0.5:
             colour = _BAR_COLOURS["warn"]

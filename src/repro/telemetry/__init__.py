@@ -1,11 +1,11 @@
-"""repro.telemetry — causal request tracing and metrics.
+"""repro.telemetry — causal request tracing and the views over it.
 
 The observability layer of the reproduction: request-scoped spans
 propagated through every hop of the replication stack (client stub ->
-interposer -> replicator -> GCS daemons -> servant and back), a
-metrics registry with mergeable histograms, critical-path analysis
-that re-derives the paper's Fig. 3 per-layer breakdown from measured
-spans, and exporters (Chrome trace events, Prometheus text, CSV).
+interposer -> replicator -> GCS daemons -> servant and back), and the
+views computed over them when asked: critical-path analysis that
+re-derives the paper's Fig. 3 per-layer breakdown, latency quantiles,
+and exporters (Chrome trace events, Prometheus text, CSV).
 
 Telemetry is **off by default**: the simulator carries a dependency-
 free no-op recorder (``repro.sim.kernel.NullTelemetry``) and every
@@ -49,14 +49,6 @@ from repro.telemetry.export import (
     spans_to_csv,
     to_chrome_trace,
 )
-from repro.telemetry.metrics import (
-    DEFAULT_BYTES_BUCKETS,
-    DEFAULT_LATENCY_BUCKETS_US,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
 from repro.telemetry.spans import (
     ALL_COMPONENTS,
     COMPONENT_APPLICATION,
@@ -80,15 +72,9 @@ __all__ = [
     "COMPONENT_ORB",
     "COMPONENT_REPLICATOR",
     "CONTEXT_WIRE_BYTES",
-    "Counter",
-    "DEFAULT_BYTES_BUCKETS",
-    "DEFAULT_LATENCY_BUCKETS_US",
-    "Gauge",
-    "Histogram",
     "KIND_CHARGED",
     "KIND_MEASURED",
     "KIND_TRANSIT",
-    "MetricsRegistry",
     "PathSegment",
     "SERVICE_CONTEXT_TRACE",
     "Span",

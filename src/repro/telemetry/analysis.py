@@ -14,6 +14,7 @@ double-count the group-communication component.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import ceil
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.telemetry.spans import (
@@ -205,8 +206,19 @@ def validate_spans(spans: Iterable[Span],
     return problems
 
 
+def _nearest_rank(ordered: List[float], q: float) -> float:
+    """The nearest-rank ``q``-quantile of ascending ``ordered``: the
+    smallest value with at least ``q`` of the values at or below it."""
+    rank = ceil(q * len(ordered) - 1e-9)
+    return ordered[min(max(rank, 1), len(ordered)) - 1]
+
+
 def telemetry_summary(telemetry) -> Dict[str, object]:
-    """Compact JSON-ready summary of a recorder (per-trial payload)."""
+    """Compact JSON-ready summary of a recorder (per-trial payload).
+
+    The latency quantiles are nearest-rank values over the round trips
+    of the finished root ``request`` spans.
+    """
     spans = list(telemetry.spans)
     complete = completed_traces(spans)
     summary: Dict[str, object] = {
@@ -218,10 +230,11 @@ def telemetry_summary(telemetry) -> Dict[str, object]:
         "breakdown_us": {k: round(v, 3)
                          for k, v in component_breakdown(spans).items()},
     }
-    latency = telemetry.metrics.merged_histogram("request_latency_us")
-    if latency is not None and latency.count:
-        summary["latency_p50_us"] = round(latency.quantile(0.50), 3)
-        summary["latency_p99_us"] = round(latency.quantile(0.99), 3)
+    latencies = sorted(s.duration_us for s in spans
+                       if s.is_root and s.name == "request" and s.finished)
+    if latencies:
+        summary["latency_p50_us"] = round(_nearest_rank(latencies, 0.50), 3)
+        summary["latency_p99_us"] = round(_nearest_rank(latencies, 0.99), 3)
     return summary
 
 

@@ -6,8 +6,9 @@ tooling can consume the files without this package:
 
 - ``chrome`` output loads in Perfetto / ``chrome://tracing`` (the
   JSON *trace event format*, complete-event ``"ph": "X"`` records);
-- ``prometheus`` output follows the text exposition format
-  (``# TYPE`` comments, cumulative ``_bucket{le=...}`` series);
+- ``prometheus`` output follows the text exposition format: one
+  ``summary`` family of span durations (``# TYPE`` comment, ``_count``
+  and ``_sum`` series);
 - CSV mirrors the :mod:`repro.tools.export` conventions.
 """
 
@@ -19,7 +20,6 @@ import json
 import re
 from typing import Dict, Iterable, List, Optional, TextIO
 
-from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.telemetry.spans import Span
 
 # ----------------------------------------------------------------------
@@ -108,36 +108,33 @@ def _format_value(value: float) -> str:
     return repr(value)
 
 
-def prometheus_text(registry: MetricsRegistry,
+#: The one Prometheus family: span durations in µs.
+SPAN_FAMILY = "span_duration_us"
+
+
+def prometheus_text(spans: Iterable[Span],
                     out: Optional[TextIO] = None) -> str:
-    """Render the registry in the Prometheus text format."""
-    buffer = io.StringIO()
-    typed: set = set()
-    for name, labels, metric in registry.items():
-        kind = getattr(metric, "kind", "untyped")
-        if name not in typed:
-            buffer.write(f"# TYPE {name} {kind}\n")
-            typed.add(name)
-        if isinstance(metric, (Counter, Gauge)):
-            buffer.write(f"{name}{_render_labels(labels)} "
-                         f"{_format_value(metric.value)}\n")
-        elif isinstance(metric, Histogram):
-            cumulative = 0
-            for bound, count in zip(metric.bounds, metric.counts):
-                cumulative += count
-                bucket_labels = dict(labels)
-                bucket_labels["le"] = _format_value(bound)
-                buffer.write(f"{name}_bucket{_render_labels(bucket_labels)} "
-                             f"{cumulative}\n")
-            bucket_labels = dict(labels)
-            bucket_labels["le"] = "+Inf"
-            buffer.write(f"{name}_bucket{_render_labels(bucket_labels)} "
-                         f"{metric.count}\n")
-            buffer.write(f"{name}_sum{_render_labels(labels)} "
-                         f"{_format_value(metric.sum)}\n")
-            buffer.write(f"{name}_count{_render_labels(labels)} "
-                         f"{metric.count}\n")
-    text = buffer.getvalue()
+    """Render span durations in the Prometheus text format.
+
+    One ``summary`` family: per (name, component, host, process), the
+    ``_count`` of finished spans and the ``_sum`` of their durations.
+    Open spans are skipped.
+    """
+    totals: Dict[tuple, List[float]] = {}
+    for span in spans:
+        if span.finished:
+            key = (span.name, span.component, span.host, span.process)
+            total = totals.setdefault(key, [0, 0.0])
+            total[0] += 1
+            total[1] += span.duration_us
+    lines = [f"# TYPE {SPAN_FAMILY} summary"]
+    for (name, component, host, process), (count, sum_us) in sorted(
+            totals.items()):
+        labels = _render_labels({"name": name, "component": component,
+                                 "host": host, "process": process})
+        lines.append(f"{SPAN_FAMILY}_count{labels} {count}")
+        lines.append(f"{SPAN_FAMILY}_sum{labels} {_format_value(sum_us)}")
+    text = "\n".join(lines) + "\n"
     if out is not None:
         out.write(text)
     return text
@@ -153,7 +150,7 @@ def parse_prometheus_text(text: str) -> Dict[str, float]:
     """Parse the text exposition format into ``series -> value``.
 
     Keys are the canonical series strings (name plus sorted label
-    set, e.g. ``x_bucket{le="100",replica="s01"}``); raises
+    set, e.g. ``x_count{host="s01",name="request"}``); raises
     ``ValueError`` on malformed lines.
     """
     series: Dict[str, float] = {}

@@ -42,7 +42,6 @@ from math import isnan
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.telemetry.context import TraceContext
-from repro.telemetry.metrics import MetricsRegistry
 
 #: Root spans and other non-layer spans carry an empty component so
 #: they never pollute per-component breakdowns.
@@ -165,7 +164,7 @@ class SpanRows(Sequence[Span]):
 
 
 class Telemetry:
-    """The enabled trace recorder: span store + metrics registry.
+    """The enabled trace recorder: the span store.
 
     One recorder serves one :class:`~repro.sim.kernel.Simulator`.  It
     never schedules events or consumes simulated time — recording is a
@@ -179,7 +178,6 @@ class Telemetry:
         self.max_spans = max_spans
         self.spans = SpanRows()
         self.dropped = 0
-        self.metrics = MetricsRegistry()
         # (items, value types) -> the one shared items tuple; the
         # types keep 1, 1.0 and True from sharing a payload.
         self._payloads: Dict[Tuple[Any, ...], Tuple[Any, ...]] = {}

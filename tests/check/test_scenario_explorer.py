@@ -11,7 +11,9 @@ import gc
 import json
 import multiprocessing
 import os
+import signal
 import tracemalloc
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import pytest
@@ -449,6 +451,32 @@ class TestParallelExploration:
                         progress=lambda i, _r: calls.append(i))
             assert calls == [0]
             assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not HAVE_FORK or not hasattr(signal, "SIGALRM"),
+                        reason="workers must inherit the patched "
+                               "run_schedule; the hang guard needs SIGALRM")
+    def test_a_dying_worker_raises_instead_of_hanging(self, monkeypatch):
+        real = explorer_module.run_schedule
+
+        def walk_one_dies(variant, policy):
+            if policy.seed == 1:
+                os._exit(9)  # a worker killed mid-walk (signal, OOM)
+            return real(variant, policy)
+
+        def hung(_signum, _frame):
+            raise TimeoutError("explore() hung on a dead worker")
+
+        monkeypatch.setattr(explorer_module, "run_schedule", walk_one_dies)
+        _on_cpus(monkeypatch, 2)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            with pytest.raises(BrokenProcessPool):
+                explore(_small_scenario(), budget=4)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert multiprocessing.active_children() == []
 
 
 class TestArtifacts:

@@ -82,6 +82,11 @@ class TestContractValidation:
     def test_rejects_unknown_metric_and_nan_limit(self):
         with pytest.raises(ConfigurationError, match="bogus"):
             Contract("c", metric="bogus", limit=1.0)
+        # Metrics no run fills are not contract vocabulary either.
+        for unfilled in ("latency_jitter_us", "bandwidth_mbps",
+                         "cpu_utilization"):
+            with pytest.raises(ConfigurationError, match=unfilled):
+                Contract("c", metric=unfilled, limit=1.0)
         with pytest.raises(ConfigurationError, match="limit"):
             Contract("c", "latency_mean_us", limit=float("nan"))
 

@@ -138,42 +138,6 @@ class TestDeterminism:
         assert all(e.shard is not None for e in emitted)
 
 
-class TestLatencyObjectives:
-    def latency_spec(self, target_us):
-        return SloSpec(name="lat", shard="shard0",
-                       latency_p=1.0, latency_target_us=target_us)
-
-    def registry(self, value):
-        from repro.telemetry import MetricsRegistry
-        registry = MetricsRegistry()
-        registry.histogram("request_latency_us", bounds=(1_000.0,),
-                           host="s01", shard="shard0").observe(value)
-        return registry
-
-    def test_latency_breach_fails_the_budget(self):
-        outcome = evaluate(outage_events(1_000_000.0, 1_001_000.0),
-                           specs=[self.latency_spec(100.0)],
-                           registry=self.registry(137.0))
-        budget = {b.shard: b for b in outcome.budgets}["shard0"]
-        assert budget.latency_actual_us == pytest.approx(137.0)
-        assert not budget.latency_ok
-        assert not budget.ok
-
-    def test_latency_within_target_is_ok(self):
-        outcome = evaluate(outage_events(1_000_000.0, 1_001_000.0),
-                           specs=[self.latency_spec(500.0)],
-                           registry=self.registry(137.0))
-        budget = {b.shard: b for b in outcome.budgets}["shard0"]
-        assert budget.latency_ok
-
-    def test_no_registry_skips_latency(self):
-        outcome = evaluate(outage_events(1_000_000.0, 1_001_000.0),
-                           specs=[self.latency_spec(100.0)])
-        budget = {b.shard: b for b in outcome.budgets}["shard0"]
-        assert budget.latency_actual_us is None
-        assert budget.latency_ok
-
-
 class TestFaultAlertCrossCheck:
     def test_exhausting_fault_needs_exactly_one_alert(self):
         events = outage_events(1_000_000.0, 1_600_000.0)

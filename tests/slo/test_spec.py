@@ -17,17 +17,18 @@ class TestSloSpec:
         assert spec.budget_us(-5.0) == 0.0
 
     def test_round_trips_through_dict(self):
-        spec = SloSpec(name="lat", shard="shard0",
+        spec = SloSpec(name="tight", shard="shard0",
                        availability_target=0.99,
-                       latency_p=0.99, latency_target_us=5_000.0,
                        fast_window_us=100_000.0,
                        slow_window_us=1_000_000.0, burn_threshold=3.0)
         assert SloSpec.from_dict(spec.to_dict()) == spec
 
-    def test_latency_fields_omitted_when_unset(self):
-        rendered = SloSpec(name="avail").to_dict()
-        assert "latency_p" not in rendered
-        assert "latency_target_us" not in rendered
+    def test_latency_keys_are_refused(self):
+        # There is no latency objective to evaluate.
+        with pytest.raises(ConfigurationError, match="latency_p"):
+            SloSpec.from_dict({"name": "x", "latency_p": 0.99,
+                               "latency_target_us": 5_000.0})
+        assert "latency_p" not in SloSpec(name="avail").to_dict()
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -36,10 +37,6 @@ class TestSloSpec:
             SloSpec(name="x", availability_target=1.0)
         with pytest.raises(ConfigurationError):
             SloSpec(name="x", availability_target=0.0)
-        with pytest.raises(ConfigurationError):
-            SloSpec(name="x", latency_p=0.99)  # target missing
-        with pytest.raises(ConfigurationError):
-            SloSpec(name="x", latency_p=1.5, latency_target_us=1.0)
         with pytest.raises(ConfigurationError):
             SloSpec(name="x", fast_window_us=0.0)
         with pytest.raises(ConfigurationError):
@@ -50,7 +47,7 @@ class TestSloSpec:
     def test_default_set_is_availability_only(self):
         (spec,) = default_slo_specs()
         assert spec.shard == ALL_SHARDS
-        assert spec.latency_p is None
+        assert spec.availability_target == 0.999
 
 
 class TestLoadSloSpecs:

@@ -136,7 +136,6 @@ def test_validate_spans_allows_children_outliving_transit_parents():
 def test_telemetry_summary_shape():
     t = Telemetry()
     _toy_trace(t)
-    t.metrics.histogram("request_latency_us").observe(110.0)
     summary = telemetry_summary(t)
     assert summary["spans"] == 4
     assert summary["open_spans"] == 0
@@ -144,5 +143,19 @@ def test_telemetry_summary_shape():
     assert summary["traces"] == 1
     assert summary["traces_completed"] == 1
     assert summary["breakdown_us"]["orb"] == pytest.approx(10.0)
-    assert summary["latency_p50_us"] > 0.0
-    assert summary["latency_p99_us"] >= summary["latency_p50_us"]
+    # One 110 us round trip: every quantile is that round trip.
+    assert summary["latency_p50_us"] == 110.0
+    assert summary["latency_p99_us"] == 110.0
+
+
+def test_telemetry_summary_quantiles_are_nearest_rank():
+    t = Telemetry()
+    for i, length in enumerate([40.0, 10.0, 30.0, 20.0]):
+        ctx = t.start_trace(f"req-{i}", now=0.0)
+        t.finish_trace(ctx, length)
+    t.start_trace("req-open", now=0.0)  # an open round trip is no sample
+    t.finish_trace(t.start_trace("sw", name="switch", now=0.0), 99.0)
+    summary = telemetry_summary(t)
+    assert summary["latency_p50_us"] == 20.0
+    assert summary["latency_p99_us"] == 40.0
+    assert "latency_p50_us" not in telemetry_summary(Telemetry())

@@ -6,7 +6,6 @@ import io
 import pytest
 
 from repro.telemetry import (
-    MetricsRegistry,
     Telemetry,
     chrome_trace_json,
     parse_chrome_trace,
@@ -62,33 +61,27 @@ class TestChromeTrace:
 
 
 class TestPrometheus:
-    def _registry(self) -> MetricsRegistry:
-        reg = MetricsRegistry()
-        reg.counter("requests_total", host="h1").inc(3)
-        reg.gauge("queue_depth", host="h1").set(2)
-        hist = reg.histogram("latency_us", bounds=(100.0, 200.0), host="h1")
-        hist.observe(50)
-        hist.observe(150)
-        hist.observe(500)
-        return reg
-
     def test_round_trip(self):
-        text = prometheus_text(self._registry())
-        series = parse_prometheus_text(text)
-        assert series['requests_total{host="h1"}'] == 3.0
-        assert series['queue_depth{host="h1"}'] == 2.0
-        # Buckets are cumulative, +Inf equals the count.
-        assert series['latency_us_bucket{host="h1",le="100"}'] == 1.0
-        assert series['latency_us_bucket{host="h1",le="200"}'] == 2.0
-        assert series['latency_us_bucket{host="h1",le="+Inf"}'] == 3.0
-        assert series['latency_us_count{host="h1"}'] == 3.0
-        assert series['latency_us_sum{host="h1"}'] == 700.0
+        t = _record_spans()
+        ctx = t.start_trace("req-2", host="w01", process="client", now=0.0)
+        t.emit(ctx, "redirect", "replicator", 1.0, 3.0, host="w01",
+               process="client")
+        t.finish_trace(ctx, 50.0)
+        series = parse_prometheus_text(prometheus_text(t.spans))
+        labels = 'component="replicator",host="w01",name="redirect",' \
+                 'process="client"'
+        assert series[f"span_duration_us_count{{{labels}}}"] == 2.0
+        assert series[f"span_duration_us_sum{{{labels}}}"] == 34.0
+        root = 'component="",host="w01",name="request",process="client"'
+        assert series[f"span_duration_us_count{{{root}}}"] == 2.0
+        assert series[f"span_duration_us_sum{{{root}}}"] == 150.0
+        # The open span is no sample.
+        assert not any('name="dangling"' in key for key in series)
 
     def test_type_lines(self):
-        text = prometheus_text(self._registry())
-        assert "# TYPE requests_total counter" in text
-        assert "# TYPE queue_depth gauge" in text
-        assert "# TYPE latency_us histogram" in text
+        text = prometheus_text(_record_spans().spans)
+        assert text.startswith("# TYPE span_duration_us summary\n")
+        assert text.count("# TYPE") == 1
 
     def test_parse_rejects_malformed(self):
         with pytest.raises(ValueError):

@@ -15,7 +15,10 @@ from repro.replication import ReplicationStyle
 from repro.telemetry import (
     completed_traces,
     critical_path,
+    parse_prometheus_text,
+    prometheus_text,
     style_aggregates,
+    telemetry_summary,
     validate_spans,
 )
 
@@ -82,32 +85,37 @@ def test_style_attribute_reaches_server_spans():
 
 
 # ----------------------------------------------------------------------
-# Metrics registry
+# Metrics are views over the spans
 # ----------------------------------------------------------------------
 
-def test_registry_histograms_hold_latency_and_checkpoint_sizes():
+def test_summary_quantiles_are_nearest_rank_over_root_request_spans():
     result = _load(ReplicationStyle.WARM_PASSIVE, n_replicas=2,
-                   telemetry=True, n_requests=30)
-    registry = result.telemetry.metrics
-    latency = registry.merged_histogram("request_latency_us")
-    p50, p99 = latency.quantile(0.50), latency.quantile(0.99)
-    assert p99 >= p50
-    # Latency quantiles agree with the client-observed mean's scale.
-    assert (0.25 * result.latency_mean_us < p50
-            < 4.0 * result.latency_mean_us)
-    assert registry.merged_histogram("checkpoint_bytes").mean > 0.0
+                   n_clients=2, telemetry=True, n_requests=30)
+    rounds = sorted(s.duration_us for s in result.telemetry.spans
+                    if s.is_root and s.name == "request" and s.finished)
+    assert len(rounds) == result.completed == 60
+    # The root spans time exactly what the clients observed.
+    assert sum(rounds) / len(rounds) == pytest.approx(
+        result.latency_mean_us, rel=1e-12)
+    summary = telemetry_summary(result.telemetry)
+    # Nearest rank: the 30th and the 60th of 60 sorted round trips.
+    assert summary["latency_p50_us"] == round(rounds[29], 3)
+    assert summary["latency_p99_us"] == round(rounds[59], 3)
 
 
-def test_server_counters_count_requests():
+def test_prometheus_text_sums_every_finished_span():
     result = _load(ReplicationStyle.WARM_PASSIVE, n_replicas=2,
                    telemetry=True)
-    registry = result.telemetry.metrics
-    total = sum(metric.value for _, metric
-                in registry.find("replicator_requests_total"))
-    assert total == result.completed
-    checkpoints = sum(metric.value for _, metric
-                      in registry.find("replicator_checkpoints_total"))
-    assert checkpoints > 0
+    spans = [s for s in result.telemetry.spans if s.finished]
+    series = parse_prometheus_text(prometheus_text(result.telemetry.spans))
+    counts = [v for k, v in series.items()
+              if k.startswith("span_duration_us_count{")]
+    sums = [v for k, v in series.items()
+            if k.startswith("span_duration_us_sum{")]
+    assert len(counts) == len(sums) == len(series) // 2
+    assert sum(counts) == len(spans)
+    assert sum(sums) == pytest.approx(sum(s.duration_us for s in spans),
+                                      rel=1e-9)
 
 
 # ----------------------------------------------------------------------
@@ -218,46 +226,3 @@ def test_trial_record_gains_telemetry_key_only_when_enabled():
     without = {k: v for k, v in traced.metrics().items()
                if k != "telemetry"}
     assert without == plain.metrics()
-
-
-def test_adaptation_manager_samples_telemetry():
-    from dataclasses import replace
-
-    from repro.adaptation import AdaptationManager
-    from repro.core import ThresholdSwitchPolicy
-    from repro.experiments import (
-        Testbed, deploy_client, deploy_replica_group)
-    from repro.orb import BusyServant
-    from repro.replication import (
-        ClientReplicationConfig, ReplicationConfig)
-    from repro.sim import default_calibration
-    from repro.workload import ClosedLoopClient
-
-    base = default_calibration()
-    calibration = replace(base,
-                          telemetry=replace(base.telemetry, enabled=True))
-    testbed = Testbed.paper_testbed(2, 1, seed=0, calibration=calibration)
-    config = ReplicationConfig(style=ReplicationStyle.ACTIVE, group="svc")
-    replicas = deploy_replica_group(
-        testbed, ["s01", "s02"], config,
-        {"bench": lambda: BusyServant(processing_us=15, reply_bytes=128,
-                                      state_bytes=1024)})
-    policy = ThresholdSwitchPolicy(rate_high_per_s=1e9, rate_low_per_s=0)
-    managers = [AdaptationManager(r.replicator, policy) for r in replicas]
-    stack = deploy_client(testbed, "w01",
-                          ClientReplicationConfig(group="svc"))
-    testbed.run(150_000)
-    loader = ClosedLoopClient(stack, 30, object_key="bench")
-    loader.start()
-    testbed.run(2_000_000)
-
-    samples = managers[0].telemetry_samples
-    assert samples, "manager recorded no telemetry samples"
-    assert any(p99 > 0.0 for _, p99, _ in samples)
-    # Local observation only: the replicated monitoring state carries
-    # the rate key and nothing telemetry-derived (determinism).
-    assert managers[0].state.values_matching("rate")
-    published = managers[0].state.own_keys() \
-        if hasattr(managers[0].state, "own_keys") else None
-    if published is not None:
-        assert all("telemetry" not in key for key in published)

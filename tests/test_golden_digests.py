@@ -41,7 +41,11 @@ from repro.experiments import (
 )
 from repro.journal.io import events_to_jsonl
 from repro.replication import ReplicationStyle
-from repro.telemetry import ALL_COMPONENTS, chrome_trace_json
+from repro.telemetry import (
+    ALL_COMPONENTS,
+    chrome_trace_json,
+    prometheus_text,
+)
 from repro.workload import SpikeProfile
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden_digests.json"
@@ -104,17 +108,16 @@ def all_spans_json(spans) -> str:
 
 
 def cluster_load_digests() -> dict:
-    """sha256 of the journal, the trace, every span and the metrics
+    """sha256 of the journal, the trace, every span and the Prometheus
     export of one sharded closed-loop run with a live rebalance."""
     result = run_cluster_load(
         n_shards=3, n_clients=4, n_requests=20, seed=3, n_server_hosts=4,
         journal=True, telemetry=True, rebalance=("obj00", "shard2", 30_000.0))
     assert result.completed == 80 and result.migrations_committed == 1
-    metrics = result.telemetry.metrics.as_dict()
     return {"journal": _sha256(events_to_jsonl(result.journal.events)),
             "telemetry": _sha256(chrome_trace_json(result.telemetry.spans)),
             "spans": _sha256(all_spans_json(result.telemetry.spans)),
-            "metrics": _sha256(json.dumps(metrics, sort_keys=True))}
+            "metrics": _sha256(prometheus_text(result.telemetry.spans))}
 
 
 def cluster_trial_digests() -> dict:

@@ -47,8 +47,6 @@ ALLOWED: Dict[str, str] = {
         "oracle: reloads `trace --format chrome` output in tests",
     "repro.telemetry.export:parse_prometheus_text":
         "oracle: reloads `trace --format prometheus` output in tests",
-    "repro.telemetry.metrics:MetricsRegistry.as_dict":
-        "oracle: a golden digest hashes the registry through it",
     "repro.slo.engine:SloOutcome.ledger_jsonl":
         "oracle: the error-budget ledger the SLO tests compare",
     "repro.cluster.partition:PartitionMap.assignment":

@@ -223,10 +223,11 @@ def test_trace_command_prometheus_round_trips(capsys):
     assert main(["--requests", "10", "trace", "--format",
                  "prometheus"]) == 0
     series = parse_prometheus_text(capsys.readouterr().out)
-    assert any(key.startswith("request_latency_us_bucket")
-               for key in series)
-    assert any(key.startswith("replicator_requests_total")
-               for key in series)
+    # One finished root span per request.
+    assert sum(value for key, value in series.items()
+               if key.startswith("span_duration_us_count")
+               and 'name="request"' in key) == 10
+    assert any('name="server.process"' in key for key in series)
 
 
 def test_trace_command_csv(capsys):
@@ -250,6 +251,18 @@ def test_requests_must_be_a_positive_integer(capsys, command, requests):
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
     assert "argument --requests" in err
+    assert "Traceback" not in err
+
+
+def assert_usage_error(argv, capsys, message):
+    """argparse refuses ``argv``: exit 2, ``message`` on stderr, no
+    traceback."""
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err
     assert "Traceback" not in err
 
 
@@ -292,9 +305,10 @@ def test_trace_bad_out_path_fails_before_the_run(tmp_path, capsys,
 
 
 def test_trace_command_usage_errors_exit_2(capsys):
-    assert main(["trace", "--replicas", "0"]) == 2
-    assert "must be >= 1" in capsys.readouterr().err
-    assert main(["trace", "--clients", "-1"]) == 2
+    assert_usage_error(["trace", "--replicas", "0"], capsys,
+                       "argument --replicas: must be an integer >= 1")
+    assert_usage_error(["trace", "--clients", "-1"], capsys,
+                       "argument --clients: must be an integer >= 1")
     with pytest.raises(SystemExit) as excinfo:
         main(["trace", "--format", "yaml"])
     assert excinfo.value.code == 2
@@ -414,8 +428,8 @@ def test_bench_is_not_a_command(capsys):
 
 def test_observe_usage_errors_exit_2(tmp_path, capsys):
     journal = _write_journal(tmp_path)
-    assert main(["observe", str(journal), "--limit", "0"]) == 2
-    assert "must be >= 1" in capsys.readouterr().err
+    assert_usage_error(["observe", str(journal), "--limit", "0"], capsys,
+                       "argument --limit: must be an integer >= 1")
     with pytest.raises(SystemExit) as excinfo:
         main(["observe", str(journal), "--format", "yaml"])
     assert excinfo.value.code == 2
@@ -423,8 +437,8 @@ def test_observe_usage_errors_exit_2(tmp_path, capsys):
 
 
 def test_check_usage_errors_exit_2(tmp_path, capsys):
-    assert main(["check", "--budget", "0"]) == 2
-    assert "must be >= 1" in capsys.readouterr().err
+    assert_usage_error(["check", "--budget", "0"], capsys,
+                       "argument --budget: must be an integer >= 1")
     assert main(["check", "--tie-choices", "0"]) == 2
     assert main(["check", "--tie-choices", str(2 ** 64)]) == 2
     assert main(["check", "--delay-bound", "-1"]) == 2
@@ -524,8 +538,10 @@ def test_cluster_route_command(capsys):
 
 
 def test_cluster_route_rejects_bad_shards(capsys):
-    assert main(["cluster", "route", "k", "--shards", "0"]) == 2
-    assert "--shards must be >= 1" in capsys.readouterr().err
+    assert_usage_error(["cluster", "route", "k", "--shards", "0"], capsys,
+                       "argument --shards: must be an integer >= 1")
+    assert_usage_error(["cluster", "summary", "--cycle", "0"], capsys,
+                       "argument --cycle: must be an integer >= 1")
 
 
 def test_cluster_summary_command(capsys):
@@ -545,8 +561,8 @@ def test_cluster_rebalance_command(capsys):
 
 
 def test_cluster_rebalance_rejects_single_shard(capsys):
-    assert main(["cluster", "rebalance", "--shards", "1"]) == 2
-    assert "--shards >= 2" in capsys.readouterr().err
+    assert_usage_error(["cluster", "rebalance", "--shards", "1"], capsys,
+                       "argument --shards: must be an integer >= 2")
 
 
 def test_cluster_replay_command(tmp_path, capsys):
@@ -577,8 +593,11 @@ def test_cluster_replay_rejects_missing_file(tmp_path, capsys):
     '{"name": "x", "burn_threshold": NaN}',
     '{"name": "x", "availability_target": "0.99"}',
     '{"name": "x", "no_such_field": 1}',
+    # There is no latency objective: a spec naming one is refused, not
+    # reported as met.
+    '{"name": "x", "latency_p": 0.99, "latency_target_us": 1.0}',
 ], ids=["list-of-scalars", "null-window", "nan-threshold",
-        "string-target", "unknown-field"])
+        "string-target", "unknown-field", "latency-objective"])
 def test_slo_rejects_bad_spec_files(tmp_path, capsys, text):
     """Each spec is refused with one ``slo: bad spec`` line, exit 2:
     not a traceback, and not an ``ok`` verdict over a NaN threshold."""

@@ -63,7 +63,6 @@ ATTR_LINES = tuple(
          {"switch_id": "svc:P->A:0", "rate_per_s": 500.0}),
     ))
 SLO_SPEC = {"name": "fuzz", "shard": "*", "availability_target": 0.99,
-            "latency_p": 0.99, "latency_target_us": 5000.0,
             "fast_window_us": 100_000.0, "slow_window_us": 1_000_000.0,
             "burn_threshold": 2.0}
 CAMPAIGN_SPEC = {"name": "fuzz", "styles": ["active"], "replica_counts": [2],

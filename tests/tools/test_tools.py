@@ -63,8 +63,8 @@ class TestCsvExport:
 
 class TestTelemetryCategories:
     def test_series_renders_telemetry_quantiles(self):
-        # The ASCII chart is format-agnostic; feed it p99 samples the
-        # way `AdaptationManager.telemetry_samples` stores them.
+        # The ASCII chart is format-agnostic; feed it
+        # ``(time, p99, queue depth)`` samples.
         samples = [(0.0, 200.0, 1.0), (1e6, 400.0, 3.0)]
         text = render_series([(t, p99) for t, p99, _ in samples],
                              label="service p99 [us]")
