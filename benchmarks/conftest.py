@@ -8,9 +8,8 @@ claims — who wins, by roughly what factor, where crossovers fall.
 
 ``REPRO_BENCH_REQUESTS`` scales the per-client request cycle (default
 150; the paper used 10,000 — larger values sharpen the averages, and
-the runtime grows linearly with them now that passive checkpoints ship
-the reply cache as a delta; before that the passive sweeps were
-quadratic).
+the runtime grows linearly with them: passive checkpoints ship one
+session per client, not a reply per request).
 """
 
 from __future__ import annotations

@@ -4,10 +4,11 @@ The explorer runs the canonical scenario under a budget of random
 walks — each a fresh :class:`repro.check.policies.RandomWalkPolicy`
 seed plus a deterministic crash-time variation — and verifies every
 schedule: linearizability of the client history against the counter
-spec, the journal-level protocol invariants, and the counter
-consistency cross-check.  Schedules whose outcome digest was already
-seen count as revisits, not as fresh coverage, so the reported
-``distinct_schedules`` honestly measures explored behaviours.
+spec, the journal-level protocol invariants, the counter consistency
+cross-check, and progress (no operation, and no late duplicate the
+scenario sent, is left unanswered).  Schedules whose outcome digest
+was already seen count as revisits, not as fresh coverage, so the
+reported ``distinct_schedules`` honestly measures explored behaviours.
 
 A walk is a pure function of ``(scenario, walk index)``, so the walks
 run on every CPU the process may use; the parent consumes their
@@ -77,6 +78,15 @@ def verify_outcome(outcome: ScheduleOutcome) -> List[Violation]:
                          lin.configurations_explored}))
     violations.extend(check_counter_consistency(
         counter_ops, outcome.survivor_values))
+    pending = [op.op_id for op in outcome.operations if op.pending]
+    pending += [f"late duplicate {op_id}"
+                for op_id in outcome.unanswered_duplicates]
+    if pending:
+        violations.append(Violation(
+            invariant="progress",
+            message=f"still pending after the closing settle: "
+                    f"{', '.join(pending)}",
+            details={"pending": pending}))
     if outcome.journal_dropped:
         # Not a violation — but any verdict over a truncated journal
         # is advisory, so surface it alongside the violations.

@@ -31,8 +31,10 @@ from repro.replication import (
     Checkpoint,
     ReplicationConfig,
     ReplicationStyle,
+    RepReply,
     RepRequest,
 )
+from repro.replication.session import Session
 
 
 #: The points of one synchronous checkpoint at which
@@ -65,12 +67,13 @@ class CheckScenario:
     crash_primary_phase: Optional[str] = None
     #: Offset at which every backup crashes, to be redeployed on its
     #: host ``RESTART_AFTER_US`` later: whoever takes over from the
-    #: primary afterwards got its state *and its reply cache* through
-    #: state transfer.
+    #: primary afterwards got its state *and its client sessions*
+    #: through state transfer.
     restart_backups_at_us: Optional[float] = None
     #: Retransmit the first acknowledged request once the faults have
     #: played out (a late duplicate from the network): whichever
-    #: replica is primary by then must answer it from its reply cache.
+    #: replica is primary by then must answer it from its client's
+    #: session.
     late_duplicate: bool = False
     #: Offset (from load start) at which a symmetric partition isolates
     #: the last replica host into a minority component; ``None``
@@ -143,8 +146,8 @@ def canonical_checkpoint_crash_scenario(seed: int = 0,
 
     The request the primary was serving must be applied exactly once
     whichever phase it died in, and the late duplicate must be answered
-    from the reply cache — which the new primary has only if every
-    hand-over shipped that cache whole.
+    from its client's session — which the new primary has only if every
+    hand-over shipped the session table with its replies.
     """
     return CheckScenario(seed=seed, mutation=mutation, n_requests=24,
                          switch_at_us=None,
@@ -168,6 +171,9 @@ class ScheduleOutcome:
     #: Events the journal refused past its ``max_events`` cap (non-zero
     #: means the evidence the checkers read is incomplete).
     journal_dropped: int = 0
+    #: Request ids of the scenario's late duplicates no replica
+    #: answered.
+    unanswered_duplicates: Tuple[str, ...] = ()
 
 
 def _mutate_skip_final_checkpoint(replicas) -> None:
@@ -191,29 +197,38 @@ def _mutate_skip_final_checkpoint(replicas) -> None:
 
 def _mutate_forget_seen_cache(replicas) -> None:
     """Failover sabotage: a replica restoring from a checkpoint drops
-    the duplicate-suppression entries it carries, so a post-failover
-    retry of an already-acknowledged request re-executes it
-    (double-apply — the bug class the ``seen`` field exists to fix)."""
+    the session table it carries, so a post-failover retry of an
+    already-acknowledged request re-executes it (double-apply — the bug
+    class the ``sessions`` field exists to fix)."""
     for replica in replicas:
         replicator = replica.replicator
         original = replicator._receive_checkpoint
 
         def patched(ckpt, _original=original):
-            _original(replace(ckpt, seen=()))
+            _original(replace(ckpt, sessions={}))
 
         replicator._receive_checkpoint = patched
 
 
-def _mutate_delta_only_seen_cache(replicas) -> None:
-    """Hand-over sabotage: wherever the protocol owes a *complete*
-    reply cache (state transfer, switch, take-over, a view that added
-    a member) the source ships only the delta it has open.  A replica
-    that synced late then lacks the older entries, and double-applies
-    a late duplicate once it is promoted."""
+def _mutate_watermarks_only(replicas) -> None:
+    """Hand-over sabotage: every shipped session table keeps which
+    requests ran but drops their replies.  Nothing runs twice, but the
+    replica that takes over never answers a retry of a request the old
+    primary ran: the held reply the crash swallowed, and the late
+    duplicate."""
     for replica in replicas:
         replicator = replica.replicator
-        replicator.completed_seen = (
-            lambda _replicator=replicator: tuple(_replicator._seen_delta))
+        original = replicator.ship_sessions
+
+        def patched(_original=original):
+            table = {client: Session(session.floor, session.above,
+                                     awaited=session.awaited)
+                     for client, session in _original().items()}
+            for session in table.values():
+                session.shipped = True  # receivers share them
+            return table
+
+        replicator.ship_sessions = patched
 
 
 def _mutate_minority_serves(replicas) -> None:
@@ -234,7 +249,7 @@ def _mutate_minority_serves(replicas) -> None:
 MUTATIONS: Dict[str, Callable[[Any], None]] = {
     "skip_final_checkpoint": _mutate_skip_final_checkpoint,
     "forget_seen_cache": _mutate_forget_seen_cache,
-    "delta_only_seen_cache": _mutate_delta_only_seen_cache,
+    "watermarks_only": _mutate_watermarks_only,
     "minority_serves": _mutate_minority_serves,
 }
 
@@ -397,10 +412,21 @@ def run_schedule(scenario: CheckScenario,
 
     _run_until_quiet(run, scenario.horizon_us, last_planned, fired)
 
+    unanswered: List[str] = []
     if scenario.late_duplicate:
         first = next((op for op in history.operations if not op.pending),
                      None)
         if first is not None:
+            unanswered.append(first.op_id)
+            deliver = client.replicator._on_direct
+
+            def watch(sender, payload, nbytes) -> None:
+                if isinstance(payload, RepReply) \
+                        and payload.reply.request_id in unanswered:
+                    unanswered.remove(payload.reply.request_id)
+                deliver(sender, payload, nbytes)
+
+            client.gcs.on_direct(watch)
             duplicate = RepRequest(
                 request=GiopRequest(
                     request_id=first.op_id, object_key=first.object_key,
@@ -425,7 +451,8 @@ def run_schedule(scenario: CheckScenario,
         digest=run.outcome_digest(sorted(survivor_values)),
         giveups=client.replicator.failures,
         events_dispatched=testbed.sim.events_dispatched,
-        journal_dropped=run.journal.dropped)
+        journal_dropped=run.journal.dropped,
+        unanswered_duplicates=tuple(unanswered))
 
 
 def _run_until_quiet(run: ScenarioRun, cap_us: float, planned_us: float,

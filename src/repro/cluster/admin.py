@@ -8,11 +8,11 @@ deployment.  It is the replica-side half of the migration protocol:
    the shard's own group, so every source replica pauses intake at the
    same position of the shard's request total order.
 2. At the fence, the primary's admin waits for in-flight requests to
-   drain, captures the moving servants plus the completed entries of
-   the duplicate-suppression cache, and multicasts a
+   drain, captures the moving servants plus its client sessions, and
+   multicasts a
    ``MigrationState`` on the control group.
 3. ``MigrationState`` — destination replicas adopt the servants and
-   absorb the seen-cache immediately (the transfer cost rides on the
+   merge the client sessions immediately (the transfer cost rides on the
    wire), so the keys are servable before any router can re-route.
 4. ``MapCommit`` — everyone flips the map; source replicas drop the
    moved servants, resume intake, and silently discard any queued
@@ -38,6 +38,7 @@ from repro.cluster.router import control_group
 from repro.orb.server import OrbServer
 from repro.replication.messages import Fence
 from repro.replication.server import ServerReplicator
+from repro.replication.session import replies_held
 
 
 class ShardAdmin:
@@ -96,7 +97,7 @@ class ShardAdmin:
                     self.shard, fence, fence.wire_bytes)
         elif start.state_lost and start.src != self.shard:
             # Dead-shard reassignment (``dst`` is ``"*"``): the source
-            # group is gone, so no state or seen-cache will ever
+            # group is gone, so no state or sessions will ever
             # arrive.  Each survivor adopts the subset of the keys the
             # *target* map hands it, with fresh (factory) state, and
             # journals the loss.
@@ -132,15 +133,15 @@ class ShardAdmin:
         if start is None or not self.replicator.alive:
             return
         state, nbytes = self.orb.capture_keys(start.keys)
-        seen = self.replicator.completed_seen()
+        sessions = self.replicator.ship_sessions()
         msg = MigrationState(migration_id=migration_id, state=state,
-                             state_bytes=nbytes, seen=seen,
+                             state_bytes=nbytes, sessions=sessions,
                              source=self.replicator.member)
         self.replicator.gcs.multicast(
             control_group(self.cluster), msg, msg.wire_bytes)
         self._journal("migrate.capture", migration_id=migration_id,
                       dst=start.dst, keys=len(start.keys),
-                      state_bytes=nbytes, seen=len(seen))
+                      state_bytes=nbytes, seen=replies_held(sessions))
 
     def _on_state(self, msg: MigrationState) -> None:
         start = self._pending.get(msg.migration_id)
@@ -152,10 +153,11 @@ class ShardAdmin:
         # modelled on the wire (state_bytes), not on this CPU.
         for key in start.keys:
             self.orb.adopt_servant(key, msg.state.get(key))
-        self.replicator.absorb_seen(msg.seen)
+        self.replicator.absorb_sessions(msg.sessions)
         self._journal("migrate.apply", migration_id=msg.migration_id,
                       src=start.src, keys=len(start.keys),
-                      state_bytes=msg.state_bytes, seen=len(msg.seen))
+                      state_bytes=msg.state_bytes,
+                      seen=replies_held(msg.sessions))
 
     def _on_commit(self, commit: MapCommit) -> None:
         new_map = PartitionMap.from_dict(commit.new_map)

@@ -14,9 +14,10 @@ is sequenced first bumps the epoch the second must build on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, Mapping, Tuple
 
 from repro.gcs.messages import MemberId
+from repro.replication.session import replies_held
 
 #: Fixed cluster-layer header added to every message's wire size.
 CLUSTER_HEADER_BYTES = 48
@@ -50,20 +51,22 @@ class MigrationState:
     """Phase 2: the captured state of the moving keys.
 
     Published by the source primary's admin after the fence drained;
-    carries the servant snapshots plus the completed entries of the
-    source's duplicate-suppression cache, so a retry of a request the
-    source already acknowledged is suppressed at the destination too.
+    carries the servant snapshots plus the source's session table, so a
+    retry of a request the source already ran does not run again at the
+    destination, and is answered from the replies the table keeps.
+    Each kept reply is charged 24 bytes.
     """
 
     migration_id: str
     state: Dict[str, Any]
     state_bytes: int
-    seen: Tuple[Tuple[str, Any], ...]
+    sessions: Mapping[str, Any]
     source: MemberId
 
     @property
     def wire_bytes(self) -> int:
-        return CLUSTER_HEADER_BYTES + self.state_bytes + 24 * len(self.seen)
+        return (CLUSTER_HEADER_BYTES + self.state_bytes
+                + 24 * replies_held(self.sessions))
 
 
 @dataclass(frozen=True)

@@ -74,6 +74,7 @@ class ShardRouter(Actor, ClientTransport):
                 gcs, configs[shard], interpose_cal=interpose_cal,
                 on_failure=self._make_failure_hook(shard))
             replicator.shard = shard
+            replicator.awaited_ids = self._routes
             self._replicators[shard] = replicator
         gcs.on_direct(self._on_direct)
         gcs.join(control_group(cluster),

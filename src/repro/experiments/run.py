@@ -80,9 +80,6 @@ class RunRecord:
     injected: Optional[List[Any]] = None
     check: Optional[Dict[str, Any]] = None
     slo: Optional[Dict[str, Any]] = None
-    #: Duplicate-suppression entries that rode on checkpoints, summed
-    #: over the replicas (linear in requests: checkpoints ship deltas).
-    seen_entries_shipped: Optional[int] = None
     # Sharded runs: per-shard style and rollups (summed over each
     # shard's replicas), one map digest per router, map state.
     per_shard: Optional[Dict[str, Dict[str, Any]]] = None

@@ -42,6 +42,7 @@ from repro.gcs.messages import GroupView, MemberId
 from repro.orb.giop import GiopRequest
 from repro.orb.transport import ClientTransport, ReplyHandler
 from repro.replication.messages import RepReply, RepRequest
+from repro.replication.session import session_of
 from repro.replication.styles import (
     ClientReplicationConfig,
     ReplicationStyle,
@@ -110,6 +111,9 @@ class ClientReplicator(Actor, ClientTransport):
         self.members: tuple = ()
         self.on_failure = on_failure
         self._outstanding: Dict[str, _Outstanding] = {}
+        #: Request ids still awaited, lowest first (a shard router points
+        #: this at its routes over all shards).
+        self.awaited_ids: Dict[str, Any] = self._outstanding
         # Per-endpoint circuit breakers.
         self._breakers: Dict[MemberId, _Breaker] = {}
         self.requests_sent = 0
@@ -130,7 +134,9 @@ class ClientReplicator(Actor, ClientTransport):
         """ClientTransport hook: route one invocation to the group."""
         if not self.alive:
             raise ReplicationError(f"{self.process.name} is dead")
-        rep = RepRequest(request=request, client=self.gcs.member)
+        first = next(iter(self.awaited_ids), request.request_id)
+        rep = RepRequest(request=request, client=self.gcs.member,
+                         awaiting=session_of(first)[1])
         entry = _Outstanding(rep, on_reply)
         if not request.oneway:
             self._outstanding[request.request_id] = entry

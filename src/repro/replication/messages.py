@@ -7,8 +7,8 @@ state-transfer traffic for joining replicas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Mapping, Optional
 
 from repro.gcs.messages import MemberId
 from repro.orb.giop import GiopReply, GiopRequest
@@ -28,6 +28,9 @@ class RepRequest:
     #: Set when a backup relays a misdirected request to the primary,
     #: so the relay cannot loop.
     relayed: bool = False
+    #: Lowest request number the client still awaited when sending
+    #: this (0: unknown); uncharged on the wire, like the trace context.
+    awaiting: int = 0
 
     @property
     def wire_bytes(self) -> int:
@@ -87,24 +90,15 @@ class Checkpoint:
     source: MemberId
     final_for: Optional[str] = None
     sync_for: Optional[MemberId] = None
-    #: Completed entries of the source's duplicate-suppression cache
-    #: (request id -> cached GIOP reply).  A backup that takes over after
-    #: applying this checkpoint must suppress retries of requests whose
-    #: effects the checkpointed state already contains — re-executing
-    #: them would double-apply acknowledged work.  With ``seen_base``
-    #: 0 this is the complete cache; otherwise only the entries added
-    #: since the source's checkpoint ``seen_base``.
-    #:
-    #: The entries are free on the simulated wire: ``state_bytes`` does
-    #: not include them and ``wire_bytes`` adds nothing per entry, so
-    #: how many ride a message never changes modelled time or bytes
-    #: (charging them would be a calibration change; see
-    #: ``docs/calibration.md``).
-    seen: Tuple[Tuple[str, Any], ...] = ()
-    #: ``ckpt_id`` of this source's previous checkpoint, which ``seen``
-    #: extends; 0 = ``seen`` is complete.  A receiver applies a delta
-    #: only if that checkpoint is the last one it applied.
-    seen_base: int = 0
+    #: The source's session table (client -> frozen ``Session``):
+    #: whoever restores this state answers a retry of a request it holds
+    #: instead of running it again.  Free on the simulated wire
+    #: (``docs/calibration.md``).
+    sessions: Mapping[str, Any] = field(default_factory=dict)
+    #: ``ckpt_id`` of the source's checkpoint this periodic one is an
+    #: increment of; 0 = complete.  A receiver applies an increment only
+    #: if that checkpoint is the last one it applied.
+    base: int = 0
 
     @property
     def wire_bytes(self) -> int:

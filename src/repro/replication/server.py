@@ -26,8 +26,8 @@ Roles by style
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
-from typing import Any, Callable, List, Optional, Tuple
+from collections import deque
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import AdaptationError, ReplicationError
 from repro.gcs.client import GcsClient
@@ -43,6 +43,7 @@ from repro.replication.messages import (
     SwitchCommand,
     SyncRequest,
 )
+from repro.replication.session import Session, session_of
 from repro.replication.store import StableStore
 from repro.replication.styles import ReplicationConfig, ReplicationStyle
 from repro.replication.switch import SwitchPhase, SwitchRecord, SwitchState
@@ -51,8 +52,9 @@ from repro.sim.config import InterposeCalibration, ReplicationCalibration
 from repro.telemetry.context import context_of, set_context
 from repro.telemetry.spans import COMPONENT_GCS, COMPONENT_REPLICATOR
 
-#: Reply-cache bound (duplicate suppression window).
-SEEN_CACHE_LIMIT = 8192
+#: Requests a cold backup logs at most (it applies no checkpoint that
+#: would clear its log); a take-over replays the newest ones.
+COLD_LOG_LIMIT = 8192
 
 #: Joiner state-transfer request retry period.
 SYNC_RETRY_US = 120_000.0
@@ -86,33 +88,26 @@ class ServerReplicator(Actor, ServerTransport):
         self._state_provider: Optional[Any] = None
         self._started = False
 
-        # Duplicate suppression + reply cache: req_id -> GIOP reply
-        # (None while the request is still in flight).
-        self._seen: "OrderedDict[str, Optional[GiopReply]]" = OrderedDict()
-        # Seen-cache delta: the entries completed or absorbed since this
-        # replica captured checkpoint ``_seen_base``, which its next
-        # periodic checkpoint ships instead of the whole cache.  Base 0
-        # means no delta is open and the next checkpoint ships the
-        # complete cache.
-        self._seen_delta: List[Tuple[str, GiopReply]] = []
-        self._seen_base = 0
-        # The complete cache this replica's last stable-store write
-        # persisted, and that write's checkpoint id (cold passive).
-        self._stored_seen: Tuple[Tuple[str, GiopReply], ...] = ()
-        self._stored_at = 0
-        # The (source, ckpt_id) of the checkpoint this replica applied
-        # last — the only point a received delta may extend.
-        self._seen_applied: Optional[Tuple[MemberId, int]] = None
-        # Requests logged since the last checkpoint (broadcast mode; a
-        # cold backup applies none), as many as the reply cache covers.
+        # At-most-once: one session per issuing client (which of its
+        # requests ran here, and the replies it may still ask for).
+        self._sessions: Dict[str, Session] = {}
+        # Periodic checkpoints are increments: the next one extends
+        # checkpoint ``_base`` (0: it goes out complete); ``_applied`` is
+        # the (source, id) of the last one applied here.
+        self._base = 0
+        self._applied: Optional[Tuple[MemberId, int]] = None
+        # Requests logged since the last checkpoint (broadcast mode).
         self._request_log: "deque[RepRequest]" = deque(
-            maxlen=SEEN_CACHE_LIMIT)
+            maxlen=COLD_LOG_LIMIT)
         self._since_ckpt = 0
         self._ckpt_ids = 0
         # Pause/queue machinery (switches, sync fences, quiescence).
         self._paused = 0
         self._queue: List[RepRequest] = []
-        self._inflight = 0
+        # Ids of the two-way requests running here.  They enter their
+        # client's session only once answered, so no checkpoint claims
+        # a request whose effect its state may lack.
+        self._running: set = set()
         self._drain_waiters: List[Callable[[], None]] = []
         # Passive primaries with synchronous checkpoints hold replies
         # until the covering checkpoint is stable, so a reply implies
@@ -143,7 +138,6 @@ class ServerReplicator(Actor, ServerTransport):
         self.replies_sent = 0
         self.duplicates_suppressed = 0
         self.checkpoints_sent = 0
-        self.seen_entries_shipped = 0
         self.checkpoints_applied = 0
         self.relays = 0
 
@@ -260,14 +254,14 @@ class ServerReplicator(Actor, ServerTransport):
                     and self.primary != self.member:
                 self.relays += 1
                 relay = RepRequest(request=rep.request, client=rep.client,
-                                   relayed=True)
+                                   relayed=True, awaiting=rep.awaiting)
                 self.gcs.send_direct(self.primary, relay, relay.wire_bytes)
             return
         self._process(rep)
 
     def _republish(self, rep: RepRequest) -> None:
         again = RepRequest(request=rep.request, client=rep.client,
-                           relayed=True)
+                           relayed=True, awaiting=rep.awaiting)
         self.gcs.multicast(self.group, again, again.wire_bytes)
 
     def _process(self, rep: RepRequest) -> None:
@@ -278,23 +272,32 @@ class ServerReplicator(Actor, ServerTransport):
             # A request for a key this shard no longer owns (it raced
             # a migration commit).  Stay silent: the client's retry
             # goes through the router's fresh map to the new owner,
-            # whose transferred seen-cache keeps it at-most-once.
+            # whose transferred sessions keep it at-most-once.
             return
-        if req_id in self._seen:
-            cached = self._seen[req_id]
-            if cached is not None:
-                # At-most-once semantics: resend the cached answer,
-                # stamped with this replica's configuration — the one
-                # it carries is from whenever (and wherever) the
-                # request first ran, and the client learns from it.
-                self.duplicates_suppressed += 1
-                again = self._rep_reply(cached)
-                self.gcs.send_direct(rep.client, again, again.wire_bytes)
-            return
-        self._remember(req_id, None)
-        tracked = not request.oneway
-        if tracked:
-            self._inflight += 1
+        # A oneway request is never retried nor answered, so it stays
+        # out of the sessions (their watermark rises from ``awaiting``,
+        # which a oneway request does not hold back).
+        if not request.oneway:
+            client, number = session_of(req_id)
+            session = self._sessions.get(client)
+            if session is not None and (number <= session.floor
+                                        or number in session.above):
+                # Ran: its reply, if the session still keeps it, is all
+                # a retry gets.
+                cached = session.reply(number)
+                if cached is not None:
+                    # At-most-once semantics: resend the cached answer,
+                    # stamped with this replica's configuration — the
+                    # one it carries is from whenever (and wherever) the
+                    # request first ran, and the client learns from it.
+                    self.duplicates_suppressed += 1
+                    again = self._rep_reply(cached)
+                    self.gcs.send_direct(rep.client, again,
+                                         again.wire_bytes)
+                return
+            if req_id in self._running:
+                return  # its reply, when it comes, answers the retry
+            self._running.add(req_id)
 
         local = request.fork()
         overhead = (self.ical.redirect_us + self.rcal.duplicate_check_us
@@ -325,13 +328,10 @@ class ServerReplicator(Actor, ServerTransport):
         def finish(reply: GiopReply) -> None:
             if not self.alive:
                 return
-            if tracked:
-                self._inflight -= 1
+            self._running.discard(req_id)
+            self._session(client).answer(number, reply, rep.awaiting)
             self.requests_processed += 1
             rep_reply = self._rep_reply(reply)
-            self._remember(req_id, reply)
-            if self._seen_base:
-                self._seen_delta.append((req_id, reply))
             reply_ctx = context_of(reply) if telemetry.enabled else None
             if reply_ctx is not None:
                 # The reply redirect is charged without elapsing
@@ -358,7 +358,7 @@ class ServerReplicator(Actor, ServerTransport):
                                      rep_reply.wire_bytes)
                 self.replies_sent += 1
             self._after_request()
-            if tracked and self._inflight == 0:
+            if not self._running:
                 self._fire_drain_waiters()
 
         self.process.host.cpu.execute(overhead, hand_to_orb)
@@ -369,11 +369,21 @@ class ServerReplicator(Actor, ServerTransport):
                         primary=self.primary,
                         broadcast=self.config.broadcast_requests)
 
-    def _remember(self, req_id: str, reply: Optional[GiopReply]) -> None:
-        self._seen[req_id] = reply
-        self._seen.move_to_end(req_id)
-        while len(self._seen) > SEEN_CACHE_LIMIT:
-            self._seen.popitem(last=False)
+    def _session(self, client: str) -> Session:
+        """``client``'s session, copied first if it was shipped."""
+        session = self._sessions.get(client)
+        if session is None:
+            session = self._sessions[client] = Session()
+        elif session.shipped:
+            session = self._sessions[client] = session.copy()
+        return session
+
+    def ship_sessions(self) -> Dict[str, Session]:
+        """The session table as it stands, for a checkpoint, the store
+        or a migration.  Its sessions are frozen from now on."""
+        for session in self._sessions.values():
+            session.shipped = True
+        return dict(self._sessions)
 
     def _must_hold_reply(self) -> bool:
         """True when the reply must wait for checkpoint stability:
@@ -444,31 +454,21 @@ class ServerReplicator(Actor, ServerTransport):
             wire_state = int(nbytes * self.config.checkpoint_delta_fraction)
         else:
             wire_state = nbytes
-        # Ship the reply cache with the snapshot: any request whose
-        # effect is in this state must be suppressed (and its cached
-        # reply resent) by whoever restores from it.  A periodic
-        # checkpoint ships only the entries added since the previous
-        # capture, tagged with the checkpoint they extend; everything
-        # else — a stable-store write (it overwrites the last one) and a
-        # periodic one with no open delta — ships the complete cache.
-        if to_store:
-            seen, seen_base = self._store_seen(), 0
-        elif periodic and self._seen_base:
-            seen, seen_base = tuple(self._seen_delta), self._seen_base
-        else:
-            seen, seen_base = self.completed_seen(), 0
+        # The sessions ride with the snapshot: any request whose effect
+        # is in this state must not run again wherever it is restored.
+        sessions = self.ship_sessions()
         ckpt = Checkpoint(ckpt_id=self._ckpt_ids, state=state,
                           state_bytes=wire_state, source=self.member,
                           final_for=final_for, sync_for=sync_for,
-                          seen=seen, seen_base=seen_base)
-        # Every group member (or the store) is delivered this
-        # checkpoint, so the next periodic one may extend it — if this
-        # replica is the one that checkpoints periodically (an active
-        # replica answering a sync request is not, and would collect a
-        # delta nobody ships).
-        self._seen_delta = []
-        self._seen_base = (0 if self.style is ReplicationStyle.ACTIVE
-                           else ckpt.ckpt_id)
+                          sessions=sessions,
+                          base=self._base if periodic and not to_store
+                          else 0)
+        # Every member (or the store) is delivered this checkpoint, so
+        # the next periodic one may extend it — if this replica is the
+        # one that checkpoints periodically (an active replica
+        # answering a sync request is not).
+        self._base = (0 if self.style is ReplicationStyle.ACTIVE
+                      else ckpt.ckpt_id)
         backups = max(0, len(self.view.members) - 1) if self.view else 0
         cost = (self.rcal.checkpoint_fixed_us
                 + self.rcal.checkpoint_per_byte_us * nbytes  # full state
@@ -484,10 +484,10 @@ class ServerReplicator(Actor, ServerTransport):
                     self.store.write(self.group, ckpt.ckpt_id, ckpt.state,
                                      ckpt.state_bytes,
                                      on_done=self._on_checkpoint_stable,
-                                     seen=seen)
+                                     sessions=sessions)
                 else:
                     self.store.write(self.group, ckpt.ckpt_id, ckpt.state,
-                                     ckpt.state_bytes, seen=seen)
+                                     ckpt.state_bytes, sessions=sessions)
                 self.checkpoints_sent += 1
                 self._journal("checkpoint.publish", ckpt_id=ckpt.ckpt_id,
                               state_bytes=wire_state, final_for=None,
@@ -495,7 +495,6 @@ class ServerReplicator(Actor, ServerTransport):
                 return
             self.gcs.multicast(self.group, ckpt, ckpt.wire_bytes)
             self.checkpoints_sent += 1
-            self.seen_entries_shipped += len(seen)
             self._journal("checkpoint.publish", ckpt_id=ckpt.ckpt_id,
                           state_bytes=wire_state, final_for=final_for,
                           sync_for=str(sync_for) if sync_for else None)
@@ -523,14 +522,11 @@ class ServerReplicator(Actor, ServerTransport):
         def apply() -> None:
             if not self.alive:
                 return
-            if ckpt.seen_base and self._seen_applied != (ckpt.source,
-                                                         ckpt.seen_base):
-                # A delta that does not extend what this replica holds
-                # (it joined, or was re-admitted, after the base went
-                # out).  The state without the reply cache it depends
-                # on could double-apply a retry after a take-over, so
-                # take neither and stay unsynced: the sync timer keeps
-                # asking for a complete checkpoint.
+            if ckpt.base and self._applied != (ckpt.source, ckpt.base):
+                # An increment over a checkpoint this replica did not
+                # apply (it joined, or was re-admitted, after that one
+                # went out): take nothing and stay unsynced; the sync
+                # timer keeps asking for a complete checkpoint.
                 return
             if self._state_provider is not None and ckpt.state is not None:
                 self._state_provider.restore_state(ckpt.state)
@@ -538,9 +534,8 @@ class ServerReplicator(Actor, ServerTransport):
             self._journal("checkpoint.apply", ckpt_id=ckpt.ckpt_id,
                           source=str(ckpt.source))
             self._request_log.clear()
-            for rid, cached in ckpt.seen:
-                self._remember(rid, cached)
-            self._seen_applied = (ckpt.source, ckpt.ckpt_id)
+            self._sessions = dict(ckpt.sessions)
+            self._applied = (ckpt.source, ckpt.ckpt_id)
             if not self._synced:
                 if ckpt.sync_for in (None, self.member):
                     self._mark_synced()
@@ -551,22 +546,9 @@ class ServerReplicator(Actor, ServerTransport):
 
         self.process.host.cpu.execute(apply_cost, apply)
 
-    def _store_seen(self) -> Tuple[Tuple[str, GiopReply], ...]:
-        """The complete cache for the stable-store write being
-        captured: the last write's copy extended by the delta when that
-        write is the delta's base (costing the delta, where a rebuild
-        costs the whole cache)."""
-        if self._seen_base and self._seen_base == self._stored_at:
-            self._stored_seen = (self._stored_seen + tuple(
-                self._seen_delta))[-SEEN_CACHE_LIMIT:]
-        else:
-            self._stored_seen = self.completed_seen()
-        self._stored_at = self._ckpt_ids
-        return self._stored_seen
-
     def _restore_from_store(self) -> None:
         """Cold-passive recovery: load the last persisted checkpoint and
-        the reply cache stored with it, then serve."""
+        the sessions stored with it, then serve."""
         assert self.store is not None
 
         def loaded(snapshot) -> None:
@@ -588,8 +570,7 @@ class ServerReplicator(Actor, ServerTransport):
             if not self.alive:
                 return
             self._state_provider.restore_state(snapshot.state)
-            for rid, cached in snapshot.seen:
-                self._remember(rid, cached)
+            self._sessions = dict(snapshot.sessions)
             self._mark_synced()
         return run
 
@@ -652,7 +633,7 @@ class ServerReplicator(Actor, ServerTransport):
                 self._checkpoint(sync_for=request.joiner)
 
     # ==================================================================
-    # Cluster fence and seen-cache transfer (repro.cluster seams)
+    # Cluster fence and session transfer (repro.cluster seams)
     # ==================================================================
     def _on_fence(self, fence: Fence) -> None:
         """A cluster fence reached its total-order position: pause
@@ -666,29 +647,14 @@ class ServerReplicator(Actor, ServerTransport):
                       initiator=str(fence.initiator))
         self.fence_handler(fence)
 
-    def absorb_seen(self, entries) -> None:
-        """Install completed duplicate-suppression entries transferred
-        from another group (shard migration): a retry of a request the
-        old owner already acknowledged must be suppressed — and its
-        cached reply resent — by the new owner too."""
-        for rid, cached in entries:
-            self._remember(rid, cached)
-        if self._seen_base:
-            self._seen_delta.extend(entries)
-
-    def _close_seen_delta(self) -> None:
-        """Make the next checkpoint ship the complete cache: some
-        member may not hold the base an open delta extends, or this
-        replica stopped recording one."""
-        self._seen_base = 0
-        self._seen_delta = []
-
-    def completed_seen(self) -> Tuple[Tuple[str, Any], ...]:
-        """Completed (answered) entries of the duplicate-suppression
-        cache, in insertion order — the complete snapshot that
-        migrations and non-delta checkpoints ship alongside the state."""
-        return tuple((rid, cached) for rid, cached in self._seen.items()
-                     if cached is not None)
+    def absorb_sessions(self, sessions: Dict[str, Session]) -> None:
+        """Merge sessions shipped from another group (shard migration):
+        a retry of a request the old owner ran must not run again at
+        the new owner, and is answered if its reply is still kept."""
+        for client, theirs in sessions.items():
+            mine = self._sessions.get(client)
+            self._sessions[client] = (theirs if mine is None
+                                      else mine.merged(theirs))
 
     # ==================================================================
     # Pause / drain machinery
@@ -712,7 +678,7 @@ class ServerReplicator(Actor, ServerTransport):
                 self._request_log.append(rep)
 
     def _when_drained(self, action: Callable[[], None]) -> None:
-        if self._inflight == 0:
+        if not self._running:
             action()
         else:
             self._drain_waiters.append(action)
@@ -800,7 +766,7 @@ class ServerReplicator(Actor, ServerTransport):
         self.style = switch.target
         self._switch = None
         self._since_ckpt = 0
-        self._close_seen_delta()
+        self._base = 0
         self._release_held_replies()
         self.switch_history.append(SwitchRecord(
             switch_id=switch.switch_id, from_style=switch.from_style,
@@ -844,7 +810,7 @@ class ServerReplicator(Actor, ServerTransport):
             self.sim.telemetry.finish_trace(switch.trace_ctx, self.sim.now)
         self.style = switch.target
         self._switch = None
-        self._close_seen_delta()
+        self._base = 0
         self._release_held_replies()
         self.switch_history.append(SwitchRecord(
             switch_id=switch.switch_id, from_style=switch.from_style,
@@ -876,9 +842,10 @@ class ServerReplicator(Actor, ServerTransport):
         previous = self.view
         self.view = view
         if joined:
-            # A member that was not delivered the open delta's base is
-            # in the group now (possibly this replica, re-admitted).
-            self._close_seen_delta()
+            # A member that did not apply the checkpoint the next
+            # increment would extend is in the group now (possibly this
+            # replica, re-admitted).
+            self._base = 0
         if self.member in joined:
             if previous is not None:
                 # Re-admission after a partition: this replica held a
@@ -928,14 +895,14 @@ class ServerReplicator(Actor, ServerTransport):
         def promoted() -> None:
             if not self.alive:
                 return
-            # The backups anchor on the old primary's checkpoints, so
-            # the re-arming checkpoint below must ship the whole cache.
-            self._close_seen_delta()
+            # The backups applied the old primary's checkpoints, so the
+            # re-arming checkpoint below must go out complete.
+            self._base = 0
             log = list(self._request_log)
             self._request_log.clear()
             if cold:
                 # The log replays after the restore, ahead of what
-                # queued since (the restored cache suppresses what the
+                # queued since (the restored sessions suppress what the
                 # stored state already holds).  No re-arming checkpoint:
                 # it would overwrite the store with the stale state.
                 self._queue[:0] = log
@@ -974,13 +941,10 @@ class ServerReplicator(Actor, ServerTransport):
         switch."""
         return self._synced and self._switch is None
 
-    @property
-    def queued_requests(self) -> int:
-        return len(self._queue)
-
     def on_stop(self) -> None:
         """Drop queued work when the process dies."""
         self._queue.clear()
+        self._running.clear()
         self._drain_waiters.clear()
         self._held_replies.clear()
 

@@ -9,24 +9,23 @@ site) with per-byte write/read costs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, Mapping, Optional
 
 from repro.sim.kernel import Simulator
 
 
 @dataclass(frozen=True)
 class StoredCheckpoint:
-    """One persisted snapshot, with the reply cache of the requests
-    whose effect it holds (``(req_id, reply)`` pairs), so a replica
-    restored from it answers their retries instead of re-executing
-    them."""
+    """One persisted snapshot, with the session table of the requests
+    whose effect it holds, so a replica restored from it answers their
+    retries instead of re-executing them."""
 
     ckpt_id: int
     state: Any
     state_bytes: int
     written_at: float
-    seen: Tuple[Tuple[str, Any], ...] = ()
+    sessions: Mapping[str, Any] = field(default_factory=dict)
 
 
 class StableStore:
@@ -48,17 +47,17 @@ class StableStore:
 
     def write(self, group: str, ckpt_id: int, state: Any, state_bytes: int,
               on_done: Optional[Callable[[], None]] = None,
-              seen: Tuple[Tuple[str, Any], ...] = ()) -> None:
+              sessions: Optional[Mapping[str, Any]] = None) -> None:
         """Persist a checkpoint asynchronously (overwrite semantics:
         only the latest snapshot matters for recovery).  Only
-        ``state_bytes`` are charged: the reply cache rides uncharged
+        ``state_bytes`` are charged: the session table rides uncharged
         (see docs/calibration.md)."""
         delay = self.write_fixed_us + self.write_per_byte_us * state_bytes
 
         def commit() -> None:
             self._checkpoints[group] = StoredCheckpoint(
                 ckpt_id=ckpt_id, state=state, state_bytes=state_bytes,
-                written_at=self.sim.now, seen=seen)
+                written_at=self.sim.now, sessions=sessions or {})
             self.writes += 1
             self.bytes_written += state_bytes
             if on_done is not None:

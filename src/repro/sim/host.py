@@ -34,7 +34,6 @@ class Cpu:
         self._cal = calibration
         self._ready_at = 0.0
         self._busy_us = 0.0
-        self._jobs_run = 0
 
     def execute(self, demand_us: float, callback: Callable[..., None],
                 *args: Any) -> float:
@@ -59,7 +58,6 @@ class Cpu:
         done = start + service
         self._ready_at = done
         self._busy_us += service
-        self._jobs_run += 1
         sim.schedule_at(done, callback, *args)
         return done
 
@@ -72,10 +70,6 @@ class Cpu:
     def busy_us(self) -> float:
         """Total busy time accumulated so far (µs)."""
         return self._busy_us
-
-    @property
-    def jobs_run(self) -> int:
-        return self._jobs_run
 
 
 class Host:

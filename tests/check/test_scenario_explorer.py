@@ -257,7 +257,7 @@ class TestScenarioRoundTrip:
     def test_known_mutations_registered(self):
         assert set(MUTATIONS) == {"skip_final_checkpoint",
                                   "forget_seen_cache",
-                                  "delta_only_seen_cache",
+                                  "watermarks_only",
                                   "minority_serves"}
 
 
@@ -289,6 +289,25 @@ class TestExploration:
         assert len(outcome.journal_events) == 20
         assert outcome.journal_dropped > 0
         assert flag.details == {"dropped": outcome.journal_dropped}
+
+    def test_a_stalled_walk_reports_progress(self, monkeypatch):
+        """A read whose reply never comes is legal for linearizability
+        and breaks no invariant: only the progress verdict sees it."""
+        from repro.orb.server import OrbServer
+        finish = OrbServer._finish
+
+        def drop_reads(self, request, send_reply, result, status):
+            if request.operation != "read":
+                finish(self, request, send_reply, result, status)
+
+        monkeypatch.setattr(OrbServer, "_finish", drop_reads)
+        outcome = run_schedule(canonical_scenario(seed=1))
+        (violation,) = explorer_module.verify_outcome(outcome)
+        (pending,) = [op for op in outcome.operations if op.pending]
+        assert pending.operation == "read"
+        assert violation.invariant == "progress"
+        assert violation.details == {"pending": [pending.op_id]}
+        assert pending.op_id in violation.message
 
     def test_skip_final_checkpoint_caught_within_default_budget(self):
         # The seeded protocol bug: the switch coordinator skips the
@@ -621,13 +640,22 @@ class TestCheckpointCrashScenario:
         assert outcome.survivor_values == [24, 24]
 
     @pytest.mark.parametrize("phase", ["capture", "publish", "stable"])
-    def test_delta_only_seen_cache_caught_in_every_phase(self, phase):
-        result = explore(self._scenario(mutation="delta_only_seen_cache",
+    def test_watermarks_only_caught_in_every_phase(self, phase):
+        """Sessions shipped without their replies: nothing runs twice,
+        but the late duplicate is never answered."""
+        result = explore(self._scenario(mutation="watermarks_only",
                                         crash_primary_phase=phase),
                          budget=1)
         assert not result.ok
-        invariants = {v.invariant for v in result.violating[0].violations}
-        assert "at_most_once" in invariants
+        (violation,) = result.violating[0].violations
+        assert violation.invariant == "progress"
+        assert violation.details["pending"][0].startswith(
+            "late duplicate ")
+
+    def test_the_late_duplicate_is_answered_from_the_sessions(self):
+        outcome = run_schedule(self._scenario(crash_primary_phase="stable"))
+        assert outcome.unanswered_duplicates == ()
+        assert not explorer_module.verify_outcome(outcome)
 
     def test_phase_and_restart_parameters_validated(self):
         with pytest.raises(VerificationError):

@@ -119,7 +119,11 @@ class TestMigrationDedupHandOff:
         destination's backups: a retry of a request the source shard
         acknowledged is answered from cache by a destination backup
         promoted after the migration commit."""
-        from tests.replication.helpers import record_checkpoints, resend
+        from tests.replication.helpers import (
+            record_checkpoints,
+            request_id,
+            resend,
+        )
 
         testbed = Testbed.paper_testbed(4, 2, seed=0)
         passive = dict(style=ReplicationStyle.WARM_PASSIVE, n_replicas=2,
@@ -143,21 +147,21 @@ class TestMigrationDedupHandOff:
             assert loader.done
 
         load(moving, 6)
-        source = cluster.shards["shard0"].primary_replica
-        old_id = next(iter(source.replicator._seen))
-        # The destination primary has a delta open when the cache lands.
+        old_id = request_id(stack, 1)
+        # The destination already holds a session for the same client
+        # when the source's lands: the two merge.
         load(resident, 4)
         dst_primary, dst_backup = cluster.shards["shard1"].replicas
-        deltas = record_checkpoints(dst_backup)
+        checkpoints = record_checkpoints(dst_backup)
 
         assert cluster.coordinator.rebalance(moving, "shard1") is not None
         testbed.run(1_000_000)
         assert cluster.coordinator.idle
         assert cluster.coordinator.map.owner_of(moving) == "shard1"
         load(moving, 3)
-        # Absorbed entries count as new for the next delta.
-        assert deltas[0].seen_base
-        assert old_id in [rid for rid, _ in deltas[0].seen]
+        # The merged session rides the destination's next checkpoint.
+        (session,) = checkpoints[-1].sessions.values()
+        assert session.floor == 13 and session.reply(1) is not None
 
         dst_primary.crash()
         testbed.run(1_500_000)

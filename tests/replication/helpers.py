@@ -107,6 +107,20 @@ def start_load(client: ClientStack, n_requests: int) -> List[bool]:
     return done
 
 
+def request_id(client: ClientStack, number: int) -> str:
+    """Id of the ``number``-th request ``client``'s ORB issued."""
+    process = client.process
+    return f"{process.host.name}/{process.pid}-{number}"
+
+
+def sessions_of(replica: Replica) -> Dict:
+    """``replica``'s session table as plain values: client ->
+    (watermark, numbers above it, numbers of the replies kept)."""
+    return {client: (session.floor, sorted(session.above),
+                     list(session.kept()))
+            for client, session in replica.replicator._sessions.items()}
+
+
 def resend(client, request_id: str, group: str = "svc",
            object_key: str = "counter", payload_bytes: int = 32) -> None:
     """Multicast a duplicate of an already-sent ``add(1)`` request, as a

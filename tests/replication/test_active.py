@@ -9,6 +9,7 @@ from tests.replication.helpers import (
     call,
     counter_values,
     fire,
+    request_id,
 )
 
 
@@ -75,7 +76,7 @@ def test_duplicate_requests_suppressed_server_side():
     # retry would.
     from repro.orb import GiopRequest
     from repro.replication import RepRequest
-    original_id = next(iter(replicas[0].replicator._seen))
+    original_id = request_id(clients[0], 1)
     dup = RepRequest(
         request=GiopRequest(request_id=original_id, object_key="counter",
                             operation="add", payload=2, payload_bytes=32),

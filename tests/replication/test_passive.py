@@ -9,6 +9,7 @@ from tests.replication.helpers import (
     call,
     counter_values,
     fire,
+    request_id,
     resend,
 )
 
@@ -224,11 +225,11 @@ class TestColdPassive:
         for _ in range(3):
             call(testbed, clients[0], "add", 1)
         testbed.run(300_000)
-        executed = list(replicas[0].replicator._seen)
+        executed = [request_id(clients[0], n) for n in (1, 2, 3)]
         replicas[0].crash()
         testbed.run(FAILOVER_US)
-        for request_id in executed:
-            resend(clients[0], request_id)
+        for executed_id in executed:
+            resend(clients[0], executed_id)
         testbed.run(500_000)
         new_primary = replicas[1].replicator
         assert new_primary.is_primary
@@ -240,7 +241,7 @@ class TestColdPassive:
             ReplicationStyle.COLD_PASSIVE, n_replicas=1)
         call(testbed, clients[0], "add", 8)
         testbed.run(500_000)
-        last = next(reversed(replicas[0].replicator._seen))
+        last = request_id(clients[0], 1)
         replicas[0].crash()
         testbed.run(FAILOVER_US)
         from repro.experiments.testbed import deploy_replica

@@ -1,9 +1,10 @@
 """What a replicated service still holds once its requests are answered.
 
-Per request, a replica keeps its GIOP reply in the reply cache, the GCS
-keeps a message id for its duplicate filter, and nothing else grows
-with the run: the daemons keep a fixed window of stamps, a client's
-daemon keeps no forward, and a cold backup's request log is bounded.
+Per client, a replica keeps one session with its last replies; per
+request, the GCS keeps a message id for its duplicate filter; nothing
+else grows with the run: the daemons keep a fixed window of stamps, a
+client's daemon keeps no forward, and a cold backup's request log is
+bounded.
 """
 
 import gc
@@ -11,13 +12,18 @@ import tracemalloc
 
 import repro.replication.server as server_module
 from repro.replication import ReplicationStyle
+from repro.replication.session import CHUNK, REPLY_TAIL
 from tests.replication.helpers import FAILOVER_US, build_rig, call, drive
 
 #: Bytes a 2,000-request closed ACTIVE loop retains per request, with
-#: its rig still alive.  Measured at about 1,050 B; it was about
-#: 2,500 B while replicas cached whole replication replies, daemons
-#: kept 4,096 stamps per group, and client daemons kept every forward.
-RETAINED_BYTES_PER_REQUEST = 1_500
+#: its rig still alive.  Measured at about 425 B, most of it the rig
+#: itself (a 4,000-request loop retains about 85 B per extra request),
+#: so the bound leaves about 40 % margin.  It was about 980 B while
+#: each replica kept a reply per request in a window of 8,192, and
+#: about 2,500 B while replicas cached whole replication replies,
+#: daemons kept 4,096 stamps per group, and client daemons kept every
+#: forward.
+RETAINED_BYTES_PER_REQUEST = 600
 
 
 def test_an_active_loop_retains_little_per_request():
@@ -32,7 +38,10 @@ def test_an_active_loop_retains_little_per_request():
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert all(len(r.replicator._seen) == n_requests for r in replicas)
+    for replica in replicas:
+        (session,) = replica.replicator._sessions.values()
+        assert session.floor == n_requests and not session.above
+        assert REPLY_TAIL <= len(session.kept()) < REPLY_TAIL + CHUNK
     assert retained / n_requests < RETAINED_BYTES_PER_REQUEST
 
 
@@ -40,10 +49,10 @@ def test_cold_backup_log_is_bounded_and_take_over_reexecutes_nothing(
         monkeypatch):
     """A cold backup in broadcast mode logs every request and gets no
     checkpoint to clear the log.  It keeps the newest
-    ``SEEN_CACHE_LIMIT``; a take-over replays them, and the restored
-    reply cache answers every one the stored checkpoint holds."""
+    ``COLD_LOG_LIMIT``; a take-over replays them, and the restored
+    sessions answer every one the stored checkpoint holds."""
     limit = 32
-    monkeypatch.setattr(server_module, "SEEN_CACHE_LIMIT", limit)
+    monkeypatch.setattr(server_module, "COLD_LOG_LIMIT", limit)
     testbed, replicas, clients = build_rig(ReplicationStyle.COLD_PASSIVE,
                                            broadcast_requests=True)
     n_requests = limit + 40

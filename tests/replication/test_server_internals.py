@@ -1,12 +1,12 @@
 """White-box tests for ServerReplicator internals: role matrices,
-reply-cache bounds, runtime knob setters, switch-id semantics."""
+client sessions, runtime knob setters, switch-id semantics."""
 
 import pytest
 
 from repro.errors import ReplicationError
 from repro.replication import ReplicationStyle
-from repro.replication.server import SEEN_CACHE_LIMIT
-from tests.replication.helpers import build_rig, call
+from repro.replication.session import CHUNK, REPLY_TAIL, Session
+from tests.replication.helpers import build_rig, call, drive, resend
 
 
 class TestRoleMatrix:
@@ -34,24 +34,82 @@ class TestRoleMatrix:
 
 class TestReplyCache:
     def test_cache_bounded(self):
-        testbed, replicas, clients = build_rig(ReplicationStyle.ACTIVE)
-        replicator = replicas[0].replicator
-        for i in range(SEEN_CACHE_LIMIT + 100):
-            replicator._remember(f"req-{i}", None)
-        assert len(replicator._seen) == SEEN_CACHE_LIMIT
-        # Oldest entries evicted first.
-        assert "req-0" not in replicator._seen
-        assert f"req-{SEEN_CACHE_LIMIT + 99}" in replicator._seen
+        """Once its client awaits none of them, a session keeps the
+        newest ``REPLY_TAIL`` replies (and fewer than ``CHUNK`` more)
+        and a watermark for the rest."""
+        session = Session()
+        last = REPLY_TAIL + 100
+        for number in range(1, last + 1):
+            session.answer(number, f"reply-{number}", number)
+        kept = list(session.kept())
+        assert REPLY_TAIL <= len(kept) < REPLY_TAIL + CHUNK
+        assert kept == list(range(last - len(kept) + 1, last + 1))
+        assert session.reply(last) == f"reply-{last}"
+        assert session.reply(1) is None
+        assert session.floor == last and not session.above
 
-    def test_remember_refreshes_recency(self):
-        testbed, replicas, clients = build_rig(ReplicationStyle.ACTIVE)
+    def test_replies_the_client_still_awaits_are_kept(self):
+        session = Session()
+        session.answer(1, "lost on the way", 1)
+        for number in range(2, REPLY_TAIL + 50):
+            session.answer(number, number, 1)
+        assert len(session.kept()) == REPLY_TAIL + 49
+        assert session.reply(1) == "lost on the way"
+        # Answered at last: the next requests no longer await it.
+        for number in range(REPLY_TAIL + 50, REPLY_TAIL + 50 + CHUNK):
+            session.answer(number, "next", number)
+        assert REPLY_TAIL <= len(session.kept()) < REPLY_TAIL + 2 * CHUNK
+        assert session.reply(1) is None
+
+    def test_watermark_covers_gaps_and_reordering(self):
+        """A sharded client's numbers reach one replica with gaps, and
+        retries can reorder them: the watermark rises over every number
+        the client no longer awaits, and over contiguous runs."""
+        session = Session()
+        for number in (2, 5, 9):
+            session.answer(number, "ok", number)
+        assert (session.floor, session.above) == (9, set())
+        session.answer(12, "ok", 11)
+        session.answer(11, "ok", 11)
+        assert (session.floor, session.above) == (12, set())
+
+    def test_a_retry_from_long_ago_does_not_run_again(self):
+        """A retry of a request that ran more than 8,192 requests
+        earlier is dropped, not executed a second time."""
+        testbed, replicas, clients = build_rig(ReplicationStyle.ACTIVE,
+                                               n_replicas=1)
+        first = f"{clients[0].process.host.name}/" \
+                f"{clients[0].process.pid}-1"
+        drive(testbed, clients[0], 8_300)
         replicator = replicas[0].replicator
-        replicator._remember("old", None)
-        for i in range(SEEN_CACHE_LIMIT - 1):
-            replicator._remember(f"r{i}", None)
-        replicator._remember("old", None)  # refresh
-        replicator._remember("new", None)  # evicts r0, not old
-        assert "old" in replicator._seen
+        processed = replicator.requests_processed
+        resend(clients[0], first)
+        testbed.run(500_000)
+        assert replicator.requests_processed == processed == 8_300
+        assert replicas[0].servants["counter"].value == 8_300
+        assert replicator.duplicates_suppressed == 0
+
+    def test_a_late_oneway_request_still_runs(self):
+        """A oneway request holds back no later request's ``awaiting``,
+        so the watermark may pass its number before it arrives: it stays
+        out of the sessions and runs whenever it comes."""
+        testbed, replicas, clients = build_rig(ReplicationStyle.ACTIVE,
+                                               n_replicas=1)
+        client = clients[0]
+        drive(testbed, client, 2)
+        held = []
+        send = client.gcs.multicast
+        client.gcs.multicast = lambda *message: held.append(message)
+        client.orb_client.invoke("counter", "add", 10, 32, None,
+                                 oneway=True)
+        testbed.run(10_000)
+        client.gcs.multicast = send
+        drive(testbed, client, 1)
+        (session,) = replicas[0].replicator._sessions.values()
+        assert len(held) == 1 and session.floor == 4
+        send(*held[0])
+        testbed.run(100_000)
+        assert replicas[0].servants["counter"].value == 13
 
 
 class TestRuntimeKnobSetters:
@@ -133,4 +191,3 @@ class TestStats:
         assert replicator.requests_processed == 3
         assert replicator.replies_sent == 3
         assert replicator.duplicates_suppressed == 0
-        assert replicator.queued_requests == 0

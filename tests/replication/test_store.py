@@ -33,12 +33,12 @@ class TestStableStore:
         done = []
         store.write("grp", 1, {"v": 5}, 10,
                     on_done=lambda: done.append(sim.now),
-                    seen=(("r1", "reply"),))
+                    sessions={"w01/1": "session"})
         sim.run()
         results = []
         store.read("grp", results.append)
         sim.run()
-        assert results[0].seen == (("r1", "reply"),)
+        assert results[0].sessions == {"w01/1": "session"}
         assert done == [pytest.approx(110.0)]
 
     def test_overwrite_semantics(self):

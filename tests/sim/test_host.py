@@ -61,12 +61,13 @@ class TestCpu:
         """A NaN demand passes a ``< 0`` check; had it reached the
         bookkeeping, busy time would stay NaN."""
         host.cpu.execute(100.0, lambda: None)
-        before = (host.cpu.busy_us, host.cpu.jobs_run)
+        before = host.cpu.busy_us
         with pytest.raises(SimulationError, match=str(demand)):
             host.cpu.execute(demand, lambda: None)
-        assert (host.cpu.busy_us, host.cpu.jobs_run) == before
+        assert host.cpu.busy_us == before
         sim.run()
         assert host.cpu.busy_us == 100.0
+        assert sim.events_dispatched == 1
 
     def test_execute_passes_args_to_the_callback(self, sim, host):
         done = []
@@ -74,11 +75,13 @@ class TestCpu:
         sim.run()
         assert done == ["job"]
 
-    def test_jobs_run_counter(self, sim, host):
+    def test_each_job_is_one_dispatched_event(self, sim, host):
         for _ in range(3):
             host.cpu.execute(1.0, lambda: None)
         sim.run()
-        assert host.cpu.jobs_run == 3
+        assert sim.events_dispatched == 3
+        # Three 1 us jobs, two of them queued behind a context switch.
+        assert host.cpu.busy_us == pytest.approx(13.0)
 
 
 class TestHostPorts:

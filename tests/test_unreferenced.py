@@ -71,8 +71,6 @@ ALLOWED: Dict[str, str] = {
     # Inspection accessors.
     "repro.gcs.client:GcsClient.current_view":
         "accessor: a client's installed view, for inspection",
-    "repro.sim.host:Cpu.jobs_run":
-        "accessor: jobs a CPU has run, for inspection",
     "repro.cluster.deploy:ShardDeployment.primary_replica":
         "accessor: a shard's live primary",
     "repro.monitoring.contracts:ContractMonitor.all_honoured":
