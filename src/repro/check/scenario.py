@@ -188,7 +188,7 @@ def _mutate_skip_final_checkpoint(replicas) -> None:
         def patched(final_for=None, sync_for=None,
                     _original=original, _replicator=replicator):
             if final_for is not None:
-                _replicator._complete_switch()
+                _replicator._end_switch()
                 return
             _original(final_for=final_for, sync_for=sync_for)
 

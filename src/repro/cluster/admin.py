@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, Set
 
-from repro.gcs.client import CallbackListener
 from repro.gcs.messages import MemberId
 from repro.cluster.messages import MapCommit, MigrationStart, MigrationState
 from repro.cluster.partition import PartitionMap
@@ -59,8 +58,7 @@ class ShardAdmin:
         self.migrations_seen = 0
         replicator.fence_handler = self._on_fence
         replicator.owned_filter = self._owns
-        replicator.gcs.join(control_group(cluster),
-                            CallbackListener(on_message=self._on_control))
+        replicator.gcs.join(control_group(cluster), self._on_control)
 
     # ------------------------------------------------------------------
     # Ownership (the replicator's owned-filter seam)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ReplicationError
-from repro.gcs.client import CallbackListener, GcsClient, GroupListener
+from repro.gcs.client import GcsClient
 from repro.gcs.messages import GroupView, MemberId
 from repro.cluster.messages import MapCommit, MigrationStart, MigrationState
 from repro.cluster.partition import PartitionMap
@@ -66,10 +66,9 @@ class ClusterCoordinator(Actor):
         self._shard_peak: Dict[str, int] = {}
         self._dead_shards: Set[str] = set()
         self.migrations_committed = 0
-        gcs.join(control_group(cluster),
-                 CallbackListener(on_message=self._on_control))
+        gcs.join(control_group(cluster), self._on_control)
         for shard in pmap.shards:
-            gcs.watch(shard, _ShardWatch(self, shard))
+            gcs.watch(shard, self._on_shard_view)
 
     # ------------------------------------------------------------------
     # Operator API
@@ -100,8 +99,9 @@ class ClusterCoordinator(Actor):
     # ------------------------------------------------------------------
     # Dead-shard handling
     # ------------------------------------------------------------------
-    def _on_shard_view(self, shard: str, view: GroupView,
-                       crashed: bool) -> None:
+    def _on_shard_view(self, view: GroupView, joined: List[MemberId],
+                       left: List[MemberId], crashed: bool) -> None:
+        shard = view.group
         if view.members:
             self._shard_peak[shard] = max(
                 self._shard_peak.get(shard, 0), len(view.members))
@@ -194,16 +194,3 @@ class ClusterCoordinator(Actor):
             journal.record(self.sim.now, self.process.host.name,
                            "cluster", f"coord.{kind}", shard=shard,
                            process=self.process.name, **attrs)
-
-
-class _ShardWatch(GroupListener):
-    """Membership watcher feeding dead-shard detection."""
-
-    def __init__(self, coordinator: ClusterCoordinator, shard: str):
-        self._coordinator = coordinator
-        self._shard = shard
-
-    def on_view(self, view: GroupView, joined: List[MemberId],
-                left: List[MemberId], crashed: bool) -> None:
-        """Forward the view to the coordinator's shard tracker."""
-        self._coordinator._on_shard_view(self._shard, view, crashed)

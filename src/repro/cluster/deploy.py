@@ -86,14 +86,6 @@ class ShardDeployment:
     admins: List[ShardAdmin] = field(default_factory=list)
     managers: List[AdaptationManager] = field(default_factory=list)
 
-    @property
-    def primary_replica(self) -> Optional[Replica]:
-        """The replica acting as primary right now, if any is alive."""
-        for replica in self.replicas:
-            if replica.alive and replica.replicator.is_primary:
-                return replica
-        return None
-
     def crash(self) -> None:
         """Kill every replica of this shard (dead-shard fault)."""
         for replica in self.replicas:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Optional
 
 from repro.errors import ReplicationError
-from repro.gcs.client import CallbackListener, GcsClient
+from repro.gcs.client import GcsClient
 from repro.gcs.messages import MemberId
 from repro.orb.giop import GiopRequest
 from repro.orb.transport import ClientTransport, ReplyHandler
@@ -77,8 +77,7 @@ class ShardRouter(Actor, ClientTransport):
             replicator.awaited_ids = self._routes
             self._replicators[shard] = replicator
         gcs.on_direct(self._on_direct)
-        gcs.join(control_group(cluster),
-                 CallbackListener(on_message=self._on_control))
+        gcs.join(control_group(cluster), self._on_control)
 
     def _make_failure_hook(self, shard: str
                            ) -> Callable[[GiopRequest], None]:

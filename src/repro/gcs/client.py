@@ -18,43 +18,14 @@ from repro.sim.actor import Actor
 from repro.sim.host import Process
 
 
-class GroupListener:
-    """Callbacks for one group membership.
-
-    Subclass or duck-type; default implementations ignore events.
-    """
-
-    def on_message(self, group: str, sender: MemberId, payload: Any,
-                   nbytes: int) -> None:
-        """A group multicast was delivered."""
-
-    def on_view(self, view: GroupView, joined: List[MemberId],
-                left: List[MemberId], crashed: bool) -> None:
-        """Group membership changed.  ``crashed`` is True when the
-        change was caused by a daemon/host failure rather than a
-        voluntary leave."""
-
-
-class CallbackListener(GroupListener):
-    """Adapter building a listener from plain callables."""
-
-    def __init__(self,
-                 on_message: Optional[Callable[..., None]] = None,
-                 on_view: Optional[Callable[..., None]] = None):
-        self._on_message = on_message
-        self._on_view = on_view
-
-    def on_message(self, group: str, sender: MemberId, payload: Any,
-                   nbytes: int) -> None:
-        """Forward to the ``on_message`` callable, if given."""
-        if self._on_message is not None:
-            self._on_message(group, sender, payload, nbytes)
-
-    def on_view(self, view: GroupView, joined: List[MemberId],
-                left: List[MemberId], crashed: bool) -> None:
-        """Forward to the ``on_view`` callable, if given."""
-        if self._on_view is not None:
-            self._on_view(view, joined, left, crashed)
+#: ``on_message(group, sender, payload, nbytes)``: a group multicast
+#: was delivered.
+MessageHandler = Callable[[str, MemberId, Any, int], None]
+#: ``on_view(view, joined, left, crashed)``: group membership changed;
+#: ``crashed`` is True when a daemon/host failure caused the change
+#: rather than a voluntary leave.
+ViewHandler = Callable[[GroupView, List[MemberId], List[MemberId], bool],
+                       None]
 
 
 class GcsClient(Actor, ClientPort):
@@ -69,32 +40,39 @@ class GcsClient(Actor, ClientPort):
         self.daemon = daemon
         self.member = MemberId(host=process.host.name, pid=process.pid,
                                name=process.name)
-        self._listeners: Dict[str, GroupListener] = {}
-        self._watch_listeners: Dict[str, GroupListener] = {}
+        # Handlers of the groups joined (until the own leave is
+        # delivered) and watched.
+        self._on_message: Dict[str, MessageHandler] = {}
+        self._on_view: Dict[str, Optional[ViewHandler]] = {}
+        self._watchers: Dict[str, ViewHandler] = {}
         self._direct_handler: Optional[Callable[[MemberId, Any, int], None]] = None
-        self._views: Dict[str, GroupView] = {}
         daemon.connect(self)
 
     # ------------------------------------------------------------------
     # Group operations
     # ------------------------------------------------------------------
-    def join(self, group: str, listener: GroupListener) -> None:
-        """Join ``group``; deliveries flow to ``listener``."""
-        if group in self._listeners:
+    def join(self, group: str, on_message: MessageHandler,
+             on_view: Optional[ViewHandler] = None) -> None:
+        """Join ``group``; its multicasts go to ``on_message`` and its
+        view changes to ``on_view``, if given."""
+        if group in self._on_message:
             raise GroupCommunicationError(
                 f"{self.member} already joining/joined {group}")
-        self._listeners[group] = listener
+        self._on_message[group] = on_message
+        self._on_view[group] = on_view
         self.daemon.client_join(group, self.member)
 
     def leave(self, group: str) -> None:
-        """Leave ``group`` (listener dropped after the leave is stamped)."""
-        if group not in self._listeners:
+        """Leave ``group`` (handlers dropped once the leave is
+        delivered)."""
+        if group not in self._on_message:
             raise GroupCommunicationError(f"{self.member} not in {group}")
         self.daemon.client_leave(group, self.member)
 
-    def watch(self, group: str, listener: GroupListener) -> None:
-        """Receive ``group`` view changes without becoming a member."""
-        self._watch_listeners[group] = listener
+    def watch(self, group: str, on_view: ViewHandler) -> None:
+        """Receive ``group`` view changes, at ``on_view``, without
+        becoming a member."""
+        self._watchers[group] = on_view
         self.daemon.client_watch(group, self.member)
 
     def multicast(self, group: str, payload: Any, nbytes: int) -> None:
@@ -113,41 +91,34 @@ class GcsClient(Actor, ClientPort):
         self._direct_handler = handler
 
     # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def current_view(self, group: str) -> Optional[GroupView]:
-        """Most recent view delivered to this client for ``group``."""
-        return self._views.get(group)
-
-    # ------------------------------------------------------------------
     # ClientPort (called by the daemon, post-IPC-delay)
     # ------------------------------------------------------------------
     def deliver_message(self, group: str, sender: MemberId, payload: Any,
                         nbytes: int) -> None:
-        """ClientPort hook: route a multicast to the group's listener."""
+        """ClientPort hook: hand a multicast to the group's handler."""
         if not self.alive:
             return
-        listener = self._listeners.get(group)
-        if listener is not None:
-            listener.on_message(group, sender, payload, nbytes)
+        on_message = self._on_message.get(group)
+        if on_message is not None:
+            on_message(group, sender, payload, nbytes)
 
     def deliver_view(self, view: GroupView, joined: List[MemberId],
                      left: List[MemberId], crashed: bool) -> None:
-        """ClientPort hook: route a view change to listeners/watchers."""
+        """ClientPort hook: hand a view change to the member's and the
+        watcher's handlers."""
         if not self.alive:
             return
-        self._views[view.group] = view
+        group = view.group
         if self.member in left:
-            listener = self._listeners.pop(view.group, None)
-            if listener is not None:
-                listener.on_view(view, joined, left, crashed)
+            self._on_message.pop(group, None)
+            on_view = self._on_view.pop(group, None)
         else:
-            listener = self._listeners.get(view.group)
-            if listener is not None:
-                listener.on_view(view, joined, left, crashed)
-        watcher = self._watch_listeners.get(view.group)
+            on_view = self._on_view.get(group)
+        if on_view is not None:
+            on_view(view, joined, left, crashed)
+        watcher = self._watchers.get(group)
         if watcher is not None:
-            watcher.on_view(view, joined, left, crashed)
+            watcher(view, joined, left, crashed)
 
     def deliver_direct(self, sender: MemberId, payload: Any,
                        nbytes: int) -> None:

@@ -145,8 +145,3 @@ class ContractMonitor:
     def status(self, name: str) -> ContractStatus:
         """Last known status of the named contract."""
         return self._status.get(name, ContractStatus.HONOURED)
-
-    @property
-    def all_honoured(self) -> bool:
-        return all(s is ContractStatus.HONOURED
-                   for s in self._status.values())

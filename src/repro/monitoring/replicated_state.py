@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List
 
 from repro.gcs.client import GcsClient
-from repro.gcs.messages import GroupView, MemberId
+from repro.gcs.messages import MemberId
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ class ReplicatedState:
         self.group = group
         self._data: Dict[str, Any] = {}
         self._version = 0
-        gcs.join(group, _StateListener(self))
+        gcs.join(group, self._on_message)
 
     # ------------------------------------------------------------------
     # Publication
@@ -92,19 +92,8 @@ class ReplicatedState:
     # ------------------------------------------------------------------
     # Delivery (from the GCS)
     # ------------------------------------------------------------------
-    def _apply(self, update: StateUpdate) -> None:
-        self._data[update.key] = update.value
-        self._version += 1
-
-
-class _StateListener:
-    def __init__(self, state: ReplicatedState):
-        self._state = state
-
-    def on_message(self, group: str, sender: MemberId, payload: Any,
-                   nbytes: int) -> None:
+    def _on_message(self, group: str, sender: MemberId, payload: Any,
+                    nbytes: int) -> None:
         if isinstance(payload, StateUpdate):
-            self._state._apply(payload)
-
-    def on_view(self, view: GroupView, joined, left, crashed) -> None:
-        """Membership of the monitoring group is informational only."""
+            self._data[payload.key] = payload.value
+            self._version += 1

@@ -9,8 +9,7 @@ Public surface:
 - :class:`ClientReplicator` — client-side routing, retries, voting
 - :class:`ReplicaFactory` — redundancy-level maintenance & cold spawn
 - :class:`StableStore` — checkpoint persistence for cold passive
-- :class:`SwitchRecord`, :class:`SwitchState`, :class:`SwitchPhase` —
-  Fig. 5 protocol state
+- :class:`SwitchRecord`, :class:`SwitchState` — Fig. 5 protocol state
 - message types: :class:`RepRequest`, :class:`RepReply`,
   :class:`Checkpoint`, :class:`SwitchCommand`, :class:`SyncRequest`
 """
@@ -32,7 +31,7 @@ from repro.replication.styles import (
     ReplicationConfig,
     ReplicationStyle,
 )
-from repro.replication.switch import SwitchPhase, SwitchRecord, SwitchState
+from repro.replication.switch import SwitchRecord, SwitchState
 
 __all__ = [
     "Checkpoint",
@@ -48,7 +47,6 @@ __all__ = [
     "StableStore",
     "StoredCheckpoint",
     "SwitchCommand",
-    "SwitchPhase",
     "SwitchRecord",
     "SwitchState",
     "SyncRequest",

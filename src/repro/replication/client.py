@@ -124,7 +124,7 @@ class ClientReplicator(Actor, ClientTransport):
         self.breaker_trips = 0
         self.breaker_rerouted = 0
         gcs.on_direct(self._on_direct)
-        gcs.watch(self.group, _WatchShim(self))
+        gcs.watch(self.group, self._on_view)
 
     # ==================================================================
     # ClientTransport interface (called by OrbClient)
@@ -370,7 +370,8 @@ class ClientReplicator(Actor, ClientTransport):
     # ==================================================================
     # Group view tracking
     # ==================================================================
-    def _on_view(self, view: GroupView) -> None:
+    def _on_view(self, view: GroupView, joined: List[MemberId],
+                 left: List[MemberId], crashed: bool) -> None:
         self.members = view.members
         if view.members:
             if self.primary not in view.members:
@@ -381,17 +382,3 @@ class ClientReplicator(Actor, ClientTransport):
     def on_stop(self) -> None:
         """Drop outstanding invocations when the process dies."""
         self._outstanding.clear()
-
-
-class _WatchShim:
-    """Group-view watcher feeding the client replicator."""
-
-    def __init__(self, replicator: ClientReplicator):
-        self._replicator = replicator
-
-    def on_message(self, group: str, sender: MemberId, payload: Any,
-                   nbytes: int) -> None:
-        """Watchers receive no data."""
-
-    def on_view(self, view: GroupView, joined, left, crashed) -> None:
-        self._replicator._on_view(view)

@@ -52,7 +52,7 @@ class ReplicaFactory(Actor):
         self.spawned = 0
         self.retired = 0
         self._handles: List[object] = []
-        gcs.watch(group, _FactoryWatch(self))
+        gcs.watch(group, self._on_view)
         # The watch only fires once the group exists; bootstrap (and
         # guard against missed views) with a periodic reconcile.
         self.set_timer("bootstrap", 1.0, self._reconcile)
@@ -79,7 +79,8 @@ class ReplicaFactory(Actor):
     # ------------------------------------------------------------------
     # Reconciliation
     # ------------------------------------------------------------------
-    def _on_view(self, view: GroupView) -> None:
+    def _on_view(self, view: GroupView, joined: List[MemberId],
+                 left: List[MemberId], crashed: bool) -> None:
         self._members = view.members
         # A spawn has fully landed once its host appears in the view.
         for member in view.members:
@@ -156,14 +157,3 @@ class ReplicaFactory(Actor):
                         process.kill()
                         self.retired += 1
                         return
-
-
-class _FactoryWatch:
-    def __init__(self, factory: ReplicaFactory):
-        self._factory = factory
-
-    def on_message(self, group, sender, payload, nbytes) -> None:
-        """Watchers receive no data."""
-
-    def on_view(self, view: GroupView, joined, left, crashed) -> None:
-        self._factory._on_view(view)

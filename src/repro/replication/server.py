@@ -46,7 +46,7 @@ from repro.replication.messages import (
 from repro.replication.session import Session, session_of
 from repro.replication.store import StableStore
 from repro.replication.styles import ReplicationConfig, ReplicationStyle
-from repro.replication.switch import SwitchPhase, SwitchRecord, SwitchState
+from repro.replication.switch import SwitchRecord, SwitchState
 from repro.sim.actor import Actor
 from repro.sim.config import InterposeCalibration, ReplicationCalibration
 from repro.telemetry.context import context_of, set_context
@@ -160,7 +160,7 @@ class ServerReplicator(Actor, ServerTransport):
         self._on_request = on_request
         self._started = True
         self.gcs.on_direct(self._on_direct)
-        self.gcs.join(self.group, _ListenerShim(self))
+        self.gcs.join(self.group, self._on_group_message, self._on_view)
         self._sync_grid_us = self.sim.now
         self.set_periodic_timer("sync", SYNC_RETRY_US, self._sync_tick)
         return ServiceAddress.replicated(self.group)
@@ -202,7 +202,8 @@ class ServerReplicator(Actor, ServerTransport):
     # ==================================================================
     # Group delivery
     # ==================================================================
-    def _on_group_message(self, sender: MemberId, payload: Any) -> None:
+    def _on_group_message(self, group: str, sender: MemberId, payload: Any,
+                          nbytes: int) -> None:
         if isinstance(payload, RepRequest):
             self._receive_request(payload, via_group=True)
         elif isinstance(payload, Checkpoint):
@@ -323,7 +324,7 @@ class ServerReplicator(Actor, ServerTransport):
             if telemetry.enabled:
                 telemetry.end(process_span, self.sim.now)
             assert self._on_request is not None
-            self._on_request(local, lambda reply: finish(reply))
+            self._on_request(local, finish)
 
         def finish(reply: GiopReply) -> None:
             if not self.alive:
@@ -347,16 +348,7 @@ class ServerReplicator(Actor, ServerTransport):
                 # released when that checkpoint is stable.
                 self._held_replies.append((rep.client, rep_reply))
             else:
-                if reply_ctx is not None:
-                    _, carried = telemetry.begin_transit(
-                        reply_ctx.at_root(), "gcs.reply", COMPONENT_GCS,
-                        self.sim.now, host=self.process.host.name,
-                        process=self.process.name)
-                    if carried is not None:
-                        set_context(reply, carried)
-                self.gcs.send_direct(rep.client, rep_reply,
-                                     rep_reply.wire_bytes)
-                self.replies_sent += 1
+                self._send_reply(rep.client, rep_reply)
             self._after_request()
             if not self._running:
                 self._fire_drain_waiters()
@@ -398,22 +390,28 @@ class ServerReplicator(Actor, ServerTransport):
         return (self._since_ckpt + 1
                 >= self.config.checkpoint_interval_requests)
 
+    def _send_reply(self, client: MemberId, rep_reply: RepReply,
+                    **span_attrs: str) -> None:
+        """Send ``rep_reply`` to ``client``; a traced reply opens its
+        ``gcs.reply`` transit span, tagged with ``span_attrs``."""
+        telemetry = self.sim.telemetry
+        if telemetry.enabled:
+            reply = rep_reply.reply
+            ctx = context_of(reply)
+            if ctx is not None:
+                _, carried = telemetry.begin_transit(
+                    ctx.at_root(), "gcs.reply", COMPONENT_GCS,
+                    self.sim.now, host=self.process.host.name,
+                    process=self.process.name, **span_attrs)
+                if carried is not None:
+                    set_context(reply, carried)
+        self.gcs.send_direct(client, rep_reply, rep_reply.wire_bytes)
+        self.replies_sent += 1
+
     def _release_held_replies(self) -> None:
         held, self._held_replies = self._held_replies, []
-        telemetry = self.sim.telemetry
         for client, rep_reply in held:
-            reply = rep_reply.reply
-            if telemetry.enabled:
-                ctx = context_of(reply)
-                if ctx is not None:
-                    _, carried = telemetry.begin_transit(
-                        ctx.at_root(), "gcs.reply", COMPONENT_GCS,
-                        self.sim.now, host=self.process.host.name,
-                        process=self.process.name, held="1")
-                    if carried is not None:
-                        set_context(reply, carried)
-            self.gcs.send_direct(client, rep_reply, rep_reply.wire_bytes)
-            self.replies_sent += 1
+            self._send_reply(client, rep_reply, held="1")
 
     def _after_request(self) -> None:
         """Post-processing hook: periodic checkpointing for the styles
@@ -512,7 +510,7 @@ class ServerReplicator(Actor, ServerTransport):
             # the switch it finalizes.
             if self._switch is not None \
                     and ckpt.final_for == self._switch.switch_id:
-                self._complete_switch()
+                self._end_switch()
             elif self.sync_checkpoints and ckpt.final_for is None:
                 self._on_checkpoint_stable()
             return
@@ -542,7 +540,7 @@ class ServerReplicator(Actor, ServerTransport):
             if self._switch is not None \
                     and ckpt.final_for == self._switch.switch_id:
                 self._switch.final_checkpoint_seen = True
-                self._complete_switch()
+                self._end_switch()
 
         self.process.host.cpu.execute(apply_cost, apply)
 
@@ -554,25 +552,23 @@ class ServerReplicator(Actor, ServerTransport):
         def loaded(snapshot) -> None:
             if not self.alive:
                 return
-            if snapshot is not None and self._state_provider is not None:
-                apply_cost = (self.rcal.state_apply_fixed_us
-                              + self.rcal.state_apply_per_byte_us
-                              * snapshot.state_bytes)
-                self.process.host.cpu.execute(
-                    apply_cost, self._guarded_restore(snapshot))
-            else:
+            if snapshot is None or self._state_provider is None:
+                self._mark_synced()
+                return
+
+            def restore() -> None:
+                if not self.alive:
+                    return
+                self._state_provider.restore_state(snapshot.state)
+                self._sessions = dict(snapshot.sessions)
                 self._mark_synced()
 
-        self.store.read(self.group, loaded)
+            apply_cost = (self.rcal.state_apply_fixed_us
+                          + self.rcal.state_apply_per_byte_us
+                          * snapshot.state_bytes)
+            self.process.host.cpu.execute(apply_cost, restore)
 
-    def _guarded_restore(self, snapshot) -> Callable[[], None]:
-        def run() -> None:
-            if not self.alive:
-                return
-            self._state_provider.restore_state(snapshot.state)
-            self._sessions = dict(snapshot.sessions)
-            self._mark_synced()
-        return run
+        self.store.read(self.group, loaded)
 
     def _on_checkpoint_stable(self) -> None:
         """A synchronous checkpoint reached stability: replies whose
@@ -752,87 +748,58 @@ class ServerReplicator(Actor, ServerTransport):
         else:
             # Case 2 (and active->cold / passive<->passive): drain
             # in-flight work, then adopt the new roles.
-            self._when_drained(self._complete_switch)
+            self._when_drained(self._end_switch)
 
-    def _complete_switch(self) -> None:
-        switch = self._switch
-        if switch is None or switch.phase is not SwitchPhase.PREPARING:
-            return
-        queued = len(self._queue)
-        switch.phase = SwitchPhase.COMPLETE
-        switch.completed_at = self.sim.now
-        if switch.trace_ctx is not None:
-            self.sim.telemetry.finish_trace(switch.trace_ctx, self.sim.now)
-        self.style = switch.target
-        self._switch = None
-        self._since_ckpt = 0
-        self._base = 0
-        self._release_held_replies()
-        self.switch_history.append(SwitchRecord(
-            switch_id=switch.switch_id, from_style=switch.from_style,
-            to_style=switch.target, started_at=switch.started_at,
-            completed_at=self.sim.now, queued_requests=queued))
-        self._journal("switch.complete",
-                      trace_id=(switch.trace_ctx.trace_id
-                                if switch.trace_ctx is not None else None),
-                      switch_id=switch.switch_id,
-                      from_style=switch.from_style.value,
-                      to_style=switch.target.value, queued=queued,
-                      duration_us=self.sim.now - switch.started_at)
-        # Step III: process the outstanding requests in the message
-        # queue under the new style.  Under active->passive the paper
-        # has the new backups process outstanding requests *and then*
-        # become completely passive — _drain_passive_queue does that.
-        if self.style.is_passive and not self.processes_requests:
-            self._drain_outstanding_then_go_passive()
-        else:
-            self._drain_queue()
-
-    def _drain_outstanding_then_go_passive(self) -> None:
-        """Fig. 5 case 2: a new backup processes the requests enqueued
-        during the switch (keeping its state aligned with the new
-        primary at the switch point), then stops processing."""
-        outstanding, self._queue = self._queue, []
-        for rep in outstanding:
-            self._process(rep)
-
-    def _rollback_switch(self) -> None:
-        """Fig. 5 case 1, crash branch: the passive primary died before
-        its final checkpoint.  Become active immediately and process
-        everything in the message queue (the rollback)."""
+    def _end_switch(self, rolled_back: bool = False) -> None:
+        """Step III: adopt the target style, then process the requests
+        enqueued during the switch under it.  A rollback is Fig. 5 case
+        1's crash branch: the passive primary died before its final
+        checkpoint, so the replicas become active at once and process
+        everything they logged and queued."""
         switch = self._switch
         if switch is None:
             return
         queued = len(self._queue)
-        switch.phase = SwitchPhase.ROLLED_BACK
-        switch.completed_at = self.sim.now
         if switch.trace_ctx is not None:
             self.sim.telemetry.finish_trace(switch.trace_ctx, self.sim.now)
         self.style = switch.target
         self._switch = None
+        if not rolled_back:
+            self._since_ckpt = 0
         self._base = 0
         self._release_held_replies()
         self.switch_history.append(SwitchRecord(
             switch_id=switch.switch_id, from_style=switch.from_style,
             to_style=switch.target, started_at=switch.started_at,
-            completed_at=self.sim.now, rolled_back=True,
+            completed_at=self.sim.now, rolled_back=rolled_back,
             queued_requests=queued))
-        self._journal("switch.rollback",
+        self._journal("switch.rollback" if rolled_back
+                      else "switch.complete",
                       trace_id=(switch.trace_ctx.trace_id
                                 if switch.trace_ctx is not None else None),
                       switch_id=switch.switch_id,
                       from_style=switch.from_style.value,
                       to_style=switch.target.value, queued=queued,
                       duration_us=self.sim.now - switch.started_at)
-        # Broadcast-mode backups logged requests since the last
-        # checkpoint; the rollback promotes them to executors, so the
-        # log must replay (mirroring _take_over_as_primary) or those
-        # acknowledged requests are lost.
-        log = list(self._request_log)
-        self._request_log.clear()
-        for rep in log:
-            self._process(rep)
-        self._drain_queue()
+        if rolled_back:
+            # Broadcast-mode backups logged requests since the last
+            # checkpoint; the rollback promotes them to executors, so
+            # the log must replay (mirroring _take_over_as_primary) or
+            # those acknowledged requests are lost.
+            log = list(self._request_log)
+            self._request_log.clear()
+            for rep in log:
+                self._process(rep)
+        if self.style.is_passive and not self.processes_requests:
+            # Fig. 5 case 2 (active->passive): a new backup processes
+            # the outstanding requests, keeping its state aligned with
+            # the new primary at the switch point, and *then* becomes
+            # completely passive.
+            outstanding, self._queue = self._queue, []
+            for rep in outstanding:
+                self._process(rep)
+        else:
+            self._drain_queue()
 
     # ==================================================================
     # View changes
@@ -873,7 +840,7 @@ class ServerReplicator(Actor, ServerTransport):
         primary_lost = old_primary is not None and old_primary in left
         if self._switch is not None and self._switch.passive_to_active \
                 and primary_lost and not self._switch.final_checkpoint_seen:
-            self._rollback_switch()
+            self._end_switch(rolled_back=True)
             return
         if primary_lost and self.style.is_passive and self.is_primary:
             self._take_over_as_primary()
@@ -948,17 +915,3 @@ class ServerReplicator(Actor, ServerTransport):
         self._drain_waiters.clear()
         self._held_replies.clear()
 
-
-class _ListenerShim:
-    """Adapts GroupListener callbacks onto the replicator's methods."""
-
-    def __init__(self, replicator: ServerReplicator):
-        self._replicator = replicator
-
-    def on_message(self, group: str, sender: MemberId, payload: Any,
-                   nbytes: int) -> None:
-        self._replicator._on_group_message(sender, payload)
-
-    def on_view(self, view: GroupView, joined: List[MemberId],
-                left: List[MemberId], crashed: bool) -> None:
-        self._replicator._on_view(view, joined, left, crashed)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.errors import ConfigurationError
+from repro.errors import Rule, check_fields
 
 
 class ReplicationStyle(enum.Enum):
@@ -31,6 +31,15 @@ class ReplicationStyle(enum.Enum):
         """Paper Table 2 notation: A / P / C."""
         return {"active": "A", "warm_passive": "P",
                 "cold_passive": "C"}[self.value]
+
+
+#: The fields of a :class:`ReplicationConfig` and a
+#: :class:`ClientReplicationConfig` (a broken one raises ConfigurationError).
+CONFIG_RULES = (Rule(("group",), str, ge=1),
+                Rule(("checkpoint_interval_requests",), int, ge=1),
+                Rule(("checkpoint_delta_fraction",), float, gt=0, le=1))
+CLIENT_CONFIG_RULES = (Rule(("retry_timeout_us",), float, gt=0),
+                       Rule(("max_retries",), int, ge=0))
 
 
 @dataclass(frozen=True)
@@ -68,14 +77,7 @@ class ReplicationConfig:
     checkpoint_delta_fraction: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.checkpoint_interval_requests < 1:
-            raise ConfigurationError(
-                "checkpoint interval must be >= 1 request")
-        if not 0.0 < self.checkpoint_delta_fraction <= 1.0:
-            raise ConfigurationError(
-                "checkpoint delta fraction must be in (0, 1]")
-        if not self.group:
-            raise ConfigurationError("replica group name required")
+        check_fields(vars(self), CONFIG_RULES)
 
 
 @dataclass(frozen=True)
@@ -110,7 +112,4 @@ class ClientReplicationConfig:
     max_retries: int = 25
 
     def __post_init__(self) -> None:
-        if self.retry_timeout_us <= 0:
-            raise ConfigurationError("retry timeout must be positive")
-        if self.max_retries < 0:
-            raise ConfigurationError("max_retries must be >= 0")
+        check_fields(vars(self), CLIENT_CONFIG_RULES)

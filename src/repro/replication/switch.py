@@ -17,33 +17,24 @@ III. SWITCH — the final checkpoint (or its absence, if the primary
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.replication.styles import ReplicationStyle
 
 
-class SwitchPhase(enum.Enum):
-    """Progress of an in-flight style switch at one replica."""
-    PREPARING = "preparing"
-    COMPLETE = "complete"
-    ROLLED_BACK = "rolled_back"
-
-
 @dataclass
 class SwitchState:
-    """One replica's view of an in-flight switch."""
+    """One replica's view of an in-flight switch (step II until step
+    III ends it; the finished switch is kept as a :class:`SwitchRecord`)."""
 
     switch_id: str
     from_style: ReplicationStyle
     target: ReplicationStyle
     started_at: float
-    phase: SwitchPhase = SwitchPhase.PREPARING
     #: Warm-passive → active: set when the "one more checkpoint"
     #: (Fig. 5 case 1) has been observed.
     final_checkpoint_seen: bool = False
-    completed_at: Optional[float] = None
     #: Telemetry trace context covering the switch (None when
     #: telemetry is off); the root span is closed at step III.
     trace_ctx: Optional[Any] = None
@@ -54,12 +45,6 @@ class SwitchState:
         state to replicas that will start executing."""
         return (self.from_style.is_passive
                 and self.target is ReplicationStyle.ACTIVE)
-
-    def duration_us(self) -> Optional[float]:
-        """Switch duration, or None while still in progress."""
-        if self.completed_at is None:
-            return None
-        return self.completed_at - self.started_at
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from repro.experiments.testbed import Testbed
 from repro.orb import CounterServant
 from repro.replication import ReplicationStyle
 from repro.workload import ClosedLoopClient
+from tests.support import live_primary
 
 
 class TestShardSpec:
@@ -194,7 +195,7 @@ class TestDeadShard:
         assert final.shards == ("shard0",)
         assert all(final.owner_of(k) == "shard0" for k in keys)
         # The survivor materialized servants for the adopted keys.
-        primary = cluster.shards["shard0"].primary_replica
+        primary = live_primary(cluster.shards["shard0"])
         assert primary is not None
         assert set(keys) <= set(primary.orb_server.servant_keys)
         # The router learned the shrunken map and still serves all keys.

@@ -14,7 +14,7 @@ def cluster():
 def test_join_delivers_view_with_self(cluster):
     _, client = cluster.client("h1", "app")
     listener = RecordingListener()
-    client.join("grp", listener)
+    client.join("grp", listener.on_message, listener.on_view)
     cluster.run(50_000)
     assert listener.views, "no view delivered"
     assert any("app" in m for m in listener.views[-1][1])
@@ -24,8 +24,8 @@ def test_two_members_see_each_other(cluster):
     _, c1 = cluster.client("h1", "a")
     _, c2 = cluster.client("h2", "b")
     l1, l2 = RecordingListener(), RecordingListener()
-    c1.join("grp", l1)
-    c2.join("grp", l2)
+    c1.join("grp", l1.on_message, l1.on_view)
+    c2.join("grp", l2.on_message, l2.on_view)
     cluster.run(50_000)
     assert len(l1.member_sets[-1]) == 2
     assert l1.member_sets[-1] == l2.member_sets[-1]
@@ -33,17 +33,17 @@ def test_two_members_see_each_other(cluster):
 
 def test_double_join_rejected(cluster):
     _, client = cluster.client("h1", "app")
-    client.join("grp", RecordingListener())
+    client.join("grp", RecordingListener().on_message)
     with pytest.raises(GroupCommunicationError):
-        client.join("grp", RecordingListener())
+        client.join("grp", RecordingListener().on_message)
 
 
 def test_leave_removes_member(cluster):
     _, c1 = cluster.client("h1", "a")
     _, c2 = cluster.client("h2", "b")
     l1, l2 = RecordingListener(), RecordingListener()
-    c1.join("grp", l1)
-    c2.join("grp", l2)
+    c1.join("grp", l1.on_message, l1.on_view)
+    c2.join("grp", l2.on_message, l2.on_view)
     cluster.run(50_000)
     c1.leave("grp")
     cluster.run(50_000)
@@ -63,7 +63,7 @@ def test_agreed_multicast_reaches_all_members(cluster):
     for i, host in enumerate(["h1", "h2", "h3"]):
         _, c = cluster.client(host, f"m{i}")
         listener = RecordingListener()
-        c.join("grp", listener)
+        c.join("grp", listener.on_message, listener.on_view)
         listeners.append(listener)
         clients.append(c)
     cluster.run(50_000)
@@ -76,7 +76,7 @@ def test_agreed_multicast_reaches_all_members(cluster):
 def test_sender_receives_own_multicast(cluster):
     _, c = cluster.client("h1", "solo")
     listener = RecordingListener()
-    c.join("grp", listener)
+    c.join("grp", listener.on_message, listener.on_view)
     cluster.run(50_000)
     c.multicast("grp", "echo", nbytes=10)
     cluster.run(50_000)
@@ -92,7 +92,7 @@ def test_total_order_identical_at_all_members(cluster):
     for i, host in enumerate(["h1", "h2", "h3"]):
         _, c = cluster.client(host, f"m{i}")
         listener = RecordingListener()
-        c.join("grp", listener)
+        c.join("grp", listener.on_message, listener.on_view)
         listeners.append(listener)
         clients.append(c)
     cluster.run(50_000)
@@ -109,7 +109,7 @@ def test_open_group_send_from_non_member(cluster):
     _, server = cluster.client("h1", "server")
     _, outsider = cluster.client("h2", "client")
     listener = RecordingListener()
-    server.join("grp", listener)
+    server.join("grp", listener.on_message, listener.on_view)
     cluster.run(50_000)
     outsider.multicast("grp", "request", nbytes=64)
     cluster.run(50_000)
@@ -142,8 +142,8 @@ def test_watch_sees_views_without_membership(cluster):
     _, server = cluster.client("h1", "server")
     _, watcher = cluster.client("h2", "watcher")
     wlistener = RecordingListener()
-    watcher.watch("grp", wlistener)
-    server.join("grp", RecordingListener())
+    watcher.watch("grp", wlistener.on_view)
+    server.join("grp", RecordingListener().on_message)
     cluster.run(50_000)
     assert wlistener.views, "watcher saw no view"
     assert "server" in str(wlistener.member_sets[-1])
@@ -155,11 +155,11 @@ def test_watch_sees_views_without_membership(cluster):
 
 def test_watch_existing_group_delivers_current_view(cluster):
     _, server = cluster.client("h1", "server")
-    server.join("grp", RecordingListener())
+    server.join("grp", RecordingListener().on_message)
     cluster.run(50_000)
     _, watcher = cluster.client("h2", "watcher")
     wlistener = RecordingListener()
-    watcher.watch("grp", wlistener)
+    watcher.watch("grp", wlistener.on_view)
     cluster.run(10_000)
     assert wlistener.views
 
@@ -167,13 +167,13 @@ def test_watch_existing_group_delivers_current_view(cluster):
 def test_messages_before_join_not_delivered(cluster):
     _, sender = cluster.client("h1", "sender")
     slistener = RecordingListener()
-    sender.join("grp", slistener)
+    sender.join("grp", slistener.on_message, slistener.on_view)
     cluster.run(50_000)
     sender.multicast("grp", "early", nbytes=10)
     cluster.run(50_000)
     _, late = cluster.client("h2", "late")
     llistener = RecordingListener()
-    late.join("grp", llistener)
+    late.join("grp", llistener.on_message, llistener.on_view)
     cluster.run(50_000)
     assert "early" not in llistener.payloads
 
@@ -194,18 +194,18 @@ def test_negative_multicast_size_rejected(cluster):
 def test_current_view_tracks_latest(cluster):
     _, c1 = cluster.client("h1", "a")
     _, c2 = cluster.client("h2", "b")
-    c1.join("grp", RecordingListener())
+    listener = RecordingListener()
+    c1.join("grp", listener.on_message, listener.on_view)
     cluster.run(50_000)
-    c2.join("grp", RecordingListener())
+    c2.join("grp", RecordingListener().on_message)
     cluster.run(50_000)
-    view = c1.current_view("grp")
-    assert view is not None and len(view) == 2
+    assert listener.member_sets[-1] == (str(c1.member), str(c2.member))
 
 
 def test_multicast_generates_network_traffic(cluster):
     _, a = cluster.client("h1", "a")
     _, b = cluster.client("h2", "b")
-    b.join("grp", RecordingListener())
+    b.join("grp", RecordingListener().on_message)
     cluster.run(50_000)
     before = cluster.network.stats.total_bytes
     a.multicast("grp", "payload", nbytes=1000)

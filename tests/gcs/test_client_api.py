@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import GroupCommunicationError
-from repro.gcs import CallbackListener
 from tests.support import Cluster, RecordingListener
 
 
@@ -20,27 +19,37 @@ def test_member_identity_fields(cluster):
     assert str(client.member) == f"app#{proc.pid}@h1"
 
 
-def test_callback_listener_adapter(cluster):
+def test_join_without_on_view_delivers_messages(cluster):
     _, sender = cluster.client("h1", "s")
     _, receiver = cluster.client("h2", "r")
-    messages, views = [], []
-    receiver.join("grp", CallbackListener(
-        on_message=lambda group, snd, payload, n: messages.append(payload),
-        on_view=lambda view, joined, left, crashed: views.append(view)))
+    messages = []
+    receiver.join("grp",
+                  lambda group, snd, payload, n: messages.append(payload))
     cluster.run(80_000)
     sender.multicast("grp", "x", nbytes=8)
     cluster.run(80_000)
     assert messages == ["x"]
-    assert views
 
 
-def test_callback_listener_partial(cluster):
-    """Omitting callbacks is fine (events silently dropped)."""
+def test_join_without_on_view_drops_view_changes(cluster):
+    """Omitting ``on_view`` is fine: view changes, the own leave's
+    included, are dropped silently, and the leave still ends the
+    membership."""
     _, client = cluster.client("h1", "app")
-    client.join("grp", CallbackListener())
+    _, other = cluster.client("h2", "other")
+    messages = []
+    client.join("grp",
+                 lambda group, snd, payload, n: messages.append(payload))
+    other.join("grp", RecordingListener().on_message)
     cluster.run(80_000)
-    client.multicast("grp", "x", nbytes=8)
-    cluster.run(80_000)  # no exception
+    other.multicast("grp", "x", nbytes=8)
+    cluster.run(80_000)
+    client.leave("grp")
+    cluster.run(80_000)
+    other.multicast("grp", "y", nbytes=8)
+    cluster.run(80_000)
+    assert messages == ["x"]
+    client.join("grp", RecordingListener().on_message)  # no longer joined
 
 
 def test_direct_handler_replacement(cluster):
@@ -72,8 +81,8 @@ def test_multiple_groups_independent_delivery(cluster):
     _, a = cluster.client("h1", "a")
     _, b = cluster.client("h2", "b")
     la, lb = RecordingListener(), RecordingListener()
-    a.join("alpha", la)
-    b.join("beta", lb)
+    a.join("alpha", la.on_message, la.on_view)
+    b.join("beta", lb.on_message, lb.on_view)
     cluster.run(80_000)
     a.multicast("alpha", "for-alpha", nbytes=8)
     a.multicast("beta", "for-beta", nbytes=8)
@@ -85,12 +94,12 @@ def test_multiple_groups_independent_delivery(cluster):
 def test_rejoin_after_leave(cluster):
     _, client = cluster.client("h1", "app")
     listener1 = RecordingListener()
-    client.join("grp", listener1)
+    client.join("grp", listener1.on_message, listener1.on_view)
     cluster.run(80_000)
     client.leave("grp")
     cluster.run(80_000)
     listener2 = RecordingListener()
-    client.join("grp", listener2)
+    client.join("grp", listener2.on_message, listener2.on_view)
     cluster.run(80_000)
     client.multicast("grp", "second-life", nbytes=8)
     cluster.run(80_000)
@@ -103,9 +112,9 @@ def test_watch_then_join_same_group(cluster):
     _, other = cluster.client("h2", "other")
     watch_listener = RecordingListener()
     member_listener = RecordingListener()
-    server.watch("grp", watch_listener)
-    server.join("grp", member_listener)
-    other.join("grp", RecordingListener())
+    server.watch("grp", watch_listener.on_view)
+    server.join("grp", member_listener.on_message, member_listener.on_view)
+    other.join("grp", RecordingListener().on_message)
     cluster.run(80_000)
     # Both the watcher view stream and the member view stream flow.
     assert watch_listener.views

@@ -234,7 +234,7 @@ class TestDetectorsInTheDaemon:
         for host, name in (("h2", "b"), ("h3", "c")):
             _, c = cluster.client(host, name)
             listener = RecordingListener()
-            c.join("grp", listener)
+            c.join("grp", listener.on_message, listener.on_view)
             clients.append(c)
             listeners.append(listener)
         cluster.run(100_000)

@@ -20,7 +20,7 @@ def _joined(cluster, specs):
     for host, name in specs:
         _, c = cluster.client(host, name)
         listener = RecordingListener()
-        c.join("grp", listener)
+        c.join("grp", listener.on_message, listener.on_view)
         clients.append(c)
         listeners.append(listener)
     cluster.run(80_000)
@@ -172,7 +172,7 @@ class TestMessageLoss:
         _, sender = cluster.client("h1", "s")
         _, receiver = cluster.client("h2", "r")
         listener = RecordingListener()
-        receiver.join("grp", listener)
+        receiver.join("grp", listener.on_message, listener.on_view)
         cluster.run(80_000)
         cluster.network.add_loss_model(RandomLoss(0.3))
         for i in range(20):
@@ -187,7 +187,7 @@ class TestMessageLoss:
         _, sender = cluster.client("h1", "s")
         _, receiver = cluster.client("h2", "r")
         listener = RecordingListener()
-        receiver.join("grp", listener)
+        receiver.join("grp", listener.on_message, listener.on_view)
         cluster.run(80_000)
         cluster.network.add_loss_model(RandomLoss(0.25))
         for i in range(15):
@@ -204,7 +204,7 @@ class TestMessageLoss:
         for host, name in [("h1", "a"), ("h2", "b")]:
             _, c = cluster.client(host, name)
             listener = RecordingListener()
-            c.join("grp", listener)
+            c.join("grp", listener.on_message, listener.on_view)
             clients.append(c)
             listeners.append(listener)
         cluster.run(80_000)
@@ -229,7 +229,7 @@ class TestDeterminism:
             for host, name in [("h1", "a"), ("h2", "b"), ("h3", "c")]:
                 _, c = cluster.client(host, name)
                 listener = RecordingListener()
-                c.join("grp", listener)
+                c.join("grp", listener.on_message, listener.on_view)
                 clients.append(c)
                 listeners.append(listener)
             cluster.run(80_000)

@@ -17,7 +17,7 @@ def _joined(cluster, specs):
     for host, name in specs:
         _, c = cluster.client(host, name)
         listener = RecordingListener()
-        c.join("grp", listener)
+        c.join("grp", listener.on_message, listener.on_view)
         clients.append(c)
         listeners.append(listener)
     cluster.run(80_000)
@@ -122,7 +122,7 @@ def test_group_joins_during_view_change_complete_after():
     cluster.run(100_000)  # crash detected soon; join races the flush
     _, late = cluster.client("h3", "late")
     late_listener = RecordingListener()
-    late.join("grp", late_listener)
+    late.join("grp", late_listener.on_message, late_listener.on_view)
     cluster.run(4 * FAILOVER_US)
     final = listeners[0].member_sets[-1]
     assert any("late" in m for m in final)

@@ -26,7 +26,7 @@ def test_survivors_converge_on_views_and_deliveries(plan, seed):
     for i, host in enumerate(HOSTS):
         _, c = cluster.client(host, f"m{i}")
         listener = RecordingListener()
-        c.join("grp", listener)
+        c.join("grp", listener.on_message, listener.on_view)
         clients.append(c)
         listeners.append(listener)
     cluster.run(80_000)

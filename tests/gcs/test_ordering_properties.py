@@ -17,7 +17,7 @@ def _three_member_rig(seed):
     for i, host in enumerate(["h1", "h2", "h3"]):
         _, c = cluster.client(host, f"m{i}")
         listener = RecordingListener()
-        c.join("grp", listener)
+        c.join("grp", listener.on_message, listener.on_view)
         clients.append(c)
         listeners.append(listener)
     cluster.run(80_000)

@@ -30,16 +30,19 @@ def _small_history() -> SubstrateCalibration:
 
 
 def _count_group_deliveries(replica) -> Counter:
-    """Request id -> times the replica was delivered it on the group."""
+    """Request id -> times the replica was delivered it on the group.
+
+    The GCS client holds the replicator's bound group handler from
+    ``start()`` on, so the spy wraps the request intake it calls."""
     delivered: Counter = Counter()
-    deliver = replica.replicator._on_group_message
+    receive = replica.replicator._receive_request
 
-    def spy(sender, payload) -> None:
-        if isinstance(payload, RepRequest):
-            delivered[payload.request.request_id] += 1
-        deliver(sender, payload)
+    def spy(rep: RepRequest, via_group: bool) -> None:
+        if via_group:
+            delivered[rep.request.request_id] += 1
+        receive(rep, via_group)
 
-    replica.replicator._on_group_message = spy
+    replica.replicator._receive_request = spy
     return delivered
 
 

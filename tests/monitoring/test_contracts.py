@@ -112,7 +112,6 @@ class TestMonitorTransitions:
             (6.0, ContractStatus.WARNING),
             (7.0, ContractStatus.HONOURED)]
         assert monitor.status("lat") is ContractStatus.HONOURED
-        assert monitor.all_honoured
 
     def test_steady_state_emits_no_events(self):
         monitor = self.ramp_monitor()

@@ -51,13 +51,13 @@ class TestContracts:
         assert [e.status for e in monitor.events] == [
             ContractStatus.VIOLATED, ContractStatus.HONOURED]
 
-    def test_all_honoured_property(self):
+    def test_status_follows_the_last_evaluation(self):
         monitor = ContractMonitor([
             Contract("lat", "latency_mean_us", limit=1000.0)])
         monitor.evaluate(self._snap(100))
-        assert monitor.all_honoured
+        assert monitor.status("lat") is ContractStatus.HONOURED
         monitor.evaluate(self._snap(5000))
-        assert not monitor.all_honoured
+        assert monitor.status("lat") is ContractStatus.VIOLATED
 
     def test_duplicate_contract_name_rejected(self):
         monitor = ContractMonitor([

@@ -279,3 +279,38 @@ def test_a_request_running_at_a_checkpoint_runs_at_the_new_primary():
     heir = replicas[1]
     assert heir.replicator.is_primary
     assert heir.servants["counter"].value == 111
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "a periodic checkpoint captures a request the ORB already "
+    "dispatched but the replicator has not answered: its state holds "
+    "the effect, its sessions do not, so the retry runs again at the "
+    "new primary (ROADMAP item 21)"))
+def test_a_dispatched_request_in_a_periodic_checkpoint_runs_once():
+    """Two clients' ``add``s are admitted at once.  The checkpoint the
+    first answer triggers is captured after the ORB has dispatched the
+    second, so its state already holds the second's effect.  The
+    primary crashes 1 us after multicasting it, before the second is
+    answered; the second's retry must not run again at the heir."""
+    testbed, replicas, clients = build_rig(
+        WARM, n_clients=2, checkpoint_interval=1,
+        servant_factory=lambda: CounterServant(processing_us=50_000.0))
+    call(testbed, clients[0], "add", 1)
+    primary = replicas[0].replicator
+    multicast = primary.gcs.multicast
+    crash_at = []
+
+    def crash_after_first_checkpoint(group, payload, nbytes):
+        multicast(group, payload, nbytes)
+        if isinstance(payload, Checkpoint) and not crash_at:
+            crash_at.append(testbed.now + 1.0)
+            testbed.sim.schedule_at(crash_at[0], replicas[0].crash)
+
+    primary.gcs.multicast = crash_after_first_checkpoint
+    first = fire(clients[0], "add", 10)
+    second = fire(clients[1], "add", 100)
+    testbed.run(4 * FAILOVER_US)
+    assert crash_at and not replicas[0].alive
+    assert first and first[0].payload == 11
+    assert second and second[0].payload == 111
+    assert counter_values(replicas) == [111, 111]

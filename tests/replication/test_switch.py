@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import AdaptationError
-from repro.replication import ReplicationStyle, SwitchPhase
+from repro.replication import ReplicationStyle
 from tests.replication.helpers import (
     FAILOVER_US,
     build_rig,

@@ -83,7 +83,8 @@ class Cluster:
 
 
 class RecordingListener:
-    """GroupListener that records everything it sees."""
+    """Records every message and view a GCS client hands to its
+    ``on_message`` / ``on_view`` bound methods."""
 
     def __init__(self) -> None:
         self.messages: List[Tuple[str, str, object]] = []
@@ -103,3 +104,10 @@ class RecordingListener:
     @property
     def member_sets(self) -> List[Tuple[str, ...]]:
         return [members for _, members, _ in self.views]
+
+
+def live_primary(shard):
+    """The live replica acting as primary of a deployed shard (a
+    ``ShardDeployment``), or None."""
+    return next((replica for replica in shard.replicas
+                 if replica.alive and replica.replicator.is_primary), None)

@@ -68,13 +68,6 @@ ALLOWED: Dict[str, str] = {
         "fixture: a rate step for the adaptation tests",
     "repro.workload.profiles:RampProfile":
         "fixture: a rate ramp for the adaptation tests",
-    # Inspection accessors.
-    "repro.gcs.client:GcsClient.current_view":
-        "accessor: a client's installed view, for inspection",
-    "repro.cluster.deploy:ShardDeployment.primary_replica":
-        "accessor: a shard's live primary",
-    "repro.monitoring.contracts:ContractMonitor.all_honoured":
-        "accessor: whether every contract is honoured",
     # The paper's knobs, which ROADMAP item 7 decides on.
     "repro.core.realtime:RealTimeKnob":
         "paper knob: Table 1 real-time knob, ROADMAP item 7",

@@ -18,6 +18,7 @@ from repro.workload import (
     StepProfile,
 )
 from tests.replication.helpers import build_rig
+from tests.support import live_primary
 
 
 class TestZeroRateSegments:
@@ -123,7 +124,7 @@ class TestClosedLoopAcrossMigration:
         assert loader.done
         # Request i targeted keys[i % 2]: each counter took 5 adds.
         for shard, key in (("shard0", "k0"), ("shard1", "k1")):
-            primary = cluster.shards[shard].primary_replica
+            primary = live_primary(cluster.shards[shard])
             assert primary.orb_server.servant(key).value == 5
 
     def test_object_keys_must_be_non_empty(self):
