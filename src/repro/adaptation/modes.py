@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.errors import AdaptationError, ContractViolation
+from repro.errors import AdaptationError, ContractViolation, Rule, check_fields
 from repro.monitoring.contracts import Contract, ContractMonitor, ContractStatus
 from repro.monitoring.sensors import MetricsSnapshot
 from repro.replication.styles import ReplicationStyle
@@ -39,10 +39,9 @@ class OperatingMode:
     checkpoint_interval: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.n_replicas < 1:
-            raise AdaptationError("a mode needs at least one replica")
-        if not self.name:
-            raise AdaptationError("modes must be named")
+        check_fields(vars(self), (Rule(("name",), str, ge=1),
+                                  Rule(("n_replicas",), int, ge=1)),
+                     AdaptationError)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from typing import List, Sequence, Tuple
 
 from repro.campaign.results import DependabilityScore
 from repro.core.design_space import DesignPoint, DesignSpace
-from repro.errors import ConfigurationError, PolicyError
+from repro.errors import ConfigurationError, PolicyError, Rule, check_fields
 from repro.replication.styles import ReplicationStyle
 
 
@@ -52,8 +52,8 @@ class RankWeights:
     resources: float = 0.25
 
     def __post_init__(self) -> None:
-        if min(self.dependability, self.latency, self.resources) < 0:
-            raise ConfigurationError("rank weights must be non-negative")
+        check_fields(vars(self), (Rule(("dependability", "latency",
+                                        "resources"), float, ge=0),))
         if self.dependability + self.latency + self.resources <= 0:
             raise ConfigurationError("at least one weight must be positive")
 

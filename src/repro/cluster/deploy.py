@@ -26,7 +26,7 @@ from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.partition import PartitionMap, build_map
 from repro.cluster.router import ShardRouter
 from repro.core.policies import ThresholdSwitchPolicy
-from repro.errors import ClusterError
+from repro.errors import ClusterError, Rule, check_fields
 from repro.experiments.testbed import Replica, Testbed
 from repro.gcs.client import GcsClient
 from repro.orb import OrbClient, OrbServer, Servant
@@ -62,10 +62,8 @@ class ShardSpec:
 
     def __post_init__(self) -> None:
         """Validate shape (frozen dataclass, so only checks here)."""
-        if not self.name:
-            raise ClusterError("a shard needs a name")
-        if self.n_replicas < 1:
-            raise ClusterError("a shard needs >= 1 replica")
+        check_fields(vars(self), (Rule(("name",), str, ge=1), Rule((
+            "n_replicas", "checkpoint_interval"), int, ge=1)), ClusterError)
         if self.hosts is not None and len(self.hosts) < self.n_replicas:
             raise ClusterError("fewer placement hosts than replicas")
 

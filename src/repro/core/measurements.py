@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.errors import PolicyError
+from repro.errors import PolicyError, Rule, check_fields
 from repro.replication.styles import ReplicationStyle
 
 
@@ -56,10 +56,10 @@ class Measurement:
     throughput_per_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.n_clients < 1:
-            raise PolicyError("n_clients must be >= 1")
-        if self.latency_us < 0 or self.bandwidth_mbps < 0:
-            raise PolicyError("measurements must be non-negative")
+        check_fields(vars(self), (
+            Rule(("n_clients",), int, ge=1),
+            Rule(("latency_us", "jitter_us", "bandwidth_mbps",
+                  "throughput_per_s"), float, ge=0)), PolicyError)
 
 
 class Profile:

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional
 
 from repro.core.cost import Constraints, CostFunction
 from repro.core.measurements import ConfigPoint, Profile
-from repro.errors import ContractViolation, PolicyError
+from repro.errors import ContractViolation, PolicyError, Rule, check_fields
 from repro.replication.styles import ReplicationStyle
 
 
@@ -128,10 +128,10 @@ class ThresholdSwitchPolicy:
     low_style: ReplicationStyle = ReplicationStyle.WARM_PASSIVE
 
     def __post_init__(self) -> None:
+        check_fields(vars(self), (Rule(("rate_high_per_s", "rate_low_per_s"),
+                                       float, ge=0),), PolicyError)
         if self.rate_low_per_s > self.rate_high_per_s:
             raise PolicyError("low threshold must not exceed high")
-        if not (self.rate_low_per_s >= 0 and self.rate_high_per_s >= 0):
-            raise PolicyError("thresholds must be numbers >= 0")
 
     def decide(self, current: ReplicationStyle,
                rate_per_s: float) -> Optional[ReplicationStyle]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.measurements import Measurement, Profile
-from repro.errors import ContractViolation, PolicyError
+from repro.errors import ContractViolation, PolicyError, Rule, check_fields
 
 
 @dataclass(frozen=True)
@@ -31,10 +31,9 @@ class RealTimeRequirement:
     confidence: float = 0.99
 
     def __post_init__(self) -> None:
-        if self.deadline_us <= 0:
-            raise PolicyError("deadline must be positive")
-        if not 0.0 < self.confidence < 1.0:
-            raise PolicyError("confidence must be in (0, 1)")
+        check_fields(vars(self), (Rule(("deadline_us",), float, gt=0),
+                                  Rule(("confidence",), float, gt=0, lt=1)),
+                     PolicyError)
 
 
 def deadline_meet_probability(mean_us: float, jitter_us: float,

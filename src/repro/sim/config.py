@@ -64,7 +64,8 @@ HOST_RULES = (
 )
 TELEMETRY_RULES = (
     Rule(("enabled",), bool),
-    Rule(("max_spans",), int, ge=1),
+    # Span ids sit in 4-byte unsigned columns.
+    Rule(("max_spans",), int, ge=1, le=0xFFFF_FFFF),
 )
 JOURNAL_RULES = (
     Rule(("enabled",), bool),

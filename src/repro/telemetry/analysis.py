@@ -52,8 +52,14 @@ def trace_component_us(trace_spans: Iterable[Span]) -> Dict[str, float]:
 
 def completed_traces(spans: Iterable[Span]) -> Dict[str, List[Span]]:
     """Traces whose root span finished (the round trip completed)."""
+    return _completed(spans_by_trace(spans))
+
+
+def _completed(grouped: Dict[str, List[Span]]) -> Dict[str, List[Span]]:
+    """The traces of ``grouped`` (spans by trace id) whose root span
+    finished."""
     complete: Dict[str, List[Span]] = {}
-    for trace_id, trace_spans in spans_by_trace(spans).items():
+    for trace_id, trace_spans in grouped.items():
         roots = [s for s in trace_spans if s.is_root]
         if roots and all(r.finished for r in roots):
             complete[trace_id] = trace_spans
@@ -70,7 +76,11 @@ def component_breakdown(spans: Iterable[Span]) -> Dict[str, float]:
     Fig. 3 configuration (one client, one replica) it is the
     client-visible path.
     """
-    complete = completed_traces(spans)
+    return _mean_breakdown(completed_traces(spans))
+
+
+def _mean_breakdown(complete: Dict[str, List[Span]]) -> Dict[str, float]:
+    """Mean exclusive time per component over the ``complete`` traces."""
     totals = {component: 0.0 for component in ALL_COMPONENTS}
     for trace_spans in complete.values():
         for component, micros in trace_component_us(trace_spans).items():
@@ -220,15 +230,16 @@ def telemetry_summary(telemetry) -> Dict[str, object]:
     of the finished root ``request`` spans.
     """
     spans = list(telemetry.spans)
-    complete = completed_traces(spans)
+    grouped = spans_by_trace(spans)
+    complete = _completed(grouped)
     summary: Dict[str, object] = {
         "spans": len(spans),
         "open_spans": sum(1 for s in spans if not s.finished),
         "dropped": telemetry.dropped,
-        "traces": len(spans_by_trace(spans)),
+        "traces": len(grouped),
         "traces_completed": len(complete),
         "breakdown_us": {k: round(v, 3)
-                         for k, v in component_breakdown(spans).items()},
+                         for k, v in _mean_breakdown(complete).items()},
     }
     latencies = sorted(s.duration_us for s in spans
                        if s.is_root and s.name == "request" and s.finished)

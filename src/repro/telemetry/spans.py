@@ -112,32 +112,41 @@ class Span:
 
 
 class SpanRows(Sequence[Span]):
-    """The recorded spans, one row each in parallel typed columns.
+    """The recorded spans: four 4-byte codes and two doubles per row.
 
     Only :class:`Telemetry` appends rows; readers see a read-only
     sequence of :class:`Span` values.  A span's id is its row number
-    + 1, start and end times are C doubles (NaN in ``end_us`` marks an
-    open span), and ``attrs`` holds each distinct payload once, as a
-    shared tuple of items, or ``None`` when empty.  Indexing and
-    iteration build each :class:`Span` on demand with a fresh attrs
-    dict, so a reader can never alter what was recorded.  ``len()``
-    reads the columns and builds nothing.
+    + 1, and its row holds
+
+    - ``trace``: an index into ``trace_ids``;
+    - ``parent_id`` (0 for a root span);
+    - ``site``: an index into ``sites``, the distinct
+      ``(name, component, host, process, kind)`` tuples;
+    - ``attrs``: an index into ``payloads``, each distinct payload
+      once as a tuple of items (entry 0, ``()``, is "no attrs");
+    - ``start_us`` and ``end_us``, C doubles (NaN in ``end_us`` marks
+      an open span).
+
+    A run records a few hundred sites and payloads, so a row costs
+    32 B plus its share of one trace id.  Indexing and iteration build
+    each :class:`Span` on demand with a fresh attrs dict, so a reader
+    can never alter what was recorded.  ``len()`` reads the columns
+    and builds nothing.
     """
 
-    __slots__ = ("trace_id", "parent_id", "name", "component", "host",
-                 "process", "start_us", "end_us", "kind", "attrs")
+    __slots__ = ("trace", "parent_id", "site", "attrs", "start_us",
+                 "end_us", "trace_ids", "sites", "payloads")
 
     def __init__(self) -> None:
-        self.trace_id: List[str] = []
-        self.parent_id = array("q")
-        self.name: List[str] = []
-        self.component: List[str] = []
-        self.host: List[str] = []
-        self.process: List[str] = []
+        self.trace = array("I")
+        self.parent_id = array("I")
+        self.site = array("I")
+        self.attrs = array("I")
         self.start_us = array("d")
         self.end_us = array("d")
-        self.kind: List[str] = []
-        self.attrs: List[Any] = []
+        self.trace_ids: List[str] = []
+        self.sites: List[Tuple[str, str, str, str, str]] = []
+        self.payloads: List[Tuple[Tuple[str, Any], ...]] = [()]
 
     def __len__(self) -> int:
         return len(self.start_us)
@@ -154,13 +163,12 @@ class SpanRows(Sequence[Span]):
             yield self._span(i)
 
     def _span(self, i: int) -> Span:
+        name, component, host, process, kind = self.sites[self.site[i]]
         end = self.end_us[i]
-        attrs = self.attrs[i]
-        return Span(i + 1, self.trace_id[i], self.parent_id[i],
-                    self.name[i], self.component[i], self.host[i],
-                    self.process[i], self.start_us[i],
-                    None if end != end else end, self.kind[i],
-                    {} if attrs is None else dict(attrs))
+        return Span(i + 1, self.trace_ids[self.trace[i]], self.parent_id[i],
+                    name, component, host, process, self.start_us[i],
+                    None if end != end else end, kind,
+                    dict(self.payloads[self.attrs[i]]))
 
 
 class Telemetry:
@@ -178,17 +186,22 @@ class Telemetry:
         self.max_spans = max_spans
         self.spans = SpanRows()
         self.dropped = 0
-        # (items, value types) -> the one shared items tuple; the
-        # types keep 1, 1.0 and True from sharing a payload.
-        self._payloads: Dict[Tuple[Any, ...], Tuple[Any, ...]] = {}
+        # The code of each trace id, site and hashable payload: the
+        # inverses of the tables in ``spans``.  A payload's key holds
+        # its value types, which keep 1, 1.0 and True from sharing.
+        self._trace_codes: Dict[str, int] = {}
+        self._site_codes: Dict[Tuple[str, str, str, str, str], int] = {}
+        self._payload_codes: Dict[Tuple[Any, ...], int] = {}
 
     # ------------------------------------------------------------------
     # Span lifecycle
     # ------------------------------------------------------------------
     # Every opener below appends its row inline, one column at a time,
     # and returns the new span's id: these run ~20 times per request
-    # when telemetry is on, so they call no Python helper.  A span past
-    # ``max_spans`` is not stored, only counted in ``dropped``.
+    # when telemetry is on, so they call no Python helper.  A table code
+    # is a dict subscript; a miss appends a new entry.  An unhashable
+    # payload gets an entry of its own.  A span past ``max_spans`` is
+    # not stored, only counted in ``dropped``.
     def start_trace(self, trace_id: str, name: str = "request",
                     host: str = "", process: str = "",
                     now: float = 0.0,
@@ -199,25 +212,34 @@ class Telemetry:
         if span_id > self.max_spans:
             self.dropped += 1
             return None
+        code = self._trace_codes.get(trace_id)
+        if code is None:  # a new trace, the common case here
+            code = self._trace_codes[trace_id] = len(rows.trace_ids)
+            rows.trace_ids.append(trace_id)
+        rows.trace.append(code)
+        rows.parent_id.append(0)
+        site = (name, NO_COMPONENT, host, process, KIND_MEASURED)
+        try:
+            code = self._site_codes[site]
+        except KeyError:
+            code = self._site_codes[site] = len(rows.sites)
+            rows.sites.append(site)
+        rows.site.append(code)
+        code = 0
         if attrs:
             items = tuple(attrs.items())
+            key = (items, tuple(map(type, attrs.values())))
             try:
-                attrs = self._payloads.setdefault(
-                    (items, tuple(map(type, attrs.values()))), items)
-            except TypeError:  # an unhashable value: keep the dict
-                pass
-        else:
-            attrs = None
-        rows.trace_id.append(trace_id)
-        rows.parent_id.append(0)
-        rows.name.append(name)
-        rows.component.append(NO_COMPONENT)
-        rows.host.append(host)
-        rows.process.append(process)
+                code = self._payload_codes[key]
+            except KeyError:
+                code = self._payload_codes[key] = len(rows.payloads)
+                rows.payloads.append(items)
+            except TypeError:  # unhashable: an entry of its own
+                code = len(rows.payloads)
+                rows.payloads.append(items)
+        rows.attrs.append(code)
         rows.start_us.append(now)
         rows.end_us.append(_OPEN)
-        rows.kind.append(KIND_MEASURED)
-        rows.attrs.append(attrs)
         return TraceContext(trace_id, span_id, span_id)
 
     def begin(self, ctx: Optional[TraceContext], name: str,
@@ -231,25 +253,35 @@ class Telemetry:
         if span_id > self.max_spans:
             self.dropped += 1
             return None
+        try:
+            code = self._trace_codes[ctx.trace_id]
+        except KeyError:
+            code = self._trace_codes[ctx.trace_id] = len(rows.trace_ids)
+            rows.trace_ids.append(ctx.trace_id)
+        rows.trace.append(code)
+        rows.parent_id.append(ctx.span_id)
+        site = (name, component, host, process, KIND_MEASURED)
+        try:
+            code = self._site_codes[site]
+        except KeyError:
+            code = self._site_codes[site] = len(rows.sites)
+            rows.sites.append(site)
+        rows.site.append(code)
+        code = 0
         if attrs:
             items = tuple(attrs.items())
+            key = (items, tuple(map(type, attrs.values())))
             try:
-                attrs = self._payloads.setdefault(
-                    (items, tuple(map(type, attrs.values()))), items)
-            except TypeError:  # an unhashable value: keep the dict
-                pass
-        else:
-            attrs = None
-        rows.trace_id.append(ctx.trace_id)
-        rows.parent_id.append(ctx.span_id)
-        rows.name.append(name)
-        rows.component.append(component)
-        rows.host.append(host)
-        rows.process.append(process)
+                code = self._payload_codes[key]
+            except KeyError:
+                code = self._payload_codes[key] = len(rows.payloads)
+                rows.payloads.append(items)
+            except TypeError:  # unhashable: an entry of its own
+                code = len(rows.payloads)
+                rows.payloads.append(items)
+        rows.attrs.append(code)
         rows.start_us.append(now)
         rows.end_us.append(_OPEN)
-        rows.kind.append(KIND_MEASURED)
-        rows.attrs.append(attrs)
         return span_id
 
     def end(self, span_id: Optional[int], now: float) -> None:
@@ -273,25 +305,35 @@ class Telemetry:
         if span_id > self.max_spans:
             self.dropped += 1
             return None
+        try:
+            code = self._trace_codes[ctx.trace_id]
+        except KeyError:
+            code = self._trace_codes[ctx.trace_id] = len(rows.trace_ids)
+            rows.trace_ids.append(ctx.trace_id)
+        rows.trace.append(code)
+        rows.parent_id.append(ctx.span_id)
+        site = (name, component, host, process, kind)
+        try:
+            code = self._site_codes[site]
+        except KeyError:
+            code = self._site_codes[site] = len(rows.sites)
+            rows.sites.append(site)
+        rows.site.append(code)
+        code = 0
         if attrs:
             items = tuple(attrs.items())
+            key = (items, tuple(map(type, attrs.values())))
             try:
-                attrs = self._payloads.setdefault(
-                    (items, tuple(map(type, attrs.values()))), items)
-            except TypeError:  # an unhashable value: keep the dict
-                pass
-        else:
-            attrs = None
-        rows.trace_id.append(ctx.trace_id)
-        rows.parent_id.append(ctx.span_id)
-        rows.name.append(name)
-        rows.component.append(component)
-        rows.host.append(host)
-        rows.process.append(process)
+                code = self._payload_codes[key]
+            except KeyError:
+                code = self._payload_codes[key] = len(rows.payloads)
+                rows.payloads.append(items)
+            except TypeError:  # unhashable: an entry of its own
+                code = len(rows.payloads)
+                rows.payloads.append(items)
+        rows.attrs.append(code)
         rows.start_us.append(start_us)
         rows.end_us.append(end_us)
-        rows.kind.append(kind)
-        rows.attrs.append(attrs)
         return span_id
 
     # ------------------------------------------------------------------
@@ -315,25 +357,35 @@ class Telemetry:
         if span_id > self.max_spans:
             self.dropped += 1
             return None, ctx
+        try:
+            code = self._trace_codes[ctx.trace_id]
+        except KeyError:
+            code = self._trace_codes[ctx.trace_id] = len(rows.trace_ids)
+            rows.trace_ids.append(ctx.trace_id)
+        rows.trace.append(code)
+        rows.parent_id.append(ctx.span_id)
+        site = (name, component, host, process, KIND_TRANSIT)
+        try:
+            code = self._site_codes[site]
+        except KeyError:
+            code = self._site_codes[site] = len(rows.sites)
+            rows.sites.append(site)
+        rows.site.append(code)
+        code = 0
         if attrs:
             items = tuple(attrs.items())
+            key = (items, tuple(map(type, attrs.values())))
             try:
-                attrs = self._payloads.setdefault(
-                    (items, tuple(map(type, attrs.values()))), items)
-            except TypeError:  # an unhashable value: keep the dict
-                pass
-        else:
-            attrs = None
-        rows.trace_id.append(ctx.trace_id)
-        rows.parent_id.append(ctx.span_id)
-        rows.name.append(name)
-        rows.component.append(component)
-        rows.host.append(host)
-        rows.process.append(process)
+                code = self._payload_codes[key]
+            except KeyError:
+                code = self._payload_codes[key] = len(rows.payloads)
+                rows.payloads.append(items)
+            except TypeError:  # unhashable: an entry of its own
+                code = len(rows.payloads)
+                rows.payloads.append(items)
+        rows.attrs.append(code)
         rows.start_us.append(now)
         rows.end_us.append(_OPEN)
-        rows.kind.append(KIND_TRANSIT)
-        rows.attrs.append(attrs)
         return span_id, ctx.in_transit(span_id)
 
     def finish_inflight(self, ctx: Optional[TraceContext],

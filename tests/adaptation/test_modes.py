@@ -183,3 +183,11 @@ def test_validation():
         OperatingMode(name="", style=A, n_replicas=1)
     with pytest.raises(AdaptationError):
         OperatingMode(name="x", style=A, n_replicas=0)
+
+
+
+@pytest.mark.parametrize("n_replicas", [float("nan"), float("inf"), True,
+                                        2.0])
+def test_mode_replicas_reject_nan_inf_and_bool(n_replicas):
+    with pytest.raises(AdaptationError, match="n_replicas"):
+        OperatingMode(name="x", style=A, n_replicas=n_replicas)

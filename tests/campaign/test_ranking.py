@@ -84,6 +84,14 @@ def test_rank_validates():
         RankWeights(0.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("weights", [(float("nan"), 1, 1),
+                                     (0.5, float("inf"), 0.25),
+                                     (True, 0, 0), (0, 0, True)])
+def test_rank_weights_reject_nan_inf_and_bool(weights):
+    with pytest.raises(ConfigurationError, match="must be a finite number"):
+        RankWeights(*weights)
+
+
 def test_to_design_space_reuses_core_machinery():
     scores = [
         score("a2", 0.9, 1000.0, 0.2, style="active"),

@@ -32,6 +32,14 @@ class TestShardSpec:
         with pytest.raises(ClusterError):
             ShardSpec(name="a", n_replicas=3, hosts=("s01", "s02"))
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_replicas", float("nan")), ("n_replicas", float("inf")),
+        ("n_replicas", True), ("checkpoint_interval", float("nan")),
+        ("checkpoint_interval", True), ("name", True)])
+    def test_rejects_nan_inf_and_bool(self, field, value):
+        with pytest.raises(ClusterError, match=field):
+            ShardSpec(**{"name": "a", field: value})
+
 
 class TestClusterLoad:
     def test_completes_and_rolls_up_per_shard(self):

@@ -147,3 +147,21 @@ class TestThresholdSwitchPolicy:
     def test_nan_thresholds_rejected(self, high, low):
         with pytest.raises(PolicyError):
             ThresholdSwitchPolicy(rate_high_per_s=high, rate_low_per_s=low)
+
+    @pytest.mark.parametrize("high, low", [(float("inf"), 200.0),
+                                           (True, 0.0), (400.0, False)])
+    def test_inf_and_bool_thresholds_rejected(self, high, low):
+        with pytest.raises(PolicyError, match="rate_"):
+            ThresholdSwitchPolicy(rate_high_per_s=high, rate_low_per_s=low)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("latency_us", float("nan")), ("jitter_us", float("inf")),
+    ("bandwidth_mbps", True), ("throughput_per_s", float("nan")),
+    ("n_clients", float("inf")), ("n_clients", True)])
+def test_measurement_rejects_nan_inf_and_bool(field, value):
+    fields = dict(config=ConfigPoint(style=A, n_replicas=2), n_clients=1,
+                  latency_us=1000.0, jitter_us=0.0, bandwidth_mbps=1.0)
+    fields[field] = value
+    with pytest.raises(PolicyError, match=field):
+        Measurement(**fields)

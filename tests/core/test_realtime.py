@@ -116,6 +116,14 @@ class TestRealTimePolicy:
         with pytest.raises(PolicyError):
             RealTimePolicy(Profile())
 
+    @pytest.mark.parametrize("deadline, confidence, field", [
+        (float("nan"), 0.9, "deadline_us"),
+        (float("inf"), 0.9, "deadline_us"), (True, 0.9, "deadline_us"),
+        (100.0, float("nan"), "confidence"), (100.0, True, "confidence")])
+    def test_nan_inf_and_bool_rejected(self, deadline, confidence, field):
+        with pytest.raises(PolicyError, match=field):
+            RealTimeRequirement(deadline_us=deadline, confidence=confidence)
+
 
 class TestRealTimeKnobLive:
     def test_knob_drives_low_level_knobs(self):

@@ -89,7 +89,7 @@ def test_substrate_validate_covers_all_sections():
 
 
 @pytest.mark.parametrize("max_spans", [float("nan"), float("inf"), 2.5,
-                                       True, 0, -3, "10"])
+                                       True, 0, -3, "10", 2**32])
 def test_telemetry_max_spans_must_be_a_positive_int(max_spans):
     with pytest.raises(ConfigurationError, match="max_spans"):
         TelemetryConfig(enabled=True, max_spans=max_spans).validate()
@@ -98,6 +98,7 @@ def test_telemetry_max_spans_must_be_a_positive_int(max_spans):
 def test_telemetry_max_spans_accepts_positive_ints():
     TelemetryConfig(enabled=True, max_spans=1).validate()
     TelemetryConfig(max_spans=200_000).validate()
+    TelemetryConfig(max_spans=2**32 - 1).validate()  # ids fit in 4 bytes
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), 2.5,
