@@ -20,7 +20,7 @@ contract at-most-once.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.errors import ReplicationError
 from repro.gcs.client import GcsClient
@@ -34,7 +34,7 @@ from repro.replication.messages import RepReply
 from repro.replication.styles import ClientReplicationConfig
 from repro.sim.actor import Actor
 from repro.sim.config import InterposeCalibration
-from repro.telemetry.context import context_of, set_context
+from repro.telemetry.spans import KIND_CHARGED
 
 
 def control_group(cluster: str) -> str:
@@ -64,6 +64,9 @@ class ShardRouter(Actor, ClientTransport):
         self.rerouted = 0
         self.stray_replies = 0
         self.map_flips = 0
+        #: ``router.route`` span site codes by (shard, epoch), interned
+        #: on the first traced request of each.
+        self._route_sites: Dict[Tuple[str, int], int] = {}
         # Per-shard client replicators.  Each constructor clobbers the
         # GCS client's single direct-message handler, so the router
         # installs its own handler LAST and demultiplexes replies into
@@ -125,17 +128,21 @@ class ShardRouter(Actor, ClientTransport):
             self._routes[request.request_id] = shard
         telemetry = self.sim.telemetry
         if telemetry.enabled:
-            ctx = context_of(request)
+            ctx = request.trace
             if ctx is not None:
                 # Zero-width charged span: the routing decision itself
                 # costs no simulated time, but the span pins the shard
                 # (and epoch) onto the trace, so the trace of a
                 # re-routed request shows every shard it visited.
-                telemetry.emit(ctx.at_root(), "router.route", "router",
-                               self.sim.now, self.sim.now,
-                               host=self.process.host.name,
-                               process=self.process.name,
-                               shard=shard, epoch=self.map.epoch)
+                key = (shard, self.map.epoch)
+                site = self._route_sites.get(key)
+                if site is None:
+                    site = self._route_sites[key] = telemetry.site(
+                        "router.route", "router", self.process.host.name,
+                        self.process.name, KIND_CHARGED, shard=shard,
+                        epoch=self.map.epoch)
+                telemetry.open(ctx.at_root(), site, self.sim.now,
+                               self.sim.now)
         self._replicators[shard].send_request(request, on_reply)
 
     # ==================================================================
@@ -195,20 +202,19 @@ class ShardRouter(Actor, ClientTransport):
                                    from_shard=shard,
                                    epoch=new_map.epoch)
                 if telemetry.enabled:
-                    ctx = context_of(request)
+                    ctx = request.trace
                     if ctx is not None:
                         # Re-root the carried context so the new
                         # owner's spans hang off the original client
                         # request — one trace across the map flip, not
                         # a trace per shard attempt.
                         ctx = ctx.at_root()
-                        set_context(request, ctx)
-                        telemetry.emit(ctx, "router.reroute", "router",
-                                       self.sim.now, self.sim.now,
-                                       host=self.process.host.name,
-                                       process=self.process.name,
-                                       shard=owner, from_shard=shard,
-                                       epoch=new_map.epoch)
+                        object.__setattr__(request, "trace", ctx)
+                        telemetry.open(ctx, telemetry.site(
+                            "router.reroute", "router",
+                            self.process.host.name, self.process.name,
+                            KIND_CHARGED, shard=owner, from_shard=shard,
+                            epoch=new_map.epoch), self.sim.now, self.sim.now)
                 self._dispatch(owner, request, on_reply)
 
     # ==================================================================

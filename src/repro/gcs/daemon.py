@@ -61,8 +61,7 @@ from repro.net.network import Network
 from repro.sim.actor import Actor
 from repro.sim.config import GcsCalibration
 from repro.sim.host import Process
-from repro.telemetry.context import payload_context
-from repro.telemetry.spans import COMPONENT_GCS
+from repro.telemetry.spans import COMPONENT_GCS, KIND_CHARGED
 
 #: Well-known daemon port (Spread's default).
 GCS_PORT = 4803
@@ -185,6 +184,11 @@ class GcsDaemon(Actor):
         # _rejoiners are wedged peers probing us for re-admission.
         self._wedged = False
         self._rejoiners: Set[str] = set()
+
+        # Span site codes, interned on the first traced frame: the
+        # ``gcsd.process`` hop per peer, and the local-IPC hop.
+        self._hop_sites: Dict[str, int] = {}
+        self._ipc_site: Optional[int] = None
 
         self.set_periodic_timer("liveness", self.cal.heartbeat_interval_us,
                                 self._liveness_tick)
@@ -348,25 +352,28 @@ class GcsDaemon(Actor):
         """In-order reliable delivery from ``peer``: charge daemon CPU
         then dispatch on the message type."""
         telemetry = self.sim.telemetry
-        span_id = None
         if telemetry.enabled:
             # Application frames carry their trace context (read
             # through the payload wrappers); the hop span nests under
             # the in-flight transit span.
-            ctx = payload_context(inner)
+            ctx = getattr(inner, "trace_context", None)
             if ctx is not None:
-                span_id = telemetry.begin(
-                    ctx, "gcsd.process", COMPONENT_GCS,
-                    host=self.host.name, process=self.name,
-                    now=self.sim.now, peer=peer)
-        if span_id is None:
-            self.host.cpu.execute(self.cal.daemon_processing_us,
-                                  self._if_alive, self._dispatch, peer, inner)
-        else:
-            def dispatched() -> None:
-                telemetry.end(span_id, self.sim.now)
-                self._dispatch(peer, inner)
-            self._cpu(dispatched)
+                site = self._hop_sites.get(peer)
+                if site is None:
+                    site = self._hop_sites[peer] = telemetry.site(
+                        "gcsd.process", COMPONENT_GCS, self.host.name,
+                        self.name, peer=peer)
+                span_id = telemetry.open(ctx, site, self.sim.now)
+                if span_id is not None:
+                    self._cpu(self._end_hop, span_id, peer, inner)
+                    return
+        self.host.cpu.execute(self.cal.daemon_processing_us,
+                              self._if_alive, self._dispatch, peer, inner)
+
+    def _end_hop(self, span_id: int, peer: str, inner: Any) -> None:
+        """Close a traced hop's span, then dispatch its message."""
+        self.sim.telemetry.end(span_id, self.sim.now)
+        self._dispatch(peer, inner)
 
     def _cpu(self, fn: Callable[..., None], *args: Any) -> None:
         """Charge one daemon processing job, then run ``fn(*args)``
@@ -613,11 +620,15 @@ class GcsDaemon(Actor):
         (its cost is pure scheduling delay, no CPU involved).  Callers
         check ``telemetry.enabled`` first."""
         telemetry = self.sim.telemetry
-        ctx = payload_context(payload)
+        ctx = getattr(payload, "trace_context", None)
         if ctx is not None:
-            telemetry.emit(ctx, "gcsd.ipc", COMPONENT_GCS,
-                           self.sim.now, self.sim.now + self.cal.local_ipc_us,
-                           host=self.host.name, process=self.name)
+            site = self._ipc_site
+            if site is None:
+                site = self._ipc_site = telemetry.site(
+                    "gcsd.ipc", COMPONENT_GCS, self.host.name, self.name,
+                    KIND_CHARGED)
+            telemetry.open(ctx, site, self.sim.now,
+                           self.sim.now + self.cal.local_ipc_us)
 
     def _deliver_view_to(self, member: MemberId, view: GroupView,
                          joined: List[MemberId], left: List[MemberId],

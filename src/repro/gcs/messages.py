@@ -127,8 +127,7 @@ class _CarriesTrace:
 
     @property
     def trace_context(self):
-        inner = getattr(self, "payload", None)
-        return getattr(inner, "trace_context", None)
+        return getattr(self.payload, "trace_context", None)
 
 
 @dataclass(frozen=True, slots=True)

@@ -15,7 +15,7 @@ transport interfaces.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Optional, Tuple
 
 from repro.orb.giop import GiopReply, GiopRequest
 from repro.orb.transport import (
@@ -27,8 +27,17 @@ from repro.orb.transport import (
 )
 from repro.sim.config import InterposeCalibration
 from repro.sim.host import Process
-from repro.telemetry.context import context_of
 from repro.telemetry.spans import COMPONENT_REPLICATOR
+
+
+def _intercept_sites(telemetry: Any, process: Process) -> Tuple[int, int]:
+    """The ``intercept.request`` and ``intercept.reply`` span sites of
+    ``process``."""
+    host, name = process.host.name, process.name
+    return (telemetry.site("intercept.request", COMPONENT_REPLICATOR, host,
+                           name),
+            telemetry.site("intercept.reply", COMPONENT_REPLICATOR, host,
+                           name))
 
 
 class InterceptedClientTransport(ClientTransport):
@@ -40,6 +49,7 @@ class InterceptedClientTransport(ClientTransport):
         self.inner = inner
         self.cal = calibration or InterposeCalibration()
         self.calls_intercepted = 0
+        self._sites: Optional[Tuple[int, int]] = None  # on first trace
 
     def send_request(self, request: GiopRequest,
                      on_reply: ReplyHandler) -> None:
@@ -49,10 +59,10 @@ class InterceptedClientTransport(ClientTransport):
         telemetry = self.process.sim.telemetry
         span = None
         if telemetry.enabled:
-            span = telemetry.begin(
-                context_of(request), "intercept.request",
-                COMPONENT_REPLICATOR, host=self.process.host.name,
-                process=self.process.name, now=self.process.sim.now)
+            if self._sites is None:
+                self._sites = _intercept_sites(telemetry, self.process)
+            span = telemetry.open(request.trace, self._sites[0],
+                                  self.process.sim.now)
 
         def forward() -> None:
             if telemetry.enabled:
@@ -65,10 +75,8 @@ class InterceptedClientTransport(ClientTransport):
             self.calls_intercepted += 1
             reply_span = None
             if telemetry.enabled:
-                reply_span = telemetry.begin(
-                    context_of(reply), "intercept.reply",
-                    COMPONENT_REPLICATOR, host=self.process.host.name,
-                    process=self.process.name, now=self.process.sim.now)
+                reply_span = telemetry.open(reply.trace, self._sites[1],
+                                            self.process.sim.now)
 
             def deliver() -> None:
                 if telemetry.enabled:
@@ -94,6 +102,7 @@ class InterceptedServerTransport(ServerTransport):
         self.inner = inner
         self.cal = calibration or InterposeCalibration()
         self.calls_intercepted = 0
+        self._sites: Optional[Tuple[int, int]] = None  # on first trace
 
     def start(self, on_request: RequestHandler) -> ServiceAddress:
         """Wrap the request path with interception costs."""
@@ -105,20 +114,17 @@ class InterceptedServerTransport(ServerTransport):
             telemetry = self.process.sim.telemetry
             span = None
             if telemetry.enabled:
-                span = telemetry.begin(
-                    context_of(request), "intercept.request",
-                    COMPONENT_REPLICATOR, host=self.process.host.name,
-                    process=self.process.name, now=self.process.sim.now)
+                if self._sites is None:
+                    self._sites = _intercept_sites(telemetry, self.process)
+                span = telemetry.open(request.trace, self._sites[0],
+                                      self.process.sim.now)
 
             def intercepted_reply(reply: GiopReply) -> None:
                 self.calls_intercepted += 1
                 reply_span = None
                 if telemetry.enabled:
-                    reply_span = telemetry.begin(
-                        context_of(reply), "intercept.reply",
-                        COMPONENT_REPLICATOR, host=self.process.host.name,
-                        process=self.process.name,
-                        now=self.process.sim.now)
+                    reply_span = telemetry.open(reply.trace, self._sites[1],
+                                                self.process.sim.now)
 
                 def deliver() -> None:
                     if telemetry.enabled:

@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.errors import OrbError
 from repro.orb.giop import GiopReply, GiopRequest
 from repro.orb.transport import ClientTransport
 from repro.sim.config import OrbCalibration
 from repro.sim.host import Process
-from repro.telemetry.context import context_of, set_context
 from repro.telemetry.spans import COMPONENT_ORB
 
 
@@ -29,6 +28,10 @@ class OrbClient:
         self.transport = transport
         self.cal = calibration or OrbCalibration()
         self._request_ids = itertools.count(1)
+        #: Span site codes, interned on the first traced call: the
+        #: root site per operation, and the marshal / demarshal sites.
+        self._root_sites: Dict[str, int] = {}
+        self._sites: Optional[Tuple[int, int]] = None
 
     def invoke(self, object_key: str, operation: str, payload: Any,
                payload_bytes: int, on_reply: Callable[[GiopReply], None],
@@ -62,17 +65,17 @@ class OrbClient:
         marshal_span = None
         if telemetry.enabled:
             # The root span covers the whole round trip; it is the
-            # trace every downstream hop joins via the service context.
-            ctx = telemetry.start_trace(
-                request_id, "request", host=self.process.host.name,
-                process=self.process.name, now=self.sim.now,
-                operation=operation)
+            # trace every downstream hop joins via the request's trace.
+            root = self._root_sites.get(operation)
+            if root is None:
+                root = self._root_sites[operation] = telemetry.site(
+                    "request", host=self.process.host.name,
+                    process=self.process.name, operation=operation)
+            ctx = telemetry.open_trace(request_id, root, self.sim.now)
             if ctx is not None:
-                set_context(request, ctx)
-                marshal_span = telemetry.begin(
-                    ctx, "client.marshal", COMPONENT_ORB,
-                    host=self.process.host.name,
-                    process=self.process.name, now=self.sim.now)
+                object.__setattr__(request, "trace", ctx)
+                sites = self._sites or self._intern_sites(telemetry)
+                marshal_span = telemetry.open(ctx, sites[0], self.sim.now)
 
         def after_marshal() -> None:
             if telemetry.enabled:
@@ -90,12 +93,11 @@ class OrbClient:
             demarshal_span = None
             reply_ctx = None
             if telemetry.enabled:
-                reply_ctx = context_of(reply) or ctx
+                reply_ctx = reply.trace or ctx
                 if reply_ctx is not None:
-                    demarshal_span = telemetry.begin(
-                        reply_ctx, "client.demarshal", COMPONENT_ORB,
-                        host=self.process.host.name,
-                        process=self.process.name, now=self.sim.now)
+                    sites = self._sites or self._intern_sites(telemetry)
+                    demarshal_span = telemetry.open(reply_ctx, sites[1],
+                                                    self.sim.now)
 
             def after_demarshal() -> None:
                 if not self.process.alive:
@@ -115,3 +117,11 @@ class OrbClient:
 
         self.process.host.cpu.execute(marshal_us, after_marshal)
         return request_id
+
+    def _intern_sites(self, telemetry: Any) -> Tuple[int, int]:
+        """Intern the marshal and demarshal span sites (once)."""
+        host, name = self.process.host.name, self.process.name
+        self._sites = (
+            telemetry.site("client.marshal", COMPONENT_ORB, host, name),
+            telemetry.site("client.demarshal", COMPONENT_ORB, host, name))
+        return self._sites

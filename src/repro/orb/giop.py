@@ -3,19 +3,22 @@
 Sizes are modelled explicitly: ``payload_bytes`` is the marshalled
 argument/result size and the transport adds the GIOP header.
 
-``service_contexts`` models GIOP's service-context list: out-of-band
-key/value metadata that middleware layers attach without the
-application noticing.  The telemetry layer stores its trace context
-there (see :mod:`repro.telemetry.context`); replies inherit the
-request's contexts so the trace survives the round trip.  A message
-without contexts carries ``None``: with telemetry off, none has a dict.
+``trace`` models the one GIOP service context this ORB uses: the
+telemetry trace context (see :mod:`repro.telemetry.context`), which
+middleware layers attach without the application noticing.  It is
+``None`` while the request is untraced.  A reply starts from its
+request's trace, so the trace survives the round trip.  The messages
+are frozen; the layers that move a trace along write the field with
+``object.__setattr__``.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Optional
+
+from repro.telemetry.context import TraceContext
 
 
 class ReplyStatus(enum.Enum):
@@ -38,8 +41,7 @@ class GiopRequest:
     #: Simulated instant the client ORB built the request: every
     #: round-trip latency is measured from here.
     started_at: Optional[float] = field(default=None, compare=False)
-    service_contexts: Optional[Dict[str, Any]] = field(default=None,
-                                                       compare=False)
+    trace: Optional[TraceContext] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.payload_bytes < 0:
@@ -48,15 +50,14 @@ class GiopRequest:
     def fork(self) -> "GiopRequest":
         """Copy for fan-out to replicas.
 
-        Service contexts are copied (each replica updates its own
-        trace context independently of its siblings).
+        The copy starts from the same (immutable) trace context; each
+        replica then moves its own copy's trace independently of its
+        siblings.
         """
-        contexts = self.service_contexts
         return GiopRequest(self.request_id, self.object_key,
                            self.operation, self.payload,
                            self.payload_bytes, self.oneway,
-                           self.started_at,
-                           dict(contexts) if contexts else None)
+                           self.started_at, self.trace)
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,8 +68,7 @@ class GiopReply:
     status: ReplyStatus
     payload: Any
     payload_bytes: int
-    service_contexts: Optional[Dict[str, Any]] = field(default=None,
-                                                       compare=False)
+    trace: Optional[TraceContext] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.payload_bytes < 0:

@@ -17,7 +17,6 @@ from repro.orb.servant import Servant, ServantResult
 from repro.orb.transport import ReplyHandler, ServerTransport, ServiceAddress
 from repro.sim.config import OrbCalibration
 from repro.sim.host import Process
-from repro.telemetry.context import context_of
 from repro.telemetry.spans import COMPONENT_APPLICATION, COMPONENT_ORB
 
 
@@ -39,6 +38,9 @@ class OrbServer:
         #: registered here — including keys adopted with *no* state,
         #: when the source shard died before any state transfer.
         self.servant_factory: Optional[Callable[[str], Servant]] = None
+        #: Span site codes (demarshal, execute, marshal), interned on
+        #: the first traced request.
+        self._sites: Optional[Tuple[int, int, int]] = None
 
     # ------------------------------------------------------------------
     # Object adapter
@@ -150,11 +152,11 @@ class OrbServer:
                         * request.payload_bytes)
         cpu = self.process.host.cpu
         telemetry = self.sim.telemetry
-        ctx = context_of(request) if telemetry.enabled else None
-        demarshal_span = telemetry.begin(
-            ctx, "server.demarshal", COMPONENT_ORB,
-            host=self.process.host.name, process=self.process.name,
-            now=self.sim.now) if ctx is not None else None
+        ctx = request.trace if telemetry.enabled else None
+        sites = demarshal_span = None
+        if ctx is not None:
+            sites = self._sites or self._intern_sites(telemetry)
+            demarshal_span = telemetry.open(ctx, sites[0], self.sim.now)
 
         def dispatch() -> None:
             if ctx is not None:
@@ -174,10 +176,8 @@ class OrbServer:
                              ServantResult(str(exc), 32, 0.0),
                              status=ReplyStatus.EXCEPTION)
                 return
-            execute_span = telemetry.begin(
-                ctx, "server.execute", COMPONENT_APPLICATION,
-                host=self.process.host.name, process=self.process.name,
-                now=self.sim.now) if ctx is not None else None
+            execute_span = telemetry.open(
+                ctx, sites[1], self.sim.now) if ctx is not None else None
 
             def executed() -> None:
                 if ctx is not None:
@@ -198,18 +198,18 @@ class OrbServer:
             return
         marshal_us = (self.cal.marshal_fixed_us
                       + self.cal.marshal_per_byte_us * result.payload_bytes)
-        # The reply inherits the request's service contexts (same dict:
-        # reply-path layers keep updating the trace context in place).
+        # The reply starts from the request's trace context; reply-path
+        # layers then move the reply's own.
         reply = GiopReply(request_id=request.request_id, status=status,
                           payload=result.payload,
                           payload_bytes=result.payload_bytes,
-                          service_contexts=request.service_contexts)
+                          trace=request.trace)
         telemetry = self.sim.telemetry
-        ctx = context_of(reply) if telemetry.enabled else None
-        marshal_span = telemetry.begin(
-            ctx, "server.marshal", COMPONENT_ORB,
-            host=self.process.host.name, process=self.process.name,
-            now=self.sim.now) if ctx is not None else None
+        ctx = reply.trace if telemetry.enabled else None
+        marshal_span = None
+        if ctx is not None:
+            sites = self._sites or self._intern_sites(telemetry)
+            marshal_span = telemetry.open(ctx, sites[2], self.sim.now)
 
         def marshalled() -> None:
             if ctx is not None:
@@ -218,3 +218,13 @@ class OrbServer:
                 send_reply(reply)
 
         self.process.host.cpu.execute(marshal_us, marshalled)
+
+    def _intern_sites(self, telemetry: Any) -> Tuple[int, int, int]:
+        """Intern the demarshal, execute and marshal span sites (once)."""
+        host, name = self.process.host.name, self.process.name
+        self._sites = (
+            telemetry.site("server.demarshal", COMPONENT_ORB, host, name),
+            telemetry.site("server.execute", COMPONENT_APPLICATION, host,
+                           name),
+            telemetry.site("server.marshal", COMPONENT_ORB, host, name))
+        return self._sites

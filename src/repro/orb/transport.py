@@ -23,8 +23,7 @@ from repro.net.network import Network
 from repro.orb.giop import GiopReply, GiopRequest
 from repro.sim.config import OrbCalibration
 from repro.sim.host import Process
-from repro.telemetry.context import context_of, set_context
-from repro.telemetry.spans import COMPONENT_NETWORK
+from repro.telemetry.spans import COMPONENT_NETWORK, KIND_TRANSIT
 
 ReplyHandler = Callable[[GiopReply], None]
 RequestHandler = Callable[[GiopRequest, ReplyHandler], None]
@@ -97,6 +96,7 @@ class TcpClientTransport(ClientTransport):
         process.host.bind(self._port, self._on_frame)
         process.on_kill(self.close)
         self._closed = False
+        self._site: Optional[int] = None  # interned on the first trace
 
     def send_request(self, request: GiopRequest,
                      on_reply: ReplyHandler) -> None:
@@ -107,14 +107,18 @@ class TcpClientTransport(ClientTransport):
             self._waiting[request.request_id] = on_reply
         telemetry = self.process.sim.telemetry
         if telemetry.enabled:
-            ctx = context_of(request)
+            ctx = request.trace
             if ctx is not None:
-                _, carried = telemetry.begin_transit(
-                    ctx, "net.request", COMPONENT_NETWORK,
-                    self.process.sim.now, host=self.process.host.name,
-                    process=self.process.name)
-                if carried is not None:
-                    set_context(request, carried)
+                site = self._site
+                if site is None:
+                    site = self._site = telemetry.site(
+                        "net.request", COMPONENT_NETWORK,
+                        self.process.host.name, self.process.name,
+                        KIND_TRANSIT)
+                span_id = telemetry.open(ctx, site, self.process.sim.now)
+                if span_id is not None:
+                    object.__setattr__(request, "trace",
+                                       ctx.in_transit(span_id))
         self.network.send(
             self._local, Endpoint(self.server.host, self.server.port),
             _TcpEnvelope(message=request, reply_to=self._local),
@@ -132,10 +136,10 @@ class TcpClientTransport(ClientTransport):
         if handler is not None:
             telemetry = self.process.sim.telemetry
             if telemetry.enabled:
-                ctx = context_of(reply)
+                ctx = reply.trace
                 if ctx is not None:
                     telemetry.finish_inflight(ctx, self.process.sim.now)
-                    set_context(reply, ctx.at_root())
+                    object.__setattr__(reply, "trace", ctx.at_root())
             handler(reply)
 
     def close(self) -> None:
@@ -158,6 +162,7 @@ class TcpServerTransport(ServerTransport):
         self.port = port
         self._on_request: Optional[RequestHandler] = None
         self._started = False
+        self._site: Optional[int] = None  # interned on the first trace
         process.on_kill(self.stop)
 
     def start(self, on_request: RequestHandler) -> ServiceAddress:
@@ -178,23 +183,27 @@ class TcpServerTransport(ServerTransport):
             return
         telemetry = self.process.sim.telemetry
         if telemetry.enabled:
-            ctx = context_of(request)
+            ctx = request.trace
             if ctx is not None:
                 telemetry.finish_inflight(ctx, self.process.sim.now)
-                set_context(request, ctx.at_root())
+                object.__setattr__(request, "trace", ctx.at_root())
         reply_to = payload.reply_to
 
         def send_reply(reply: GiopReply) -> None:
             if telemetry.enabled:
-                reply_ctx = context_of(reply)
+                reply_ctx = reply.trace
                 if reply_ctx is not None:
-                    _, carried = telemetry.begin_transit(
-                        reply_ctx, "net.reply", COMPONENT_NETWORK,
-                        self.process.sim.now,
-                        host=self.process.host.name,
-                        process=self.process.name)
-                    if carried is not None:
-                        set_context(reply, carried)
+                    site = self._site
+                    if site is None:
+                        site = self._site = telemetry.site(
+                            "net.reply", COMPONENT_NETWORK,
+                            self.process.host.name, self.process.name,
+                            KIND_TRANSIT)
+                    span_id = telemetry.open(reply_ctx, site,
+                                             self.process.sim.now)
+                    if span_id is not None:
+                        object.__setattr__(reply, "trace",
+                                           reply_ctx.in_transit(span_id))
             self.network.send(
                 Endpoint(self.process.host.name, self.port), reply_to,
                 _TcpEnvelope(message=reply, reply_to=reply_to),

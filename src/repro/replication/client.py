@@ -49,8 +49,11 @@ from repro.replication.styles import (
 )
 from repro.sim.actor import Actor
 from repro.sim.config import InterposeCalibration
-from repro.telemetry.context import context_of, set_context
-from repro.telemetry.spans import COMPONENT_GCS, COMPONENT_REPLICATOR
+from repro.telemetry.spans import (
+    COMPONENT_GCS,
+    COMPONENT_REPLICATOR,
+    KIND_TRANSIT,
+)
 
 #: Retry backoff: each retransmission waits this factor longer than the
 #: previous one, up to the cap, with ± this fraction of hashed jitter.
@@ -123,6 +126,10 @@ class ClientReplicator(Actor, ClientTransport):
         self.failures = 0
         self.breaker_trips = 0
         self.breaker_rerouted = 0
+        #: Span site codes, interned on the first traced call: redirect
+        #: and accept, and the ``gcs.request`` transit per attempt.
+        self._sites: Optional[Tuple[int, int]] = None
+        self._transit_sites: Dict[int, int] = {}
         gcs.on_direct(self._on_direct)
         gcs.watch(self.group, self._on_view)
 
@@ -143,12 +150,10 @@ class ClientReplicator(Actor, ClientTransport):
         telemetry = self.sim.telemetry
         redirect_span = None
         if telemetry.enabled:
-            ctx = context_of(request)
+            ctx = request.trace
             if ctx is not None:
-                redirect_span = telemetry.begin(
-                    ctx, "client.redirect", COMPONENT_REPLICATOR,
-                    host=self.process.host.name,
-                    process=self.process.name, now=self.sim.now)
+                sites = self._sites or self._intern_sites(telemetry)
+                redirect_span = telemetry.open(ctx, sites[0], self.sim.now)
 
         def dispatch() -> None:
             if telemetry.enabled:
@@ -181,6 +186,16 @@ class ClientReplicator(Actor, ClientTransport):
             recalled.append((entry.rep.request, entry.on_reply))
         return recalled
 
+    def _intern_sites(self, telemetry: Any) -> Tuple[int, int]:
+        """Intern the redirect and accept span sites (once)."""
+        host, name = self.process.host.name, self.process.name
+        self._sites = (
+            telemetry.site("client.redirect", COMPONENT_REPLICATOR, host,
+                           name),
+            telemetry.site("client.accept", COMPONENT_REPLICATOR, host,
+                           name))
+        return self._sites
+
     # ==================================================================
     # Transmission and retry
     # ==================================================================
@@ -189,18 +204,22 @@ class ClientReplicator(Actor, ClientTransport):
         request = entry.rep.request
         telemetry = self.sim.telemetry
         if telemetry.enabled:
-            ctx = context_of(request)
+            ctx = request.trace
             if ctx is not None:
                 # A retry opens a fresh transit span; the copy that
                 # reaches a replica first closes the one it carried,
                 # any earlier (lost) attempt's span stays open.
-                _, carried = telemetry.begin_transit(
-                    ctx.at_root(), "gcs.request", COMPONENT_GCS,
-                    self.sim.now, host=self.process.host.name,
-                    process=self.process.name,
-                    attempt=str(entry.attempts))
-                if carried is not None:
-                    set_context(request, carried)
+                site = self._transit_sites.get(entry.attempts)
+                if site is None:
+                    site = self._transit_sites[entry.attempts] = \
+                        telemetry.site("gcs.request", COMPONENT_GCS,
+                                       self.process.host.name,
+                                       self.process.name, KIND_TRANSIT,
+                                       attempt=str(entry.attempts))
+                ctx = ctx.at_root()
+                span_id = telemetry.open(ctx, site, self.sim.now)
+                object.__setattr__(request, "trace", ctx if span_id is None
+                                   else ctx.in_transit(span_id))
         target = self._routing_target() if first_attempt else None
         entry.last_target = target
         if target is not None:
@@ -349,15 +368,13 @@ class ClientReplicator(Actor, ClientTransport):
         telemetry = self.sim.telemetry
         accept_span = None
         if telemetry.enabled:
-            ctx = context_of(reply)
+            ctx = reply.trace
             if ctx is not None:
                 telemetry.finish_inflight(ctx, self.sim.now)
                 ctx = ctx.at_root()
-                set_context(reply, ctx)
-                accept_span = telemetry.begin(
-                    ctx, "client.accept", COMPONENT_REPLICATOR,
-                    host=self.process.host.name,
-                    process=self.process.name, now=self.sim.now)
+                object.__setattr__(reply, "trace", ctx)
+                sites = self._sites or self._intern_sites(telemetry)
+                accept_span = telemetry.open(ctx, sites[1], self.sim.now)
 
         def deliver() -> None:
             if telemetry.enabled:

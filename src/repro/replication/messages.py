@@ -13,7 +13,6 @@ from typing import Any, Mapping, Optional
 from repro.gcs.messages import MemberId
 from repro.orb.giop import GiopReply, GiopRequest
 from repro.replication.styles import ReplicationStyle
-from repro.telemetry.context import SERVICE_CONTEXT_TRACE
 
 #: Fixed replication-layer header added to every message's wire size.
 REP_HEADER_BYTES = 40
@@ -39,11 +38,8 @@ class RepRequest:
     @property
     def trace_context(self):
         """Telemetry context, read through to the wrapped GIOP request
-        (the GCS daemons use this to join a frame to its trace, via
-        :func:`~repro.telemetry.context.payload_context`, which checks
-        the type)."""
-        contexts = self.request.service_contexts
-        return contexts and contexts.get(SERVICE_CONTEXT_TRACE)
+        (the GCS daemons use this to join a frame to its trace)."""
+        return self.request.trace
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,8 +66,7 @@ class RepReply:
     @property
     def trace_context(self):
         """Telemetry context, read through to the wrapped GIOP reply."""
-        contexts = self.reply.service_contexts
-        return contexts and contexts.get(SERVICE_CONTEXT_TRACE)
+        return self.reply.trace
 
 
 @dataclass(frozen=True)

@@ -49,8 +49,12 @@ from repro.replication.styles import ReplicationConfig, ReplicationStyle
 from repro.replication.switch import SwitchRecord, SwitchState
 from repro.sim.actor import Actor
 from repro.sim.config import InterposeCalibration, ReplicationCalibration
-from repro.telemetry.context import context_of, set_context
-from repro.telemetry.spans import COMPONENT_GCS, COMPONENT_REPLICATOR
+from repro.telemetry.spans import (
+    COMPONENT_GCS,
+    COMPONENT_REPLICATOR,
+    KIND_CHARGED,
+    KIND_TRANSIT,
+)
 
 #: Requests a cold backup logs at most (it applies no checkpoint that
 #: would clear its log); a take-over replays the newest ones.
@@ -138,6 +142,12 @@ class ServerReplicator(Actor, ServerTransport):
         self.replies_sent = 0
         self.duplicates_suppressed = 0
         self.checkpoints_sent = 0
+        # Span site codes, interned on the first traced request: the
+        # style they were interned for with the process and redirect
+        # sites (re-interned after a switch), and the plain and held
+        # ``gcs.reply`` transit sites.
+        self._sites: Optional[Tuple[ReplicationStyle, int, int]] = None
+        self._reply_sites: Optional[Tuple[int, int]] = None
         self.checkpoints_applied = 0
         self.relays = 0
 
@@ -307,16 +317,15 @@ class ServerReplicator(Actor, ServerTransport):
         process_span = None
         ctx = None
         if telemetry.enabled:
-            ctx = context_of(local)
+            ctx = local.trace
             if ctx is not None:
                 telemetry.finish_inflight(ctx, self.sim.now)
                 ctx = ctx.at_root()
-                set_context(local, ctx)
-                process_span = telemetry.begin(
-                    ctx, "server.process", COMPONENT_REPLICATOR,
-                    host=self.process.host.name,
-                    process=self.process.name, now=self.sim.now,
-                    style=self.style.value)
+                object.__setattr__(local, "trace", ctx)
+                sites = self._sites
+                if sites is None or sites[0] is not self.style:
+                    sites = self._intern_sites(telemetry)
+                process_span = telemetry.open(ctx, sites[1], self.sim.now)
 
         def hand_to_orb() -> None:
             if not self.alive:
@@ -333,16 +342,16 @@ class ServerReplicator(Actor, ServerTransport):
             self._session(client).answer(number, reply, rep.awaiting)
             self.requests_processed += 1
             rep_reply = self._rep_reply(reply)
-            reply_ctx = context_of(reply) if telemetry.enabled else None
+            reply_ctx = reply.trace if telemetry.enabled else None
             if reply_ctx is not None:
                 # The reply redirect is charged without elapsing
                 # simulated time (it overlaps the reply transit), so
-                # its span is emitted pre-closed rather than measured.
-                telemetry.emit(
-                    reply_ctx, "server.redirect", COMPONENT_REPLICATOR,
-                    self.sim.now, self.sim.now + self.ical.redirect_us,
-                    host=self.process.host.name,
-                    process=self.process.name, style=self.style.value)
+                # its span is recorded pre-closed rather than measured.
+                sites = self._sites
+                if sites is None or sites[0] is not self.style:
+                    sites = self._intern_sites(telemetry)
+                telemetry.open(reply_ctx, sites[2], self.sim.now,
+                               self.sim.now + self.ical.redirect_us)
             if self._must_hold_reply():
                 # The covering checkpoint goes out first; the reply is
                 # released when that checkpoint is stable.
@@ -354,6 +363,20 @@ class ServerReplicator(Actor, ServerTransport):
                 self._fire_drain_waiters()
 
         self.process.host.cpu.execute(overhead, hand_to_orb)
+
+    def _intern_sites(self, telemetry: Any
+                      ) -> Tuple[ReplicationStyle, int, int]:
+        """Intern the process and redirect span sites of the current
+        style (on the first traced request and after a switch)."""
+        host, name, style = (self.process.host.name, self.process.name,
+                             self.style)
+        self._sites = (
+            style,
+            telemetry.site("server.process", COMPONENT_REPLICATOR, host,
+                           name, style=style.value),
+            telemetry.site("server.redirect", COMPONENT_REPLICATOR, host,
+                           name, KIND_CHARGED, style=style.value))
+        return self._sites
 
     def _rep_reply(self, reply: GiopReply) -> RepReply:
         """``reply`` wrapped with the configuration clients learn."""
@@ -391,27 +414,34 @@ class ServerReplicator(Actor, ServerTransport):
                 >= self.config.checkpoint_interval_requests)
 
     def _send_reply(self, client: MemberId, rep_reply: RepReply,
-                    **span_attrs: str) -> None:
+                    held: bool = False) -> None:
         """Send ``rep_reply`` to ``client``; a traced reply opens its
-        ``gcs.reply`` transit span, tagged with ``span_attrs``."""
+        ``gcs.reply`` transit span, tagged ``held="1"`` when the reply
+        waited for its covering checkpoint."""
         telemetry = self.sim.telemetry
         if telemetry.enabled:
             reply = rep_reply.reply
-            ctx = context_of(reply)
+            ctx = reply.trace
             if ctx is not None:
-                _, carried = telemetry.begin_transit(
-                    ctx.at_root(), "gcs.reply", COMPONENT_GCS,
-                    self.sim.now, host=self.process.host.name,
-                    process=self.process.name, **span_attrs)
-                if carried is not None:
-                    set_context(reply, carried)
+                sites = self._reply_sites
+                if sites is None:
+                    host, name = self.process.host.name, self.process.name
+                    sites = self._reply_sites = (
+                        telemetry.site("gcs.reply", COMPONENT_GCS, host,
+                                       name, KIND_TRANSIT),
+                        telemetry.site("gcs.reply", COMPONENT_GCS, host,
+                                       name, KIND_TRANSIT, held="1"))
+                ctx = ctx.at_root()
+                span_id = telemetry.open(ctx, sites[held], self.sim.now)
+                object.__setattr__(reply, "trace", ctx if span_id is None
+                                   else ctx.in_transit(span_id))
         self.gcs.send_direct(client, rep_reply, rep_reply.wire_bytes)
         self.replies_sent += 1
 
     def _release_held_replies(self) -> None:
         held, self._held_replies = self._held_replies, []
         for client, rep_reply in held:
-            self._send_reply(client, rep_reply, held="1")
+            self._send_reply(client, rep_reply, held=True)
 
     def _after_request(self) -> None:
         """Post-processing hook: periodic checkpointing for the styles
@@ -717,12 +747,13 @@ class ServerReplicator(Actor, ServerTransport):
         if telemetry.enabled:
             # A style switch gets its own trace: the root span covers
             # steps II-III at this replica (Fig. 6's switch delay).
-            switch_ctx = telemetry.start_trace(
+            switch_ctx = telemetry.open_trace(
                 f"switch:{command.switch_id}:{self.process.name}",
-                name="switch", host=self.process.host.name,
-                process=self.process.name, now=self.sim.now,
-                from_style=self.style.value,
-                to_style=command.target.value)
+                telemetry.site("switch", host=self.process.host.name,
+                               process=self.process.name,
+                               from_style=self.style.value,
+                               to_style=command.target.value),
+                self.sim.now)
         self._switch = SwitchState(switch_id=command.switch_id,
                                    from_style=self.style,
                                    target=command.target,

@@ -93,21 +93,16 @@ class NullTelemetry:
     dropped = 0
     open_spans = 0
 
-    def start_trace(self, *_args: Any, **_kwargs: Any) -> None:
+    def site(self, *_args: Any, **_kwargs: Any) -> int:
+        """No-op; a real recorder would intern a span site."""
+        return 0
+
+    def open_trace(self, *_args: Any, **_kwargs: Any) -> None:
         """No-op; a real recorder would open a root span."""
         return None
 
-    def begin(self, *_args: Any, **_kwargs: Any) -> None:
+    def open(self, *_args: Any, **_kwargs: Any) -> None:
         """No-op; a real recorder would open a child span."""
-        return None
-
-    def begin_transit(self, ctx: Any = None, *_args: Any,
-                      **_kwargs: Any) -> tuple:
-        """No-op; returns ``(None, ctx)`` so the context passes through unchanged."""
-        return None, ctx
-
-    def emit(self, *_args: Any, **_kwargs: Any) -> None:
-        """No-op; a real recorder would record a charged span."""
         return None
 
     def end(self, *_args: Any, **_kwargs: Any) -> None:

@@ -33,14 +33,7 @@ from repro.telemetry.analysis import (
     trace_component_us,
     validate_spans,
 )
-from repro.telemetry.context import (
-    CONTEXT_WIRE_BYTES,
-    SERVICE_CONTEXT_TRACE,
-    TraceContext,
-    context_of,
-    payload_context,
-    set_context,
-)
+from repro.telemetry.context import CONTEXT_WIRE_BYTES, TraceContext
 from repro.telemetry.export import (
     chrome_trace_json,
     parse_chrome_trace,
@@ -76,7 +69,6 @@ __all__ = [
     "KIND_MEASURED",
     "KIND_TRANSIT",
     "PathSegment",
-    "SERVICE_CONTEXT_TRACE",
     "Span",
     "SpanStats",
     "Telemetry",
@@ -85,14 +77,11 @@ __all__ = [
     "chrome_trace_json",
     "completed_traces",
     "component_breakdown",
-    "context_of",
     "critical_path",
     "exclusive_durations",
     "parse_chrome_trace",
     "parse_prometheus_text",
-    "payload_context",
     "prometheus_text",
-    "set_context",
     "spans_by_trace",
     "spans_to_csv",
     "style_aggregates",

@@ -226,12 +226,17 @@ def _nearest_rank(ordered: List[float], q: float) -> float:
 def telemetry_summary(telemetry) -> Dict[str, object]:
     """Compact JSON-ready summary of a recorder (per-trial payload).
 
-    The latency quantiles are nearest-rank values over the round trips
-    of the finished root ``request`` spans.
+    ``traces_completed`` and ``breakdown_us`` count only whole traces:
+    a trace that lost a span to ``max_spans`` is left out even if its
+    root finished.  The latency quantiles are nearest-rank values over
+    the round trips of the finished root ``request`` spans.
     """
     spans = list(telemetry.spans)
     grouped = spans_by_trace(spans)
-    complete = _completed(grouped)
+    lost = telemetry.dropped_traces
+    complete = {trace_id: trace_spans
+                for trace_id, trace_spans in _completed(grouped).items()
+                if trace_id not in lost}
     summary: Dict[str, object] = {
         "spans": len(spans),
         "open_spans": sum(1 for s in spans if not s.finished),

@@ -26,9 +26,10 @@ kernel's ``NullTelemetry`` (see :mod:`repro.sim.kernel` — it lives
 there, dependency-free, so the kernel never imports this package).
 The recorder stores no :class:`Span` objects: it keeps one row per
 span in typed columns (:class:`SpanRows`), hands span ids to the
-instrumentation sites, and builds a :class:`Span` only when a reader
-asks for one.
-Every instrumentation site guards on ``telemetry.enabled`` before
+instrumentation points, and builds a :class:`Span` only when a reader
+asks for one.  Each instrumentation point interns its span sites once
+(:meth:`Telemetry.site`) and opens spans by site code.
+Every instrumentation point guards on ``telemetry.enabled`` before
 doing any work, which keeps the disabled path to one attribute load
 and one branch.
 """
@@ -39,7 +40,8 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from math import isnan
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import (Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple,
+                    Union)
 
 from repro.telemetry.context import TraceContext
 
@@ -72,6 +74,10 @@ KIND_TRANSIT = "transit"
 
 #: The end time of a span that is still open.
 _OPEN = float("nan")
+
+#: One interned span site: ``(name, component, host, process, kind,
+#: attrs)``, the attrs a tuple of ``(key, value)`` items.
+Site = Tuple[str, str, str, str, str, Tuple[Tuple[str, Any], ...]]
 
 
 @dataclass(slots=True)
@@ -112,7 +118,7 @@ class Span:
 
 
 class SpanRows(Sequence[Span]):
-    """The recorded spans: four 4-byte codes and two doubles per row.
+    """The recorded spans: three 4-byte codes and two doubles per row.
 
     Only :class:`Telemetry` appends rows; readers see a read-only
     sequence of :class:`Span` values.  A span's id is its row number
@@ -120,33 +126,30 @@ class SpanRows(Sequence[Span]):
 
     - ``trace``: an index into ``trace_ids``;
     - ``parent_id`` (0 for a root span);
-    - ``site``: an index into ``sites``, the distinct
-      ``(name, component, host, process, kind)`` tuples;
-    - ``attrs``: an index into ``payloads``, each distinct payload
-      once as a tuple of items (entry 0, ``()``, is "no attrs");
+    - ``site``: an index into ``sites``, the interned
+      ``(name, component, host, process, kind, attrs)`` tuples, the
+      attrs a tuple of items (``()`` for none);
     - ``start_us`` and ``end_us``, C doubles (NaN in ``end_us`` marks
       an open span).
 
-    A run records a few hundred sites and payloads, so a row costs
-    32 B plus its share of one trace id.  Indexing and iteration build
-    each :class:`Span` on demand with a fresh attrs dict, so a reader
-    can never alter what was recorded.  ``len()`` reads the columns
-    and builds nothing.
+    A run records a few hundred sites, so a row costs 28 B plus its
+    share of one trace id.  Indexing and iteration build each
+    :class:`Span` on demand with a fresh attrs dict, so a reader can
+    never alter what was recorded.  ``len()`` reads the columns and
+    builds nothing.
     """
 
-    __slots__ = ("trace", "parent_id", "site", "attrs", "start_us",
-                 "end_us", "trace_ids", "sites", "payloads")
+    __slots__ = ("trace", "parent_id", "site", "start_us", "end_us",
+                 "trace_ids", "sites")
 
     def __init__(self) -> None:
         self.trace = array("I")
         self.parent_id = array("I")
         self.site = array("I")
-        self.attrs = array("I")
         self.start_us = array("d")
         self.end_us = array("d")
         self.trace_ids: List[str] = []
-        self.sites: List[Tuple[str, str, str, str, str]] = []
-        self.payloads: List[Tuple[Tuple[str, Any], ...]] = [()]
+        self.sites: List[Site] = []
 
     def __len__(self) -> int:
         return len(self.start_us)
@@ -163,12 +166,12 @@ class SpanRows(Sequence[Span]):
             yield self._span(i)
 
     def _span(self, i: int) -> Span:
-        name, component, host, process, kind = self.sites[self.site[i]]
+        name, component, host, process, kind, attrs = \
+            self.sites[self.site[i]]
         end = self.end_us[i]
         return Span(i + 1, self.trace_ids[self.trace[i]], self.parent_id[i],
                     name, component, host, process, self.start_us[i],
-                    None if end != end else end, kind,
-                    dict(self.payloads[self.attrs[i]]))
+                    None if end != end else end, kind, dict(attrs))
 
 
 class Telemetry:
@@ -178,6 +181,11 @@ class Telemetry:
     never schedules events or consumes simulated time — recording is a
     pure observation, so simulation results are byte-identical with
     telemetry on or off (asserted in tests/telemetry).
+
+    An instrumentation point interns its span site once with
+    :meth:`site` and then opens spans by the site's code:
+    :meth:`open_trace` for a root span, :meth:`open` for every other
+    span.
     """
 
     enabled = True
@@ -186,31 +194,50 @@ class Telemetry:
         self.max_spans = max_spans
         self.spans = SpanRows()
         self.dropped = 0
-        # The code of each trace id, site and hashable payload: the
-        # inverses of the tables in ``spans``.  A payload's key holds
-        # its value types, which keep 1, 1.0 and True from sharing.
+        #: The trace ids that lost a span to ``max_spans``.
+        self.dropped_traces: Set[str] = set()
+        # The code of each trace id and hashable site: the inverses of
+        # the tables in ``spans``.  A site's key holds its attr value
+        # types, which keep 1, 1.0 and True from sharing.
         self._trace_codes: Dict[str, int] = {}
-        self._site_codes: Dict[Tuple[str, str, str, str, str], int] = {}
-        self._payload_codes: Dict[Tuple[Any, ...], int] = {}
+        self._site_codes: Dict[Tuple[Any, ...], int] = {}
+
+    def site(self, name: str, component: str = NO_COMPONENT,
+             host: str = "", process: str = "", kind: str = KIND_MEASURED,
+             **attrs: Any) -> int:
+        """Intern a span site; returns its code for the openers.
+
+        Equal sites share one code; a site with an unhashable attr
+        value gets an entry of its own.
+        """
+        sites = self.spans.sites
+        entry = (name, component, host, process, kind, tuple(attrs.items()))
+        key = (entry, tuple(map(type, attrs.values())))
+        try:
+            return self._site_codes[key]
+        except KeyError:
+            code = self._site_codes[key] = len(sites)
+        except TypeError:  # unhashable: an entry of its own
+            code = len(sites)
+        sites.append(entry)
+        return code
 
     # ------------------------------------------------------------------
     # Span lifecycle
     # ------------------------------------------------------------------
-    # Every opener below appends its row inline, one column at a time,
-    # and returns the new span's id: these run ~20 times per request
-    # when telemetry is on, so they call no Python helper.  A table code
-    # is a dict subscript; a miss appends a new entry.  An unhashable
-    # payload gets an entry of its own.  A span past ``max_spans`` is
-    # not stored, only counted in ``dropped``.
-    def start_trace(self, trace_id: str, name: str = "request",
-                    host: str = "", process: str = "",
-                    now: float = 0.0,
-                    **attrs: Any) -> Optional[TraceContext]:
-        """Open a root span; returns the context to propagate."""
+    # The two openers append a row inline, one column at a time, and
+    # run ~20 times per request when telemetry is on, so they call no
+    # Python helper.  A span past ``max_spans`` is not stored, only
+    # counted in ``dropped`` and its trace noted in ``dropped_traces``.
+    def open_trace(self, trace_id: str, site: int,
+                   now: float) -> Optional[TraceContext]:
+        """Open a root span at ``site``; returns the context to
+        propagate (None if the span was dropped)."""
         rows = self.spans
         span_id = len(rows.start_us) + 1
         if span_id > self.max_spans:
             self.dropped += 1
+            self.dropped_traces.add(trace_id)
             return None
         code = self._trace_codes.get(trace_id)
         if code is None:  # a new trace, the common case here
@@ -218,40 +245,28 @@ class Telemetry:
             rows.trace_ids.append(trace_id)
         rows.trace.append(code)
         rows.parent_id.append(0)
-        site = (name, NO_COMPONENT, host, process, KIND_MEASURED)
-        try:
-            code = self._site_codes[site]
-        except KeyError:
-            code = self._site_codes[site] = len(rows.sites)
-            rows.sites.append(site)
-        rows.site.append(code)
-        code = 0
-        if attrs:
-            items = tuple(attrs.items())
-            key = (items, tuple(map(type, attrs.values())))
-            try:
-                code = self._payload_codes[key]
-            except KeyError:
-                code = self._payload_codes[key] = len(rows.payloads)
-                rows.payloads.append(items)
-            except TypeError:  # unhashable: an entry of its own
-                code = len(rows.payloads)
-                rows.payloads.append(items)
-        rows.attrs.append(code)
+        rows.site.append(site)
         rows.start_us.append(now)
         rows.end_us.append(_OPEN)
-        return TraceContext(trace_id, span_id, span_id)
+        return tuple.__new__(TraceContext, (trace_id, span_id, span_id, 0))
 
-    def begin(self, ctx: Optional[TraceContext], name: str,
-              component: str, host: str = "", process: str = "",
-              now: float = 0.0, **attrs: Any) -> Optional[int]:
-        """Open a child span under ``ctx``; close it with :meth:`end`."""
+    def open(self, ctx: Optional[TraceContext], site: int, start: float,
+             end: float = _OPEN) -> Optional[int]:
+        """Open a child span of ``ctx`` at ``site``; returns its id.
+
+        The span stays open until :meth:`end` (or, for a transit span
+        whose id the caller carries with ``ctx.in_transit(id)``,
+        :meth:`finish_inflight`) closes it; a *charged* span passes its
+        ``end`` and is recorded closed.  None if ``ctx`` is None or the
+        span was dropped.
+        """
         if ctx is None:
             return None
         rows = self.spans
         span_id = len(rows.start_us) + 1
         if span_id > self.max_spans:
             self.dropped += 1
+            self.dropped_traces.add(ctx.trace_id)
             return None
         try:
             code = self._trace_codes[ctx.trace_id]
@@ -260,28 +275,9 @@ class Telemetry:
             rows.trace_ids.append(ctx.trace_id)
         rows.trace.append(code)
         rows.parent_id.append(ctx.span_id)
-        site = (name, component, host, process, KIND_MEASURED)
-        try:
-            code = self._site_codes[site]
-        except KeyError:
-            code = self._site_codes[site] = len(rows.sites)
-            rows.sites.append(site)
-        rows.site.append(code)
-        code = 0
-        if attrs:
-            items = tuple(attrs.items())
-            key = (items, tuple(map(type, attrs.values())))
-            try:
-                code = self._payload_codes[key]
-            except KeyError:
-                code = self._payload_codes[key] = len(rows.payloads)
-                rows.payloads.append(items)
-            except TypeError:  # unhashable: an entry of its own
-                code = len(rows.payloads)
-                rows.payloads.append(items)
-        rows.attrs.append(code)
-        rows.start_us.append(now)
-        rows.end_us.append(_OPEN)
+        rows.site.append(site)
+        rows.start_us.append(start)
+        rows.end_us.append(end)
         return span_id
 
     def end(self, span_id: Optional[int], now: float) -> None:
@@ -292,101 +288,6 @@ class Telemetry:
         end = ends[span_id - 1]
         if end != end:  # NaN: still open
             ends[span_id - 1] = now
-
-    def emit(self, ctx: Optional[TraceContext], name: str,
-             component: str, start_us: float, end_us: float,
-             host: str = "", process: str = "",
-             kind: str = KIND_CHARGED, **attrs: Any) -> Optional[int]:
-        """Record an already-closed span (the *charged* case)."""
-        if ctx is None:
-            return None
-        rows = self.spans
-        span_id = len(rows.start_us) + 1
-        if span_id > self.max_spans:
-            self.dropped += 1
-            return None
-        try:
-            code = self._trace_codes[ctx.trace_id]
-        except KeyError:
-            code = self._trace_codes[ctx.trace_id] = len(rows.trace_ids)
-            rows.trace_ids.append(ctx.trace_id)
-        rows.trace.append(code)
-        rows.parent_id.append(ctx.span_id)
-        site = (name, component, host, process, kind)
-        try:
-            code = self._site_codes[site]
-        except KeyError:
-            code = self._site_codes[site] = len(rows.sites)
-            rows.sites.append(site)
-        rows.site.append(code)
-        code = 0
-        if attrs:
-            items = tuple(attrs.items())
-            key = (items, tuple(map(type, attrs.values())))
-            try:
-                code = self._payload_codes[key]
-            except KeyError:
-                code = self._payload_codes[key] = len(rows.payloads)
-                rows.payloads.append(items)
-            except TypeError:  # unhashable: an entry of its own
-                code = len(rows.payloads)
-                rows.payloads.append(items)
-        rows.attrs.append(code)
-        rows.start_us.append(start_us)
-        rows.end_us.append(end_us)
-        return span_id
-
-    # ------------------------------------------------------------------
-    # Cross-process transit spans
-    # ------------------------------------------------------------------
-    def begin_transit(self, ctx: Optional[TraceContext], name: str,
-                      component: str, now: float, host: str = "",
-                      process: str = "", **attrs: Any
-                      ) -> Tuple[Optional[int], Optional[TraceContext]]:
-        """Open a transit span whose *end* the receiver will observe.
-
-        Returns ``(span_id, carried_ctx)``; the sender stores the
-        carried context on the message so the receiving process can
-        call :meth:`finish_inflight` and so hop spans nest under the
-        transit span.
-        """
-        if ctx is None:
-            return None, None
-        rows = self.spans
-        span_id = len(rows.start_us) + 1
-        if span_id > self.max_spans:
-            self.dropped += 1
-            return None, ctx
-        try:
-            code = self._trace_codes[ctx.trace_id]
-        except KeyError:
-            code = self._trace_codes[ctx.trace_id] = len(rows.trace_ids)
-            rows.trace_ids.append(ctx.trace_id)
-        rows.trace.append(code)
-        rows.parent_id.append(ctx.span_id)
-        site = (name, component, host, process, KIND_TRANSIT)
-        try:
-            code = self._site_codes[site]
-        except KeyError:
-            code = self._site_codes[site] = len(rows.sites)
-            rows.sites.append(site)
-        rows.site.append(code)
-        code = 0
-        if attrs:
-            items = tuple(attrs.items())
-            key = (items, tuple(map(type, attrs.values())))
-            try:
-                code = self._payload_codes[key]
-            except KeyError:
-                code = self._payload_codes[key] = len(rows.payloads)
-                rows.payloads.append(items)
-            except TypeError:  # unhashable: an entry of its own
-                code = len(rows.payloads)
-                rows.payloads.append(items)
-        rows.attrs.append(code)
-        rows.start_us.append(now)
-        rows.end_us.append(_OPEN)
-        return span_id, ctx.in_transit(span_id)
 
     def finish_inflight(self, ctx: Optional[TraceContext],
                         now: float) -> Optional[int]:

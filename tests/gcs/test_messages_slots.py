@@ -34,7 +34,7 @@ from repro.orb.giop import GiopReply, GiopRequest, ReplyStatus
 from repro.replication.messages import RepReply, RepRequest
 from repro.replication.styles import ReplicationStyle
 from repro.sim.kernel import EventHandle, Simulator
-from repro.telemetry.context import TraceContext, set_context
+from repro.telemetry.context import TraceContext
 
 MEMBER = MemberId("s01", 1, "svc")
 
@@ -134,17 +134,24 @@ def test_per_request_messages_copy_and_pickle_whole():
 
 
 def test_giop_contexts_are_made_on_first_use():
-    """No context dict while a message has no context; the first
-    ``set_context`` makes one, and a fork copies it."""
+    """A message's trace context is one field: None while untraced, no
+    per-message dict; a fork and a reply start from the same context."""
     request = GiopRequest(request_id="c1:2", object_key="counter",
                           operation="add", payload=1, payload_bytes=32)
-    assert request.service_contexts is None
-    assert request.fork().service_contexts is None
+    assert request.trace is None and request.fork().trace is None
+    assert not hasattr(request, "service_contexts")
     ctx = TraceContext("c1:2", 1, 1)
-    set_context(request, ctx)
-    assert RepRequest(request=request, client=MEMBER).trace_context == ctx
+    object.__setattr__(request, "trace", ctx)
+    assert RepRequest(request=request, client=MEMBER).trace_context is ctx
     forked = request.fork()
-    assert forked.service_contexts == request.service_contexts
-    assert forked.service_contexts is not request.service_contexts
+    assert forked.trace is ctx and forked == request
+    # Moving the fork's trace leaves the original's alone.
+    object.__setattr__(forked, "trace", ctx.in_transit(2))
+    assert request.trace is ctx
+    reply = GiopReply(request_id="c1:2", status=ReplyStatus.OK, payload=1,
+                      payload_bytes=8, trace=request.trace)
+    assert RepReply(reply=reply, replica=MEMBER,
+                    style=ReplicationStyle.ACTIVE,
+                    primary=MEMBER).trace_context is ctx
     twin = pickle.loads(pickle.dumps(request))
-    assert twin.service_contexts == {"telemetry.trace": ctx}
+    assert twin.trace == ctx and type(twin.trace) is TraceContext

@@ -13,17 +13,31 @@ from repro.telemetry import (
     trace_component_us,
     validate_spans,
 )
+from repro.telemetry.spans import KIND_TRANSIT
+
+
+def _root(t: Telemetry, trace_id: str, name: str = "request"):
+    """Open a root span of ``trace_id`` at 0 us."""
+    return t.open_trace(trace_id, t.site(name), 0.0)
+
+
+def _transit(t: Telemetry, ctx, now: float):
+    """Open a ``gcs.request`` transit span; returns its id and the
+    context it carries."""
+    transit = t.open(ctx, t.site("gcs.request", "group_communication",
+                                 kind=KIND_TRANSIT), now)
+    return transit, ctx.in_transit(transit)
 
 
 def _toy_trace(t: Telemetry, trace_id: str = "req-1"):
     """One request: root > [orb 10us, transit 100us > hop 20us]."""
-    ctx = t.start_trace(trace_id, host="w01", process="client", now=0.0)
-    orb = t.begin(ctx, "marshal", "orb", now=0.0)
+    ctx = t.open_trace(trace_id, t.site("request", host="w01",
+                                        process="client"), 0.0)
+    orb = t.open(ctx, t.site("marshal", "orb"), 0.0)
     t.end(orb, 10.0)
-    transit, carried = t.begin_transit(ctx, "gcs.request",
-                                       "group_communication", 10.0)
-    hop = t.begin(carried, "gcsd.process", "group_communication",
-                  now=40.0, style="active")
+    transit, carried = _transit(t, ctx, 10.0)
+    hop = t.open(carried, t.site("gcsd.process", "group_communication",
+                                 style="active"), 40.0)
     t.end(hop, 60.0)
     t.finish_inflight(carried, 110.0)
     t.finish_trace(ctx, 110.0)
@@ -55,7 +69,7 @@ def test_component_breakdown_averages_completed_traces_only():
     t = Telemetry()
     _toy_trace(t, "req-1")
     _toy_trace(t, "req-2")
-    dangling = t.start_trace("req-3", now=0.0)  # never finished
+    dangling = _root(t, "req-3")  # never finished
     assert dangling is not None
     assert set(completed_traces(t.spans)) == {"req-1", "req-2"}
     breakdown = component_breakdown(t.spans)
@@ -120,13 +134,13 @@ def test_validate_spans_allows_children_outliving_transit_parents():
     """First-arrival-wins closes a transit span while slower fan-out
     replicas' hops are still running; that is not a violation."""
     t = Telemetry()
-    ctx = t.start_trace("req-1", now=0.0)
-    transit, carried = t.begin_transit(ctx, "gcs.request",
-                                       "group_communication", 0.0)
-    fast = t.begin(carried, "gcsd.process", "group_communication", now=10.0)
+    ctx = _root(t, "req-1")
+    transit, carried = _transit(t, ctx, 0.0)
+    hop = t.site("gcsd.process", "group_communication")
+    fast = t.open(carried, hop, 10.0)
     t.end(fast, 20.0)
     t.finish_inflight(carried, 30.0)  # first replica arrived
-    slow = t.begin(carried, "gcsd.process", "group_communication", now=40.0)
+    slow = t.open(carried, hop, 40.0)
     t.end(slow, 60.0)  # ends after the transit span closed
     t.finish_trace(ctx, 100.0)
     assert t.spans[transit - 1].kind == "transit"
@@ -151,10 +165,10 @@ def test_telemetry_summary_shape():
 def test_telemetry_summary_quantiles_are_nearest_rank():
     t = Telemetry()
     for i, length in enumerate([40.0, 10.0, 30.0, 20.0]):
-        ctx = t.start_trace(f"req-{i}", now=0.0)
+        ctx = _root(t, f"req-{i}")
         t.finish_trace(ctx, length)
-    t.start_trace("req-open", now=0.0)  # an open round trip is no sample
-    t.finish_trace(t.start_trace("sw", name="switch", now=0.0), 99.0)
+    _root(t, "req-open")  # an open round trip is no sample
+    t.finish_trace(_root(t, "sw", name="switch"), 99.0)
     summary = telemetry_summary(t)
     assert summary["latency_p50_us"] == 20.0
     assert summary["latency_p99_us"] == 40.0

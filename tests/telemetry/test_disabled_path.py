@@ -67,7 +67,7 @@ def test_enabled_run_is_seen_by_the_probe():
     when telemetry is on."""
     _, stats = _profiled_load(ReplicationStyle.ACTIVE, telemetry=True)
     calls = _package_calls(stats, TELEMETRY_DIR)
-    assert any("start_trace" in name for name in calls)
+    assert any(name.endswith("(open_trace)") for name in calls)
 
 
 def test_journal_enabled_run_is_seen_by_the_probe():

@@ -14,17 +14,26 @@ from repro.telemetry import (
     spans_to_csv,
     to_chrome_trace,
 )
+from repro.telemetry.spans import KIND_CHARGED
+
+
+def _request(t: Telemetry, trace_id: str):
+    return t.open_trace(trace_id, t.site("request", host="w01",
+                                         process="client"), 0.0)
+
+
+def _redirect(t: Telemetry) -> int:
+    return t.site("redirect", "replicator", "w01", "client", KIND_CHARGED)
 
 
 def _record_spans() -> Telemetry:
     t = Telemetry()
-    ctx = t.start_trace("req-1", host="w01", process="client", now=0.0)
-    span = t.begin(ctx, "marshal", "orb", host="w01", process="client",
-                   now=0.0, operation="add")
+    ctx = _request(t, "req-1")
+    span = t.open(ctx, t.site("marshal", "orb", "w01", "client",
+                              operation="add"), 0.0)
     t.end(span, 12.5)
-    t.emit(ctx, "redirect", "replicator", 12.5, 44.5, host="w01",
-           process="client")
-    t.begin(ctx, "dangling", "orb", now=50.0)  # stays open
+    t.open(ctx, _redirect(t), 12.5, 44.5)
+    t.open(ctx, t.site("dangling", "orb"), 50.0)  # stays open
     t.finish_trace(ctx, 100.0)
     return t
 
@@ -63,9 +72,8 @@ class TestChromeTrace:
 class TestPrometheus:
     def test_round_trip(self):
         t = _record_spans()
-        ctx = t.start_trace("req-2", host="w01", process="client", now=0.0)
-        t.emit(ctx, "redirect", "replicator", 1.0, 3.0, host="w01",
-               process="client")
+        ctx = _request(t, "req-2")
+        t.open(ctx, _redirect(t), 1.0, 3.0)
         t.finish_trace(ctx, 50.0)
         series = parse_prometheus_text(prometheus_text(t.spans))
         labels = 'component="replicator",host="w01",name="redirect",' \

@@ -14,6 +14,7 @@ from repro.experiments import run_fault_trial, run_replicated_load
 from repro.replication import ReplicationStyle
 from repro.telemetry import (
     completed_traces,
+    component_breakdown,
     critical_path,
     parse_prometheus_text,
     prometheus_text,
@@ -101,6 +102,47 @@ def test_summary_quantiles_are_nearest_rank_over_root_request_spans():
     # Nearest rank: the 30th and the 60th of 60 sorted round trips.
     assert summary["latency_p50_us"] == round(rounds[29], 3)
     assert summary["latency_p99_us"] == round(rounds[59], 3)
+
+
+def _capped(max_spans):
+    from dataclasses import replace
+
+    from repro.sim import default_calibration
+
+    base = default_calibration()
+    calibration = replace(base, telemetry=replace(base.telemetry,
+                                                  max_spans=max_spans))
+    return _load(n_replicas=3, n_clients=2, n_requests=20, seed=1,
+                 calibration=calibration, telemetry=True).telemetry
+
+
+def test_summary_leaves_out_traces_that_lost_spans():
+    """A trace whose root finished but which lost spans to
+    ``max_spans`` is not a completed round trip in the summary."""
+    capped, full = _capped(137), _capped(200_000)
+    assert capped.dropped == 43 and full.dropped == 0
+    # The span view alone cannot tell: four roots finished, but two of
+    # those traces hold 34 and 31 of their 36 spans, which pulls the
+    # mean breakdown down (orb 1,507.7 and gcs 1,071.1 us uncapped).
+    rooted = completed_traces(capped.spans)
+    assert sorted(map(len, rooted.values())) == [31, 34, 36, 36]
+    breakdown = component_breakdown(capped.spans)
+    assert round(breakdown["orb"], 1) == 1413.6
+    assert round(breakdown["group_communication"], 1) == 980.4
+    uncapped = component_breakdown(full.spans)
+    assert round(uncapped["orb"], 1) == 1507.7
+    assert round(uncapped["group_communication"], 1) == 1071.1
+    # The summary counts the two whole traces, as they read uncapped.
+    whole = {trace_id for trace_id, spans in rooted.items()
+             if len(spans) == 36}
+    assert capped.dropped_traces.isdisjoint(whole)
+    summary = telemetry_summary(capped)
+    assert summary["traces_completed"] == 2
+    assert summary["breakdown_us"] == {
+        component: round(micros, 3) for component, micros in
+        component_breakdown(s for s in full.spans
+                            if s.trace_id in whole).items()}
+    assert set(summary) == set(telemetry_summary(full))
 
 
 def test_prometheus_text_sums_every_finished_span():

@@ -4,12 +4,18 @@ import pytest
 
 from repro.sim import NULL_TELEMETRY, Simulator
 from repro.telemetry import Telemetry, TraceContext, spans_by_trace
-from repro.telemetry.spans import KIND_CHARGED, KIND_MEASURED, Span
+from repro.telemetry.spans import (
+    KIND_CHARGED,
+    KIND_MEASURED,
+    KIND_TRANSIT,
+    Span,
+)
 
 
 def test_start_trace_opens_root():
     t = Telemetry()
-    ctx = t.start_trace("req-1", host="w01", process="client", now=10.0)
+    root = t.site("request", host="w01", process="client")
+    ctx = t.open_trace("req-1", root, 10.0)
     assert isinstance(ctx, TraceContext)
     assert ctx.trace_id == "req-1"
     assert ctx.root_id == ctx.span_id
@@ -17,13 +23,15 @@ def test_start_trace_opens_root():
     root = t.spans[0]
     assert root.is_root and not root.finished
     assert root.start_us == 10.0
+    assert (root.name, root.host, root.process) == ("request", "w01",
+                                                    "client")
     assert t.open_spans == 1
 
 
 def test_begin_end_child_span():
     t = Telemetry()
-    ctx = t.start_trace("req-1", now=0.0)
-    span_id = t.begin(ctx, "marshal", "orb", now=5.0, operation="add")
+    ctx = t.open_trace("req-1", t.site("request"), 0.0)
+    span_id = t.open(ctx, t.site("marshal", "orb", operation="add"), 5.0)
     assert span_id == 2
     span = t.spans[span_id - 1]
     assert span.span_id == span_id and span.parent_id == ctx.root_id
@@ -37,9 +45,9 @@ def test_begin_end_child_span():
 
 def test_none_context_is_safe_everywhere():
     t = Telemetry()
-    assert t.begin(None, "x", "orb") is None
-    assert t.emit(None, "x", "orb", 0.0, 1.0) is None
-    assert t.begin_transit(None, "x", "gcs", 0.0) == (None, None)
+    site = t.site("x", "orb")
+    assert t.open(None, site, 0.0) is None
+    assert t.open(None, site, 0.0, 1.0) is None
     assert t.finish_inflight(None, 1.0) is None
     assert t.finish_trace(None, 1.0) is None
     t.end(None, 1.0)
@@ -48,8 +56,9 @@ def test_none_context_is_safe_everywhere():
 
 def test_emit_records_closed_charged_span():
     t = Telemetry()
-    ctx = t.start_trace("req-1", now=0.0)
-    span = t.spans[t.emit(ctx, "redirect", "replicator", 10.0, 42.0) - 1]
+    ctx = t.open_trace("req-1", t.site("request"), 0.0)
+    redirect = t.site("redirect", "replicator", kind=KIND_CHARGED)
+    span = t.spans[t.open(ctx, redirect, 10.0, 42.0) - 1]
     assert span.finished and span.kind == KIND_CHARGED
     assert span.duration_us == 32.0
     assert t.open_spans == 1  # only the root stays open
@@ -57,12 +66,15 @@ def test_emit_records_closed_charged_span():
 
 def test_transit_round_trip():
     t = Telemetry()
-    ctx = t.start_trace("req-1", now=0.0)
-    span_id, carried = t.begin_transit(ctx, "gcs.request", "gcs", 100.0)
+    ctx = t.open_trace("req-1", t.site("request"), 0.0)
+    span_id = t.open(ctx, t.site("gcs.request", "gcs", kind=KIND_TRANSIT),
+                     100.0)
+    carried = ctx.in_transit(span_id)
     assert carried.inflight == span_id
     assert carried.span_id == span_id  # hops nest under transit
+    assert t.spans[span_id - 1].kind == KIND_TRANSIT
     # Receiver-side hop span parents to the transit span.
-    hop = t.begin(carried, "gcsd.process", "gcs", now=120.0)
+    hop = t.open(carried, t.site("gcsd.process", "gcs"), 120.0)
     assert t.spans[hop - 1].parent_id == span_id
     t.end(hop, 140.0)
     assert t.finish_inflight(carried, 150.0) == span_id
@@ -77,7 +89,7 @@ def test_transit_round_trip():
 
 def test_finish_trace_closes_root():
     t = Telemetry()
-    ctx = t.start_trace("req-1", now=0.0)
+    ctx = t.open_trace("req-1", t.site("request"), 0.0)
     assert t.finish_trace(ctx, 500.0) == ctx.root_id
     root = t.spans[0]
     assert root.finished and root.duration_us == 500.0
@@ -87,22 +99,24 @@ def test_finish_trace_closes_root():
 
 def test_capacity_drop_counts_and_traces():
     t = Telemetry(max_spans=2)
-    ctx = t.start_trace("req-1", now=0.0)
-    t.begin(ctx, "a", "orb", now=1.0)
-    assert t.begin(ctx, "b", "orb", now=2.0) is None  # over capacity
-    assert t.start_trace("req-2", now=3.0) is None
-    span, carried = t.begin_transit(ctx, "c", "gcs", 4.0)
-    assert span is None
-    assert carried is ctx  # context keeps propagating undisturbed
+    request, orb = t.site("request"), t.site("a", "orb")
+    ctx = t.open_trace("req-1", request, 0.0)
+    t.open(ctx, orb, 1.0)
+    assert t.open(ctx, orb, 2.0) is None  # over capacity
+    assert t.open_trace("req-2", request, 3.0) is None
+    assert t.open(ctx, t.site("c", "gcs", kind=KIND_TRANSIT), 4.0) is None
     assert t.dropped == 3
     assert len(t) == 2
+    # Each drop notes its trace: a trace missing spans is not whole.
+    assert t.dropped_traces == {"req-1", "req-2"}
 
 
 def test_traces_grouping():
     t = Telemetry()
-    a = t.start_trace("a", now=0.0)
-    b = t.start_trace("b", now=0.0)
-    t.begin(a, "x", "orb", now=1.0)
+    request = t.site("request")
+    a = t.open_trace("a", request, 0.0)
+    b = t.open_trace("b", request, 0.0)
+    t.open(a, t.site("x", "orb"), 1.0)
     grouped = t.traces()
     assert set(grouped) == {"a", "b"}
     assert len(grouped["a"]) == 2
@@ -119,44 +133,50 @@ def test_null_telemetry_is_disabled_and_inert():
 
 def test_every_opener_counts_a_drop_at_capacity():
     t = Telemetry(max_spans=1)
-    ctx = t.start_trace("req-1", now=0.0)
-    assert t.start_trace("req-2", now=1.0) is None
-    assert t.begin(ctx, "a", "orb", now=2.0) is None
-    assert t.emit(ctx, "b", "replicator", 3.0, 4.0) is None
-    assert t.begin_transit(ctx, "c", "gcs", 5.0) == (None, ctx)
-    assert t.dropped == 4
+    request = t.site("request")
+    ctx = t.open_trace("req-1", request, 0.0)
+    assert t.open_trace("req-2", request, 1.0) is None
+    assert t.open(ctx, t.site("a", "orb"), 2.0) is None
+    assert t.open(ctx, t.site("b", "replicator", kind=KIND_CHARGED),
+                  3.0, 4.0) is None
+    assert t.dropped == 3
     assert len(t) == 1 and t.open_spans == 1
 
 
 def test_context_moves_match_dataclass_replace():
-    from dataclasses import replace
     ctx = TraceContext("req-1", root_id=7, span_id=7)
     carried = ctx.in_transit(9)
-    assert carried == replace(ctx, span_id=9, inflight=9)
-    assert carried.at_root() == replace(carried, span_id=7, inflight=0)
+    assert carried == ctx._replace(span_id=9, inflight=9)
+    assert carried.at_root() == carried._replace(span_id=7, inflight=0)
     assert carried.at_root() == ctx
     assert ctx.at_root() is ctx  # already rooted: no new object
     nested = TraceContext("req-1", root_id=7, span_id=8)
-    assert nested.at_root() == replace(nested, span_id=7, inflight=0)
+    assert nested.at_root() == nested._replace(span_id=7, inflight=0)
     # A context parked on its root but still carrying a transit id is
     # not rooted: at_root() clears the transit.
     parked = TraceContext("req-1", root_id=7, span_id=7, inflight=9)
     assert parked.at_root() == ctx and parked.at_root() is not parked
+    # The context is an immutable tuple.
+    with pytest.raises(AttributeError):
+        ctx.span_id = 8
 
 
 def _exported_round_trip() -> Telemetry:
     t = Telemetry()
-    ctx = t.start_trace("req-1", host="w01", process="client", now=0.0)
-    span = t.begin(ctx, "marshal", "orb", host="w01", process="client",
-                   now=0.0, operation="add")
+    ctx = t.open_trace("req-1", t.site("request", host="w01",
+                                       process="client"), 0.0)
+    span = t.open(ctx, t.site("marshal", "orb", "w01", "client",
+                              operation="add"), 0.0)
     t.end(span, 12.5)
-    _, carried = t.begin_transit(ctx, "gcs.request", "gcs", 12.5,
-                                 host="w01", process="client")
-    t.emit(carried, "gcsd.ipc", "gcs", 20.0, 22.0, host="s01",
-           process="gcsd")
+    transit = t.open(ctx, t.site("gcs.request", "gcs", "w01", "client",
+                                 KIND_TRANSIT), 12.5)
+    carried = ctx.in_transit(transit)
+    t.open(carried, t.site("gcsd.ipc", "gcs", "s01", "gcsd", KIND_CHARGED),
+           20.0, 22.0)
     t.finish_inflight(carried, 30.0)
-    t.emit(carried.at_root(), "redirect", "replicator", 30.0, 34.5,
-           host="s01", process="srv", style="active")
+    t.open(carried.at_root(), t.site("redirect", "replicator", "s01", "srv",
+                                     KIND_CHARGED, style="active"),
+           30.0, 34.5)
     t.finish_trace(ctx, 100.0)
     return t
 
@@ -208,10 +228,11 @@ def test_counts_build_no_span(monkeypatch):
     from repro.telemetry import spans as spans_module
 
     t = Telemetry(max_spans=3)
-    ctx = t.start_trace("req-1", now=0.0)
-    t.end(t.begin(ctx, "a", "orb", now=1.0), 2.0)
-    t.begin(ctx, "b", "orb", now=3.0)
-    assert t.emit(ctx, "c", "replicator", 4.0, 5.0) is None
+    ctx = t.open_trace("req-1", t.site("request"), 0.0)
+    t.end(t.open(ctx, t.site("a", "orb"), 1.0), 2.0)
+    t.open(ctx, t.site("b", "orb"), 3.0)
+    assert t.open(ctx, t.site("c", "replicator", kind=KIND_CHARGED),
+                  4.0, 5.0) is None
     built = []
 
     def counting_span(*fields):
@@ -229,50 +250,57 @@ def test_counts_build_no_span(monkeypatch):
 
 def test_attrs_payloads_are_stored_once_and_typed():
     t = Telemetry()
-    ctx = t.start_trace("req-1", now=0.0)
-    for now in (1.0, 2.0):
-        t.emit(ctx, "x", "orb", now, now, style="active", shard=1)
-    t.emit(ctx, "x", "orb", 3.0, 3.0, style="active", shard=True)
-    t.emit(ctx, "x", "orb", 4.0, 4.0, style="active", shard=1.0)
+    ctx = t.open_trace("req-1", t.site("request"), 0.0)
+    codes = [t.site("x", "orb", style="active", shard=1) for _ in range(2)]
+    codes.append(t.site("x", "orb", style="active", shard=True))
+    codes.append(t.site("x", "orb", style="active", shard=1.0))
+    # Equal sites share a code; 1, True and 1.0 are equal and hash
+    # alike, but each keeps a site (and its type) of its own.
+    assert codes == [1, 1, 2, 3]
+    for now, code in enumerate(codes, start=1):
+        t.open(ctx, code, float(now), float(now))
     rows = t.spans
-    # Code 0 is the empty payload: the root carries no attrs.
-    assert list(rows.attrs) == [0, 1, 1, 2, 3]
-    assert rows.payloads[0] == ()
-    assert rows.payloads[1] == (("style", "active"), ("shard", 1))
-    # 1, True and 1.0 are equal and hash alike; they keep their type.
+    # The root's site carries no attrs: ``()``.
+    assert rows.sites[0] == ("request", "", "", "", KIND_MEASURED, ())
+    assert rows.sites[1] == ("x", "orb", "", "", KIND_MEASURED,
+                             (("style", "active"), ("shard", 1)))
     assert [type(s.attrs["shard"]) for s in t.spans[1:]] == [
         int, int, bool, float]
-    # An unhashable payload gets an entry of its own, never shared.
-    for now in (5.0, 6.0):
-        t.emit(ctx, "y", "orb", now, now, hops=["a", "b"])
-    assert list(rows.attrs[-2:]) == [4, 5]
+    # An unhashable attr gets a site of its own, never shared.
+    hops = [t.site("y", "orb", hops=["a", "b"]) for _ in range(2)]
+    assert hops == [4, 5]
+    for now, code in zip((5.0, 6.0), hops):
+        t.open(ctx, code, now, now)
+    assert list(rows.site[-2:]) == hops
     assert t.spans[-1].attrs == {"hops": ["a", "b"]}
     assert t.spans[-1].attrs is not t.spans[-1].attrs
 
 
 def test_rows_are_fixed_width_codes_into_tables():
     t = Telemetry()
-    a = t.start_trace("req-1", host="w01", process="client", now=0.0)
-    b = t.start_trace("req-2", host="w01", process="client", now=1.0)
+    request = t.site("request", host="w01", process="client")
+    a = t.open_trace("req-1", request, 0.0)
+    b = t.open_trace("req-2", request, 1.0)
     for ctx in (a, b, a):
-        t.end(t.begin(ctx, "marshal", "orb", host="w01", now=2.0), 3.0)
+        t.end(t.open(ctx, t.site("marshal", "orb", host="w01"), 2.0), 3.0)
     rows = t.spans
     assert rows.trace_ids == ["req-1", "req-2"]
     assert list(rows.trace) == [0, 1, 0, 1, 0]
     assert rows.sites == [
-        ("request", "", "w01", "client", KIND_MEASURED),
-        ("marshal", "orb", "w01", "", KIND_MEASURED)]
+        ("request", "", "w01", "client", KIND_MEASURED, ()),
+        ("marshal", "orb", "w01", "", KIND_MEASURED, ())]
     assert list(rows.site) == [0, 0, 1, 1, 1]
     assert list(rows.parent_id) == [0, 0, 1, 2, 1]
-    codes = (rows.trace, rows.parent_id, rows.site, rows.attrs)
-    assert [column.itemsize for column in codes] == [4, 4, 4, 4]
+    codes = (rows.trace, rows.parent_id, rows.site)
+    assert [column.itemsize for column in codes] == [4, 4, 4]
     assert rows.start_us.itemsize == rows.end_us.itemsize == 8
+    assert not hasattr(rows, "attrs") and not hasattr(rows, "payloads")
 
 
 def test_retained_bytes_per_span():
-    """The recorder keeps four 4-byte codes and two doubles per span:
-    ~42 B per span retained (~88 B with a pointer per column, ~310 B
-    with a Span object per span)."""
+    """The recorder keeps three 4-byte codes and two doubles per span:
+    ~41 B per span retained (~42 B with an attrs code column, ~88 B
+    with a pointer per column, ~310 B with a Span object per span)."""
     import gc
     import tracemalloc
 
@@ -298,4 +326,4 @@ def test_retained_bytes_per_span():
     on, result = retained(True)
     n_spans = len(result.telemetry.spans)
     assert n_spans > 3000 and result.telemetry.dropped == 0
-    assert (on - off) / n_spans <= 60
+    assert (on - off) / n_spans <= 48
