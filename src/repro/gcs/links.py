@@ -18,7 +18,7 @@ from repro.gcs.messages import LinkAck, LinkData, estimate_control_bytes
 from repro.net.frame import Endpoint
 from repro.net.network import Network
 from repro.sim.config import GcsCalibration
-from repro.sim.kernel import EventHandle, Simulator
+from repro.sim.kernel import Simulator
 
 #: ACKs are delayed to amortize: one cumulative ACK per this interval.
 ACK_DELAY_US = 1_500.0
@@ -35,8 +35,8 @@ MAX_RETRANSMITS = 30
 class ReliableLink:
     """One direction of a reliable FIFO channel between two daemons.
 
-    Each timer handle is tested ``is None`` rather than ``.pending``:
-    its handler clears the handle before anything else, and only
+    A timer handle is held only while its event is pending: its
+    handler clears the handle before anything else, and only
     :meth:`close` cancels one, after which nothing arms a timer again.
     """
 
@@ -58,11 +58,11 @@ class ReliableLink:
         # Sender state.
         self._next_out = 1
         self._unacked: Dict[int, "_Pending"] = {}
-        self._retransmit_timer: Optional[EventHandle] = None
+        self._retransmit_timer: Optional[list] = None
         # Receiver state.
         self._next_in = 1
         self._stash: Dict[int, Any] = {}
-        self._ack_timer: Optional[EventHandle] = None
+        self._ack_timer: Optional[list] = None
         self.closed = False
 
     # ------------------------------------------------------------------
@@ -173,9 +173,9 @@ class ReliableLink:
         self._unacked.clear()
         self._stash.clear()
         if self._retransmit_timer is not None:
-            self._retransmit_timer.cancel()
+            self.sim.cancel(self._retransmit_timer)
         if self._ack_timer is not None:
-            self._ack_timer.cancel()
+            self.sim.cancel(self._ack_timer)
         if self._on_close is not None:
             self._on_close()
 

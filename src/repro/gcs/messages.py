@@ -14,17 +14,18 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, NamedTuple, Tuple
 
 from repro.net.frame import FrozenSlots, slot_setters
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class MemberId:
+class MemberId(NamedTuple):
     """Identity of a connected process: (host, pid, name).
 
     Ordering is total and identical at every daemon, which the
     replication layer relies on for deterministic primary election.
+    A tuple, so hashing and comparing it run in C: member ids key the
+    daemons' and replicators' tables on every message.
     """
 
     host: str

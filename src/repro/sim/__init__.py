@@ -30,7 +30,6 @@ from repro.sim.kernel import (
     NULL_HISTORY,
     NULL_JOURNAL,
     NULL_TELEMETRY,
-    EventHandle,
     NullHistory,
     NullJournal,
     NullTelemetry,
@@ -40,7 +39,6 @@ from repro.sim.kernel import (
 __all__ = [
     "Actor",
     "Cpu",
-    "EventHandle",
     "GcsCalibration",
     "Host",
     "HostCalibration",

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Optional
 
 from repro.sim.host import Process
-from repro.sim.kernel import EventHandle, Simulator
+from repro.sim.kernel import Simulator
 
 
 class Actor:
@@ -21,7 +21,7 @@ class Actor:
         self.process = process
         self.sim: Simulator = process.sim
         self.name = name or f"{process.name}/{type(self).__name__}"
-        self._timers: Dict[str, EventHandle] = {}
+        self._timers: Dict[str, list] = {}
         process.on_kill(self._on_process_killed)
 
     # ------------------------------------------------------------------
@@ -72,12 +72,12 @@ class Actor:
         """Cancel a named timer (no-op if absent)."""
         handle = self._timers.pop(key, None)
         if handle is not None:
-            handle.cancel()
+            self.sim.cancel(handle)
 
     def cancel_all_timers(self) -> None:
         """Cancel every armed timer."""
         for handle in self._timers.values():
-            handle.cancel()
+            self.sim.cancel(handle)
         self._timers.clear()
 
     # ------------------------------------------------------------------

@@ -51,11 +51,13 @@ class Cpu:
         now = sim.now
         cal = self._cal
         service = demand_us / cal.speed
-        start = max(now, self._ready_at)
-        if start > now:
+        ready_at = self._ready_at
+        if ready_at > now:
             # Queued behind an earlier job: charge a context switch.
             service += cal.context_switch_us / cal.speed
-        done = start + service
+            done = ready_at + service
+        else:
+            done = now + service
         self._ready_at = done
         self._busy_us += service
         sim.schedule_at(done, callback, *args)

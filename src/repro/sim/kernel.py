@@ -15,6 +15,14 @@ seed and the same scenario produce identical traces.  This property is
 load-bearing for the paper's architecture: adaptation decisions are
 "made in a distributed manner by a deterministic algorithm" over
 replicated state (Section 3.1), and the tests assert reproducibility.
+
+Events
+------
+An event is its heap entry, the list ``[time, seq, callback, args]``.
+:meth:`Simulator.schedule` returns that list as an opaque handle, and
+:meth:`Simulator.cancel` empties its callback slot; dispatch puts the
+:func:`_fired` sentinel there.  No object is built per event beyond
+the list itself.
 """
 
 from __future__ import annotations
@@ -23,59 +31,13 @@ import heapq
 import itertools
 import math
 import random
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional
 
 from repro.errors import SimulationError
 
 
-class EventHandle:
-    """A cancellable reference to a scheduled event.
-
-    Returned by :meth:`Simulator.schedule`; calling :meth:`cancel`
-    prevents the callback from firing (cancelling an already-fired or
-    already-cancelled event is a harmless no-op).
-    """
-
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "sim")
-
-    def __init__(self, time: float, seq: int,
-                 callback: Callable[..., None], args: tuple,
-                 sim: "Optional[Simulator]" = None):
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        self.sim = sim
-
-    def cancel(self) -> None:
-        """Prevent this event from firing."""
-        if self.cancelled or self.callback is _fired:
-            return
-        self.cancelled = True
-        # Drop references eagerly so cancelled timers do not pin large
-        # payloads in the heap until their scheduled time.
-        self.callback = _noop
-        self.args = ()
-        if self.sim is not None:
-            self.sim._note_cancelled()
-
-    @property
-    def pending(self) -> bool:
-        """True if the event has neither fired nor been cancelled."""
-        return not self.cancelled and self.callback is not _fired
-
-    def __repr__(self) -> str:
-        state = "cancelled" if self.cancelled else "pending"
-        return f"<EventHandle t={self.time:.1f} seq={self.seq} {state}>"
-
-
-def _noop(*_args: Any) -> None:
-    """Placeholder callback for cancelled events."""
-
-
 def _fired(*_args: Any) -> None:
-    """Sentinel marking an event that has already been dispatched."""
+    """Sentinel in an entry's callback slot: the event was dispatched."""
 
 
 class NullTelemetry:
@@ -238,10 +200,11 @@ class Simulator:
         #: The installed policy's bound ``tie_break`` (None without a
         #: policy): with one, every ``seq`` is ``(tie_break(), n)``.
         self._tie_break: Optional[Callable[[], Any]] = None
-        #: ``(time, seq, handle)`` entries.  ``seq`` is unique, so the
-        #: heap orders by a C tuple compare of ``(time, seq)`` and never
-        #: reaches the handle.
-        self._heap: List[Tuple[float, Any, EventHandle]] = []
+        #: ``[time, seq, callback, args]`` entries, each one event and
+        #: its handle.  ``seq`` is unique, so the heap orders by a C
+        #: list compare of ``(time, seq)`` and never reaches the
+        #: callback.
+        self._heap: List[list] = []
         self._seq = itertools.count()
         self._pids = itertools.count(1)
         self._running = False
@@ -309,8 +272,12 @@ class Simulator:
     # Scheduling
     # ------------------------------------------------------------------
     def schedule(self, delay: float, callback: Callable[..., None],
-                 *args: Any) -> EventHandle:
-        """Schedule ``callback(*args)`` to run ``delay`` µs from now."""
+                 *args: Any) -> list:
+        """Schedule ``callback(*args)`` to run ``delay`` µs from now.
+
+        Returns the event's heap entry as an opaque handle for
+        :meth:`cancel`.
+        """
         if not delay >= 0:  # NaN fails too: it would break heap order
             raise SimulationError(f"cannot schedule in the past: delay={delay}")
         if not callable(callback):
@@ -320,14 +287,15 @@ class Simulator:
         tie_break = self._tie_break
         seq = next(self._seq) if tie_break is None \
             else (tie_break(), next(self._seq))
-        handle = EventHandle(time, seq, callback, args, self)
-        heapq.heappush(self._heap, (time, seq, handle))
+        entry = [time, seq, callback, args]
+        heapq.heappush(self._heap, entry)
         self._pending += 1
-        return handle
+        return entry
 
     def schedule_at(self, time: float, callback: Callable[..., None],
-                    *args: Any) -> EventHandle:
-        """Schedule ``callback(*args)`` at absolute simulated time ``time``."""
+                    *args: Any) -> list:
+        """Schedule ``callback(*args)`` at absolute simulated time
+        ``time``; returns the handle, as :meth:`schedule` does."""
         if not time >= self.now:  # NaN fails too: it would break heap order
             raise SimulationError(
                 f"cannot schedule at t={time} before now={self.now}")
@@ -336,14 +304,24 @@ class Simulator:
         tie_break = self._tie_break
         seq = next(self._seq) if tie_break is None \
             else (tie_break(), next(self._seq))
-        handle = EventHandle(time, seq, callback, args, self)
-        heapq.heappush(self._heap, (time, seq, handle))
+        entry = [time, seq, callback, args]
+        heapq.heappush(self._heap, entry)
         self._pending += 1
-        return handle
+        return entry
 
-    def _note_cancelled(self) -> None:
-        """A pending handle was cancelled: update the live counters
-        and compact the heap when cancelled entries dominate it."""
+    def cancel(self, handle: list) -> None:
+        """Prevent a scheduled event from firing; a no-op on one that
+        already fired or was already cancelled.
+
+        The entry stays in the heap with an empty callback slot until
+        it reaches the head or a compaction drops it; its arguments
+        are dropped now, so a cancelled timer pins no payload.
+        """
+        callback = handle[2]
+        if callback is None or callback is _fired:
+            return
+        handle[2] = None
+        handle[3] = ()
         self._pending -= 1
         cancelled = self._cancelled + 1
         self._cancelled = cancelled
@@ -353,80 +331,56 @@ class Simulator:
             # only live entries.  heapify restores the invariant; the
             # dispatch order is unchanged because the (time, seq)
             # ordering is total.
-            heap[:] = [entry for entry in heap if not entry[2].cancelled]
+            heap[:] = [entry for entry in heap if entry[2] is not None]
             heapq.heapify(heap)
             self._cancelled = 0
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Dispatch the single next event.
-
-        Returns False when the event queue is exhausted.
-        """
-        heap = self._heap
-        while heap:
-            handle = heapq.heappop(heap)[2]
-            if handle.cancelled:
-                self._cancelled -= 1
-                continue
-            if handle.time < self.now:
-                raise SimulationError(
-                    f"event at t={handle.time} is in the past (now={self.now})")
-            self.now = handle.time
-            callback, args = handle.callback, handle.args
-            handle.callback = _fired
-            handle.args = ()
-            self._pending -= 1
-            self._events_dispatched += 1
-            callback(*args)
-            return True
-        return False
-
     def run(self, until: float = math.inf, max_events: Optional[int] = None) -> float:
         """Run until the queue drains, ``until`` is reached, or
         ``max_events`` events have been dispatched.
 
-        Returns the simulated time at which the run stopped.  When the
-        run stops because of ``until``, the clock is advanced to
+        Returns the simulated time at which the run stopped.  When no
+        event at or before ``until`` is left, the clock is advanced to
         ``until`` even if no event fired exactly there, so that
-        consecutive ``run`` calls see a monotone clock.
+        consecutive ``run`` calls see a monotone clock; a run stopped
+        by ``max_events`` short of ``until`` leaves it at the last
+        event dispatched.
         """
         if self._running:
             raise SimulationError("Simulator.run() is not re-entrant")
         self._running = True
         # The dispatch loop is the simulator's hottest code: locals are
-        # hoisted and the single-event :meth:`step` is inlined so one
-        # event costs one heap pop plus the callback.
+        # hoisted and one event costs one heap pop plus the callback.
         heap = self._heap
         pop = heapq.heappop
         limitless = max_events is None
         dispatched = 0
         try:
             while heap:
-                # The budget check runs before *any* pop so a cancelled
-                # head can neither consume budget nor be consumed past
-                # it (a popped-cancelled head previously slipped
-                # through without re-checking ``max_events``).
-                if not limitless and dispatched >= max_events:
-                    break
-                time, _, head = heap[0]
-                if head.cancelled:
+                head = heap[0]
+                callback = head[2]
+                if callback is None:  # cancelled: drop it, spend nothing
                     pop(heap)
                     self._cancelled -= 1
                     continue
+                time = head[0]
                 if time > until:
                     break
+                # The budget is checked with a live head at or before
+                # ``until`` in hand: that event stays queued, so the
+                # clock must not move past it.
+                if not limitless and dispatched >= max_events:
+                    return self.now
                 pop(heap)
                 self.now = time
-                callback, args = head.callback, head.args
-                head.callback = _fired
-                head.args = ()
+                head[2] = _fired
                 self._pending -= 1
                 self._events_dispatched += 1
                 dispatched += 1
-                callback(*args)
+                callback(*head[3])
         finally:
             self._running = False
         if until is not math.inf and until > self.now:

@@ -5,7 +5,9 @@ wire transmission, and every request carries a GIOP request, its
 replication wrapper and a GIOP reply that replicas keep in their reply
 caches; a stray ``__dict__`` on any of them (easily reintroduced by a
 slotless base class or a dataclass edit) costs ~100 bytes and a dict
-allocation per message.  These tests pin the layout.
+allocation per message.  These tests pin the layout.  A value type may
+also be a ``NamedTuple`` (``MemberId``): its fields are the tuple's
+items, and its only base is ``tuple``.
 """
 
 import copy
@@ -33,7 +35,7 @@ from repro.net.frame import Endpoint, Frame
 from repro.orb.giop import GiopReply, GiopRequest, ReplyStatus
 from repro.replication.messages import RepReply, RepRequest
 from repro.replication.styles import ReplicationStyle
-from repro.sim.kernel import EventHandle, Simulator
+from repro.sim.kernel import Simulator
 from repro.telemetry.context import TraceContext
 
 MEMBER = MemberId("s01", 1, "svc")
@@ -84,18 +86,23 @@ def test_no_message_instance_grows_a_dict():
 
 
 def test_slots_declared_throughout_the_mro():
-    """Every class (bar object) on a message's MRO must declare
-    __slots__ — one slotless base resurrects the instance dict."""
+    """Every class (bar the dict-free built-ins object and tuple) on a
+    message's MRO must declare __slots__ — one slotless base
+    resurrects the instance dict."""
     for obj in INSTANCES:
-        for klass in type(obj).__mro__[:-1]:
+        for klass in type(obj).__mro__:
+            if klass in (object, tuple):
+                continue
             assert "__slots__" in vars(klass), (
                 f"{type(obj).__name__}: {klass.__name__} lacks __slots__")
 
 
 def test_event_handle_stays_slotted():
+    """An event handle is its plain-list heap entry: no object, no
+    instance dict, no subclass."""
     sim = Simulator()
     handle = sim.schedule(1.0, lambda: None)
-    assert isinstance(handle, EventHandle)
+    assert type(handle) is list
     assert not hasattr(handle, "__dict__")
 
 
@@ -105,12 +112,19 @@ def test_messages_still_behave_as_values():
     assert hash(Endpoint("h", 1)) == hash(Endpoint("h", 1))
 
 
+def _field_names(obj):
+    """A message's fields: its slots, or a NamedTuple's ``_fields``."""
+    if isinstance(obj, tuple):
+        return list(obj._fields)
+    return [name for klass in type(obj).__mro__[:-1]
+            for name in vars(klass).get("__slots__", ())]
+
+
 def test_wire_messages_reject_assignment():
-    """Every message, frozen dataclass or hand-slotted, is immutable:
-    assigning any of its fields raises AttributeError."""
+    """Every message, frozen dataclass, NamedTuple or hand-slotted, is
+    immutable: assigning any of its fields raises AttributeError."""
     for obj in INSTANCES:
-        names = [name for klass in type(obj).__mro__[:-1]
-                 for name in vars(klass).get("__slots__", ())]
+        names = _field_names(obj)
         assert names, type(obj).__name__
         for name in names:
             try:

@@ -2,9 +2,10 @@
 
 :class:`ReferenceSimulator` restores the naive kernel semantics this
 repository shipped before the hot-path work: the run loop pays a
-``step()`` call per event, cancelled handles stay in the heap until
+``step()`` call per event, cancelled entries stay in the heap until
 their scheduled time (no compaction), and ``pending_events`` is an
-O(n) heap scan.
+O(n) heap scan.  :meth:`ReferenceSimulator.step`, the single-event
+dispatch, lives only here.
 
 ``test_golden_determinism.py`` swaps it into the testbed and asserts
 byte-identical traces, telemetry and journals — proving the fast path
@@ -24,7 +25,7 @@ import math
 from typing import Optional
 
 from repro.errors import SimulationError
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import Simulator, _fired
 
 __all__ = ["ReferenceSimulator"]
 
@@ -32,31 +33,60 @@ __all__ = ["ReferenceSimulator"]
 class ReferenceSimulator(Simulator):
     """Drop-in :class:`Simulator` with the pre-optimization hot path."""
 
-    def _note_cancelled(self) -> None:
+    def cancel(self, handle: list) -> None:
         """Keep the live counter honest but never compact the heap:
-        cancelled handles ride along until their scheduled time, as
+        cancelled entries ride along until their scheduled time, as
         they did before compaction existed."""
+        if handle[2] is None or handle[2] is _fired:
+            return
+        handle[2] = None
+        handle[3] = ()
         self._pending -= 1
+
+    def step(self) -> bool:
+        """Dispatch the single next event.
+
+        Returns False when the event queue is exhausted.
+        """
+        heap = self._heap
+        while heap:
+            entry = heapq.heappop(heap)
+            time, _, callback, args = entry
+            if callback is None:
+                self._cancelled -= 1
+                continue
+            if time < self.now:
+                raise SimulationError(
+                    f"event at t={time} is in the past (now={self.now})")
+            self.now = time
+            entry[2] = _fired
+            self._pending -= 1
+            self._events_dispatched += 1
+            callback(*args)
+            return True
+        return False
 
     def run(self, until: float = math.inf,
             max_events: Optional[int] = None) -> float:
         """The pre-optimization dispatch loop: peek, then delegate each
-        event to :meth:`Simulator.step` (one extra call per event)."""
+        event to :meth:`step` (one extra call per event)."""
         if self._running:
             raise SimulationError("Simulator.run() is not re-entrant")
         self._running = True
         dispatched = 0
         try:
             while self._heap:
-                time, _, head = self._heap[0]
-                if head.cancelled:
+                time, _, callback, _ = self._heap[0]
+                if callback is None:
                     heapq.heappop(self._heap)
                     self._cancelled -= 1
                     continue
                 if time > until:
                     break
                 if max_events is not None and dispatched >= max_events:
-                    break
+                    # A live event at or before ``until`` stays queued:
+                    # the clock stays at the last one dispatched.
+                    return self.now
                 self.step()
                 dispatched += 1
         finally:
@@ -68,7 +98,7 @@ class ReferenceSimulator(Simulator):
     @property
     def pending_events(self) -> int:
         """O(n) heap scan, as before the live counter."""
-        return sum(1 for _, _, h in self._heap if not h.cancelled)
+        return sum(1 for entry in self._heap if entry[2] is not None)
 
     def __repr__(self) -> str:
         return (f"<ReferenceSimulator now={self.now:.1f}us "

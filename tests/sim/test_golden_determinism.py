@@ -63,7 +63,7 @@ def test_kernel_level_trace_identical():
             out.append((sim.now, sim.rng.random()))
             if n:
                 handle = sim.schedule(50.0, tick, 0)
-                handle.cancel()
+                sim.cancel(handle)
                 sim.schedule(sim.rng.uniform(1, 9), tick, n - 1)
 
         sim.schedule(0.0, tick, 400)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim import Simulator
+from tests.sim.reference_kernel import ReferenceSimulator
 
 
 def test_clock_starts_at_zero():
@@ -93,7 +94,7 @@ def test_cancel_prevents_firing():
     sim = Simulator()
     fired = []
     handle = sim.schedule(10.0, fired.append, "x")
-    handle.cancel()
+    sim.cancel(handle)
     sim.run()
     assert fired == []
 
@@ -101,8 +102,8 @@ def test_cancel_prevents_firing():
 def test_cancel_is_idempotent():
     sim = Simulator()
     handle = sim.schedule(10.0, lambda: None)
-    handle.cancel()
-    handle.cancel()
+    sim.cancel(handle)
+    sim.cancel(handle)
     sim.run()
 
 
@@ -111,16 +112,19 @@ def test_cancel_after_fire_is_noop():
     fired = []
     handle = sim.schedule(1.0, fired.append, "x")
     sim.run()
-    handle.cancel()
+    sim.cancel(handle)
     assert fired == ["x"]
 
 
 def test_pending_property():
     sim = Simulator()
-    handle = sim.schedule(10.0, lambda: None)
-    assert handle.pending
-    handle.cancel()
-    assert not handle.pending
+    fired = []
+    handle = sim.schedule(10.0, fired.append, "x")
+    assert sim.pending_events == 1
+    sim.cancel(handle)
+    assert sim.pending_events == 0
+    sim.run()
+    assert fired == [] and sim.events_dispatched == 0
 
 
 def test_events_scheduled_during_run_are_dispatched():
@@ -156,7 +160,7 @@ def test_max_events_limits_dispatch():
 
 
 def test_step_returns_false_when_drained():
-    sim = Simulator()
+    sim = ReferenceSimulator()
     sim.schedule(1.0, lambda: None)
     assert sim.step() is True
     assert sim.step() is False
@@ -167,7 +171,7 @@ def test_pending_events_counts_uncancelled():
     h1 = sim.schedule(1.0, lambda: None)
     sim.schedule(2.0, lambda: None)
     assert sim.pending_events == 2
-    h1.cancel()
+    sim.cancel(h1)
     assert sim.pending_events == 1
 
 
@@ -229,9 +233,9 @@ def test_pending_counter_tracks_dispatch_and_cancel():
     sim = Simulator()
     handles = [sim.schedule(float(i + 1), lambda: None) for i in range(6)]
     assert sim.pending_events == 6
-    handles[0].cancel()
-    handles[1].cancel()
-    handles[1].cancel()  # double cancel must not double-decrement
+    sim.cancel(handles[0])
+    sim.cancel(handles[1])
+    sim.cancel(handles[1])  # double cancel must not double-decrement
     assert sim.pending_events == 4
     sim.run(until=4.0)   # dispatches events at t=3 and t=4
     assert sim.pending_events == 2
@@ -244,28 +248,53 @@ def test_cancel_after_fire_does_not_corrupt_counter():
     handle = sim.schedule(1.0, lambda: None)
     sim.schedule(2.0, lambda: None)
     sim.run(until=1.0)
-    handle.cancel()  # already fired: must be a true no-op
+    sim.cancel(handle)  # already fired: must be a true no-op
     assert sim.pending_events == 1
 
 
 def test_max_events_not_consumed_by_cancelled_head():
     """A cancelled head popped by run() must not count toward
-    max_events, and the budget is re-checked before every pop."""
+    max_events, and the budget is re-checked before every dispatch."""
     sim = Simulator()
     fired = []
     doomed = sim.schedule(1.0, fired.append, "doomed")
     sim.schedule(2.0, fired.append, "a")
     sim.schedule(3.0, fired.append, "b")
-    doomed.cancel()
+    sim.cancel(doomed)
     sim.run(max_events=2)
     assert fired == ["a", "b"]
+
+
+def test_max_events_stop_keeps_clock_before_queued_events():
+    """A run stopped by ``max_events`` short of ``until`` leaves the
+    clock at the last event dispatched: advancing it to ``until``
+    would put queued events in the past."""
+    for sim in (Simulator(), ReferenceSimulator()):
+        fired = []
+        for t in (10.0, 20.0, 30.0):
+            sim.schedule_at(t, lambda: fired.append(sim.now))
+        assert sim.run(until=1000.0, max_events=1) == 10.0
+        assert sim.pending_events == 2
+        sim.run()
+        assert fired == [10.0, 20.0, 30.0]
+
+
+def test_max_events_stop_at_until_still_advances_clock():
+    """With the budget spent and every live event after ``until``, the
+    clock still advances to ``until``, cancelled heads or not."""
+    sim = Simulator()
+    sim.schedule_at(10.0, lambda: None)
+    sim.cancel(sim.schedule_at(20.0, lambda: None))
+    sim.schedule_at(2000.0, lambda: None)
+    assert sim.run(until=1000.0, max_events=1) == 1000.0
+    assert sim.pending_events == 1
 
 
 def test_max_events_zero_dispatches_nothing():
     sim = Simulator()
     fired = []
     handle = sim.schedule(1.0, fired.append, "x")
-    handle.cancel()
+    sim.cancel(handle)
     sim.schedule(2.0, fired.append, "y")
     sim.run(max_events=0)
     assert fired == []
@@ -283,7 +312,7 @@ def test_heap_compaction_preserves_dispatch_order():
         handle = sim.schedule(float(i + 1), fired.append, i)
         (survivors if i % 8 == 0 else doomed).append((i, handle))
     for _, handle in doomed:
-        handle.cancel()
+        sim.cancel(handle)
     # Compaction has kicked in at least once: the heap is strictly
     # smaller than the number of events ever scheduled.
     assert len(sim._heap) < 2 * COMPACT_MIN_CANCELLED
@@ -304,7 +333,7 @@ def test_compaction_during_run_is_safe():
 
     def massacre():
         for handle in handles[:-1]:
-            handle.cancel()
+            sim.cancel(handle)
 
     sim.schedule(1.0, massacre)
     sim.schedule(5.0, fired.append, "mid")
@@ -329,9 +358,10 @@ class _ScriptedTies:
 def test_equal_times_dispatch_in_seq_order():
     """Many events at a handful of times, scheduled out of time order
     through both entry points: each time's events fire in the order
-    they were scheduled (their ``seq``), by run() and by step()."""
+    they were scheduled (their ``seq``), by run() and by the
+    reference kernel's step()."""
     for drive in ("run", "step"):
-        sim = Simulator()
+        sim = Simulator() if drive == "run" else ReferenceSimulator()
         fired = []
         expected = []
         for i in range(200):
@@ -379,7 +409,8 @@ def test_tie_break_consulted_once_per_schedule_and_swap_keeps_counter():
              sim.schedule_at(2.0, lambda: None),
              sim.schedule(0.0, lambda: None)]
     assert calls == [("first", 0), ("first", 1), ("first", 2)]
-    assert [h.seq for h in first] == [(0, 0), (1, 1), (0, 2)]
+    # A handle is the heap entry ``[time, seq, callback, args]``.
+    assert [h[1] for h in first] == [(0, 0), (1, 1), (0, 2)]
     sim.run(until=1.5)
     assert len(calls) == 3
 
@@ -387,7 +418,7 @@ def test_tie_break_consulted_once_per_schedule_and_swap_keeps_counter():
     second = [sim.schedule_at(3.0, lambda: None),
               sim.schedule(0.5, lambda: None)]
     assert calls[3:] == [("second", 0), ("second", 1)]
-    assert [h.seq for h in second] == [(0, 3), (1, 4)]
+    assert [h[1] for h in second] == [(0, 3), (1, 4)]
     sim.run()
     assert len(calls) == 5
 

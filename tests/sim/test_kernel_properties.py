@@ -44,7 +44,7 @@ def test_cancel_removes_exactly_one_event(delay_list, cancel_index):
     for i, delay in enumerate(delay_list):
         handles.append(sim.schedule(delay, fired.append, i))
     victim = cancel_index % len(handles)
-    handles[victim].cancel()
+    sim.cancel(handles[victim])
     sim.run()
     assert len(fired) == len(delay_list) - 1
     assert victim not in fired

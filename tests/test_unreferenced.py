@@ -51,8 +51,6 @@ ALLOWED: Dict[str, str] = {
         "oracle: the error-budget ledger the SLO tests compare",
     "repro.cluster.partition:PartitionMap.assignment":
         "oracle: the whole shard map, checked by the partition tests",
-    "repro.sim.kernel:Simulator.step":
-        "oracle: the reference kernel dispatches one event at a time",
     "repro.campaign.spec:CampaignSpec.to_json":
         "oracle: golden digests and store tests hash specs through it",
     "repro.journal.availability:FaultMatch.missed":
